@@ -7,9 +7,9 @@ import (
 	"qtrtest"
 )
 
-func checkDB(t *testing.T) *qtrtest.DB {
+func checkDB(t *testing.T, workers int) env {
 	t.Helper()
-	return qtrtest.OpenTPCH(0.01, 1)
+	return env{db: qtrtest.OpenTPCH(0.01, 1), workers: workers}
 }
 
 // TestCheckMutantWithEETExitsNonzero pins the exit-code fix: -mutant and
@@ -18,8 +18,7 @@ func checkDB(t *testing.T) *qtrtest.DB {
 // drive a nonzero exit. Now the combination is accepted and a finding on
 // the combined registry must return an error (exit 1 at the CLI).
 func TestCheckMutantWithEETExitsNonzero(t *testing.T) {
-	db := checkDB(t)
-	if err := cmdCheck(db, []string{"-mutant", "wrong-agg", "-eet"}, 2, nil, ""); err == nil {
+	if err := cmdCheck(checkDB(t, 2), []string{"-mutant", "wrong-agg", "-eet"}); err == nil {
 		t.Fatal("check -mutant wrong-agg -eet returned nil; lint findings on the combined registry must exit nonzero")
 	}
 }
@@ -28,8 +27,7 @@ func TestCheckMutantWithEETExitsNonzero(t *testing.T) {
 // pack lints clean, so the same flag combination without a mutant must
 // return nil.
 func TestCheckEETCleanExitsZero(t *testing.T) {
-	db := checkDB(t)
-	if err := cmdCheck(db, []string{"-eet"}, 2, nil, ""); err != nil {
+	if err := cmdCheck(checkDB(t, 2), []string{"-eet"}); err != nil {
 		t.Fatalf("check -eet on the pristine registry failed: %v", err)
 	}
 }
@@ -37,8 +35,7 @@ func TestCheckEETCleanExitsZero(t *testing.T) {
 // TestCheckXMLExclusive: -xml still rejects the registry-selection flags,
 // since an XML export has no mutant or EET variant to resolve.
 func TestCheckXMLExclusive(t *testing.T) {
-	db := checkDB(t)
-	err := cmdCheck(db, []string{"-xml", "nope.xml", "-mutant", "wrong-agg"}, 2, nil, "")
+	err := cmdCheck(checkDB(t, 2), []string{"-xml", "nope.xml", "-mutant", "wrong-agg"})
 	if err == nil || !strings.Contains(err.Error(), "-xml cannot be combined") {
 		t.Fatalf("check -xml -mutant: err = %v, want the exclusivity error", err)
 	}
@@ -48,11 +45,10 @@ func TestCheckXMLExclusive(t *testing.T) {
 // verifier as a deep pass; a semantically wrong mutant that the structural
 // linter alone cannot catch must still fail the command.
 func TestCheckDeepPassFlagsMutant(t *testing.T) {
-	db := checkDB(t)
-	if err := cmdCheck(db, []string{"-mutant", "limit-off-by-one", "-verify"}, 4, nil, ""); err == nil {
+	if err := cmdCheck(checkDB(t, 4), []string{"-mutant", "limit-off-by-one", "-verify"}); err == nil {
 		t.Fatal("check -mutant limit-off-by-one -verify returned nil; the deep pass missed the mutant")
 	}
-	if err := cmdCheck(db, []string{"-verify"}, 4, nil, ""); err != nil {
+	if err := cmdCheck(checkDB(t, 4), []string{"-verify"}); err != nil {
 		t.Fatalf("check -verify on the pristine registry failed: %v", err)
 	}
 }
@@ -60,12 +56,34 @@ func TestCheckDeepPassFlagsMutant(t *testing.T) {
 // TestVerifyCommandExitCodes: the standalone verify command errors exactly
 // when a rule is flagged.
 func TestVerifyCommandExitCodes(t *testing.T) {
-	db := checkDB(t)
-	err := cmdVerify(db, []string{"-mutant", "limit-off-by-one", "-rules", "117"}, 2, nil, "")
+	err := cmdVerify(checkDB(t, 2), []string{"-mutant", "limit-off-by-one", "-rules", "117"})
 	if err == nil || !strings.Contains(err.Error(), "1 rule(s) flagged") {
 		t.Fatalf("verify on the limit mutant: err = %v, want a flagged-rule error", err)
 	}
-	if err := cmdVerify(db, []string{"-rules", "116,117"}, 2, nil, ""); err != nil {
+	if err := cmdVerify(checkDB(t, 2), []string{"-rules", "116,117"}); err != nil {
 		t.Fatalf("verify on pristine rules 116,117 failed: %v", err)
+	}
+}
+
+// TestUnknownBackendRejectedUpFront: -backend is resolved once, before any
+// subcommand runs. `suite` without -validate and `check` without -verify
+// never reach a campaign that would resolve the name, and used to succeed
+// silently with a typo in it.
+func TestUnknownBackendRejectedUpFront(t *testing.T) {
+	e := checkDB(t, 2)
+	e.oracle.Backend = "bogus"
+	for _, args := range [][]string{
+		{"suite", "-n", "1", "-k", "1"},
+		{"check"},
+		{"rules"},
+	} {
+		known, err := e.run(args[0], args[1:])
+		if !known || err == nil || !strings.Contains(err.Error(), `unknown engine "bogus"`) {
+			t.Errorf("-backend bogus %v: known=%v err=%v, want the unknown-engine error", args, known, err)
+		}
+	}
+	e.oracle.Backend = "ref"
+	if _, err := e.run("check", nil); err != nil {
+		t.Errorf("-backend ref check: %v", err)
 	}
 }

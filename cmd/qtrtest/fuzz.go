@@ -12,7 +12,7 @@ import (
 // byte-identical for every -workers value at a fixed seed, so a finding's
 // repro line replays anywhere; the command exits nonzero when the campaign
 // reports findings, making it usable as a CI tripwire.
-func cmdFuzz(db *qtrtest.DB, args []string, schema string, seed int64, workers int, rc *qtrtest.ResultCache, backend string) error {
+func cmdFuzz(e env, args []string) error {
 	fs := flag.NewFlagSet("fuzz", flag.ExitOnError)
 	n := fs.Int("n", 500, "number of queries to generate")
 	timeout := fs.Duration("timeout", 0, "stop at the next round boundary after this budget (0 = none; a timed-out report is not workers-deterministic)")
@@ -24,9 +24,9 @@ func cmdFuzz(db *qtrtest.DB, args []string, schema string, seed int64, workers i
 	fs.Parse(args)
 
 	cfg := qtrtest.FuzzConfig{
-		Seed: seed, N: *n, Workers: workers, Timeout: *timeout,
-		DB: schema, EET: *eet, StopOnFinding: *stop, Cache: rc,
-		Backend: backend,
+		Seed: e.seed, N: *n, Workers: e.workers, Timeout: *timeout,
+		DB: e.schema, EET: *eet, StopOnFinding: *stop,
+		Cache: e.oracle.Cache, Backend: e.oracle.Backend,
 	}
 	if *mutant != "" {
 		ms, err := qtrtest.MutantsByKind(qtrtest.MutantKind(*mutant))
@@ -44,11 +44,11 @@ func cmdFuzz(db *qtrtest.DB, args []string, schema string, seed int64, workers i
 		cfg.DB = ""
 		cfg.Catalog = nil
 		if cfg.Registry == nil {
-			cfg.Registry = db.Registry
+			cfg.Registry = e.db.Registry
 		}
 		rep, err = qtrtest.FuzzRun(cfg)
 	} else {
-		rep, err = db.Fuzz(cfg)
+		rep, err = e.db.Fuzz(cfg)
 	}
 	if err != nil {
 		return err

@@ -16,16 +16,14 @@
 //	qtrtest mutate [-k 4] [-targets 0] [-extra 0] [-kinds a,b] [-diff]
 //	qtrtest check [-json] [-matrix] [-xml file] [-mutant kind] [-eet]
 //	qtrtest fuzz [-n 500] [-timeout 30s] [-json] [-mutant kind] [-randcat] [-eet] [-stop-on-finding]
-//	qtrtest bench [-o BENCH_optimizer.json] [-graph=false]
-//	qtrtest bench -exec [-o BENCH_exec.json] [-rounds 3]
-//	qtrtest bench -campaign [-o BENCH_campaign.json] [-rounds 3]
 //
 // Global flags (before the subcommand): -scale, -seed, -db tpch|star, -ext,
 // -workers (worker pool size for the parallel campaign engine; suites,
 // solutions and validation reports are identical for every value),
 // -backend (an independent execution backend — e.g. "ref", the naive
 // reference interpreter — cross-checked against every base execution in
-// suite -validate, mutate, check -verify, verify and fuzz),
+// suite -validate, mutate, check -verify, verify and fuzz; an unknown name
+// is rejected before any subcommand runs),
 // -cache/-cachemb (campaign-wide plan-result cache; reports are
 // byte-identical with it on or off), -cachestats (print cache hit/miss/
 // eviction counters to stderr after the run),
@@ -42,8 +40,62 @@ import (
 	"strings"
 
 	"qtrtest"
+	"qtrtest/internal/core/oracle"
 	"qtrtest/internal/prof"
 )
+
+// env is what the global flags say, built once in main and handed to every
+// subcommand.
+type env struct {
+	db      *qtrtest.DB
+	schema  string
+	seed    int64
+	workers int
+	// oracle carries the execution options that are global flags (-cache,
+	// -backend); each campaign adds its own engine and caps. A nil cache is
+	// valid everywhere and means direct execution.
+	oracle oracle.Options
+}
+
+// run dispatches a subcommand; known is false for an unrecognized one. The
+// -backend name is checked here, once, so a campaign that would not have
+// used it cannot let a typo through.
+func (e env) run(cmd string, rest []string) (known bool, err error) {
+	if _, err := oracle.New(e.oracle); err != nil {
+		return true, err
+	}
+	switch cmd {
+	case "rules":
+		err = cmdRules(e.db)
+	case "patterns":
+		err = cmdPatterns(e.db, rest)
+	case "generate":
+		err = cmdGenerate(e, rest)
+	case "ruleset":
+		err = cmdRuleSet(e.db, rest)
+	case "explain":
+		err = cmdExplain(e.db, rest)
+	case "analyze":
+		err = cmdAnalyze(e.db, rest)
+	case "query":
+		err = cmdQuery(e.db, rest)
+	case "suite":
+		err = cmdSuite(e, rest)
+	case "interactions":
+		err = cmdInteractions(e, rest)
+	case "mutate":
+		err = cmdMutate(e, rest)
+	case "check":
+		err = cmdCheck(e, rest)
+	case "verify":
+		err = cmdVerify(e, rest)
+	case "fuzz":
+		err = cmdFuzz(e, rest)
+	default:
+		return false, nil
+	}
+	return true, err
+}
 
 func main() {
 	scale := flag.Float64("scale", 1.0, "test database row scale")
@@ -80,46 +132,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "qtrtest:", err)
 		os.Exit(1)
 	}
-	// A nil cache is valid everywhere and means direct execution. Stats stay
-	// on stderr so JSON reports on stdout remain byte-identical either way.
+	// Cache stats stay on stderr so JSON reports on stdout remain
+	// byte-identical either way.
 	var rc *qtrtest.ResultCache
 	if *cacheOn {
 		rc = qtrtest.NewResultCache(int64(*cacheMB) << 20)
 	}
-	cmd, rest := args[0], args[1:]
-	unknown := false
-	switch cmd {
-	case "rules":
-		err = cmdRules(db)
-	case "patterns":
-		err = cmdPatterns(db, rest)
-	case "generate":
-		err = cmdGenerate(db, rest, *seed)
-	case "ruleset":
-		err = cmdRuleSet(db, rest)
-	case "explain":
-		err = cmdExplain(db, rest)
-	case "analyze":
-		err = cmdAnalyze(db, rest)
-	case "query":
-		err = cmdQuery(db, rest)
-	case "suite":
-		err = cmdSuite(db, rest, *seed, *workers, rc, *backend)
-	case "interactions":
-		err = cmdInteractions(db, rest, *seed)
-	case "mutate":
-		err = cmdMutate(db, rest, *seed, *workers, rc, *backend)
-	case "check":
-		err = cmdCheck(db, rest, *workers, rc, *backend)
-	case "verify":
-		err = cmdVerify(db, rest, *workers, rc, *backend)
-	case "fuzz":
-		err = cmdFuzz(db, rest, *schema, *seed, *workers, rc, *backend)
-	case "bench":
-		err = cmdBench(db, rest)
-	default:
-		unknown = true
-	}
+	e := env{db: db, schema: *schema, seed: *seed, workers: *workers,
+		oracle: oracle.Options{Backend: *backend, Cache: rc}}
+	known, err := e.run(args[0], args[1:])
 	if perr := profile.Stop(); perr != nil && err == nil {
 		err = perr
 	}
@@ -128,7 +149,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cachestats: hits=%d misses=%d evictions=%d entries=%d bytes=%d\n",
 			st.Hits, st.Misses, st.Evictions, st.Entries, st.Bytes)
 	}
-	if unknown {
+	if !known {
 		usage()
 	}
 	if err != nil {
@@ -138,7 +159,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: qtrtest [-scale F] [-seed S] [-db tpch|star] [-ext] [-workers W] [-backend ref] [-cache=false] [-cachemb M] [-cachestats] [-cpuprofile F] [-memprofile F] <rules|patterns|generate|ruleset|explain|analyze|query|suite|interactions|mutate|check|verify|fuzz|bench> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: qtrtest [-scale F] [-seed S] [-db tpch|star] [-ext] [-workers W] [-backend ref] [-cache=false] [-cachemb M] [-cachestats] [-cpuprofile F] [-memprofile F] <rules|patterns|generate|ruleset|explain|analyze|query|suite|interactions|mutate|check|verify|fuzz> [flags]")
 	os.Exit(2)
 }
 
@@ -174,7 +195,7 @@ func cmdPatterns(db *qtrtest.DB, args []string) error {
 	return nil
 }
 
-func cmdGenerate(db *qtrtest.DB, args []string, seed int64) error {
+func cmdGenerate(e env, args []string) error {
 	fs := flag.NewFlagSet("generate", flag.ExitOnError)
 	rule := fs.Int("rule", 0, "target rule id")
 	pair := fs.Int("pair", 0, "second rule id for a rule pair")
@@ -187,7 +208,7 @@ func cmdGenerate(db *qtrtest.DB, args []string, seed int64) error {
 	if *rule == 0 {
 		return fmt.Errorf("generate: -rule is required")
 	}
-	gen, err := db.NewGenerator(qtrtest.GenConfig{Seed: seed, MaxTrials: *trials, ExtraOps: *extra})
+	gen, err := e.db.NewGenerator(qtrtest.GenConfig{Seed: e.seed, MaxTrials: *trials, ExtraOps: *extra})
 	if err != nil {
 		return err
 	}
@@ -316,12 +337,13 @@ func cmdQuery(db *qtrtest.DB, args []string) error {
 
 // cmdInteractions prints the observed rule-interaction matrix (§7: rule r2
 // exercised on an expression created by rule r1) over a coverage campaign.
-func cmdInteractions(db *qtrtest.DB, args []string, seed int64) error {
+func cmdInteractions(e env, args []string) error {
+	db := e.db
 	fs := flag.NewFlagSet("interactions", flag.ExitOnError)
 	n := fs.Int("n", 8, "number of exploration rules")
 	per := fs.Int("per", 3, "queries generated per rule")
 	fs.Parse(args)
-	gen, err := db.NewGenerator(qtrtest.GenConfig{Seed: seed, MaxTrials: 256, ExtraOps: 2})
+	gen, err := db.NewGenerator(qtrtest.GenConfig{Seed: e.seed, MaxTrials: 256, ExtraOps: 2})
 	if err != nil {
 		return err
 	}
@@ -358,7 +380,7 @@ func cmdInteractions(db *qtrtest.DB, args []string, seed int64) error {
 // cmdMutate runs the rule-mutation fault-injection campaign: one full
 // generate/compress/execute pipeline per injected rule fault, reporting the
 // mutation score of the uncompressed and compressed suites.
-func cmdMutate(db *qtrtest.DB, args []string, seed int64, workers int, rc *qtrtest.ResultCache, backend string) error {
+func cmdMutate(e env, args []string) error {
 	fs := flag.NewFlagSet("mutate", flag.ExitOnError)
 	k := fs.Int("k", 12, "test-suite size per target")
 	targets := fs.Int("targets", 0, "extra healthy-rule targets beside the mutated rule (slow at full scale: wrong plans can be cross products)")
@@ -368,8 +390,8 @@ func cmdMutate(db *qtrtest.DB, args []string, seed int64, workers int, rc *qtrte
 	diff := fs.Bool("diff", false, "print per-mutant plan-diff evidence")
 	fs.Parse(args)
 	cfg := qtrtest.MutationConfig{
-		K: *k, Targets: *targets, ExtraOps: *extra, Seed: seed,
-		MaxTrials: *trials, Workers: workers, Cache: rc, Backend: backend,
+		K: *k, Targets: *targets, ExtraOps: *extra, Seed: e.seed,
+		MaxTrials: *trials, Workers: e.workers, Cache: e.oracle.Cache, Backend: e.oracle.Backend,
 	}
 	if *kinds != "" {
 		var ks []qtrtest.MutantKind
@@ -382,7 +404,7 @@ func cmdMutate(db *qtrtest.DB, args []string, seed int64, workers int, rc *qtrte
 		}
 		cfg.Mutants = ms
 	}
-	score, err := db.MutationCampaign(cfg)
+	score, err := e.db.MutationCampaign(cfg)
 	if err != nil {
 		return err
 	}
@@ -395,7 +417,7 @@ func cmdMutate(db *qtrtest.DB, args []string, seed int64, workers int, rc *qtrte
 // registry as a self-test probe, optionally extended with the EET rule pack
 // — and exits nonzero on findings. With -verify it additionally runs the
 // small-scope semantic verifier over the same live registry as a deep pass.
-func cmdCheck(db *qtrtest.DB, args []string, workers int, rc *qtrtest.ResultCache, backend string) error {
+func cmdCheck(e env, args []string) error {
 	fs := flag.NewFlagSet("check", flag.ExitOnError)
 	asJSON := fs.Bool("json", false, "emit the report as JSON")
 	matrix := fs.Bool("matrix", false, "also print the composability feeds relation")
@@ -422,7 +444,7 @@ func cmdCheck(db *qtrtest.DB, args []string, workers int, rc *qtrtest.ResultCach
 		rep = qtrtest.CheckExportedRules(ex)
 	} else {
 		var err error
-		if vcfg, err = verifyRegistry(db, *mutant, *eet); err != nil {
+		if vcfg, err = verifyRegistry(e, *mutant, *eet); err != nil {
 			return err
 		}
 		rep = qtrtest.CheckRules(vcfg.Registry)
@@ -453,9 +475,6 @@ func cmdCheck(db *qtrtest.DB, args []string, workers int, rc *qtrtest.ResultCach
 		lintErr = fmt.Errorf("check: %d finding(s)", rep.Count(qtrtest.CheckError)+rep.Count(qtrtest.CheckWarning))
 	}
 	if *deep {
-		vcfg.Workers = workers
-		vcfg.Cache = rc
-		vcfg.Backend = backend
 		vrep, err := qtrtest.VerifyRules(vcfg)
 		if err != nil {
 			return err
@@ -470,7 +489,8 @@ func cmdCheck(db *qtrtest.DB, args []string, workers int, rc *qtrtest.ResultCach
 	return lintErr
 }
 
-func cmdSuite(db *qtrtest.DB, args []string, seed int64, workers int, rc *qtrtest.ResultCache, backend string) error {
+func cmdSuite(e env, args []string) error {
+	db, backend := e.db, e.oracle.Backend
 	fs := flag.NewFlagSet("suite", flag.ExitOnError)
 	n := fs.Int("n", 10, "number of exploration rules")
 	k := fs.Int("k", 5, "test-suite size per target")
@@ -488,7 +508,7 @@ func cmdSuite(db *qtrtest.DB, args []string, seed int64, workers int, rc *qtrtes
 		targets = qtrtest.SingletonTargets(ids)
 	}
 	fmt.Printf("generating suite: %d targets, k=%d ...\n", len(targets), *k)
-	g, err := db.GenerateSuite(targets, qtrtest.SuiteConfig{K: *k, Seed: seed, ExtraOps: *extra, Workers: workers})
+	g, err := db.GenerateSuite(targets, qtrtest.SuiteConfig{K: *k, Seed: e.seed, ExtraOps: *extra, Workers: e.workers})
 	if err != nil {
 		return err
 	}
@@ -519,7 +539,7 @@ func cmdSuite(db *qtrtest.DB, args []string, seed int64, workers int, rc *qtrtes
 	fmt.Printf("total estimated execution cost: %.0f (optimizer calls: %d)\n",
 		sol.TotalCost, sol.OptimizerCalls)
 	if *validate {
-		g.SetCache(rc)
+		g.SetCache(e.oracle.Cache)
 		if err := g.SetBackend(backend); err != nil {
 			return err
 		}

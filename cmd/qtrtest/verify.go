@@ -11,9 +11,12 @@ import (
 // verifyRegistry resolves the registry a verify run targets: the active
 // registry by default, a mutant's registry with -mutant, either one extended
 // with the EET rule pack with -eet. The returned config carries the labels
-// the report and repro lines embed.
-func verifyRegistry(db *qtrtest.DB, mutant string, eet bool) (qtrtest.VerifyConfig, error) {
-	cfg := qtrtest.VerifyConfig{Registry: db.Registry, EET: eet}
+// the report and repro lines embed, and the global execution flags.
+func verifyRegistry(e env, mutant string, eet bool) (qtrtest.VerifyConfig, error) {
+	cfg := qtrtest.VerifyConfig{
+		Registry: e.db.Registry, EET: eet,
+		Workers: e.workers, Cache: e.oracle.Cache, Backend: e.oracle.Backend,
+	}
 	if mutant != "" {
 		ms, err := qtrtest.MutantsByKind(qtrtest.MutantKind(mutant))
 		if err != nil {
@@ -47,7 +50,7 @@ func eetRulePack() []qtrtest.Rule {
 // order/limit sensitivity. The report is byte-identical for every -workers
 // value, so a finding's repro line replays anywhere; the command exits
 // nonzero when any rule is flagged, making it a CI tripwire like fuzz.
-func cmdVerify(db *qtrtest.DB, args []string, workers int, rc *qtrtest.ResultCache, backend string) error {
+func cmdVerify(e env, args []string) error {
 	fs := flag.NewFlagSet("verify", flag.ExitOnError)
 	ruleIDs := fs.String("rules", "", "comma-separated rule ids to verify (default: all)")
 	mutant := fs.String("mutant", "", "verify a mutant registry instead (fault-injection self-test)")
@@ -55,13 +58,10 @@ func cmdVerify(db *qtrtest.DB, args []string, workers int, rc *qtrtest.ResultCac
 	asJSON := fs.Bool("json", false, "emit the report as JSON")
 	fs.Parse(args)
 
-	cfg, err := verifyRegistry(db, *mutant, *eet)
+	cfg, err := verifyRegistry(e, *mutant, *eet)
 	if err != nil {
 		return err
 	}
-	cfg.Workers = workers
-	cfg.Cache = rc
-	cfg.Backend = backend
 	if cfg.Rules, err = parseIDs(*ruleIDs); err != nil {
 		return err
 	}

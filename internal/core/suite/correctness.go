@@ -1,16 +1,12 @@
 package suite
 
 import (
-	"errors"
 	"fmt"
 
 	"qtrtest/internal/catalog"
-	"qtrtest/internal/datum"
-	"qtrtest/internal/exec"
+	"qtrtest/internal/core/oracle"
 	"qtrtest/internal/opt"
 	"qtrtest/internal/par"
-	"qtrtest/internal/physical"
-	"qtrtest/internal/rescache"
 )
 
 // Mismatch records one detected correctness bug: a query whose results
@@ -67,86 +63,6 @@ type BackendDisagreement struct {
 	Detail string
 }
 
-// BaseExec is one executed Plan(q): the reference side of the differential
-// oracle. The suite runner builds one per distinct query; the fuzzer builds
-// one per generated query and compares every Plan(q,¬R) and every
-// metamorphic variant against it through CompareEdge.
-type BaseExec struct {
-	Plan  *physical.Expr
-	Rows  []datum.Row
-	Hash  string
-	Order exec.PlanOrder
-}
-
-// ExecBase executes a base plan and captures everything CompareEdge needs.
-// maxRows > 0 caps the buffered result and maxWork > 0 caps the total rows
-// produced by all operators (the error is exec.ErrRowLimit either way).
-func ExecBase(plan *physical.Expr, cat *catalog.Catalog, maxRows int, maxWork int64) (*BaseExec, error) {
-	return ExecBaseEngine(exec.EngineBatch, plan, cat, maxRows, maxWork)
-}
-
-// ExecBaseEngine is ExecBase on an explicit execution engine.
-func ExecBaseEngine(eng exec.Engine, plan *physical.Expr, cat *catalog.Catalog, maxRows int, maxWork int64) (*BaseExec, error) {
-	return ExecBaseCached(nil, eng, plan, cat, maxRows, maxWork)
-}
-
-// ExecBaseCached is ExecBaseEngine through a result cache; a nil cache
-// executes directly. Cached rows are shared read-only between every BaseExec
-// holding them, which the oracle permits because CompareResults never
-// mutates its inputs.
-func ExecBaseCached(rc *rescache.Cache, eng exec.Engine, plan *physical.Expr, cat *catalog.Catalog, maxRows int, maxWork int64) (*BaseExec, error) {
-	rows, err := rc.Run(eng, plan, cat, maxRows, maxWork)
-	if err != nil {
-		return nil, err
-	}
-	return &BaseExec{Plan: plan, Rows: rows, Hash: plan.Hash(), Order: exec.RootOrder(plan)}, nil
-}
-
-// EdgeOutcome is CompareEdge's result: either the alternative plan was not
-// worth executing (identical to the base, or over the row cap), or the
-// order-aware oracle's verdict on its results.
-type EdgeOutcome struct {
-	// Skipped reports the plan was structurally identical to the base;
-	// identical plans are guaranteed to produce identical results, so the
-	// execution is skipped (paper footnote 1).
-	Skipped bool
-	// Capped reports the alternative exceeded maxRows or maxWork, so no
-	// comparison was possible (only with a positive cap).
-	Capped  bool
-	Verdict exec.Verdict
-	Detail  string
-}
-
-// CompareEdge executes an alternative plan for base's query and compares the
-// results with the order-aware oracle. maxRows > 0 caps the alternative's
-// buffered result; maxWork > 0 caps its total operator output.
-func CompareEdge(cat *catalog.Catalog, base *BaseExec, plan *physical.Expr, maxRows int, maxWork int64) (EdgeOutcome, error) {
-	return CompareEdgeEngine(exec.EngineBatch, cat, base, plan, maxRows, maxWork)
-}
-
-// CompareEdgeEngine is CompareEdge on an explicit execution engine.
-func CompareEdgeEngine(eng exec.Engine, cat *catalog.Catalog, base *BaseExec, plan *physical.Expr, maxRows int, maxWork int64) (EdgeOutcome, error) {
-	return CompareEdgeCached(nil, eng, cat, base, plan, maxRows, maxWork)
-}
-
-// CompareEdgeCached is CompareEdgeEngine through a result cache; a nil cache
-// executes directly. The identical-plan skip (paper footnote 1) stays ahead
-// of the cache — a skip needs no lookup at all.
-func CompareEdgeCached(rc *rescache.Cache, eng exec.Engine, cat *catalog.Catalog, base *BaseExec, plan *physical.Expr, maxRows int, maxWork int64) (EdgeOutcome, error) {
-	if plan.Hash() == base.Hash {
-		return EdgeOutcome{Skipped: true}, nil
-	}
-	rows, err := rc.Run(eng, plan, cat, maxRows, maxWork)
-	if errors.Is(err, exec.ErrRowLimit) {
-		return EdgeOutcome{Capped: true}, nil
-	}
-	if err != nil {
-		return EdgeOutcome{}, err
-	}
-	verdict, detail := exec.CompareResults(base.Rows, base.Order, rows, exec.RootOrder(plan))
-	return EdgeOutcome{Verdict: verdict, Detail: detail}, nil
-}
-
 // Run executes the solution's test suite against the database: for every
 // distinct query, Plan(q) runs once; for every edge, Plan(q,¬R) runs (unless
 // identical to Plan(q)) and its results are compared with the original by
@@ -177,18 +93,18 @@ func (g *Graph) Run(sol *Solution, o *opt.Optimizer, cat *catalog.Catalog) (*Rep
 		}
 	}
 
+	rn, err := oracle.New(g.ox)
+	if err != nil {
+		return nil, err
+	}
+
 	// Phase 1: execute every Plan(q) once, in parallel. With a cross-check
 	// backend set, each base is additionally replayed there and compared;
 	// outcomes land in index-addressed slots and are merged in distinct
 	// order so the report stays byte-identical at any worker count.
-	type backendCheck struct {
-		checked bool
-		detail  string
-		diff    bool
-	}
-	bases := make([]*BaseExec, len(distinct))
-	bkChecks := make([]backendCheck, len(distinct))
-	err := par.ForEachErr(g.workers, len(distinct), func(i int) error {
+	bases := make([]oracle.Base, len(distinct))
+	crosses := make([]oracle.Outcome, len(distinct))
+	err = par.ForEachErr(g.workers, len(distinct), func(i int) error {
 		qi := distinct[i]
 		q := g.Queries[qi]
 		plan := q.BasePlan
@@ -199,23 +115,14 @@ func (g *Graph) Run(sol *Solution, o *opt.Optimizer, cat *catalog.Catalog) (*Rep
 			}
 			plan = res.Plan
 		}
-		base, err := ExecBaseCached(g.cache, g.engine, plan, cat, 0, 0)
+		base, err := rn.Base(cat, oracle.Prepare(plan))
 		if err != nil {
 			return fmt.Errorf("suite: executing query %d: %w", qi, err)
 		}
 		bases[i] = base
-		if g.backendOn && q.Tree != nil {
-			out, err := CrossCheckBase(g.cache, g.backend, g.engine, q.Tree, base, cat, 0, 0)
-			switch {
-			case err != nil:
-				bkChecks[i] = backendCheck{checked: true, diff: true, detail: err.Error()}
-			case out.Skipped || out.Capped:
-				// Nothing independent to compare (backend == engine; caps
-				// cannot trip at (0,0)).
-			case out.Verdict == exec.VerdictMismatch:
-				bkChecks[i] = backendCheck{checked: true, diff: true, detail: out.Detail}
-			default:
-				bkChecks[i] = backendCheck{checked: true}
+		if rn.HasBackend() && q.Tree != nil {
+			if crosses[i], err = rn.Cross(&base, q.Tree); err != nil {
+				return fmt.Errorf("suite: cross-checking query %d: %w", qi, err)
 			}
 		}
 		return nil
@@ -224,68 +131,56 @@ func (g *Graph) Run(sol *Solution, o *opt.Optimizer, cat *catalog.Catalog) (*Rep
 		return nil, err
 	}
 	rep.PlanExecutions = len(distinct)
-	for i, bc := range bkChecks {
-		if !bc.checked {
+	for i, out := range crosses {
+		if !out.Verdict.Compared() {
+			// Not asked, or nothing independent to compare (backend ==
+			// engine; caps cannot trip at (0,0)).
 			continue
 		}
 		rep.BackendChecks++
-		if bc.diff {
+		if out.Verdict == oracle.Mismatch {
 			rep.BackendDisagreements = append(rep.BackendDisagreements,
-				BackendDisagreement{Query: g.Queries[distinct[i]], Detail: bc.detail})
+				BackendDisagreement{Query: g.Queries[distinct[i]], Detail: out.Detail})
 		}
 	}
 
 	// Phase 2: execute every edge's Plan(q,¬R) in parallel, skipping plans
-	// identical to the base. Results land in assignment-indexed slots so the
+	// identical to the base. Outcomes land in assignment-indexed slots so the
 	// report is deterministic.
-	type edgeExec struct {
-		skipped      bool
-		mismatch     *Mismatch
-		undetermined *Undetermined
-	}
-	edges := make([]edgeExec, len(sol.Assignments))
+	edges := make([]oracle.Outcome, len(sol.Assignments))
 	err = par.ForEachErr(g.workers, len(sol.Assignments), func(i int) error {
 		a := sol.Assignments[i]
-		q := g.Queries[a.Query]
 		t := g.Targets[a.Target]
-		base := bases[queryOf[a.Query]]
-		var plan *physical.Expr
-		if plan = g.EdgePlan(a.Query, t); plan == nil {
+		plan := g.EdgePlan(a.Query, t)
+		if plan == nil {
 			return fmt.Errorf("suite: no plan for query %d with %s disabled", a.Query, t)
 		}
-		out, err := CompareEdgeCached(g.cache, g.engine, cat, base, plan, 0, 0)
+		out, err := rn.Edge(&bases[queryOf[a.Query]], oracle.Prepare(plan))
 		if err != nil {
 			return fmt.Errorf("suite: executing query %d with %s disabled: %w", a.Query, t, err)
 		}
-		if out.Skipped {
-			edges[i].skipped = true
-			return nil
-		}
-		switch out.Verdict {
-		case exec.VerdictMismatch:
-			edges[i].mismatch = &Mismatch{
-				Target: t, Query: q, Detail: out.Detail,
-				BasePlan: base.Plan.String(), EdgePlan: plan.String(),
-			}
-		case exec.VerdictUndetermined:
-			edges[i].undetermined = &Undetermined{Target: t, Query: q, Detail: out.Detail}
-		}
+		edges[i] = out
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i := range edges {
-		if edges[i].skipped {
+	for i, out := range edges {
+		if out.Verdict == oracle.Identical {
 			rep.SkippedIdentical++
 			continue
 		}
 		rep.PlanExecutions++
-		if edges[i].mismatch != nil {
-			rep.Mismatches = append(rep.Mismatches, *edges[i].mismatch)
-		}
-		if edges[i].undetermined != nil {
-			rep.Undetermined = append(rep.Undetermined, *edges[i].undetermined)
+		a := sol.Assignments[i]
+		t, q := g.Targets[a.Target], g.Queries[a.Query]
+		switch out.Verdict {
+		case oracle.Mismatch:
+			rep.Mismatches = append(rep.Mismatches, Mismatch{
+				Target: t, Query: q, Detail: out.Detail,
+				BasePlan: bases[queryOf[a.Query]].Expr.String(), EdgePlan: g.EdgePlan(a.Query, t).String(),
+			})
+		case oracle.Undetermined:
+			rep.Undetermined = append(rep.Undetermined, Undetermined{Target: t, Query: q, Detail: out.Detail})
 		}
 	}
 	return rep, nil

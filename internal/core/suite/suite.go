@@ -15,6 +15,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"qtrtest/internal/core/oracle"
 	"qtrtest/internal/core/qgen"
 	"qtrtest/internal/exec"
 	"qtrtest/internal/logical"
@@ -111,16 +112,9 @@ type Graph struct {
 	// workers bounds the worker pool used by the parallel algorithm and
 	// execution paths; <= 0 means GOMAXPROCS.
 	workers int
-	// engine selects the execution engine Run uses; the zero value is the
-	// batch engine.
-	engine exec.Engine
-	// cache, when non-nil, memoizes plan executions across Run calls (and
-	// across graphs sharing the same cache); nil executes directly.
-	cache *rescache.Cache
-	// backend, when backendOn, is the independent engine Run replays every
-	// distinct base query on (SetBackend).
-	backend   exec.Engine
-	backendOn bool
+	// ox is how Run executes and compares: engine, result cache (shared
+	// across Run calls and graphs) and cross-check backend; caps stay zero.
+	ox oracle.Options
 }
 
 // Workers returns the graph's worker-pool bound (<= 0 means GOMAXPROCS).
@@ -133,28 +127,24 @@ func (g *Graph) SetWorkers(n int) { g.workers = n }
 // SetEngine overrides the execution engine used by Run. Reports are
 // byte-identical across engines; the differential golden tests hold the suite
 // to that.
-func (g *Graph) SetEngine(e exec.Engine) { g.engine = e }
+func (g *Graph) SetEngine(e exec.Engine) { g.ox.Engine = e }
 
 // SetCache routes Run's plan executions through a shared result cache.
 // Reports are byte-identical with and without one; the cache differential
 // tests hold the suite to that.
-func (g *Graph) SetCache(c *rescache.Cache) { g.cache = c }
+func (g *Graph) SetCache(c *rescache.Cache) { g.ox.Cache = c }
 
 // SetBackend enables the independent-backend cross-check: Run additionally
 // replays every distinct base query on the named engine ("ref", "row",
 // "batch") and reports disagreements. An empty name disables the check
 // (the default); reports are byte-identical to a backend-less run then.
 func (g *Graph) SetBackend(name string) error {
-	if name == "" {
-		g.backendOn = false
-		return nil
-	}
-	e, err := exec.EngineByName(name)
-	if err != nil {
+	ox := g.ox
+	ox.Backend = name
+	if _, err := oracle.New(ox); err != nil {
 		return err
 	}
-	g.backend = e
-	g.backendOn = true
+	g.ox = ox
 	return nil
 }
 

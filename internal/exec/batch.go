@@ -30,10 +30,10 @@ const (
 	candidateCap = 4096
 )
 
-// denseIota is the shared read-only selection vector operators producing
-// dense output slice their Idx from. Its length covers the largest batch any
-// operator emits: a left join's candidate matches plus one fallout row per
-// probe row.
+// denseIota is the shared read-only selection vector behind iotaSel. Its length
+// covers the common batches — a left join's candidate matches plus one
+// fallout row per row of a scan-sized probe batch — but not every batch: a
+// left join whose probe batch is itself a join's output emits more.
 var denseIota = func() []int {
 	s := make([]int, candidateCap+batchSize)
 	for i := range s {
@@ -41,6 +41,21 @@ var denseIota = func() []int {
 	}
 	return s
 }()
+
+// iotaSel returns the identity selection 0..n-1 for an operator producing dense
+// output: a read-only slice of denseIota when that is long enough, else a
+// fresh slice the caller owns. putSel tells the two apart, so either may be
+// handed to it.
+func iotaSel(n int) []int {
+	if n <= len(denseIota) {
+		return denseIota[:n]
+	}
+	s := make([]int, n)
+	for i := range s {
+		s[i] = i
+	}
+	return s
+}
 
 // Batch is a unit of columnar data flow: one vector per output column plus a
 // selection vector. Row k of the batch is (Cols[0].D[Idx[k]], Cols[1].D[Idx[k]], …);
@@ -409,7 +424,7 @@ func (b *batchFromRows) Next() (*Batch, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	b.out = Batch{Cols: b.vecs, Idx: denseIota[:n]}
+	b.out = Batch{Cols: b.vecs, Idx: iotaSel(n)}
 	return &b.out, nil
 }
 
@@ -536,7 +551,7 @@ func (p *batchProject) Next() (*Batch, error) {
 			return nil, err
 		}
 	}
-	p.out = Batch{Cols: p.vecs, Idx: denseIota[:b.Len()]}
+	p.out = Batch{Cols: p.vecs, Idx: iotaSel(b.Len())}
 	return &p.out, nil
 }
 

@@ -116,16 +116,9 @@ func (a *batchAgg) Open() error {
 			a.vecs[len(a.groupCols)+i].Append(g.states[i].result(ag.Op))
 		}
 	}
-	// The result selection is the identity, so the shared iota covers all but
-	// pathological group counts; putSel's alias guard keeps it out of the pool.
-	if n := len(order); n <= len(denseIota) {
-		a.idx = denseIota[:n]
-	} else {
-		a.idx = make([]int, n)
-		for i := range a.idx {
-			a.idx[i] = i
-		}
-	}
+	// The result selection is the identity; putSel's alias guard keeps the
+	// shared one out of the pool on Close.
+	a.idx = iotaSel(len(order))
 	a.pos = 0
 	return nil
 }

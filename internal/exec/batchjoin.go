@@ -359,10 +359,10 @@ func (h *batchHashJoin) evalChunk() error {
 	if h.equi {
 		// Aliasing the shared read-only iota is safe: an equi-only join never
 		// takes the EvalPred branch below, which is the only writer into sel.
-		h.sel = denseIota[:len(h.candL)]
+		h.sel = iotaSel(len(h.candL))
 		return nil
 	}
-	sel, err := h.ve.EvalPred(h.plan.On, h.candVecs, denseIota[:len(h.candL)], h.sel)
+	sel, err := h.ve.EvalPred(h.plan.On, h.candVecs, iotaSel(len(h.candL)), h.sel)
 	if err != nil {
 		return err
 	}
@@ -429,7 +429,7 @@ func (h *batchHashJoin) emitChunk() *Batch {
 				m++
 			}
 		}
-		h.out = Batch{Cols: h.outVecs, Idx: denseIota[:m]}
+		h.out = Batch{Cols: h.outVecs, Idx: iotaSel(m)}
 		return &h.out
 	}
 }

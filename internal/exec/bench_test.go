@@ -72,8 +72,7 @@ func benchPlans() []struct {
 }
 
 // BenchmarkEngineOps measures each hot operator on the row and batch engines
-// over a 50k-row synthetic table; `qtrtest bench -exec` runs the same
-// workload when producing BENCH_exec.json.
+// over a 50k-row synthetic table.
 func BenchmarkEngineOps(b *testing.B) {
 	cat := benchCatalog(50000)
 	for _, p := range benchPlans() {

@@ -211,6 +211,67 @@ func TestEngineChunkSpanningJoin(t *testing.T) {
 	}
 }
 
+// TestEngineLeftJoinOverJoinOutgrowsIota: a left join emits, per chunk, up to
+// candidateCap matches plus one fallout row per unmatched probe row, and its
+// probe batch can itself be a join's candidateCap-row output — so the chunk
+// outgrows the shared denseIota, which is sized for a batchSize-row probe.
+// Here a 1024-row scan fans out 4x into one 4096-row probe batch whose even
+// rows match twice and odd rows not at all: one 6144-row output chunk, which
+// used to slice denseIota out of range (and would again in the project above
+// it).
+func TestEngineLeftJoinOverJoinOutgrowsIota(t *testing.T) {
+	c := catalog.New()
+	add := func(name string, rows int, row func(i int) datum.Row) {
+		tbl := &catalog.Table{Name: name, Columns: []catalog.Column{
+			{Name: "a", Type: datum.TypeInt}, {Name: "b", Type: datum.TypeInt},
+		}}
+		for i := 0; i < rows; i++ {
+			tbl.Rows = append(tbl.Rows, row(i))
+		}
+		tbl.ComputeStats()
+		c.Add(tbl)
+	}
+	const fan = candidateCap / batchSize
+	add("probe", batchSize, func(i int) datum.Row { return datum.Row{datum.NewInt(int64(i)), datum.NewInt(int64(-i))} })
+	add("fanout", candidateCap, func(i int) datum.Row { return datum.Row{datum.NewInt(int64(i / fan)), datum.NewInt(int64(i))} })
+	add("evens", candidateCap, func(i int) datum.Row { return datum.Row{datum.NewInt(int64(i &^ 1)), datum.NewInt(int64(i))} })
+	join := func(jt physical.JoinType, l, r *physical.Expr, lk, rk scalar.ColumnID) *physical.Expr {
+		return &physical.Expr{
+			Op: physical.OpHashJoin, JoinType: jt, Children: []*physical.Expr{l, r},
+			On:       &scalar.Cmp{Op: scalar.CmpEQ, L: &scalar.ColRef{ID: lk}, R: &scalar.ColRef{ID: rk}},
+			EquiLeft: []scalar.ColumnID{lk}, EquiRight: []scalar.ColumnID{rk},
+		}
+	}
+	scan := func(name string, a, b scalar.ColumnID) *physical.Expr {
+		return &physical.Expr{Op: physical.OpScan, Table: name, Cols: []scalar.ColumnID{a, b}}
+	}
+	left := join(physical.JoinLeft,
+		join(physical.JoinInner, scan("probe", 1, 2), scan("fanout", 3, 4), 1, 3),
+		scan("evens", 5, 6), 4, 5)
+	plans := map[string]*physical.Expr{
+		"leftjoin": left,
+		"project-over-leftjoin": {
+			Op: physical.OpProject, Children: []*physical.Expr{left},
+			Projs: []logical.ProjItem{{Out: 9, E: &scalar.ColRef{ID: 4}}, {Out: 8, E: &scalar.ColRef{ID: 6}}},
+		},
+	}
+	for name, plan := range plans {
+		t.Run(name, func(t *testing.T) {
+			rows := runEngines(t, plan, c)
+			if want := candidateCap + candidateCap/2; len(rows) != want || want <= len(denseIota) {
+				t.Fatalf("%d rows, want one %d-row chunk longer than denseIota (%d)", len(rows), want, len(denseIota))
+			}
+			ref, err := RunEngine(EngineRef, plan, c, 0, 0)
+			if err != nil {
+				t.Fatalf("ref engine: %v", err)
+			}
+			if !EqualMultisets(rows, ref) {
+				t.Fatalf("ref engine disagrees:\n%s", DiffSummary(rows, ref))
+			}
+		})
+	}
+}
+
 // planGen builds random plans over fresh random tables, assigning globally
 // unique column ids per scan. All columns are ints, so every generated
 // expression is type-correct and scalar errors cannot make the engines

@@ -6,8 +6,7 @@ import (
 
 	"qtrtest/internal/bind"
 	"qtrtest/internal/catalog"
-	"qtrtest/internal/core/suite"
-	"qtrtest/internal/exec"
+	"qtrtest/internal/core/oracle"
 	"qtrtest/internal/mutate"
 	"qtrtest/internal/opt"
 )
@@ -76,16 +75,17 @@ func backendFindingReplays(t *testing.T, cat *catalog.Catalog, m mutate.Mutant, 
 		t.Logf("finding SQL does not plan: %v", err)
 		return false
 	}
-	base, err := suite.ExecBase(res.Plan, cat, 0, 2e6)
+	rn, err := oracle.New(oracle.Options{Backend: "ref", MaxWork: 2e6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := rn.Base(cat, oracle.Prepare(res.Plan))
 	if err != nil {
 		return false
 	}
-	ref, _ := exec.EngineByName("ref")
-	out, err := suite.CrossCheckBase(nil, ref, exec.EngineBatch, bound.Tree, base, cat, 0, 2e6)
-	if err != nil {
-		return true // backend errored where the base ran: still a divergence
-	}
-	return !out.Skipped && !out.Capped && out.Verdict == exec.VerdictMismatch
+	// A backend error where the base ran is a Mismatch too: still a divergence.
+	out, err := rn.Cross(&base, bound.Tree)
+	return err == nil && out.Verdict == oracle.Mismatch
 }
 
 // TestBackendCampaignPristineAndDeterministic: with the pristine registry

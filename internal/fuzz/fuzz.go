@@ -23,8 +23,8 @@ import (
 
 	"qtrtest/internal/bind"
 	"qtrtest/internal/catalog"
+	"qtrtest/internal/core/oracle"
 	"qtrtest/internal/core/qgen"
-	"qtrtest/internal/core/suite"
 	"qtrtest/internal/exec"
 	"qtrtest/internal/logical"
 	"qtrtest/internal/opt"
@@ -193,23 +193,7 @@ type campaign struct {
 	opt      *opt.Optimizer
 	gen      *qgen.Generator
 	rewrites []Rewrite
-	cache    *rescache.Cache
-	// backend is the resolved Config.Backend engine; backendOn gates the
-	// cross-engine oracle.
-	backend   exec.Engine
-	backendOn bool
-}
-
-// execBase runs a base plan under the campaign's caps, through the cache
-// when one is configured.
-func (c *campaign) execBase(plan *physical.Expr) (*suite.BaseExec, error) {
-	return suite.ExecBaseCached(c.cache, c.cfg.Engine, plan, c.cfg.Catalog, c.cfg.MaxRows, c.cfg.MaxWork)
-}
-
-// compareEdge runs an alternative plan under the campaign's caps and applies
-// the order-aware oracle, through the cache when one is configured.
-func (c *campaign) compareEdge(base *suite.BaseExec, plan *physical.Expr) (suite.EdgeOutcome, error) {
-	return suite.CompareEdgeCached(c.cache, c.cfg.Engine, c.cfg.Catalog, base, plan, c.cfg.MaxRows, c.cfg.MaxWork)
+	oracle   *oracle.Runner
 }
 
 // finding is the internal form of a Finding, carrying the bound tree and
@@ -236,23 +220,19 @@ type result struct {
 // Run executes a fuzz campaign and returns its report.
 func Run(cfg Config) (*Report, error) {
 	cfg.setDefaults()
-	var backendEng exec.Engine
-	if cfg.Backend != "" {
-		var err error
-		backendEng, err = exec.EngineByName(cfg.Backend)
-		if err != nil {
-			return nil, err
-		}
+	rn, err := oracle.New(oracle.Options{
+		Engine: cfg.Engine, Backend: cfg.Backend, Cache: cfg.Cache,
+		MaxRows: cfg.MaxRows, MaxWork: cfg.MaxWork,
+	})
+	if err != nil {
+		return nil, err
 	}
 	o := opt.New(cfg.Registry, cfg.Catalog)
 	gen, err := qgen.New(o, qgen.Config{Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
-	c := &campaign{
-		cfg: cfg, opt: o, gen: gen, rewrites: rewritesFor(cfg), cache: cfg.Cache,
-		backend: backendEng, backendOn: cfg.Backend != "",
-	}
+	c := &campaign{cfg: cfg, opt: o, gen: gen, rewrites: rewritesFor(cfg), oracle: rn}
 
 	rep := &Report{
 		Schema: ReportSchema, DB: cfg.DB, Mutant: cfg.Mutant, Backend: cfg.Backend,
@@ -374,58 +354,68 @@ func (c *campaign) runOne(idx int, w *qgen.Weights) result {
 	r.shape = PlanShape(res.Plan)
 	r.ops = distinctOps(bound.Tree)
 
-	mk := func(kind string) finding {
-		return finding{
+	// add files a finding; plans are Plan(q) and, when there is one, the
+	// alternative it was compared with.
+	add := func(kind string, id rules.ID, rewrite, detail string, plans ...*physical.Expr) {
+		f := finding{
 			pub: Finding{
-				Query: idx, Seed: seed, Kind: kind, SQL: sqlText,
-				RuleSet: fmt.Sprintf("%v", res.RuleSet.Sorted()),
+				Query: idx, Seed: seed, Kind: kind, Rule: int(id), Rewrite: rewrite,
+				SQL: sqlText, RuleSet: fmt.Sprintf("%v", res.RuleSet.Sorted()), Detail: detail,
 			},
 			tree: bound.Tree, md: bound.MD,
 		}
+		if len(plans) > 0 {
+			f.pub.BasePlan = plans[0].String()
+		}
+		if len(plans) > 1 {
+			f.pub.AltPlan = plans[1].String()
+		}
+		r.findings = append(r.findings, f)
 	}
 
-	base, err := c.execBase(res.Plan)
+	base, err := c.oracle.Base(c.cfg.Catalog, oracle.Prepare(res.Plan))
 	if errors.Is(err, exec.ErrRowLimit) {
 		r.skip = "rowcap"
 		return r
 	}
 	if err != nil {
-		f := mk(KindExecError)
-		f.pub.Detail = err.Error()
-		f.pub.BasePlan = res.Plan.String()
-		r.findings = append(r.findings, f)
+		add(KindExecError, 0, "", err.Error(), res.Plan)
 		return r
 	}
 	r.planExecs++
 
+	// judge files a comparison's outcome under kind and passes the verdict
+	// on for the caller's accounting.
+	judge := func(out oracle.Outcome, kind string, id rules.ID, rewrite string, plans ...*physical.Expr) oracle.Verdict {
+		switch out.Verdict {
+		case oracle.Mismatch:
+			add(kind, id, rewrite, out.Detail, plans...)
+		case oracle.Undetermined:
+			r.undetermined++
+		}
+		return out.Verdict
+	}
+	// edge runs an alternative plan against the base. An execution error on
+	// it is a finding of its own and yields no verdict (the zero one).
+	edge := func(alt *physical.Expr, kind string, id rules.ID, rewrite string) oracle.Verdict {
+		out, err := c.oracle.Edge(&base, oracle.Prepare(alt))
+		if err != nil {
+			add(KindExecError, id, rewrite, err.Error(), res.Plan, alt)
+			return 0
+		}
+		return judge(out, kind, id, rewrite, res.Plan, alt)
+	}
+
 	// Cross-engine oracle: replay the query on the independent backend and
-	// compare against the base execution. A backend-side execution error is
-	// itself a divergence (engines must agree on Error-vs-OK); a budget
-	// trip on the backend skips the comparison per the budget-parity
-	// contract.
-	if c.backendOn {
-		out, err := suite.CrossCheckBase(c.cache, c.backend, c.cfg.Engine,
-			bound.Tree, base, c.cfg.Catalog, c.cfg.MaxRows, c.cfg.MaxWork)
-		switch {
-		case err != nil:
-			f := mk(KindBackend)
-			f.pub.Detail = err.Error()
-			f.pub.BasePlan = res.Plan.String()
-			r.findings = append(r.findings, f)
-		case out.Skipped || out.Capped:
-			// backend == engine, or the backend hit a budget: nothing to
-			// compare.
-		default:
+	// compare against the base execution. A budget trip on the backend skips
+	// the comparison per the budget-parity contract.
+	if c.oracle.HasBackend() {
+		out, err := c.oracle.Cross(&base, bound.Tree)
+		if err != nil {
+			out = oracle.Outcome{Verdict: oracle.Mismatch, Detail: err.Error()}
+		}
+		if judge(out, KindBackend, 0, "", res.Plan).Compared() {
 			r.backendChecks++
-			switch out.Verdict {
-			case exec.VerdictMismatch:
-				f := mk(KindBackend)
-				f.pub.Detail = out.Detail
-				f.pub.BasePlan = res.Plan.String()
-				r.findings = append(r.findings, f)
-			case exec.VerdictUndetermined:
-				r.undetermined++
-			}
 		}
 	}
 
@@ -438,36 +428,15 @@ func (c *campaign) runOne(idx int, w *qgen.Weights) result {
 		if err != nil || altRes.Plan.Cost > c.cfg.MaxCost {
 			continue
 		}
-		out, err := c.compareEdge(base, altRes.Plan)
-		if err != nil {
-			f := mk(KindExecError)
-			f.pub.Rule = int(id)
-			f.pub.Detail = err.Error()
-			f.pub.BasePlan = res.Plan.String()
-			f.pub.AltPlan = altRes.Plan.String()
-			r.findings = append(r.findings, f)
-			continue
-		}
-		if out.Skipped || out.Capped {
-			continue
-		}
-		r.planExecs++
-		r.diffChecks++
-		switch out.Verdict {
-		case exec.VerdictMismatch:
-			f := mk(KindDifferential)
-			f.pub.Rule = int(id)
-			f.pub.Detail = out.Detail
-			f.pub.BasePlan = res.Plan.String()
-			f.pub.AltPlan = altRes.Plan.String()
-			r.findings = append(r.findings, f)
-		case exec.VerdictUndetermined:
-			r.undetermined++
+		if edge(altRes.Plan, KindDifferential, id, "").Compared() {
+			r.planExecs++
+			r.diffChecks++
 		}
 	}
 
 	// Metamorphic oracle: each applicable rewrite is rendered, re-planned
-	// and compared against the base execution.
+	// and compared against the base execution. A rewrite that re-plans to
+	// the base plan is a (trivially passing) check that executed nothing.
 	for _, rw := range c.rewrites {
 		alt := rw.Apply(bound.Tree, bound.MD, seed)
 		if alt == nil {
@@ -475,42 +444,18 @@ func (c *campaign) runOne(idx int, w *qgen.Weights) result {
 		}
 		altPlan, err := c.planTree(alt, bound.MD)
 		if err != nil {
-			f := mk(KindRewriteError)
-			f.pub.Rewrite = rw.Name
-			f.pub.Detail = err.Error()
-			r.findings = append(r.findings, f)
+			add(KindRewriteError, 0, rw.Name, err.Error())
 			continue
 		}
 		if altPlan.Cost > c.cfg.MaxCost {
 			continue
 		}
-		out, err := c.compareEdge(base, altPlan)
-		if err != nil {
-			f := mk(KindExecError)
-			f.pub.Rewrite = rw.Name
-			f.pub.Detail = err.Error()
-			f.pub.BasePlan = res.Plan.String()
-			f.pub.AltPlan = altPlan.String()
-			r.findings = append(r.findings, f)
-			continue
-		}
-		if out.Capped {
-			continue
-		}
-		if !out.Skipped {
+		switch v := edge(altPlan, KindMetamorphic, 0, rw.Name); {
+		case v.Compared():
 			r.planExecs++
-		}
-		r.metaChecks++
-		switch out.Verdict {
-		case exec.VerdictMismatch:
-			f := mk(KindMetamorphic)
-			f.pub.Rewrite = rw.Name
-			f.pub.Detail = out.Detail
-			f.pub.BasePlan = res.Plan.String()
-			f.pub.AltPlan = altPlan.String()
-			r.findings = append(r.findings, f)
-		case exec.VerdictUndetermined:
-			r.undetermined++
+			r.metaChecks++
+		case v == oracle.Identical:
+			r.metaChecks++
 		}
 	}
 	return r

@@ -5,8 +5,7 @@ import (
 
 	"qtrtest/internal/bind"
 	"qtrtest/internal/catalog"
-	"qtrtest/internal/core/suite"
-	"qtrtest/internal/exec"
+	"qtrtest/internal/core/oracle"
 	"qtrtest/internal/opt"
 	"qtrtest/internal/rules"
 )
@@ -53,6 +52,10 @@ func TestRewritesPreserveResults(t *testing.T) {
 	eetSeeds := []int64{0, 1, 2, 5}
 	applied := make(map[string]int) // global: some EET rewrites need the tpch arith case
 	allRewrites := rewritesFor(Config{EET: true})
+	rn, err := oracle.New(oracle.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for db, cases := range metamorphicCases {
 		cat := catalogs[db]
 		o := opt.New(rules.DefaultRegistry(), cat)
@@ -67,7 +70,7 @@ func TestRewritesPreserveResults(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: optimize %q: %v", db, sql, err)
 			}
-			base, err := suite.ExecBase(res.Plan, cat, 0, 0)
+			base, err := rn.Base(cat, oracle.Prepare(res.Plan))
 			if err != nil {
 				t.Fatalf("%s: execute %q: %v", db, sql, err)
 			}
@@ -88,12 +91,12 @@ func TestRewritesPreserveResults(t *testing.T) {
 						t.Errorf("%s: rewrite %s (seed %d) of %q failed to plan: %v", db, rw.Name, seed, sql, err)
 						continue
 					}
-					out, err := suite.CompareEdge(cat, base, altPlan, 0, 0)
+					out, err := rn.Edge(&base, oracle.Prepare(altPlan))
 					if err != nil {
 						t.Errorf("%s: rewrite %s (seed %d) of %q failed to execute: %v", db, rw.Name, seed, sql, err)
 						continue
 					}
-					if !out.Skipped && out.Verdict == exec.VerdictMismatch {
+					if out.Verdict == oracle.Mismatch {
 						t.Errorf("%s: rewrite %s (seed %d) changed the results of %q: %s\nbase plan:\n%s\nalt plan:\n%s",
 							db, rw.Name, seed, sql, out.Detail, res.Plan, altPlan)
 					}

@@ -5,7 +5,7 @@ import (
 
 	"qtrtest/internal/bind"
 	"qtrtest/internal/catalog"
-	"qtrtest/internal/core/suite"
+	"qtrtest/internal/core/oracle"
 	"qtrtest/internal/exec"
 	"qtrtest/internal/mutate"
 	"qtrtest/internal/opt"
@@ -70,9 +70,13 @@ func shrunkStillTrips(t *testing.T, cat *catalog.Catalog, m mutate.Mutant, f Fin
 		t.Logf("shrunk SQL does not plan: %v", err)
 		return false
 	}
+	rn, err := oracle.New(oracle.Options{MaxWork: 2e6})
+	if err != nil {
+		t.Fatal(err)
+	}
 	switch f.Kind {
 	case KindDifferential:
-		base, err := suite.ExecBase(res.Plan, cat, 0, 2e6)
+		base, err := rn.Base(cat, oracle.Prepare(res.Plan))
 		if err != nil {
 			return false
 		}
@@ -80,10 +84,10 @@ func shrunkStillTrips(t *testing.T, cat *catalog.Catalog, m mutate.Mutant, f Fin
 		if err != nil {
 			return false
 		}
-		out, err := suite.CompareEdge(cat, base, altRes.Plan, 0, 2e6)
-		return err == nil && !out.Skipped && out.Verdict == exec.VerdictMismatch
+		out, err := rn.Edge(&base, oracle.Prepare(altRes.Plan))
+		return err == nil && out.Verdict == oracle.Mismatch
 	case KindMetamorphic:
-		base, err := suite.ExecBase(res.Plan, cat, 0, 2e6)
+		base, err := rn.Base(cat, oracle.Prepare(res.Plan))
 		if err != nil {
 			return false
 		}
@@ -100,8 +104,8 @@ func shrunkStillTrips(t *testing.T, cat *catalog.Catalog, m mutate.Mutant, f Fin
 			if err != nil {
 				return false
 			}
-			out, err := suite.CompareEdge(cat, base, altPlan, 0, 2e6)
-			return err == nil && !out.Skipped && out.Verdict == exec.VerdictMismatch
+			out, err := rn.Edge(&base, oracle.Prepare(altPlan))
+			return err == nil && out.Verdict == oracle.Mismatch
 		}
 		return false
 	case KindExecError:

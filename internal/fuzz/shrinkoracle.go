@@ -4,7 +4,7 @@ import (
 	"errors"
 
 	"qtrtest/internal/bind"
-	"qtrtest/internal/core/suite"
+	"qtrtest/internal/core/oracle"
 	"qtrtest/internal/exec"
 	"qtrtest/internal/logical"
 	"qtrtest/internal/opt"
@@ -36,14 +36,9 @@ func newShrinkBudget(n int) *shrinkBudget {
 	return &shrinkBudget{remaining: n, seen: make(map[rescache.Key]struct{})}
 }
 
-// charge deducts one check if this execution key is new to the finding.
-func (b *shrinkBudget) charge(eng exec.Engine, plan *physical.Expr, c *campaign) {
-	b.chargeKey(rescache.KeyFor(eng, plan, c.cfg.Catalog, c.cfg.MaxRows, c.cfg.MaxWork))
-}
-
-// chargeKey is charge for a pre-built execution key (tree executions on a
-// backend carry their own key shape).
-func (b *shrinkBudget) chargeKey(k rescache.Key) {
+// charge deducts one check if this execution key — whichever one the oracle
+// step touches — is new to the finding.
+func (b *shrinkBudget) charge(k rescache.Key) {
 	if _, ok := b.seen[k]; ok {
 		return
 	}
@@ -101,29 +96,53 @@ func (c *campaign) shrinkFinding(f *finding) {
 	f.pub.ShrunkOps = shrunk.CountOps()
 }
 
-// rebindPlan runs a candidate tree through the standard pipeline up to the
-// optimized base plan, returning the re-bound tree alongside.
-func (c *campaign) rebind(t *logical.Expr, md *logical.Metadata) (*bind.Bound, error) {
+// replan runs a candidate tree through the standard pipeline up to the
+// optimized base plan, returning the re-bound tree alongside; ok is false
+// when the candidate no longer binds, plans, or fits the cost cap.
+func (c *campaign) replan(t *logical.Expr, md *logical.Metadata) (bound *bind.Bound, plan *physical.Expr, ok bool) {
 	sqlText, err := sqlgen.Generate(t, md)
 	if err != nil {
-		return nil, err
+		return nil, nil, false
 	}
-	return bind.BindSQL(sqlText, c.cfg.Catalog)
+	if bound, err = bind.BindSQL(sqlText, c.cfg.Catalog); err != nil {
+		return nil, nil, false
+	}
+	res, err := c.opt.Optimize(bound.Tree, bound.MD, opt.Options{})
+	if err != nil || res.Plan.Cost > c.cfg.MaxCost {
+		return nil, nil, false
+	}
+	return bound, res.Plan, true
+}
+
+// chargedBase charges and executes one plan of a candidate as an oracle base.
+func (c *campaign) chargedBase(plan *physical.Expr, budget *shrinkBudget) (oracle.Base, error) {
+	p := oracle.Prepare(plan)
+	budget.charge(c.oracle.Key(c.cfg.Catalog, p))
+	return c.oracle.Base(c.cfg.Catalog, p)
+}
+
+// edgeTrips reports whether alt still mismatches the base. An alternative
+// that was executed (capped included) is charged; an identical one is free.
+func (c *campaign) edgeTrips(base *oracle.Base, alt *physical.Expr, budget *shrinkBudget) bool {
+	p := oracle.Prepare(alt)
+	out, err := c.oracle.Edge(base, p)
+	if err != nil {
+		return false
+	}
+	if out.Verdict != oracle.Identical {
+		budget.charge(c.oracle.Key(c.cfg.Catalog, p))
+	}
+	return out.Verdict == oracle.Mismatch
 }
 
 // diffTrips reports whether the differential oracle still flags the query
 // with rule id disabled.
 func (c *campaign) diffTrips(t *logical.Expr, md *logical.Metadata, id rules.ID, budget *shrinkBudget) bool {
-	bound, err := c.rebind(t, md)
-	if err != nil {
+	bound, plan, ok := c.replan(t, md)
+	if !ok {
 		return false
 	}
-	res, err := c.opt.Optimize(bound.Tree, bound.MD, opt.Options{})
-	if err != nil || res.Plan.Cost > c.cfg.MaxCost {
-		return false
-	}
-	budget.charge(c.cfg.Engine, res.Plan, c)
-	base, err := c.execBase(res.Plan)
+	base, err := c.chargedBase(plan, budget)
 	if err != nil {
 		return false
 	}
@@ -131,11 +150,7 @@ func (c *campaign) diffTrips(t *logical.Expr, md *logical.Metadata, id rules.ID,
 	if err != nil || altRes.Plan.Cost > c.cfg.MaxCost {
 		return false
 	}
-	out, err := c.compareEdge(base, altRes.Plan)
-	if err == nil && !out.Skipped {
-		budget.charge(c.cfg.Engine, altRes.Plan, c)
-	}
-	return err == nil && !out.Skipped && !out.Capped && out.Verdict == exec.VerdictMismatch
+	return c.edgeTrips(&base, altRes.Plan, budget)
 }
 
 // metaTrips reports whether the named metamorphic rewrite still applies to
@@ -143,16 +158,11 @@ func (c *campaign) diffTrips(t *logical.Expr, md *logical.Metadata, id rules.ID,
 // derived seed, so seed-dependent rewrites (EET site selection) replay the
 // same choice on each shrink candidate.
 func (c *campaign) metaTrips(t *logical.Expr, md *logical.Metadata, name string, seed int64, budget *shrinkBudget) bool {
-	bound, err := c.rebind(t, md)
-	if err != nil {
+	bound, plan, ok := c.replan(t, md)
+	if !ok {
 		return false
 	}
-	res, err := c.opt.Optimize(bound.Tree, bound.MD, opt.Options{})
-	if err != nil || res.Plan.Cost > c.cfg.MaxCost {
-		return false
-	}
-	budget.charge(c.cfg.Engine, res.Plan, c)
-	base, err := c.execBase(res.Plan)
+	base, err := c.chargedBase(plan, budget)
 	if err != nil {
 		return false
 	}
@@ -168,11 +178,7 @@ func (c *campaign) metaTrips(t *logical.Expr, md *logical.Metadata, name string,
 		if err != nil || altPlan.Cost > c.cfg.MaxCost {
 			return false
 		}
-		out, err := c.compareEdge(base, altPlan)
-		if err == nil && !out.Skipped {
-			budget.charge(c.cfg.Engine, altPlan, c)
-		}
-		return err == nil && !out.Skipped && !out.Capped && out.Verdict == exec.VerdictMismatch
+		return c.edgeTrips(&base, altPlan, budget)
 	}
 	return false
 }
@@ -181,44 +187,26 @@ func (c *campaign) metaTrips(t *logical.Expr, md *logical.Metadata, name string,
 // candidate: the independent backend's replay of the query either errors
 // where the base succeeded or produces mismatching results.
 func (c *campaign) backendTrips(t *logical.Expr, md *logical.Metadata, budget *shrinkBudget) bool {
-	bound, err := c.rebind(t, md)
+	bound, plan, ok := c.replan(t, md)
+	if !ok {
+		return false
+	}
+	base, err := c.chargedBase(plan, budget)
 	if err != nil {
 		return false
 	}
-	res, err := c.opt.Optimize(bound.Tree, bound.MD, opt.Options{})
-	if err != nil || res.Plan.Cost > c.cfg.MaxCost {
-		return false
-	}
-	budget.charge(c.cfg.Engine, res.Plan, c)
-	base, err := c.execBase(res.Plan)
-	if err != nil {
-		return false
-	}
-	if exec.HasTreeBackend(c.backend) {
-		budget.chargeKey(rescache.KeyForTree(c.backend, bound.Tree, c.cfg.Catalog, c.cfg.MaxRows, c.cfg.MaxWork))
-	} else {
-		budget.charge(c.backend, res.Plan, c)
-	}
-	out, err := suite.CrossCheckBase(c.cache, c.backend, c.cfg.Engine,
-		bound.Tree, base, c.cfg.Catalog, c.cfg.MaxRows, c.cfg.MaxWork)
-	if err != nil {
-		return true
-	}
-	return !out.Skipped && !out.Capped && out.Verdict == exec.VerdictMismatch
+	budget.charge(c.oracle.CrossKey(&base, bound.Tree))
+	out, err := c.oracle.Cross(&base, bound.Tree)
+	return err == nil && out.Verdict == oracle.Mismatch
 }
 
 // execErrs reports whether the pipeline still fails with an execution error
 // (not the row cap): on the base plan when id is 0, else on Plan(q,¬id).
 func (c *campaign) execErrs(t *logical.Expr, md *logical.Metadata, id rules.ID, budget *shrinkBudget) bool {
-	bound, err := c.rebind(t, md)
-	if err != nil {
+	bound, plan, ok := c.replan(t, md)
+	if !ok {
 		return false
 	}
-	res, err := c.opt.Optimize(bound.Tree, bound.MD, opt.Options{})
-	if err != nil || res.Plan.Cost > c.cfg.MaxCost {
-		return false
-	}
-	plan := res.Plan
 	if id != 0 {
 		altRes, err := c.opt.Optimize(bound.Tree, bound.MD, opt.Options{Disabled: rules.NewSet(id)})
 		if err != nil || altRes.Plan.Cost > c.cfg.MaxCost {
@@ -226,7 +214,6 @@ func (c *campaign) execErrs(t *logical.Expr, md *logical.Metadata, id rules.ID, 
 		}
 		plan = altRes.Plan
 	}
-	budget.charge(c.cfg.Engine, plan, c)
-	_, err = c.cache.Run(c.cfg.Engine, plan, c.cfg.Catalog, c.cfg.MaxRows, c.cfg.MaxWork)
+	_, err := c.chargedBase(plan, budget)
 	return err != nil && !errors.Is(err, exec.ErrRowLimit)
 }

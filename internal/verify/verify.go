@@ -24,13 +24,11 @@ package verify
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"strings"
 
-	"qtrtest/internal/core/suite"
-	"qtrtest/internal/exec"
+	"qtrtest/internal/core/oracle"
 	"qtrtest/internal/logical"
 	"qtrtest/internal/memo"
 	"qtrtest/internal/par"
@@ -76,10 +74,6 @@ type Config struct {
 	// and compared under the same order-aware oracle, so an engine fault that
 	// corrupts both sides of a rewrite identically still surfaces.
 	Backend string
-
-	// backend is the resolved Backend engine; backendOn gates the check.
-	backend   exec.Engine
-	backendOn bool
 }
 
 // Finding is one verified rule failure: the smallest failing
@@ -187,12 +181,11 @@ func Run(cfg Config) (*Report, error) {
 	if reg == nil {
 		reg = rules.DefaultRegistry()
 	}
-	if cfg.Backend != "" {
-		eng, err := exec.EngineByName(cfg.Backend)
-		if err != nil {
-			return nil, fmt.Errorf("verify: %w", err)
-		}
-		cfg.backend, cfg.backendOn = eng, true
+	rn, err := oracle.New(oracle.Options{
+		Backend: cfg.Backend, Cache: cfg.Cache, MaxRows: maxResultRows, MaxWork: maxWorkRows,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("verify: %w", err)
 	}
 	targets := reg.All()
 	if len(cfg.Rules) > 0 {
@@ -213,7 +206,7 @@ func Run(cfg Config) (*Report, error) {
 	}
 	results := make([]*ruleResult, len(targets))
 	par.ForEach(cfg.Workers, len(targets), func(i int) {
-		results[i] = checkRule(targets[i], &cfg)
+		results[i] = checkRule(targets[i], &cfg, rn)
 	})
 	rep := &Report{Schema: ReportSchema, Mutant: cfg.Mutant, EET: cfg.EET, Backend: cfg.Backend, Rules: len(targets)}
 	for _, res := range results {
@@ -239,12 +232,13 @@ func Run(cfg Config) (*Report, error) {
 // registry order, which is what makes the report worker-count independent.
 type ruleResult struct {
 	cfg     *Config
+	oracle  *oracle.Runner
 	stat    RuleStat
 	finding *Finding
 }
 
-func checkRule(r rules.Rule, cfg *Config) *ruleResult {
-	res := &ruleResult{cfg: cfg, stat: RuleStat{
+func checkRule(r rules.Rule, cfg *Config, rn *oracle.Runner) *ruleResult {
+	res := &ruleResult{cfg: cfg, oracle: rn, stat: RuleStat{
 		Rule: int(r.ID()), Name: r.Name(), Kind: r.Kind().String(),
 	}}
 	insts, truncated := enumerate(r.Pattern())
@@ -326,28 +320,22 @@ func (res *ruleResult) checkImplementation(r rules.ImplementationRule, inst *ins
 // pristine identity-shaped implementation rules (SelectToFilter, SortToSort,
 // LimitToLimit, ...) verify with zero executions while their mutated
 // variants, whose payloads differ, still get the full sweep.
-func (res *ruleResult) comparePlans(r rules.Rule, inst *instance, baseTree *logical.Expr, base *physical.Expr, alts []*physical.Expr) {
-	baseHash := base.Hash()
-	var live []*physical.Expr
+func (res *ruleResult) comparePlans(r rules.Rule, inst *instance, baseTree *logical.Expr, basePlan *physical.Expr, alts []*physical.Expr) {
+	base := oracle.Prepare(basePlan)
+	var live []oracle.Plan
 	for _, alt := range alts {
-		if alt.Hash() == baseHash {
+		if alt.Hash() == base.Hash {
 			res.stat.Pairs++
 			res.stat.Identical++
 			continue
 		}
-		live = append(live, alt)
+		live = append(live, oracle.Prepare(alt))
 	}
-	if len(live) == 0 && !res.cfg.backendOn {
+	if len(live) == 0 && !res.oracle.HasBackend() {
 		return
 	}
-	baseOrder := exec.RootOrder(base)
-	orders := make([]exec.PlanOrder, len(live))
-	for i, alt := range live {
-		orders[i] = exec.RootOrder(alt)
-	}
 	for _, db := range enumerateDatabases(inst.tables) {
-		cat := buildCatalog(db)
-		baseRows, err := res.cfg.Cache.Run(exec.EngineBatch, base, cat, maxResultRows, maxWorkRows)
+		bx, err := res.oracle.Base(buildCatalog(db), base)
 		if err != nil {
 			// The base side is the canonical lowering; only a budget trip
 			// can fail it, and then no comparison on this database is
@@ -356,45 +344,43 @@ func (res *ruleResult) comparePlans(r rules.Rule, inst *instance, baseTree *logi
 			res.stat.Skipped += len(live)
 			continue
 		}
-		if res.cfg.backendOn {
-			bx := &suite.BaseExec{Plan: base, Rows: baseRows, Hash: baseHash, Order: baseOrder}
-			out, err := suite.CrossCheckBase(res.cfg.Cache, res.cfg.backend, exec.EngineBatch,
-				baseTree, bx, cat, maxResultRows, maxWorkRows)
-			switch {
-			case err != nil:
-				res.fail(r, inst, db, base, base, "backend cross-check: "+err.Error())
-			case out.Skipped || out.Capped:
-			default:
+		if res.oracle.HasBackend() {
+			out, err := res.oracle.Cross(&bx, baseTree)
+			if err != nil {
+				out = oracle.Outcome{Verdict: oracle.Mismatch, Detail: err.Error()}
+			}
+			out.Detail = "backend cross-check: " + out.Detail
+			if res.judge(out, r, inst, db, basePlan, basePlan) {
 				res.stat.BackendChecks++
-				switch out.Verdict {
-				case exec.VerdictMismatch:
-					res.fail(r, inst, db, base, base, "backend cross-check: "+out.Detail)
-				case exec.VerdictUndetermined:
-					res.stat.Undetermined++
-				}
 			}
 		}
-		for i, alt := range live {
+		for _, alt := range live {
 			res.stat.Pairs++
-			altRows, err := res.cfg.Cache.Run(exec.EngineBatch, alt, cat, maxResultRows, maxWorkRows)
+			out, err := res.oracle.Edge(&bx, alt)
 			if err != nil {
-				if errors.Is(err, exec.ErrRowLimit) {
-					res.stat.Skipped++
-					continue
-				}
-				res.fail(r, inst, db, base, alt, "execution error: "+err.Error())
+				res.fail(r, inst, db, basePlan, alt.Expr, "execution error: "+err.Error())
 				continue
 			}
-			res.stat.Executed++
-			verdict, detail := exec.CompareResults(baseRows, baseOrder, altRows, orders[i])
-			switch verdict {
-			case exec.VerdictMismatch:
-				res.fail(r, inst, db, base, alt, detail)
-			case exec.VerdictUndetermined:
-				res.stat.Undetermined++
+			if res.judge(out, r, inst, db, basePlan, alt.Expr) {
+				res.stat.Executed++
+			} else {
+				res.stat.Skipped++
 			}
 		}
 	}
+}
+
+// judge books one executed comparison — a mismatch fails the pair, an
+// undetermined one is counted — and reports whether there was one: false
+// means the alternative was capped (or the backend is the engine itself).
+func (res *ruleResult) judge(out oracle.Outcome, r rules.Rule, inst *instance, db database, base, alt *physical.Expr) bool {
+	switch out.Verdict {
+	case oracle.Mismatch:
+		res.fail(r, inst, db, base, alt, out.Detail)
+	case oracle.Undetermined:
+		res.stat.Undetermined++
+	}
+	return out.Verdict.Compared()
 }
 
 // fail records a failing pair; only the first — smallest database, earliest

@@ -293,10 +293,11 @@ var (
 )
 
 // Result-cache surface (internal/rescache): the campaign-wide plan-result
-// cache behind the CLI's -cache/-cachestats flags. One cache can serve any
-// mix of campaigns — suite validation (Graph.SetCache), mutation
-// (MutationConfig.Cache), fuzzing (FuzzConfig.Cache) and verification
-// (VerifyConfig.Cache) — because entries are keyed by plan fingerprint,
+// cache behind the CLI's -cache/-cachestats flags. Each campaign — suite
+// validation (Graph.SetCache), mutation (MutationConfig.Cache), fuzzing
+// (FuzzConfig.Cache), verification (VerifyConfig.Cache) — hands its cache to
+// the one oracle.Runner it executes and compares through, and one cache can
+// serve any mix of them because entries are keyed by plan fingerprint,
 // catalog identity, execution caps and engine alone. Every campaign's report
 // is byte-identical with and without a cache, at any worker count.
 type (
