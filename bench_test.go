@@ -348,6 +348,51 @@ func BenchmarkOptimizeWithDisabledRules(b *testing.B) {
 	}
 }
 
+// TestOptimizeAllocBudget holds one Optimize call of benchQuery — the call
+// BenchmarkOptimize and BenchmarkOptimizeWithDisabledRules time — to committed
+// allocation ceilings, about 10 % above what the allocation-lean optimizer
+// core measures (142 objects / 19.1 KB with every rule on, 66 / 13.1 KB with
+// {5,6,7,104} disabled; 282 / 28.8 KB and 114 / 15.1 KB before it). A
+// per-candidate or per-binding allocation creeping back fails go test here
+// instead of waiting for a campaign benchmark to show it.
+func TestOptimizeAllocBudget(t *testing.T) {
+	db := benchDB()
+	bound, err := bind.BindSQL(benchQuery, db.Catalog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name           string
+		opts           OptimizeOptions
+		objects, bytes float64
+	}{
+		{"all rules", OptimizeOptions{}, 150, 20800},
+		{"5,6,7,104 disabled", OptimizeOptions{Disabled: NewRuleSet(5, 6, 7, 104)}, 71, 15200},
+	} {
+		optimize := func() {
+			if _, err := db.Optimizer.Optimize(bound.Tree, bound.MD, tc.opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const runs = 50
+		objects := testing.AllocsPerRun(runs, optimize)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			optimize()
+		}
+		runtime.ReadMemStats(&after)
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		t.Logf("%s: %.0f objects, %.0f bytes per Optimize", tc.name, objects, bytes)
+		if objects > tc.objects {
+			t.Errorf("%s: %.0f objects per Optimize, budget %.0f", tc.name, objects, tc.objects)
+		}
+		if bytes > tc.bytes {
+			t.Errorf("%s: %.0f bytes per Optimize, budget %.0f", tc.name, bytes, tc.bytes)
+		}
+	}
+}
+
 func BenchmarkExecuteJoinAgg(b *testing.B) {
 	db := benchDB()
 	bound, err := bind.BindSQL(benchQuery, db.Catalog)

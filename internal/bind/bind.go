@@ -203,7 +203,7 @@ func (b *binder) bindSelect(s *sql.Select, outer *scope) (*logical.Expr, []scope
 			return nil, nil, fmt.Errorf("bind: SELECT * cannot be combined with GROUP BY or aggregates")
 		}
 		var groupCols []scalar.ColumnID
-		groupSet := make(scalar.ColSet)
+		var groupSet scalar.ColSet
 		for _, g := range s.GroupBy {
 			id, err := b.bindIdent(g, sc)
 			if err != nil {
@@ -291,7 +291,7 @@ func (b *binder) bindSelect(s *sql.Select, outer *scope) (*logical.Expr, []scope
 	}
 	// Deduplicate projection outputs: the same column selected twice must
 	// get a distinct output id to keep ids unique per operator.
-	seen := make(scalar.ColSet)
+	var seen scalar.ColSet
 	for i := range items {
 		if seen.Contains(items[i].Out) {
 			fresh := b.md.AddColumn(logical.ColumnMeta{Name: outs[i].name, Type: b.md.Column(items[i].Out).Type})

@@ -357,7 +357,7 @@ func (g *Generator) makeGrouping(child *logical.Expr, md *logical.Metadata) ([]s
 	if len(cols) == 0 {
 		return nil, nil, errCannotInstantiate
 	}
-	gcSet := make(scalar.ColSet)
+	var gcSet scalar.ColSet
 	var gc []scalar.ColumnID
 	aggPool := cols
 

@@ -163,6 +163,62 @@ func keys(m map[string]int) []string {
 	wantFindings(t, got)
 }
 
+// TestMapRangeSetIteration is the scalar.ColSet migration in miniature: rule
+// code that ranged over the old map-typed column set while collecting into a
+// slice is what maprange flags, and the bitset's ascending ForEach (or ranging
+// over its Sorted slice) is clean — there is no map left to range over.
+func TestMapRangeSetIteration(t *testing.T) {
+	got := analyze(t, "qtrtest/internal/rules", map[string]string{"a.go": `package rules
+type ColumnID int
+
+type mapSet map[ColumnID]bool
+
+func keptOld(cols, needed mapSet) []ColumnID {
+	var keep []ColumnID
+	for c := range cols {
+		if needed[c] {
+			keep = append(keep, c)
+		}
+	}
+	return keep
+}
+
+type bitSet struct{ words [2]uint64 }
+
+func (s bitSet) Contains(id ColumnID) bool { return s.words[id>>6]&(1<<(uint(id)&63)) != 0 }
+
+func (s bitSet) ForEach(fn func(ColumnID)) {
+	for id := ColumnID(0); id < 128; id++ {
+		if s.Contains(id) {
+			fn(id)
+		}
+	}
+}
+
+func (s bitSet) Sorted() []ColumnID {
+	var out []ColumnID
+	s.ForEach(func(id ColumnID) { out = append(out, id) })
+	return out
+}
+
+func keptNew(cols, needed bitSet) []ColumnID {
+	var keep []ColumnID
+	cols.ForEach(func(c ColumnID) {
+		if needed.Contains(c) {
+			keep = append(keep, c)
+		}
+	})
+	for _, c := range cols.Sorted() {
+		if needed.Contains(c) {
+			keep = append(keep, c)
+		}
+	}
+	return keep
+}
+`})
+	wantFindings(t, got, `a.go:8: maprange: map iteration appends to "keep" in randomized order`)
+}
+
 // TestMapRangeNestedAppendRegression pins the fix for the bug this very
 // analyzer found in lint.Run on its first self-hosted run: iterating a map
 // of per-file suppressions and appending diagnostics without sorting.

@@ -46,6 +46,10 @@ type MExpr struct {
 	// powers rule-interaction tracking (§7): rule r2 exercised on an
 	// expression created by r1.
 	CreatedBy int
+	// Queued is scratch for whoever drives exploration over this memo: the
+	// optimizer's explorer keeps its worklist-membership bits here instead of
+	// in side maps keyed by expression. The memo itself never reads it.
+	Queued uint8
 }
 
 // Op returns the operator of the expression.
@@ -78,10 +82,12 @@ func (e *MExpr) MarkApplied(ruleID int) {
 type Group struct {
 	ID    GroupID
 	Exprs []*MExpr
-	// Cols is the set of columns every expression in the group produces.
+	// Cols is the set of columns every expression in the group produces. It
+	// is read-only: groups whose operator passes its input through (Select,
+	// Sort, Limit, semi joins) share the child group's set.
 	Cols scalar.ColSet
-	// leafRef caches the group's leaf BoundExpr for the binder (see LeafRef).
-	leafRef *BoundExpr
+	// leaf is the group's leaf BoundExpr for the binder (see LeafRef).
+	leaf BoundExpr
 }
 
 // Memo holds groups and the interning table.
@@ -100,18 +106,44 @@ type Memo struct {
 	// onAdd, when set, observes every newly interned expression; the
 	// dirty-queue explorer uses it to invalidate parent expressions.
 	onAdd func(e *MExpr)
-	// fingerprint computes the interning hash; tests override it to force
-	// bucket collisions.
-	fingerprint func(node *logical.Expr, kids []GroupID) uint64
+	// collideAll degrades the interning hash to a constant; tests set it to
+	// force every expression into one bucket.
+	collideAll bool
+
+	// Chunked storage, private to this memo and never pooled across memos, so
+	// everything carved from it stays valid for as long as the memo (or any
+	// pointer into it) is reachable. Each field is the unused tail of the
+	// current chunk; a chunk that runs out is replaced, never grown, so
+	// pointers into it are stable.
+	exprs  []MExpr
+	grps   []Group
+	kidIDs []GroupID
+	// bindings holds the binder's nodes. Unlike the rest it is recycled:
+	// ReleaseBindings rewinds it once a rule application is over.
+	bindings     [][]binding
+	bindingChunk int // index into bindings of the chunk being carved
+	bindingNext  int // next unused node in that chunk
+}
+
+// chunkLen sizes the next chunk of a storage class that has handed out used
+// elements so far: chunks double with use, so a three-expression memo costs a
+// few hundred bytes and a thousand-expression one a handful of allocations.
+func chunkLen(used int) int {
+	switch {
+	case used < 4:
+		return 4
+	case used > 128:
+		return 128
+	}
+	return used
 }
 
 // New returns an empty memo over the given metadata.
 func New(md *logical.Metadata) *Memo {
 	return &Memo{
-		MD:          md,
-		groups:      make([]*Group, 0, 32),
-		intern:      make(map[uint64]*MExpr, 64),
-		fingerprint: exprFingerprint,
+		MD:     md,
+		groups: make([]*Group, 0, 32),
+		intern: make(map[uint64]*MExpr, 64),
 	}
 }
 
@@ -134,9 +166,12 @@ func (m *Memo) Group(id GroupID) *Group {
 // Groups returns all groups in creation order.
 func (m *Memo) Groups() []*Group { return m.groups }
 
-// exprFingerprint hashes an expression's payload and child groups into the
+// fingerprint hashes an expression's payload and child groups into the
 // uint64 interning key.
-func exprFingerprint(node *logical.Expr, kids []GroupID) uint64 {
+func (m *Memo) fingerprint(node *logical.Expr, kids []GroupID) uint64 {
+	if m.collideAll {
+		return 0
+	}
 	h := fnv64.New()
 	node.PayloadFingerprint(&h)
 	for _, k := range kids {
@@ -182,39 +217,42 @@ func payloadOnly(node *logical.Expr) *logical.Expr {
 // colSetOf computes the group column set for a node given its kid groups.
 func (m *Memo) colSetOf(node *logical.Expr, kids []GroupID) scalar.ColSet {
 	kidSet := func(i int) scalar.ColSet { return m.Group(kids[i]).Cols }
+	var s scalar.ColSet
 	switch node.Op {
 	case logical.OpGet:
 		return scalar.NewColSet(node.Cols...)
 	case logical.OpSelect, logical.OpLimit, logical.OpSort:
 		return kidSet(0)
 	case logical.OpProject:
-		s := make(scalar.ColSet, len(node.Projs))
 		for _, p := range node.Projs {
 			s.Add(p.Out)
 		}
-		return s
 	case logical.OpJoin, logical.OpLeftJoin:
 		return kidSet(0).Union(kidSet(1))
 	case logical.OpSemiJoin, logical.OpAntiJoin:
 		return kidSet(0)
 	case logical.OpGroupBy:
-		s := make(scalar.ColSet)
 		for _, c := range node.GroupCols {
 			s.Add(c)
 		}
 		for _, a := range node.Aggs {
 			s.Add(a.Out)
 		}
-		return s
 	case logical.OpUnionAll:
 		return scalar.NewColSet(node.OutCols...)
 	}
-	return make(scalar.ColSet)
+	return s
 }
 
 func (m *Memo) newGroup(node *logical.Expr, kids []GroupID) *Group {
-	g := &Group{ID: GroupID(len(m.groups) + 1)}
+	if len(m.grps) == 0 {
+		m.grps = make([]Group, chunkLen(len(m.groups)))
+	}
+	g := &m.grps[0]
+	m.grps = m.grps[1:]
+	g.ID = GroupID(len(m.groups) + 1)
 	g.Cols = m.colSetOf(node, kids)
+	g.leaf.Group = g.ID
 	m.groups = append(m.groups, g)
 	return g
 }
@@ -234,8 +272,22 @@ func (m *Memo) addExpr(node *logical.Expr, kids []GroupID, g *Group, createdBy i
 // addInterned appends a known-novel expression to its group and the intern
 // table. The caller must have established that no structurally equal
 // expression exists (via lookup with the same fp).
+//
+// kids may be the caller's scratch: the expression keeps a copy carved from
+// the memo's own storage.
 func (m *Memo) addInterned(fp uint64, node *logical.Expr, kids []GroupID, g *Group, createdBy int) *MExpr {
-	e := &MExpr{Node: node, Kids: kids, Group: g.ID, Ord: len(g.Exprs), CreatedBy: createdBy}
+	if len(m.exprs) == 0 {
+		m.exprs = make([]MExpr, chunkLen(m.nexprs))
+	}
+	e := &m.exprs[0]
+	m.exprs = m.exprs[1:]
+	if len(m.kidIDs) < len(kids) {
+		m.kidIDs = make([]GroupID, 2*chunkLen(m.nexprs)+len(kids))
+	}
+	own := m.kidIDs[:len(kids):len(kids)]
+	m.kidIDs = m.kidIDs[len(kids):]
+	copy(own, kids)
+	*e = MExpr{Node: node, Kids: own, Group: g.ID, Ord: len(g.Exprs), CreatedBy: createdBy}
 	g.Exprs = append(g.Exprs, e)
 	e.internNext = m.intern[fp]
 	m.intern[fp] = e
@@ -250,7 +302,8 @@ func (m *Memo) addInterned(fp uint64, node *logical.Expr, kids []GroupID, g *Gro
 // returns the group holding its root. Structurally identical subtrees share
 // groups.
 func (m *Memo) Insert(tree *logical.Expr) GroupID {
-	kids := make([]GroupID, len(tree.Children))
+	var buf [2]GroupID
+	kids := kidScratch(&buf, len(tree.Children))
 	for i, c := range tree.Children {
 		kids[i] = m.Insert(c)
 	}
@@ -261,6 +314,17 @@ func (m *Memo) Insert(tree *logical.Expr) GroupID {
 	g := m.newGroup(tree, kids)
 	m.addInterned(fp, tree, kids, g, 0)
 	return g.ID
+}
+
+// kidScratch returns n child-group slots for building an interning key:
+// buf, which the caller keeps on its stack, whenever the operator's arity
+// allows (it always does for well-formed trees). addInterned copies the slots
+// it keeps, so a lookup that finds the expression allocates nothing.
+func kidScratch(buf *[2]GroupID, n int) []GroupID {
+	if n > len(buf) {
+		return make([]GroupID, n)
+	}
+	return buf[:n]
 }
 
 // SetRoot records the root group of the query.
@@ -287,17 +351,48 @@ type BoundExpr struct {
 // GroupRef returns a leaf BoundExpr referencing group g.
 func GroupRef(g GroupID) *BoundExpr { return &BoundExpr{Group: g} }
 
-// LeafRef returns a cached leaf BoundExpr referencing group g. The binder
-// uses it on its hot path instead of GroupRef; callers share the returned
-// node and must treat it as immutable (all BoundExpr trees are read-only
-// after construction).
-func (m *Memo) LeafRef(g GroupID) *BoundExpr {
-	grp := m.Group(g)
-	if grp.leafRef == nil {
-		grp.leafRef = &BoundExpr{Group: g}
-	}
-	return grp.leafRef
+// LeafRef returns the group's own leaf BoundExpr referencing group g. The
+// binder uses it on its hot path instead of GroupRef; callers share the
+// returned node and must treat it as immutable (all BoundExpr trees are
+// read-only after construction).
+func (m *Memo) LeafRef(g GroupID) *BoundExpr { return &m.Group(g).leaf }
+
+// binding is one binder node: the BoundExpr, its kid slots (operator arity
+// never exceeds 2) and the one-element result slice the binder returns when
+// the node is the only binding, all in one piece of storage.
+type binding struct {
+	b    BoundExpr
+	kids [2]*BoundExpr
+	self [1]*BoundExpr
 }
+
+// NewBinding returns a binding of memo expression e, with len(e.Kids) kid
+// slots for the caller to fill, and the one-element slice holding it. Both
+// live in the memo's binding storage and stay valid until ReleaseBindings.
+func (m *Memo) NewBinding(e *MExpr) (*BoundExpr, []*BoundExpr) {
+	if len(e.Kids) > 2 {
+		panic("memo: NewBinding with more than 2 kids")
+	}
+	if m.bindingChunk == len(m.bindings) {
+		// 2, 8, 32, then 128 nodes a chunk: most applications bind once,
+		// and a memo that is never explored (verify's) binds little else.
+		m.bindings = append(m.bindings, make([]binding, 2<<min(2*len(m.bindings), 6)))
+	}
+	chunk := m.bindings[m.bindingChunk]
+	n := &chunk[m.bindingNext]
+	if m.bindingNext++; m.bindingNext == len(chunk) {
+		m.bindingChunk, m.bindingNext = m.bindingChunk+1, 0
+	}
+	n.b = BoundExpr{Node: e.Node, Kids: n.kids[:len(e.Kids):len(e.Kids)], Group: e.Group, Src: e}
+	n.self[0] = &n.b
+	return &n.b, n.self[:]
+}
+
+// ReleaseBindings hands every binding NewBinding returned so far back for
+// reuse. The caller must hold no binding, and no substitute built over one,
+// past this call: the explorer calls it between rule applications, when the
+// substitutes have been interned and only group references survive.
+func (m *Memo) ReleaseBindings() { m.bindingChunk, m.bindingNext = 0, 0 }
 
 // NewBound returns a substitute node over kids. A node that carries children
 // (a matched original-tree node) has its payload copied with children
@@ -347,7 +442,8 @@ func (m *Memo) ensureGroup(b *BoundExpr, createdBy int) GroupID {
 	if b.IsLeaf() {
 		return b.Group
 	}
-	kids := make([]GroupID, len(b.Kids))
+	var buf [2]GroupID
+	kids := kidScratch(&buf, len(b.Kids))
 	for i, k := range b.Kids {
 		kids[i] = m.ensureGroup(k, createdBy)
 	}
@@ -376,7 +472,8 @@ func (m *Memo) InsertSubstituteFrom(b *BoundExpr, target GroupID, createdBy int)
 		return false
 	}
 	before := m.NumExprs()
-	kids := make([]GroupID, len(b.Kids))
+	var buf [2]GroupID
+	kids := kidScratch(&buf, len(b.Kids))
 	for i, k := range b.Kids {
 		kids[i] = m.ensureGroup(k, createdBy)
 	}

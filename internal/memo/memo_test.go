@@ -50,8 +50,8 @@ func TestInsertDistinctTablesDistinctGroups(t *testing.T) {
 		t.Errorf("expected 3 groups, got %d", m.NumGroups())
 	}
 	g := m.Group(root)
-	if len(g.Cols) != 2+3 {
-		t.Errorf("join group col set size = %d", len(g.Cols))
+	if g.Cols.Len() != 2+3 {
+		t.Errorf("join group col set size = %d", g.Cols.Len())
 	}
 }
 
@@ -141,7 +141,7 @@ func TestGroupColsPerOp(t *testing.T) {
 	m := New(md)
 	root := m.Insert(gb)
 	cols := m.Group(root).Cols
-	if len(cols) != 2 || !cols.Contains(n.Cols[2]) || !cols.Contains(agg) {
+	if cols.Len() != 2 || !cols.Contains(n.Cols[2]) || !cols.Contains(agg) {
 		t.Errorf("groupby group cols wrong: %v", cols.Sorted())
 	}
 }
@@ -157,7 +157,7 @@ func TestForcedCollisionsStayCorrect(t *testing.T) {
 	r := scan(t, md, "region")
 	n := scan(t, md, "nation")
 	m := New(md)
-	m.fingerprint = func(*logical.Expr, []GroupID) uint64 { return 0 }
+	m.collideAll = true
 
 	join := &logical.Expr{Op: logical.OpJoin, Children: []*logical.Expr{n, r}, On: scalar.TrueExpr()}
 	root := m.Insert(join)
@@ -252,11 +252,11 @@ func TestBoundExprCols(t *testing.T) {
 	gn := m.Insert(n)
 	join := NewBound(&logical.Expr{Op: logical.OpJoin, On: scalar.TrueExpr()}, GroupRef(gn), GroupRef(gr))
 	cols := m.Cols(join)
-	if len(cols) != 5 {
-		t.Errorf("bound join cols = %d, want 5", len(cols))
+	if cols.Len() != 5 {
+		t.Errorf("bound join cols = %d, want 5", cols.Len())
 	}
 	sel := NewBound(&logical.Expr{Op: logical.OpSelect, Filter: scalar.TrueExpr()}, join)
-	if len(m.Cols(sel)) != 5 {
+	if m.Cols(sel).Len() != 5 {
 		t.Error("bound select cols should pass through")
 	}
 }

@@ -38,6 +38,10 @@ type Options struct {
 	// DisableHistograms makes cardinality estimation fall back to
 	// distinct-count heuristics, for estimation-quality ablations.
 	DisableHistograms bool
+	// onRelease, when non-nil, is handed every losing physical candidate just
+	// before the implementor releases it for reuse. Unexported: the recycling
+	// test poisons released nodes through it.
+	onRelease func(*physical.Expr)
 	// exploreOverride, when non-nil, replaces the dirty-queue explorer. It is
 	// unexported and only settable from within this package: the differential
 	// test uses it to run the reference pass-based explorer against the same
@@ -138,6 +142,7 @@ func (o *Optimizer) Optimize(tree *logical.Expr, md *logical.Metadata, opts Opti
 		exercised: exercised, disabled: opts.Disabled,
 		best: make([]*physical.Expr, m.NumGroups()),
 		done: make([]bool, m.NumGroups()), visiting: make([]bool, m.NumGroups()),
+		onRelease: opts.onRelease,
 	}
 	plan := imp.bestPlan(root)
 	if plan == nil {
@@ -185,10 +190,10 @@ type explorer struct {
 	// expressions that have it as a child; they are the expressions
 	// invalidated when the group grows. Grown on demand as groups appear.
 	parents [][]*memo.MExpr
-	cur     exprHeap
-	next    []*memo.MExpr
-	inCur   map[*memo.MExpr]bool
-	inNext  map[*memo.MExpr]bool
+	// cur and next are the worklists of this round and the next; membership
+	// is marked on the expression itself (inCur / inNext in MExpr.Queued).
+	cur  exprHeap
+	next []*memo.MExpr
 	// processing is the expression whose rules are currently running; nil
 	// between rounds and during the initial tree interning, when every new
 	// expression seeds the first round.
@@ -201,8 +206,6 @@ func newExplorer(o *Optimizer, ctx *rules.Context, exercised rules.Set, interact
 		exercised: exercised, interactions: interactions, disabled: disabled,
 		maxExprs: maxExprs, maxPasses: maxPasses,
 		parents: make([][]*memo.MExpr, 0, 64),
-		inCur:   make(map[*memo.MExpr]bool),
-		inNext:  make(map[*memo.MExpr]bool),
 	}
 	ctx.Memo.SetOnAdd(ex.onAdd)
 	return ex
@@ -235,19 +238,25 @@ func (ex *explorer) grow(g memo.GroupID) {
 	}
 }
 
+// Worklist-membership bits the explorer keeps in MExpr.Queued.
+const (
+	inCur uint8 = 1 << iota
+	inNext
+)
+
 // dirty queues e for (re-)binding: into the current round if its scan
 // position is still ahead of the expression being processed, else into the
 // next round.
 func (ex *explorer) dirty(e *memo.MExpr) {
 	if ex.processing != nil && exprLess(ex.processing, e) {
-		if !ex.inCur[e] {
-			ex.inCur[e] = true
+		if e.Queued&inCur == 0 {
+			e.Queued |= inCur
 			ex.cur.push(e)
 		}
 		return
 	}
-	if !ex.inNext[e] {
-		ex.inNext[e] = true
+	if e.Queued&inNext == 0 {
+		e.Queued |= inNext
 		ex.next = append(ex.next, e)
 	}
 }
@@ -258,20 +267,27 @@ func (ex *explorer) run() {
 	defer ex.ctx.Memo.SetOnAdd(nil)
 	m := ex.ctx.Memo
 	for round := 0; round < ex.maxPasses && len(ex.next) > 0; round++ {
-		// Swap the queues, recycling the drained round's backing storage.
-		prevCur, prevInCur := ex.cur, ex.inCur
-		ex.cur, ex.inCur = exprHeap(ex.next), ex.inNext
+		// Swap the queues, recycling the drained round's backing storage. The
+		// drained round left no inCur mark behind (pop clears it), so moving
+		// the next round's marks over is all the bookkeeping there is.
+		prevCur := ex.cur
+		ex.cur = exprHeap(ex.next)
+		for _, e := range ex.cur {
+			e.Queued = inCur
+		}
 		ex.cur.init()
-		clear(prevInCur)
-		ex.next, ex.inNext = prevCur[:0], prevInCur
+		ex.next = prevCur[:0]
 		for len(ex.cur) > 0 {
 			e := ex.cur.pop()
-			delete(ex.inCur, e)
+			e.Queued &^= inCur
 			ex.processing = e
 			for _, r := range ex.o.reg.ExplorationFor(e.Op()) {
 				if ex.disabled.Contains(r.ID()) || e.WasApplied(int(r.ID())) {
 					continue
 				}
+				// The previous application's substitutes are interned (or it
+				// bound nothing): no binding is referred to any more.
+				m.ReleaseBindings()
 				binds := rules.Bind(m, e, r.Pattern())
 				if len(binds) == 0 {
 					// The pattern may start matching later, once child groups
@@ -363,22 +379,24 @@ func (h exprHeap) siftDown(i int) {
 // recordInteractions notes, for every concrete expression the binding
 // matched that some earlier rule created, the interaction (creator, fired).
 func recordInteractions(interactions map[[2]rules.ID]bool, b *memo.BoundExpr, fired rules.ID) {
-	var walk func(x *memo.BoundExpr)
-	walk = func(x *memo.BoundExpr) {
-		if x.Src != nil && x.Src.CreatedBy != 0 && rules.ID(x.Src.CreatedBy) != fired {
-			interactions[[2]rules.ID{rules.ID(x.Src.CreatedBy), fired}] = true
-		}
-		for _, k := range x.Kids {
-			walk(k)
-		}
+	if b.Src != nil && b.Src.CreatedBy != 0 && rules.ID(b.Src.CreatedBy) != fired {
+		interactions[[2]rules.ID{rules.ID(b.Src.CreatedBy), fired}] = true
 	}
-	walk(b)
+	for _, k := range b.Kids {
+		recordInteractions(interactions, k, fired)
+	}
 }
 
 // implementor runs the implementation/costing phase: a bottom-up dynamic
 // program over the memo choosing the cheapest physical expression per group.
 // Its per-group state is held in dense slices indexed by GroupID, sized once
 // at construction (the memo is final when implementation starts).
+//
+// Candidates belong to the implementor from the moment a rule returns them
+// until they are published in best[]: one that loses its group's costing, or
+// is displaced as the running best, goes back to the rules.Context, whose
+// built-in rules build their next candidate in it. Only winners stay
+// allocated, and nothing reachable from a published plan is ever released.
 type implementor struct {
 	o         *Optimizer
 	ctx       *rules.Context
@@ -388,6 +406,20 @@ type implementor struct {
 	best      []*physical.Expr // index = GroupID-1
 	done      []bool           // index = GroupID-1: best[g] is final (may be nil: no plan)
 	visiting  []bool           // index = GroupID-1
+	// costKids lends a candidate its children while it is being costed; a
+	// candidate that wins gets a slice of its own (shared by the winners of
+	// one memo expression, as before).
+	costKids [2]*physical.Expr
+	// onRelease, when set, sees every candidate just before it is released;
+	// the recycling test poisons them here.
+	onRelease func(*physical.Expr)
+}
+
+func (imp *implementor) release(cand *physical.Expr) {
+	if imp.onRelease != nil {
+		imp.onRelease(cand)
+	}
+	imp.ctx.Release(cand)
 }
 
 func (imp *implementor) bestPlan(g memo.GroupID) *physical.Expr {
@@ -405,11 +437,9 @@ func (imp *implementor) bestPlan(g memo.GroupID) *physical.Expr {
 	st := imp.sb.stats(g)
 	var best *physical.Expr
 	for _, e := range group.Exprs {
-		kidPlans := make([]*physical.Expr, len(e.Kids))
 		ok := true
-		for i, k := range e.Kids {
-			kidPlans[i] = imp.bestPlan(k)
-			if kidPlans[i] == nil {
+		for _, k := range e.Kids {
+			if imp.bestPlan(k) == nil {
 				ok = false
 				break
 			}
@@ -417,6 +447,13 @@ func (imp *implementor) bestPlan(g memo.GroupID) *physical.Expr {
 		if !ok {
 			continue
 		}
+		// Every kid group is final now, so its plan is read back from best[]
+		// into costKids only after the recursion, which shares that buffer.
+		costKids := imp.costKids[:0]
+		for _, k := range e.Kids {
+			costKids = append(costKids, imp.best[k-1])
+		}
+		var kidPlans []*physical.Expr // the winners' Children, built on first use
 		for _, ir := range imp.o.reg.ImplementationFor(e.Op()) {
 			if imp.disabled.Contains(ir.ID()) {
 				continue
@@ -426,16 +463,25 @@ func (imp *implementor) bestPlan(g memo.GroupID) *physical.Expr {
 				imp.exercised.Add(ir.ID())
 			}
 			for _, cand := range cands {
-				cand.Children = kidPlans
+				cand.Children = costKids
 				cand.Rows = st.rows
 				cost := localCost(cand)
-				for _, kp := range kidPlans {
+				for _, kp := range costKids {
 					cost += kp.Cost
 				}
 				cand.Cost = cost
-				if best == nil || cand.Cost < best.Cost {
-					best = cand
+				if best != nil && !(cand.Cost < best.Cost) {
+					imp.release(cand)
+					continue
 				}
+				if kidPlans == nil {
+					kidPlans = append(make([]*physical.Expr, 0, len(costKids)), costKids...)
+				}
+				cand.Children = kidPlans
+				if best != nil {
+					imp.release(best)
+				}
+				best = cand
 			}
 		}
 	}

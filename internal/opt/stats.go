@@ -11,9 +11,15 @@ import (
 // count plus per-column distinct-value estimates. Stats are a logical
 // property: every expression in a group shares them, so they are computed
 // from the group's first (original) expression.
+//
+// cols is the set of columns that have a distinct-count estimate, and
+// distinct holds the estimates packed in ascending column order: the one for
+// id sits at distinct[cols.Rank(id)]. Both are read-only once the stats are
+// built, which is what lets scaleStats share them between groups.
 type groupStats struct {
 	rows     float64
-	distinct map[scalar.ColumnID]float64
+	cols     scalar.ColSet
+	distinct []float64
 }
 
 const (
@@ -24,11 +30,32 @@ const (
 	defaultDist = 10
 )
 
+// known returns the positive estimate recorded for id, if there is one.
+func (s *groupStats) known(id scalar.ColumnID) (float64, bool) {
+	if !s.cols.Contains(id) {
+		return 0, false
+	}
+	d := s.distinct[s.cols.Rank(id)]
+	return d, d > 0
+}
+
 func (s *groupStats) distinctOf(id scalar.ColumnID) float64 {
-	if d, ok := s.distinct[id]; ok && d > 0 {
+	if d, ok := s.known(id); ok {
 		return d
 	}
 	return defaultDist
+}
+
+// set records the estimate of id, which must be in s.cols.
+func (s *groupStats) set(id scalar.ColumnID, d float64) { s.distinct[s.cols.Rank(id)] = d }
+
+// setClamped records, for every column of in, in's estimate clamped to rows.
+func (s *groupStats) setClamped(in *groupStats, rows float64) {
+	i := 0
+	in.cols.ForEach(func(id scalar.ColumnID) {
+		s.set(id, clampDist(in.distinct[i], rows))
+		i++
+	})
 }
 
 // statsBuilder computes and caches group statistics. The cache is a dense
@@ -39,10 +66,42 @@ type statsBuilder struct {
 	cache []*groupStats // index = GroupID-1
 	// noHistograms disables histogram-based selectivity (ablation knob).
 	noHistograms bool
+	// sts backs the groupStats themselves (at most one per group) and slab
+	// the estimates they hold; both live and die with this builder's memo.
+	// Slab chunks carry spare floats beyond the request that exhausted the
+	// previous one, doubling up to 256, so small memos stay small.
+	sts   []groupStats
+	slab  []float64
+	spare int
 }
 
 func newStatsBuilder(m *memo.Memo) *statsBuilder {
-	return &statsBuilder{m: m, cache: make([]*groupStats, m.NumGroups())}
+	return &statsBuilder{
+		m: m, cache: make([]*groupStats, m.NumGroups()),
+		sts: make([]groupStats, 0, m.NumGroups()), spare: 32,
+	}
+}
+
+// newStats returns stats with the given row count and a zero estimate, to be
+// filled in by the caller, for every column of cols.
+func (sb *statsBuilder) newStats(rows float64, cols scalar.ColSet) *groupStats {
+	n := cols.Len()
+	if len(sb.slab) < n {
+		sb.slab = make([]float64, n+sb.spare)
+		if sb.spare < 256 {
+			sb.spare *= 2
+		}
+	}
+	st := sb.add(groupStats{rows: rows, cols: cols, distinct: sb.slab[:n:n]})
+	sb.slab = sb.slab[n:]
+	return st
+}
+
+// add stores st in the builder's backing array (sized for one per group, so
+// the append never moves earlier ones) and returns its address.
+func (sb *statsBuilder) add(st groupStats) *groupStats {
+	sb.sts = append(sb.sts, st)
+	return &sb.sts[len(sb.sts)-1]
 }
 
 // statsPlaceholder terminates stats recursion on (impossible in well-formed
@@ -65,31 +124,36 @@ func (sb *statsBuilder) compute(e *memo.MExpr) *groupStats {
 	switch node.Op {
 	case logical.OpGet:
 		t, err := sb.m.MD.Catalog().Table(node.Table)
-		st := &groupStats{rows: 1, distinct: make(map[scalar.ColumnID]float64, len(node.Cols))}
 		if err != nil {
-			return st
+			return sb.newStats(1, scalar.ColSet{})
 		}
-		st.rows = float64(t.Stats.RowCount)
-		for i, col := range t.Columns {
-			if i < len(node.Cols) {
-				st.distinct[node.Cols[i]] = float64(t.Stats.DistinctCount[col.Name])
-			}
+		n := len(node.Cols)
+		if len(t.Columns) < n {
+			n = len(t.Columns)
+		}
+		st := sb.newStats(float64(t.Stats.RowCount), scalar.NewColSet(node.Cols[:n]...))
+		for i, id := range node.Cols[:n] {
+			st.set(id, float64(t.Stats.DistinctCount[t.Columns[i].Name]))
 		}
 		return st
 
 	case logical.OpSelect:
 		in := sb.stats(e.Kids[0])
 		sel := sb.selectivity(node.Filter, in, nil)
-		return scaleStats(in, in.rows*sel)
+		return sb.scaleStats(in, in.rows*sel)
 
 	case logical.OpProject:
 		in := sb.stats(e.Kids[0])
-		st := &groupStats{rows: in.rows, distinct: make(map[scalar.ColumnID]float64, len(node.Projs))}
+		var outs scalar.ColSet
+		for _, it := range node.Projs {
+			outs.Add(it.Out)
+		}
+		st := sb.newStats(in.rows, outs)
 		for _, it := range node.Projs {
 			if ref, ok := it.E.(*scalar.ColRef); ok {
-				st.distinct[it.Out] = in.distinctOf(ref.ID)
+				st.set(it.Out, in.distinctOf(ref.ID))
 			} else {
-				st.distinct[it.Out] = clampDist(in.rows, in.rows)
+				st.set(it.Out, clampDist(in.rows, in.rows))
 			}
 		}
 		return st
@@ -103,13 +167,9 @@ func (sb *statsBuilder) compute(e *memo.MExpr) *groupStats {
 			rows = l.rows
 		}
 		rows = maxf(rows, minRows)
-		st := &groupStats{rows: rows, distinct: make(map[scalar.ColumnID]float64, len(l.distinct)+len(r.distinct))}
-		for id, d := range l.distinct {
-			st.distinct[id] = clampDist(d, rows)
-		}
-		for id, d := range r.distinct {
-			st.distinct[id] = clampDist(d, rows)
-		}
+		st := sb.newStats(rows, l.cols.Union(r.cols))
+		st.setClamped(l, rows)
+		st.setClamped(r, rows)
 		return st
 
 	case logical.OpSemiJoin, logical.OpAntiJoin:
@@ -121,14 +181,18 @@ func (sb *statsBuilder) compute(e *memo.MExpr) *groupStats {
 		if node.Op == logical.OpAntiJoin {
 			rows = l.rows * (1 - p)
 		}
-		return scaleStats(l, maxf(rows, minRows))
+		return sb.scaleStats(l, maxf(rows, minRows))
 
 	case logical.OpGroupBy:
 		in := sb.stats(e.Kids[0])
+		outs := scalar.NewColSet(node.GroupCols...)
+		for _, a := range node.Aggs {
+			outs.Add(a.Out)
+		}
 		if len(node.GroupCols) == 0 {
-			st := &groupStats{rows: 1, distinct: make(map[scalar.ColumnID]float64, len(node.Aggs))}
+			st := sb.newStats(1, outs)
 			for _, a := range node.Aggs {
-				st.distinct[a.Out] = 1
+				st.set(a.Out, 1)
 			}
 			return st
 		}
@@ -141,36 +205,36 @@ func (sb *statsBuilder) compute(e *memo.MExpr) *groupStats {
 			}
 		}
 		groups = maxf(minf(groups, in.rows), minRows)
-		st := &groupStats{rows: groups, distinct: make(map[scalar.ColumnID]float64, len(node.GroupCols)+len(node.Aggs))}
+		st := sb.newStats(groups, outs)
 		for _, c := range node.GroupCols {
-			st.distinct[c] = clampDist(in.distinctOf(c), groups)
+			st.set(c, clampDist(in.distinctOf(c), groups))
 		}
 		for _, a := range node.Aggs {
-			st.distinct[a.Out] = clampDist(groups, groups)
+			st.set(a.Out, clampDist(groups, groups))
 		}
 		return st
 
 	case logical.OpUnionAll:
 		l := sb.stats(e.Kids[0])
 		r := sb.stats(e.Kids[1])
-		st := &groupStats{rows: l.rows + r.rows, distinct: make(map[scalar.ColumnID]float64, len(node.OutCols))}
+		st := sb.newStats(l.rows+r.rows, scalar.NewColSet(node.OutCols...))
 		for i, out := range node.OutCols {
 			d := defaultDist * 2.0
 			if len(node.InputCols) == 2 && i < len(node.InputCols[0]) && i < len(node.InputCols[1]) {
 				d = l.distinctOf(node.InputCols[0][i]) + r.distinctOf(node.InputCols[1][i])
 			}
-			st.distinct[out] = clampDist(d, st.rows)
+			st.set(out, clampDist(d, st.rows))
 		}
 		return st
 
 	case logical.OpLimit:
 		in := sb.stats(e.Kids[0])
-		return scaleStats(in, minf(in.rows, float64(node.N)))
+		return sb.scaleStats(in, minf(in.rows, float64(node.N)))
 
 	case logical.OpSort:
 		return sb.stats(e.Kids[0])
 	}
-	return &groupStats{rows: 1, distinct: map[scalar.ColumnID]float64{}}
+	return sb.newStats(1, scalar.ColSet{})
 }
 
 // selectivity estimates the fraction of rows satisfying pred. For join
@@ -178,7 +242,7 @@ func (sb *statsBuilder) compute(e *memo.MExpr) *groupStats {
 func (sb *statsBuilder) selectivity(pred scalar.Expr, l, r *groupStats) float64 {
 	dist := func(id scalar.ColumnID) float64 {
 		if r != nil {
-			if d, ok := r.distinct[id]; ok && d > 0 {
+			if d, ok := r.known(id); ok {
 				return d
 			}
 		}
@@ -303,11 +367,11 @@ func histValue(d datum.Datum) (float64, bool) {
 	}
 }
 
-func scaleStats(in *groupStats, rows float64) *groupStats {
+func (sb *statsBuilder) scaleStats(in *groupStats, rows float64) *groupStats {
 	rows = maxf(rows, minRows)
-	// groupStats maps are never written after construction, so when clamping
-	// would leave every distinct count unchanged the input map is shared
-	// instead of cloned.
+	// Estimates are never written after construction, so when clamping would
+	// leave every distinct count unchanged the input's are shared instead of
+	// cloned.
 	share := true
 	for _, d := range in.distinct {
 		if clampDist(d, rows) != d {
@@ -316,11 +380,11 @@ func scaleStats(in *groupStats, rows float64) *groupStats {
 		}
 	}
 	if share {
-		return &groupStats{rows: rows, distinct: in.distinct}
+		return sb.add(groupStats{rows: rows, cols: in.cols, distinct: in.distinct})
 	}
-	st := &groupStats{rows: rows, distinct: make(map[scalar.ColumnID]float64, len(in.distinct))}
-	for id, d := range in.distinct {
-		st.distinct[id] = clampDist(d, rows)
+	st := sb.newStats(rows, in.cols)
+	for i, d := range in.distinct {
+		st.distinct[i] = clampDist(d, rows)
 	}
 	return st
 }

@@ -110,10 +110,11 @@ type Expr struct {
 	// anything can observe them), so the fingerprint never needs
 	// invalidation; a racing double computation stores the same string
 	// either way. A raw unsafe.Pointer rather than atomic.Pointer[string]
-	// because the latter's noCopy would forbid the implementor's by-value
-	// candidate construction (rules.one copies a fresh Expr into its
-	// co-allocation buffer) — those copies happen strictly before the node
-	// is published, when the field is still nil.
+	// because the latter's noCopy would forbid the by-value candidate
+	// construction of the implementation rules (rules.Context builds each
+	// candidate by assigning a whole Expr into a new or recycled node, which
+	// also clears this field) — those copies happen strictly before the node
+	// is published.
 	hash unsafe.Pointer
 }
 

@@ -45,7 +45,13 @@ func kidCols(ctx *Context, b *memo.BoundExpr) scalar.ColSet {
 // splitConjuncts partitions the conjuncts of pred into those whose columns
 // are all within allowed, and the rest.
 func splitConjuncts(pred scalar.Expr, allowed scalar.ColSet) (within, rest []scalar.Expr) {
-	conj := scalar.Conjuncts(pred)
+	return splitConjunctList(scalar.Conjuncts(pred), allowed)
+}
+
+// splitConjunctList is splitConjuncts over an already flattened conjunct
+// list, for callers that assembled one and would otherwise wrap it in an And
+// only to have it taken apart again.
+func splitConjunctList(conj []scalar.Expr, allowed scalar.ColSet) (within, rest []scalar.Expr) {
 	nw := 0
 	for _, c := range conj {
 		if scalar.RefsWithin(c, allowed) {
@@ -186,9 +192,10 @@ func ExplorationRules() []ExplorationRule {
 
 		expl(1, "JoinCommute", P(logical.OpJoin, Any(), Any()),
 			func(ctx *Context, b *memo.BoundExpr) []*memo.BoundExpr {
-				return []*memo.BoundExpr{
-					memo.NewBound(&logical.Expr{Op: logical.OpJoin, On: b.Node.On}, b.Kids[1], b.Kids[0]),
-				}
+				// The substitute's payload is the matched join's: NewBound
+				// shares the node when it is childless (a rule built it) and
+				// strips a copy otherwise.
+				return []*memo.BoundExpr{memo.NewBound(b.Node, b.Kids[1], b.Kids[0])}
 			}),
 
 		expl(2, "JoinAssocLeft", P(logical.OpJoin, P(logical.OpJoin, Any(), Any()), Any()),
@@ -198,7 +205,7 @@ func ExplorationRules() []ExplorationRule {
 				a, bb, c := inner.Kids[0], inner.Kids[1], b.Kids[1]
 				all := append(scalar.Conjuncts(inner.Node.On), scalar.Conjuncts(b.Node.On)...)
 				bc := kidCols(ctx, bb).Union(kidCols(ctx, c))
-				within, rest := splitConjuncts(scalar.MakeAnd(all), bc)
+				within, rest := splitConjunctList(all, bc)
 				if len(within) == 0 && len(all) > 0 {
 					// Refuse to synthesize a cross product.
 					return nil
@@ -216,7 +223,7 @@ func ExplorationRules() []ExplorationRule {
 				a, bb, c := b.Kids[0], inner.Kids[0], inner.Kids[1]
 				all := append(scalar.Conjuncts(b.Node.On), scalar.Conjuncts(inner.Node.On)...)
 				ab := kidCols(ctx, a).Union(kidCols(ctx, bb))
-				within, rest := splitConjuncts(scalar.MakeAnd(all), ab)
+				within, rest := splitConjunctList(all, ab)
 				if len(within) == 0 && len(all) > 0 {
 					return nil
 				}
@@ -254,8 +261,7 @@ func ExplorationRules() []ExplorationRule {
 				if len(within) == 0 {
 					return nil
 				}
-				newJoin := memo.NewBound(&logical.Expr{Op: logical.OpJoin, On: join.Node.On},
-					selectOver(join.Kids[0], within), join.Kids[1])
+				newJoin := memo.NewBound(join.Node, selectOver(join.Kids[0], within), join.Kids[1])
 				return []*memo.BoundExpr{selectOver(newJoin, rest)}
 			}),
 
@@ -267,8 +273,7 @@ func ExplorationRules() []ExplorationRule {
 				if len(within) == 0 {
 					return nil
 				}
-				newJoin := memo.NewBound(&logical.Expr{Op: logical.OpJoin, On: join.Node.On},
-					join.Kids[0], selectOver(join.Kids[1], within))
+				newJoin := memo.NewBound(join.Node, join.Kids[0], selectOver(join.Kids[1], within))
 				return []*memo.BoundExpr{selectOver(newJoin, rest)}
 			}),
 
@@ -281,8 +286,7 @@ func ExplorationRules() []ExplorationRule {
 				if len(within) == 0 {
 					return nil
 				}
-				newJoin := memo.NewBound(&logical.Expr{Op: logical.OpLeftJoin, On: join.Node.On},
-					selectOver(join.Kids[0], within), join.Kids[1])
+				newJoin := memo.NewBound(join.Node, selectOver(join.Kids[0], within), join.Kids[1])
 				return []*memo.BoundExpr{selectOver(newJoin, rest)}
 			}),
 
@@ -297,9 +301,7 @@ func ExplorationRules() []ExplorationRule {
 				}
 				newJoin := memo.NewBound(&logical.Expr{Op: logical.OpJoin, On: join.Node.On},
 					join.Kids[0], join.Kids[1])
-				return []*memo.BoundExpr{
-					memo.NewBound(&logical.Expr{Op: logical.OpSelect, Filter: b.Node.Filter}, newJoin),
-				}
+				return []*memo.BoundExpr{memo.NewBound(b.Node, newJoin)}
 			}),
 
 		expl(10, "PushSelectBelowProject", P(logical.OpSelect, P(logical.OpProject, Any())),
@@ -311,9 +313,7 @@ func ExplorationRules() []ExplorationRule {
 				}
 				inlined := scalar.Substitute(b.Node.Filter, subst)
 				newSel := memo.NewBound(&logical.Expr{Op: logical.OpSelect, Filter: inlined}, proj.Kids[0])
-				return []*memo.BoundExpr{
-					memo.NewBound(&logical.Expr{Op: logical.OpProject, Projs: proj.Node.Projs}, newSel),
-				}
+				return []*memo.BoundExpr{memo.NewBound(proj.Node, newSel)}
 			}),
 
 		expl(11, "ProjectMerge", P(logical.OpProject, P(logical.OpProject, Any())),
@@ -339,9 +339,7 @@ func ExplorationRules() []ExplorationRule {
 				if len(within) == 0 {
 					return nil
 				}
-				newGB := memo.NewBound(&logical.Expr{
-					Op: logical.OpGroupBy, GroupCols: gb.Node.GroupCols, Aggs: gb.Node.Aggs,
-				}, selectOver(gb.Kids[0], within))
+				newGB := memo.NewBound(gb.Node, selectOver(gb.Kids[0], within))
 				return []*memo.BoundExpr{selectOver(newGB, rest)}
 			}),
 
@@ -358,11 +356,7 @@ func ExplorationRules() []ExplorationRule {
 						Op: logical.OpSelect, Filter: scalar.Remap(b.Node.Filter, mapping),
 					}, u.Kids[i])
 				}
-				return []*memo.BoundExpr{
-					memo.NewBound(&logical.Expr{
-						Op: logical.OpUnionAll, OutCols: u.Node.OutCols, InputCols: u.Node.InputCols,
-					}, kids[0], kids[1]),
-				}
+				return []*memo.BoundExpr{memo.NewBound(u.Node, kids[0], kids[1])}
 			}),
 
 		// --- group-by / join reordering --------------------------------------
@@ -380,14 +374,17 @@ func ExplorationRules() []ExplorationRule {
 				if !logical.AggsReferenceOnly(b.Node.Aggs, colsA) {
 					return nil
 				}
-				onRefs := scalar.ReferencedCols(join.Node.On)
-				for id := range onRefs {
+				grouped := true
+				scalar.ReferencedCols(join.Node.On).ForEach(func(id scalar.ColumnID) {
 					if colsA.Contains(id) && !gcSet.Contains(id) {
-						return nil
+						grouped = false
 					}
+				})
+				if !grouped {
+					return nil
 				}
 				pairs, _ := logical.EquiJoinCols(join.Node.On, colsA, kidCols(ctx, bb))
-				rcols := make(scalar.ColSet, len(pairs))
+				var rcols scalar.ColSet
 				for _, p := range pairs {
 					rcols.Add(p[1])
 				}
@@ -405,7 +402,7 @@ func ExplorationRules() []ExplorationRule {
 				newGB := memo.NewBound(&logical.Expr{
 					Op: logical.OpGroupBy, GroupCols: gcA, Aggs: b.Node.Aggs,
 				}, a)
-				newJoin := memo.NewBound(&logical.Expr{Op: logical.OpJoin, On: join.Node.On}, newGB, bb)
+				newJoin := memo.NewBound(join.Node, newGB, bb)
 				outs := append([]scalar.ColumnID(nil), b.Node.GroupCols...)
 				for _, ag := range b.Node.Aggs {
 					outs = append(outs, ag.Out)
@@ -437,10 +434,8 @@ func ExplorationRules() []ExplorationRule {
 				if !scalar.ReferencedCols(b.Node.On).SubsetOf(ab) {
 					return nil
 				}
-				newJoin := memo.NewBound(&logical.Expr{Op: logical.OpJoin, On: b.Node.On}, a, bb)
-				return []*memo.BoundExpr{
-					memo.NewBound(&logical.Expr{Op: logical.OpLeftJoin, On: loj.Node.On}, newJoin, c),
-				}
+				newJoin := memo.NewBound(b.Node, a, bb)
+				return []*memo.BoundExpr{memo.NewBound(loj.Node, newJoin, c)}
 			}),
 
 		expl(18, "LeftJoinJoinAssoc", P(logical.OpLeftJoin, P(logical.OpJoin, Any(), Any()), Any()),
@@ -452,10 +447,8 @@ func ExplorationRules() []ExplorationRule {
 				if !scalar.ReferencedCols(b.Node.On).SubsetOf(bc) {
 					return nil
 				}
-				newLOJ := memo.NewBound(&logical.Expr{Op: logical.OpLeftJoin, On: b.Node.On}, bb, c)
-				return []*memo.BoundExpr{
-					memo.NewBound(&logical.Expr{Op: logical.OpJoin, On: join.Node.On}, a, newLOJ),
-				}
+				newLOJ := memo.NewBound(b.Node, bb, c)
+				return []*memo.BoundExpr{memo.NewBound(join.Node, a, newLOJ)}
 			}),
 
 		// --- semi / anti joins -------------------------------------------------
@@ -463,19 +456,15 @@ func ExplorationRules() []ExplorationRule {
 		expl(19, "PushSelectBelowSemiJoin", P(logical.OpSelect, P(logical.OpSemiJoin, Any(), Any())),
 			func(ctx *Context, b *memo.BoundExpr) []*memo.BoundExpr {
 				sj := b.Kids[0]
-				newLeft := memo.NewBound(&logical.Expr{Op: logical.OpSelect, Filter: b.Node.Filter}, sj.Kids[0])
-				return []*memo.BoundExpr{
-					memo.NewBound(&logical.Expr{Op: logical.OpSemiJoin, On: sj.Node.On}, newLeft, sj.Kids[1]),
-				}
+				newLeft := memo.NewBound(b.Node, sj.Kids[0])
+				return []*memo.BoundExpr{memo.NewBound(sj.Node, newLeft, sj.Kids[1])}
 			}),
 
 		expl(20, "PushSelectBelowAntiJoin", P(logical.OpSelect, P(logical.OpAntiJoin, Any(), Any())),
 			func(ctx *Context, b *memo.BoundExpr) []*memo.BoundExpr {
 				aj := b.Kids[0]
-				newLeft := memo.NewBound(&logical.Expr{Op: logical.OpSelect, Filter: b.Node.Filter}, aj.Kids[0])
-				return []*memo.BoundExpr{
-					memo.NewBound(&logical.Expr{Op: logical.OpAntiJoin, On: aj.Node.On}, newLeft, aj.Kids[1]),
-				}
+				newLeft := memo.NewBound(b.Node, aj.Kids[0])
+				return []*memo.BoundExpr{memo.NewBound(aj.Node, newLeft, aj.Kids[1])}
 			}),
 
 		expl(21, "SemiJoinToJoin", P(logical.OpSemiJoin, Any(), Any()),
@@ -600,11 +589,8 @@ func ExplorationRules() []ExplorationRule {
 		expl(30, "PullSelectAboveJoin", P(logical.OpJoin, P(logical.OpSelect, Any()), Any()),
 			func(ctx *Context, b *memo.BoundExpr) []*memo.BoundExpr {
 				sel := b.Kids[0]
-				newJoin := memo.NewBound(&logical.Expr{Op: logical.OpJoin, On: b.Node.On},
-					sel.Kids[0], b.Kids[1])
-				return []*memo.BoundExpr{
-					memo.NewBound(&logical.Expr{Op: logical.OpSelect, Filter: sel.Node.Filter}, newJoin),
-				}
+				newJoin := memo.NewBound(b.Node, sel.Kids[0], b.Kids[1])
+				return []*memo.BoundExpr{memo.NewBound(sel.Node, newJoin)}
 			}),
 	}
 	out := make([]ExplorationRule, len(rs))
@@ -625,7 +611,7 @@ func ExplorationRules() []ExplorationRule {
 func pullGroupByAboveJoin(ctx *Context, b *memo.BoundExpr, joinOp logical.Op) []*memo.BoundExpr {
 	gb := b.Kids[0]
 	a, bb := gb.Kids[0], b.Kids[1]
-	aggOuts := make(scalar.ColSet, len(gb.Node.Aggs))
+	var aggOuts scalar.ColSet
 	for _, ag := range gb.Node.Aggs {
 		aggOuts.Add(ag.Out)
 	}
@@ -731,28 +717,33 @@ func pushGroupByBelowUnionAll(ctx *Context, b *memo.BoundExpr) []*memo.BoundExpr
 // where a' keeps only the columns the projection or join predicate needs.
 func pruneJoinSide(ctx *Context, b *memo.BoundExpr, side int) []*memo.BoundExpr {
 	join := b.Kids[0]
-	needed := make(scalar.ColSet)
+	var needed scalar.ColSet
 	for _, it := range b.Node.Projs {
-		it.E.Cols(needed)
+		it.E.Cols(&needed)
 	}
-	join.Node.On.Cols(needed)
+	join.Node.On.Cols(&needed)
 	sideCols := kidCols(ctx, join.Kids[side])
-	var keep []scalar.ColumnID
-	for _, c := range sideCols.Sorted() {
-		if needed.Contains(c) {
-			keep = append(keep, c)
-		}
-	}
-	if len(keep) == 0 || len(keep) == len(sideCols) {
+	keep := keptCols(sideCols, needed)
+	if len(keep) == 0 || len(keep) == sideCols.Len() {
 		return nil
 	}
 	pruned := memo.NewBound(&logical.Expr{Op: logical.OpProject, Projs: colRefProjs(keep)}, join.Kids[side])
 	kids := []*memo.BoundExpr{join.Kids[0], join.Kids[1]}
 	kids[side] = pruned
-	newJoin := memo.NewBound(&logical.Expr{Op: logical.OpJoin, On: join.Node.On}, kids[0], kids[1])
-	return []*memo.BoundExpr{
-		memo.NewBound(&logical.Expr{Op: logical.OpProject, Projs: b.Node.Projs}, newJoin),
-	}
+	newJoin := memo.NewBound(join.Node, kids[0], kids[1])
+	return []*memo.BoundExpr{memo.NewBound(b.Node, newJoin)}
+}
+
+// keptCols returns the members of cols that are also in needed, ascending, or
+// nil when there are none.
+func keptCols(cols, needed scalar.ColSet) []scalar.ColumnID {
+	var keep []scalar.ColumnID
+	cols.ForEach(func(c scalar.ColumnID) {
+		if needed.Contains(c) {
+			keep = append(keep, c)
+		}
+	})
+	return keep
 }
 
 // reduceExistentialRight implements rules 28/29: the right input of a semi or
@@ -760,17 +751,10 @@ func pruneJoinSide(ctx *Context, b *memo.BoundExpr, side int) []*memo.BoundExpr 
 func reduceExistentialRight(ctx *Context, b *memo.BoundExpr, op logical.Op) []*memo.BoundExpr {
 	right := kidCols(ctx, b.Kids[1])
 	needed := scalar.ReferencedCols(b.Node.On)
-	var keep []scalar.ColumnID
-	for _, c := range right.Sorted() {
-		if needed.Contains(c) {
-			keep = append(keep, c)
-		}
-	}
-	if len(keep) == 0 || len(keep) == len(right) {
+	keep := keptCols(right, needed)
+	if len(keep) == 0 || len(keep) == right.Len() {
 		return nil
 	}
 	pruned := memo.NewBound(&logical.Expr{Op: logical.OpProject, Projs: colRefProjs(keep)}, b.Kids[1])
-	return []*memo.BoundExpr{
-		memo.NewBound(&logical.Expr{Op: op, On: b.Node.On}, b.Kids[0], pruned),
-	}
+	return []*memo.BoundExpr{memo.NewBound(b.Node, b.Kids[0], pruned)}
 }

@@ -125,9 +125,9 @@ func applyEliminateFKJoin(ctx *Context, b *memo.BoundExpr) []*memo.BoundExpr {
 	for side := 0; side < 2; side++ {
 		fact, dim := join.Kids[side], join.Kids[1-side]
 		factCols := ctx.Memo.Cols(fact)
-		needed := make(scalar.ColSet)
+		var needed scalar.ColSet
 		for _, it := range b.Node.Projs {
-			it.E.Cols(needed)
+			it.E.Cols(&needed)
 		}
 		if !needed.SubsetOf(factCols) {
 			continue

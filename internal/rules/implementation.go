@@ -80,19 +80,6 @@ func equiKeys(ctx *Context, e *memo.MExpr) (left, right []scalar.ColumnID, ok bo
 	return left, right, true
 }
 
-// one returns a single-candidate implementation result, co-allocating the
-// slice and the expression: almost every implementation rule yields exactly
-// one candidate, and the implementor mutates each candidate in place
-// (Children/Rows/Cost), so candidates must be fresh per call anyway.
-func one(e physical.Expr) []*physical.Expr {
-	buf := &struct {
-		e physical.Expr
-		s [1]*physical.Expr
-	}{e: e}
-	buf.s[0] = &buf.e
-	return buf.s[:]
-}
-
 func joinTypeOf(op logical.Op) physical.JoinType {
 	switch op {
 	case logical.OpLeftJoin:
@@ -112,7 +99,7 @@ func hashJoinImpl(id ID, name string, op logical.Op) ImplementationRule {
 		if !ok {
 			return nil
 		}
-		return one(physical.Expr{
+		return ctx.one(physical.Expr{
 			Op: physical.OpHashJoin, JoinType: joinTypeOf(op),
 			On: e.Node.On, EquiLeft: l, EquiRight: r,
 		})
@@ -121,7 +108,7 @@ func hashJoinImpl(id ID, name string, op logical.Op) ImplementationRule {
 
 func nlJoinImpl(id ID, name string, op logical.Op) ImplementationRule {
 	return impl(id, name, P(op, Any(), Any()), func(ctx *Context, e *memo.MExpr) []*physical.Expr {
-		return one(physical.Expr{
+		return ctx.one(physical.Expr{
 			Op: physical.OpNLJoin, JoinType: joinTypeOf(op), On: e.Node.On,
 		})
 	})
@@ -133,15 +120,15 @@ func nlJoinImpl(id ID, name string, op logical.Op) ImplementationRule {
 func ImplementationRules() []ImplementationRule {
 	return []ImplementationRule{
 		impl(101, "GetToScan", P(logical.OpGet), func(ctx *Context, e *memo.MExpr) []*physical.Expr {
-			return one(physical.Expr{Op: physical.OpScan, Table: e.Node.Table, Cols: e.Node.Cols})
+			return ctx.one(physical.Expr{Op: physical.OpScan, Table: e.Node.Table, Cols: e.Node.Cols})
 		}),
 
 		impl(102, "SelectToFilter", P(logical.OpSelect, Any()), func(ctx *Context, e *memo.MExpr) []*physical.Expr {
-			return one(physical.Expr{Op: physical.OpFilter, Filter: e.Node.Filter})
+			return ctx.one(physical.Expr{Op: physical.OpFilter, Filter: e.Node.Filter})
 		}),
 
 		impl(103, "ProjectToProject", P(logical.OpProject, Any()), func(ctx *Context, e *memo.MExpr) []*physical.Expr {
-			return one(physical.Expr{Op: physical.OpProject, Projs: e.Node.Projs})
+			return ctx.one(physical.Expr{Op: physical.OpProject, Projs: e.Node.Projs})
 		}),
 
 		hashJoinImpl(104, "JoinToHashJoin", logical.OpJoin),
@@ -152,7 +139,7 @@ func ImplementationRules() []ImplementationRule {
 			if !ok {
 				return nil
 			}
-			return one(physical.Expr{
+			return ctx.one(physical.Expr{
 				Op: physical.OpMergeJoin, JoinType: physical.JoinInner,
 				On: e.Node.On, EquiLeft: l, EquiRight: r,
 			})
@@ -166,7 +153,7 @@ func ImplementationRules() []ImplementationRule {
 		nlJoinImpl(112, "AntiJoinToNLJoin", logical.OpAntiJoin),
 
 		impl(113, "GroupByToHashAgg", P(logical.OpGroupBy, Any()), func(ctx *Context, e *memo.MExpr) []*physical.Expr {
-			return one(physical.Expr{
+			return ctx.one(physical.Expr{
 				Op: physical.OpHashAgg, GroupCols: e.Node.GroupCols, Aggs: e.Node.Aggs,
 			})
 		}),
@@ -177,23 +164,23 @@ func ImplementationRules() []ImplementationRule {
 			if len(e.Node.GroupCols) == 0 {
 				return nil
 			}
-			return one(physical.Expr{
+			return ctx.one(physical.Expr{
 				Op: physical.OpSortAgg, GroupCols: e.Node.GroupCols, Aggs: e.Node.Aggs,
 			})
 		}),
 
 		impl(115, "UnionAllToConcat", P(logical.OpUnionAll, Any(), Any()), func(ctx *Context, e *memo.MExpr) []*physical.Expr {
-			return one(physical.Expr{
+			return ctx.one(physical.Expr{
 				Op: physical.OpConcat, OutCols: e.Node.OutCols, InputCols: e.Node.InputCols,
 			})
 		}),
 
 		impl(116, "SortToSort", P(logical.OpSort, Any()), func(ctx *Context, e *memo.MExpr) []*physical.Expr {
-			return one(physical.Expr{Op: physical.OpSort, Keys: e.Node.Keys})
+			return ctx.one(physical.Expr{Op: physical.OpSort, Keys: e.Node.Keys})
 		}),
 
 		impl(117, "LimitToLimit", P(logical.OpLimit, Any()), func(ctx *Context, e *memo.MExpr) []*physical.Expr {
-			return one(physical.Expr{Op: physical.OpLimit, N: e.Node.N})
+			return ctx.one(physical.Expr{Op: physical.OpLimit, N: e.Node.N})
 		}),
 	}
 }

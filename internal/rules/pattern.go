@@ -224,7 +224,9 @@ const maxBindings = 16
 // Bind enumerates bindings of the pattern rooted at memo expression e. A
 // binding is a BoundExpr tree mirroring the pattern: concrete pattern nodes
 // bind to specific memo expressions and generic placeholders become group
-// reference leaves.
+// reference leaves. The bindings live in the memo's binding storage: they
+// stay valid until the memo's ReleaseBindings, which only a caller that is
+// done with them (the optimizer's explorer, between rule applications) calls.
 func Bind(m *memo.Memo, e *memo.MExpr, p *Pattern) []*memo.BoundExpr {
 	return bindExpr(m, e, p, maxBindings)
 }
@@ -260,7 +262,7 @@ func bindExpr(m *memo.Memo, e *memo.MExpr, p *Pattern, limit int) []*memo.BoundE
 		}
 	}
 	if single {
-		b := newBinding(e)
+		b, only := m.NewBinding(e)
 		for i, opts := range perChild {
 			if opts == nil {
 				b.Kids[i] = m.LeafRef(e.Kids[i])
@@ -268,7 +270,7 @@ func bindExpr(m *memo.Memo, e *memo.MExpr, p *Pattern, limit int) []*memo.BoundE
 				b.Kids[i] = opts[0]
 			}
 		}
-		return []*memo.BoundExpr{b}
+		return only
 	}
 	// Multi-binding case: enumerate the cartesian product lexicographically
 	// (first child most significant — the same order the old level-wise
@@ -287,7 +289,7 @@ func bindExpr(m *memo.Memo, e *memo.MExpr, p *Pattern, limit int) []*memo.BoundE
 			if len(out) >= limit {
 				break
 			}
-			nb := newBinding(e)
+			nb, _ := m.NewBinding(e)
 			nb.Kids[0] = a
 			out = append(out, nb)
 		}
@@ -302,25 +304,12 @@ func bindExpr(m *memo.Memo, e *memo.MExpr, p *Pattern, limit int) []*memo.BoundE
 			if len(out) >= limit {
 				break
 			}
-			nb := newBinding(e)
+			nb, _ := m.NewBinding(e)
 			nb.Kids[0], nb.Kids[1] = a, b
 			out = append(out, nb)
 		}
 	}
 	return out
-}
-
-// newBinding allocates a binding for memo expression e together with its kid
-// slots in a single object: operator arity never exceeds 2, so the BoundExpr
-// and its Kids backing array always fit one allocation. The caller fills
-// b.Kids[0..arity-1].
-func newBinding(e *memo.MExpr) *memo.BoundExpr {
-	buf := &struct {
-		b    memo.BoundExpr
-		kids [2]*memo.BoundExpr
-	}{b: memo.BoundExpr{Node: e.Node, Group: e.Group, Src: e}}
-	buf.b.Kids = buf.kids[:len(e.Kids):len(e.Kids)]
-	return &buf.b
 }
 
 func min(a, b int) int {
@@ -339,7 +328,15 @@ func bindGroup(m *memo.Memo, g memo.GroupID, p *Pattern, limit int) []*memo.Boun
 		if len(out) >= limit {
 			break
 		}
-		out = append(out, bindExpr(m, e, p, limit-len(out))...)
+		// The first expression that binds lends its result slice; most
+		// groups hold exactly one expression of the operator a pattern asks
+		// for, so the append (which copies: a lent slice has no spare
+		// capacity this function may write into) is the exception.
+		if binds := bindExpr(m, e, p, limit-len(out)); out == nil {
+			out = binds[:len(binds):len(binds)]
+		} else {
+			out = append(out, binds...)
+		}
 	}
 	return out
 }

@@ -39,13 +39,47 @@ func (k Kind) String() string {
 }
 
 // Context gives rules access to the memo (for group properties) and the
-// query metadata (to allocate fresh columns for synthesized operators).
+// query metadata (to allocate fresh columns for synthesized operators), and
+// carries the scratch one optimization reuses between rule calls. A bare
+// &Context{Memo: m} is complete: with nothing released, candidates are simply
+// allocated. A Context serves one optimization on one goroutine.
 type Context struct {
 	Memo *memo.Memo
+	// free holds physical candidates handed back through Release; the
+	// built-in implementation rules build their next candidate in one of
+	// these instead of allocating.
+	free []*physical.Expr
+	// result backs the one-candidate slice the built-in implementation rules
+	// return.
+	result [1]*physical.Expr
 }
 
 // MD returns the query metadata.
 func (c *Context) MD() *logical.Metadata { return c.Memo.MD }
+
+// Release hands a candidate an implementation rule returned back for reuse by
+// a later Implement call on this Context. The caller must own the node — hold
+// the only reference to it — and must not touch it afterwards: the optimizer's
+// implementor releases the candidates that lose a group's costing, never one
+// it has published as a group's best plan.
+func (c *Context) Release(cand *physical.Expr) { c.free = append(c.free, cand) }
+
+// one returns e as a single-candidate implementation result: almost every
+// implementation rule yields exactly one candidate. The candidate is fresh
+// and the caller's to mutate (the implementor fills Children/Rows/Cost in
+// place): it is built in a released node, every field overwritten, when there
+// is one, and allocated otherwise.
+func (c *Context) one(e physical.Expr) []*physical.Expr {
+	var cand *physical.Expr
+	if n := len(c.free); n > 0 {
+		cand, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		cand = new(physical.Expr)
+	}
+	*cand = e
+	c.result[0] = cand
+	return c.result[:]
+}
 
 // Rule is the common surface of all transformation rules.
 type Rule interface {
@@ -85,7 +119,10 @@ type ExplorationRule interface {
 type ImplementationRule interface {
 	Rule
 	// Implement returns physical payload nodes (Children unset; they
-	// correspond 1:1 to e.Kids) or nil if a precondition fails.
+	// correspond 1:1 to e.Kids) or nil if a precondition fails. Every node
+	// is fresh and the caller's to mutate or to Release; the slice itself
+	// may be the Context's and is valid only until the next Implement call
+	// on the same Context.
 	Implement(ctx *Context, e *memo.MExpr) []*physical.Expr
 }
 

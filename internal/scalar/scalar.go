@@ -7,7 +7,6 @@ package scalar
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -18,66 +17,6 @@ import (
 // ColumnID uniquely identifies a column instance within one query. Two scans
 // of the same table produce disjoint ColumnIDs, so self-joins are unambiguous.
 type ColumnID int
-
-// ColSet is a set of ColumnIDs.
-type ColSet map[ColumnID]bool
-
-// NewColSet builds a set from ids.
-func NewColSet(ids ...ColumnID) ColSet {
-	s := make(ColSet, len(ids))
-	for _, id := range ids {
-		s[id] = true
-	}
-	return s
-}
-
-// Add inserts id.
-func (s ColSet) Add(id ColumnID) { s[id] = true }
-
-// Contains reports membership.
-func (s ColSet) Contains(id ColumnID) bool { return s[id] }
-
-// SubsetOf reports whether every element of s is in o.
-func (s ColSet) SubsetOf(o ColSet) bool {
-	for id := range s {
-		if !o[id] {
-			return false
-		}
-	}
-	return true
-}
-
-// Union returns a new set with all elements of s and o.
-func (s ColSet) Union(o ColSet) ColSet {
-	out := make(ColSet, len(s)+len(o))
-	for id := range s {
-		out[id] = true
-	}
-	for id := range o {
-		out[id] = true
-	}
-	return out
-}
-
-// Intersects reports whether the sets share an element.
-func (s ColSet) Intersects(o ColSet) bool {
-	for id := range s {
-		if o[id] {
-			return true
-		}
-	}
-	return false
-}
-
-// Sorted returns the ids in ascending order.
-func (s ColSet) Sorted() []ColumnID {
-	out := make([]ColumnID, 0, len(s))
-	for id := range s {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
 
 // CmpOp enumerates comparison operators.
 type CmpOp int
@@ -129,7 +68,7 @@ func (o ArithOp) String() string { return [...]string{"+", "-", "*"}[o] }
 // Expr is a scalar expression node.
 type Expr interface {
 	// Cols adds every column referenced by the expression to out.
-	Cols(out ColSet)
+	Cols(out *ColSet)
 	// SQL renders the expression, mapping ColumnIDs to SQL column names
 	// through the supplied function.
 	SQL(name func(ColumnID) string) string
@@ -169,36 +108,36 @@ type Not struct{ Kid Expr }
 type IsNull struct{ Kid Expr }
 
 // Cols implements Expr.
-func (e *ColRef) Cols(out ColSet) { out.Add(e.ID) }
+func (e *ColRef) Cols(out *ColSet) { out.Add(e.ID) }
 
 // Cols implements Expr.
-func (e *Const) Cols(out ColSet) {}
+func (e *Const) Cols(out *ColSet) {}
 
 // Cols implements Expr.
-func (e *Cmp) Cols(out ColSet) { e.L.Cols(out); e.R.Cols(out) }
+func (e *Cmp) Cols(out *ColSet) { e.L.Cols(out); e.R.Cols(out) }
 
 // Cols implements Expr.
-func (e *Arith) Cols(out ColSet) { e.L.Cols(out); e.R.Cols(out) }
+func (e *Arith) Cols(out *ColSet) { e.L.Cols(out); e.R.Cols(out) }
 
 // Cols implements Expr.
-func (e *And) Cols(out ColSet) {
+func (e *And) Cols(out *ColSet) {
 	for _, k := range e.Kids {
 		k.Cols(out)
 	}
 }
 
 // Cols implements Expr.
-func (e *Or) Cols(out ColSet) {
+func (e *Or) Cols(out *ColSet) {
 	for _, k := range e.Kids {
 		k.Cols(out)
 	}
 }
 
 // Cols implements Expr.
-func (e *Not) Cols(out ColSet) { e.Kid.Cols(out) }
+func (e *Not) Cols(out *ColSet) { e.Kid.Cols(out) }
 
 // Cols implements Expr.
-func (e *IsNull) Cols(out ColSet) { e.Kid.Cols(out) }
+func (e *IsNull) Cols(out *ColSet) { e.Kid.Cols(out) }
 
 // SQL implements Expr.
 func (e *ColRef) SQL(name func(ColumnID) string) string { return name(e.ID) }
@@ -490,8 +429,8 @@ func MakeAnd(conjuncts []Expr) Expr {
 
 // ReferencedCols returns the set of columns the expression mentions.
 func ReferencedCols(e Expr) ColSet {
-	s := make(ColSet)
-	e.Cols(s)
+	var s ColSet
+	e.Cols(&s)
 	return s
 }
 
@@ -501,7 +440,7 @@ func ReferencedCols(e Expr) ColSet {
 func RefsWithin(e Expr, allowed ColSet) bool {
 	switch t := e.(type) {
 	case *ColRef:
-		return allowed[t.ID]
+		return allowed.Contains(t.ID)
 	case *Const:
 		return true
 	case *Cmp:

@@ -147,8 +147,8 @@ func TestColSetOps(t *testing.T) {
 		t.Error("Intersects wrong")
 	}
 	u := a.Union(b)
-	if len(u) != 4 {
-		t.Errorf("Union size %d", len(u))
+	if u.Len() != 4 {
+		t.Errorf("Union size %d", u.Len())
 	}
 	s := u.Sorted()
 	for i := 1; i < len(s); i++ {
