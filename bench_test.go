@@ -268,34 +268,6 @@ func BenchmarkParallelGraphBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkSuiteRunEngines measures the execution campaign — running a
-// compressed suite's differential tests over the catalog — on the row and
-// batch engines. The suite is generated once at a larger scale so plan
-// execution (not generation) dominates; reports are identical across
-// sub-benchmarks by the engines' differential contract.
-func BenchmarkSuiteRunEngines(b *testing.B) {
-	db := OpenTPCH(10, 42)
-	g, err := db.GenerateSuite(PairTargets(db.ExplorationRuleIDs(5)),
-		SuiteConfig{K: 3, Seed: 9, ExtraOps: 3, Workers: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sol, err := g.TopKIndependent()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, eng := range []exec.Engine{exec.EngineRow, exec.EngineBatch} {
-		b.Run(eng.String(), func(b *testing.B) {
-			g.SetEngine(eng)
-			for i := 0; i < b.N; i++ {
-				if _, err := g.Run(sol, db.Optimizer, db.Catalog); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // ---- substrate micro-benchmarks ------------------------------------------------
 
 const benchQuery = `SELECT c_nationkey, COUNT(*) AS cnt

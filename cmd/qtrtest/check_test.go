@@ -68,18 +68,26 @@ func TestVerifyCommandExitCodes(t *testing.T) {
 // TestUnknownBackendRejectedUpFront: -backend is resolved once, before any
 // subcommand runs. `suite` without -validate and `check` without -verify
 // never reach a campaign that would resolve the name, and used to succeed
-// silently with a typo in it.
+// silently with a typo in it. The engine campaigns execute on is rejected the
+// same way: `-backend batch suite -validate` used to print "0 cross-checks,
+// 0 disagreements" for a check that never ran.
 func TestUnknownBackendRejectedUpFront(t *testing.T) {
 	e := checkDB(t, 2)
-	e.oracle.Backend = "bogus"
-	for _, args := range [][]string{
-		{"suite", "-n", "1", "-k", "1"},
-		{"check"},
-		{"rules"},
+	for backend, want := range map[string]string{
+		"bogus": `unknown engine "bogus"`,
+		"batch": `backend "batch" is the engine campaigns execute on`,
 	} {
-		known, err := e.run(args[0], args[1:])
-		if !known || err == nil || !strings.Contains(err.Error(), `unknown engine "bogus"`) {
-			t.Errorf("-backend bogus %v: known=%v err=%v, want the unknown-engine error", args, known, err)
+		e.oracle.Backend = backend
+		for _, args := range [][]string{
+			{"suite", "-n", "1", "-k", "1"},
+			{"suite", "-n", "4", "-k", "2", "-validate"},
+			{"check"},
+			{"rules"},
+		} {
+			known, err := e.run(args[0], args[1:])
+			if !known || err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("-backend %s %v: known=%v err=%v, want %q", backend, args, known, err, want)
+			}
 		}
 	}
 	e.oracle.Backend = "ref"

@@ -20,10 +20,11 @@
 // Global flags (before the subcommand): -scale, -seed, -db tpch|star, -ext,
 // -workers (worker pool size for the parallel campaign engine; suites,
 // solutions and validation reports are identical for every value),
-// -backend (an independent execution backend — e.g. "ref", the naive
-// reference interpreter — cross-checked against every base execution in
-// suite -validate, mutate, check -verify, verify and fuzz; an unknown name
-// is rejected before any subcommand runs),
+// -backend (an independent execution backend — "ref", the naive reference
+// interpreter, or "row", the row-at-a-time engine — cross-checked against
+// every base execution in suite -validate, mutate, check -verify, verify and
+// fuzz; an unknown name, or "batch", the engine campaigns execute on, is
+// rejected before any subcommand runs),
 // -cache/-cachemb (campaign-wide plan-result cache; reports are
 // byte-identical with it on or off), -cachestats (print cache hit/miss/
 // eviction counters to stderr after the run),
@@ -52,14 +53,14 @@ type env struct {
 	seed    int64
 	workers int
 	// oracle carries the execution options that are global flags (-cache,
-	// -backend); each campaign adds its own engine and caps. A nil cache is
+	// -backend); each campaign adds its own caps. A nil cache is
 	// valid everywhere and means direct execution.
 	oracle oracle.Options
 }
 
 // run dispatches a subcommand; known is false for an unrecognized one. The
 // -backend name is checked here, once, so a campaign that would not have
-// used it cannot let a typo through.
+// used it cannot let a typo — or a vacuous self-check — through.
 func (e env) run(cmd string, rest []string) (known bool, err error) {
 	if _, err := oracle.New(e.oracle); err != nil {
 		return true, err
@@ -103,7 +104,7 @@ func main() {
 	schema := flag.String("db", "tpch", "test database: tpch or star")
 	ext := flag.Bool("ext", false, "enable the schema-dependent extension rules (31-34)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker pool size for suite generation/compression/execution (results are identical for any value)")
-	backend := flag.String("backend", "", "independent cross-check backend (e.g. ref); replays base executions on it in suite -validate, mutate, check -verify, verify and fuzz")
+	backend := flag.String("backend", "", "independent cross-check backend (ref or row); replays base executions on it in suite -validate, mutate, check -verify, verify and fuzz")
 	cacheOn := flag.Bool("cache", true, "memoize plan-execution results across the campaign (reports are byte-identical either way)")
 	cacheMB := flag.Int("cachemb", 256, "result-cache memory budget in MiB")
 	cacheStats := flag.Bool("cachestats", false, "print result-cache hit/miss/eviction counters to stderr after the run")
@@ -159,7 +160,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: qtrtest [-scale F] [-seed S] [-db tpch|star] [-ext] [-workers W] [-backend ref] [-cache=false] [-cachemb M] [-cachestats] [-cpuprofile F] [-memprofile F] <rules|patterns|generate|ruleset|explain|analyze|query|suite|interactions|mutate|check|verify|fuzz> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: qtrtest [-scale F] [-seed S] [-db tpch|star] [-ext] [-workers W] [-backend ref|row] [-cache=false] [-cachemb M] [-cachestats] [-cpuprofile F] [-memprofile F] <rules|patterns|generate|ruleset|explain|analyze|query|suite|interactions|mutate|check|verify|fuzz> [flags]")
 	os.Exit(2)
 }
 

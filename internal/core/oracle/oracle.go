@@ -2,10 +2,11 @@
 // execute an alternative, compare — in one place. Every campaign (suite
 // validation, mutation, fuzzing, small-scope verification) holds one Runner
 // and asks it three questions: Base (run the reference plan), Edge (run
-// another plan for the same query on the same engine and compare) and Cross
-// (replay the query on an independent backend and compare). All three answer
-// in one verdict taxonomy, so what counts as a check, a skip or a finding is
-// decided here and not per campaign.
+// another plan for the same query and compare) — both on the batch engine,
+// the one engine campaigns execute on — and Cross (replay the query on an
+// independent backend and compare). All three answer in one verdict
+// taxonomy, so what counts as a check, a skip or a finding is decided here
+// and not per campaign.
 package oracle
 
 import (
@@ -22,11 +23,8 @@ import (
 
 // Options is everything a campaign can say about how its plans execute.
 type Options struct {
-	// Engine runs both sides of Base/Edge; the zero value is the batch
-	// engine.
-	Engine exec.Engine
 	// Backend names the independent engine Cross replays base queries on
-	// ("ref", "row", "batch"); empty disables the cross-check.
+	// ("ref", "row"); empty disables the cross-check.
 	Backend string
 	// Cache memoizes executions; nil executes directly. Outcomes are
 	// identical either way.
@@ -45,8 +43,8 @@ type Verdict uint8
 // as passing.
 const (
 	// Identical: the alternative is structurally the base plan (paper
-	// footnote 1), or the cross-check backend is the primary engine or off.
-	// Nothing was executed — not even a cache lookup.
+	// footnote 1), or the cross-check backend is off. Nothing was executed —
+	// not even a cache lookup.
 	Identical Verdict = iota + 1
 	// Capped: the alternative tripped MaxRows or MaxWork. Work accounting is
 	// engine-specific, so a trip bounds cost and never yields a verdict
@@ -104,13 +102,21 @@ type Runner struct {
 	backend exec.Engine // opts.Backend resolved; meaningful when it is set
 }
 
-// New resolves the options; the only error is an unknown Backend name.
+// engine is what Base and Edge execute on.
+const engine = exec.EngineBatch
+
+// New resolves the options. The errors are an unknown Backend name and a
+// Backend that names the primary engine: comparing the engine with itself
+// checks nothing, and a check that was asked for must not pass vacuously.
 func New(opts Options) (*Runner, error) {
 	r := &Runner{opts: opts}
 	if opts.Backend != "" {
 		e, err := exec.EngineByName(opts.Backend)
 		if err != nil {
 			return nil, err
+		}
+		if e == engine {
+			return nil, fmt.Errorf("oracle: backend %q is the engine campaigns execute on; a cross-check against it would compare nothing", opts.Backend)
 		}
 		r.backend = e
 	}
@@ -123,7 +129,7 @@ func (r *Runner) HasBackend() bool { return r.opts.Backend != "" }
 // Key is the cache key Base and Edge touch for a plan on a database — the
 // execution's identity, for budgets that charge by distinct execution.
 func (r *Runner) Key(cat *catalog.Catalog, p Plan) rescache.Key {
-	return rescache.KeyFor(r.opts.Engine, p.Expr, cat, r.opts.MaxRows, r.opts.MaxWork)
+	return rescache.KeyFor(engine, p.Expr, cat, r.opts.MaxRows, r.opts.MaxWork)
 }
 
 // CrossKey is the cache key Cross touches: the logical tree on a
@@ -138,7 +144,7 @@ func (r *Runner) CrossKey(base *Base, tree *logical.Expr) rescache.Key {
 // Base executes the reference plan against a database. The error is
 // exec.ErrRowLimit when a cap tripped, else the engine's execution error.
 func (r *Runner) Base(cat *catalog.Catalog, p Plan) (Base, error) {
-	rows, err := r.opts.Cache.Run(r.opts.Engine, p.Expr, cat, r.opts.MaxRows, r.opts.MaxWork)
+	rows, err := r.opts.Cache.Run(engine, p.Expr, cat, r.opts.MaxRows, r.opts.MaxWork)
 	if err != nil {
 		return Base{}, err
 	}
@@ -153,7 +159,7 @@ func (r *Runner) Edge(base *Base, p Plan) (Outcome, error) {
 	if p.Hash == base.Hash {
 		return Outcome{Verdict: Identical}, nil
 	}
-	rows, err := r.opts.Cache.Run(r.opts.Engine, p.Expr, base.cat, r.opts.MaxRows, r.opts.MaxWork)
+	rows, err := r.opts.Cache.Run(engine, p.Expr, base.cat, r.opts.MaxRows, r.opts.MaxWork)
 	if err != nil && !errors.Is(err, exec.ErrRowLimit) {
 		return Outcome{}, err
 	}
@@ -166,7 +172,7 @@ func (r *Runner) Edge(base *Base, p Plan) (Outcome, error) {
 // built-in engine re-executes the base plan. The error reports misuse (no
 // tree for a backend that needs one), never an execution failure.
 func (r *Runner) Cross(base *Base, tree *logical.Expr) (Outcome, error) {
-	if !r.HasBackend() || r.backend == r.opts.Engine {
+	if !r.HasBackend() {
 		return Outcome{Verdict: Identical}, nil
 	}
 	var (

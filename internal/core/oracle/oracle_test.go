@@ -83,13 +83,13 @@ func newFixture(t *testing.T) fixture {
 	return f
 }
 
-// TestRunnerTaxonomy pins every verdict on every engine, with and without a
-// cache: what is skipped, what is capped, what is a finding.
+// TestRunnerTaxonomy pins every verdict, with and without a cache: what is
+// skipped, what is capped, what is a finding.
 func TestRunnerTaxonomy(t *testing.T) {
 	f := newFixture(t)
 	type step struct {
 		name    string
-		opts    Options // Engine and Cache are filled per run
+		opts    Options // Cache is filled per run
 		base    Plan
 		alt     Plan          // Edge when set
 		tree    *logical.Expr // Cross otherwise
@@ -106,48 +106,44 @@ func TestRunnerTaxonomy(t *testing.T) {
 		{name: "alternative over the work cap", opts: Options{MaxWork: 8}, base: f.region, alt: f.nation, want: Capped, lookups: 1},
 		{name: "no backend", base: f.nation, tree: f.nationTree, want: Identical},
 		{name: "backend agrees", opts: Options{Backend: "ref"}, base: f.nation, tree: f.nationTree, want: Match, lookups: 1},
+		{name: "row engine as backend agrees", opts: Options{Backend: "row"}, base: f.nation, tree: f.nationTree, want: Match, lookups: 1},
 		{name: "backend over its budget", opts: Options{Backend: "stub-caps"}, base: f.nation, tree: f.nationTree, want: Capped, lookups: 1},
 		{name: "backend fails to execute", opts: Options{Backend: "stub-fails"}, base: f.nation, tree: f.nationTree,
 			want: Mismatch, detail: "backend stub-fails execution: stub exploded", lookups: 1},
 	}
-	for _, eng := range []exec.Engine{exec.EngineRow, exec.EngineBatch, exec.EngineRef} {
-		for _, st := range steps {
-			if st.opts.Backend == eng.String() {
-				st.want, st.lookups = Identical, 0
+	for _, st := range steps {
+		var outcomes []Outcome
+		for _, rc := range []*rescache.Cache{nil, rescache.New(0)} {
+			st.opts.Cache = rc
+			rn, err := New(st.opts)
+			if err != nil {
+				t.Fatalf("%s: %v", st.name, err)
 			}
-			var outcomes []Outcome
-			for _, rc := range []*rescache.Cache{nil, rescache.New(0)} {
-				st.opts.Engine, st.opts.Cache = eng, rc
-				rn, err := New(st.opts)
-				if err != nil {
-					t.Fatalf("%v/%s: %v", eng, st.name, err)
-				}
-				base, err := rn.Base(f.cat, st.base)
-				if err != nil {
-					t.Fatalf("%v/%s: base: %v", eng, st.name, err)
-				}
-				before := rc.Stats()
-				var out Outcome
-				if st.alt.Expr != nil {
-					out, err = rn.Edge(&base, st.alt)
-				} else {
-					out, err = rn.Cross(&base, st.tree)
-				}
-				if err != nil {
-					t.Fatalf("%v/%s: %v", eng, st.name, err)
-				}
-				after := rc.Stats()
-				if got := after.Hits + after.Misses - before.Hits - before.Misses; rc != nil && got != st.lookups {
-					t.Errorf("%v/%s: %d cache lookups, want %d", eng, st.name, got, st.lookups)
-				}
-				if out.Verdict != st.want || !strings.Contains(out.Detail, st.detail) {
-					t.Errorf("%v/%s: got %+v, want verdict %d with detail %q", eng, st.name, out, st.want, st.detail)
-				}
-				outcomes = append(outcomes, out)
+			base, err := rn.Base(f.cat, st.base)
+			if err != nil {
+				t.Fatalf("%s: base: %v", st.name, err)
 			}
-			if !reflect.DeepEqual(outcomes[0], outcomes[1]) {
-				t.Errorf("%v/%s: nil cache gave %+v, a cache %+v", eng, st.name, outcomes[0], outcomes[1])
+			before := rc.Stats()
+			var out Outcome
+			if st.alt.Expr != nil {
+				out, err = rn.Edge(&base, st.alt)
+			} else {
+				out, err = rn.Cross(&base, st.tree)
 			}
+			if err != nil {
+				t.Fatalf("%s: %v", st.name, err)
+			}
+			after := rc.Stats()
+			if got := after.Hits + after.Misses - before.Hits - before.Misses; rc != nil && got != st.lookups {
+				t.Errorf("%s: %d cache lookups, want %d", st.name, got, st.lookups)
+			}
+			if out.Verdict != st.want || !strings.Contains(out.Detail, st.detail) {
+				t.Errorf("%s: got %+v, want verdict %d with detail %q", st.name, out, st.want, st.detail)
+			}
+			outcomes = append(outcomes, out)
+		}
+		if !reflect.DeepEqual(outcomes[0], outcomes[1]) {
+			t.Errorf("%s: nil cache gave %+v, a cache %+v", st.name, outcomes[0], outcomes[1])
 		}
 	}
 }
@@ -156,24 +152,27 @@ func TestRunnerTaxonomy(t *testing.T) {
 // compare against — an error the campaign skips on, never a Base.
 func TestRunnerBaseCapIsNotAVerdict(t *testing.T) {
 	f := newFixture(t)
-	for _, eng := range []exec.Engine{exec.EngineRow, exec.EngineBatch, exec.EngineRef} {
-		for _, opts := range []Options{{Engine: eng, MaxRows: 3}, {Engine: eng, MaxWork: 8}} {
-			rn, err := New(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := rn.Base(f.cat, f.nation); !errors.Is(err, exec.ErrRowLimit) {
-				t.Errorf("%+v: base over the cap: err = %v, want ErrRowLimit", opts, err)
-			}
+	for _, opts := range []Options{{MaxRows: 3}, {MaxWork: 8}} {
+		rn, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rn.Base(f.cat, f.nation); !errors.Is(err, exec.ErrRowLimit) {
+			t.Errorf("%+v: base over the cap: err = %v, want ErrRowLimit", opts, err)
 		}
 	}
 }
 
-// TestRunnerMisuse: an unknown backend name fails New; a tree-capable
-// backend handed no tree fails Cross instead of silently passing.
+// TestRunnerMisuse: an unknown backend name fails New, and so does the
+// engine campaigns execute on — a cross-check against it would report zero
+// disagreements having compared nothing; a tree-capable backend handed no
+// tree fails Cross instead of silently passing.
 func TestRunnerMisuse(t *testing.T) {
 	if _, err := New(Options{Backend: "bogus"}); err == nil {
 		t.Error(`New(Backend: "bogus") succeeded`)
+	}
+	if _, err := New(Options{Backend: "batch"}); err == nil || !strings.Contains(err.Error(), `"batch"`) {
+		t.Errorf(`New(Backend: "batch"): err = %v, want a rejection naming the engine`, err)
 	}
 	f := newFixture(t)
 	rn, err := New(Options{Backend: "ref"})

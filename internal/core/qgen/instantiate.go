@@ -480,60 +480,11 @@ func (g *Generator) makeUnion(l, r *logical.Expr, md *logical.Metadata) (*logica
 	}, nil
 }
 
-// randomOps is the operator vocabulary of the stochastic generator.
-var randomOps = []logical.Op{
-	logical.OpSelect, logical.OpSelect, logical.OpProject,
-	logical.OpJoin, logical.OpJoin, logical.OpLeftJoin,
-	logical.OpSemiJoin, logical.OpAntiJoin,
-	logical.OpGroupBy, logical.OpUnionAll,
-}
-
-// randomTree builds a stochastic logical tree with roughly the given number
-// of operators — the RANDOM baseline [1][17].
-func (g *Generator) randomTree(md *logical.Metadata, budget int) (*logical.Expr, error) {
-	if budget <= 1 {
-		return g.randomLeaf(md)
-	}
-	for attempt := 0; attempt < 8; attempt++ {
-		op := randomOps[g.rng.Intn(len(randomOps))]
-		var kids []*logical.Expr
-		var err error
-		if op.Arity() == 2 {
-			lb := 1 + g.rng.Intn(budget-1)
-			var l, r *logical.Expr
-			l, err = g.randomTree(md, lb)
-			if err != nil {
-				return nil, err
-			}
-			r, err = g.randomTree(md, budget-1-lb)
-			if err != nil {
-				return nil, err
-			}
-			kids = []*logical.Expr{l, r}
-		} else {
-			var c *logical.Expr
-			c, err = g.randomTree(md, budget-1)
-			if err != nil {
-				return nil, err
-			}
-			kids = []*logical.Expr{c}
-		}
-		tree, err := g.buildOp(op, kids, md)
-		if err == nil {
-			return tree, nil
-		}
-		if !errors.Is(err, errCannotInstantiate) {
-			return nil, err
-		}
-	}
-	return g.randomLeaf(md)
-}
-
 // wrapRandomOp adds one random operator above the tree (§2.3's mechanism for
 // generating more complex queries that still exercise a rule).
 func (g *Generator) wrapRandomOp(tree *logical.Expr, md *logical.Metadata) (*logical.Expr, error) {
 	for attempt := 0; attempt < 8; attempt++ {
-		op := randomOps[g.rng.Intn(len(randomOps))]
+		op := randomWeights.pick(g.rng)
 		var kids []*logical.Expr
 		if op.Arity() == 2 {
 			leaf, err := g.randomLeaf(md)

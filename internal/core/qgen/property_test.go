@@ -52,7 +52,7 @@ func TestMemoInsertIdempotent(t *testing.T) {
 	g := newTestGenerator(t, 113)
 	for i := 0; i < 50; i++ {
 		md := logical.NewMetadata(g.opt.Catalog())
-		tree, err := g.randomTree(md, 2+i%6)
+		tree, err := g.RandomTreeWeighted(md, 2+i%6, randomWeights)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func TestRandomTreesAreValid(t *testing.T) {
 	g := newTestGenerator(t, 127)
 	for i := 0; i < 60; i++ {
 		md := logical.NewMetadata(g.opt.Catalog())
-		tree, err := g.randomTree(md, 2+i%8)
+		tree, err := g.RandomTreeWeighted(md, 2+i%8, randomWeights)
 		if err != nil {
 			t.Fatal(err)
 		}

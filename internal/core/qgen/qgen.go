@@ -157,7 +157,7 @@ func (g *Generator) GenerateRandom(target []rules.ID) (*Query, error) {
 	start := time.Now()
 	for trial := 1; trial <= g.cfg.MaxTrials; trial++ {
 		md := logical.NewMetadata(g.opt.Catalog())
-		tree, err := g.randomTree(md, 2+g.rng.Intn(5)+g.cfg.ExtraOps)
+		tree, err := g.RandomTreeWeighted(md, 2+g.rng.Intn(5)+g.cfg.ExtraOps, randomWeights)
 		if err != nil {
 			return nil, err
 		}

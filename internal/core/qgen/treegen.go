@@ -7,12 +7,13 @@ import (
 	"qtrtest/internal/logical"
 )
 
-// WeightedOps is the operator vocabulary of the weighted stochastic tree
-// generator, in fixed order — Weights is stored positionally against this
-// slice, so selection is deterministic for a given seed. Unlike the plain
-// RANDOM vocabulary (randomOps), it includes Sort and Limit: fuzzing wants
-// order- and cardinality-sensitive shapes in the population, because
-// sort-direction and limit-boundary faults are invisible without them.
+// WeightedOps is the operator vocabulary of the stochastic tree generator, in
+// fixed order — Weights is stored positionally against this slice, so
+// selection is deterministic for a given seed. It includes Sort and Limit,
+// which the paper's RANDOM baseline (randomWeights) gives weight zero:
+// fuzzing wants order- and cardinality-sensitive shapes in the population,
+// because sort-direction and limit-boundary faults are invisible without
+// them.
 var WeightedOps = []logical.Op{
 	logical.OpSelect, logical.OpProject,
 	logical.OpJoin, logical.OpLeftJoin,
@@ -27,8 +28,14 @@ type Weights struct {
 	w []int
 }
 
-// DefaultWeights returns the starting operator distribution, roughly matching
-// the plain RANDOM vocabulary's emphasis on selections and joins.
+// randomWeights is the operator distribution of the RANDOM baseline [1][17],
+// which GenerateRandom and wrapRandomOp draw from: selections and inner joins
+// twice as likely as the rest, no Sort, no Limit. One draw is one Intn(10).
+// Shared and never mutated.
+var randomWeights = &Weights{w: []int{2, 1, 2, 1, 1, 1, 1, 1, 0, 0}}
+
+// DefaultWeights returns the fuzzer's starting operator distribution, roughly
+// matching the RANDOM baseline's emphasis on selections and joins.
 func DefaultWeights() *Weights {
 	return &Weights{w: []int{
 		3, // Select
@@ -94,11 +101,11 @@ func (w *Weights) pick(rng *rand.Rand) logical.Op {
 }
 
 // RandomTreeWeighted builds a stochastic logical tree of roughly budget
-// operators, drawing operators from the weighted vocabulary. It generalizes
-// randomTree beyond the rule-pattern pipeline: the fuzzer adjusts the
-// weights between generations (plan-shape coverage steering), while the
-// instantiation machinery — buildOp and its argument heuristics — is shared
-// with the paper's PATTERN/RANDOM generators. The caller may share one
+// operators, drawing operators from the weighted vocabulary. It is the one
+// stochastic tree generator: RANDOM generation passes fixed weights, the
+// fuzzer adjusts its weights between generations (plan-shape coverage
+// steering), and the instantiation machinery — buildOp and its argument
+// heuristics — is shared with the PATTERN generator. The caller may share one
 // *Weights across concurrent generators: selection only reads it.
 func (g *Generator) RandomTreeWeighted(md *logical.Metadata, budget int, w *Weights) (*logical.Expr, error) {
 	return g.randomTreeWeighted(md, budget, w, true)

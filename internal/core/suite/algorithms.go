@@ -72,7 +72,7 @@ func (g *Graph) SetMultiCover() (*Solution, error) {
 		}
 	}
 	for need > 0 {
-		bestQ, bestCovers := -1, 0
+		bestQ := -1
 		bestBenefit := -1.0
 		for qi, q := range g.Queries {
 			if picked[qi] {
@@ -95,7 +95,6 @@ func (g *Graph) SetMultiCover() (*Solution, error) {
 			if benefit > bestBenefit {
 				bestBenefit = benefit
 				bestQ = qi
-				bestCovers = covers
 			}
 		}
 		if bestQ < 0 {
@@ -109,7 +108,6 @@ func (g *Graph) SetMultiCover() (*Solution, error) {
 				assignedTo[bestQ] = append(assignedTo[bestQ], ti)
 			}
 		}
-		_ = bestCovers
 	}
 	// The greedy selection above consults only node costs; the edge costs of
 	// the chosen assignments are independent of one another, so they are

@@ -31,7 +31,7 @@ func runCampaign(t *testing.T, cat *catalog.Catalog, targets []Target, k int, wo
 	for _, q := range g.Queries {
 		run.sqls = append(run.sqls, q.SQL)
 		run.ruleSets = append(run.ruleSets, q.RuleSet.Sorted())
-		run.planHash = append(run.planHash, q.BasePlanHash)
+		run.planHash = append(run.planHash, q.BasePlan.Hash())
 	}
 	for _, algo := range []struct {
 		name string

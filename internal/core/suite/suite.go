@@ -17,7 +17,6 @@ import (
 
 	"qtrtest/internal/core/oracle"
 	"qtrtest/internal/core/qgen"
-	"qtrtest/internal/exec"
 	"qtrtest/internal/logical"
 	"qtrtest/internal/opt"
 	"qtrtest/internal/par"
@@ -88,8 +87,6 @@ type Query struct {
 	// generation trial already optimized it); the correctness runner reuses
 	// it instead of re-invoking the optimizer per execution.
 	BasePlan *physical.Expr
-	// BasePlanHash caches BasePlan.Hash() for the identical-plan skip.
-	BasePlanHash string
 	// GeneratedFor is the index of the target whose suite TS_i this query
 	// was generated for (the BASELINE method executes exactly those).
 	GeneratedFor int
@@ -112,8 +109,8 @@ type Graph struct {
 	// workers bounds the worker pool used by the parallel algorithm and
 	// execution paths; <= 0 means GOMAXPROCS.
 	workers int
-	// ox is how Run executes and compares: engine, result cache (shared
-	// across Run calls and graphs) and cross-check backend; caps stay zero.
+	// ox is how Run executes and compares: result cache (shared across Run
+	// calls and graphs) and cross-check backend; caps stay zero.
 	ox oracle.Options
 }
 
@@ -124,20 +121,15 @@ func (g *Graph) Workers() int { return g.workers }
 // and suite executions.
 func (g *Graph) SetWorkers(n int) { g.workers = n }
 
-// SetEngine overrides the execution engine used by Run. Reports are
-// byte-identical across engines; the differential golden tests hold the suite
-// to that.
-func (g *Graph) SetEngine(e exec.Engine) { g.ox.Engine = e }
-
 // SetCache routes Run's plan executions through a shared result cache.
 // Reports are byte-identical with and without one; the cache differential
 // tests hold the suite to that.
 func (g *Graph) SetCache(c *rescache.Cache) { g.ox.Cache = c }
 
 // SetBackend enables the independent-backend cross-check: Run additionally
-// replays every distinct base query on the named engine ("ref", "row",
-// "batch") and reports disagreements. An empty name disables the check
-// (the default); reports are byte-identical to a backend-less run then.
+// replays every distinct base query on the named engine ("ref", "row") and
+// reports disagreements. An empty name disables the check (the default);
+// reports are byte-identical to a backend-less run then.
 func (g *Graph) SetBackend(name string) error {
 	ox := g.ox
 	ox.Backend = name
@@ -280,23 +272,10 @@ func (g *Graph) EdgePlan(q int, t Target) *physical.Expr {
 	return g.coster.edge(g.Queries[q], t).plan
 }
 
-// GenMethod selects how suite queries are generated.
-type GenMethod int
-
-// Generation methods.
-const (
-	// MethodPattern uses rule-pattern instantiation (§3).
-	MethodPattern GenMethod = iota
-	// MethodRandom uses the stochastic baseline.
-	MethodRandom
-)
-
 // GenConfig configures suite generation.
 type GenConfig struct {
 	// K is the test-suite size: distinct queries per target (§2.3).
 	K int
-	// Method selects PATTERN or RANDOM generation.
-	Method GenMethod
 	// ExtraOps pads queries with extra operators so correctness tests are
 	// non-trivial (§2.3).
 	ExtraOps int
@@ -341,7 +320,7 @@ func Generate(o *opt.Optimizer, targets []Target, cfg GenConfig) (*Graph, error)
 		qs := make([]*Query, 0, cfg.K)
 		dups := 0
 		for len(qs) < cfg.K {
-			q, err := generateOne(wgen, t, cfg)
+			q, err := generateOne(wgen, t)
 			if err != nil {
 				return fmt.Errorf("suite: generating query %d for target %s: %w", len(qs)+1, t, err)
 			}
@@ -376,12 +355,10 @@ func Generate(o *opt.Optimizer, targets []Target, cfg GenConfig) (*Graph, error)
 	return g, nil
 }
 
-func generateOne(gen *qgen.Generator, t Target, cfg GenConfig) (*Query, error) {
+func generateOne(gen *qgen.Generator, t Target) (*Query, error) {
 	var res *qgen.Query
 	var err error
-	if cfg.Method == MethodRandom {
-		res, err = gen.GenerateRandom(t.Rules)
-	} else if len(t.Rules) == 2 {
+	if len(t.Rules) == 2 {
 		res, err = gen.GeneratePatternPair(t.Rules[0], t.Rules[1])
 	} else {
 		res, err = gen.GeneratePattern(t.Rules[0])
@@ -389,15 +366,11 @@ func generateOne(gen *qgen.Generator, t Target, cfg GenConfig) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	q := &Query{
+	return &Query{
 		SQL: res.SQL, Tree: res.Tree, MD: res.MD,
 		RuleSet: res.RuleSet, Cost: res.Cost,
 		BasePlan: res.Plan,
-	}
-	if res.Plan != nil {
-		q.BasePlanHash = res.Plan.Hash()
-	}
-	return q, nil
+	}, nil
 }
 
 func (g *Graph) buildAdjacency() {

@@ -138,25 +138,6 @@ func TestMatchingNoShare(t *testing.T) {
 	}
 }
 
-func TestGenerateWithRandomMethod(t *testing.T) {
-	cat := catalog.LoadTPCH(catalog.DefaultTPCHConfig())
-	o := opt.New(rules.DefaultRegistry(), cat)
-	// Rules RANDOM reaches quickly.
-	targets := SingletonTargets([]rules.ID{1, 4, 5})
-	g, err := Generate(o, targets, GenConfig{K: 2, Seed: 3, Method: MethodRandom, MaxTrials: 512})
-	if err != nil {
-		t.Fatalf("Generate(random): %v", err)
-	}
-	if len(g.Queries) != 6 {
-		t.Fatalf("queries = %d, want 6", len(g.Queries))
-	}
-	for ti, tgt := range g.Targets {
-		if len(g.Adj[ti]) < g.K {
-			t.Errorf("target %s under-covered: %d", tgt, len(g.Adj[ti]))
-		}
-	}
-}
-
 func TestTargetHelpers(t *testing.T) {
 	tg := Target{Rules: []rules.ID{3, 7}}
 	if tg.String() != "{3,7}" {

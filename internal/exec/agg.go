@@ -12,7 +12,7 @@ import (
 // with sorted=true output groups are emitted in group-key order (matching the
 // determinism of a stream aggregate fed by a sort).
 type aggIter struct {
-	child     Iterator
+	child     iterator
 	groupCols []scalar.ColumnID
 	aggs      []scalar.Agg
 	env       scalar.Env

@@ -1,10 +1,11 @@
 package exec
 
 import (
+	"fmt"
+
 	"qtrtest/internal/catalog"
 	"qtrtest/internal/datum"
 	"qtrtest/internal/logical"
-	"qtrtest/internal/physical"
 	"qtrtest/internal/scalar"
 )
 
@@ -16,8 +17,8 @@ import (
 // implementation (sort, limit, concat, merge join, nested-loops join) still
 // run row-at-a-time inside the same plan through adapter shims, and the row
 // engine remains available as EngineRow — the differential golden tests pin
-// the two engines to identical results, identical emission order and
-// identical budget verdicts.
+// the two engines to identical results and emission order, and to identical
+// budget verdicts on plans without a Limit (compile.go states the rest).
 
 const (
 	// batchSize is the nominal number of rows per batch. Scans and adapters
@@ -85,17 +86,17 @@ type BatchIterator interface {
 	Close() error
 }
 
-// Engine selects an execution strategy; the engines are result- and
-// verdict-identical by contract.
+// Engine selects an execution strategy; the engines are result-identical by
+// contract.
 type Engine int
 
 // Available engines.
 const (
 	// EngineBatch executes hot operators columnar with row-at-a-time shims
-	// for the rest. The default.
+	// for the rest. The default, and the engine every campaign runs on.
 	EngineBatch Engine = iota
 	// EngineRow is the original Volcano row-at-a-time engine, retained as
-	// the differential baseline.
+	// the differential baseline and reachable as a cross-check backend.
 	EngineRow
 	// EngineRef is the independent reference interpreter
 	// (internal/refengine), registered through the Backend seam in
@@ -116,52 +117,7 @@ func (e Engine) String() string {
 	if b := backendFor(e); b != nil {
 		return b.Name()
 	}
-	return "batch"
-}
-
-// RunEngine executes a plan under the chosen engine with RunMax's caps.
-//
-// One deliberate fallback keeps the triple budget contract engine-independent:
-// when a work budget is set and the plan contains a Limit, the batch engine
-// would overshoot the row engine's work total (a batch child materializes up
-// to batchSize rows where the row engine pulls exactly N), which could flip a
-// campaign's Capped verdicts. Those plans run on the row engine. Plans
-// without a Limit drain every operator completely under either engine, so
-// their work totals — and therefore their ErrRowLimit outcomes — are
-// identical.
-func RunEngine(eng Engine, plan *physical.Expr, cat *catalog.Catalog, maxRows int, maxWork int64) ([]datum.Row, error) {
-	if b := backendFor(eng); b != nil {
-		return b.RunPlan(plan, cat, maxRows, maxWork)
-	}
-	if eng == EngineRow || (maxWork > 0 && hasLimit(plan)) {
-		return runRowEngine(plan, cat, maxRows, maxWork)
-	}
-	var budget *int64
-	if maxWork > 0 {
-		b := maxWork
-		budget = &b
-	}
-	it, err := buildBatchIter(plan, cat, budget)
-	if err != nil {
-		return nil, err
-	}
-	return runBatch(it, maxRows)
-}
-
-// runRowEngine is the retained Volcano path.
-func runRowEngine(plan *physical.Expr, cat *catalog.Catalog, maxRows int, maxWork int64) ([]datum.Row, error) {
-	var it Iterator
-	var err error
-	if maxWork > 0 {
-		budget := maxWork
-		it, err = buildBudget(plan, cat, &budget)
-	} else {
-		it, err = Build(plan, cat)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return runIter(it, maxRows)
+	return fmt.Sprintf("engine(%d)", int(e))
 }
 
 // runBatch opens, drains and closes a batch iterator, gathering result rows
@@ -215,144 +171,6 @@ func gatherRows(b *Batch) []datum.Row {
 	return rows
 }
 
-// batchNative reports whether the operator has a columnar implementation.
-func batchNative(op physical.Op) bool {
-	switch op {
-	case physical.OpScan, physical.OpFilter, physical.OpProject,
-		physical.OpHashJoin, physical.OpHashAgg, physical.OpSortAgg:
-		return true
-	}
-	return false
-}
-
-// buildBatchIter compiles a plan into a batch iterator tree; subtrees rooted
-// at operators without a columnar implementation run row-at-a-time behind a
-// batchFromRows shim. A non-nil budget threads RunMax's work accounting
-// through every operator, charging exactly what buildBudget charges: one unit
-// per row each operator emits, adapters free.
-func buildBatchIter(plan *physical.Expr, cat *catalog.Catalog, budget *int64) (BatchIterator, error) {
-	if !batchNative(plan.Op) {
-		it, err := buildRowIter(plan, cat, budget)
-		if err != nil {
-			return nil, err
-		}
-		return &batchFromRows{child: it, width: len(plan.OutputCols())}, nil
-	}
-	var bit BatchIterator
-	switch plan.Op {
-	case physical.OpScan:
-		t, err := cat.Table(plan.Table)
-		if err != nil {
-			return nil, err
-		}
-		bit = &batchScan{table: t}
-	case physical.OpFilter:
-		child, err := buildBatchIter(plan.Children[0], cat, budget)
-		if err != nil {
-			return nil, err
-		}
-		bit = &batchFilter{
-			child: child, pred: plan.Filter,
-			ve: scalar.VecEval{Env: envOf(plan.Children[0].OutputCols())},
-		}
-	case physical.OpProject:
-		child, err := buildBatchIter(plan.Children[0], cat, budget)
-		if err != nil {
-			return nil, err
-		}
-		bit = &batchProject{
-			child: child, items: plan.Projs,
-			ve: scalar.VecEval{Env: envOf(plan.Children[0].OutputCols())},
-		}
-	case physical.OpHashJoin:
-		left, err := buildBatchIter(plan.Children[0], cat, budget)
-		if err != nil {
-			return nil, err
-		}
-		right, err := buildBatchIter(plan.Children[1], cat, budget)
-		if err != nil {
-			return nil, err
-		}
-		bit = newBatchHashJoin(plan, left, right)
-	case physical.OpHashAgg, physical.OpSortAgg:
-		child, err := buildBatchIter(plan.Children[0], cat, budget)
-		if err != nil {
-			return nil, err
-		}
-		bit = &batchAgg{
-			child: child, groupCols: plan.GroupCols, aggs: plan.Aggs,
-			ve:     scalar.VecEval{Env: envOf(plan.Children[0].OutputCols())},
-			sorted: plan.Op == physical.OpSortAgg,
-		}
-	}
-	if budget != nil {
-		bit = &batchBudget{child: bit, budget: budget}
-	}
-	return bit, nil
-}
-
-// buildRowIter compiles a plan into a row iterator tree, compiling
-// batch-native subtrees with buildBatchIter behind a rowFromBatch shim. Scans
-// stay on the zero-copy scanIter when a row operator consumes them directly.
-func buildRowIter(plan *physical.Expr, cat *catalog.Catalog, budget *int64) (Iterator, error) {
-	if plan.Op == physical.OpScan {
-		t, err := cat.Table(plan.Table)
-		if err != nil {
-			return nil, err
-		}
-		var it Iterator = &scanIter{table: t}
-		if budget != nil {
-			it = &budgetIter{Iterator: it, budget: budget}
-		}
-		return it, nil
-	}
-	if batchNative(plan.Op) {
-		b, err := buildBatchIter(plan, cat, budget)
-		if err != nil {
-			return nil, err
-		}
-		return &rowFromBatch{child: b}, nil
-	}
-	kids := make([]Iterator, len(plan.Children))
-	for i, c := range plan.Children {
-		k, err := buildRowIter(c, cat, budget)
-		if err != nil {
-			return nil, err
-		}
-		kids[i] = k
-	}
-	it, err := buildOver(plan, kids, cat)
-	if err != nil {
-		return nil, err
-	}
-	if budget != nil {
-		it = &budgetIter{Iterator: it, budget: budget}
-	}
-	return it, nil
-}
-
-// batchBudget charges every row a batch operator emits against the shared
-// work budget, mirroring budgetIter.
-type batchBudget struct {
-	child  BatchIterator
-	budget *int64
-}
-
-func (b *batchBudget) Open() error { return b.child.Open() }
-
-func (b *batchBudget) Next() (*Batch, error) {
-	batch, err := b.child.Next()
-	if batch != nil {
-		*b.budget -= int64(len(batch.Idx))
-		if *b.budget < 0 {
-			return nil, ErrRowLimit
-		}
-	}
-	return batch, err
-}
-
-func (b *batchBudget) Close() error { return b.child.Close() }
-
 // ---- adapters ---------------------------------------------------------------
 
 // rowFromBatch adapts a batch subtree for a row-at-a-time consumer. Each
@@ -390,7 +208,7 @@ func (r *rowFromBatch) Close() error { return r.child.Close() }
 // batchFromRows adapts a row subtree for a batch consumer, accumulating up to
 // batchSize rows per batch into reused vectors.
 type batchFromRows struct {
-	child Iterator
+	child iterator
 	width int
 	vecs  []datum.Vec
 	out   Batch

@@ -149,11 +149,11 @@ func (h *batchHashJoin) Open() error {
 }
 
 // scanOf unwraps a batch subtree down to a bare table scan, looking through
-// the budget wrapper; nil when the subtree is anything else.
-func scanOf(it BatchIterator) (*batchScan, *batchBudget) {
-	if bb, ok := it.(*batchBudget); ok {
-		if bs, ok := bb.child.(*batchScan); ok {
-			return bs, bb
+// the scan's tap; nil when the subtree is anything else.
+func scanOf(it BatchIterator) (*batchScan, *batchTap) {
+	if t, ok := it.(*batchTap); ok {
+		if bs, ok := t.BatchIterator.(*batchScan); ok {
+			return bs, t
 		}
 		return nil, nil
 	}
@@ -172,16 +172,15 @@ func (h *batchHashJoin) buildSide() error {
 	if err := h.right.Open(); err != nil {
 		return err
 	}
-	if bs, bb := scanOf(h.right); bs != nil {
+	if bs, tap := scanOf(h.right); bs != nil {
 		h.rightVecs, h.ownRight = bs.cols, false
 		idx := bs.table.JoinIndex(h.rightSlots)
 		h.lookup, h.groups = idx.Lookup, idx.Groups
-		if bb != nil {
-			// Charge what the scan would have emitted batch by batch; only
-			// the plan-wide total matters for the ErrRowLimit verdict.
-			*bb.budget -= int64(len(bs.idx))
-			if *bb.budget < 0 {
-				return ErrRowLimit
+		if tap != nil {
+			// Report what the scan would have emitted batch by batch; only
+			// the per-operator total matters to the budget and to ANALYZE.
+			if err := tap.emit(len(bs.idx)); err != nil {
+				return err
 			}
 		}
 		bs.pos = len(bs.idx) // the scan is consumed

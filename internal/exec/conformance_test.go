@@ -55,16 +55,16 @@ func row(ds ...datum.Datum) datum.Row { return datum.Row(ds) }
 // single test, pinning the semantics the backends must agree on: 3VL
 // predicate evaluation, NULL grouping and join keys, empty-input aggregates,
 // LIMIT, sort stability and NULL placement, and numeric-kind widening of
-// group keys. A positional case compares the output row-for-row; a multiset
-// case compares after NormalizeRows on both sides.
+// group keys. A case whose plan has a root order (RootOrder) compares the
+// output row-for-row, which pins the sort-key slots and stability with them;
+// the others compare after NormalizeRows on both sides.
 func TestBackendConformance(t *testing.T) {
 	cat := confCatalog()
 	ni, nf, null := datum.NewInt, datum.NewFloat, datum.Null
 	cases := []struct {
-		name       string
-		plan       *physical.Expr
-		positional bool
-		want       []datum.Row
+		name string
+		plan *physical.Expr
+		want []datum.Row
 	}{
 		{
 			// b > 15: (3,NULL) evaluates UNKNOWN and is dropped.
@@ -174,9 +174,8 @@ func TestBackendConformance(t *testing.T) {
 			want: nil,
 		},
 		{
-			// Ascending sort puts NULL first; positional comparison pins it.
-			name:       "sort-asc-nulls-first",
-			positional: true,
+			// Ascending sort puts NULL first; the root order pins it.
+			name: "sort-asc-nulls-first",
 			plan: &physical.Expr{
 				Op: physical.OpSort, Children: []*physical.Expr{scanT1()},
 				Keys: []logical.SortKey{{Col: 1}},
@@ -187,8 +186,7 @@ func TestBackendConformance(t *testing.T) {
 		},
 		{
 			// Descending sort reverses the total order, so NULL lands last.
-			name:       "sort-desc-nulls-last",
-			positional: true,
+			name: "sort-desc-nulls-last",
 			plan: &physical.Expr{
 				Op: physical.OpSort, Children: []*physical.Expr{scanT1()},
 				Keys: []logical.SortKey{{Col: 1, Desc: true}},
@@ -199,8 +197,7 @@ func TestBackendConformance(t *testing.T) {
 		},
 		{
 			// Stable sort: the tied x=1 rows keep their table order (one, uno).
-			name:       "sort-stability-on-ties",
-			positional: true,
+			name: "sort-stability-on-ties",
 			plan: &physical.Expr{
 				Op: physical.OpSort, Children: []*physical.Expr{scanT2()},
 				Keys: []logical.SortKey{{Col: 3}},
@@ -214,8 +211,7 @@ func TestBackendConformance(t *testing.T) {
 		},
 		{
 			// LIMIT under the input size, after a total-order sort.
-			name:       "limit-under",
-			positional: true,
+			name: "limit-under",
 			plan: &physical.Expr{
 				Op: physical.OpLimit, N: 2,
 				Children: []*physical.Expr{{
@@ -290,7 +286,7 @@ func TestBackendConformance(t *testing.T) {
 					t.Fatalf("RunEngine(%v): %v", eng, err)
 				}
 				want := tc.want
-				if !tc.positional {
+				if !RootOrder(tc.plan).Sorted {
 					got = NormalizeRows(got)
 					want = NormalizeRows(want)
 				}

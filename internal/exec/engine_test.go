@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -281,11 +282,18 @@ type planGen struct {
 	cat     *catalog.Catalog
 	nextCol scalar.ColumnID
 	nextTbl int
+	// big is how many of the next scans read a table of more than one batch.
+	big int
 }
 
 func (g *planGen) scan() *physical.Expr {
 	name := fmt.Sprintf("g%d", g.nextTbl)
-	tbl := randomTable(name, 3, 8+g.r.Intn(30), g.r.Int63())
+	rows := 8 + g.r.Intn(30)
+	if g.big > 0 {
+		g.big--
+		rows = batchSize + 1 + g.r.Intn(2*batchSize)
+	}
+	tbl := randomTable(name, 3, rows, g.r.Int63())
 	g.cat.Add(tbl)
 	g.nextTbl++
 	cols := make([]scalar.ColumnID, len(tbl.Columns))
@@ -417,41 +425,168 @@ func (g *planGen) gen(depth int) *physical.Expr {
 }
 
 // TestEngineDifferentialRandomPlans compares the engines over hundreds of
-// random operator trees, then re-runs each plan under a ladder of work and
-// row budgets and requires identical verdicts: same rows, or ErrRowLimit on
-// both sides. Plans containing a Limit take the documented row-engine
-// fallback when a work budget is set, which this test transparently covers.
+// random operator trees — every third over a table of several batches — then
+// re-runs each plan under a ladder of work and row budgets. Without a Limit
+// the verdicts are identical: same rows, or ErrRowLimit on both sides. Under
+// a Limit a batch child materializes a whole batch where the row engine
+// pulls N rows, so batch work is never less than row work: the batch engine
+// trips whenever the row engine does, and the rows are equal whenever neither
+// trips.
 func TestEngineDifferentialRandomPlans(t *testing.T) {
 	seeds := 60
 	if testing.Short() {
 		seeds = 15
 	}
+	isCap := func(err error) bool { return errors.Is(err, ErrRowLimit) }
 	for seed := 0; seed < seeds; seed++ {
 		g := &planGen{r: rand.New(rand.NewSource(int64(seed))), cat: catalog.New(), nextCol: 1}
+		if seed%3 == 0 {
+			g.big = 1
+		}
 		plan := g.gen(3)
 		want := runEngines(t, plan, g.cat)
 
 		for _, maxWork := range []int64{1, 7, 64, 1000, 50000} {
 			rowRows, rowErr := RunEngine(EngineRow, plan, g.cat, 0, maxWork)
 			batchRows, batchErr := RunEngine(EngineBatch, plan, g.cat, 0, maxWork)
-			if (rowErr != nil) != (batchErr != nil) {
-				t.Fatalf("seed %d maxWork %d: row err %v, batch err %v", seed, maxWork, rowErr, batchErr)
+			if (rowErr != nil && !isCap(rowErr)) || (batchErr != nil && !isCap(batchErr)) {
+				t.Fatalf("seed %d maxWork %d: unexpected errors %v / %v", seed, maxWork, rowErr, batchErr)
 			}
-			if rowErr != nil {
-				if !errors.Is(rowErr, ErrRowLimit) || !errors.Is(batchErr, ErrRowLimit) {
-					t.Fatalf("seed %d maxWork %d: unexpected errors %v / %v", seed, maxWork, rowErr, batchErr)
-				}
-				continue
+			if rowErr != nil && batchErr == nil {
+				t.Fatalf("seed %d maxWork %d: row engine tripped, batch engine did not", seed, maxWork)
 			}
-			requireSameRows(t, rowRows, batchRows)
+			if rowErr == nil && batchErr != nil && !hasLimit(plan) {
+				t.Fatalf("seed %d maxWork %d: batch engine tripped on a plan without a Limit, row engine did not", seed, maxWork)
+			}
+			if rowErr == nil && batchErr == nil {
+				requireSameRows(t, rowRows, batchRows)
+			}
 		}
 		if len(want) > 1 {
 			maxRows := len(want) / 2
 			_, rowErr := RunEngine(EngineRow, plan, g.cat, maxRows, 0)
 			_, batchErr := RunEngine(EngineBatch, plan, g.cat, maxRows, 0)
-			if !errors.Is(rowErr, ErrRowLimit) || !errors.Is(batchErr, ErrRowLimit) {
+			if !isCap(rowErr) || !isCap(batchErr) {
 				t.Fatalf("seed %d maxRows %d: want ErrRowLimit on both, got %v / %v",
 					seed, maxRows, rowErr, batchErr)
+			}
+		}
+	}
+}
+
+// TestLimitWorkIsEngineSpecific pins the one place the engines' budget
+// verdicts may differ, with RunEngine's own example: LIMIT 1 over a filter
+// over a 5000-row scan at maxWork=100 completes row-at-a-time (three rows of
+// work) and trips on the batch engine, whose scan emits a whole batch.
+func TestLimitWorkIsEngineSpecific(t *testing.T) {
+	cat := catalog.New()
+	cat.Add(randomTable("wide", 3, 5000, 1))
+	plan := &physical.Expr{Op: physical.OpLimit, N: 1, Children: []*physical.Expr{{
+		Op: physical.OpFilter, Filter: &scalar.Not{Kid: &scalar.IsNull{Kid: &scalar.ColRef{ID: 1}}},
+		Children: []*physical.Expr{{Op: physical.OpScan, Table: "wide", Cols: []scalar.ColumnID{1, 2, 3}}},
+	}}}
+	want := runEngines(t, plan, cat)
+	rows, err := RunEngine(EngineRow, plan, cat, 0, 100)
+	if err != nil {
+		t.Fatalf("row engine: %v", err)
+	}
+	requireSameRows(t, want, rows)
+	if _, err := RunEngine(EngineBatch, plan, cat, 0, 100); !errors.Is(err, ErrRowLimit) {
+		t.Fatalf("batch engine: err = %v, want ErrRowLimit", err)
+	}
+	// With room for one batch per operator below the Limit the verdicts agree.
+	rows, err = RunEngine(EngineBatch, plan, cat, 0, 2*batchSize+1)
+	if err != nil {
+		t.Fatalf("batch engine, budget of two batches: %v", err)
+	}
+	requireSameRows(t, want, rows)
+}
+
+// opTypes counts the concrete type of every operator, adapter and tap in a
+// compiled tree.
+func opTypes(v reflect.Value, out map[string]int) {
+	for v.Kind() == reflect.Interface || v.Kind() == reflect.Ptr {
+		if v.IsNil() {
+			return
+		}
+		v = v.Elem()
+	}
+	switch v.Kind() {
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			opTypes(v.Index(i), out)
+		}
+	case reflect.Struct:
+		out[v.Type().Name()]++
+		for i := 0; i < v.NumField(); i++ {
+			switch v.Field(i).Type() {
+			case reflect.TypeOf((*iterator)(nil)).Elem(), reflect.TypeOf((*BatchIterator)(nil)).Elem(),
+				reflect.TypeOf([]iterator(nil)):
+				opTypes(v.Field(i), out)
+			}
+		}
+	}
+}
+
+// TestEnginesCompileTheirOwnOperators: EngineRow compiles no batch operator,
+// and EngineBatch compiles the columnar operator for every batch-native
+// operator whether or not a work budget meets a Limit — what the row↔batch
+// differentials above and the benchmark's per-engine timings both rely on.
+func TestEnginesCompileTheirOwnOperators(t *testing.T) {
+	cat := testCatalog()
+	plan := &physical.Expr{Op: physical.OpLimit, N: 3, Children: []*physical.Expr{sortPlan(&physical.Expr{
+		Op: physical.OpSortAgg, GroupCols: []scalar.ColumnID{9},
+		Aggs: []scalar.Agg{{Op: scalar.AggCountStar, Out: 11}},
+		Children: []*physical.Expr{{
+			Op: physical.OpHashAgg, GroupCols: []scalar.ColumnID{9, 4},
+			Aggs: []scalar.Agg{{Op: scalar.AggCountStar, Out: 10}},
+			Children: []*physical.Expr{{
+				Op: physical.OpProject, Projs: []logical.ProjItem{{Out: 9, E: &scalar.ColRef{ID: 1}}, {Out: 4, E: &scalar.ColRef{ID: 4}}},
+				Children: []*physical.Expr{{
+					Op: physical.OpFilter, Filter: &scalar.Not{Kid: &scalar.IsNull{Kid: &scalar.ColRef{ID: 4}}},
+					Children: []*physical.Expr{joinPlan(physical.OpHashJoin, physical.JoinInner)},
+				}},
+			}},
+		}},
+	}, logical.SortKey{Col: 9})}}
+	runEngines(t, plan, cat)
+
+	rowOps := map[string]int{"limitIter": 1, "sortIter": 1, "aggIter": 2, "projectIter": 1, "filterIter": 1, "hashJoinIter": 1, "scanIter": 2}
+	batchOps := map[string]int{"limitIter": 1, "sortIter": 1, "rowFromBatch": 1, "batchFromRows": 1,
+		"batchAgg": 2, "batchProject": 1, "batchFilter": 1, "batchHashJoin": 1, "batchScan": 2}
+	for _, eng := range []Engine{EngineRow, EngineBatch} {
+		for _, budgeted := range []bool{false, true} {
+			c := compiler{cat: cat, batch: eng == EngineBatch}
+			ops := rowOps
+			if c.batch {
+				ops = batchOps
+			}
+			want := map[string]int{}
+			for name, n := range ops {
+				want[name] = n
+			}
+			switch {
+			case budgeted && c.batch:
+				c.tap = workBudget(1000)
+				want["rowTap"], want["batchTap"] = 2, 7
+			case budgeted:
+				c.tap = workBudget(1000)
+				want["rowTap"] = 9
+			}
+			var root interface{}
+			var err error
+			if c.batch {
+				root, err = c.batchIter(plan)
+			} else {
+				root, err = c.rowIter(plan)
+			}
+			if err != nil {
+				t.Fatalf("%s engine: %v", eng, err)
+			}
+			got := map[string]int{}
+			opTypes(reflect.ValueOf(root), got)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s engine, budgeted %v: compiled %v, want %v", eng, budgeted, got, want)
 			}
 		}
 	}
@@ -535,19 +670,11 @@ func TestMinMaxMixedKinds(t *testing.T) {
 	}
 }
 
-// TestMergeJoinNonInnerRejected pins that every build path rejects a
-// non-inner merge join through buildOver's single guard (Build used to carry
-// a duplicate of it).
+// TestMergeJoinNonInnerRejected pins that both engines, with and without a
+// budget, reject a non-inner merge join through rowOp's single guard.
 func TestMergeJoinNonInnerRejected(t *testing.T) {
 	cat := testCatalog()
 	plan := joinPlan(physical.OpMergeJoin, physical.JoinLeft)
-	if _, err := Build(plan, cat); err == nil {
-		t.Error("Build accepted a non-inner merge join")
-	}
-	budget := int64(1000)
-	if _, err := buildBudget(plan, cat, &budget); err == nil {
-		t.Error("buildBudget accepted a non-inner merge join")
-	}
 	for _, eng := range []Engine{EngineRow, EngineBatch} {
 		if _, err := RunEngine(eng, plan, cat, 0, 1000); err == nil || errors.Is(err, ErrRowLimit) {
 			t.Errorf("%s engine with budget: err = %v, want merge-join build error", eng, err)
@@ -555,5 +682,8 @@ func TestMergeJoinNonInnerRejected(t *testing.T) {
 		if _, err := RunEngine(eng, plan, cat, 0, 0); err == nil {
 			t.Errorf("%s engine: accepted a non-inner merge join", eng)
 		}
+	}
+	if _, _, err := RunAnalyze(plan, cat); err == nil {
+		t.Error("RunAnalyze accepted a non-inner merge join")
 	}
 }

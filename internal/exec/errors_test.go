@@ -20,7 +20,7 @@ func TestSortMissingKeyColumn(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "sort key column c99") {
 		t.Fatalf("err = %v, want missing sort key column error", err)
 	}
-	// RunAnalyze compiles through buildOver and must fail identically.
+	// RunAnalyze compiles through the same compiler and must fail identically.
 	if _, _, err := RunAnalyze(plan, testCatalog()); err == nil {
 		t.Error("RunAnalyze must reject the same plan")
 	}

@@ -1,7 +1,8 @@
-// Package exec implements a Volcano-style iterator execution engine for
-// physical plans. Correctness testing (§2.3) executes Plan(q) and
-// Plan(q,¬R) and compares their results as multisets; this package provides
-// both the execution and the comparison oracle.
+// Package exec executes physical plans. Correctness testing (§2.3) executes
+// Plan(q) and Plan(q,¬R) and compares their results as multisets; this
+// package provides both the execution and the comparison oracle. One compiler
+// (compile.go) builds two engines: the batch engine everything runs on, and
+// the Volcano row engine in this file, its differential reference.
 package exec
 
 import (
@@ -16,9 +17,9 @@ import (
 	"qtrtest/internal/scalar"
 )
 
-// Iterator is the operator interface: Open, then Next until it returns a nil
-// row, then Close.
-type Iterator interface {
+// iterator is the row operator interface: Open, then Next until it returns a
+// nil row, then Close.
+type iterator interface {
 	Open() error
 	// Next returns the next row, or (nil, nil) at end of stream.
 	Next() (datum.Row, error)
@@ -34,82 +35,22 @@ func envOf(cols []scalar.ColumnID) scalar.Env {
 	return env
 }
 
-// Build compiles a physical plan into an iterator tree over the catalog's
-// in-memory tables.
-func Build(plan *physical.Expr, cat *catalog.Catalog) (Iterator, error) {
-	kids := make([]Iterator, len(plan.Children))
-	for i, c := range plan.Children {
-		k, err := Build(c, cat)
-		if err != nil {
-			return nil, err
-		}
-		kids[i] = k
-	}
-	return buildOver(plan, kids, cat)
-}
-
 // Run executes a plan to completion on the default (batch) engine and
 // returns all result rows.
 func Run(plan *physical.Expr, cat *catalog.Catalog) ([]datum.Row, error) {
 	return RunEngine(EngineBatch, plan, cat, 0, 0)
 }
 
-// ErrRowLimit reports that a plan exceeded a row cap passed to RunMax: its
+// ErrRowLimit reports that a plan exceeded a cap passed to RunEngine: its
 // result grew past maxRows, or its operators produced more rows in total
 // than maxWork. Fuzzing uses it to skip pathological plans (a dropped join
 // predicate turns a join into a cross product) instead of paying for them.
 var ErrRowLimit = errors.New("exec: result row cap exceeded")
 
-// RunMax executes a plan like Run but fails with ErrRowLimit as soon as the
-// result exceeds maxRows, or the rows produced by all operators together —
-// rescans included — exceed maxWork. A root-only cap cannot bound a plan
-// whose intermediate results explode while its root stays small (a dropped
-// join predicate under an aggregation); the work budget can. Zero or
-// negative caps mean uncapped.
-func RunMax(plan *physical.Expr, cat *catalog.Catalog, maxRows int, maxWork int64) ([]datum.Row, error) {
-	return RunEngine(EngineBatch, plan, cat, maxRows, maxWork)
-}
-
-// budgetIter charges every row an operator emits against a budget shared by
-// the whole plan. Plans execute single-threaded, so a plain counter works.
-type budgetIter struct {
-	Iterator
-	budget *int64
-}
-
-func (b *budgetIter) Next() (datum.Row, error) {
-	row, err := b.Iterator.Next()
-	if row != nil {
-		*b.budget--
-		if *b.budget < 0 {
-			return nil, ErrRowLimit
-		}
-	}
-	return row, err
-}
-
-// buildBudget compiles the plan with a work-counting wrapper at every
-// operator, mirroring Build.
-func buildBudget(plan *physical.Expr, cat *catalog.Catalog, budget *int64) (Iterator, error) {
-	kids := make([]Iterator, len(plan.Children))
-	for i, c := range plan.Children {
-		k, err := buildBudget(c, cat, budget)
-		if err != nil {
-			return nil, err
-		}
-		kids[i] = k
-	}
-	it, err := buildOver(plan, kids, cat)
-	if err != nil {
-		return nil, err
-	}
-	return &budgetIter{Iterator: it, budget: budget}, nil
-}
-
 // runIter opens, drains and closes an iterator. A Close error on an
 // otherwise successful scan is a real failure and must not be swallowed.
 // maxRows > 0 caps the result size.
-func runIter(it Iterator, maxRows int) (out []datum.Row, err error) {
+func runIter(it iterator, maxRows int) (out []datum.Row, err error) {
 	if err := it.Open(); err != nil {
 		return nil, err
 	}
@@ -156,7 +97,7 @@ func (s *scanIter) Close() error { return nil }
 // ---- filter ---------------------------------------------------------------
 
 type filterIter struct {
-	child Iterator
+	child iterator
 	pred  scalar.Expr
 	env   scalar.Env
 }
@@ -184,7 +125,7 @@ func (f *filterIter) Close() error { return f.child.Close() }
 // ---- project ----------------------------------------------------------------
 
 type projectIter struct {
-	child Iterator
+	child iterator
 	items []logical.ProjItem
 	env   scalar.Env
 }
@@ -212,7 +153,7 @@ func (p *projectIter) Close() error { return p.child.Close() }
 // ---- sort -------------------------------------------------------------------
 
 type sortIter struct {
-	child Iterator
+	child iterator
 	keys  []logical.SortKey
 	env   scalar.Env
 	rows  []datum.Row
@@ -276,7 +217,7 @@ func (s *sortIter) Close() error { return s.child.Close() }
 // ---- limit --------------------------------------------------------------------
 
 type limitIter struct {
-	child Iterator
+	child iterator
 	n     int64
 	seen  int64
 }
@@ -301,7 +242,7 @@ func (l *limitIter) Close() error { return l.child.Close() }
 
 type concatIter struct {
 	plan *physical.Expr
-	kids []Iterator
+	kids []iterator
 	cur  int
 	maps [][]int // per child: output position -> child slot
 }

@@ -28,7 +28,7 @@ func TestIteratorsReopen(t *testing.T) {
 		{Op: physical.OpLimit, Children: []*physical.Expr{scanT1()}, N: 2},
 	}
 	for _, plan := range plans {
-		it, err := Build(plan, cat)
+		it, err := (&compiler{cat: cat}).rowIter(plan)
 		if err != nil {
 			t.Fatalf("%s: %v", plan.Op, err)
 		}
@@ -62,7 +62,7 @@ func TestIteratorsReopen(t *testing.T) {
 
 // TestNextAfterEOF: Next after exhaustion keeps returning nil without error.
 func TestNextAfterEOF(t *testing.T) {
-	it, err := Build(scanT1(), testCatalog())
+	it, err := (&compiler{cat: testCatalog()}).rowIter(scanT1())
 	if err != nil {
 		t.Fatal(err)
 	}

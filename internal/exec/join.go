@@ -25,7 +25,7 @@ func keySlots(env scalar.Env, cols []scalar.ColumnID, join, side string) ([]int,
 }
 
 // drain reads an iterator to completion.
-func drain(it Iterator) ([]datum.Row, error) {
+func drain(it iterator) ([]datum.Row, error) {
 	if err := it.Open(); err != nil {
 		return nil, err
 	}
@@ -88,7 +88,7 @@ func keyOf(row datum.Row, slots []int) (string, bool) {
 
 type hashJoinIter struct {
 	plan        *physical.Expr
-	left, right Iterator
+	left, right iterator
 
 	env        scalar.Env
 	leftSlots  []int
@@ -103,10 +103,6 @@ type hashJoinIter struct {
 	matched bool
 
 	done bool
-}
-
-func newHashJoin(plan *physical.Expr, left, right Iterator) Iterator {
-	return &hashJoinIter{plan: plan, left: left, right: right}
 }
 
 func (h *hashJoinIter) Open() error {
@@ -211,7 +207,7 @@ func (h *hashJoinIter) Close() error {
 
 type nlJoinIter struct {
 	plan        *physical.Expr
-	left, right Iterator
+	left, right iterator
 
 	env        scalar.Env
 	rightRows  []datum.Row
@@ -221,10 +217,6 @@ type nlJoinIter struct {
 	ridx    int
 	matched bool
 	done    bool
-}
-
-func newNLJoin(plan *physical.Expr, left, right Iterator) Iterator {
-	return &nlJoinIter{plan: plan, left: left, right: right}
 }
 
 func (n *nlJoinIter) Open() error {
@@ -305,15 +297,11 @@ func (n *nlJoinIter) Close() error {
 
 type mergeJoinIter struct {
 	plan        *physical.Expr
-	left, right Iterator
+	left, right iterator
 
 	env scalar.Env
 	out []datum.Row
 	pos int
-}
-
-func newMergeJoin(plan *physical.Expr, left, right Iterator) Iterator {
-	return &mergeJoinIter{plan: plan, left: left, right: right}
 }
 
 // Open sorts both inputs on the equi-join keys and merges matching key

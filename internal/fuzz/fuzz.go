@@ -35,6 +35,32 @@ import (
 	"qtrtest/internal/sqlgen"
 )
 
+// The campaign's caps are constants because each is part of what a seed
+// means: a reproducer line replays a campaign only while they do not vary.
+const (
+	// maxOps bounds the random-tree operator budget.
+	maxOps = 7
+	// maxRows caps each plan execution's buffered result; plans over the cap
+	// are skipped, not failed.
+	maxRows = 20000
+	// maxCost skips plans whose estimated cost exceeds it. maxRows only
+	// bounds the root output; a fault that drops a join predicate can make an
+	// intermediate result explode while the root stays small, and the cost
+	// estimate is the deterministic signal that prices that explosion before
+	// execution pays for it.
+	maxCost = 5e6
+	// maxWork caps the total rows produced by all operators of one plan
+	// execution, rescans included. It is the runtime backstop behind maxCost:
+	// an injected fault mutates the plan after costing, so its estimate can
+	// be arbitrarily wrong about the work its output actually takes.
+	maxWork = 2e6
+	// roundSize is the number of queries per steering round. Coverage
+	// feedback adjusts generator weights only between rounds.
+	roundSize = 32
+	// maxShrinkChecks bounds shrink-oracle evaluations per finding.
+	maxShrinkChecks = 300
+)
+
 // Config tunes a fuzz campaign.
 type Config struct {
 	// Seed drives everything: catalog choice (when Catalog is nil), query
@@ -58,31 +84,9 @@ type Config struct {
 	DB string
 	// Mutant labels an injected fault in the report and reproducer line.
 	Mutant string
-	// MaxOps bounds the random-tree operator budget (default 7).
-	MaxOps int
-	// MaxRows caps each plan execution's buffered result; plans over the cap
-	// are skipped, not failed (default 20000).
-	MaxRows int
-	// MaxCost skips plans whose estimated cost exceeds it (default 5e6).
-	// MaxRows only bounds the root output; a fault that drops a join
-	// predicate can make an intermediate result explode while the root stays
-	// small, and the cost estimate is the deterministic signal that prices
-	// that explosion before execution pays for it.
-	MaxCost float64
-	// MaxWork caps the total rows produced by all operators of one plan
-	// execution, rescans included (default 2e6). It is the runtime backstop
-	// behind MaxCost: an injected fault mutates the plan after costing, so
-	// its estimate can be arbitrarily wrong about the work its output
-	// actually takes.
-	MaxWork int64
-	// RoundSize is the number of queries per steering round (default 32).
-	// Coverage feedback adjusts generator weights only between rounds.
-	RoundSize int
 	// MaxShrunk bounds how many findings get shrunk (default 8, in report
-	// order); MaxShrinkChecks bounds shrink-oracle evaluations per finding
-	// (default 300).
-	MaxShrunk       int
-	MaxShrinkChecks int
+	// order).
+	MaxShrunk int
 	// EET enables the expression-level equivalence rewrites (the scalar EET
 	// catalog) alongside the tree-level metamorphic rewrites.
 	EET bool
@@ -91,14 +95,9 @@ type Config struct {
 	// and depends only on query indices, so the report stays
 	// workers-deterministic.
 	StopOnFinding bool
-	// Engine selects the execution engine for every plan execution in the
-	// campaign (the zero value is the batch engine). Campaign reports are
-	// byte-identical across engines; the knob exists so the differential
-	// golden tests can pin that.
-	Engine exec.Engine
-	// Backend names an independent engine ("ref", "row", "batch") that
-	// every base query is additionally replayed on and compared against —
-	// the cross-engine oracle that breaks the campaign's self-differential
+	// Backend names an independent engine ("ref", "row") that every base
+	// query is additionally replayed on and compared against — the
+	// cross-engine oracle that breaks the campaign's self-differential
 	// circularity. The "ref" backend evaluates the pre-optimizer logical
 	// tree on the reference interpreter, so it catches faults the optimizer
 	// and both built-in engines share. Empty (the default) disables the
@@ -117,26 +116,8 @@ func (c *Config) setDefaults() {
 	if c.N <= 0 {
 		c.N = 500
 	}
-	if c.MaxOps < 2 {
-		c.MaxOps = 7
-	}
-	if c.MaxRows <= 0 {
-		c.MaxRows = 20000
-	}
-	if c.MaxCost <= 0 {
-		c.MaxCost = 5e6
-	}
-	if c.MaxWork <= 0 {
-		c.MaxWork = 2e6
-	}
-	if c.RoundSize <= 0 {
-		c.RoundSize = 32
-	}
 	if c.MaxShrunk <= 0 {
 		c.MaxShrunk = 8
-	}
-	if c.MaxShrinkChecks <= 0 {
-		c.MaxShrinkChecks = 300
 	}
 	if c.Registry == nil {
 		c.Registry = rules.DefaultRegistry()
@@ -221,8 +202,7 @@ type result struct {
 func Run(cfg Config) (*Report, error) {
 	cfg.setDefaults()
 	rn, err := oracle.New(oracle.Options{
-		Engine: cfg.Engine, Backend: cfg.Backend, Cache: cfg.Cache,
-		MaxRows: cfg.MaxRows, MaxWork: cfg.MaxWork,
+		Backend: cfg.Backend, Cache: cfg.Cache, MaxRows: maxRows, MaxWork: maxWork,
 	})
 	if err != nil {
 		return nil, err
@@ -247,8 +227,8 @@ func Run(cfg Config) (*Report, error) {
 	weights := qgen.DefaultWeights()
 	coverage := make(map[uint64]int)
 	var found []finding
-	for base := 0; base < cfg.N; base += cfg.RoundSize {
-		n := cfg.RoundSize
+	for base := 0; base < cfg.N; base += roundSize {
+		n := roundSize
 		if base+n > cfg.N {
 			n = cfg.N - base
 		}
@@ -326,7 +306,7 @@ func (c *campaign) runOne(idx int, w *qgen.Weights) result {
 	g := c.gen.Fork(seed)
 	rng := rand.New(rand.NewSource(par.DeriveSeed(seed, 1)))
 	md := logical.NewMetadata(c.cfg.Catalog)
-	budget := 2 + rng.Intn(c.cfg.MaxOps-1)
+	budget := 2 + rng.Intn(maxOps-1)
 	tree, err := g.RandomTreeWeighted(md, budget, w)
 	if err != nil {
 		r.skip = "generate"
@@ -347,7 +327,7 @@ func (c *campaign) runOne(idx int, w *qgen.Weights) result {
 		r.skip = "optimize"
 		return r
 	}
-	if res.Plan.Cost > c.cfg.MaxCost {
+	if res.Plan.Cost > maxCost {
 		r.skip = "estcap"
 		return r
 	}
@@ -425,7 +405,7 @@ func (c *campaign) runOne(idx int, w *qgen.Weights) result {
 	// wrong results are not.
 	for _, id := range res.RuleSet.Sorted() {
 		altRes, err := c.opt.Optimize(bound.Tree, bound.MD, opt.Options{Disabled: rules.NewSet(id)})
-		if err != nil || altRes.Plan.Cost > c.cfg.MaxCost {
+		if err != nil || altRes.Plan.Cost > maxCost {
 			continue
 		}
 		if edge(altRes.Plan, KindDifferential, id, "").Compared() {
@@ -447,7 +427,7 @@ func (c *campaign) runOne(idx int, w *qgen.Weights) result {
 			add(KindRewriteError, 0, rw.Name, err.Error())
 			continue
 		}
-		if altPlan.Cost > c.cfg.MaxCost {
+		if altPlan.Cost > maxCost {
 			continue
 		}
 		switch v := edge(altPlan, KindMetamorphic, 0, rw.Name); {

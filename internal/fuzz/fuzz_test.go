@@ -115,3 +115,34 @@ func TestRandomCatalogDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestStringDomainCarriesFramingBytes pins that the widened random-value
+// domain actually reaches generated tables: some catalog must contain a
+// string value with a framing byte, or the key-encoding regression coverage
+// this domain exists for is silently gone.
+func TestStringDomainCarriesFramingBytes(t *testing.T) {
+	found := false
+	for seed := int64(0); seed < 20 && !found; seed++ {
+		cat := RandomCatalog(seed)
+		for _, name := range cat.TableNames() {
+			tbl, err := cat.Table(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, row := range tbl.Rows {
+				for _, dm := range row {
+					if !dm.IsNull() && len(dm.S) > 0 {
+						for _, b := range []byte(dm.S) {
+							if b == '|' || b == ':' || b == ';' {
+								found = true
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if !found {
+		t.Error("no random catalog produced a string containing a key-framing byte (| : ;)")
+	}
+}

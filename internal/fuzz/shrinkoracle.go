@@ -53,13 +53,13 @@ func (b *shrinkBudget) spent() bool { return b.remaining <= 0 }
 // gets its own keep predicate; rewrite-error findings are left unshrunk — a
 // broken rewrite wants its full originating query as context.
 //
-// The oracle budget (cfg.MaxShrinkChecks) counts distinct plan executions,
+// The oracle budget (maxShrinkChecks) counts distinct plan executions,
 // not keep evaluations: candidates whose plans were all executed earlier in
 // the shrink re-check for free, so the budget buys strictly more reductions
 // than it used to. Shrink's own check bound is effectively disabled — budget
 // exhaustion rejects every candidate, which terminates the reduction loop.
 func (c *campaign) shrinkFinding(f *finding) {
-	budget := newShrinkBudget(c.cfg.MaxShrinkChecks)
+	budget := newShrinkBudget(maxShrinkChecks)
 	var keep func(*logical.Expr) bool
 	switch f.pub.Kind {
 	case KindDifferential:
@@ -108,7 +108,7 @@ func (c *campaign) replan(t *logical.Expr, md *logical.Metadata) (bound *bind.Bo
 		return nil, nil, false
 	}
 	res, err := c.opt.Optimize(bound.Tree, bound.MD, opt.Options{})
-	if err != nil || res.Plan.Cost > c.cfg.MaxCost {
+	if err != nil || res.Plan.Cost > maxCost {
 		return nil, nil, false
 	}
 	return bound, res.Plan, true
@@ -147,7 +147,7 @@ func (c *campaign) diffTrips(t *logical.Expr, md *logical.Metadata, id rules.ID,
 		return false
 	}
 	altRes, err := c.opt.Optimize(bound.Tree, bound.MD, opt.Options{Disabled: rules.NewSet(id)})
-	if err != nil || altRes.Plan.Cost > c.cfg.MaxCost {
+	if err != nil || altRes.Plan.Cost > maxCost {
 		return false
 	}
 	return c.edgeTrips(&base, altRes.Plan, budget)
@@ -175,7 +175,7 @@ func (c *campaign) metaTrips(t *logical.Expr, md *logical.Metadata, name string,
 			return false
 		}
 		altPlan, err := c.planTree(alt, bound.MD)
-		if err != nil || altPlan.Cost > c.cfg.MaxCost {
+		if err != nil || altPlan.Cost > maxCost {
 			return false
 		}
 		return c.edgeTrips(&base, altPlan, budget)
@@ -209,7 +209,7 @@ func (c *campaign) execErrs(t *logical.Expr, md *logical.Metadata, id rules.ID, 
 	}
 	if id != 0 {
 		altRes, err := c.opt.Optimize(bound.Tree, bound.MD, opt.Options{Disabled: rules.NewSet(id)})
-		if err != nil || altRes.Plan.Cost > c.cfg.MaxCost {
+		if err != nil || altRes.Plan.Cost > maxCost {
 			return false
 		}
 		plan = altRes.Plan

@@ -27,11 +27,13 @@ const (
 // FuzzRefEngineDiff is the native differential fuzz target: an arbitrary
 // byte program builds a random logical tree over a tiny fixed TPC-H catalog,
 // which is then evaluated by the reference interpreter (on the tree) and by
-// the production row engine (on the canonical lowering of the same tree).
-// Under result normalization the two must agree on every program. The
-// builder is type-safe by construction — arithmetic and SUM/AVG are only
-// applied to INT columns — so neither side can hit a runtime type error and
-// any error besides a budget trip fails the target.
+// both production engines — the batch engine campaigns run on and the row
+// engine — on the canonical lowering of the same tree. Each must agree with
+// the reference on every program, positionally on the sort-key slots where
+// the root is ordered and under result normalization elsewhere. The builder
+// is type-safe by construction — arithmetic and SUM/AVG are only applied to
+// INT columns — so no side can hit a runtime type error and any error besides
+// a budget trip fails the target.
 func FuzzRefEngineDiff(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{1, 0, 2, 1, 3, 2})
@@ -47,17 +49,22 @@ func FuzzRefEngineDiff(f *testing.F) {
 			return
 		}
 		refRows, refErr := refengine.Eval(tree, cat, refengine.Limits{MaxRows: fuzzMaxRows, MaxWork: fuzzMaxWork})
-		plan := lowerCanonical(tree)
-		rowRows, rowErr := exec.RunEngine(exec.EngineRow, plan, cat, fuzzMaxRows, fuzzMaxWork)
-		if errors.Is(refErr, refengine.ErrBudget) || errors.Is(rowErr, exec.ErrRowLimit) {
+		if errors.Is(refErr, refengine.ErrBudget) {
 			return
 		}
-		if refErr != nil || rowErr != nil {
-			t.Fatalf("engine error on a type-safe tree: ref=%v row=%v\ntree:\n%s", refErr, rowErr, tree)
-		}
-		verdict, detail := exec.CompareResults(rowRows, exec.RootOrder(plan), refRows, exec.TreeOrder(tree))
-		if verdict == exec.VerdictMismatch {
-			t.Fatalf("ref and row engines disagree: %s\ntree:\n%s", detail, tree)
+		plan := lowerCanonical(tree)
+		for _, eng := range []exec.Engine{exec.EngineBatch, exec.EngineRow} {
+			rows, err := exec.RunEngine(eng, plan, cat, fuzzMaxRows, fuzzMaxWork)
+			if errors.Is(err, exec.ErrRowLimit) {
+				continue
+			}
+			if refErr != nil || err != nil {
+				t.Fatalf("engine error on a type-safe tree: ref=%v %v=%v\ntree:\n%s", refErr, eng, err, tree)
+			}
+			verdict, detail := exec.CompareResults(rows, exec.RootOrder(plan), refRows, exec.TreeOrder(tree))
+			if verdict == exec.VerdictMismatch {
+				t.Fatalf("ref and %v engines disagree: %s\ntree:\n%s", eng, detail, tree)
+			}
 		}
 	})
 }
