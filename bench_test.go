@@ -6,10 +6,15 @@ import (
 	"testing"
 
 	"qtrtest/internal/bind"
+	"qtrtest/internal/catalog"
 	"qtrtest/internal/core/qgen"
 	"qtrtest/internal/core/suite"
+	"qtrtest/internal/datum"
 	"qtrtest/internal/exec"
+	"qtrtest/internal/logical"
 	"qtrtest/internal/opt"
+	"qtrtest/internal/physical"
+	"qtrtest/internal/scalar"
 	"qtrtest/internal/sql"
 	"qtrtest/internal/sqlgen"
 )
@@ -361,6 +366,70 @@ func TestOptimizeAllocBudget(t *testing.T) {
 		}
 		if bytes > tc.bytes {
 			t.Errorf("%s: %.0f bytes per Optimize, budget %.0f", tc.name, bytes, tc.bytes)
+		}
+	}
+}
+
+// TestExecAllocBudget holds plan execution on the batch engine to committed
+// object ceilings, about 10 % above measured. (i) A selective nested-loops
+// join — k + k' < 10 over two tables of k = 0..n-1, 55 result rows whatever n
+// — costs the same objects at 200 x 200 and at 400 x 400 candidate pairs (39
+// at both; 40 023 and 160 024 when the join allocated a row per pair): a
+// per-pair allocation creeping back fails go test here, not a campaign
+// benchmark. (ii) A 3 x 3 nested-loops join under a project, the shape a
+// verify sweep executes by the hundred thousand, costs no more than when the
+// join was a row operator between two adapters (26 objects; 29 then): a fast
+// inner loop must not be paid for in set-up per plan.
+func TestExecAllocBudget(t *testing.T) {
+	cat := catalog.New()
+	for _, n := range []int{3, 200, 400} {
+		for _, side := range []string{"l", "r"} {
+			tbl := &catalog.Table{Name: fmt.Sprintf("%s%d", side, n), Columns: []catalog.Column{
+				{Name: "k", Type: datum.TypeInt}, {Name: "v", Type: datum.TypeInt},
+			}}
+			for i := 0; i < n; i++ {
+				tbl.Rows = append(tbl.Rows, datum.Row{datum.NewInt(int64(i)), datum.NewInt(int64(i % 7))})
+			}
+			tbl.ComputeStats()
+			cat.Add(tbl)
+		}
+	}
+	nl := func(n int) *physical.Expr {
+		return &physical.Expr{
+			Op: physical.OpNLJoin, JoinType: physical.JoinInner,
+			Children: []*physical.Expr{
+				{Op: physical.OpScan, Table: fmt.Sprintf("l%d", n), Cols: []scalar.ColumnID{1, 2}},
+				{Op: physical.OpScan, Table: fmt.Sprintf("r%d", n), Cols: []scalar.ColumnID{3, 4}},
+			},
+			On: &scalar.Cmp{Op: scalar.CmpLT,
+				L: &scalar.Arith{Op: scalar.ArithAdd, L: &scalar.ColRef{ID: 1}, R: &scalar.ColRef{ID: 3}},
+				R: &scalar.Const{D: datum.NewInt(10)}},
+		}
+	}
+	micro := &physical.Expr{
+		Op: physical.OpProject, Children: []*physical.Expr{nl(3)},
+		Projs: []logical.ProjItem{{Out: 5, E: &scalar.ColRef{ID: 2}}, {Out: 6, E: &scalar.ColRef{ID: 4}}},
+	}
+	for _, tc := range []struct {
+		name    string
+		plan    *physical.Expr
+		rows    int
+		objects float64
+	}{
+		{"200 x 200 pairs", nl(200), 55, 43},
+		{"400 x 400 pairs", nl(400), 55, 43},
+		{"3 x 3 under project", micro, 9, 28},
+	} {
+		run := func() {
+			rows, err := exec.RunEngine(exec.EngineBatch, tc.plan, cat, 0, 0)
+			if err != nil || len(rows) != tc.rows {
+				t.Fatalf("%s: %d rows, %v; want %d", tc.name, len(rows), err, tc.rows)
+			}
+		}
+		objects := testing.AllocsPerRun(50, run)
+		t.Logf("%s: %.0f objects per execution", tc.name, objects)
+		if objects > tc.objects {
+			t.Errorf("%s: %.0f objects per execution, budget %.0f", tc.name, objects, tc.objects)
 		}
 	}
 }

@@ -10,12 +10,12 @@ import (
 )
 
 // The batch engine converts the hot operators — scan, filter, project, hash
-// join, hash aggregation — to columnar processing: operators exchange Batches
-// of column vectors instead of single rows, amortizing interpretation
-// overhead and eliminating the per-row key-string and combined-row
-// allocations of the Volcano engine. Operators without a columnar
-// implementation (sort, limit, concat, merge join, nested-loops join) still
-// run row-at-a-time inside the same plan through adapter shims, and the row
+// and nested-loops join, aggregation — to columnar processing: operators
+// exchange Batches of column vectors instead of single rows, amortizing
+// interpretation overhead and eliminating the per-row key-string and
+// combined-row allocations of the Volcano engine. Operators without a
+// columnar implementation (sort, limit, concat, merge join) still run
+// row-at-a-time inside the same plan through adapter shims, and the row
 // engine remains available as EngineRow — the differential golden tests pin
 // the two engines to identical results and emission order, and to identical
 // budget verdicts on plans without a Limit (compile.go states the rest).
@@ -45,8 +45,8 @@ var denseIota = func() []int {
 
 // iotaSel returns the identity selection 0..n-1 for an operator producing dense
 // output: a read-only slice of denseIota when that is long enough, else a
-// fresh slice the caller owns. putSel tells the two apart, so either may be
-// handed to it.
+// fresh slice the caller owns. ownSel tells the two apart where scratch goes
+// back to a pool.
 func iotaSel(n int) []int {
 	if n <= len(denseIota) {
 		return denseIota[:n]
@@ -210,21 +210,20 @@ func (r *rowFromBatch) Close() error { return r.child.Close() }
 type batchFromRows struct {
 	child iterator
 	width int
-	vecs  []datum.Vec
+	s     *opScratch
 	out   Batch
 }
 
 func (b *batchFromRows) Open() error {
-	if b.vecs == nil {
-		b.vecs = getVecs(b.width)
+	if b.s == nil {
+		b.s = getOpScratch()
 	}
 	return b.child.Open()
 }
 
 func (b *batchFromRows) Next() (*Batch, error) {
-	for c := range b.vecs {
-		b.vecs[c].Reset()
-	}
+	b.s.vecs = sizeVecs(b.s.vecs, b.width)
+	vecs := b.s.vecs
 	n := 0
 	for n < batchSize {
 		row, err := b.child.Next()
@@ -234,21 +233,23 @@ func (b *batchFromRows) Next() (*Batch, error) {
 		if row == nil {
 			break
 		}
-		for c := 0; c < b.width; c++ {
-			b.vecs[c].Append(row[c])
+		for c := range vecs {
+			vecs[c].Append(row[c])
 		}
 		n++
 	}
 	if n == 0 {
 		return nil, nil
 	}
-	b.out = Batch{Cols: b.vecs, Idx: iotaSel(n)}
+	b.out = Batch{Cols: vecs, Idx: iotaSel(n)}
 	return &b.out, nil
 }
 
 func (b *batchFromRows) Close() error {
-	putVecs(b.vecs)
-	b.vecs = nil
+	if b.s != nil {
+		putOpScratch(b.s)
+		b.s = nil
+	}
 	return b.child.Close()
 }
 
@@ -298,13 +299,13 @@ type batchFilter struct {
 	child BatchIterator
 	pred  scalar.Expr
 	ve    scalar.VecEval
-	sel   []int
+	s     *opScratch
 	out   Batch
 }
 
 func (f *batchFilter) Open() error {
-	if f.sel == nil {
-		f.sel = getSel()
+	if f.s == nil {
+		f.s = getOpScratch()
 	}
 	return f.child.Open()
 }
@@ -318,11 +319,11 @@ func (f *batchFilter) Next() (*Batch, error) {
 		if b == nil {
 			return nil, nil
 		}
-		sel, err := f.ve.EvalPred(f.pred, b.Cols, b.Idx, f.sel)
+		sel, err := f.ve.EvalPred(f.pred, b.Cols, b.Idx, f.s.sel)
 		if err != nil {
 			return nil, err
 		}
-		f.sel = sel
+		f.s.sel = sel
 		if len(sel) == 0 {
 			continue
 		}
@@ -332,8 +333,10 @@ func (f *batchFilter) Next() (*Batch, error) {
 }
 
 func (f *batchFilter) Close() error {
-	putSel(f.sel)
-	f.sel = nil
+	if f.s != nil {
+		putOpScratch(f.s)
+		f.s = nil
+	}
 	return f.child.Close()
 }
 
@@ -345,14 +348,15 @@ type batchProject struct {
 	child BatchIterator
 	items []logical.ProjItem
 	ve    scalar.VecEval
-	vecs  []datum.Vec
+	s     *opScratch
 	out   Batch
 }
 
 func (p *batchProject) Open() error {
-	if p.vecs == nil {
-		p.vecs = getVecs(len(p.items))
+	if p.s == nil {
+		p.s = getOpScratch()
 	}
+	p.s.vecs = sizeVecs(p.s.vecs, len(p.items))
 	return p.child.Open()
 }
 
@@ -364,17 +368,20 @@ func (p *batchProject) Next() (*Batch, error) {
 	if b == nil {
 		return nil, nil
 	}
+	vecs := p.s.vecs
 	for i, item := range p.items {
-		if err := p.ve.Eval(item.E, b.Cols, b.Idx, &p.vecs[i]); err != nil {
+		if err := p.ve.Eval(item.E, b.Cols, b.Idx, &vecs[i]); err != nil {
 			return nil, err
 		}
 	}
-	p.out = Batch{Cols: p.vecs, Idx: iotaSel(b.Len())}
+	p.out = Batch{Cols: vecs, Idx: iotaSel(b.Len())}
 	return &p.out, nil
 }
 
 func (p *batchProject) Close() error {
-	putVecs(p.vecs)
-	p.vecs = nil
+	if p.s != nil {
+		putOpScratch(p.s)
+		p.s = nil
+	}
 	return p.child.Close()
 }

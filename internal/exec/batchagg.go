@@ -21,13 +21,12 @@ type batchAgg struct {
 	ve        scalar.VecEval
 	sorted    bool
 
-	argVecs []datum.Vec
-	keyBuf  []byte
+	keyBuf []byte
 
-	vecs []datum.Vec // transposed result rows
-	idx  []int
-	pos  int
-	out  Batch
+	s   *opScratch // args: one vector per aggregate argument; vecs: the transposed result rows
+	idx []int
+	pos int
+	out Batch
 }
 
 func (a *batchAgg) Open() error {
@@ -42,9 +41,11 @@ func (a *batchAgg) Open() error {
 		}
 		slots[i] = s
 	}
-	if a.argVecs == nil {
-		a.argVecs = getVecs(len(a.aggs))
+	if a.s == nil {
+		a.s = getOpScratch()
 	}
+	a.s.args = sizeVecs(a.s.args, len(a.aggs))
+	argVecs := a.s.args
 	groups := make(map[string]*aggGroup)
 	var order []*aggGroup
 	for {
@@ -59,7 +60,7 @@ func (a *batchAgg) Open() error {
 			if ag.Op == scalar.AggCountStar {
 				continue
 			}
-			if err := a.ve.Eval(ag.Arg, b.Cols, b.Idx, &a.argVecs[i]); err != nil {
+			if err := a.ve.Eval(ag.Arg, b.Cols, b.Idx, &argVecs[i]); err != nil {
 				return err
 			}
 		}
@@ -84,7 +85,7 @@ func (a *batchAgg) Open() error {
 			for i, ag := range a.aggs {
 				var d datum.Datum
 				if ag.Op != scalar.AggCountStar {
-					d = a.argVecs[i].D[k]
+					d = argVecs[i].D[k]
 				}
 				if err := g.states[i].add(d, ag.Op); err != nil {
 					return err
@@ -106,18 +107,16 @@ func (a *batchAgg) Open() error {
 		// this order is byte-for-byte the row engine's.
 		sort.Slice(order, func(i, j int) bool { return order[i].key < order[j].key })
 	}
-	width := len(a.groupCols) + len(a.aggs)
-	a.vecs = getVecs(width)
+	a.s.vecs = sizeVecs(a.s.vecs, len(a.groupCols)+len(a.aggs))
+	vecs := a.s.vecs
 	for _, g := range order {
 		for i := range g.rep {
-			a.vecs[i].Append(g.rep[i])
+			vecs[i].Append(g.rep[i])
 		}
 		for i, ag := range a.aggs {
-			a.vecs[len(a.groupCols)+i].Append(g.states[i].result(ag.Op))
+			vecs[len(a.groupCols)+i].Append(g.states[i].result(ag.Op))
 		}
 	}
-	// The result selection is the identity; putSel's alias guard keeps the
-	// shared one out of the pool on Close.
 	a.idx = iotaSel(len(order))
 	a.pos = 0
 	return nil
@@ -131,16 +130,16 @@ func (a *batchAgg) Next() (*Batch, error) {
 	if end > len(a.idx) {
 		end = len(a.idx)
 	}
-	a.out = Batch{Cols: a.vecs, Idx: a.idx[a.pos:end]}
+	a.out = Batch{Cols: a.s.vecs, Idx: a.idx[a.pos:end]}
 	a.pos = end
 	return &a.out, nil
 }
 
 func (a *batchAgg) Close() error {
-	putVecs(a.argVecs)
-	putVecs(a.vecs)
-	a.argVecs, a.vecs = nil, nil
-	putSel(a.idx)
+	if a.s != nil {
+		putOpScratch(a.s)
+		a.s = nil
+	}
 	a.idx = nil
 	return a.child.Close()
 }

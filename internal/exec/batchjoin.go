@@ -6,59 +6,60 @@ import (
 	"qtrtest/internal/scalar"
 )
 
-// batchHashJoin is the columnar hash join. The build side is materialized
-// into column vectors behind an allocation-free key index (map hits cost no
-// allocation; only distinct keys allocate); the probe side is processed in
-// chunks of candidate (left, right) pairs whose join predicate is evaluated
-// in one vectorized pass per chunk.
+// batchJoin is the columnar join, hash and nested-loops alike. The build
+// side is held in column vectors; the probe side is processed in chunks of
+// candidate (left, right) pairs whose join predicate is evaluated in one
+// vectorized pass per chunk. The two operators differ in one step only — how
+// a probe row finds its candidate group: a hash join looks its key up in an
+// allocation-free index over the build side (map hits cost no allocation;
+// only distinct keys allocate), a nested-loops join's group is the whole
+// build side.
+//
+// Materialization is late: a chunk gathers the columns the predicate names
+// for every candidate, and the output columns for the surviving pairs only;
+// semi and anti joins emit a selection over the probe batch and gather no
+// output at all.
 //
 // Emission order is pinned to the row engine's: for each probe row in stream
-// order, its passing matches in build-insertion order, then its outer/anti
-// fallout. The differential golden tests rely on it.
-type batchHashJoin struct {
-	plan        *physical.Expr
+// order, its passing matches in build order, then its outer/anti fallout. The
+// differential golden tests rely on it.
+type batchJoin struct {
+	on          scalar.Expr
 	left, right BatchIterator
 
 	jt         physical.JoinType
 	leftWidth  int
 	rightWidth int
-	leftSlots  []int
-	rightSlots []int
-	equi       bool           // On is exactly the equi-key conjunction
-	ve         scalar.VecEval // env over the combined (left ++ right) layout
+	hash       bool  // candidates come from the key index, not the whole build side
+	leftSlots  []int // hash: key slots in the probe input
+	rightSlots []int // hash: key slots in the build input
+	equi       bool  // hash, and On is exactly the equi-key conjunction
+	ve         scalar.VecEval
+	// predL and predR are the probe and build columns On references: all a
+	// chunk gathers before the predicate pass.
+	predL, predR []int
 
-	// build side. ownRight records that rightVecs is pool-backed scratch this
-	// join filled itself; the bare-scan fast path instead aliases the
-	// catalog's cached column vectors, which must never be recycled.
+	s *joinScratch
+
+	// build side: s.build filled by this join, or — over a bare table scan —
+	// the catalog's cached column vectors, which must never enter a pool.
 	rightVecs []datum.Vec
-	ownRight  bool
+	buildRows int // nested loops: every probe row's candidates are 0..buildRows-1
 	lookup    map[string]int32
 	groups    [][]int32
 
 	// probe cursor: position li in the current left batch; mi is the offset
 	// into the current row's candidate group when the row's candidates span
-	// chunks. rowMatched[k] records whether probe row k of the batch has
+	// chunks. s.matched[k] records whether probe row k of the batch has
 	// produced a passing match yet.
-	lb         *Batch
-	li         int
-	inRow      bool
-	mi         int
-	group      []int32
-	rowMatched []bool
+	lb       *Batch
+	li       int
+	inRow    bool
+	mi       int
+	group    []int32 // hash: the current row's candidates; nil under nested loops
+	groupLen int
 
-	keyBuf []byte
-
-	// per-chunk scratch
-	keep     []int // non-NULL-key row indices of the current build batch
-	candL    []int // left row index (into lb.Cols) per candidate
-	candR    []int // build row index (into rightVecs) per candidate
-	segs     []joinSeg
-	candVecs []datum.Vec // gathered candidate pairs, combined layout
-	sel      []int
-
-	outVecs []datum.Vec // materialized output (left joins)
-	outIdx  []int       // selected output (semi/anti joins)
-	out     Batch
+	out Batch
 }
 
 // joinSeg is one probe row's slice of a chunk's candidate pairs.
@@ -68,11 +69,38 @@ type joinSeg struct {
 	final      bool // chunk holds the row's last candidates
 }
 
-func newBatchHashJoin(plan *physical.Expr, left, right BatchIterator) *batchHashJoin {
-	return &batchHashJoin{
-		plan: plan, left: left, right: right,
-		jt: plan.JoinType, equi: equiOnly(plan),
+func newBatchJoin(plan *physical.Expr, kids [2]BatchIterator, ins [2]*layout, out *layout) (*batchJoin, error) {
+	j := &batchJoin{
+		on: plan.On, left: kids[0], right: kids[1],
+		jt: plan.JoinType, hash: plan.Op == physical.OpHashJoin,
+		leftWidth: len(ins[0].cols), rightWidth: len(ins[1].cols),
+		ve: scalar.VecEval{Env: joinEnv(ins[:], out)},
 	}
+	if j.hash {
+		var err error
+		if j.leftSlots, err = keySlots(ins[0], plan.EquiLeft, "hash", "left"); err != nil {
+			return nil, err
+		}
+		if j.rightSlots, err = keySlots(ins[1], plan.EquiRight, "hash", "right"); err != nil {
+			return nil, err
+		}
+		j.equi = equiOnly(plan)
+	}
+	if !j.equi && plan.On != nil {
+		var cols scalar.ColSet
+		plan.On.Cols(&cols)
+		cols.ForEach(func(c scalar.ColumnID) {
+			// A column outside both inputs stays the predicate's own error.
+			switch slot, ok := j.ve.Env[c]; {
+			case !ok:
+			case slot < j.leftWidth:
+				j.predL = append(j.predL, slot)
+			default:
+				j.predR = append(j.predR, slot-j.leftWidth)
+			}
+		})
+	}
+	return j, nil
 }
 
 // equiOnly reports whether the join predicate is exactly the conjunction of
@@ -119,30 +147,16 @@ func equiOnly(plan *physical.Expr) bool {
 	return true
 }
 
-func (h *batchHashJoin) Open() error {
-	lcols := h.plan.Children[0].OutputCols()
-	rcols := h.plan.Children[1].OutputCols()
-	h.leftWidth, h.rightWidth = len(lcols), len(rcols)
-	h.ve.Env = combinedEnv(h.plan)
-	var err error
-	if h.leftSlots, err = keySlots(envOf(lcols), h.plan.EquiLeft, "hash", "left"); err != nil {
-		return err
-	}
-	if h.rightSlots, err = keySlots(envOf(rcols), h.plan.EquiRight, "hash", "right"); err != nil {
-		return err
+func (h *batchJoin) Open() error {
+	if h.s == nil {
+		h.s = getJoinScratch()
 	}
 	if err := h.buildSide(); err != nil {
 		return err
 	}
-	if h.candVecs == nil {
-		h.candVecs = getVecs(h.leftWidth + h.rightWidth)
-		h.outVecs = getVecs(h.leftWidth + h.rightWidth)
-	}
-	h.candL, h.candR, h.outIdx = getSel(), getSel(), getSel()
-	if !h.equi {
-		// Equi-only joins alias denseIota for sel and never write through it;
-		// only the EvalPred path wants a reusable buffer.
-		h.sel = getSel()
+	if !h.equi || h.jt == physical.JoinInner || h.jt == physical.JoinLeft {
+		// Equi-only semi and anti joins never gather a candidate.
+		h.s.cand = sizeVecs(h.s.cand, h.leftWidth+h.rightWidth)
 	}
 	h.lb, h.li, h.inRow = nil, 0, false
 	return h.left.Open()
@@ -161,21 +175,24 @@ func scanOf(it BatchIterator) (*batchScan, *batchTap) {
 	return bs, nil
 }
 
-// buildSide drains the right child into column vectors, indexing non-NULL
-// keys. Rows with a NULL key can never match and are not stored.
+// buildSide drains the right child into column vectors; a hash join also
+// indexes the rows' keys, and does not store rows with a NULL key, which can
+// never match.
 //
 // When the build child is a bare table scan, the catalog's cached column
-// vectors are indexed in place: they are stable storage, so copying them
-// per execution would be pure overhead. The group index then holds table row
-// positions and skipped NULL-key rows simply have no group entry.
-func (h *batchHashJoin) buildSide() error {
+// vectors are used in place: they are stable storage, so copying them per
+// execution would be pure overhead. A hash join's group index then holds
+// table row positions and skipped NULL-key rows simply have no group entry.
+func (h *batchJoin) buildSide() error {
 	if err := h.right.Open(); err != nil {
 		return err
 	}
 	if bs, tap := scanOf(h.right); bs != nil {
-		h.rightVecs, h.ownRight = bs.cols, false
-		idx := bs.table.JoinIndex(h.rightSlots)
-		h.lookup, h.groups = idx.Lookup, idx.Groups
+		h.rightVecs, h.buildRows = bs.cols, len(bs.idx)
+		if h.hash {
+			idx := bs.table.JoinIndex(h.rightSlots)
+			h.lookup, h.groups = idx.Lookup, idx.Groups
+		}
 		if tap != nil {
 			// Report what the scan would have emitted batch by batch; only
 			// the per-operator total matters to the budget and to ANALYZE.
@@ -186,11 +203,13 @@ func (h *batchHashJoin) buildSide() error {
 		bs.pos = len(bs.idx) // the scan is consumed
 		return nil
 	}
-	h.rightVecs, h.ownRight = getVecs(h.rightWidth), true
-	h.lookup = make(map[string]int32)
-	h.groups = nil // never reuse: the fast path above aliases a shared index
-	h.keep = getSel()
-	stored := int32(0)
+	s := h.s
+	s.build = sizeVecs(s.build, h.rightWidth)
+	h.rightVecs, h.buildRows = s.build, 0
+	if h.hash {
+		h.lookup = make(map[string]int32)
+		h.groups = nil // never reuse: the fast path above aliases a shared index
+	}
 	for {
 		b, err := h.right.Next()
 		if err != nil {
@@ -199,34 +218,47 @@ func (h *batchHashJoin) buildSide() error {
 		if b == nil {
 			return nil
 		}
-		h.keep = h.keep[:0]
-	rows:
-		for _, ri := range b.Idx {
-			h.keyBuf = h.keyBuf[:0]
-			for _, s := range h.rightSlots {
-				d := b.Cols[s].D[ri]
-				if d.IsNull() {
-					continue rows
-				}
-				h.keyBuf = d.AppendKey(h.keyBuf)
-			}
-			slot, ok := h.lookup[string(h.keyBuf)]
-			if !ok {
-				slot = int32(len(h.groups))
-				h.lookup[string(h.keyBuf)] = slot
-				h.groups = append(h.groups, nil)
-			}
-			h.keep = append(h.keep, ri)
-			h.groups[slot] = append(h.groups[slot], stored)
-			stored++
+		keep := b.Idx
+		if h.hash {
+			keep = h.indexKeys(b)
 		}
-		for c := 0; c < h.rightWidth; c++ {
-			h.rightVecs[c].AppendGather(b.Cols[c].D, h.keep)
+		for c := range s.build {
+			s.build[c].AppendGather(b.Cols[c].D, keep)
 		}
+		h.buildRows += len(keep)
 	}
 }
 
-func (h *batchHashJoin) Next() (*Batch, error) {
+// indexKeys adds a build batch's rows to the key index and returns the rows
+// to store: those without a NULL key.
+func (h *batchJoin) indexKeys(b *Batch) []int {
+	s := h.s
+	s.keep = s.keep[:0]
+	stored := int32(h.buildRows)
+rows:
+	for _, ri := range b.Idx {
+		s.keyBuf = s.keyBuf[:0]
+		for _, slot := range h.rightSlots {
+			d := b.Cols[slot].D[ri]
+			if d.IsNull() {
+				continue rows
+			}
+			s.keyBuf = d.AppendKey(s.keyBuf)
+		}
+		slot, ok := h.lookup[string(s.keyBuf)]
+		if !ok {
+			slot = int32(len(h.groups))
+			h.lookup[string(s.keyBuf)] = slot
+			h.groups = append(h.groups, nil)
+		}
+		s.keep = append(s.keep, ri)
+		h.groups[slot] = append(h.groups[slot], stored)
+		stored++
+	}
+	return s.keep
+}
+
+func (h *batchJoin) Next() (*Batch, error) {
 	for {
 		if h.lb == nil {
 			lb, err := h.left.Next()
@@ -237,12 +269,12 @@ func (h *batchHashJoin) Next() (*Batch, error) {
 				return nil, nil
 			}
 			h.lb, h.li, h.inRow = lb, 0, false
-			if cap(h.rowMatched) < lb.Len() {
-				h.rowMatched = getBools(lb.Len())
+			if cap(h.s.matched) < lb.Len() {
+				h.s.matched = make([]bool, lb.Len())
 			}
-			h.rowMatched = h.rowMatched[:lb.Len()]
-			for k := range h.rowMatched {
-				h.rowMatched[k] = false
+			h.s.matched = h.s.matched[:lb.Len()]
+			for k := range h.s.matched {
+				h.s.matched[k] = false
 			}
 		}
 		var b *Batch
@@ -268,186 +300,215 @@ func (h *batchHashJoin) Next() (*Batch, error) {
 // equi-key conjunction: a probe row passes iff its candidate group is
 // (non-)empty, so the whole batch resolves with one hash lookup per row and
 // no candidate pairs are ever gathered.
-func (h *batchHashJoin) semiAntiEqui() *Batch {
-	h.outIdx = h.outIdx[:0]
+func (h *batchJoin) semiAntiEqui() *Batch {
+	outIdx := h.s.outL[:0]
 	for ; h.li < len(h.lb.Idx); h.li++ {
 		h.resolveRow()
-		if (len(h.group) > 0) == (h.jt == physical.JoinSemi) {
-			h.outIdx = append(h.outIdx, h.lb.Idx[h.li])
+		if (h.groupLen > 0) == (h.jt == physical.JoinSemi) {
+			outIdx = append(outIdx, h.lb.Idx[h.li])
 		}
 	}
 	h.inRow = false
-	h.out = Batch{Cols: h.lb.Cols, Idx: h.outIdx}
+	h.s.outL = outIdx
+	h.out = Batch{Cols: h.lb.Cols, Idx: outIdx}
 	return &h.out
 }
 
-// resolveRow looks up the candidate group for the probe row at position li.
-func (h *batchHashJoin) resolveRow() {
+// resolveRow finds the candidate group of the probe row at position li: the
+// key index's entry under a hash join, the whole build side under nested
+// loops.
+func (h *batchJoin) resolveRow() {
+	h.group, h.groupLen, h.mi, h.inRow = nil, 0, 0, true
+	if !h.hash {
+		h.groupLen = h.buildRows
+		return
+	}
 	ri := h.lb.Idx[h.li]
-	h.group, h.mi, h.inRow = nil, 0, true
-	h.keyBuf = h.keyBuf[:0]
-	for _, s := range h.leftSlots {
-		d := h.lb.Cols[s].D[ri]
+	s := h.s
+	s.keyBuf = s.keyBuf[:0]
+	for _, slot := range h.leftSlots {
+		d := h.lb.Cols[slot].D[ri]
 		if d.IsNull() {
 			return
 		}
-		h.keyBuf = d.AppendKey(h.keyBuf)
+		s.keyBuf = d.AppendKey(s.keyBuf)
 	}
-	if slot, ok := h.lookup[string(h.keyBuf)]; ok {
+	if slot, ok := h.lookup[string(s.keyBuf)]; ok {
 		h.group = h.groups[slot]
+		h.groupLen = len(h.group)
 	}
 }
 
 // processChunk gathers up to candidateCap candidate pairs starting at the
 // probe cursor, evaluates the join predicate once over all of them, and
 // emits the chunk's output in row-engine order.
-func (h *batchHashJoin) processChunk() (*Batch, error) {
-	h.candL = h.candL[:0]
-	h.candR = h.candR[:0]
-	h.segs = h.segs[:0]
-	n := 0
-	for h.li < len(h.lb.Idx) && n < candidateCap {
+func (h *batchJoin) processChunk() (*Batch, error) {
+	s := h.s
+	candL, candR, segs := s.candL[:0], s.candR[:0], s.segs[:0]
+	semiAnti := h.jt == physical.JoinSemi || h.jt == physical.JoinAnti
+	for h.li < len(h.lb.Idx) && len(candL) < candidateCap {
 		if !h.inRow {
 			h.resolveRow()
 		}
-		if h.rowMatched[h.li] && (h.jt == physical.JoinSemi || h.jt == physical.JoinAnti) {
+		if semiAnti && s.matched[h.li] {
 			// Decision already made in an earlier chunk; the row engine stops
-			// probing such a row too (it nils the match list).
-			h.mi = len(h.group)
+			// probing such a row too.
+			h.mi = h.groupLen
 		}
-		start := n
+		start := len(candL)
+		take := h.groupLen - h.mi
+		if room := candidateCap - start; take > room {
+			take = room
+		}
 		ri := h.lb.Idx[h.li]
-		for h.mi < len(h.group) && n < candidateCap {
-			h.candL = append(h.candL, ri)
-			h.candR = append(h.candR, int(h.group[h.mi]))
-			h.mi++
-			n++
+		for k := h.mi; k < h.mi+take; k++ {
+			candL = append(candL, ri)
 		}
-		final := h.mi >= len(h.group)
-		h.segs = append(h.segs, joinSeg{li: h.li, start: start, end: n, final: final})
+		if h.hash {
+			for _, r := range h.group[h.mi : h.mi+take] {
+				candR = append(candR, int(r))
+			}
+		} else {
+			for r := h.mi; r < h.mi+take; r++ {
+				candR = append(candR, r)
+			}
+		}
+		h.mi += take
+		final := h.mi >= h.groupLen
+		segs = append(segs, joinSeg{li: h.li, start: start, end: len(candL), final: final})
 		if !final {
 			break // chunk full mid-row; resume this row next call
 		}
 		h.li++
 		h.inRow = false
 	}
-	if err := h.evalChunk(); err != nil {
+	s.candL, s.candR, s.segs = candL, candR, segs
+	sel, err := h.evalChunk()
+	if err != nil {
 		return nil, err
 	}
-	return h.emitChunk(), nil
+	return h.emitChunk(sel), nil
 }
 
-// evalChunk gathers the candidate pairs into combined column vectors and
-// runs one vectorized predicate pass, leaving the passing candidate
-// positions in h.sel. For an equi-only predicate the pass is skipped: every
-// hash candidate matches by construction.
-func (h *batchHashJoin) evalChunk() error {
-	h.sel = h.sel[:0]
-	if len(h.candL) == 0 {
-		return nil
+// evalChunk runs one vectorized predicate pass over the chunk's candidate
+// pairs — gathering only the columns the predicate names — and returns the
+// passing candidate positions. For an equi-only predicate the pass is
+// skipped: every hash candidate matches by construction.
+func (h *batchJoin) evalChunk() ([]int, error) {
+	s := h.s
+	n := len(s.candL)
+	if h.equi || n == 0 {
+		// The shared read-only iota: nothing below this point writes through
+		// the selection it is handed.
+		return iotaSel(n), nil
 	}
-	for c := range h.candVecs {
-		h.candVecs[c].Reset()
+	for _, c := range h.predL {
+		s.cand[c].Reset()
+		s.cand[c].AppendGather(h.lb.Cols[c].D, s.candL)
 	}
-	for c := 0; c < h.leftWidth; c++ {
-		h.candVecs[c].AppendGather(h.lb.Cols[c].D, h.candL)
+	for _, c := range h.predR {
+		s.cand[h.leftWidth+c].Reset()
+		s.cand[h.leftWidth+c].AppendGather(h.rightVecs[c].D, s.candR)
 	}
-	for c := 0; c < h.rightWidth; c++ {
-		h.candVecs[h.leftWidth+c].AppendGather(h.rightVecs[c].D, h.candR)
-	}
-	if h.equi {
-		// Aliasing the shared read-only iota is safe: an equi-only join never
-		// takes the EvalPred branch below, which is the only writer into sel.
-		h.sel = iotaSel(len(h.candL))
-		return nil
-	}
-	sel, err := h.ve.EvalPred(h.plan.On, h.candVecs, iotaSel(len(h.candL)), h.sel)
+	sel, err := h.ve.EvalPred(h.on, s.cand, iotaSel(n), s.sel)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	h.sel = sel
-	return nil
+	s.sel = sel
+	return sel, nil
 }
 
 // emitChunk walks the chunk's segments in probe order and assembles the
-// output batch: each row's passing matches, then its fallout once its
-// candidates are exhausted.
-func (h *batchHashJoin) emitChunk() *Batch {
-	sel := h.sel
+// output batch from the passing candidate positions: each row's passing
+// matches, then its fallout once its candidates are exhausted.
+func (h *batchJoin) emitChunk(sel []int) *Batch {
+	s := h.s
 	switch h.jt {
 	case physical.JoinInner:
-		// Pure selection over the candidate vectors: zero copies.
-		h.out = Batch{Cols: h.candVecs, Idx: sel}
-		return &h.out
+		outL, outR := s.candL, s.candR
+		if len(sel) < len(outL) {
+			// Compact the survivors in place; positions only move down.
+			for k, p := range sel {
+				outL[k], outR[k] = outL[p], outR[p]
+			}
+			outL, outR = outL[:len(sel)], outR[:len(sel)]
+		}
+		return h.gather(outL, outR)
 	case physical.JoinSemi, physical.JoinAnti:
-		h.outIdx = h.outIdx[:0]
+		outIdx := s.outL[:0]
 		si := 0
-		for _, seg := range h.segs {
+		for _, seg := range s.segs {
 			for si < len(sel) && sel[si] < seg.start {
 				si++
 			}
-			if si < len(sel) && sel[si] < seg.end && !h.rowMatched[seg.li] {
-				h.rowMatched[seg.li] = true
+			if si < len(sel) && sel[si] < seg.end && !s.matched[seg.li] {
+				s.matched[seg.li] = true
 				if h.jt == physical.JoinSemi {
-					h.outIdx = append(h.outIdx, h.lb.Idx[seg.li])
+					outIdx = append(outIdx, h.lb.Idx[seg.li])
 				}
 			}
-			if seg.final && h.jt == physical.JoinAnti && !h.rowMatched[seg.li] {
-				h.outIdx = append(h.outIdx, h.lb.Idx[seg.li])
+			if seg.final && h.jt == physical.JoinAnti && !s.matched[seg.li] {
+				outIdx = append(outIdx, h.lb.Idx[seg.li])
 			}
 		}
-		h.out = Batch{Cols: h.lb.Cols, Idx: h.outIdx}
+		s.outL = outIdx
+		h.out = Batch{Cols: h.lb.Cols, Idx: outIdx}
 		return &h.out
 	default: // JoinLeft
-		for c := range h.outVecs {
-			h.outVecs[c].Reset()
-		}
-		m := 0
+		outL, outR := s.outL[:0], s.outR[:0]
 		si := 0
-		for _, seg := range h.segs {
+		for _, seg := range s.segs {
 			for si < len(sel) && sel[si] < seg.start {
 				si++
 			}
-			for si < len(sel) && sel[si] < seg.end {
-				p := sel[si]
-				si++
-				for c := range h.outVecs {
-					h.outVecs[c].Append(h.candVecs[c].D[p])
-				}
-				m++
-				h.rowMatched[seg.li] = true
+			for ; si < len(sel) && sel[si] < seg.end; si++ {
+				outL = append(outL, s.candL[sel[si]])
+				outR = append(outR, s.candR[sel[si]])
+				s.matched[seg.li] = true
 			}
-			if seg.final && !h.rowMatched[seg.li] {
-				ri := h.lb.Idx[seg.li]
-				for c := 0; c < h.leftWidth; c++ {
-					h.outVecs[c].Append(h.lb.Cols[c].D[ri])
-				}
-				for c := h.leftWidth; c < len(h.outVecs); c++ {
-					h.outVecs[c].Append(datum.Null)
-				}
-				m++
+			if seg.final && !s.matched[seg.li] {
+				outL = append(outL, h.lb.Idx[seg.li])
+				outR = append(outR, -1) // NULL-padded
 			}
 		}
-		h.out = Batch{Cols: h.outVecs, Idx: iotaSel(m)}
-		return &h.out
+		s.outL, s.outR = outL, outR
+		return h.gather(outL, outR)
 	}
 }
 
-func (h *batchHashJoin) Close() error {
-	putVecs(h.candVecs)
-	putVecs(h.outVecs)
-	if h.ownRight {
-		putVecs(h.rightVecs)
+// gather materializes output rows (probe row outL[k] ++ build row outR[k]),
+// a negative build row standing for a left join's NULL padding.
+func (h *batchJoin) gather(outL, outR []int) *Batch {
+	vecs := h.s.cand
+	for c := 0; c < h.leftWidth; c++ {
+		vecs[c].Reset()
+		vecs[c].AppendGather(h.lb.Cols[c].D, outL)
 	}
-	h.candVecs, h.outVecs, h.rightVecs, h.ownRight = nil, nil, nil, false
-	putSel(h.keep)
-	putSel(h.candL)
-	putSel(h.candR)
-	putSel(h.outIdx)
-	putSel(h.sel) // drops the denseIota alias an equi join leaves here
-	h.keep, h.candL, h.candR, h.outIdx, h.sel = nil, nil, nil, nil, nil
-	putBools(h.rowMatched)
-	h.rowMatched = nil
+	for c := 0; c < h.rightWidth; c++ {
+		v, src := &vecs[h.leftWidth+c], h.rightVecs[c].D
+		v.Reset()
+		if h.jt != physical.JoinLeft {
+			v.AppendGather(src, outR)
+			continue
+		}
+		for _, r := range outR {
+			if r < 0 {
+				v.Append(datum.Null)
+			} else {
+				v.Append(src[r])
+			}
+		}
+	}
+	h.out = Batch{Cols: vecs, Idx: iotaSel(len(outL))}
+	return &h.out
+}
+
+func (h *batchJoin) Close() error {
+	if h.s != nil {
+		putJoinScratch(h.s)
+		h.s = nil
+	}
+	h.rightVecs = nil
 	err1 := h.left.Close()
 	err2 := h.right.Close()
 	if err1 != nil {

@@ -53,16 +53,34 @@ type compiler struct {
 	tap func(op *physical.Expr) func(rows int) error
 }
 
+// layout is the ordered column layout an operator emits, resolved once while
+// the plan compiles and handed to the operator's parent: no operator derives
+// a layout in Open or Next. Operators that pass their input's columns through
+// (filter, sort, limit, semi and anti joins) share the input's layout, so the
+// slot map is built at most once per distinct layout however many operators
+// evaluate expressions over it.
+type layout struct {
+	cols  []scalar.ColumnID
+	slots scalar.Env // nil until env is first asked
+}
+
+func (l *layout) env() scalar.Env {
+	if l.slots == nil {
+		l.slots = envOf(l.cols)
+	}
+	return l.slots
+}
+
 // run compiles the plan and executes it to completion.
 func (c *compiler) run(plan *physical.Expr, maxRows int) ([]datum.Row, error) {
 	if !c.batch {
-		it, err := c.rowIter(plan)
+		it, _, err := c.rowIter(plan)
 		if err != nil {
 			return nil, err
 		}
 		return runIter(it, maxRows)
 	}
-	it, err := c.batchIter(plan)
+	it, _, err := c.batchIter(plan)
 	if err != nil {
 		return nil, err
 	}
@@ -72,62 +90,117 @@ func (c *compiler) run(plan *physical.Expr, maxRows int) ([]datum.Row, error) {
 // rowIter compiles plan for a row-at-a-time consumer. A scan stays on the
 // zero-copy scanIter even on the batch engine when a row operator consumes
 // it directly.
-func (c *compiler) rowIter(plan *physical.Expr) (iterator, error) {
+func (c *compiler) rowIter(plan *physical.Expr) (iterator, *layout, error) {
 	if c.batch && batchNative(plan.Op) && plan.Op != physical.OpScan {
-		b, err := c.batchIter(plan)
+		b, out, err := c.batchIter(plan)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return &rowFromBatch{child: b}, nil
+		return &rowFromBatch{child: b}, out, nil
 	}
 	kids := make([]iterator, len(plan.Children))
+	ins := make([]*layout, len(plan.Children))
 	for i, k := range plan.Children {
-		it, err := c.rowIter(k)
+		it, in, err := c.rowIter(k)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		kids[i] = it
+		kids[i], ins[i] = it, in
 	}
-	it, err := rowOp(plan, kids, c.cat)
+	out := outputLayout(plan, ins)
+	it, err := rowOp(plan, kids, ins, out, c.cat)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if c.tap != nil {
 		it = &rowTap{iterator: it, emit: c.tap(plan)}
 	}
-	return it, nil
+	return it, out, nil
 }
 
 // batchIter compiles plan for a batch consumer.
-func (c *compiler) batchIter(plan *physical.Expr) (BatchIterator, error) {
+func (c *compiler) batchIter(plan *physical.Expr) (BatchIterator, *layout, error) {
 	if !c.batch || !batchNative(plan.Op) {
-		it, err := c.rowIter(plan)
+		it, out, err := c.rowIter(plan)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return &batchFromRows{child: it, width: len(plan.OutputCols())}, nil
+		return &batchFromRows{child: it, width: len(out.cols)}, out, nil
 	}
-	var buf [2]BatchIterator // no columnar operator has more inputs
-	kids := buf[:0]
-	for _, k := range plan.Children {
-		b, err := c.batchIter(k)
+	// No columnar operator has more than two inputs.
+	var kids [2]BatchIterator
+	var ins [2]*layout
+	for i, k := range plan.Children {
+		b, in, err := c.batchIter(k)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		kids = append(kids, b)
+		kids[i], ins[i] = b, in
 	}
-	bit, err := batchOp(plan, kids, c.cat)
+	out := outputLayout(plan, ins[:len(plan.Children)])
+	bit, err := batchOp(plan, kids, ins, out, c.cat)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if c.tap != nil {
 		bit = &batchTap{BatchIterator: bit, emit: c.tap(plan)}
 	}
-	return bit, nil
+	return bit, out, nil
+}
+
+// outputLayout resolves the layout plan emits from its inputs' layouts.
+func outputLayout(plan *physical.Expr, ins []*layout) *layout {
+	switch plan.Op {
+	case physical.OpFilter, physical.OpSort, physical.OpLimit:
+		return ins[0]
+	case physical.OpHashJoin, physical.OpNLJoin, physical.OpMergeJoin:
+		if plan.JoinType == physical.JoinSemi || plan.JoinType == physical.JoinAnti {
+			return ins[0]
+		}
+		l, r := ins[0].cols, ins[1].cols
+		cols := make([]scalar.ColumnID, 0, len(l)+len(r))
+		return &layout{cols: append(append(cols, l...), r...)}
+	}
+	// Scan, project, aggregate, concat: the plan node states its own columns.
+	return &layout{cols: plan.OutputCols()}
+}
+
+// joinEnv is the slot map of the combined (left ++ right) row a join
+// predicate is evaluated over. Inner and left joins emit that row, so it is
+// their output layout's map; semi and anti joins emit the left row only.
+func joinEnv(ins []*layout, out *layout) scalar.Env {
+	if out != ins[0] {
+		return out.env()
+	}
+	l, r := ins[0].cols, ins[1].cols
+	env := make(scalar.Env, len(l)+len(r))
+	for i, c := range l {
+		env[c] = i
+	}
+	for i, c := range r {
+		env[c] = len(l) + i
+	}
+	return env
+}
+
+// keySlots resolves equi-key columns to input row slots. A key column
+// missing from its input is a plan-construction bug and must surface as an
+// error rather than silently probing slot 0.
+func keySlots(in *layout, cols []scalar.ColumnID, join, side string) ([]int, error) {
+	env := in.env()
+	slots := make([]int, len(cols))
+	for i, c := range cols {
+		s, ok := env[c]
+		if !ok {
+			return nil, fmt.Errorf("exec: %s join key column c%d not in %s input", join, c, side)
+		}
+		slots[i] = s
+	}
+	return slots, nil
 }
 
 // rowOp constructs one row operator over compiled inputs.
-func rowOp(plan *physical.Expr, kids []iterator, cat *catalog.Catalog) (iterator, error) {
+func rowOp(plan *physical.Expr, kids []iterator, ins []*layout, out *layout, cat *catalog.Catalog) (iterator, error) {
 	switch plan.Op {
 	case physical.OpScan:
 		t, err := cat.Table(plan.Table)
@@ -136,29 +209,43 @@ func rowOp(plan *physical.Expr, kids []iterator, cat *catalog.Catalog) (iterator
 		}
 		return &scanIter{table: t}, nil
 	case physical.OpFilter:
-		return &filterIter{child: kids[0], pred: plan.Filter, env: envOf(plan.Children[0].OutputCols())}, nil
+		return &filterIter{child: kids[0], pred: plan.Filter, env: ins[0].env()}, nil
 	case physical.OpProject:
-		return &projectIter{child: kids[0], items: plan.Projs, env: envOf(plan.Children[0].OutputCols())}, nil
-	case physical.OpHashJoin:
-		return &hashJoinIter{plan: plan, left: kids[0], right: kids[1]}, nil
-	case physical.OpNLJoin:
-		return &nlJoinIter{plan: plan, left: kids[0], right: kids[1]}, nil
-	case physical.OpMergeJoin:
-		if plan.JoinType != physical.JoinInner {
-			return nil, fmt.Errorf("exec: merge join supports inner joins only, got %s", plan.JoinType)
+		return &projectIter{child: kids[0], items: plan.Projs, env: ins[0].env()}, nil
+	case physical.OpHashJoin, physical.OpMergeJoin:
+		name := "hash"
+		if plan.Op == physical.OpMergeJoin {
+			if plan.JoinType != physical.JoinInner {
+				return nil, fmt.Errorf("exec: merge join supports inner joins only, got %s", plan.JoinType)
+			}
+			name = "merge"
 		}
-		return &mergeJoinIter{plan: plan, left: kids[0], right: kids[1]}, nil
+		ls, err := keySlots(ins[0], plan.EquiLeft, name, "left")
+		if err != nil {
+			return nil, err
+		}
+		rs, err := keySlots(ins[1], plan.EquiRight, name, "right")
+		if err != nil {
+			return nil, err
+		}
+		pair := newRowPair(plan, ins, out)
+		if plan.Op == physical.OpMergeJoin {
+			return &mergeJoinIter{rowPair: pair, left: kids[0], right: kids[1], leftSlots: ls, rightSlots: rs}, nil
+		}
+		return &hashJoinIter{rowPair: pair, left: kids[0], right: kids[1], leftSlots: ls, rightSlots: rs}, nil
+	case physical.OpNLJoin:
+		return &nlJoinIter{rowPair: newRowPair(plan, ins, out), left: kids[0], right: kids[1]}, nil
 	case physical.OpHashAgg, physical.OpSortAgg:
 		return &aggIter{
 			child: kids[0], groupCols: plan.GroupCols, aggs: plan.Aggs,
-			env: envOf(plan.Children[0].OutputCols()), sorted: plan.Op == physical.OpSortAgg,
+			env: ins[0].env(), sorted: plan.Op == physical.OpSortAgg,
 		}, nil
 	case physical.OpSort:
-		return &sortIter{child: kids[0], keys: plan.Keys, env: envOf(plan.Children[0].OutputCols())}, nil
+		return &sortIter{child: kids[0], keys: plan.Keys, env: ins[0].env()}, nil
 	case physical.OpLimit:
 		return &limitIter{child: kids[0], n: plan.N}, nil
 	case physical.OpConcat:
-		return &concatIter{plan: plan, kids: kids}, nil
+		return newConcatIter(plan, kids, ins)
 	}
 	return nil, fmt.Errorf("exec: unsupported physical operator %s", plan.Op)
 }
@@ -168,14 +255,14 @@ func rowOp(plan *physical.Expr, kids []iterator, cat *catalog.Catalog) (iterator
 func batchNative(op physical.Op) bool {
 	switch op {
 	case physical.OpScan, physical.OpFilter, physical.OpProject,
-		physical.OpHashJoin, physical.OpHashAgg, physical.OpSortAgg:
+		physical.OpHashJoin, physical.OpNLJoin, physical.OpHashAgg, physical.OpSortAgg:
 		return true
 	}
 	return false
 }
 
 // batchOp constructs one columnar operator over compiled inputs.
-func batchOp(plan *physical.Expr, kids []BatchIterator, cat *catalog.Catalog) (BatchIterator, error) {
+func batchOp(plan *physical.Expr, kids [2]BatchIterator, ins [2]*layout, out *layout, cat *catalog.Catalog) (BatchIterator, error) {
 	switch plan.Op {
 	case physical.OpScan:
 		t, err := cat.Table(plan.Table)
@@ -184,21 +271,15 @@ func batchOp(plan *physical.Expr, kids []BatchIterator, cat *catalog.Catalog) (B
 		}
 		return &batchScan{table: t}, nil
 	case physical.OpFilter:
-		return &batchFilter{
-			child: kids[0], pred: plan.Filter,
-			ve: scalar.VecEval{Env: envOf(plan.Children[0].OutputCols())},
-		}, nil
+		return &batchFilter{child: kids[0], pred: plan.Filter, ve: scalar.VecEval{Env: ins[0].env()}}, nil
 	case physical.OpProject:
-		return &batchProject{
-			child: kids[0], items: plan.Projs,
-			ve: scalar.VecEval{Env: envOf(plan.Children[0].OutputCols())},
-		}, nil
-	case physical.OpHashJoin:
-		return newBatchHashJoin(plan, kids[0], kids[1]), nil
+		return &batchProject{child: kids[0], items: plan.Projs, ve: scalar.VecEval{Env: ins[0].env()}}, nil
+	case physical.OpHashJoin, physical.OpNLJoin:
+		return newBatchJoin(plan, kids, ins, out)
 	case physical.OpHashAgg, physical.OpSortAgg:
 		return &batchAgg{
 			child: kids[0], groupCols: plan.GroupCols, aggs: plan.Aggs,
-			ve:     scalar.VecEval{Env: envOf(plan.Children[0].OutputCols())},
+			ve:     scalar.VecEval{Env: ins[0].env()},
 			sorted: plan.Op == physical.OpSortAgg,
 		}, nil
 	}

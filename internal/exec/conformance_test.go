@@ -48,19 +48,25 @@ func emptyT1() *physical.Expr {
 	return filterOf(scanT1(), cmp(scalar.CmpGT, col(2), intc(1000)))
 }
 
+// nlPlan is a nested-loops join of t1 with the given build side.
+func nlPlan(jt physical.JoinType, build *physical.Expr, on scalar.Expr) *physical.Expr {
+	return &physical.Expr{Op: physical.OpNLJoin, JoinType: jt, Children: []*physical.Expr{scanT1(), build}, On: on}
+}
+
 func row(ds ...datum.Datum) datum.Row { return datum.Row(ds) }
 
 // TestBackendConformance executes one table of (plan, expected-rows) cases on
 // every registered engine — row, batch and every Backend (ref) — from a
 // single test, pinning the semantics the backends must agree on: 3VL
-// predicate evaluation, NULL grouping and join keys, empty-input aggregates,
-// LIMIT, sort stability and NULL placement, and numeric-kind widening of
-// group keys. A case whose plan has a root order (RootOrder) compares the
+// predicate evaluation, NULL grouping, NULL join keys (hash) and join
+// predicates (nested loops), empty-input aggregates, LIMIT, sort stability and
+// NULL placement, and numeric-kind widening of group keys. A case whose plan has a root order (RootOrder) compares the
 // output row-for-row, which pins the sort-key slots and stability with them;
 // the others compare after NormalizeRows on both sides.
 func TestBackendConformance(t *testing.T) {
 	cat := confCatalog()
 	ni, nf, null := datum.NewInt, datum.NewFloat, datum.Null
+	aLessX := cmp(scalar.CmpLT, col(1), col(3))
 	cases := []struct {
 		name string
 		plan *physical.Expr
@@ -126,6 +132,55 @@ func TestBackendConformance(t *testing.T) {
 			name: "anti-join-keeps-null-key",
 			plan: joinPlan(physical.OpHashJoin, physical.JoinAnti),
 			want: []datum.Row{row(ni(2), ni(20)), row(null, ni(40))},
+		},
+		{
+			// Nested loops, a < x: a NULL on either side is UNKNOWN, never a match.
+			name: "nl-inner-non-equi",
+			plan: nlPlan(physical.JoinInner, scanT2(), aLessX),
+			want: []datum.Row{
+				row(ni(1), ni(10), ni(3), datum.NewString("three")),
+				row(ni(2), ni(20), ni(3), datum.NewString("three")),
+			},
+		},
+		{
+			name: "nl-left-non-equi",
+			plan: nlPlan(physical.JoinLeft, scanT2(), aLessX),
+			want: []datum.Row{
+				row(ni(1), ni(10), ni(3), datum.NewString("three")),
+				row(ni(2), ni(20), ni(3), datum.NewString("three")),
+				row(ni(3), null, null, null),
+				row(null, ni(40), null, null),
+			},
+		},
+		{
+			name: "nl-semi-non-equi",
+			plan: nlPlan(physical.JoinSemi, scanT2(), aLessX),
+			want: []datum.Row{row(ni(1), ni(10)), row(ni(2), ni(20))},
+		},
+		{
+			name: "nl-anti-non-equi",
+			plan: nlPlan(physical.JoinAnti, scanT2(), aLessX),
+			want: []datum.Row{row(ni(3), null), row(null, ni(40))},
+		},
+		{
+			// No build row at all: every probe row is fallout.
+			name: "nl-left-empty-build",
+			plan: nlPlan(physical.JoinLeft, filterOf(scanT2(), cmp(scalar.CmpGT, col(3), intc(1000))), aLessX),
+			want: []datum.Row{
+				row(ni(1), ni(10), null, null), row(ni(2), ni(20), null, null),
+				row(ni(3), null, null, null), row(null, ni(40), null, null),
+			},
+		},
+		{
+			// ON TRUE is the cross product, NULL rows included.
+			name: "nl-cross-on-true",
+			plan: nlPlan(physical.JoinInner, scanT3(), &scalar.Const{D: datum.NewBool(true)}),
+			want: []datum.Row{
+				row(ni(1), ni(10), nf(1.0)), row(ni(1), ni(10), nf(2.5)),
+				row(ni(2), ni(20), nf(1.0)), row(ni(2), ni(20), nf(2.5)),
+				row(ni(3), null, nf(1.0)), row(ni(3), null, nf(2.5)),
+				row(null, ni(40), nf(1.0)), row(null, ni(40), nf(2.5)),
+			},
 		},
 		{
 			// NULL forms its own group; COUNT(b) skips NULL b, SUM(NULL-only)

@@ -54,7 +54,7 @@ func requireSameRows(t *testing.T, want, got []datum.Row) {
 
 // TestEngineDifferentialHandPlans pins row/batch equivalence on a hand-built
 // plan per operator and join type, including the adapter shims (sort, limit,
-// concat, merge and nested-loops joins run row-at-a-time inside batch plans).
+// concat and merge join run row-at-a-time inside batch plans).
 func TestEngineDifferentialHandPlans(t *testing.T) {
 	filterGT15 := func(child *physical.Expr) *physical.Expr {
 		return &physical.Expr{
@@ -143,12 +143,14 @@ func TestEngineDifferentialHandPlans(t *testing.T) {
 	}
 }
 
-// TestEngineChunkSpanningJoin drives the batch hash join past candidateCap so
+// TestEngineChunkSpanningJoin drives the batch join past candidateCap so
 // probe rows span chunk boundaries: 200 probe rows × 300 matching build rows
 // is 60000 candidate pairs against a 4096-pair chunk, so most rows' match
-// lists are split mid-row and the carried rowMatched / resume-cursor state is
+// lists are split mid-row and the carried matched / resume-cursor state is
 // what keeps semi/anti/left fallout correct. The existing small-table tests
-// never leave the first chunk.
+// never leave the first chunk. The nested-loops runs use a build side longer
+// than candidateCap, so a single probe row's candidates span chunks — which a
+// hash group of 300 never does.
 func TestEngineChunkSpanningJoin(t *testing.T) {
 	c := catalog.New()
 	mk := func(name string, rows int, key func(i int) datum.Datum) *catalog.Table {
@@ -163,7 +165,7 @@ func TestEngineChunkSpanningJoin(t *testing.T) {
 	}
 	// Left: mostly the hot key 7, with interleaved no-match keys and NULLs so
 	// anti/left fallout rows appear between match-heavy rows.
-	c.Add(mk("big_l", 200, func(i int) datum.Datum {
+	leftKey := func(i int) datum.Datum {
 		switch {
 		case i%17 == 0:
 			return datum.NewInt(5) // never matches
@@ -172,42 +174,153 @@ func TestEngineChunkSpanningJoin(t *testing.T) {
 		default:
 			return datum.NewInt(7)
 		}
-	}))
-	c.Add(mk("big_r", 300, func(i int) datum.Datum {
+	}
+	rightKey := func(i int) datum.Datum {
 		if i%31 == 0 {
 			return datum.Null
 		}
 		return datum.NewInt(7)
-	}))
-	scanL := &physical.Expr{Op: physical.OpScan, Table: "big_l", Cols: []scalar.ColumnID{1, 2}}
-	scanR := &physical.Expr{Op: physical.OpScan, Table: "big_r", Cols: []scalar.ColumnID{3, 4}}
+	}
+	c.Add(mk("big_l", 200, leftKey))
+	c.Add(mk("big_r", 300, rightKey))
+	c.Add(mk("small_l", 40, leftKey))
+	c.Add(mk("long_r", candidateCap+candidateCap/2, rightKey))
+	scan := func(name string, k, v scalar.ColumnID) *physical.Expr {
+		return &physical.Expr{Op: physical.OpScan, Table: name, Cols: []scalar.ColumnID{k, v}}
+	}
 	on := &scalar.Cmp{Op: scalar.CmpEQ, L: &scalar.ColRef{ID: 1}, R: &scalar.ColRef{ID: 3}}
 	// A residual that passes about half the candidates, so selection vectors
 	// inside chunks are partial rather than all-or-nothing.
-	residual := &scalar.And{Kids: []scalar.Expr{
-		on,
-		&scalar.Cmp{Op: scalar.CmpLT,
-			L: &scalar.Arith{Op: scalar.ArithAdd, L: &scalar.ColRef{ID: 2}, R: &scalar.ColRef{ID: 4}},
-			R: &scalar.Const{D: datum.NewInt(250)}},
-	}}
+	residual := func(bound int64) scalar.Expr {
+		return &scalar.And{Kids: []scalar.Expr{
+			on,
+			&scalar.Cmp{Op: scalar.CmpLT,
+				L: &scalar.Arith{Op: scalar.ArithAdd, L: &scalar.ColRef{ID: 2}, R: &scalar.ColRef{ID: 4}},
+				R: &scalar.Const{D: datum.NewInt(bound)}},
+		}}
+	}
+	for _, in := range []struct {
+		prefix      string
+		op          physical.Op
+		left, right string
+		bound       int64
+	}{
+		{"", physical.OpHashJoin, "big_l", "big_r", 250},
+		{"nl-", physical.OpNLJoin, "big_l", "big_r", 250},
+		{"nl-long-build-", physical.OpNLJoin, "small_l", "long_r", candidateCap},
+	} {
+		for _, jt := range []physical.JoinType{physical.JoinInner, physical.JoinLeft, physical.JoinSemi, physical.JoinAnti} {
+			for _, pred := range []struct {
+				name string
+				on   scalar.Expr
+			}{{"equi", on}, {"residual", residual(in.bound)}} {
+				t.Run(fmt.Sprintf("%s%s-%s", in.prefix, jt, pred.name), func(t *testing.T) {
+					plan := &physical.Expr{
+						Op: in.op, JoinType: jt,
+						Children:  []*physical.Expr{scan(in.left, 1, 2), scan(in.right, 3, 4)},
+						On:        pred.on,
+						EquiLeft:  []scalar.ColumnID{1},
+						EquiRight: []scalar.ColumnID{3},
+					}
+					rows := runEngines(t, plan, c)
+					if jt == physical.JoinInner && pred.name == "equi" && len(rows) <= candidateCap {
+						t.Fatalf("test is not chunk-spanning: %d rows", len(rows))
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestEngineNLJoinShapes covers what only the keyless case of the batch join
+// can meet: a build side with no rows (every probe row is fallout), ON TRUE
+// (every pair passes, no column gathered for the predicate), a predicate that
+// is NULL for some pairs, a build side that is not a bare scan, and probe
+// batches that are another join's chunks.
+func TestEngineNLJoinShapes(t *testing.T) {
+	cat := testCatalog()
+	cat.Add(randomTable("wide_l", 2, candidateCap+batchSize+100, 3))
+	cat.Add(randomTable("three", 2, 3, 4))
+	nl := func(jt physical.JoinType, l, r *physical.Expr, on scalar.Expr) *physical.Expr {
+		return &physical.Expr{Op: physical.OpNLJoin, JoinType: jt, Children: []*physical.Expr{l, r}, On: on}
+	}
+	isTrue := &scalar.Const{D: datum.NewBool(true)}
+	// b < x + 15 over t1 × t2: NULL whenever b or x is.
+	nullable := cmp(scalar.CmpLT, col(2), &scalar.Arith{Op: scalar.ArithAdd, L: col(3), R: intc(15)})
+	emptyT2 := filterOf(scanT2(), cmp(scalar.CmpGT, col(3), intc(1000)))
 	for _, jt := range []physical.JoinType{physical.JoinInner, physical.JoinLeft, physical.JoinSemi, physical.JoinAnti} {
-		for _, pred := range []struct {
-			name string
-			on   scalar.Expr
-		}{{"equi", on}, {"residual", residual}} {
-			t.Run(fmt.Sprintf("%s-%s", jt, pred.name), func(t *testing.T) {
-				plan := &physical.Expr{
-					Op: physical.OpHashJoin, JoinType: jt,
-					Children:  []*physical.Expr{scanL, scanR},
-					On:        pred.on,
-					EquiLeft:  []scalar.ColumnID{1},
-					EquiRight: []scalar.ColumnID{3},
+		plans := map[string]*physical.Expr{
+			"empty-build":    nl(jt, scanT1(), emptyT2, eqOn()),
+			"on-true":        nl(jt, scanT1(), scanT2(), isTrue),
+			"null-predicate": nl(jt, scanT1(), scanT2(), nullable),
+			"built-side":     nl(jt, scanT1(), filterOf(scanT2(), cmp(scalar.CmpNE, col(3), intc(3))), nullable),
+			// The probe batches are the lower join's chunks, not scan windows.
+			"probe-is-join-output": nl(jt,
+				nl(physical.JoinInner,
+					&physical.Expr{Op: physical.OpScan, Table: "wide_l", Cols: []scalar.ColumnID{10, 11}},
+					&physical.Expr{Op: physical.OpScan, Table: "three", Cols: []scalar.ColumnID{12, 13}},
+					isTrue),
+				scanT2(), cmp(scalar.CmpEQ, col(10), col(3))),
+		}
+		for name, plan := range plans {
+			t.Run(fmt.Sprintf("%s-%s", jt, name), func(t *testing.T) {
+				rows := runEngines(t, plan, cat)
+				ref, err := RunEngine(EngineRef, plan, cat, 0, 0)
+				if err != nil {
+					t.Fatalf("ref engine: %v", err)
 				}
-				rows := runEngines(t, plan, c)
-				if jt == physical.JoinInner && pred.name == "equi" && len(rows) <= candidateCap {
-					t.Fatalf("test is not chunk-spanning: %d rows", len(rows))
+				if !EqualMultisets(rows, ref) {
+					t.Fatalf("ref engine disagrees:\n%s", DiffSummary(rows, ref))
 				}
 			})
+		}
+	}
+}
+
+// TestLimitOverNLJoinBudgetLadder pins the budget contract on the operator
+// that moved engines: under a Limit the batch nested-loops join pulls whole
+// probe batches and emits whole chunks where the row join stops at N rows, so
+// batch work is never less than row work — the row engine tripping implies
+// the batch engine trips, and the rows are equal whenever neither does.
+func TestLimitOverNLJoinBudgetLadder(t *testing.T) {
+	cat := catalog.New()
+	cat.Add(randomTable("l", 2, 3*batchSize, 5))
+	cat.Add(randomTable("r", 2, 50, 6))
+	for _, jt := range []physical.JoinType{physical.JoinInner, physical.JoinLeft, physical.JoinSemi, physical.JoinAnti} {
+		plan := &physical.Expr{Op: physical.OpLimit, N: 5, Children: []*physical.Expr{{
+			Op: physical.OpNLJoin, JoinType: jt,
+			Children: []*physical.Expr{
+				{Op: physical.OpScan, Table: "l", Cols: []scalar.ColumnID{1, 2}},
+				{Op: physical.OpScan, Table: "r", Cols: []scalar.ColumnID{3, 4}},
+			},
+			On: cmp(scalar.CmpLT, col(1), col(3)),
+		}}}
+		want := runEngines(t, plan, cat)
+		var rowTrips, batchTrips int
+		for _, maxWork := range []int64{1, 10, 60, 100, 1000, 2000, 5000, 20000, 1 << 20} {
+			rowRows, rowErr := RunEngine(EngineRow, plan, cat, 0, maxWork)
+			batchRows, batchErr := RunEngine(EngineBatch, plan, cat, 0, maxWork)
+			for _, err := range []error{rowErr, batchErr} {
+				if err != nil && !errors.Is(err, ErrRowLimit) {
+					t.Fatalf("%s maxWork %d: %v", jt, maxWork, err)
+				}
+			}
+			if rowErr != nil {
+				rowTrips++
+			}
+			if batchErr != nil {
+				batchTrips++
+			}
+			if rowErr != nil && batchErr == nil {
+				t.Fatalf("%s maxWork %d: row engine tripped, batch engine did not", jt, maxWork)
+			}
+			if rowErr == nil && batchErr == nil {
+				requireSameRows(t, rowRows, batchRows)
+				requireSameRows(t, want, batchRows)
+			}
+		}
+		if rowTrips == 0 || batchTrips <= rowTrips || batchTrips == 9 {
+			t.Fatalf("%s: ladder tripped row %d / batch %d of 9 rungs; want some, more, and not all", jt, rowTrips, batchTrips)
 		}
 	}
 }
@@ -219,7 +332,8 @@ func TestEngineChunkSpanningJoin(t *testing.T) {
 // Here a 1024-row scan fans out 4x into one 4096-row probe batch whose even
 // rows match twice and odd rows not at all: one 6144-row output chunk, which
 // used to slice denseIota out of range (and would again in the project above
-// it).
+// it). A nested-loops left join over that chunk with nothing on its build side
+// is 6144 fallout rows in one chunk of its own.
 func TestEngineLeftJoinOverJoinOutgrowsIota(t *testing.T) {
 	c := catalog.New()
 	add := func(name string, rows int, row func(i int) datum.Row) {
@@ -249,12 +363,18 @@ func TestEngineLeftJoinOverJoinOutgrowsIota(t *testing.T) {
 	left := join(physical.JoinLeft,
 		join(physical.JoinInner, scan("probe", 1, 2), scan("fanout", 3, 4), 1, 3),
 		scan("evens", 5, 6), 4, 5)
+	nlLeft := &physical.Expr{
+		Op: physical.OpNLJoin, JoinType: physical.JoinLeft,
+		Children: []*physical.Expr{left, filterOf(scan("probe", 7, 8), cmp(scalar.CmpLT, col(7), intc(0)))},
+		On:       cmp(scalar.CmpEQ, col(6), col(8)),
+	}
 	plans := map[string]*physical.Expr{
 		"leftjoin": left,
 		"project-over-leftjoin": {
 			Op: physical.OpProject, Children: []*physical.Expr{left},
 			Projs: []logical.ProjItem{{Out: 9, E: &scalar.ColRef{ID: 4}}, {Out: 8, E: &scalar.ColRef{ID: 6}}},
 		},
+		"nljoin-over-leftjoin": nlLeft,
 	}
 	for name, plan := range plans {
 		t.Run(name, func(t *testing.T) {
@@ -534,6 +654,23 @@ func opTypes(v reflect.Value, out map[string]int) {
 // differentials above and the benchmark's per-engine timings both rely on.
 func TestEnginesCompileTheirOwnOperators(t *testing.T) {
 	cat := testCatalog()
+	// compiled counts the operator types c compiles plan to.
+	compiled := func(c compiler, plan *physical.Expr) map[string]int {
+		t.Helper()
+		var root interface{}
+		var err error
+		if c.batch {
+			root, _, err = c.batchIter(plan)
+		} else {
+			root, _, err = c.rowIter(plan)
+		}
+		if err != nil {
+			t.Fatalf("batch %v: %v", c.batch, err)
+		}
+		got := map[string]int{}
+		opTypes(reflect.ValueOf(root), got)
+		return got
+	}
 	plan := &physical.Expr{Op: physical.OpLimit, N: 3, Children: []*physical.Expr{sortPlan(&physical.Expr{
 		Op: physical.OpSortAgg, GroupCols: []scalar.ColumnID{9},
 		Aggs: []scalar.Agg{{Op: scalar.AggCountStar, Out: 11}},
@@ -553,7 +690,7 @@ func TestEnginesCompileTheirOwnOperators(t *testing.T) {
 
 	rowOps := map[string]int{"limitIter": 1, "sortIter": 1, "aggIter": 2, "projectIter": 1, "filterIter": 1, "hashJoinIter": 1, "scanIter": 2}
 	batchOps := map[string]int{"limitIter": 1, "sortIter": 1, "rowFromBatch": 1, "batchFromRows": 1,
-		"batchAgg": 2, "batchProject": 1, "batchFilter": 1, "batchHashJoin": 1, "batchScan": 2}
+		"batchAgg": 2, "batchProject": 1, "batchFilter": 1, "batchJoin": 1, "batchScan": 2}
 	for _, eng := range []Engine{EngineRow, EngineBatch} {
 		for _, budgeted := range []bool{false, true} {
 			c := compiler{cat: cat, batch: eng == EngineBatch}
@@ -573,20 +710,26 @@ func TestEnginesCompileTheirOwnOperators(t *testing.T) {
 				c.tap = workBudget(1000)
 				want["rowTap"] = 9
 			}
-			var root interface{}
-			var err error
-			if c.batch {
-				root, err = c.batchIter(plan)
-			} else {
-				root, err = c.rowIter(plan)
-			}
-			if err != nil {
-				t.Fatalf("%s engine: %v", eng, err)
-			}
-			got := map[string]int{}
-			opTypes(reflect.ValueOf(root), got)
-			if !reflect.DeepEqual(got, want) {
+			if got := compiled(c, plan); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s engine, budgeted %v: compiled %v, want %v", eng, budgeted, got, want)
+			}
+		}
+	}
+
+	// Nested loops is the keyless case of the columnar join: on the batch
+	// engine no row join and no adapter surrounds it.
+	for _, jt := range []physical.JoinType{physical.JoinInner, physical.JoinLeft, physical.JoinSemi, physical.JoinAnti} {
+		nl := joinPlan(physical.OpNLJoin, jt)
+		nl.Children[0] = filterOf(scanT1(), cmp(scalar.CmpGT, col(2), intc(5)))
+		for _, tc := range []struct {
+			batch bool
+			want  map[string]int
+		}{
+			{false, map[string]int{"nlJoinIter": 1, "filterIter": 1, "scanIter": 2}},
+			{true, map[string]int{"batchJoin": 1, "batchFilter": 1, "batchScan": 2}},
+		} {
+			if got := compiled(compiler{cat: cat, batch: tc.batch}, nl); !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("batch %v, %s nested-loops join: compiled %v, want %v", tc.batch, jt, got, tc.want)
 			}
 		}
 	}
@@ -621,6 +764,30 @@ func TestSumAvgNonNumericErrors(t *testing.T) {
 	for _, eng := range []Engine{EngineRow, EngineBatch} {
 		if _, err := RunEngine(eng, plan, cat, 0, 0); err == nil {
 			t.Fatalf("%s engine: grouped SUM over strings succeeded, want error", eng)
+		}
+	}
+}
+
+// TestJoinPredicateErrorFailsBothEngines pins the error half of the engine
+// contract for a join predicate with a data-dependent error site (a + y over
+// t2's strings), as a hash join's residual and as a nested-loops predicate:
+// both engines fail execution under every join type. Only the failure is
+// pinned — a semi or anti join's row engine stops at a probe row's first
+// match where the batch join evaluates the whole chunk, so with several error
+// sites the engines may name different ones.
+func TestJoinPredicateErrorFailsBothEngines(t *testing.T) {
+	cat := testCatalog()
+	bad := cmp(scalar.CmpGT, &scalar.Arith{Op: scalar.ArithAdd, L: col(1), R: col(4)}, intc(0))
+	for _, op := range []physical.Op{physical.OpHashJoin, physical.OpNLJoin} {
+		for _, jt := range []physical.JoinType{physical.JoinInner, physical.JoinLeft, physical.JoinSemi, physical.JoinAnti} {
+			plan := joinPlan(op, jt)
+			plan.On = &scalar.And{Kids: []scalar.Expr{eqOn(), bad}}
+			for _, eng := range []Engine{EngineRow, EngineBatch} {
+				_, err := RunEngine(eng, plan, cat, 0, 0)
+				if err == nil || !strings.Contains(err.Error(), "non-numeric") {
+					t.Errorf("%s %s join on the %s engine: err = %v, want the predicate's typing error", jt, op, eng, err)
+				}
+			}
 		}
 	}
 }

@@ -241,29 +241,34 @@ func (l *limitIter) Close() error { return l.child.Close() }
 // ---- concat (UNION ALL) ----------------------------------------------------------
 
 type concatIter struct {
-	plan *physical.Expr
 	kids []iterator
 	cur  int
 	maps [][]int // per child: output position -> child slot
 }
 
-func (c *concatIter) Open() error {
-	c.cur = 0
-	c.maps = make([][]int, len(c.kids))
-	for i, kid := range c.kids {
-		if err := kid.Open(); err != nil {
-			return err
-		}
-		env := envOf(c.plan.Children[i].OutputCols())
-		m := make([]int, len(c.plan.OutCols))
-		for j := range c.plan.OutCols {
-			slot, ok := env[c.plan.InputCols[i][j]]
+func newConcatIter(plan *physical.Expr, kids []iterator, ins []*layout) (*concatIter, error) {
+	maps := make([][]int, len(kids))
+	for i, in := range ins {
+		env := in.env()
+		m := make([]int, len(plan.OutCols))
+		for j := range plan.OutCols {
+			slot, ok := env[plan.InputCols[i][j]]
 			if !ok {
-				return fmt.Errorf("exec: concat input column c%d missing from child %d", c.plan.InputCols[i][j], i)
+				return nil, fmt.Errorf("exec: concat input column c%d missing from child %d", plan.InputCols[i][j], i)
 			}
 			m[j] = slot
 		}
-		c.maps[i] = m
+		maps[i] = m
+	}
+	return &concatIter{kids: kids, maps: maps}, nil
+}
+
+func (c *concatIter) Open() error {
+	c.cur = 0
+	for _, kid := range c.kids {
+		if err := kid.Open(); err != nil {
+			return err
+		}
 	}
 	return nil
 }

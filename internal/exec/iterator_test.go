@@ -9,8 +9,9 @@ import (
 	"qtrtest/internal/scalar"
 )
 
-// TestIteratorsReopen: every operator must be re-runnable (Open resets
-// state); the correctness runner executes shared plans repeatedly.
+// TestIteratorsReopen: every operator of either engine must be re-runnable
+// without a Close in between (Open resets state, and a batch operator keeps
+// the pooled scratch it already holds instead of taking a second one).
 func TestIteratorsReopen(t *testing.T) {
 	cat := testCatalog()
 	plans := []*physical.Expr{
@@ -19,6 +20,7 @@ func TestIteratorsReopen(t *testing.T) {
 			Filter: &scalar.Cmp{Op: scalar.CmpGT, L: &scalar.ColRef{ID: 2}, R: &scalar.Const{D: datum.NewInt(0)}}},
 		joinPlan(physical.OpHashJoin, physical.JoinInner),
 		joinPlan(physical.OpNLJoin, physical.JoinLeft),
+		joinPlan(physical.OpNLJoin, physical.JoinSemi),
 		joinPlan(physical.OpMergeJoin, physical.JoinInner),
 		{Op: physical.OpHashAgg, Children: []*physical.Expr{scanT2()},
 			GroupCols: []scalar.ColumnID{3},
@@ -28,41 +30,43 @@ func TestIteratorsReopen(t *testing.T) {
 		{Op: physical.OpLimit, Children: []*physical.Expr{scanT1()}, N: 2},
 	}
 	for _, plan := range plans {
-		it, err := (&compiler{cat: cat}).rowIter(plan)
-		if err != nil {
-			t.Fatalf("%s: %v", plan.Op, err)
-		}
-		count := func() int {
-			if err := it.Open(); err != nil {
-				t.Fatalf("%s open: %v", plan.Op, err)
+		for _, batch := range []bool{false, true} {
+			it, _, err := (&compiler{cat: cat, batch: batch}).rowIter(plan)
+			if err != nil {
+				t.Fatalf("%s: %v", plan.Op, err)
 			}
-			n := 0
-			for {
-				row, err := it.Next()
-				if err != nil {
-					t.Fatalf("%s next: %v", plan.Op, err)
+			count := func() int {
+				if err := it.Open(); err != nil {
+					t.Fatalf("%s open: %v", plan.Op, err)
 				}
-				if row == nil {
-					break
+				n := 0
+				for {
+					row, err := it.Next()
+					if err != nil {
+						t.Fatalf("%s next: %v", plan.Op, err)
+					}
+					if row == nil {
+						break
+					}
+					n++
 				}
-				n++
+				return n
 			}
-			return n
-		}
-		first := count()
-		second := count()
-		if first != second {
-			t.Errorf("%s: first run %d rows, second run %d — Open must reset state", plan.Op, first, second)
-		}
-		if err := it.Close(); err != nil {
-			t.Errorf("%s close: %v", plan.Op, err)
+			first := count()
+			second := count()
+			if first != second {
+				t.Errorf("%s: first run %d rows, second run %d — Open must reset state", plan.Op, first, second)
+			}
+			if err := it.Close(); err != nil {
+				t.Errorf("%s close: %v", plan.Op, err)
+			}
 		}
 	}
 }
 
 // TestNextAfterEOF: Next after exhaustion keeps returning nil without error.
 func TestNextAfterEOF(t *testing.T) {
-	it, err := (&compiler{cat: testCatalog()}).rowIter(scanT1())
+	it, _, err := (&compiler{cat: testCatalog()}).rowIter(scanT1())
 	if err != nil {
 		t.Fatal(err)
 	}

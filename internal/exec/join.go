@@ -1,28 +1,12 @@
 package exec
 
 import (
-	"fmt"
 	"sort"
 
 	"qtrtest/internal/datum"
 	"qtrtest/internal/physical"
 	"qtrtest/internal/scalar"
 )
-
-// keySlots resolves equi-key columns to input row slots. A key column
-// missing from its input is a plan-construction bug and must surface as an
-// error rather than silently probing slot 0.
-func keySlots(env scalar.Env, cols []scalar.ColumnID, join, side string) ([]int, error) {
-	slots := make([]int, len(cols))
-	for i, c := range cols {
-		s, ok := env[c]
-		if !ok {
-			return nil, fmt.Errorf("exec: %s join key column c%d not in %s input", join, c, side)
-		}
-		slots[i] = s
-	}
-	return slots, nil
-}
 
 // drain reads an iterator to completion.
 func drain(it iterator) ([]datum.Row, error) {
@@ -42,18 +26,32 @@ func drain(it iterator) ([]datum.Row, error) {
 	}
 }
 
-// combinedEnv builds the evaluation environment for a (left ++ right) row.
-func combinedEnv(plan *physical.Expr) scalar.Env {
-	l := plan.Children[0].OutputCols()
-	r := plan.Children[1].OutputCols()
-	env := make(scalar.Env, len(l)+len(r))
-	for i, c := range l {
-		env[c] = i
+// rowPair is what the row joins share: the join predicate and the scratch
+// (left ++ right) row it is evaluated over. A candidate pair costs two copies
+// into the scratch; only a pair the join emits is allocated a row of its own.
+type rowPair struct {
+	on                    scalar.Expr
+	jt                    physical.JoinType
+	env                   scalar.Env
+	leftWidth, rightWidth int
+	pair                  datum.Row
+}
+
+func newRowPair(plan *physical.Expr, ins []*layout, out *layout) rowPair {
+	lw, rw := len(ins[0].cols), len(ins[1].cols)
+	return rowPair{
+		on: plan.On, jt: plan.JoinType, env: joinEnv(ins, out),
+		leftWidth: lw, rightWidth: rw, pair: make(datum.Row, lw+rw),
 	}
-	for i, c := range r {
-		env[c] = len(l) + i
-	}
-	return env
+}
+
+// setLeft makes l the left half of every pair until the next setLeft.
+func (p *rowPair) setLeft(l datum.Row) { copy(p.pair, l) }
+
+// matches evaluates the join predicate over (the current left row ++ r).
+func (p *rowPair) matches(r datum.Row) (bool, error) {
+	copy(p.pair[p.leftWidth:], r)
+	return scalar.EvalBool(p.on, p.pair, p.env)
 }
 
 func concatRows(l, r datum.Row) datum.Row {
@@ -87,18 +85,16 @@ func keyOf(row datum.Row, slots []int) (string, bool) {
 // ---- hash join -------------------------------------------------------------
 
 type hashJoinIter struct {
-	plan        *physical.Expr
+	rowPair
 	left, right iterator
 
-	env        scalar.Env
 	leftSlots  []int
 	rightSlots []int
-	rightWidth int
 
 	table map[string][]datum.Row
 
 	leftRow datum.Row
-	matches []datum.Row
+	cands   []datum.Row
 	midx    int
 	matched bool
 
@@ -106,19 +102,6 @@ type hashJoinIter struct {
 }
 
 func (h *hashJoinIter) Open() error {
-	h.env = combinedEnv(h.plan)
-	lcols := h.plan.Children[0].OutputCols()
-	rcols := h.plan.Children[1].OutputCols()
-	h.rightWidth = len(rcols)
-	lenv := envOf(lcols)
-	renv := envOf(rcols)
-	var err error
-	if h.leftSlots, err = keySlots(lenv, h.plan.EquiLeft, "hash", "left"); err != nil {
-		return err
-	}
-	if h.rightSlots, err = keySlots(renv, h.plan.EquiRight, "hash", "right"); err != nil {
-		return err
-	}
 	rows, err := drain(h.right)
 	if err != nil {
 		return err
@@ -129,7 +112,7 @@ func (h *hashJoinIter) Open() error {
 			h.table[key] = append(h.table[key], row)
 		}
 	}
-	h.leftRow, h.matches, h.midx, h.matched, h.done = nil, nil, 0, false, false
+	h.leftRow, h.cands, h.midx, h.matched, h.done = nil, nil, 0, false, false
 	return h.left.Open()
 }
 
@@ -139,11 +122,10 @@ func (h *hashJoinIter) Next() (datum.Row, error) {
 	}
 	for {
 		// Emit pending matches for the current left row.
-		for h.leftRow != nil && h.midx < len(h.matches) {
-			rrow := h.matches[h.midx]
+		for h.leftRow != nil && h.midx < len(h.cands) {
+			rrow := h.cands[h.midx]
 			h.midx++
-			combined := concatRows(h.leftRow, rrow)
-			ok, err := scalar.EvalBool(h.plan.On, combined, h.env)
+			ok, err := h.matches(rrow)
 			if err != nil {
 				return nil, err
 			}
@@ -151,14 +133,14 @@ func (h *hashJoinIter) Next() (datum.Row, error) {
 				continue
 			}
 			h.matched = true
-			switch h.plan.JoinType {
+			switch h.jt {
 			case physical.JoinInner, physical.JoinLeft:
-				return combined, nil
+				return concatRows(h.leftRow, rrow), nil
 			case physical.JoinSemi:
-				h.matches = nil // one match suffices
+				h.cands = nil // one match suffices
 				return h.leftRow, nil
 			case physical.JoinAnti:
-				h.matches = nil // disqualified
+				h.cands = nil // disqualified
 			}
 		}
 		// Current left row exhausted; handle outer/anti fallout.
@@ -166,7 +148,7 @@ func (h *hashJoinIter) Next() (datum.Row, error) {
 			lrow := h.leftRow
 			h.leftRow = nil
 			if !h.matched {
-				switch h.plan.JoinType {
+				switch h.jt {
 				case physical.JoinLeft:
 					return concatRows(lrow, nullRow(h.rightWidth)), nil
 				case physical.JoinAnti:
@@ -184,12 +166,13 @@ func (h *hashJoinIter) Next() (datum.Row, error) {
 			return nil, nil
 		}
 		h.leftRow = lrow
+		h.setLeft(lrow)
 		h.matched = false
 		h.midx = 0
 		if key, ok := keyOf(lrow, h.leftSlots); ok {
-			h.matches = h.table[key]
+			h.cands = h.table[key]
 		} else {
-			h.matches = nil
+			h.cands = nil
 		}
 	}
 }
@@ -206,12 +189,10 @@ func (h *hashJoinIter) Close() error {
 // ---- nested loops join ---------------------------------------------------------
 
 type nlJoinIter struct {
-	plan        *physical.Expr
+	rowPair
 	left, right iterator
 
-	env        scalar.Env
-	rightRows  []datum.Row
-	rightWidth int
+	rightRows []datum.Row
 
 	leftRow datum.Row
 	ridx    int
@@ -220,8 +201,6 @@ type nlJoinIter struct {
 }
 
 func (n *nlJoinIter) Open() error {
-	n.env = combinedEnv(n.plan)
-	n.rightWidth = len(n.plan.Children[1].OutputCols())
 	rows, err := drain(n.right)
 	if err != nil {
 		return err
@@ -239,8 +218,7 @@ func (n *nlJoinIter) Next() (datum.Row, error) {
 		for n.leftRow != nil && n.ridx < len(n.rightRows) {
 			rrow := n.rightRows[n.ridx]
 			n.ridx++
-			combined := concatRows(n.leftRow, rrow)
-			ok, err := scalar.EvalBool(n.plan.On, combined, n.env)
+			ok, err := n.matches(rrow)
 			if err != nil {
 				return nil, err
 			}
@@ -248,9 +226,9 @@ func (n *nlJoinIter) Next() (datum.Row, error) {
 				continue
 			}
 			n.matched = true
-			switch n.plan.JoinType {
+			switch n.jt {
 			case physical.JoinInner, physical.JoinLeft:
-				return combined, nil
+				return concatRows(n.leftRow, rrow), nil
 			case physical.JoinSemi:
 				n.ridx = len(n.rightRows)
 				return n.leftRow, nil
@@ -262,7 +240,7 @@ func (n *nlJoinIter) Next() (datum.Row, error) {
 			lrow := n.leftRow
 			n.leftRow = nil
 			if !n.matched {
-				switch n.plan.JoinType {
+				switch n.jt {
 				case physical.JoinLeft:
 					return concatRows(lrow, nullRow(n.rightWidth)), nil
 				case physical.JoinAnti:
@@ -279,6 +257,7 @@ func (n *nlJoinIter) Next() (datum.Row, error) {
 			return nil, nil
 		}
 		n.leftRow = lrow
+		n.setLeft(lrow)
 		n.ridx = 0
 		n.matched = false
 	}
@@ -296,10 +275,12 @@ func (n *nlJoinIter) Close() error {
 // ---- merge join (inner) ----------------------------------------------------------
 
 type mergeJoinIter struct {
-	plan        *physical.Expr
+	rowPair
 	left, right iterator
 
-	env scalar.Env
+	leftSlots  []int
+	rightSlots []int
+
 	out []datum.Row
 	pos int
 }
@@ -307,17 +288,7 @@ type mergeJoinIter struct {
 // Open sorts both inputs on the equi-join keys and merges matching key
 // groups, applying the full predicate to each candidate pair.
 func (m *mergeJoinIter) Open() error {
-	m.env = combinedEnv(m.plan)
-	lenv := envOf(m.plan.Children[0].OutputCols())
-	renv := envOf(m.plan.Children[1].OutputCols())
-	lslots, err := keySlots(lenv, m.plan.EquiLeft, "merge", "left")
-	if err != nil {
-		return err
-	}
-	rslots, err := keySlots(renv, m.plan.EquiRight, "merge", "right")
-	if err != nil {
-		return err
-	}
+	lslots, rslots := m.leftSlots, m.rightSlots
 	lrows, err := drain(m.left)
 	if err != nil {
 		return err
@@ -387,14 +358,14 @@ func (m *mergeJoinIter) Open() error {
 			re++
 		}
 		for i := li; i < le; i++ {
+			m.setLeft(lrows[i])
 			for j := ri; j < re; j++ {
-				combined := concatRows(lrows[i], rrows[j])
-				ok, err := scalar.EvalBool(m.plan.On, combined, m.env)
+				ok, err := m.matches(rrows[j])
 				if err != nil {
 					return err
 				}
 				if ok {
-					m.out = append(m.out, combined)
+					m.out = append(m.out, concatRows(lrows[i], rrows[j]))
 				}
 			}
 		}

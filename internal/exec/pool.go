@@ -9,37 +9,69 @@ import (
 // Scratch recycling for the batch engine. A campaign executes thousands of
 // short-lived plans, and every batch iterator used to allocate its column
 // vectors and selection buffers fresh in Open; those allocations — not the
-// per-row work — dominated scan- and join-heavy profiles. Operators now
-// acquire scratch from process-wide pools in Open and return it in Close, so
-// one execution's grown buffers serve the next plan.
+// per-row work — dominated scan- and join-heavy profiles. An operator now
+// takes one scratch struct from a process-wide pool in Open and returns it in
+// Close, so one execution's grown buffers serve the next plan. The pools hold
+// pointers: one Get and one Put per operator, and no slice header is boxed on
+// the way in — on the ≤ 3-row plans of a verify sweep that box was one
+// allocation in sixteen.
 //
-// Safety rules, enforced at the put sites:
+// Safety rules:
 //
-//   - Reset on get, not trust on put. getVecs length-resets every vector
-//     before handing the slice out, so stale datums or null words from the
-//     previous owner are unreachable no matter what state it was returned in
+//   - Reset on use, not trust on put. Buffers come back in whatever state the
+//     previous owner left them; sizeVecs length-resets every vector it hands
+//     out and selection buffers are always re-sliced to [:0] before the first
+//     append, so stale datums, null words or indices are unreachable
 //     (datum.Vec.Append writes its null word explicitly, so capacity reuse
 //     after Reset never resurrects old bits). TestPoolPoisonIsInvisible pins
 //     this by pre-poisoning the pools.
-//   - Never pool aliased storage. Selection vectors that alias the shared
-//     read-only denseIota (equi joins slice it directly) are rejected by
-//     putSel's base-pointer guard, and the hash join only returns its build
-//     vectors when it owns them (the bare-scan fast path aliases the
-//     catalog's cached column vectors, which must never enter a pool).
-//
-// Pools hold slices directly; the slice-header box a Put allocates is noise
-// next to the vector growth it saves.
+//   - Never pool aliased storage. A join's build vectors live in its scratch
+//     only when the join filled them itself (the bare-scan fast path aliases
+//     the catalog's cached column vectors through a field of its own).
+//     Dense selections alias the shared read-only denseIota and are never
+//     stored in a scratch; ownSel, at the put sites, drops one that is.
+
+// opScratch is the reusable state of a single-input operator: a filter's
+// selection, the output vectors of a project, an aggregate or a row adapter,
+// an aggregate's argument vectors.
+type opScratch struct {
+	vecs, args []datum.Vec
+	sel        []int
+}
+
+// joinScratch is the reusable state of a batchJoin; the fields are documented
+// where the join uses them.
+type joinScratch struct {
+	build, cand             []datum.Vec
+	keep, candL, candR, sel []int
+	outL, outR              []int
+	segs                    []joinSeg
+	matched                 []bool
+	keyBuf                  []byte
+}
 
 var (
-	vecsPool sync.Pool // []datum.Vec
-	selPool  sync.Pool // []int
-	boolPool sync.Pool // []bool
+	opPool   = sync.Pool{New: func() interface{} { return new(opScratch) }}
+	joinPool = sync.Pool{New: func() interface{} { return new(joinScratch) }}
 )
 
-// getVecs returns a vector slice of the given width with every element
-// length-reset; capacities carry over from previous owners.
-func getVecs(width int) []datum.Vec {
-	v, _ := vecsPool.Get().([]datum.Vec)
+func getOpScratch() *opScratch { return opPool.Get().(*opScratch) }
+
+func putOpScratch(s *opScratch) {
+	s.sel = ownSel(s.sel)
+	opPool.Put(s)
+}
+
+func getJoinScratch() *joinScratch { return joinPool.Get().(*joinScratch) }
+
+func putJoinScratch(s *joinScratch) {
+	s.sel = ownSel(s.sel)
+	joinPool.Put(s)
+}
+
+// sizeVecs returns v resized to width with every element length-reset;
+// capacities carry over from previous owners.
+func sizeVecs(v []datum.Vec, width int) []datum.Vec {
 	if cap(v) < width {
 		return make([]datum.Vec, width)
 	}
@@ -50,46 +82,12 @@ func getVecs(width int) []datum.Vec {
 	return v
 }
 
-// putVecs recycles a vector slice obtained from getVecs. Callers must not
-// pass slices that alias storage they do not own.
-func putVecs(v []datum.Vec) {
-	if cap(v) == 0 {
-		return
+// ownSel returns s unless it is carved from the shared read-only denseIota:
+// handing that out as a scratch buffer would let an EvalPred append scribble
+// over every operator's dense selections at once.
+func ownSel(s []int) []int {
+	if cap(s) > 0 && &s[:cap(s)][0] == &denseIota[0] {
+		return nil
 	}
-	vecsPool.Put(v[:0])
-}
-
-// getSel returns an empty selection buffer; capacity carries over.
-func getSel() []int {
-	s, _ := selPool.Get().([]int)
-	return s[:0]
-}
-
-// putSel recycles a selection buffer. Slices carved from the shared
-// read-only denseIota are silently dropped: handing one out as a scratch
-// buffer would let an EvalPred append scribble over every operator's dense
-// selections at once.
-func putSel(s []int) {
-	if cap(s) == 0 || &s[:cap(s)][0] == &denseIota[0] {
-		return
-	}
-	selPool.Put(s[:0])
-}
-
-// getBools returns a flag slice of length n. Contents are unspecified — the
-// caller zeroes what it reads, exactly as it must when growing mid-stream.
-func getBools(n int) []bool {
-	b, _ := boolPool.Get().([]bool)
-	if cap(b) < n {
-		return make([]bool, n)
-	}
-	return b[:n]
-}
-
-// putBools recycles a flag slice.
-func putBools(b []bool) {
-	if cap(b) == 0 {
-		return
-	}
-	boolPool.Put(b[:0])
+	return s
 }

@@ -10,16 +10,16 @@ import (
 	"qtrtest/internal/scalar"
 )
 
-// poisonPools preloads every scratch pool with garbage-filled buffers: vectors
+// poisonPools preloads both scratch pools with garbage-filled buffers: vectors
 // carrying live datums and null bits at full length, selection vectors full of
-// out-of-range indices, flag slices stuck at true. If any operator trusts a
-// pooled buffer's contents or length instead of resetting on acquisition, the
-// poison surfaces as wrong rows — which the differential run below would
-// catch. Buffers are Put at poisoned length deliberately; get-side hygiene is
-// the contract under test.
+// out-of-range indices, flag slices stuck at true, a key buffer full of bytes.
+// If any operator trusts a pooled buffer's contents or length instead of
+// resetting before use, the poison surfaces as wrong rows — which the
+// differential run below would catch. Buffers are Put at poisoned length
+// deliberately; use-side hygiene is the contract under test.
 func poisonPools(tb testing.TB) {
 	tb.Helper()
-	for i := 0; i < 64; i++ {
+	vecs := func() []datum.Vec {
 		vecs := make([]datum.Vec, 9)
 		for c := range vecs {
 			for k := 0; k < 2000; k++ {
@@ -27,17 +27,32 @@ func poisonPools(tb testing.TB) {
 			}
 			vecs[c].Append(datum.Null)
 		}
-		vecsPool.Put(vecs)
+		return vecs
+	}
+	sel := func() []int {
 		sel := make([]int, 5000)
 		for k := range sel {
 			sel[k] = 1 << 30
 		}
-		selPool.Put(sel)
+		return sel
+	}
+	// A plan takes one scratch per operator, so a handful per pool outnumbers
+	// any plan here.
+	for i := 0; i < 16; i++ {
+		opPool.Put(&opScratch{vecs: vecs(), args: vecs(), sel: sel()})
 		flags := make([]bool, 3000)
 		for k := range flags {
 			flags[k] = true
 		}
-		boolPool.Put(flags)
+		segs := make([]joinSeg, 100)
+		for k := range segs {
+			segs[k] = joinSeg{li: 1 << 30, start: 1 << 30, end: 1 << 30, final: true}
+		}
+		joinPool.Put(&joinScratch{
+			build: vecs(), cand: vecs(),
+			keep: sel(), candL: sel(), candR: sel(), sel: sel(), outL: sel(), outR: sel(),
+			segs: segs, matched: flags, keyBuf: []byte("poisoned key bytes"),
+		})
 	}
 }
 
@@ -73,6 +88,7 @@ func TestPoolPoisonIsInvisible(t *testing.T) {
 	}
 	for _, jt := range []physical.JoinType{physical.JoinInner, physical.JoinLeft, physical.JoinSemi, physical.JoinAnti} {
 		plans[fmt.Sprintf("hashjoin-%s", jt)] = joinPlan(physical.OpHashJoin, jt)
+		plans[fmt.Sprintf("nljoin-%s", jt)] = joinPlan(physical.OpNLJoin, jt)
 	}
 	// Residual predicate forces the EvalPred selection path (the equi fast
 	// path never writes into sel); filter under the build side forces the
@@ -105,18 +121,19 @@ func TestPoolPoisonIsInvisible(t *testing.T) {
 }
 
 // TestPutSelRejectsDenseIota pins the alias guard directly: a selection
-// sliced from the shared read-only iota must never enter the pool, or a later
+// sliced from the shared read-only iota must never enter a pool, or a later
 // EvalPred would scribble over every operator's dense selections.
 func TestPutSelRejectsDenseIota(t *testing.T) {
-	// Drain the pool so the Get below can only see what this test Puts.
-	for {
-		if s, _ := selPool.Get().([]int); s == nil {
-			break
-		}
+	aliases := func(s []int) bool { return cap(s) > 0 && &s[:cap(s)][0] == &denseIota[0] }
+	// sync.Pool hands a Put straight back to the same goroutine, so the Get
+	// below sees exactly what this test put.
+	putOpScratch(&opScratch{sel: denseIota[:16]})
+	if s := getOpScratch(); aliases(s.sel) {
+		t.Fatalf("denseIota alias entered the operator scratch pool")
 	}
-	putSel(denseIota[:16])
-	if s, _ := selPool.Get().([]int); s != nil && &s[:cap(s)][0] == &denseIota[0] {
-		t.Fatalf("denseIota alias entered the selection pool")
+	putJoinScratch(&joinScratch{sel: denseIota[:16]})
+	if s := getJoinScratch(); aliases(s.sel) {
+		t.Fatalf("denseIota alias entered the join scratch pool")
 	}
 	if denseIota[10] != 10 {
 		t.Fatalf("denseIota corrupted: [10] = %d", denseIota[10])
