@@ -378,8 +378,11 @@ func TestOptimizeAllocBudget(t *testing.T) {
 // per-pair allocation creeping back fails go test here, not a campaign
 // benchmark. (ii) A 3 x 3 nested-loops join under a project, the shape a
 // verify sweep executes by the hundred thousand, costs no more than when the
-// join was a row operator between two adapters (26 objects; 29 then): a fast
-// inner loop must not be paid for in set-up per plan.
+// join was a row operator between two adapters (25 objects; 29 then): a fast
+// inner loop must not be paid for in set-up per plan. (iii) A later run of a
+// compiled Program costs the result it returns and nothing of the plan's
+// set-up: strictly fewer objects than the first run of the same plan (3 where
+// that costs 39 and 25; the ceiling is 4).
 func TestExecAllocBudget(t *testing.T) {
 	cat := catalog.New()
 	for _, n := range []int{3, 200, 400} {
@@ -415,10 +418,11 @@ func TestExecAllocBudget(t *testing.T) {
 		plan    *physical.Expr
 		rows    int
 		objects float64
+		rerun   float64
 	}{
-		{"200 x 200 pairs", nl(200), 55, 43},
-		{"400 x 400 pairs", nl(400), 55, 43},
-		{"3 x 3 under project", micro, 9, 28},
+		{"200 x 200 pairs", nl(200), 55, 43, 4},
+		{"400 x 400 pairs", nl(400), 55, 43, 4},
+		{"3 x 3 under project", micro, 9, 28, 4},
 	} {
 		run := func() {
 			rows, err := exec.RunEngine(exec.EngineBatch, tc.plan, cat, 0, 0)
@@ -431,6 +435,42 @@ func TestExecAllocBudget(t *testing.T) {
 		if objects > tc.objects {
 			t.Errorf("%s: %.0f objects per execution, budget %.0f", tc.name, objects, tc.objects)
 		}
+		prog := exec.Compile(exec.EngineBatch, tc.plan)
+		rerun := testing.AllocsPerRun(50, func() { // AllocsPerRun's warm-up call is the first run
+			rows, err := prog.Run(cat, 0, 0)
+			if err != nil || len(rows) != tc.rows {
+				t.Fatalf("%s: later run: %d rows, %v; want %d", tc.name, len(rows), err, tc.rows)
+			}
+		})
+		t.Logf("%s: %.0f objects per later run of its Program", tc.name, rerun)
+		if rerun >= objects || rerun > tc.rerun {
+			t.Errorf("%s: %.0f objects per later run of its Program, budget %.0f and below the first run's %.0f",
+				tc.name, rerun, tc.rerun, objects)
+		}
+	}
+}
+
+// TestVerifyAllocBudget holds one whole VerifyRules sweep — every rule, a
+// fresh result cache, one worker: what the benchmark's verify_sweep repeats —
+// to a committed ceiling of objects per executed pair, about 15 % above
+// measured. A sweep executes each plan on 4 to 108 databases, so per-execution
+// set-up is what the figure is made of: 70 objects per pair when every
+// execution compiled its plan afresh, 15.8 now that a plan compiles once for its
+// whole sweep and a table tuple's databases are enumerated once per process.
+func TestVerifyAllocBudget(t *testing.T) {
+	const budget = 18
+	executed := 0
+	objects := testing.AllocsPerRun(1, func() { // the warm-up sweep fills the per-process database lists
+		rep, err := VerifyRules(VerifyConfig{Workers: 1, Cache: NewResultCache(0)})
+		if err != nil || len(rep.Findings) != 0 {
+			t.Fatalf("sweep: %v, %d findings", err, len(rep.Findings))
+		}
+		executed = rep.Executed
+	})
+	perPair := objects / float64(executed)
+	t.Logf("%.0f objects per sweep, %d executed pairs: %.1f objects per pair", objects, executed, perPair)
+	if perPair > budget {
+		t.Errorf("%.1f objects per executed pair, budget %d", perPair, budget)
 	}
 }
 

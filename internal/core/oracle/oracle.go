@@ -72,17 +72,22 @@ type Outcome struct {
 	Detail  string
 }
 
-// Plan is a physical plan with the two derived facts every comparison needs,
-// computed once however many databases or bases it meets.
+// Plan is a physical plan with what every execution and comparison of it
+// needs, computed once however many databases or bases it meets: the
+// fingerprint, the root ordering contract, and the program Base and Edge run
+// — whose operator tree is compiled by the first execution that is not a
+// cache hit, so a skipped or cached plan compiles nothing.
 type Plan struct {
 	Expr  *physical.Expr
 	Hash  string
 	Order exec.PlanOrder
+	prog  *exec.Program
 }
 
-// Prepare fingerprints a plan and derives its root ordering contract.
+// Prepare fingerprints a plan, derives its root ordering contract and readies
+// it for execution.
 func Prepare(e *physical.Expr) Plan {
-	return Plan{Expr: e, Hash: e.Hash(), Order: exec.RootOrder(e)}
+	return Plan{Expr: e, Hash: e.Hash(), Order: exec.RootOrder(e), prog: exec.Compile(engine, e)}
 }
 
 // Base is one executed Plan(q): the reference side of every Edge and Cross
@@ -144,7 +149,7 @@ func (r *Runner) CrossKey(base *Base, tree *logical.Expr) rescache.Key {
 // Base executes the reference plan against a database. The error is
 // exec.ErrRowLimit when a cap tripped, else the engine's execution error.
 func (r *Runner) Base(cat *catalog.Catalog, p Plan) (Base, error) {
-	rows, err := r.opts.Cache.Run(engine, p.Expr, cat, r.opts.MaxRows, r.opts.MaxWork)
+	rows, err := r.opts.Cache.RunProgram(p.prog, cat, r.opts.MaxRows, r.opts.MaxWork)
 	if err != nil {
 		return Base{}, err
 	}
@@ -159,7 +164,7 @@ func (r *Runner) Edge(base *Base, p Plan) (Outcome, error) {
 	if p.Hash == base.Hash {
 		return Outcome{Verdict: Identical}, nil
 	}
-	rows, err := r.opts.Cache.Run(engine, p.Expr, base.cat, r.opts.MaxRows, r.opts.MaxWork)
+	rows, err := r.opts.Cache.RunProgram(p.prog, base.cat, r.opts.MaxRows, r.opts.MaxWork)
 	if err != nil && !errors.Is(err, exec.ErrRowLimit) {
 		return Outcome{}, err
 	}

@@ -148,6 +148,28 @@ func TestRunnerTaxonomy(t *testing.T) {
 	}
 }
 
+// TestIdenticalSkipCostsNothing: the skip sits ahead of the cache and of the
+// compiler — no lookup, no operator tree, not one allocation.
+func TestIdenticalSkipCostsNothing(t *testing.T) {
+	f := newFixture(t)
+	rn, err := New(Options{Cache: rescache.New(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := rn.Base(f.cat, f.nation)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := Prepare(f.nation.Expr)
+	if n := testing.AllocsPerRun(100, func() {
+		if out, err := rn.Edge(&base, same); err != nil || out.Verdict != Identical {
+			t.Fatalf("%+v, %v", out, err)
+		}
+	}); n != 0 {
+		t.Errorf("an identical-plan skip allocates %.0f objects", n)
+	}
+}
+
 // TestRunnerBaseCapIsNotAVerdict: a cap on the base side leaves nothing to
 // compare against — an error the campaign skips on, never a Base.
 func TestRunnerBaseCapIsNotAVerdict(t *testing.T) {

@@ -191,4 +191,7 @@ func (a *aggIter) Next() (datum.Row, error) {
 	return row, nil
 }
 
-func (a *aggIter) Close() error { return a.child.Close() }
+func (a *aggIter) Close() error {
+	a.out = nil
+	return a.child.Close()
+}

@@ -70,11 +70,14 @@ func (s *OpStats) String() string {
 // every campaign run — with per-operator row counting, and returns the rows
 // plus the analyze tree (estimated versus actual cardinalities).
 func RunAnalyze(plan *physical.Expr, cat *catalog.Catalog) ([]datum.Row, *OpStats, error) {
-	// pending holds the stats of compiled operators whose parent is still to
-	// come; the compiler taps children before parents, so an operator's
-	// children are the last len(Children) entries.
-	var pending []*OpStats
-	c := compiler{cat: cat, batch: true, tap: func(op *physical.Expr) func(rows int) error {
+	acts := make([]int64, plan.CountOps())
+	rows, err := Compile(EngineBatch, plan).run(runState{cat: cat, acts: acts}, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	// The run counted in compile order, which is the plan's post-order.
+	var stats func(op *physical.Expr) *OpStats
+	stats = func(op *physical.Expr) *OpStats {
 		st := &OpStats{Op: op.Op, EstRows: op.Rows}
 		switch op.Op {
 		case physical.OpScan:
@@ -82,17 +85,11 @@ func RunAnalyze(plan *physical.Expr, cat *catalog.Catalog) ([]datum.Row, *OpStat
 		case physical.OpHashJoin, physical.OpNLJoin, physical.OpMergeJoin:
 			st.Detail = op.JoinType.String()
 		}
-		kids := len(pending) - len(op.Children)
-		st.Children = append(st.Children, pending[kids:]...)
-		pending = append(pending[:kids], st)
-		return func(rows int) error {
-			st.ActRows += int64(rows)
-			return nil
+		for _, k := range op.Children {
+			st.Children = append(st.Children, stats(k))
 		}
-	}}
-	rows, err := c.run(plan, 0)
-	if err != nil {
-		return nil, nil, err
+		st.ActRows, acts = acts[0], acts[1:]
+		return st
 	}
-	return rows, pending[0], nil
+	return rows, stats(plan), nil
 }

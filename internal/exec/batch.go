@@ -121,16 +121,18 @@ func (e Engine) String() string {
 }
 
 // runBatch opens, drains and closes a batch iterator, gathering result rows
-// with the same maxRows semantics as runIter.
+// with the same maxRows semantics as runIter. A failed Open is closed too: the
+// operators below the failure did open and hold pooled scratch, and Close is
+// safe on an operator that never opened.
 func runBatch(it BatchIterator, maxRows int) (out []datum.Row, err error) {
-	if err := it.Open(); err != nil {
-		return nil, err
-	}
 	defer func() {
 		if cerr := it.Close(); cerr != nil && err == nil {
 			out, err = nil, cerr
 		}
 	}()
+	if err := it.Open(); err != nil {
+		return nil, err
+	}
 	for {
 		b, err := it.Next()
 		if err != nil {
@@ -203,7 +205,10 @@ func (r *rowFromBatch) Next() (datum.Row, error) {
 	return row, nil
 }
 
-func (r *rowFromBatch) Close() error { return r.child.Close() }
+func (r *rowFromBatch) Close() error {
+	r.rows = nil
+	return r.child.Close()
+}
 
 // batchFromRows adapts a row subtree for a batch consumer, accumulating up to
 // batchSize rows per batch into reused vectors.
@@ -250,14 +255,18 @@ func (b *batchFromRows) Close() error {
 		putOpScratch(b.s)
 		b.s = nil
 	}
+	b.out = Batch{}
 	return b.child.Close()
 }
 
 // ---- scan -------------------------------------------------------------------
 
 // batchScan windows the catalog's cached column vectors: zero copies, zero
-// per-row work.
+// per-row work. The table is the run's: Open looks it up in the run's
+// database and Close lets go of it and of everything windowing it.
 type batchScan struct {
+	name  string
+	st    *runState
 	table *catalog.Table
 	cols  []datum.Vec
 	idx   []int
@@ -266,9 +275,11 @@ type batchScan struct {
 }
 
 func (s *batchScan) Open() error {
-	s.cols = s.table.ColumnData()
-	s.idx = s.table.SeqIdx()
-	s.pos = 0
+	t, err := s.st.cat.Table(s.name)
+	if err != nil {
+		return err
+	}
+	s.table, s.cols, s.idx, s.pos = t, t.ColumnData(), t.SeqIdx(), 0
 	return nil
 }
 
@@ -289,7 +300,10 @@ func (s *batchScan) Next() (*Batch, error) {
 	return &s.out, nil
 }
 
-func (s *batchScan) Close() error { return nil }
+func (s *batchScan) Close() error {
+	s.table, s.cols, s.idx, s.out = nil, nil, nil, Batch{}
+	return nil
+}
 
 // ---- filter -----------------------------------------------------------------
 
@@ -337,6 +351,7 @@ func (f *batchFilter) Close() error {
 		putOpScratch(f.s)
 		f.s = nil
 	}
+	f.out = Batch{}
 	return f.child.Close()
 }
 
@@ -383,5 +398,6 @@ func (p *batchProject) Close() error {
 		putOpScratch(p.s)
 		p.s = nil
 	}
+	p.out = Batch{}
 	return p.child.Close()
 }

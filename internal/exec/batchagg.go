@@ -140,6 +140,6 @@ func (a *batchAgg) Close() error {
 		putOpScratch(a.s)
 		a.s = nil
 	}
-	a.idx = nil
+	a.idx, a.out = nil, Batch{}
 	return a.child.Close()
 }

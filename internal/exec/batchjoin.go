@@ -39,6 +39,13 @@ type batchJoin struct {
 	// chunk gathers before the predicate pass.
 	predL, predR []int
 
+	joinRun
+}
+
+// joinRun is the state of one execution of a batchJoin. Everything above it
+// in the operator is a function of the plan; everything in it is taken in
+// Open or derived from the run's database, and Close zeroes it.
+type joinRun struct {
 	s *joinScratch
 
 	// build side: s.build filled by this join, or — over a bare table scan —
@@ -196,7 +203,7 @@ func (h *batchJoin) buildSide() error {
 		if tap != nil {
 			// Report what the scan would have emitted batch by batch; only
 			// the per-operator total matters to the budget and to ANALYZE.
-			if err := tap.emit(len(bs.idx)); err != nil {
+			if err := tap.st.emit(tap.op, len(bs.idx)); err != nil {
 				return err
 			}
 		}
@@ -506,9 +513,8 @@ func (h *batchJoin) gather(outL, outR []int) *Batch {
 func (h *batchJoin) Close() error {
 	if h.s != nil {
 		putJoinScratch(h.s)
-		h.s = nil
 	}
-	h.rightVecs = nil
+	h.joinRun = joinRun{}
 	err1 := h.left.Close()
 	err2 := h.right.Close()
 	if err1 != nil {

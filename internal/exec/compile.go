@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"sync"
 
 	"qtrtest/internal/catalog"
 	"qtrtest/internal/datum"
@@ -25,32 +26,161 @@ import (
 // over a 5000-row scan at maxWork=100). Oracles treat a trip on either side
 // of a comparison as Capped, never as a verdict (DESIGN.md §15).
 func RunEngine(eng Engine, plan *physical.Expr, cat *catalog.Catalog, maxRows int, maxWork int64) ([]datum.Row, error) {
-	if b := backendFor(eng); b != nil {
-		return b.RunPlan(plan, cat, maxRows, maxWork)
+	return Compile(eng, plan).Run(cat, maxRows, maxWork)
+}
+
+// Program is a plan prepared for execution on any number of databases. Its
+// operator tree — every layout, slot map, key slot and predicate-column list
+// resolved, all a function of the plan alone — is compiled when the first Run
+// needs it, so a Program that never runs (a cache hit, a skipped comparison)
+// costs nothing but itself. Nothing a run derives from its database outlives
+// the run, so a second database costs no compilation and no operator
+// allocation. Concurrent Runs are safe: each checks a tree out.
+type Program struct {
+	eng  Engine
+	plan *physical.Expr
+
+	mu sync.Mutex
+	// idle holds the compiled trees no run holds, linked through next: under
+	// [1] those with a tap above every operator, for runs with a budget or a
+	// count to keep; under [0] those without, for runs nothing observes.
+	idle [2]*tree
+}
+
+// tree is one instance of a Program's operator tree, with the state of the
+// run it is serving. Exactly one of rows and batches is set.
+type tree struct {
+	rows    iterator
+	batches BatchIterator
+	next    *tree
+	runState
+}
+
+// runState is what a run hands the operators of its tree: the database scans
+// bind to in Open, and the tap every operator reports its emitted rows to.
+type runState struct {
+	cat    *catalog.Catalog
+	capped bool
+	work   int64 // capped: the rows the plan's operators may still emit
+	// acts, when non-nil, counts emitted rows per operator (EXPLAIN ANALYZE),
+	// indexed in compile order: children before their parent, left to right.
+	acts []int64
+}
+
+// emit is the per-operator tap: the work budget charges the rows, ANALYZE
+// counts them. Plans execute single-threaded, so plain counters work.
+func (st *runState) emit(op, rows int) error {
+	if st.acts != nil {
+		st.acts[op] += int64(rows)
 	}
-	if eng != EngineRow && eng != EngineBatch {
-		return nil, fmt.Errorf("exec: unknown engine %v", eng)
+	if st.capped {
+		if st.work -= int64(rows); st.work < 0 {
+			return ErrRowLimit
+		}
 	}
-	c := compiler{cat: cat, batch: eng == EngineBatch}
-	if maxWork > 0 {
-		c.tap = workBudget(maxWork)
+	return nil
+}
+
+// Compile returns the Program of plan under the chosen engine. What the
+// engine cannot run — an unknown engine, a join key missing from its input,
+// an operator without an implementation — is every Run's error, as is a table
+// missing from that run's database.
+func Compile(eng Engine, plan *physical.Expr) *Program {
+	return &Program{eng: eng, plan: plan}
+}
+
+// Engine and Plan are what the program was compiled from.
+func (p *Program) Engine() Engine       { return p.eng }
+func (p *Program) Plan() *physical.Expr { return p.plan }
+
+// Run executes the program against cat with RunEngine's caps: scans bind to
+// cat's tables as they open, the work budget starts full, and the tree is
+// closed whatever the outcome, which leaves it ready for the next run.
+func (p *Program) Run(cat *catalog.Catalog, maxRows int, maxWork int64) ([]datum.Row, error) {
+	if b := backendFor(p.eng); b != nil { // interprets the plan: nothing to compile
+		return b.RunPlan(p.plan, cat, maxRows, maxWork)
 	}
-	return c.run(plan, maxRows)
+	return p.run(runState{cat: cat, capped: maxWork > 0, work: maxWork}, maxRows)
+}
+
+func (p *Program) run(st runState, maxRows int) (rows []datum.Row, err error) {
+	tapped := 0
+	if st.capped || st.acts != nil {
+		tapped = 1
+	}
+	p.mu.Lock()
+	t := p.idle[tapped]
+	if t != nil {
+		p.idle[tapped] = t.next
+	}
+	p.mu.Unlock()
+	if t == nil { // the first run of its kind, or every tree is running: compile one
+		if t, err = p.compile(tapped == 1); err != nil {
+			return nil, err
+		}
+	}
+	t.runState = st
+	if t.batches != nil {
+		rows, err = runBatch(t.batches, maxRows)
+	} else {
+		rows, err = runIter(t.rows, maxRows)
+	}
+	t.runState = runState{}
+	p.mu.Lock()
+	t.next, p.idle[tapped] = p.idle[tapped], t
+	p.mu.Unlock()
+	return rows, err
+}
+
+// compile builds one operator tree for the program's plan.
+func (p *Program) compile(tapped bool) (*tree, error) {
+	if p.eng != EngineRow && p.eng != EngineBatch {
+		return nil, fmt.Errorf("exec: unknown engine %v", p.eng)
+	}
+	t := new(tree)
+	c := compiler{st: &t.runState, batch: p.eng == EngineBatch, tapped: tapped, size: p.plan.CountOps()}
+	var err error
+	if c.batch {
+		t.batches, _, err = c.batchIter(p.plan)
+	} else {
+		t.rows, _, err = c.rowIter(p.plan)
+	}
+	return t, err
 }
 
 // compiler turns a physical plan into an operator tree. The engine decides
 // one thing only — whether operators with a columnar implementation compile
 // to it. The rest is shared: row operators for everything else, an adapter
-// wherever a row operator meets a batch one, a tap above every operator.
+// wherever a row operator meets a batch one, a tap above every operator of a
+// tree whose runs are observed.
 type compiler struct {
-	cat *catalog.Catalog
+	// st is the compiled tree's run state: scans and taps keep the pointer
+	// and read through it what each run sets.
+	st *runState
 	// batch is EngineBatch: batchNative operators compile columnar. Unset,
 	// every operator compiles row-at-a-time (EngineRow).
 	batch bool
-	// tap, when non-nil, is called once per operator — children before
-	// their parent, left to right — and returns the observer of the rows
-	// that operator emits. Adapters are not operators and are not tapped.
-	tap func(op *physical.Expr) func(rows int) error
+	// tapped puts a tap above every operator; a run that neither budgets
+	// nor counts takes a tree without, and pays no call per row for it.
+	tapped bool
+	// size is the plan's operator count and ops the operators compiled so
+	// far, which is the next operator's index in tap order. Adapters are not
+	// operators and are not tapped. Taps of either kind and layouts come out
+	// of one slab each: a plan's set-up allocates per plan, not per operator.
+	size, ops int
+	rowTaps   []rowTap
+	batchTaps []batchTap
+	layouts   []layout
+}
+
+// slabAdd appends v to the slab and returns its address. The slab is made at
+// full size on first use, so the addresses handed out stay valid.
+func slabAdd[T any](slab *[]T, size int, v T) *T {
+	if *slab == nil {
+		*slab = make([]T, 0, size)
+	}
+	*slab = append(*slab, v)
+	return &(*slab)[len(*slab)-1]
 }
 
 // layout is the ordered column layout an operator emits, resolved once while
@@ -69,22 +199,6 @@ func (l *layout) env() scalar.Env {
 		l.slots = envOf(l.cols)
 	}
 	return l.slots
-}
-
-// run compiles the plan and executes it to completion.
-func (c *compiler) run(plan *physical.Expr, maxRows int) ([]datum.Row, error) {
-	if !c.batch {
-		it, _, err := c.rowIter(plan)
-		if err != nil {
-			return nil, err
-		}
-		return runIter(it, maxRows)
-	}
-	it, _, err := c.batchIter(plan)
-	if err != nil {
-		return nil, err
-	}
-	return runBatch(it, maxRows)
 }
 
 // rowIter compiles plan for a row-at-a-time consumer. A scan stays on the
@@ -107,13 +221,14 @@ func (c *compiler) rowIter(plan *physical.Expr) (iterator, *layout, error) {
 		}
 		kids[i], ins[i] = it, in
 	}
-	out := outputLayout(plan, ins)
-	it, err := rowOp(plan, kids, ins, out, c.cat)
+	out := c.outputLayout(plan, ins)
+	it, err := rowOp(plan, kids, ins, out, c.st)
 	if err != nil {
 		return nil, nil, err
 	}
-	if c.tap != nil {
-		it = &rowTap{iterator: it, emit: c.tap(plan)}
+	if c.tapped {
+		it = slabAdd(&c.rowTaps, c.size, rowTap{iterator: it, st: c.st, op: c.ops})
+		c.ops++
 	}
 	return it, out, nil
 }
@@ -137,19 +252,21 @@ func (c *compiler) batchIter(plan *physical.Expr) (BatchIterator, *layout, error
 		}
 		kids[i], ins[i] = b, in
 	}
-	out := outputLayout(plan, ins[:len(plan.Children)])
-	bit, err := batchOp(plan, kids, ins, out, c.cat)
+	out := c.outputLayout(plan, ins[:len(plan.Children)])
+	bit, err := batchOp(plan, kids, ins, out, c.st)
 	if err != nil {
 		return nil, nil, err
 	}
-	if c.tap != nil {
-		bit = &batchTap{BatchIterator: bit, emit: c.tap(plan)}
+	if c.tapped {
+		bit = slabAdd(&c.batchTaps, c.size, batchTap{BatchIterator: bit, st: c.st, op: c.ops})
+		c.ops++
 	}
 	return bit, out, nil
 }
 
 // outputLayout resolves the layout plan emits from its inputs' layouts.
-func outputLayout(plan *physical.Expr, ins []*layout) *layout {
+func (c *compiler) outputLayout(plan *physical.Expr, ins []*layout) *layout {
+	var cols []scalar.ColumnID
 	switch plan.Op {
 	case physical.OpFilter, physical.OpSort, physical.OpLimit:
 		return ins[0]
@@ -158,11 +275,12 @@ func outputLayout(plan *physical.Expr, ins []*layout) *layout {
 			return ins[0]
 		}
 		l, r := ins[0].cols, ins[1].cols
-		cols := make([]scalar.ColumnID, 0, len(l)+len(r))
-		return &layout{cols: append(append(cols, l...), r...)}
+		cols = append(append(make([]scalar.ColumnID, 0, len(l)+len(r)), l...), r...)
+	default:
+		// Scan, project, aggregate, concat: the plan node states its own columns.
+		cols = plan.OutputCols()
 	}
-	// Scan, project, aggregate, concat: the plan node states its own columns.
-	return &layout{cols: plan.OutputCols()}
+	return slabAdd(&c.layouts, c.size, layout{cols: cols})
 }
 
 // joinEnv is the slot map of the combined (left ++ right) row a join
@@ -200,14 +318,10 @@ func keySlots(in *layout, cols []scalar.ColumnID, join, side string) ([]int, err
 }
 
 // rowOp constructs one row operator over compiled inputs.
-func rowOp(plan *physical.Expr, kids []iterator, ins []*layout, out *layout, cat *catalog.Catalog) (iterator, error) {
+func rowOp(plan *physical.Expr, kids []iterator, ins []*layout, out *layout, st *runState) (iterator, error) {
 	switch plan.Op {
 	case physical.OpScan:
-		t, err := cat.Table(plan.Table)
-		if err != nil {
-			return nil, err
-		}
-		return &scanIter{table: t}, nil
+		return &scanIter{name: plan.Table, st: st}, nil
 	case physical.OpFilter:
 		return &filterIter{child: kids[0], pred: plan.Filter, env: ins[0].env()}, nil
 	case physical.OpProject:
@@ -262,14 +376,10 @@ func batchNative(op physical.Op) bool {
 }
 
 // batchOp constructs one columnar operator over compiled inputs.
-func batchOp(plan *physical.Expr, kids [2]BatchIterator, ins [2]*layout, out *layout, cat *catalog.Catalog) (BatchIterator, error) {
+func batchOp(plan *physical.Expr, kids [2]BatchIterator, ins [2]*layout, out *layout, st *runState) (BatchIterator, error) {
 	switch plan.Op {
 	case physical.OpScan:
-		t, err := cat.Table(plan.Table)
-		if err != nil {
-			return nil, err
-		}
-		return &batchScan{table: t}, nil
+		return &batchScan{name: plan.Table, st: st}, nil
 	case physical.OpFilter:
 		return &batchFilter{child: kids[0], pred: plan.Filter, ve: scalar.VecEval{Env: ins[0].env()}}, nil
 	case physical.OpProject:
@@ -286,31 +396,17 @@ func batchOp(plan *physical.Expr, kids [2]BatchIterator, ins [2]*layout, out *la
 	return nil, fmt.Errorf("exec: no columnar implementation of %s", plan.Op)
 }
 
-// workBudget is the tap that charges every operator's rows against one
-// budget shared by the whole plan. Plans execute single-threaded, so a plain
-// counter works.
-func workBudget(maxWork int64) func(*physical.Expr) func(rows int) error {
-	charge := func(rows int) error {
-		maxWork -= int64(rows)
-		if maxWork < 0 {
-			return ErrRowLimit
-		}
-		return nil
-	}
-	return func(*physical.Expr) func(rows int) error { return charge }
-}
-
-// rowTap and batchTap report the rows one operator emits to its observer:
-// the work budget charges them, EXPLAIN ANALYZE counts them.
+// rowTap and batchTap report the rows one operator emits to its run's tap.
 type rowTap struct {
 	iterator
-	emit func(rows int) error
+	st *runState
+	op int
 }
 
 func (t *rowTap) Next() (datum.Row, error) {
 	row, err := t.iterator.Next()
 	if row != nil {
-		if err := t.emit(1); err != nil {
+		if err := t.st.emit(t.op, 1); err != nil {
 			return nil, err
 		}
 	}
@@ -319,13 +415,14 @@ func (t *rowTap) Next() (datum.Row, error) {
 
 type batchTap struct {
 	BatchIterator
-	emit func(rows int) error
+	st *runState
+	op int
 }
 
 func (t *batchTap) Next() (*Batch, error) {
 	b, err := t.BatchIterator.Next()
 	if b != nil {
-		if err := t.emit(len(b.Idx)); err != nil {
+		if err := t.st.emit(t.op, len(b.Idx)); err != nil {
 			return nil, err
 		}
 	}

@@ -65,13 +65,52 @@ func row(ds ...datum.Datum) datum.Row { return datum.Row(ds) }
 // the others compare after NormalizeRows on both sides.
 func TestBackendConformance(t *testing.T) {
 	cat := confCatalog()
+	engines := Engines()
+	if len(engines) < 3 {
+		t.Fatalf("Engines() = %v, want row, batch and at least one registered backend", engines)
+	}
+	for _, tc := range conformanceCases() {
+		for _, eng := range engines {
+			t.Run(tc.name+"/"+eng.String(), func(t *testing.T) {
+				got, err := RunEngine(eng, tc.plan, cat, 0, 0)
+				if err != nil {
+					t.Fatalf("RunEngine(%v): %v", eng, err)
+				}
+				want := tc.want
+				if !RootOrder(tc.plan).Sorted {
+					got = NormalizeRows(got)
+					want = NormalizeRows(want)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("rows = %d, want %d\ngot: %v\nwant: %v", len(got), len(want), got, want)
+				}
+				for i := range want {
+					if len(got[i]) != len(want[i]) {
+						t.Fatalf("row %d width = %d, want %d", i, len(got[i]), len(want[i]))
+					}
+					for j := range want[i] {
+						if got[i][j] != want[i][j] {
+							t.Fatalf("row %d col %d = %v, want %v\ngot: %v", i, j, got[i][j], want[i][j], got)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// conformanceCase is one plan of the conformance suite with the rows every
+// engine must answer over confCatalog.
+type conformanceCase struct {
+	name string
+	plan *physical.Expr
+	want []datum.Row
+}
+
+func conformanceCases() []conformanceCase {
 	ni, nf, null := datum.NewInt, datum.NewFloat, datum.Null
 	aLessX := cmp(scalar.CmpLT, col(1), col(3))
-	cases := []struct {
-		name string
-		plan *physical.Expr
-		want []datum.Row
-	}{
+	return []conformanceCase{
 		{
 			// b > 15: (3,NULL) evaluates UNKNOWN and is dropped.
 			name: "3vl-filter-drops-unknown",
@@ -327,38 +366,5 @@ func TestBackendConformance(t *testing.T) {
 			},
 			want: []datum.Row{row(ni(1), ni(3))},
 		},
-	}
-
-	engines := Engines()
-	if len(engines) < 3 {
-		t.Fatalf("Engines() = %v, want row, batch and at least one registered backend", engines)
-	}
-	for _, tc := range cases {
-		for _, eng := range engines {
-			t.Run(tc.name+"/"+eng.String(), func(t *testing.T) {
-				got, err := RunEngine(eng, tc.plan, cat, 0, 0)
-				if err != nil {
-					t.Fatalf("RunEngine(%v): %v", eng, err)
-				}
-				want := tc.want
-				if !RootOrder(tc.plan).Sorted {
-					got = NormalizeRows(got)
-					want = NormalizeRows(want)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("rows = %d, want %d\ngot: %v\nwant: %v", len(got), len(want), got, want)
-				}
-				for i := range want {
-					if len(got[i]) != len(want[i]) {
-						t.Fatalf("row %d width = %d, want %d", i, len(got[i]), len(want[i]))
-					}
-					for j := range want[i] {
-						if got[i][j] != want[i][j] {
-							t.Fatalf("row %d col %d = %v, want %v\ngot: %v", i, j, got[i][j], want[i][j], got)
-						}
-					}
-				}
-			})
-		}
 	}
 }

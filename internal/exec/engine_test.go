@@ -655,20 +655,22 @@ func opTypes(v reflect.Value, out map[string]int) {
 func TestEnginesCompileTheirOwnOperators(t *testing.T) {
 	cat := testCatalog()
 	// compiled counts the operator types c compiles plan to.
-	compiled := func(c compiler, plan *physical.Expr) map[string]int {
+	compiled := func(batch, tapped bool, plan *physical.Expr) map[string]int {
 		t.Helper()
-		var root interface{}
-		var err error
-		if c.batch {
-			root, _, err = c.batchIter(plan)
-		} else {
-			root, _, err = c.rowIter(plan)
+		eng := EngineRow
+		if batch {
+			eng = EngineBatch
 		}
+		tr, err := Compile(eng, plan).compile(tapped)
 		if err != nil {
-			t.Fatalf("batch %v: %v", c.batch, err)
+			t.Fatalf("batch %v: %v", batch, err)
 		}
 		got := map[string]int{}
-		opTypes(reflect.ValueOf(root), got)
+		if batch {
+			opTypes(reflect.ValueOf(tr.batches), got)
+		} else {
+			opTypes(reflect.ValueOf(tr.rows), got)
+		}
 		return got
 	}
 	plan := &physical.Expr{Op: physical.OpLimit, N: 3, Children: []*physical.Expr{sortPlan(&physical.Expr{
@@ -691,27 +693,25 @@ func TestEnginesCompileTheirOwnOperators(t *testing.T) {
 	rowOps := map[string]int{"limitIter": 1, "sortIter": 1, "aggIter": 2, "projectIter": 1, "filterIter": 1, "hashJoinIter": 1, "scanIter": 2}
 	batchOps := map[string]int{"limitIter": 1, "sortIter": 1, "rowFromBatch": 1, "batchFromRows": 1,
 		"batchAgg": 2, "batchProject": 1, "batchFilter": 1, "batchJoin": 1, "batchScan": 2}
-	for _, eng := range []Engine{EngineRow, EngineBatch} {
-		for _, budgeted := range []bool{false, true} {
-			c := compiler{cat: cat, batch: eng == EngineBatch}
+	for _, batch := range []bool{false, true} {
+		for _, tapped := range []bool{false, true} {
 			ops := rowOps
-			if c.batch {
+			if batch {
 				ops = batchOps
 			}
 			want := map[string]int{}
 			for name, n := range ops {
 				want[name] = n
 			}
+			// A tapped tree has a tap above every operator; adapters have none.
 			switch {
-			case budgeted && c.batch:
-				c.tap = workBudget(1000)
+			case tapped && batch:
 				want["rowTap"], want["batchTap"] = 2, 7
-			case budgeted:
-				c.tap = workBudget(1000)
+			case tapped:
 				want["rowTap"] = 9
 			}
-			if got := compiled(c, plan); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s engine, budgeted %v: compiled %v, want %v", eng, budgeted, got, want)
+			if got := compiled(batch, tapped, plan); !reflect.DeepEqual(got, want) {
+				t.Errorf("batch %v, tapped %v: compiled %v, want %v", batch, tapped, got, want)
 			}
 		}
 	}
@@ -728,7 +728,7 @@ func TestEnginesCompileTheirOwnOperators(t *testing.T) {
 			{false, map[string]int{"nlJoinIter": 1, "filterIter": 1, "scanIter": 2}},
 			{true, map[string]int{"batchJoin": 1, "batchFilter": 1, "batchScan": 2}},
 		} {
-			if got := compiled(compiler{cat: cat, batch: tc.batch}, nl); !reflect.DeepEqual(got, tc.want) {
+			if got := compiled(tc.batch, false, nl); !reflect.DeepEqual(got, tc.want) {
 				t.Errorf("batch %v, %s nested-loops join: compiled %v, want %v", tc.batch, jt, got, tc.want)
 			}
 		}

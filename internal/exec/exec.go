@@ -51,14 +51,14 @@ var ErrRowLimit = errors.New("exec: result row cap exceeded")
 // otherwise successful scan is a real failure and must not be swallowed.
 // maxRows > 0 caps the result size.
 func runIter(it iterator, maxRows int) (out []datum.Row, err error) {
-	if err := it.Open(); err != nil {
-		return nil, err
-	}
 	defer func() {
 		if cerr := it.Close(); cerr != nil && err == nil {
 			out, err = nil, cerr
 		}
 	}()
+	if err := it.Open(); err != nil {
+		return nil, err
+	}
 	for {
 		row, err := it.Next()
 		if err != nil {
@@ -77,22 +77,31 @@ func runIter(it iterator, maxRows int) (out []datum.Row, err error) {
 // ---- scan -----------------------------------------------------------------
 
 type scanIter struct {
-	table *catalog.Table
-	pos   int
+	name string
+	st   *runState
+	rows []datum.Row // the run's table, from Open to Close
+	pos  int
 }
 
-func (s *scanIter) Open() error { s.pos = 0; return nil }
+func (s *scanIter) Open() error {
+	t, err := s.st.cat.Table(s.name)
+	if err != nil {
+		return err
+	}
+	s.rows, s.pos = t.Rows, 0
+	return nil
+}
 
 func (s *scanIter) Next() (datum.Row, error) {
-	if s.pos >= len(s.table.Rows) {
+	if s.pos >= len(s.rows) {
 		return nil, nil
 	}
-	row := s.table.Rows[s.pos]
+	row := s.rows[s.pos]
 	s.pos++
 	return row, nil
 }
 
-func (s *scanIter) Close() error { return nil }
+func (s *scanIter) Close() error { s.rows = nil; return nil }
 
 // ---- filter ---------------------------------------------------------------
 
@@ -212,7 +221,10 @@ func (s *sortIter) Next() (datum.Row, error) {
 	return row, nil
 }
 
-func (s *sortIter) Close() error { return s.child.Close() }
+func (s *sortIter) Close() error {
+	s.rows = nil
+	return s.child.Close()
+}
 
 // ---- limit --------------------------------------------------------------------
 

@@ -31,7 +31,7 @@ func TestIteratorsReopen(t *testing.T) {
 	}
 	for _, plan := range plans {
 		for _, batch := range []bool{false, true} {
-			it, _, err := (&compiler{cat: cat, batch: batch}).rowIter(plan)
+			it, _, err := (&compiler{st: &runState{cat: cat}, batch: batch, size: plan.CountOps()}).rowIter(plan)
 			if err != nil {
 				t.Fatalf("%s: %v", plan.Op, err)
 			}
@@ -66,7 +66,7 @@ func TestIteratorsReopen(t *testing.T) {
 
 // TestNextAfterEOF: Next after exhaustion keeps returning nil without error.
 func TestNextAfterEOF(t *testing.T) {
-	it, _, err := (&compiler{cat: testCatalog()}).rowIter(scanT1())
+	it, _, err := (&compiler{st: &runState{cat: testCatalog()}, size: 1}).rowIter(scanT1())
 	if err != nil {
 		t.Fatal(err)
 	}

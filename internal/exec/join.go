@@ -178,6 +178,7 @@ func (h *hashJoinIter) Next() (datum.Row, error) {
 }
 
 func (h *hashJoinIter) Close() error {
+	h.table, h.leftRow, h.cands = nil, nil, nil
 	err1 := h.left.Close()
 	err2 := h.right.Close()
 	if err1 != nil {
@@ -264,6 +265,7 @@ func (n *nlJoinIter) Next() (datum.Row, error) {
 }
 
 func (n *nlJoinIter) Close() error {
+	n.rightRows, n.leftRow = nil, nil
 	err1 := n.left.Close()
 	err2 := n.right.Close()
 	if err1 != nil {
@@ -385,6 +387,7 @@ func (m *mergeJoinIter) Next() (datum.Row, error) {
 }
 
 func (m *mergeJoinIter) Close() error {
+	m.out = nil
 	err1 := m.left.Close()
 	err2 := m.right.Close()
 	if err1 != nil {

@@ -61,7 +61,9 @@ func poisonPools(tb testing.TB) {
 // engine (which uses none of the pools) on plans covering every pooled
 // operator — filter selections, project vectors, join candidate/output/build
 // vectors and match flags, aggregate argument/result vectors, and the
-// row-adapter vectors behind sort.
+// row-adapter vectors behind sort. A reused Program takes its scratch afresh
+// in every run, so it is held to the same: its operators keep no buffer from
+// the run before that a poisoned pool could not have handed them.
 func TestPoolPoisonIsInvisible(t *testing.T) {
 	cat := testCatalog()
 	agg := func(child *physical.Expr) *physical.Expr {
@@ -107,14 +109,22 @@ func TestPoolPoisonIsInvisible(t *testing.T) {
 				t.Fatalf("row engine: %v", err)
 			}
 			// Several rounds so later executions consume buffers earlier
-			// poisoned *and* buffers recycled from the previous round.
-			for round := 0; round < 3; round++ {
+			// poisoned *and* buffers recycled from the execution before; the
+			// two take turns at the freshly poisoned pool.
+			reused := Compile(EngineBatch, plan)
+			runs := []func() ([]datum.Row, error){
+				func() ([]datum.Row, error) { return RunEngine(EngineBatch, plan, cat, 0, 0) },
+				func() ([]datum.Row, error) { return reused.Run(cat, 0, 0) },
+			}
+			for round := 0; round < 4; round++ {
 				poisonPools(t)
-				got, err := RunEngine(EngineBatch, plan, cat, 0, 0)
-				if err != nil {
-					t.Fatalf("round %d: batch engine: %v", round, err)
+				for i := range runs {
+					got, err := runs[(round+i)%2]()
+					if err != nil {
+						t.Fatalf("round %d: batch engine (reused program: %v): %v", round, (round+i)%2 == 1, err)
+					}
+					requireSameRows(t, want, got)
 				}
-				requireSameRows(t, want, got)
 			}
 		})
 	}

@@ -197,14 +197,23 @@ func (c *Cache) shardFor(k Key) *shard {
 }
 
 // Run executes the plan through the cache: a hit returns the memoized rows
-// and error, a miss executes via exec.RunEngine exactly once no matter how
-// many goroutines ask concurrently. A nil receiver executes directly.
+// and error, a miss compiles and executes as exec.RunEngine does, exactly
+// once no matter how many goroutines ask concurrently. A nil receiver
+// executes directly.
 func (c *Cache) Run(eng exec.Engine, plan *physical.Expr, cat *catalog.Catalog, maxRows int, maxWork int64) ([]datum.Row, error) {
+	return c.RunProgram(exec.Compile(eng, plan), cat, maxRows, maxWork)
+}
+
+// RunProgram is Run for a plan prepared once for many databases: the key is
+// the one Run gives the program's engine and plan, and a miss runs the
+// program, so the operator tree a first miss compiled serves the later ones
+// and a program that only ever hits compiles nothing.
+func (c *Cache) RunProgram(p *exec.Program, cat *catalog.Catalog, maxRows int, maxWork int64) ([]datum.Row, error) {
 	if c == nil {
-		return exec.RunEngine(eng, plan, cat, maxRows, maxWork)
+		return p.Run(cat, maxRows, maxWork)
 	}
-	return c.runKeyed(KeyFor(eng, plan, cat, maxRows, maxWork), func() ([]datum.Row, error) {
-		return exec.RunEngine(eng, plan, cat, maxRows, maxWork)
+	return c.runKeyed(KeyFor(p.Engine(), p.Plan(), cat, maxRows, maxWork), func() ([]datum.Row, error) {
+		return p.Run(cat, maxRows, maxWork)
 	})
 }
 

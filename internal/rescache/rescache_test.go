@@ -57,6 +57,44 @@ func requireEqualRows(t *testing.T, want, got []datum.Row) {
 	}
 }
 
+// TestRunProgram: a prepared plan runs under the key Run gives its engine and
+// plan, a nil cache runs it directly, and a hit compiles nothing — a Program
+// that only ever hits costs each lookup its closure and no operator, where
+// compiling this two-operator plan alone would cost several times that.
+func TestRunProgram(t *testing.T) {
+	cat, plan := testCatalog(100), filterPlan(3)
+	want, err := exec.RunEngine(exec.EngineBatch, plan, cat, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(0)
+	var none *Cache
+	p := exec.Compile(exec.EngineBatch, plan)
+	for _, run := range []func() ([]datum.Row, error){
+		func() ([]datum.Row, error) { return c.RunProgram(p, cat, 0, 0) },               // miss
+		func() ([]datum.Row, error) { return c.Run(exec.EngineBatch, plan, cat, 0, 0) }, // hit on the same key
+		func() ([]datum.Row, error) { return c.RunProgram(p, cat, 0, 0) },               // hit
+		func() ([]datum.Row, error) { return none.RunProgram(p, cat, 0, 0) },
+	} {
+		got, err := run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireEqualRows(t, want, got)
+	}
+	if st := c.Stats(); st.Misses != 1 || st.Hits != 2 {
+		t.Fatalf("stats = %+v, want 1 miss and 2 hits", st)
+	}
+	unrun := exec.Compile(exec.EngineBatch, plan)
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := c.RunProgram(unrun, cat, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("a hit on a program that never ran allocates %.0f objects, want at most its closure", n)
+	}
+}
+
 func TestRunMatchesDirectExecution(t *testing.T) {
 	cat := testCatalog(100)
 	c := New(0)

@@ -20,9 +20,9 @@ var plainTables = []string{"s", "t", "u"}
 
 // schemaCatalog builds the fixed verification schema with no rows. It is the
 // template the instantiator allocates column metadata against; per-database
-// catalogs come from buildCatalog, memoized by content signature so the
+// catalogs come from enumerateDatabases, memoized per table tuple so the
 // executor's per-table caches never leak contents across distinct databases
-// while identical databases share one catalog.
+// while every sweep over the same tables shares one catalog per database.
 func schemaCatalog() *catalog.Catalog {
 	cat := catalog.New()
 	for _, name := range plainTables {
@@ -105,11 +105,12 @@ func contentVocabulary(table string, position int) []tableContent {
 }
 
 // database assigns contents to each table an instance scans, in the order
-// the instance's table list names them.
+// the instance's table list names them, and holds them materialized.
 type database struct {
 	tables   []string
 	contents []tableContent
 	total    int
+	cat      *catalog.Catalog
 }
 
 // label renders the database for a witness, e.g. "s={(0,0)} t={}".
@@ -126,11 +127,28 @@ func (d database) label() string {
 	return sb.String()
 }
 
-// enumerateDatabases builds the full cross product of content assignments
-// for the given tables and orders it by total row count (stable within equal
-// totals), so the first failing database a rule check encounters is also a
-// smallest one — the witness-minimality guarantee.
+// databaseLists holds enumerateDatabases' answer per table tuple. The tuple
+// determines the list — order, contents and all — so every instantiation over
+// the same tables sweeps the same database values, and with them the same
+// catalogs: one set of executor per-table caches (column vectors, join
+// indexes) and one result-cache identity per database, which is what turns
+// the plan overlap between rules into cache hits. Distinct tuples and distinct
+// contents never share a table object.
+var databaseLists sync.Map // tables joined by a space -> []database
+
+// enumerateDatabases returns the full cross product of content assignments
+// for the given tables, each materialized as a catalog, ordered by total row
+// count (stable within equal totals), so the first failing database a rule
+// check encounters is also a smallest one — the witness-minimality guarantee.
+// Concurrent rule checks may race to build the same tuple's list; LoadOrStore
+// picks one winner, and either candidate is equivalent because the tuple
+// determines every row.
 func enumerateDatabases(tables []string) []database {
+	key := strings.Join(tables, " ")
+	if v, ok := databaseLists.Load(key); ok {
+		return v.([]database)
+	}
+	tables = append([]string(nil), tables...)
 	dbs := []database{{tables: tables}}
 	for pos, t := range tables {
 		vocab := contentVocabulary(t, pos)
@@ -154,33 +172,19 @@ func enumerateDatabases(tables []string) []database {
 			dbs[j-1], dbs[j] = dbs[j], dbs[j-1]
 		}
 	}
-	return dbs
+	for i := range dbs {
+		dbs[i].cat = buildCatalog(dbs[i])
+	}
+	v, _ := databaseLists.LoadOrStore(key, dbs)
+	return v.([]database)
 }
 
-// catalogCache shares one materialized catalog per database signature. The
-// label fully determines the catalog's contents (tables in order, rows per
-// table), so all sweeps over an identically-labeled database can share one
-// catalog — and with it the executor's per-table caches (column vectors,
-// join indexes) and one result-cache identity, which is what turns the
-// near-total plan overlap between rules into cache hits. Sharing by content
-// signature preserves the old fresh-per-database isolation guarantee:
-// distinct contents still get distinct table objects.
-var catalogCache sync.Map // database label -> *catalog.Catalog
-
-// buildCatalog materializes one database as a catalog, memoized by content
-// signature. Concurrent rule checks may race to build the same signature;
-// LoadOrStore picks one winner, and either candidate is equivalent because
-// the label determines every row.
+// buildCatalog materializes one database as a catalog of its own.
 func buildCatalog(d database) *catalog.Catalog {
-	key := d.label()
-	if v, ok := catalogCache.Load(key); ok {
-		return v.(*catalog.Catalog)
-	}
 	cat := schemaCatalog()
 	for i, name := range d.tables {
 		t := cat.MustTable(name)
 		t.Rows = append([]datum.Row(nil), d.contents[i].rows...)
 	}
-	v, _ := catalogCache.LoadOrStore(key, cat)
-	return v.(*catalog.Catalog)
+	return cat
 }

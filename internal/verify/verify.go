@@ -63,11 +63,13 @@ type Config struct {
 	// Workers sizes the worker pool (0 = GOMAXPROCS); the report is
 	// byte-identical for every value.
 	Workers int
-	// Cache, when non-nil, memoizes plan executions. The tiny-database
-	// sweep is where it pays most: instantiations repeat across rules, and
-	// identically-labeled databases share a catalog identity, so the same
-	// (plan, database) pair executes once per process instead of once per
-	// rule. Reports are byte-identical with and without it.
+	// Cache, when non-nil, memoizes plan executions: instantiations repeat
+	// across rules and a table tuple's databases share their catalogs, so a
+	// (plan, database) pair executes once per cache instead of once per
+	// rule. Measured, that does not pay here — 16 % of a sweep's lookups
+	// hit and a hit saves an execution of a few microseconds, less than its
+	// key costs: the sweep is 13–18 % slower with a cache than without
+	// (bench/README.md). Reports are byte-identical with and without it.
 	Cache *rescache.Cache
 	// Backend names an independent execution backend ("" disables it). When
 	// set, every base execution of the sweep is additionally replayed there
@@ -335,7 +337,7 @@ func (res *ruleResult) comparePlans(r rules.Rule, inst *instance, baseTree *logi
 		return
 	}
 	for _, db := range enumerateDatabases(inst.tables) {
-		bx, err := res.oracle.Base(buildCatalog(db), base)
+		bx, err := res.oracle.Base(db.cat, base)
 		if err != nil {
 			// The base side is the canonical lowering; only a budget trip
 			// can fail it, and then no comparison on this database is
