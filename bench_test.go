@@ -325,6 +325,19 @@ func BenchmarkOptimizeWithDisabledRules(b *testing.B) {
 	}
 }
 
+// allocsAndBytesPerRun is testing.AllocsPerRun with the bytes beside the
+// objects: mean heap objects and mean heap bytes allocated by one call of f.
+func allocsAndBytesPerRun(runs int, f func()) (objects, bytes float64) {
+	objects = testing.AllocsPerRun(runs, f)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return objects, float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
 // TestOptimizeAllocBudget holds one Optimize call of benchQuery — the call
 // BenchmarkOptimize and BenchmarkOptimizeWithDisabledRules time — to committed
 // allocation ceilings, about 10 % above what the allocation-lean optimizer
@@ -351,15 +364,7 @@ func TestOptimizeAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		const runs = 50
-		objects := testing.AllocsPerRun(runs, optimize)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			optimize()
-		}
-		runtime.ReadMemStats(&after)
-		bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		objects, bytes := allocsAndBytesPerRun(50, optimize)
 		t.Logf("%s: %.0f objects, %.0f bytes per Optimize", tc.name, objects, bytes)
 		if objects > tc.objects {
 			t.Errorf("%s: %.0f objects per Optimize, budget %.0f", tc.name, objects, tc.objects)
@@ -373,16 +378,19 @@ func TestOptimizeAllocBudget(t *testing.T) {
 // TestExecAllocBudget holds plan execution on the batch engine to committed
 // object ceilings, about 10 % above measured. (i) A selective nested-loops
 // join — k + k' < 10 over two tables of k = 0..n-1, 55 result rows whatever n
-// — costs the same objects at 200 x 200 and at 400 x 400 candidate pairs (39
+// — costs the same objects at 200 x 200 and at 400 x 400 candidate pairs (29
 // at both; 40 023 and 160 024 when the join allocated a row per pair): a
 // per-pair allocation creeping back fails go test here, not a campaign
 // benchmark. (ii) A 3 x 3 nested-loops join under a project, the shape a
 // verify sweep executes by the hundred thousand, costs no more than when the
-// join was a row operator between two adapters (25 objects; 29 then): a fast
+// join was a row operator between two adapters (21 objects; 29 then): a fast
 // inner loop must not be paid for in set-up per plan. (iii) A later run of a
 // compiled Program costs the result it returns and nothing of the plan's
 // set-up: strictly fewer objects than the first run of the same plan (3 where
-// that costs 39 and 25; the ceiling is 4).
+// that costs 29 and 21; the ceiling is 4). (iv) Bytes per execution, about
+// 15 % above measured (434 955 for either join, 3 584 for the micro-plan;
+// 695 410 and 4 528 when a Datum was 48 bytes): a value growing a word moves
+// bytes, not objects, and no object count sees it.
 func TestExecAllocBudget(t *testing.T) {
 	cat := catalog.New()
 	for _, n := range []int{3, 200, 400} {
@@ -419,10 +427,11 @@ func TestExecAllocBudget(t *testing.T) {
 		rows    int
 		objects float64
 		rerun   float64
+		bytes   float64
 	}{
-		{"200 x 200 pairs", nl(200), 55, 43, 4},
-		{"400 x 400 pairs", nl(400), 55, 43, 4},
-		{"3 x 3 under project", micro, 9, 28, 4},
+		{"200 x 200 pairs", nl(200), 55, 32, 4, 500000},
+		{"400 x 400 pairs", nl(400), 55, 32, 4, 500000},
+		{"3 x 3 under project", micro, 9, 23, 4, 4120},
 	} {
 		run := func() {
 			rows, err := exec.RunEngine(exec.EngineBatch, tc.plan, cat, 0, 0)
@@ -430,10 +439,13 @@ func TestExecAllocBudget(t *testing.T) {
 				t.Fatalf("%s: %d rows, %v; want %d", tc.name, len(rows), err, tc.rows)
 			}
 		}
-		objects := testing.AllocsPerRun(50, run)
-		t.Logf("%s: %.0f objects per execution", tc.name, objects)
+		objects, bytes := allocsAndBytesPerRun(50, run)
+		t.Logf("%s: %.0f objects, %.0f bytes per execution", tc.name, objects, bytes)
 		if objects > tc.objects {
 			t.Errorf("%s: %.0f objects per execution, budget %.0f", tc.name, objects, tc.objects)
+		}
+		if bytes > tc.bytes {
+			t.Errorf("%s: %.0f bytes per execution, budget %.0f", tc.name, bytes, tc.bytes)
 		}
 		prog := exec.Compile(exec.EngineBatch, tc.plan)
 		rerun := testing.AllocsPerRun(50, func() { // AllocsPerRun's warm-up call is the first run

@@ -39,7 +39,7 @@ func TestColumnDataTransposesRows(t *testing.T) {
 		}
 	}
 	if !vecs[1].IsNull(1) || vecs[1].IsNull(0) {
-		t.Error("null bitmap wrong")
+		t.Error("NULL positions wrong")
 	}
 	idx := tbl.SeqIdx()
 	if len(idx) != 3 || idx[0] != 0 || idx[2] != 2 {

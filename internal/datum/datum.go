@@ -7,8 +7,7 @@
 package datum
 
 import (
-	"fmt"
-	"hash/fnv"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -45,8 +44,9 @@ func (t Type) String() string {
 	}
 }
 
-// Kind discriminates the runtime representation held by a Datum.
-type Kind int
+// Kind discriminates the runtime representation held by a Datum. It is one
+// byte so that a Datum is four words, not six.
+type Kind uint8
 
 // Datum kinds. KindNull is its own kind regardless of the column type.
 const (
@@ -58,13 +58,17 @@ const (
 	KindDate
 )
 
-// Datum is a single SQL value. The zero value is NULL.
+// Datum is a single SQL value. The zero value is NULL. It is 32 bytes: every
+// table, column vector, batch and cached result is an array of these, so a
+// word here is a word per value moved, cleared and scanned by the collector.
 type Datum struct {
 	K Kind
-	I int64 // KindInt, KindDate
-	F float64
+	// I is the one payload word: the value of a KindInt or KindDate, the
+	// IEEE-754 bits of a KindFloat (read it through Float) and 0 or 1 for a
+	// KindBool (read it through Bool). Struct equality is therefore bitwise:
+	// NaN equals itself and +0.0 differs from -0.0, unlike under Compare.
+	I int64
 	S string
-	B bool
 }
 
 // Null is the SQL NULL value.
@@ -74,19 +78,31 @@ var Null = Datum{K: KindNull}
 func NewInt(v int64) Datum { return Datum{K: KindInt, I: v} }
 
 // NewFloat returns a float datum.
-func NewFloat(v float64) Datum { return Datum{K: KindFloat, F: v} }
+func NewFloat(v float64) Datum { return Datum{K: KindFloat, I: int64(math.Float64bits(v))} }
 
 // NewString returns a string datum.
 func NewString(v string) Datum { return Datum{K: KindString, S: v} }
 
 // NewBool returns a boolean datum.
-func NewBool(v bool) Datum { return Datum{K: KindBool, B: v} }
+func NewBool(v bool) Datum {
+	if v {
+		return Datum{K: KindBool, I: 1}
+	}
+	return Datum{K: KindBool}
+}
 
 // NewDate returns a date datum holding days since the engine epoch.
 func NewDate(days int64) Datum { return Datum{K: KindDate, I: days} }
 
 // IsNull reports whether d is SQL NULL.
 func (d Datum) IsNull() bool { return d.K == KindNull }
+
+// Float returns the value of a KindFloat datum, bit for bit what NewFloat was
+// given (NaN payloads included).
+func (d Datum) Float() float64 { return math.Float64frombits(uint64(d.I)) }
+
+// Bool returns the value of a KindBool datum.
+func (d Datum) Bool() bool { return d.I != 0 }
 
 // Tri is the three-valued logic truth value produced by SQL comparisons.
 type Tri int
@@ -141,12 +157,12 @@ func TriFromBool(b bool) Tri {
 }
 
 // numeric returns the value as float64 for cross-type numeric comparison.
-func (d Datum) numeric() (float64, bool) {
+func (d *Datum) numeric() (float64, bool) {
 	switch d.K {
 	case KindInt, KindDate:
 		return float64(d.I), true
 	case KindFloat:
-		return d.F, true
+		return d.Float(), true
 	default:
 		return 0, false
 	}
@@ -154,11 +170,15 @@ func (d Datum) numeric() (float64, bool) {
 
 // Compare orders two non-NULL datums: -1, 0, +1. Comparing a NULL or
 // incomparable kinds returns ok=false. Ints, floats and dates compare
-// numerically with each other; strings and bools only with their own kind.
-func Compare(a, b Datum) (cmp int, ok bool) {
-	if a.IsNull() || b.IsNull() {
-		return 0, false
-	}
+// numerically with each other through their float64 image — so two integers
+// beyond 2^53 that share an image are equal, as they are under AppendKey, and
+// a NaN, being neither less nor greater, is equal to everything numeric;
+// strings and bools compare only with their own kind.
+func Compare(a, b Datum) (cmp int, ok bool) { return ComparePtr(&a, &b) }
+
+// ComparePtr is Compare on two values where they lie — a column vector's
+// cell, a row's slot — without copying either.
+func ComparePtr(a, b *Datum) (cmp int, ok bool) {
 	if an, aok := a.numeric(); aok {
 		bn, bok := b.numeric()
 		if !bok {
@@ -180,10 +200,10 @@ func Compare(a, b Datum) (cmp int, ok bool) {
 	case KindString:
 		return strings.Compare(a.S, b.S), true
 	case KindBool:
-		switch {
-		case !a.B && b.B:
+		switch ab, bb := a.Bool(), b.Bool(); {
+		case !ab && bb:
 			return -1, true
-		case a.B && !b.B:
+		case ab && !bb:
 			return 1, true
 		default:
 			return 0, true
@@ -217,33 +237,6 @@ func TotalCompare(a, b Datum) int {
 	return 0
 }
 
-// Hash returns a hash of the datum such that datums that Compare equal hash
-// equal (numeric kinds are hashed through their float64 image).
-func (d Datum) Hash() uint64 {
-	h := fnv.New64a()
-	switch d.K {
-	case KindNull:
-		h.Write([]byte{0})
-	case KindInt, KindFloat, KindDate:
-		f, _ := d.numeric()
-		if f == float64(int64(f)) {
-			fmt.Fprintf(h, "n%d", int64(f))
-		} else {
-			fmt.Fprintf(h, "f%g", f)
-		}
-	case KindString:
-		h.Write([]byte{2})
-		h.Write([]byte(d.S))
-	case KindBool:
-		if d.B {
-			h.Write([]byte{3, 1})
-		} else {
-			h.Write([]byte{3, 0})
-		}
-	}
-	return h.Sum64()
-}
-
 // String renders the datum for display and for use in generated SQL literals.
 func (d Datum) String() string {
 	switch d.K {
@@ -252,11 +245,11 @@ func (d Datum) String() string {
 	case KindInt, KindDate:
 		return strconv.FormatInt(d.I, 10)
 	case KindFloat:
-		return strconv.FormatFloat(d.F, 'g', -1, 64)
+		return strconv.FormatFloat(d.Float(), 'g', -1, 64)
 	case KindString:
 		return "'" + strings.ReplaceAll(d.S, "'", "''") + "'"
 	case KindBool:
-		if d.B {
+		if d.Bool() {
 			return "TRUE"
 		}
 		return "FALSE"
@@ -319,7 +312,7 @@ func (d Datum) AppendKey(buf []byte) []byte {
 		buf = append(buf, ':')
 		return append(buf, d.S...)
 	case KindBool:
-		if d.B {
+		if d.Bool() {
 			return append(buf, 'b', '1', ';')
 		}
 		return append(buf, 'b', '0', ';')

@@ -1,48 +1,20 @@
 package datum
 
-// Bitmap is a dense bitset used by Vec to track NULL positions without
-// inspecting every Datum.
-type Bitmap []uint64
-
-// Set sets bit i. The bitmap must already span i (see Vec.Append).
-func (b Bitmap) Set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
-
-// Get reports bit i.
-func (b Bitmap) Get(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
-
-// Clear clears bit i.
-func (b Bitmap) Clear(i int) { b[i>>6] &^= 1 << (uint(i) & 63) }
-
-// Vec is a column vector: the values of one column across a batch of rows,
-// plus a null bitmap mirroring D[i].IsNull(). Batch operators reuse Vecs
-// across batches via Reset, so a Vec's backing arrays are only valid until
-// the producer's next batch.
+// Vec is a column vector: the values of one column across a batch of rows.
+// Batch operators reuse Vecs across batches via Reset, so a Vec's backing
+// array is only valid until the producer's next batch.
 type Vec struct {
-	D    []Datum
-	Null Bitmap
+	D []Datum
 }
 
 // Reset truncates the vector to length zero, retaining capacity.
-func (v *Vec) Reset() {
-	v.D = v.D[:0]
-	v.Null = v.Null[:0]
-}
+func (v *Vec) Reset() { v.D = v.D[:0] }
 
-// Append adds a datum, maintaining the null bitmap.
-func (v *Vec) Append(d Datum) {
-	i := len(v.D)
-	if i&63 == 0 {
-		v.Null = append(v.Null, 0)
-	}
-	v.D = append(v.D, d)
-	if d.K == KindNull {
-		v.Null.Set(i)
-	}
-}
+// Append adds a datum.
+func (v *Vec) Append(d Datum) { v.D = append(v.D, d) }
 
 // AppendGather appends src[i] for every index in idx: the bulk equivalent of
-// an Append loop, with the slice growth and bitmap bookkeeping hoisted out of
-// the per-datum path.
+// an Append loop, with the slice growth hoisted out of the per-datum path.
 func (v *Vec) AppendGather(src []Datum, idx []int) {
 	n := len(v.D)
 	total := n + len(idx)
@@ -56,25 +28,9 @@ func (v *Vec) AppendGather(src []Datum, idx []int) {
 		v.D = nd
 	}
 	v.D = v.D[:total]
-	for words := (total + 63) / 64; len(v.Null) < words; {
-		v.Null = append(v.Null, 0)
-	}
+	dst := v.D[n:]
 	for k, i := range idx {
-		d := src[i]
-		v.D[n+k] = d
-		if d.K == KindNull {
-			v.Null.Set(n + k)
-		}
-	}
-}
-
-// Put overwrites value i, keeping the null bitmap in sync.
-func (v *Vec) Put(i int, d Datum) {
-	v.D[i] = d
-	if d.K == KindNull {
-		v.Null.Set(i)
-	} else {
-		v.Null.Clear(i)
+		dst[k] = src[i]
 	}
 }
 
@@ -82,17 +38,15 @@ func (v *Vec) Put(i int, d Datum) {
 func (v *Vec) Len() int { return len(v.D) }
 
 // IsNull reports whether value i is NULL.
-func (v *Vec) IsNull(i int) bool { return v.Null.Get(i) }
+func (v *Vec) IsNull(i int) bool { return v.D[i].K == KindNull }
 
 // ColumnVecs transposes rows into width column vectors. It is the bulk
 // loading path for columnar caches and row→batch adapters; each row must have
 // at least width datums.
 func ColumnVecs(rows []Row, width int) []Vec {
 	vecs := make([]Vec, width)
-	words := (len(rows) + 63) / 64
 	for c := range vecs {
 		vecs[c].D = make([]Datum, 0, len(rows))
-		vecs[c].Null = make(Bitmap, 0, words)
 	}
 	for _, r := range rows {
 		for c := 0; c < width; c++ {

@@ -40,11 +40,11 @@ func TestVecResetRetainsNothing(t *testing.T) {
 	if v.Len() != 0 {
 		t.Fatalf("Len after Reset = %d", v.Len())
 	}
-	// A value appended at position 0 after Reset must not inherit the old
-	// bitmap word's null bit.
+	// A value appended at position 0 after Reset must not read as the NULL
+	// that was there before.
 	v.Append(NewInt(5))
 	if v.IsNull(0) {
-		t.Fatal("stale null bit survived Reset")
+		t.Fatal("stale NULL survived Reset")
 	}
 }
 

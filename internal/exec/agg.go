@@ -53,7 +53,7 @@ func (s *aggState) add(d datum.Datum, op scalar.AggOp) error {
 		s.sumF += float64(d.I)
 	case datum.KindFloat:
 		s.allInt = false
-		s.sumF += d.F
+		s.sumF += d.Float()
 	default:
 		// SUM/AVG over a non-numeric input used to fall through here without
 		// accumulating anything, so result() silently returned 0.0 — a wrong

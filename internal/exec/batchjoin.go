@@ -15,10 +15,10 @@ import (
 // only distinct keys allocate), a nested-loops join's group is the whole
 // build side.
 //
-// Materialization is late: a chunk gathers the columns the predicate names
-// for every candidate, and the output columns for the surviving pairs only;
-// semi and anti joins emit a selection over the probe batch and gather no
-// output at all.
+// Materialization is late: the predicate reads its columns in place, through
+// the candidate pairs, and a chunk gathers the output columns for the
+// surviving pairs only; semi and anti joins emit a selection over the probe
+// batch and gather no output at all.
 //
 // Emission order is pinned to the row engine's: for each probe row in stream
 // order, its passing matches in build order, then its outer/anti fallout. The
@@ -30,14 +30,11 @@ type batchJoin struct {
 	jt         physical.JoinType
 	leftWidth  int
 	rightWidth int
-	hash       bool  // candidates come from the key index, not the whole build side
-	leftSlots  []int // hash: key slots in the probe input
-	rightSlots []int // hash: key slots in the build input
-	equi       bool  // hash, and On is exactly the equi-key conjunction
-	ve         scalar.VecEval
-	// predL and predR are the probe and build columns On references: all a
-	// chunk gathers before the predicate pass.
-	predL, predR []int
+	hash       bool           // candidates come from the key index, not the whole build side
+	leftSlots  []int          // hash: key slots in the probe input
+	rightSlots []int          // hash: key slots in the build input
+	equi       bool           // hash, and On is exactly the equi-key conjunction
+	ve         scalar.VecEval // reads candidate pairs in place, through pairs
 
 	joinRun
 }
@@ -66,6 +63,10 @@ type joinRun struct {
 	group    []int32 // hash: the current row's candidates; nil under nested loops
 	groupLen int
 
+	// pairs is the current chunk's candidate pairs as the predicate sees
+	// them: probe columns at candL, build columns at candR.
+	pairs scalar.PairView
+
 	out Batch
 }
 
@@ -93,20 +94,7 @@ func newBatchJoin(plan *physical.Expr, kids [2]BatchIterator, ins [2]*layout, ou
 		}
 		j.equi = equiOnly(plan)
 	}
-	if !j.equi && plan.On != nil {
-		var cols scalar.ColSet
-		plan.On.Cols(&cols)
-		cols.ForEach(func(c scalar.ColumnID) {
-			// A column outside both inputs stays the predicate's own error.
-			switch slot, ok := j.ve.Env[c]; {
-			case !ok:
-			case slot < j.leftWidth:
-				j.predL = append(j.predL, slot)
-			default:
-				j.predR = append(j.predR, slot-j.leftWidth)
-			}
-		})
-	}
+	j.ve.Pairs = &j.pairs
 	return j, nil
 }
 
@@ -161,8 +149,8 @@ func (h *batchJoin) Open() error {
 	if err := h.buildSide(); err != nil {
 		return err
 	}
-	if !h.equi || h.jt == physical.JoinInner || h.jt == physical.JoinLeft {
-		// Equi-only semi and anti joins never gather a candidate.
+	if h.jt == physical.JoinInner || h.jt == physical.JoinLeft {
+		// Semi and anti joins select over the probe batch and gather nothing.
 		h.s.cand = sizeVecs(h.s.cand, h.leftWidth+h.rightWidth)
 	}
 	h.lb, h.li, h.inRow = nil, 0, false
@@ -398,9 +386,9 @@ func (h *batchJoin) processChunk() (*Batch, error) {
 }
 
 // evalChunk runs one vectorized predicate pass over the chunk's candidate
-// pairs — gathering only the columns the predicate names — and returns the
-// passing candidate positions. For an equi-only predicate the pass is
-// skipped: every hash candidate matches by construction.
+// pairs, read where they lie in the probe batch and the build side, and
+// returns the passing candidate positions. For an equi-only predicate the
+// pass is skipped: every hash candidate matches by construction.
 func (h *batchJoin) evalChunk() ([]int, error) {
 	s := h.s
 	n := len(s.candL)
@@ -409,15 +397,8 @@ func (h *batchJoin) evalChunk() ([]int, error) {
 		// the selection it is handed.
 		return iotaSel(n), nil
 	}
-	for _, c := range h.predL {
-		s.cand[c].Reset()
-		s.cand[c].AppendGather(h.lb.Cols[c].D, s.candL)
-	}
-	for _, c := range h.predR {
-		s.cand[h.leftWidth+c].Reset()
-		s.cand[h.leftWidth+c].AppendGather(h.rightVecs[c].D, s.candR)
-	}
-	sel, err := h.ve.EvalPred(h.on, s.cand, iotaSel(n), s.sel)
+	h.pairs = scalar.PairView{Split: h.leftWidth, Right: h.rightVecs, L: s.candL, R: s.candR}
+	sel, err := h.ve.EvalPred(h.on, h.lb.Cols, iotaSel(n), s.sel)
 	if err != nil {
 		return nil, err
 	}

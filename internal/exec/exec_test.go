@@ -253,7 +253,7 @@ func TestAggNullHandling(t *testing.T) {
 	if r[0] != datum.NewInt(70) || r[1] != datum.NewInt(10) || r[2] != datum.NewInt(40) {
 		t.Errorf("sum/min/max = %v %v %v", r[0], r[1], r[2])
 	}
-	if r[3].K != datum.KindFloat || r[3].F != 70.0/3 {
+	if r[3].K != datum.KindFloat || r[3].Float() != 70.0/3 {
 		t.Errorf("avg = %v", r[3])
 	}
 	if r[4] != datum.NewInt(3) || r[5] != datum.NewInt(4) {

@@ -21,10 +21,8 @@ import (
 //   - Reset on use, not trust on put. Buffers come back in whatever state the
 //     previous owner left them; sizeVecs length-resets every vector it hands
 //     out and selection buffers are always re-sliced to [:0] before the first
-//     append, so stale datums, null words or indices are unreachable
-//     (datum.Vec.Append writes its null word explicitly, so capacity reuse
-//     after Reset never resurrects old bits). TestPoolPoisonIsInvisible pins
-//     this by pre-poisoning the pools.
+//     append, so stale datums or indices are unreachable.
+//     TestPoolPoisonIsInvisible pins this by pre-poisoning the pools.
 //   - Never pool aliased storage. A join's build vectors live in its scratch
 //     only when the join filled them itself (the bare-scan fast path aliases
 //     the catalog's cached column vectors through a field of its own).

@@ -47,6 +47,14 @@ type Options struct {
 	// test uses it to run the reference pass-based explorer against the same
 	// memo and compare outcomes.
 	exploreOverride func(o *Optimizer, ctx *rules.Context, exercised rules.Set, interactions map[[2]rules.ID]bool, disabled rules.Set, maxExprs, maxPasses int)
+	// onFirstFire, when non-nil, is told the first time a disabled rule's
+	// pattern binds — where the full exploration would have fired it, and so
+	// the point up to which Plan(q,¬R) repeats Plan(q) — and how many
+	// expressions the memo held then. Unexported and nil in production:
+	// TestFirstFirePrefix measures with it what forking an exploration there
+	// could save (ROADMAP item 5(c)). Until the first hit it costs one extra
+	// Bind per disabled-rule attempt.
+	onFirstFire func(r rules.ID, exprs int)
 }
 
 // Result is the outcome of optimizing one query.
@@ -130,6 +138,7 @@ func (o *Optimizer) Optimize(tree *logical.Expr, md *logical.Metadata, opts Opti
 		// The explorer's memo hook must be live before the query tree is
 		// interned so the initial expressions seed its worklist.
 		ex := newExplorer(o, ctx, exercised, interactions, opts.Disabled, maxExprs, maxPasses)
+		ex.onFirstFire = opts.onFirstFire
 		m.SetRoot(m.Insert(tree))
 		ex.run()
 	}
@@ -198,6 +207,8 @@ type explorer struct {
 	// between rounds and during the initial tree interning, when every new
 	// expression seeds the first round.
 	processing *memo.MExpr
+	// onFirstFire is Options.onFirstFire until it has been called once.
+	onFirstFire func(r rules.ID, exprs int)
 }
 
 func newExplorer(o *Optimizer, ctx *rules.Context, exercised rules.Set, interactions map[[2]rules.ID]bool, disabled rules.Set, maxExprs, maxPasses int) *explorer {
@@ -282,7 +293,17 @@ func (ex *explorer) run() {
 			e.Queued &^= inCur
 			ex.processing = e
 			for _, r := range ex.o.reg.ExplorationFor(e.Op()) {
-				if ex.disabled.Contains(r.ID()) || e.WasApplied(int(r.ID())) {
+				if ex.disabled.Contains(r.ID()) {
+					if ex.onFirstFire != nil {
+						m.ReleaseBindings()
+						if len(rules.Bind(m, e, r.Pattern())) > 0 {
+							ex.onFirstFire(r.ID(), m.NumExprs())
+							ex.onFirstFire = nil
+						}
+					}
+					continue
+				}
+				if e.WasApplied(int(r.ID())) {
 					continue
 				}
 				// The previous application's substitutes are interned (or it

@@ -361,7 +361,7 @@ func histValue(d datum.Datum) (float64, bool) {
 	case datum.KindInt, datum.KindDate:
 		return float64(d.I), true
 	case datum.KindFloat:
-		return d.F, true
+		return d.Float(), true
 	default:
 		return 0, false
 	}

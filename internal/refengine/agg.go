@@ -62,7 +62,7 @@ func (a *accum) add(d datum.Datum, op scalar.AggOp) error {
 		a.sumF += float64(d.I)
 	case datum.KindFloat:
 		a.allInt = false
-		a.sumF += d.F
+		a.sumF += d.Float()
 	default:
 		if op == scalar.AggSum || op == scalar.AggAvg {
 			return fmt.Errorf("refengine: %s over non-numeric %s value", op, d.TypeOf())

@@ -59,7 +59,7 @@ func asTri(d datum.Datum) (tri, error) {
 	switch {
 	case d.IsNull():
 		return triUnknown, nil
-	case d.K == datum.KindBool && d.B:
+	case d.K == datum.KindBool && d.Bool():
 		return triTrue, nil
 	case d.K == datum.KindBool:
 		return triFalse, nil
@@ -217,7 +217,7 @@ func numericImage(d datum.Datum) (float64, bool) {
 	case datum.KindInt, datum.KindDate:
 		return float64(d.I), true
 	case datum.KindFloat:
-		return d.F, true
+		return d.Float(), true
 	}
 	return 0, false
 }
@@ -253,9 +253,9 @@ func compareVals(l, r datum.Datum) (int, bool) {
 		return 0, true
 	case datum.KindBool:
 		switch {
-		case !l.B && r.B:
+		case !l.Bool() && r.Bool():
 			return -1, true
-		case l.B && !r.B:
+		case l.Bool() && !r.Bool():
 			return 1, true
 		}
 		return 0, true

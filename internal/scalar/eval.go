@@ -30,7 +30,7 @@ func Eval(e Expr, row datum.Row, env Env) (datum.Datum, error) {
 		if err != nil {
 			return datum.Null, err
 		}
-		return triToDatum(evalCmp(t.Op, l, r)), nil
+		return triToDatum(evalCmp(t.Op, &l, &r)), nil
 	case *Arith:
 		l, err := Eval(t.L, row, env)
 		if err != nil {
@@ -40,7 +40,7 @@ func Eval(e Expr, row datum.Row, env Env) (datum.Datum, error) {
 		if err != nil {
 			return datum.Null, err
 		}
-		return evalArith(t.Op, l, r)
+		return evalArith(t.Op, &l, &r)
 	case *And:
 		// Errors dominate: every kid is evaluated before folding, so a
 		// conjunct that errors surfaces the error even when an earlier
@@ -117,7 +117,7 @@ func datumToTri(d datum.Datum) (datum.Tri, error) {
 		return datum.Unknown, nil
 	}
 	if d.K == datum.KindBool {
-		return datum.TriFromBool(d.B), nil
+		return datum.TriFromBool(d.Bool()), nil
 	}
 	return datum.Unknown, fmt.Errorf("scalar: %v is not a boolean predicate", d)
 }
@@ -133,20 +133,21 @@ func triToDatum(t datum.Tri) datum.Datum {
 	}
 }
 
-// evalCmp compares two datums under three-valued logic. NULL operands yield
-// Unknown, and — deliberately — so does a comparison between incomparable
-// kinds (e.g. INT vs STRING): cross-kind comparisons are *documented
-// Unknown*, not an error, on both engines. An error here would make
-// Error-vs-OK depend on which plan path (hash-join probe vs residual
-// predicate) evaluates the comparison; Unknown is order- and path-stable.
-// TypeOf rejects cross-kind comparisons statically, so EET rewrites are only
-// emitted where comparisons are well-kinded and identities like
-// x = y OR x <> y OR x IS NULL OR y IS NULL actually hold.
-func evalCmp(op CmpOp, l, r datum.Datum) datum.Tri {
-	if l.IsNull() || r.IsNull() {
-		return datum.Unknown
-	}
-	c, ok := datum.Compare(l, r)
+// evalCmp compares two datums under three-valued logic; it is the one
+// comparison kernel under Eval, EvalBool, VecEval.Eval and VecEval.EvalPred,
+// and it reads its operands where they lie. NULL operands yield Unknown, and
+// — deliberately — so does a comparison between incomparable kinds (e.g. INT
+// vs STRING): cross-kind comparisons are *documented Unknown*, not an error,
+// on both engines. An error here would make Error-vs-OK depend on which plan
+// path (hash-join probe vs residual predicate) evaluates the comparison;
+// Unknown is order- and path-stable. TypeOf rejects cross-kind comparisons
+// statically, so EET rewrites are only emitted where comparisons are
+// well-kinded and identities like x = y OR x <> y OR x IS NULL OR y IS NULL
+// actually hold. The order is datum.ComparePtr's: numeric kinds meet in
+// float64, where integers beyond 2^53 with one image are equal and a NaN is
+// neither less nor greater — so =, <= and >= hold for it and <> does not.
+func evalCmp(op CmpOp, l, r *datum.Datum) datum.Tri {
+	c, ok := datum.ComparePtr(l, r)
 	if !ok {
 		return datum.Unknown
 	}
@@ -167,8 +168,11 @@ func evalCmp(op CmpOp, l, r datum.Datum) datum.Tri {
 	return datum.Unknown
 }
 
-func evalArith(op ArithOp, l, r datum.Datum) (datum.Datum, error) {
-	if l.IsNull() || r.IsNull() {
+// evalArith is the one arithmetic kernel under the same four entry points.
+// INT op INT stays INT (wrapping); any other pair of numeric kinds computes
+// in float64; NULL propagates; anything else is a typed execution error.
+func evalArith(op ArithOp, l, r *datum.Datum) (datum.Datum, error) {
+	if l.K == datum.KindNull || r.K == datum.KindNull {
 		return datum.Null, nil
 	}
 	if l.K == datum.KindInt && r.K == datum.KindInt {
@@ -184,7 +188,7 @@ func evalArith(op ArithOp, l, r datum.Datum) (datum.Datum, error) {
 	lf, lok := asFloat(l)
 	rf, rok := asFloat(r)
 	if !lok || !rok {
-		return datum.Null, fmt.Errorf("scalar: arithmetic on non-numeric %v %s %v", l, op, r)
+		return datum.Null, fmt.Errorf("scalar: arithmetic on non-numeric %v %s %v", *l, op, *r)
 	}
 	switch op {
 	case ArithAdd:
@@ -197,12 +201,12 @@ func evalArith(op ArithOp, l, r datum.Datum) (datum.Datum, error) {
 	return datum.Null, fmt.Errorf("scalar: unknown arithmetic op %d", op)
 }
 
-func asFloat(d datum.Datum) (float64, bool) {
+func asFloat(d *datum.Datum) (float64, bool) {
 	switch d.K {
 	case datum.KindInt, datum.KindDate:
 		return float64(d.I), true
 	case datum.KindFloat:
-		return d.F, true
+		return d.Float(), true
 	}
 	return 0, false
 }

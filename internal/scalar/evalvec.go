@@ -14,8 +14,22 @@ type VecEval struct {
 	// Env maps ColumnIDs to column positions, exactly like Eval's Env maps
 	// them to row slots.
 	Env Env
+	// Pairs, when non-nil, makes the evaluator read a join's candidate pairs
+	// in place; see PairView.
+	Pairs *PairView
 
 	pool []*datum.Vec
+}
+
+// PairView describes the rows of a join's candidate pairs without gathering
+// them: the selection holds candidate positions, the columns at slots below
+// Split are the cols argument's (the probe side) read at row L[position], and
+// the others are Right[slot-Split] (the build side) read at row R[position].
+// Nothing is copied before the predicate has picked the survivors.
+type PairView struct {
+	Split int
+	Right []datum.Vec
+	L, R  []int
 }
 
 func (v *VecEval) getVec() *datum.Vec {
@@ -33,19 +47,25 @@ func (v *VecEval) putVec(x *datum.Vec) { v.pool = append(v.pool, x) }
 // vecOp is a resolved operand: a column gathered through the selection
 // vector, a dense scratch result, or a constant.
 type vecOp struct {
-	col   *datum.Vec // gather: value for position k is col.D[idx[k]]
+	col   *datum.Vec // gather: value for position k is col.D[idx[k]], or col.D[via[idx[k]]]
+	via   []int
 	dense *datum.Vec // dense scratch result: value for position k is dense.D[k]
 	c     datum.Datum
 }
 
-func (o *vecOp) at(k, ri int) datum.Datum {
+// at returns the operand's value for selected position k, row ri, where it
+// lies: the kernels read it through the pointer and nothing is copied.
+func (o *vecOp) at(k, ri int) *datum.Datum {
 	switch {
 	case o.col != nil:
-		return o.col.D[ri]
+		if o.via != nil {
+			ri = o.via[ri]
+		}
+		return &o.col.D[ri]
 	case o.dense != nil:
-		return o.dense.D[k]
+		return &o.dense.D[k]
 	default:
-		return o.c
+		return &o.c
 	}
 }
 
@@ -58,7 +78,14 @@ func (v *VecEval) operand(e Expr, cols []datum.Vec, idx []int) (vecOp, error) {
 		if !ok {
 			return vecOp{}, fmt.Errorf("scalar: column c%d not in scope", t.ID)
 		}
-		return vecOp{col: &cols[slot]}, nil
+		switch p := v.Pairs; {
+		case p == nil:
+			return vecOp{col: &cols[slot]}, nil
+		case slot < p.Split:
+			return vecOp{col: &cols[slot], via: p.L}, nil
+		default:
+			return vecOp{col: &p.Right[slot-p.Split], via: p.R}, nil
+		}
 	case *Const:
 		return vecOp{c: t.D}, nil
 	default:
@@ -84,13 +111,16 @@ func (v *VecEval) Eval(e Expr, cols []datum.Vec, idx []int, out *datum.Vec) erro
 	out.Reset()
 	switch t := e.(type) {
 	case *ColRef:
-		slot, ok := v.Env[t.ID]
-		if !ok {
-			return fmt.Errorf("scalar: column c%d not in scope", t.ID)
+		o, err := v.operand(t, cols, idx)
+		if err != nil {
+			return err
 		}
-		src := cols[slot].D
+		if o.via == nil {
+			out.AppendGather(o.col.D, idx)
+			return nil
+		}
 		for _, ri := range idx {
-			out.Append(src[ri])
+			out.Append(o.col.D[o.via[ri]])
 		}
 		return nil
 	case *Const:
@@ -149,7 +179,7 @@ func (v *VecEval) Eval(e Expr, cols []datum.Vec, idx []int, out *datum.Vec) erro
 			if err != nil {
 				return err
 			}
-			out.Put(k, triToDatum(tri.Not()))
+			out.D[k] = triToDatum(tri.Not())
 		}
 		return nil
 	case *IsNull:
@@ -158,7 +188,7 @@ func (v *VecEval) Eval(e Expr, cols []datum.Vec, idx []int, out *datum.Vec) erro
 			return err
 		}
 		for k, ri := range idx {
-			out.Append(datum.NewBool(o.at(k, ri).IsNull()))
+			out.Append(datum.NewBool(o.at(k, ri).K == datum.KindNull))
 		}
 		v.release(o)
 		return nil
@@ -191,7 +221,7 @@ func (v *VecEval) evalVariadic(kids []Expr, cols []datum.Vec, idx []int, out *da
 		if err != nil {
 			return err
 		}
-		out.Put(k, triToDatum(tri))
+		out.D[k] = triToDatum(tri)
 	}
 	if len(kids) == 1 {
 		return nil
@@ -211,7 +241,7 @@ func (v *VecEval) evalVariadic(kids []Expr, cols []datum.Vec, idx []int, out *da
 			if err != nil {
 				return err
 			}
-			out.Put(k, triToDatum(fold(a, b)))
+			out.D[k] = triToDatum(fold(a, b))
 		}
 	}
 	return nil

