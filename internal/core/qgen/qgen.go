@@ -139,6 +139,7 @@ func (g *Generator) tryTree(tree *logical.Expr, md *logical.Metadata, target []r
 	if err != nil {
 		return nil, false, err
 	}
+	res.Release()
 	for _, id := range target {
 		if !res.RuleSet.Contains(id) {
 			return nil, false, nil

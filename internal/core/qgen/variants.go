@@ -71,6 +71,7 @@ func (g *Generator) relevantTry(tree *logical.Expr, md *logical.Metadata, id rul
 	if err != nil {
 		return nil, false, err
 	}
+	on.Release()
 	if !on.RuleSet.Contains(id) {
 		return nil, false, nil
 	}
@@ -80,6 +81,7 @@ func (g *Generator) relevantTry(tree *logical.Expr, md *logical.Metadata, id rul
 		// implementation rules); that certainly makes the rule relevant.
 		return &Query{SQL: sqlText, Tree: bound.Tree, MD: bound.MD, RuleSet: on.RuleSet, Plan: on.Plan, Cost: on.Cost}, true, nil
 	}
+	off.Release()
 	if off.Plan.Hash() == on.Plan.Hash() {
 		return nil, false, nil
 	}
@@ -130,6 +132,7 @@ func (g *Generator) GenerateInteractionPair(r1, r2 rules.ID) (*Query, error) {
 		if err != nil {
 			return nil, err
 		}
+		res.Release()
 		if res.Interactions[[2]rules.ID{r1, r2}] {
 			return &Query{
 				SQL: sqlText, Tree: bound.Tree, MD: bound.MD,

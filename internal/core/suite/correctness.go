@@ -113,6 +113,7 @@ func (g *Graph) Run(sol *Solution, o *opt.Optimizer, cat *catalog.Catalog) (*Rep
 			if err != nil {
 				return fmt.Errorf("suite: planning query %d: %w", qi, err)
 			}
+			res.Release()
 			plan = res.Plan
 		}
 		base, err := rn.Base(cat, oracle.Prepare(plan))

@@ -237,6 +237,7 @@ func (ec *edgeCoster) edge(q *Query, t Target) edgeResult {
 			e.res = edgeResult{cost: math.Inf(1)}
 			return
 		}
+		res.Release()
 		// For an ideal optimizer Cost(q) ≤ Cost(q,¬R): the search space with
 		// a rule disabled is a subset of the full one (§5.2). Our search is
 		// budget-capped, so the disabled run can occasionally stumble on a

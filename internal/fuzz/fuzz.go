@@ -327,6 +327,7 @@ func (c *campaign) runOne(idx int, w *qgen.Weights) result {
 		r.skip = "optimize"
 		return r
 	}
+	res.Release()
 	if res.Plan.Cost > maxCost {
 		r.skip = "estcap"
 		return r
@@ -404,11 +405,11 @@ func (c *campaign) runOne(idx int, w *qgen.Weights) result {
 	// operator) is skipped, not reported: losing plannability is expected,
 	// wrong results are not.
 	for _, id := range res.RuleSet.Sorted() {
-		altRes, err := c.opt.Optimize(bound.Tree, bound.MD, opt.Options{Disabled: rules.NewSet(id)})
-		if err != nil || altRes.Plan.Cost > maxCost {
+		alt, ok := c.planWithout(bound, id)
+		if !ok {
 			continue
 		}
-		if edge(altRes.Plan, KindDifferential, id, "").Compared() {
+		if edge(alt, KindDifferential, id, "").Compared() {
 			r.planExecs++
 			r.diffChecks++
 		}
@@ -458,6 +459,7 @@ func (c *campaign) planTree(tree *logical.Expr, md *logical.Metadata) (*physical
 	if err != nil {
 		return nil, fmt.Errorf("optimize: %w", err)
 	}
+	res.Release()
 	return res.Plan, nil
 }
 

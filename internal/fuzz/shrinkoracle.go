@@ -107,11 +107,19 @@ func (c *campaign) replan(t *logical.Expr, md *logical.Metadata) (bound *bind.Bo
 	if bound, err = bind.BindSQL(sqlText, c.cfg.Catalog); err != nil {
 		return nil, nil, false
 	}
-	res, err := c.opt.Optimize(bound.Tree, bound.MD, opt.Options{})
-	if err != nil || res.Plan.Cost > maxCost {
-		return nil, nil, false
+	plan, ok = c.planWithout(bound)
+	return bound, plan, ok
+}
+
+// planWithout optimizes the bound query with the given rules disabled; ok is
+// false when there is no plan or its estimate exceeds the cost cap.
+func (c *campaign) planWithout(bound *bind.Bound, disabled ...rules.ID) (plan *physical.Expr, ok bool) {
+	res, err := c.opt.Optimize(bound.Tree, bound.MD, opt.Options{Disabled: rules.NewSet(disabled...)})
+	if err != nil {
+		return nil, false
 	}
-	return bound, res.Plan, true
+	res.Release()
+	return res.Plan, !(res.Plan.Cost > maxCost)
 }
 
 // chargedBase charges and executes one plan of a candidate as an oracle base.
@@ -146,11 +154,8 @@ func (c *campaign) diffTrips(t *logical.Expr, md *logical.Metadata, id rules.ID,
 	if err != nil {
 		return false
 	}
-	altRes, err := c.opt.Optimize(bound.Tree, bound.MD, opt.Options{Disabled: rules.NewSet(id)})
-	if err != nil || altRes.Plan.Cost > maxCost {
-		return false
-	}
-	return c.edgeTrips(&base, altRes.Plan, budget)
+	alt, ok := c.planWithout(bound, id)
+	return ok && c.edgeTrips(&base, alt, budget)
 }
 
 // metaTrips reports whether the named metamorphic rewrite still applies to
@@ -208,11 +213,9 @@ func (c *campaign) execErrs(t *logical.Expr, md *logical.Metadata, id rules.ID, 
 		return false
 	}
 	if id != 0 {
-		altRes, err := c.opt.Optimize(bound.Tree, bound.MD, opt.Options{Disabled: rules.NewSet(id)})
-		if err != nil || altRes.Plan.Cost > maxCost {
+		if plan, ok = c.planWithout(bound, id); !ok {
 			return false
 		}
-		plan = altRes.Plan
 	}
 	_, err := c.chargedBase(plan, budget)
 	return err != nil && !errors.Is(err, exec.ErrRowLimit)

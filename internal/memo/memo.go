@@ -110,41 +110,133 @@ type Memo struct {
 	// force every expression into one bucket.
 	collideAll bool
 
-	// Chunked storage, private to this memo and never pooled across memos, so
-	// everything carved from it stays valid for as long as the memo (or any
-	// pointer into it) is reachable. Each field is the unused tail of the
-	// current chunk; a chunk that runs out is replaced, never grown, so
-	// pointers into it are stable.
-	exprs  []MExpr
-	grps   []Group
-	kidIDs []GroupID
-	// bindings holds the binder's nodes. Unlike the rest it is recycled:
-	// ReleaseBindings rewinds it once a rule application is over.
-	bindings     [][]binding
-	bindingChunk int // index into bindings of the chunk being carved
-	bindingNext  int // next unused node in that chunk
+	// Storage everything the memo hands out is carved from. It is private to
+	// this memo, so a pointer into it stays valid for as long as the memo is
+	// reachable and not Reset.
+	exprs  arena[MExpr]
+	grps   arena[Group]
+	kidIDs arena[GroupID]
+	// nodes holds the payloads rules build fresh (BoundNew); freeNodes those
+	// whose substitute turned out to be interned already.
+	nodes     arena[logical.Expr]
+	freeNodes []*logical.Expr
+	// bindings holds the binder's nodes and the rules' substitutes. Unlike the
+	// rest it is recycled within one optimization: ReleaseBindings rewinds it
+	// once a rule application is over.
+	bindings arena[binding]
 }
 
-// chunkLen sizes the next chunk of a storage class that has handed out used
-// elements so far: chunks double with use, so a three-expression memo costs a
-// few hundred bytes and a thousand-expression one a handful of allocations.
-func chunkLen(used int) int {
-	switch {
-	case used < 4:
-		return 4
-	case used > 128:
-		return 128
+// arena hands out elements of doubling chunks (first, first, 2·first, … up to
+// 128) that it keeps: rewind makes all of them available again. A chunk is
+// never grown, so pointers into it are stable, and a three-expression memo
+// costs a few hundred bytes where a thousand-expression one costs a handful
+// of allocations.
+type arena[T any] struct {
+	chunks [][]T
+	chunk  int // index into chunks of the chunk being carved
+	next   int // next unused element of that chunk
+	top    int // highest chunk carved since the last zeroing rewind
+	total  int // elements in all chunks
+}
+
+// take returns n contiguous elements, zero unless a rewind left them as they
+// were. first sizes the first chunk.
+func (a *arena[T]) take(n, first int) []T {
+	for a.chunk < len(a.chunks) && len(a.chunks[a.chunk])-a.next < n {
+		a.chunk, a.next = a.chunk+1, 0
 	}
-	return used
+	if a.chunk == len(a.chunks) {
+		size := max(n, min(max(a.total, first), 128))
+		a.chunks = append(a.chunks, make([]T, size))
+		a.total += size
+	}
+	a.top = max(a.top, a.chunk)
+	out := a.chunks[a.chunk][a.next : a.next+n : a.next+n]
+	a.next += n
+	return out
+}
+
+// rewind makes every element available again, zeroed if zero is set and
+// otherwise as it was left.
+func (a *arena[T]) rewind(zero bool) {
+	if zero && len(a.chunks) > 0 {
+		for _, c := range a.chunks[:a.top+1] {
+			clear(c)
+		}
+		a.top = 0
+	}
+	a.chunk, a.next = 0, 0
+}
+
+// fill overwrites with v what a zeroing rewind would zero.
+func (a *arena[T]) fill(v T) {
+	if len(a.chunks) > 0 {
+		for _, c := range a.chunks[:a.top+1] {
+			for i := range c {
+				c[i] = v
+			}
+		}
+	}
 }
 
 // New returns an empty memo over the given metadata.
 func New(md *logical.Metadata) *Memo {
-	return &Memo{
-		MD:     md,
-		groups: make([]*Group, 0, 32),
-		intern: make(map[uint64]*MExpr, 64),
+	m := new(Memo)
+	m.Reset(md)
+	return m
+}
+
+// Reset empties the memo for another query over md, keeping its storage: every
+// expression, group, payload node, binding and substitute it handed out is
+// zeroed and will be handed out again (groups keep the backing arrays of
+// their expression lists), so the caller must hold no pointer into the memo
+// past this call. The zero Memo is ready for its first Reset.
+func (m *Memo) Reset(md *logical.Metadata) {
+	if m.intern == nil {
+		m.groups = make([]*Group, 0, 32)
+		m.intern = make(map[uint64]*MExpr, 64)
 	}
+	// What the group, expression-list and free-node slices still hold past
+	// their new lengths points into this memo's own storage, so only what
+	// can keep the last query's trees reachable is zeroed.
+	for _, g := range m.groups {
+		*g = Group{Exprs: g.Exprs[:0]}
+	}
+	m.groups = m.groups[:0]
+	m.grps.rewind(false)
+	m.exprs.rewind(true)
+	m.kidIDs.rewind(false)
+	m.nodes.rewind(true)
+	m.freeNodes = m.freeNodes[:0]
+	m.bindings.rewind(true)
+	clear(m.intern)
+	m.MD, m.nexprs, m.Root, m.onAdd = md, 0, 0, nil
+}
+
+// Poison overwrites every expression, group, payload node, binding and
+// substitute the memo has handed out with values no optimization produces;
+// only Reset makes the memo usable again. It is for tests of code that
+// recycles memos: whatever still points into this one afterwards reads poison.
+func (m *Memo) Poison() {
+	node := &logical.Expr{Op: -7, Table: "POISON", N: -7}
+	expr := &MExpr{Node: node, Kids: []GroupID{-7}, Group: -7, Ord: -7, applied: ^uint64(0), CreatedBy: -7, Queued: 0xff}
+	expr.internNext = expr
+	bound := &BoundExpr{Node: node, Group: -7, Src: expr, owned: true}
+	bound.Kids = []*BoundExpr{bound}
+	for _, g := range m.groups {
+		for i := range g.Exprs {
+			g.Exprs[i] = expr
+		}
+		*g = Group{ID: -7, Exprs: g.Exprs, Cols: scalar.NewColSet(127, 128), leaf: *bound}
+	}
+	m.exprs.fill(*expr)
+	m.kidIDs.fill(-7)
+	m.nodes.fill(*node)
+	m.bindings.fill(binding{b: *bound, kids: [2]*BoundExpr{bound, bound}, self: [1]*BoundExpr{bound}})
+	for fp := range m.intern {
+		m.intern[fp] = expr
+	}
+	m.MD, m.nexprs, m.Root = nil, -7, -7
 }
 
 // SetOnAdd registers fn to be called for every newly interned expression
@@ -245,28 +337,12 @@ func (m *Memo) colSetOf(node *logical.Expr, kids []GroupID) scalar.ColSet {
 }
 
 func (m *Memo) newGroup(node *logical.Expr, kids []GroupID) *Group {
-	if len(m.grps) == 0 {
-		m.grps = make([]Group, chunkLen(len(m.groups)))
-	}
-	g := &m.grps[0]
-	m.grps = m.grps[1:]
+	g := &m.grps.take(1, 4)[0]
 	g.ID = GroupID(len(m.groups) + 1)
 	g.Cols = m.colSetOf(node, kids)
 	g.leaf.Group = g.ID
 	m.groups = append(m.groups, g)
 	return g
-}
-
-// addExpr places (node, kids) in group g, returning the expression and
-// whether it was newly added. If the identical expression already exists in a
-// DIFFERENT group, nothing is added (the memo does not merge groups; see
-// DESIGN.md) and added=false.
-func (m *Memo) addExpr(node *logical.Expr, kids []GroupID, g *Group, createdBy int) (*MExpr, bool) {
-	fp := m.fingerprint(node, kids)
-	if existing := m.lookup(fp, node, kids); existing != nil {
-		return existing, false
-	}
-	return m.addInterned(fp, node, kids, g, createdBy), true
 }
 
 // addInterned appends a known-novel expression to its group and the intern
@@ -276,16 +352,8 @@ func (m *Memo) addExpr(node *logical.Expr, kids []GroupID, g *Group, createdBy i
 // kids may be the caller's scratch: the expression keeps a copy carved from
 // the memo's own storage.
 func (m *Memo) addInterned(fp uint64, node *logical.Expr, kids []GroupID, g *Group, createdBy int) *MExpr {
-	if len(m.exprs) == 0 {
-		m.exprs = make([]MExpr, chunkLen(m.nexprs))
-	}
-	e := &m.exprs[0]
-	m.exprs = m.exprs[1:]
-	if len(m.kidIDs) < len(kids) {
-		m.kidIDs = make([]GroupID, 2*chunkLen(m.nexprs)+len(kids))
-	}
-	own := m.kidIDs[:len(kids):len(kids)]
-	m.kidIDs = m.kidIDs[len(kids):]
+	e := &m.exprs.take(1, 4)[0]
+	own := m.kidIDs.take(len(kids), 8)
 	copy(own, kids)
 	*e = MExpr{Node: node, Kids: own, Group: g.ID, Ord: len(g.Exprs), CreatedBy: createdBy}
 	g.Exprs = append(g.Exprs, e)
@@ -346,6 +414,9 @@ type BoundExpr struct {
 	// leaves and substitutes. It carries provenance for rule-interaction
 	// tracking.
 	Src *MExpr
+	// owned marks a substitute whose Node is a memo payload node no
+	// expression has adopted yet (BoundNew).
+	owned bool
 }
 
 // GroupRef returns a leaf BoundExpr referencing group g.
@@ -373,26 +444,74 @@ func (m *Memo) NewBinding(e *MExpr) (*BoundExpr, []*BoundExpr) {
 	if len(e.Kids) > 2 {
 		panic("memo: NewBinding with more than 2 kids")
 	}
-	if m.bindingChunk == len(m.bindings) {
-		// 2, 8, 32, then 128 nodes a chunk: most applications bind once,
-		// and a memo that is never explored (verify's) binds little else.
-		m.bindings = append(m.bindings, make([]binding, 2<<min(2*len(m.bindings), 6)))
-	}
-	chunk := m.bindings[m.bindingChunk]
-	n := &chunk[m.bindingNext]
-	if m.bindingNext++; m.bindingNext == len(chunk) {
-		m.bindingChunk, m.bindingNext = m.bindingChunk+1, 0
-	}
+	// 2, 2, 4, 8 … 128 nodes a chunk: most applications bind once, and a
+	// memo that is never explored (verify's) binds little else.
+	n := &m.bindings.take(1, 2)[0]
 	n.b = BoundExpr{Node: e.Node, Kids: n.kids[:len(e.Kids):len(e.Kids)], Group: e.Group, Src: e}
 	n.self[0] = &n.b
 	return &n.b, n.self[:]
 }
 
-// ReleaseBindings hands every binding NewBinding returned so far back for
-// reuse. The caller must hold no binding, and no substitute built over one,
-// past this call: the explorer calls it between rule applications, when the
-// substitutes have been interned and only group references survive.
-func (m *Memo) ReleaseBindings() { m.bindingChunk, m.bindingNext = 0, 0 }
+// ReleaseBindings hands every binding NewBinding returned so far, and every
+// substitute Bound and BoundNew built, back for reuse. The caller must hold
+// none of them past this call: the explorer calls it between rule
+// applications, when the substitutes have been interned and only group
+// references survive. A caller that never calls it (verify, the reference
+// explorer) keeps them all until Reset.
+func (m *Memo) ReleaseBindings() { m.bindings.rewind(false) }
+
+// Bound returns a substitute node over kids whose payload is node, a matched
+// expression's, shared as it is. Like a binding, the substitute lives in the
+// memo's binding storage and is valid until ReleaseBindings.
+func (m *Memo) Bound(node *logical.Expr, kids ...*BoundExpr) *BoundExpr {
+	if len(kids) > 2 {
+		panic("memo: Bound with more than 2 kids")
+	}
+	n := &m.bindings.take(1, 2)[0]
+	copy(n.kids[:], kids)
+	n.b = BoundExpr{Node: node, Kids: n.kids[:len(kids):len(kids)]}
+	return &n.b
+}
+
+// BoundNew is Bound for a payload the rule has just built: the memo copies it
+// into a node of its own, which the expression interned from the substitute
+// adopts — or which goes back on the memo's free list, should an equal
+// expression exist already.
+func (m *Memo) BoundNew(payload logical.Expr, kids ...*BoundExpr) *BoundExpr {
+	var node *logical.Expr
+	if n := len(m.freeNodes); n > 0 {
+		node, m.freeNodes = m.freeNodes[n-1], m.freeNodes[:n-1]
+	} else {
+		node = &m.nodes.take(1, 1)[0]
+	}
+	*node = payload
+	b := m.Bound(node, kids...)
+	b.owned = true
+	return b
+}
+
+// internBound returns the expression substitute node b over kids is interned
+// as, adding it to group g — a new group when g is nil — if it is new; an
+// expression that exists already stays in the group it has (the memo does not
+// merge groups; see DESIGN.md). An owned payload node is disowned either way,
+// once: adopted by the new expression, or put on the free list with b pointed
+// at the equal node that was there first, so that a subtree two substitutes
+// share resolves to the same expression for both.
+func (m *Memo) internBound(b *BoundExpr, kids []GroupID, g *Group, createdBy int) *MExpr {
+	fp := m.fingerprint(b.Node, kids)
+	e := m.lookup(fp, b.Node, kids)
+	if e == nil {
+		if g == nil {
+			g = m.newGroup(b.Node, kids)
+		}
+		e = m.addInterned(fp, b.Node, kids, g, createdBy)
+	} else if b.owned {
+		m.freeNodes = append(m.freeNodes, b.Node)
+		b.Node = e.Node
+	}
+	b.owned = false
+	return e
+}
 
 // NewBound returns a substitute node over kids. A node that carries children
 // (a matched original-tree node) has its payload copied with children
@@ -447,13 +566,7 @@ func (m *Memo) ensureGroup(b *BoundExpr, createdBy int) GroupID {
 	for i, k := range b.Kids {
 		kids[i] = m.ensureGroup(k, createdBy)
 	}
-	fp := m.fingerprint(b.Node, kids)
-	if existing := m.lookup(fp, b.Node, kids); existing != nil {
-		return existing.Group
-	}
-	g := m.newGroup(b.Node, kids)
-	m.addInterned(fp, b.Node, kids, g, createdBy)
-	return g.ID
+	return m.internBound(b, kids, nil, createdBy).Group
 }
 
 // InsertSubstitute adds the root of a rule's substitute tree to the target
@@ -477,7 +590,7 @@ func (m *Memo) InsertSubstituteFrom(b *BoundExpr, target GroupID, createdBy int)
 	for i, k := range b.Kids {
 		kids[i] = m.ensureGroup(k, createdBy)
 	}
-	m.addExpr(b.Node, kids, m.Group(target), createdBy)
+	m.internBound(b, kids, m.Group(target), createdBy)
 	return m.NumExprs() > before
 }
 

@@ -11,6 +11,7 @@ package opt
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"qtrtest/internal/catalog"
 	"qtrtest/internal/logical"
@@ -55,6 +56,10 @@ type Options struct {
 	// could save (ROADMAP item 5(c)). Until the first hit it costs one extra
 	// Bind per disabled-rule attempt.
 	onFirstFire func(r rules.ID, exprs int)
+	// onPool, when non-nil, is handed the optimization's scratch just before
+	// it goes back to the Optimizer's pool. Unexported: the release test
+	// poisons everything in it.
+	onPool func(*scratch)
 }
 
 // Result is the outcome of optimizing one query.
@@ -70,21 +75,71 @@ type Result struct {
 	// describes: a pair (r1, r2) is present when rule r2 was exercised on
 	// an expression that rule r1's substitution created.
 	Interactions map[[2]rules.ID]bool
-	// Memo is the final memo, exposed for inspection and tests.
+	// Memo is the final memo, exposed for inspection and tests. It is part of
+	// the optimization's working set: valid until Release, nil afterwards.
 	Memo *memo.Memo
+	// scratch is that working set, until it is released.
+	scratch *scratch
+}
+
+// Release hands the optimization's working set — the memo and everything
+// else Optimize built that is not part of the result — back to the Optimizer
+// for a later Optimize call to run in. Plan, Cost, RuleSet and Interactions
+// stay valid; Memo becomes nil, and a memo, group or expression read from it
+// earlier must not be touched again. Releasing is optional (a Result that is
+// never released leaves its working set to the collector), a second Release
+// is a no-op, and the Result's one owner calls it: it is not safe to call
+// concurrently with itself.
+func (r *Result) Release() {
+	s := r.scratch
+	if s == nil {
+		return
+	}
+	r.scratch, r.Memo = nil, nil
+	s.imp.o.pool(s)
+}
+
+// scratch is the working set of one optimization. An Optimizer keeps the
+// released ones in a sync.Pool — not a free list of its own, so the collector
+// can still take an idle one back — and Optimize resets one rather than
+// building the memo, the rule context, the explorer's index and worklists,
+// the stats cache and the implementor's tables afresh: after a few calls an
+// optimization allocates little besides what it returns.
+type scratch struct {
+	memo memo.Memo
+	// ctx survives from call to call so that its free list of released
+	// candidates does.
+	ctx rules.Context
+	ex  explorer
+	// onAdd is ex.onAdd, bound once.
+	onAdd  func(*memo.MExpr)
+	sb     statsBuilder
+	imp    implementor
+	onPool func(*scratch)
+}
+
+// pool puts a scratch no Result refers to any more back in the pool.
+func (o *Optimizer) pool(s *scratch) {
+	if s.onPool != nil {
+		s.onPool(s)
+	}
+	o.scratch.Put(s)
 }
 
 // Optimizer optimizes logical trees against a catalog using a rule registry.
 //
-// An Optimizer is safe for concurrent use: it holds no mutable state of its
-// own (the registry and catalog are read-only after construction), every
-// Optimize call builds a private memo and stats cache, and the query
-// metadata is cloned per call so rules that synthesize columns never mutate
-// shared state. The parallel campaign engine relies on this to fan
-// optimizations out over a worker pool.
+// An Optimizer is safe for concurrent use: the registry and catalog are
+// read-only after construction, its only mutable state is a sync.Pool of
+// working sets (scratch) of which every Optimize call takes one for itself —
+// so memo, stats cache and candidate free list are private to the call — and
+// the query metadata is cloned per call so rules that synthesize columns
+// never mutate shared state. The parallel campaign engine relies on this to
+// fan optimizations out over a worker pool. An Optimizer must not be copied
+// after first use.
 type Optimizer struct {
-	reg *rules.Registry
-	cat *catalog.Catalog
+	reg     *rules.Registry
+	cat     *catalog.Catalog
+	scratch sync.Pool // of *scratch
 }
 
 // New returns an optimizer over the given rules and test database.
@@ -124,12 +179,19 @@ func (o *Optimizer) Optimize(tree *logical.Expr, md *logical.Metadata, opts Opti
 	// optimizations that never synthesize a column.
 	md = md.CowClone()
 
-	m := memo.New(md)
+	s, _ := o.scratch.Get().(*scratch)
+	if s == nil {
+		s = new(scratch)
+		s.ctx.Memo = &s.memo
+		s.onAdd = s.ex.onAdd
+	}
+	s.onPool = opts.onPool
+	m, ctx := &s.memo, &s.ctx
+	m.Reset(md)
 
 	// Presized so the typical optimization never grows them incrementally.
 	exercised := make(rules.Set, 48)
 	interactions := make(map[[2]rules.ID]bool, 16)
-	ctx := &rules.Context{Memo: m}
 
 	if opts.exploreOverride != nil {
 		m.SetRoot(m.Insert(tree))
@@ -137,27 +199,40 @@ func (o *Optimizer) Optimize(tree *logical.Expr, md *logical.Metadata, opts Opti
 	} else {
 		// The explorer's memo hook must be live before the query tree is
 		// interned so the initial expressions seed its worklist.
-		ex := newExplorer(o, ctx, exercised, interactions, opts.Disabled, maxExprs, maxPasses)
-		ex.onFirstFire = opts.onFirstFire
+		s.ex.reset(o, ctx, exercised, interactions, opts.Disabled, maxExprs, maxPasses)
+		s.ex.onFirstFire = opts.onFirstFire
+		m.SetOnAdd(s.onAdd)
 		m.SetRoot(m.Insert(tree))
-		ex.run()
+		s.ex.run()
 	}
-	root := m.Root
 
-	sb := newStatsBuilder(m)
-	sb.noHistograms = opts.DisableHistograms
-	imp := &implementor{
-		o: o, ctx: ctx, sb: sb,
+	s.sb.reset(m, opts.DisableHistograms)
+	n := m.NumGroups()
+	s.imp = implementor{
+		o: o, ctx: ctx, sb: &s.sb,
 		exercised: exercised, disabled: opts.Disabled,
-		best: make([]*physical.Expr, m.NumGroups()),
-		done: make([]bool, m.NumGroups()), visiting: make([]bool, m.NumGroups()),
+		best: resized(s.imp.best, n), winner: resized(s.imp.winner, n),
+		done: resized(s.imp.done, n), visiting: resized(s.imp.visiting, n),
 		onRelease: opts.onRelease,
 	}
-	plan := imp.bestPlan(root)
+	plan := s.imp.bestPlan(m.Root)
+	s.imp.releaseLosers(m.Root)
 	if plan == nil {
+		o.pool(s)
 		return nil, ErrNoPlan
 	}
-	return &Result{Plan: plan, Cost: plan.Cost, RuleSet: exercised, Interactions: interactions, Memo: m}, nil
+	return &Result{Plan: plan, Cost: plan.Cost, RuleSet: exercised, Interactions: interactions, Memo: m, scratch: s}, nil
+}
+
+// resized returns s with n zero elements, reusing its backing array when that
+// is large enough.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // explorer runs exploration rules to a fixpoint (or the limits) using a
@@ -211,15 +286,19 @@ type explorer struct {
 	onFirstFire func(r rules.ID, exprs int)
 }
 
-func newExplorer(o *Optimizer, ctx *rules.Context, exercised rules.Set, interactions map[[2]rules.ID]bool, disabled rules.Set, maxExprs, maxPasses int) *explorer {
-	ex := &explorer{
+// reset readies the explorer for one exploration, keeping the storage of the
+// last one: the parents index (its per-group lists emptied, not dropped) and
+// the worklists, which an exploration cut short by maxExprs leaves filled.
+func (ex *explorer) reset(o *Optimizer, ctx *rules.Context, exercised rules.Set, interactions map[[2]rules.ID]bool, disabled rules.Set, maxExprs, maxPasses int) {
+	for i, p := range ex.parents {
+		ex.parents[i] = p[:0]
+	}
+	*ex = explorer{
 		o: o, ctx: ctx,
 		exercised: exercised, interactions: interactions, disabled: disabled,
 		maxExprs: maxExprs, maxPasses: maxPasses,
-		parents: make([][]*memo.MExpr, 0, 64),
+		parents: ex.parents[:0], cur: ex.cur[:0], next: ex.next[:0],
 	}
-	ctx.Memo.SetOnAdd(ex.onAdd)
-	return ex
 }
 
 // onAdd observes every expression the memo interns: it indexes the new
@@ -230,7 +309,7 @@ func (ex *explorer) onAdd(e *memo.MExpr) {
 	for _, k := range e.Kids {
 		ex.grow(k)
 		p := ex.parents[k-1]
-		if p == nil {
+		if cap(p) == 0 {
 			p = make([]*memo.MExpr, 0, 4)
 		}
 		ex.parents[k-1] = append(p, e)
@@ -242,8 +321,12 @@ func (ex *explorer) onAdd(e *memo.MExpr) {
 	}
 }
 
-// grow extends the parents index to cover group g.
+// grow extends the parents index to cover group g, over the emptied lists an
+// earlier exploration left in its backing array where there are any.
 func (ex *explorer) grow(g memo.GroupID) {
+	if n := min(int(g), cap(ex.parents)); n > len(ex.parents) {
+		ex.parents = ex.parents[:n]
+	}
 	for len(ex.parents) < int(g) {
 		ex.parents = append(ex.parents, nil)
 	}
@@ -416,8 +499,10 @@ func recordInteractions(interactions map[[2]rules.ID]bool, b *memo.BoundExpr, fi
 // Candidates belong to the implementor from the moment a rule returns them
 // until they are published in best[]: one that loses its group's costing, or
 // is displaced as the running best, goes back to the rules.Context, whose
-// built-in rules build their next candidate in it. Only winners stay
-// allocated, and nothing reachable from a published plan is ever released.
+// built-in rules build their next candidate in it, and so do, once the root
+// is costed, the winners of groups the returned plan does not use
+// (releaseLosers). Only the plan stays allocated, and nothing reachable from
+// it is ever released.
 type implementor struct {
 	o         *Optimizer
 	ctx       *rules.Context
@@ -425,8 +510,9 @@ type implementor struct {
 	exercised rules.Set
 	disabled  rules.Set
 	best      []*physical.Expr // index = GroupID-1
+	winner    []*memo.MExpr    // index = GroupID-1: the expression best[g] implements
 	done      []bool           // index = GroupID-1: best[g] is final (may be nil: no plan)
-	visiting  []bool           // index = GroupID-1
+	visiting  []bool           // index = GroupID-1; all false again when bestPlan returns
 	// costKids lends a candidate its children while it is being costed; a
 	// candidate that wins gets a slice of its own (shared by the winners of
 	// one memo expression, as before).
@@ -503,12 +589,40 @@ func (imp *implementor) bestPlan(g memo.GroupID) *physical.Expr {
 					imp.release(best)
 				}
 				best = cand
+				imp.winner[g-1] = e
 			}
 		}
 	}
 	imp.best[g-1] = best
 	imp.done[g-1] = true
 	return best
+}
+
+// releaseLosers releases every group's best plan that the plan of root (if it
+// has one) does not contain, and forgets the rest: the tables then hold no
+// node of the plan about to be returned.
+func (imp *implementor) releaseLosers(root memo.GroupID) {
+	if imp.best[root-1] != nil {
+		imp.markPlan(root)
+	}
+	for i, p := range imp.best {
+		if p != nil && !imp.visiting[i] {
+			imp.release(p)
+		}
+	}
+	clear(imp.best)
+}
+
+// markPlan sets visiting, idle once costing is over, on the groups whose best
+// plans make up the best plan of g.
+func (imp *implementor) markPlan(g memo.GroupID) {
+	if imp.visiting[g-1] {
+		return
+	}
+	imp.visiting[g-1] = true
+	for _, k := range imp.winner[g-1].Kids {
+		imp.markPlan(k)
+	}
 }
 
 // String summarizes the optimizer configuration.

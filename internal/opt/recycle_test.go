@@ -120,6 +120,44 @@ func poisonCandidate(e *physical.Expr) {
 	}
 }
 
+// poisonScratch overwrites everything a scratch has handed out, on its way
+// back to the pool: the memo's storage (memo.Poison), the explorer's parents
+// index and worklists, the stats cache, stats and slab, and the implementor's
+// tables. The candidates on the rule context's free list were poisoned as they
+// were released (Options.onRelease). An optimization that runs in this scratch
+// next, or a Result that still points into it, reads poison.
+func poisonScratch(s *scratch) {
+	s.memo.Poison()
+	expr := &memo.MExpr{Group: -7, Ord: -7, Queued: 0xff}
+	for _, p := range s.ex.parents {
+		for i := range p {
+			p[i] = expr
+		}
+	}
+	for _, list := range [][]*memo.MExpr{s.ex.cur[:cap(s.ex.cur)], s.ex.next[:cap(s.ex.next)], s.imp.winner} {
+		for i := range list {
+			list[i] = expr
+		}
+	}
+	s.ex.processing = expr
+	used := s.sb.slabs[:len(s.sb.slabs)-len(s.sb.slab)]
+	for i := range used {
+		used[i] = math.NaN()
+	}
+	stats := groupStats{rows: math.NaN(), cols: scalar.NewColSet(127, 128), distinct: []float64{math.NaN()}}
+	for i := range s.sb.sts {
+		s.sb.sts[i] = stats
+	}
+	for i := range s.sb.cache {
+		s.sb.cache[i] = &stats
+	}
+	cand := new(physical.Expr)
+	poisonCandidate(cand)
+	for i := range s.imp.best {
+		s.imp.best[i], s.imp.done[i], s.imp.visiting[i] = cand, true, true
+	}
+}
+
 // planIsClean reports whether the plan is a finite tree none of whose nodes is
 // a released candidate: one on the free list still carries the poison, since
 // only reuse overwrites it, and one reused while still part of a plan shows as
@@ -287,6 +325,8 @@ func TestResultOutlivesLaterOptimizations(t *testing.T) {
 // read-only by contract. After the golden workloads are explored and costed,
 // every Group.Cols must still equal the set computed afresh from the group's
 // first expression — no rule extended a shared set through Expr.Cols(&set).
+// Every result is released, so all but a database's first case run in a memo
+// that was Reset: a set must not survive into the groups of the next query.
 func TestGroupColSetsStayPristine(t *testing.T) {
 	for _, db := range goldenWorkloads(t) {
 		for _, c := range db.cases {
@@ -309,6 +349,7 @@ func TestGroupColSetsStayPristine(t *testing.T) {
 					t.Errorf("%s: G%d cols %v, recomputed %v", c, g.ID, g.Cols.Sorted(), fresh.Sorted())
 				}
 			}
+			res.Release()
 		}
 	}
 }

@@ -67,18 +67,34 @@ type statsBuilder struct {
 	// noHistograms disables histogram-based selectivity (ablation knob).
 	noHistograms bool
 	// sts backs the groupStats themselves (at most one per group) and slab
-	// the estimates they hold; both live and die with this builder's memo.
-	// Slab chunks carry spare floats beyond the request that exhausted the
-	// previous one, doubling up to 256, so small memos stay small.
+	// the estimates they hold; both are good for one memo and reused for the
+	// next (reset). slab is the unused tail of slabs, the latest and largest
+	// chunk there has been: a chunk that runs out is replaced by one with
+	// spare floats beyond the request that exhausted it — as many as the memo
+	// has used so far, 32 at least — so small memos stay small, and reset
+	// replaces it by one chunk as large as the whole memo needed, so a reused
+	// builder soon allocates nothing.
 	sts   []groupStats
 	slab  []float64
-	spare int
+	slabs []float64
+	used  int // floats handed out for this memo, from every chunk
 }
 
-func newStatsBuilder(m *memo.Memo) *statsBuilder {
-	return &statsBuilder{
-		m: m, cache: make([]*groupStats, m.NumGroups()),
-		sts: make([]groupStats, 0, m.NumGroups()), spare: 32,
+// reset readies the builder for memo m, whose group count is final.
+func (sb *statsBuilder) reset(m *memo.Memo, noHistograms bool) {
+	n := m.NumGroups()
+	clear(sb.sts)
+	if cap(sb.sts) < n {
+		sb.sts = make([]groupStats, 0, n)
+	}
+	if sb.used > len(sb.slabs) {
+		sb.slabs = make([]float64, sb.used)
+	} else {
+		clear(sb.slabs[:len(sb.slabs)-len(sb.slab)])
+	}
+	*sb = statsBuilder{
+		m: m, cache: resized(sb.cache, n), noHistograms: noHistograms,
+		sts: sb.sts[:0], slab: sb.slabs, slabs: sb.slabs,
 	}
 }
 
@@ -87,13 +103,12 @@ func newStatsBuilder(m *memo.Memo) *statsBuilder {
 func (sb *statsBuilder) newStats(rows float64, cols scalar.ColSet) *groupStats {
 	n := cols.Len()
 	if len(sb.slab) < n {
-		sb.slab = make([]float64, n+sb.spare)
-		if sb.spare < 256 {
-			sb.spare *= 2
-		}
+		sb.slabs = make([]float64, n+max(sb.used, 32))
+		sb.slab = sb.slabs
 	}
 	st := sb.add(groupStats{rows: rows, cols: cols, distinct: sb.slab[:n:n]})
 	sb.slab = sb.slab[n:]
+	sb.used += n
 	return st
 }
 

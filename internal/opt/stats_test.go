@@ -127,7 +127,8 @@ func TestStatsCachePerGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb := newStatsBuilder(res.Memo)
+	var sb statsBuilder
+	sb.reset(res.Memo, false)
 	a := sb.stats(memo.GroupID(1))
 	b := sb.stats(memo.GroupID(1))
 	if a != b {

@@ -90,7 +90,7 @@ func applyEET(ctx *Context, b *memo.BoundExpr, er scalar.EETRewrite, atAnySite b
 	}
 	out := make([]*memo.BoundExpr, len(filters))
 	for i, nf := range filters {
-		out[i] = memo.NewBound(&logical.Expr{Op: logical.OpSelect, Filter: nf}, b.Kids[0])
+		out[i] = ctx.Memo.BoundNew(logical.Expr{Op: logical.OpSelect, Filter: nf}, b.Kids[0])
 	}
 	return out
 }

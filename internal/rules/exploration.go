@@ -138,11 +138,11 @@ func colRefProjs(cols []scalar.ColumnID) []logical.ProjItem {
 }
 
 // selectOver wraps b in a Select if the conjunct list is non-empty.
-func selectOver(b *memo.BoundExpr, conjuncts []scalar.Expr) *memo.BoundExpr {
+func selectOver(ctx *Context, b *memo.BoundExpr, conjuncts []scalar.Expr) *memo.BoundExpr {
 	if len(conjuncts) == 0 {
 		return b
 	}
-	return memo.NewBound(&logical.Expr{Op: logical.OpSelect, Filter: scalar.MakeAnd(conjuncts)}, b)
+	return ctx.Memo.BoundNew(logical.Expr{Op: logical.OpSelect, Filter: scalar.MakeAnd(conjuncts)}, b)
 }
 
 // explProduces declares, per rule ID, the shapes the rule's substitution
@@ -192,10 +192,8 @@ func ExplorationRules() []ExplorationRule {
 
 		expl(1, "JoinCommute", P(logical.OpJoin, Any(), Any()),
 			func(ctx *Context, b *memo.BoundExpr) []*memo.BoundExpr {
-				// The substitute's payload is the matched join's: NewBound
-				// shares the node when it is childless (a rule built it) and
-				// strips a copy otherwise.
-				return []*memo.BoundExpr{memo.NewBound(b.Node, b.Kids[1], b.Kids[0])}
+				// The substitute's payload is the matched join's, shared.
+				return ctx.sub(ctx.Memo.Bound(b.Node, b.Kids[1], b.Kids[0]))
 			}),
 
 		expl(2, "JoinAssocLeft", P(logical.OpJoin, P(logical.OpJoin, Any(), Any()), Any()),
@@ -210,10 +208,8 @@ func ExplorationRules() []ExplorationRule {
 					// Refuse to synthesize a cross product.
 					return nil
 				}
-				newInner := memo.NewBound(&logical.Expr{Op: logical.OpJoin, On: scalar.MakeAnd(within)}, bb, c)
-				return []*memo.BoundExpr{
-					memo.NewBound(&logical.Expr{Op: logical.OpJoin, On: scalar.MakeAnd(rest)}, a, newInner),
-				}
+				newInner := ctx.Memo.BoundNew(logical.Expr{Op: logical.OpJoin, On: scalar.MakeAnd(within)}, bb, c)
+				return ctx.sub(ctx.Memo.BoundNew(logical.Expr{Op: logical.OpJoin, On: scalar.MakeAnd(rest)}, a, newInner))
 			}),
 
 		expl(3, "JoinAssocRight", P(logical.OpJoin, Any(), P(logical.OpJoin, Any(), Any())),
@@ -227,10 +223,8 @@ func ExplorationRules() []ExplorationRule {
 				if len(within) == 0 && len(all) > 0 {
 					return nil
 				}
-				newInner := memo.NewBound(&logical.Expr{Op: logical.OpJoin, On: scalar.MakeAnd(within)}, a, bb)
-				return []*memo.BoundExpr{
-					memo.NewBound(&logical.Expr{Op: logical.OpJoin, On: scalar.MakeAnd(rest)}, newInner, c),
-				}
+				newInner := ctx.Memo.BoundNew(logical.Expr{Op: logical.OpJoin, On: scalar.MakeAnd(within)}, a, bb)
+				return ctx.sub(ctx.Memo.BoundNew(logical.Expr{Op: logical.OpJoin, On: scalar.MakeAnd(rest)}, newInner, c))
 			}),
 
 		// --- selection placement --------------------------------------------
@@ -239,18 +233,14 @@ func ExplorationRules() []ExplorationRule {
 			func(ctx *Context, b *memo.BoundExpr) []*memo.BoundExpr {
 				inner := b.Kids[0]
 				merged := scalar.MakeAnd(append(scalar.Conjuncts(b.Node.Filter), scalar.Conjuncts(inner.Node.Filter)...))
-				return []*memo.BoundExpr{
-					memo.NewBound(&logical.Expr{Op: logical.OpSelect, Filter: merged}, inner.Kids[0]),
-				}
+				return ctx.sub(ctx.Memo.BoundNew(logical.Expr{Op: logical.OpSelect, Filter: merged}, inner.Kids[0]))
 			}),
 
 		expl(5, "SelectIntoJoin", P(logical.OpSelect, P(logical.OpJoin, Any(), Any())),
 			func(ctx *Context, b *memo.BoundExpr) []*memo.BoundExpr {
 				join := b.Kids[0]
 				merged := scalar.MakeAnd(append(scalar.Conjuncts(join.Node.On), scalar.Conjuncts(b.Node.Filter)...))
-				return []*memo.BoundExpr{
-					memo.NewBound(&logical.Expr{Op: logical.OpJoin, On: merged}, join.Kids[0], join.Kids[1]),
-				}
+				return ctx.sub(ctx.Memo.BoundNew(logical.Expr{Op: logical.OpJoin, On: merged}, join.Kids[0], join.Kids[1]))
 			}),
 
 		expl(6, "PushSelectBelowJoinLeft", P(logical.OpSelect, P(logical.OpJoin, Any(), Any())),
@@ -261,8 +251,8 @@ func ExplorationRules() []ExplorationRule {
 				if len(within) == 0 {
 					return nil
 				}
-				newJoin := memo.NewBound(join.Node, selectOver(join.Kids[0], within), join.Kids[1])
-				return []*memo.BoundExpr{selectOver(newJoin, rest)}
+				newJoin := ctx.Memo.Bound(join.Node, selectOver(ctx, join.Kids[0], within), join.Kids[1])
+				return ctx.sub(selectOver(ctx, newJoin, rest))
 			}),
 
 		expl(7, "PushSelectBelowJoinRight", P(logical.OpSelect, P(logical.OpJoin, Any(), Any())),
@@ -273,8 +263,8 @@ func ExplorationRules() []ExplorationRule {
 				if len(within) == 0 {
 					return nil
 				}
-				newJoin := memo.NewBound(join.Node, join.Kids[0], selectOver(join.Kids[1], within))
-				return []*memo.BoundExpr{selectOver(newJoin, rest)}
+				newJoin := ctx.Memo.Bound(join.Node, join.Kids[0], selectOver(ctx, join.Kids[1], within))
+				return ctx.sub(selectOver(ctx, newJoin, rest))
 			}),
 
 		expl(8, "PushSelectBelowLeftJoin", P(logical.OpSelect, P(logical.OpLeftJoin, Any(), Any())),
@@ -286,8 +276,8 @@ func ExplorationRules() []ExplorationRule {
 				if len(within) == 0 {
 					return nil
 				}
-				newJoin := memo.NewBound(join.Node, selectOver(join.Kids[0], within), join.Kids[1])
-				return []*memo.BoundExpr{selectOver(newJoin, rest)}
+				newJoin := ctx.Memo.Bound(join.Node, selectOver(ctx, join.Kids[0], within), join.Kids[1])
+				return ctx.sub(selectOver(ctx, newJoin, rest))
 			}),
 
 		expl(9, "SimplifyLeftJoin", P(logical.OpSelect, P(logical.OpLeftJoin, Any(), Any())),
@@ -299,9 +289,9 @@ func ExplorationRules() []ExplorationRule {
 				if !logical.RejectsNullsOn(b.Node.Filter, right) {
 					return nil
 				}
-				newJoin := memo.NewBound(&logical.Expr{Op: logical.OpJoin, On: join.Node.On},
+				newJoin := ctx.Memo.BoundNew(logical.Expr{Op: logical.OpJoin, On: join.Node.On},
 					join.Kids[0], join.Kids[1])
-				return []*memo.BoundExpr{memo.NewBound(b.Node, newJoin)}
+				return ctx.sub(ctx.Memo.Bound(b.Node, newJoin))
 			}),
 
 		expl(10, "PushSelectBelowProject", P(logical.OpSelect, P(logical.OpProject, Any())),
@@ -312,8 +302,8 @@ func ExplorationRules() []ExplorationRule {
 					subst[it.Out] = it.E
 				}
 				inlined := scalar.Substitute(b.Node.Filter, subst)
-				newSel := memo.NewBound(&logical.Expr{Op: logical.OpSelect, Filter: inlined}, proj.Kids[0])
-				return []*memo.BoundExpr{memo.NewBound(proj.Node, newSel)}
+				newSel := ctx.Memo.BoundNew(logical.Expr{Op: logical.OpSelect, Filter: inlined}, proj.Kids[0])
+				return ctx.sub(ctx.Memo.Bound(proj.Node, newSel))
 			}),
 
 		expl(11, "ProjectMerge", P(logical.OpProject, P(logical.OpProject, Any())),
@@ -327,9 +317,7 @@ func ExplorationRules() []ExplorationRule {
 				for i, it := range b.Node.Projs {
 					items[i] = logical.ProjItem{Out: it.Out, E: scalar.Substitute(it.E, subst)}
 				}
-				return []*memo.BoundExpr{
-					memo.NewBound(&logical.Expr{Op: logical.OpProject, Projs: items}, inner.Kids[0]),
-				}
+				return ctx.sub(ctx.Memo.BoundNew(logical.Expr{Op: logical.OpProject, Projs: items}, inner.Kids[0]))
 			}),
 
 		expl(12, "PushSelectBelowGroupBy", P(logical.OpSelect, P(logical.OpGroupBy, Any())),
@@ -339,8 +327,8 @@ func ExplorationRules() []ExplorationRule {
 				if len(within) == 0 {
 					return nil
 				}
-				newGB := memo.NewBound(gb.Node, selectOver(gb.Kids[0], within))
-				return []*memo.BoundExpr{selectOver(newGB, rest)}
+				newGB := ctx.Memo.Bound(gb.Node, selectOver(ctx, gb.Kids[0], within))
+				return ctx.sub(selectOver(ctx, newGB, rest))
 			}),
 
 		expl(13, "PushSelectBelowUnionAll", P(logical.OpSelect, P(logical.OpUnionAll, Any(), Any())),
@@ -352,11 +340,11 @@ func ExplorationRules() []ExplorationRule {
 					for j, out := range u.Node.OutCols {
 						mapping[out] = u.Node.InputCols[i][j]
 					}
-					kids[i] = memo.NewBound(&logical.Expr{
+					kids[i] = ctx.Memo.BoundNew(logical.Expr{
 						Op: logical.OpSelect, Filter: scalar.Remap(b.Node.Filter, mapping),
 					}, u.Kids[i])
 				}
-				return []*memo.BoundExpr{memo.NewBound(u.Node, kids[0], kids[1])}
+				return ctx.sub(ctx.Memo.Bound(u.Node, kids[0], kids[1]))
 			}),
 
 		// --- group-by / join reordering --------------------------------------
@@ -399,17 +387,15 @@ func ExplorationRules() []ExplorationRule {
 						return nil
 					}
 				}
-				newGB := memo.NewBound(&logical.Expr{
+				newGB := ctx.Memo.BoundNew(logical.Expr{
 					Op: logical.OpGroupBy, GroupCols: gcA, Aggs: b.Node.Aggs,
 				}, a)
-				newJoin := memo.NewBound(join.Node, newGB, bb)
+				newJoin := ctx.Memo.Bound(join.Node, newGB, bb)
 				outs := append([]scalar.ColumnID(nil), b.Node.GroupCols...)
 				for _, ag := range b.Node.Aggs {
 					outs = append(outs, ag.Out)
 				}
-				return []*memo.BoundExpr{
-					memo.NewBound(&logical.Expr{Op: logical.OpProject, Projs: colRefProjs(outs)}, newJoin),
-				}
+				return ctx.sub(ctx.Memo.BoundNew(logical.Expr{Op: logical.OpProject, Projs: colRefProjs(outs)}, newJoin))
 			}),
 
 		expl(15, "PullGroupByAboveJoin", P(logical.OpJoin, P(logical.OpGroupBy, Any()), Any()),
@@ -434,8 +420,8 @@ func ExplorationRules() []ExplorationRule {
 				if !scalar.ReferencedCols(b.Node.On).SubsetOf(ab) {
 					return nil
 				}
-				newJoin := memo.NewBound(b.Node, a, bb)
-				return []*memo.BoundExpr{memo.NewBound(loj.Node, newJoin, c)}
+				newJoin := ctx.Memo.Bound(b.Node, a, bb)
+				return ctx.sub(ctx.Memo.Bound(loj.Node, newJoin, c))
 			}),
 
 		expl(18, "LeftJoinJoinAssoc", P(logical.OpLeftJoin, P(logical.OpJoin, Any(), Any()), Any()),
@@ -447,8 +433,8 @@ func ExplorationRules() []ExplorationRule {
 				if !scalar.ReferencedCols(b.Node.On).SubsetOf(bc) {
 					return nil
 				}
-				newLOJ := memo.NewBound(b.Node, bb, c)
-				return []*memo.BoundExpr{memo.NewBound(join.Node, a, newLOJ)}
+				newLOJ := ctx.Memo.Bound(b.Node, bb, c)
+				return ctx.sub(ctx.Memo.Bound(join.Node, a, newLOJ))
 			}),
 
 		// --- semi / anti joins -------------------------------------------------
@@ -456,15 +442,15 @@ func ExplorationRules() []ExplorationRule {
 		expl(19, "PushSelectBelowSemiJoin", P(logical.OpSelect, P(logical.OpSemiJoin, Any(), Any())),
 			func(ctx *Context, b *memo.BoundExpr) []*memo.BoundExpr {
 				sj := b.Kids[0]
-				newLeft := memo.NewBound(b.Node, sj.Kids[0])
-				return []*memo.BoundExpr{memo.NewBound(sj.Node, newLeft, sj.Kids[1])}
+				newLeft := ctx.Memo.Bound(b.Node, sj.Kids[0])
+				return ctx.sub(ctx.Memo.Bound(sj.Node, newLeft, sj.Kids[1]))
 			}),
 
 		expl(20, "PushSelectBelowAntiJoin", P(logical.OpSelect, P(logical.OpAntiJoin, Any(), Any())),
 			func(ctx *Context, b *memo.BoundExpr) []*memo.BoundExpr {
 				aj := b.Kids[0]
-				newLeft := memo.NewBound(b.Node, aj.Kids[0])
-				return []*memo.BoundExpr{memo.NewBound(aj.Node, newLeft, aj.Kids[1])}
+				newLeft := ctx.Memo.Bound(b.Node, aj.Kids[0])
+				return ctx.sub(ctx.Memo.Bound(aj.Node, newLeft, aj.Kids[1]))
 			}),
 
 		expl(21, "SemiJoinToJoin", P(logical.OpSemiJoin, Any(), Any()),
@@ -480,13 +466,11 @@ func ExplorationRules() []ExplorationRule {
 				for i, p := range pairs {
 					rcols[i] = p[1]
 				}
-				distinct := memo.NewBound(&logical.Expr{Op: logical.OpGroupBy, GroupCols: rcols}, bb)
-				join := memo.NewBound(&logical.Expr{Op: logical.OpJoin, On: b.Node.On}, a, distinct)
-				return []*memo.BoundExpr{
-					memo.NewBound(&logical.Expr{
-						Op: logical.OpProject, Projs: colRefProjs(kidCols(ctx, a).Sorted()),
-					}, join),
-				}
+				distinct := ctx.Memo.BoundNew(logical.Expr{Op: logical.OpGroupBy, GroupCols: rcols}, bb)
+				join := ctx.Memo.BoundNew(logical.Expr{Op: logical.OpJoin, On: b.Node.On}, a, distinct)
+				return ctx.sub(ctx.Memo.BoundNew(logical.Expr{
+					Op: logical.OpProject, Projs: colRefProjs(kidCols(ctx, a).Sorted()),
+				}, join))
 			}),
 
 		expl(22, "AntiJoinToLeftJoin", P(logical.OpAntiJoin, Any(), Any()),
@@ -501,29 +485,25 @@ func ExplorationRules() []ExplorationRule {
 				for i, p := range pairs {
 					rcols[i] = p[1]
 				}
-				distinct := memo.NewBound(&logical.Expr{Op: logical.OpGroupBy, GroupCols: rcols}, bb)
-				loj := memo.NewBound(&logical.Expr{Op: logical.OpLeftJoin, On: b.Node.On}, a, distinct)
-				sel := memo.NewBound(&logical.Expr{
+				distinct := ctx.Memo.BoundNew(logical.Expr{Op: logical.OpGroupBy, GroupCols: rcols}, bb)
+				loj := ctx.Memo.BoundNew(logical.Expr{Op: logical.OpLeftJoin, On: b.Node.On}, a, distinct)
+				sel := ctx.Memo.BoundNew(logical.Expr{
 					Op: logical.OpSelect, Filter: &scalar.IsNull{Kid: &scalar.ColRef{ID: rcols[0]}},
 				}, loj)
-				return []*memo.BoundExpr{
-					memo.NewBound(&logical.Expr{
-						Op: logical.OpProject, Projs: colRefProjs(kidCols(ctx, a).Sorted()),
-					}, sel),
-				}
+				return ctx.sub(ctx.Memo.BoundNew(logical.Expr{
+					Op: logical.OpProject, Projs: colRefProjs(kidCols(ctx, a).Sorted()),
+				}, sel))
 			}),
 
 		// --- union ---------------------------------------------------------------
 
 		expl(23, "UnionAllCommute", P(logical.OpUnionAll, Any(), Any()),
 			func(ctx *Context, b *memo.BoundExpr) []*memo.BoundExpr {
-				return []*memo.BoundExpr{
-					memo.NewBound(&logical.Expr{
-						Op:        logical.OpUnionAll,
-						OutCols:   b.Node.OutCols,
-						InputCols: [][]scalar.ColumnID{b.Node.InputCols[1], b.Node.InputCols[0]},
-					}, b.Kids[1], b.Kids[0]),
-				}
+				return ctx.sub(ctx.Memo.BoundNew(logical.Expr{
+					Op:        logical.OpUnionAll,
+					OutCols:   b.Node.OutCols,
+					InputCols: [][]scalar.ColumnID{b.Node.InputCols[1], b.Node.InputCols[0]},
+				}, b.Kids[1], b.Kids[0]))
 			}),
 
 		expl(24, "PushProjectBelowUnionAll", P(logical.OpProject, P(logical.OpUnionAll, Any(), Any())),
@@ -550,13 +530,11 @@ func ExplorationRules() []ExplorationRule {
 						items[j] = logical.ProjItem{Out: fresh, E: scalar.Remap(it.E, mapping)}
 						inCols[i][j] = fresh
 					}
-					kids[i] = memo.NewBound(&logical.Expr{Op: logical.OpProject, Projs: items}, u.Kids[i])
+					kids[i] = ctx.Memo.BoundNew(logical.Expr{Op: logical.OpProject, Projs: items}, u.Kids[i])
 				}
-				return []*memo.BoundExpr{
-					memo.NewBound(&logical.Expr{
-						Op: logical.OpUnionAll, OutCols: outCols, InputCols: inCols,
-					}, kids[0], kids[1]),
-				}
+				return ctx.sub(ctx.Memo.BoundNew(logical.Expr{
+					Op: logical.OpUnionAll, OutCols: outCols, InputCols: inCols,
+				}, kids[0], kids[1]))
 			}),
 
 		expl(25, "PushGroupByBelowUnionAll", P(logical.OpGroupBy, P(logical.OpUnionAll, Any(), Any())),
@@ -589,8 +567,8 @@ func ExplorationRules() []ExplorationRule {
 		expl(30, "PullSelectAboveJoin", P(logical.OpJoin, P(logical.OpSelect, Any()), Any()),
 			func(ctx *Context, b *memo.BoundExpr) []*memo.BoundExpr {
 				sel := b.Kids[0]
-				newJoin := memo.NewBound(b.Node, sel.Kids[0], b.Kids[1])
-				return []*memo.BoundExpr{memo.NewBound(sel.Node, newJoin)}
+				newJoin := ctx.Memo.Bound(b.Node, sel.Kids[0], b.Kids[1])
+				return ctx.sub(ctx.Memo.Bound(sel.Node, newJoin))
 			}),
 	}
 	out := make([]ExplorationRule, len(rs))
@@ -623,12 +601,10 @@ func pullGroupByAboveJoin(ctx *Context, b *memo.BoundExpr, joinOp logical.Op) []
 	}
 	gc := append([]scalar.ColumnID(nil), gb.Node.GroupCols...)
 	gc = append(gc, kidCols(ctx, bb).Sorted()...)
-	newJoin := memo.NewBound(&logical.Expr{Op: joinOp, On: b.Node.On}, a, bb)
-	return []*memo.BoundExpr{
-		memo.NewBound(&logical.Expr{
-			Op: logical.OpGroupBy, GroupCols: gc, Aggs: gb.Node.Aggs,
-		}, newJoin),
-	}
+	newJoin := ctx.Memo.BoundNew(logical.Expr{Op: joinOp, On: b.Node.On}, a, bb)
+	return ctx.sub(ctx.Memo.BoundNew(logical.Expr{
+		Op: logical.OpGroupBy, GroupCols: gc, Aggs: gb.Node.Aggs,
+	}, newJoin))
 }
 
 // pushGroupByBelowUnionAll implements rule 25 (local/global aggregation):
@@ -690,12 +666,12 @@ func pushGroupByBelowUnionAll(ctx *Context, b *memo.BoundExpr) []*memo.BoundExpr
 			}
 			localAggs[k] = scalar.Agg{Op: ag.Op, Arg: arg, Out: localOuts[k]}
 		}
-		kids[i] = memo.NewBound(&logical.Expr{
+		kids[i] = ctx.Memo.BoundNew(logical.Expr{
 			Op: logical.OpGroupBy, GroupCols: localGC, Aggs: localAggs,
 		}, u.Kids[i])
 		inCols[i] = append(append([]scalar.ColumnID(nil), localGC...), localOuts...)
 	}
-	newUnion := memo.NewBound(&logical.Expr{
+	newUnion := ctx.Memo.BoundNew(logical.Expr{
 		Op: logical.OpUnionAll, OutCols: newOut, InputCols: inCols,
 	}, kids[0], kids[1])
 	globalAggs := make([]scalar.Agg, len(b.Node.Aggs))
@@ -706,11 +682,9 @@ func pushGroupByBelowUnionAll(ctx *Context, b *memo.BoundExpr) []*memo.BoundExpr
 		}
 		globalAggs[k] = scalar.Agg{Op: op, Arg: &scalar.ColRef{ID: aggUnionCols[k]}, Out: ag.Out}
 	}
-	return []*memo.BoundExpr{
-		memo.NewBound(&logical.Expr{
-			Op: logical.OpGroupBy, GroupCols: b.Node.GroupCols, Aggs: globalAggs,
-		}, newUnion),
-	}
+	return ctx.sub(ctx.Memo.BoundNew(logical.Expr{
+		Op: logical.OpGroupBy, GroupCols: b.Node.GroupCols, Aggs: globalAggs,
+	}, newUnion))
 }
 
 // pruneJoinSide implements rules 26/27: Project(a ⋈ b) → Project(Project(a') ⋈ b)
@@ -727,11 +701,11 @@ func pruneJoinSide(ctx *Context, b *memo.BoundExpr, side int) []*memo.BoundExpr 
 	if len(keep) == 0 || len(keep) == sideCols.Len() {
 		return nil
 	}
-	pruned := memo.NewBound(&logical.Expr{Op: logical.OpProject, Projs: colRefProjs(keep)}, join.Kids[side])
+	pruned := ctx.Memo.BoundNew(logical.Expr{Op: logical.OpProject, Projs: colRefProjs(keep)}, join.Kids[side])
 	kids := []*memo.BoundExpr{join.Kids[0], join.Kids[1]}
 	kids[side] = pruned
-	newJoin := memo.NewBound(join.Node, kids[0], kids[1])
-	return []*memo.BoundExpr{memo.NewBound(b.Node, newJoin)}
+	newJoin := ctx.Memo.Bound(join.Node, kids[0], kids[1])
+	return ctx.sub(ctx.Memo.Bound(b.Node, newJoin))
 }
 
 // keptCols returns the members of cols that are also in needed, ascending, or
@@ -755,6 +729,6 @@ func reduceExistentialRight(ctx *Context, b *memo.BoundExpr, op logical.Op) []*m
 	if len(keep) == 0 || len(keep) == right.Len() {
 		return nil
 	}
-	pruned := memo.NewBound(&logical.Expr{Op: logical.OpProject, Projs: colRefProjs(keep)}, b.Kids[1])
-	return []*memo.BoundExpr{memo.NewBound(b.Node, b.Kids[0], pruned)}
+	pruned := ctx.Memo.BoundNew(logical.Expr{Op: logical.OpProject, Projs: colRefProjs(keep)}, b.Kids[1])
+	return ctx.sub(ctx.Memo.Bound(b.Node, b.Kids[0], pruned))
 }

@@ -139,7 +139,7 @@ func applyEliminateFKJoin(ctx *Context, b *memo.BoundExpr) []*memo.BoundExpr {
 		if !fkJoinIsLossless(ctx, fact, dim, pairs) {
 			continue
 		}
-		out = append(out, memo.NewBound(&logical.Expr{
+		out = append(out, ctx.Memo.BoundNew(logical.Expr{
 			Op: logical.OpProject, Projs: b.Node.Projs,
 		}, fact))
 	}
@@ -159,11 +159,9 @@ func applyEliminateFKSemiJoin(ctx *Context, b *memo.BoundExpr) []*memo.BoundExpr
 	if !fkJoinIsLossless(ctx, fact, dim, pairs) {
 		return nil
 	}
-	return []*memo.BoundExpr{
-		memo.NewBound(&logical.Expr{
-			Op: logical.OpProject, Projs: colRefProjs(factCols.Sorted()),
-		}, fact),
-	}
+	return ctx.sub(ctx.Memo.BoundNew(logical.Expr{
+		Op: logical.OpProject, Projs: colRefProjs(factCols.Sorted()),
+	}, fact))
 }
 
 // applyOrExpansion: σ(f1 ∨ f2)(a) → σ(f1)(a) ∪ALL σ(f2 ∧ ¬T(f1))(a), where
@@ -186,17 +184,15 @@ func applyOrExpansion(ctx *Context, b *memo.BoundExpr) []*memo.BoundExpr {
 		&scalar.Not{Kid: f1},
 		&scalar.IsNull{Kid: f1},
 	}}
-	left := memo.NewBound(&logical.Expr{Op: logical.OpSelect, Filter: f1}, child)
-	right := memo.NewBound(&logical.Expr{
+	left := ctx.Memo.BoundNew(logical.Expr{Op: logical.OpSelect, Filter: f1}, child)
+	right := ctx.Memo.BoundNew(logical.Expr{
 		Op: logical.OpSelect, Filter: &scalar.And{Kids: []scalar.Expr{f2, notTrue}},
 	}, child)
-	return []*memo.BoundExpr{
-		memo.NewBound(&logical.Expr{
-			Op:        logical.OpUnionAll,
-			OutCols:   cols,
-			InputCols: [][]scalar.ColumnID{cols, cols},
-		}, left, right),
-	}
+	return ctx.sub(ctx.Memo.BoundNew(logical.Expr{
+		Op:        logical.OpUnionAll,
+		OutCols:   cols,
+		InputCols: [][]scalar.ColumnID{cols, cols},
+	}, left, right))
 }
 
 // applySplitSelect: σ(f1 ∧ f2)(a) → σ(f1)(σ(f2)(a)) — the inverse of
@@ -206,10 +202,8 @@ func applySplitSelect(ctx *Context, b *memo.BoundExpr) []*memo.BoundExpr {
 	if len(conj) < 2 {
 		return nil
 	}
-	inner := memo.NewBound(&logical.Expr{
+	inner := ctx.Memo.BoundNew(logical.Expr{
 		Op: logical.OpSelect, Filter: scalar.MakeAnd(conj[1:]),
 	}, b.Kids[0])
-	return []*memo.BoundExpr{
-		memo.NewBound(&logical.Expr{Op: logical.OpSelect, Filter: conj[0]}, inner),
-	}
+	return ctx.sub(ctx.Memo.BoundNew(logical.Expr{Op: logical.OpSelect, Filter: conj[0]}, inner))
 }

@@ -42,7 +42,8 @@ func (k Kind) String() string {
 // query metadata (to allocate fresh columns for synthesized operators), and
 // carries the scratch one optimization reuses between rule calls. A bare
 // &Context{Memo: m} is complete: with nothing released, candidates are simply
-// allocated. A Context serves one optimization on one goroutine.
+// allocated. A Context serves one optimization at a time, on one goroutine;
+// what was released during one is reused by the next.
 type Context struct {
 	Memo *memo.Memo
 	// free holds physical candidates handed back through Release; the
@@ -50,8 +51,9 @@ type Context struct {
 	// these instead of allocating.
 	free []*physical.Expr
 	// result backs the one-candidate slice the built-in implementation rules
-	// return.
+	// return, subs the one-substitute slice of the exploration rules.
 	result [1]*physical.Expr
+	subs   [1]*memo.BoundExpr
 }
 
 // MD returns the query metadata.
@@ -79,6 +81,13 @@ func (c *Context) one(e physical.Expr) []*physical.Expr {
 	*cand = e
 	c.result[0] = cand
 	return c.result[:]
+}
+
+// sub returns b as a single-substitute exploration result, in the Context's
+// own slice: almost every exploration rule yields exactly one substitute.
+func (c *Context) sub(b *memo.BoundExpr) []*memo.BoundExpr {
+	c.subs[0] = b
+	return c.subs[:]
 }
 
 // Rule is the common surface of all transformation rules.
@@ -110,7 +119,9 @@ type ExplorationRule interface {
 	// Apply is the substitution function: given a bound match of Pattern(),
 	// it returns zero or more equivalent substitute trees. Returning zero
 	// substitutes means a precondition beyond the pattern failed; the rule
-	// then counts as not exercised.
+	// then counts as not exercised. As with Implement, the slice itself may
+	// be the Context's and is valid only until the next Apply call on the
+	// same Context.
 	Apply(ctx *Context, b *memo.BoundExpr) []*memo.BoundExpr
 }
 

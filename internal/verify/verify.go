@@ -237,12 +237,17 @@ type ruleResult struct {
 	oracle  *oracle.Runner
 	stat    RuleStat
 	finding *Finding
+	// ctx and its memo serve every instantiation of the rule in turn, Reset
+	// for each: the trees and plans an instantiation compares are copies
+	// (extractBound, ExtractFirst, the candidates themselves), so nothing of
+	// one outlives the memo's next Reset.
+	ctx rules.Context
 }
 
 func checkRule(r rules.Rule, cfg *Config, rn *oracle.Runner) *ruleResult {
 	res := &ruleResult{cfg: cfg, oracle: rn, stat: RuleStat{
 		Rule: int(r.ID()), Name: r.Name(), Kind: r.Kind().String(),
-	}}
+	}, ctx: rules.Context{Memo: new(memo.Memo)}}
 	insts, truncated := enumerate(r.Pattern())
 	res.stat.Truncated = truncated
 	for _, inst := range insts {
@@ -262,13 +267,13 @@ func checkRule(r rules.Rule, cfg *Config, rn *oracle.Runner) *ruleResult {
 // set before lowering: substitutes agree with the original on the output
 // column set but may reorder it.
 func (res *ruleResult) checkExploration(r rules.ExplorationRule, inst *instance) {
-	m := memo.New(inst.md)
+	m := res.ctx.Memo
+	m.Reset(inst.md)
 	g := m.Insert(inst.tree)
 	root := m.Group(g).Exprs[0]
-	ctx := &rules.Context{Memo: m}
 	var altTrees []*logical.Expr
 	for _, bnd := range rules.Bind(m, root, r.Pattern()) {
-		for _, sub := range r.Apply(ctx, bnd) {
+		for _, sub := range r.Apply(&res.ctx, bnd) {
 			if sub != nil {
 				altTrees = append(altTrees, extractBound(m, sub))
 			}
@@ -294,12 +299,12 @@ func (res *ruleResult) checkExploration(r rules.ExplorationRule, inst *instance)
 // unset, 1:1 with the memo expression's kid groups); the canonical lowering
 // of each kid group's tree is grafted underneath.
 func (res *ruleResult) checkImplementation(r rules.ImplementationRule, inst *instance) {
-	m := memo.New(inst.md)
+	m := res.ctx.Memo
+	m.Reset(inst.md)
 	g := m.Insert(inst.tree)
 	root := m.Group(g).Exprs[0]
-	ctx := &rules.Context{Memo: m}
 	var alts []*physical.Expr
-	for _, cand := range r.Implement(ctx, root) {
+	for _, cand := range r.Implement(&res.ctx, root) {
 		if cand == nil {
 			continue
 		}

@@ -66,7 +66,8 @@ type (
 	Optimizer = opt.Optimizer
 	// OptimizeOptions configures one optimization (disabled rules etc).
 	OptimizeOptions = opt.Options
-	// OptimizeResult carries the plan, cost and exercised RuleSet.
+	// OptimizeResult carries the plan, cost and exercised RuleSet; its
+	// optional Release hands the memo it was found in back to the Optimizer.
 	OptimizeResult = opt.Result
 	// Generator produces rule-targeted queries (§3).
 	Generator = qgen.Generator
