@@ -496,7 +496,7 @@ func cmdSuite(e env, args []string) error {
 	n := fs.Int("n", 10, "number of exploration rules")
 	k := fs.Int("k", 5, "test-suite size per target")
 	pairs := fs.Bool("pairs", false, "test rule pairs instead of singletons")
-	algo := fs.String("algo", "topk", "topk, topk-mono, smc, baseline or matching")
+	algo := fs.String("algo", "topk", "topk, smc, baseline or matching")
 	extra := fs.Int("extra", 3, "extra random operators per query")
 	validate := fs.Bool("validate", false, "execute the compressed suite and compare results")
 	fs.Parse(args)
@@ -517,8 +517,6 @@ func cmdSuite(e env, args []string) error {
 	switch *algo {
 	case "topk":
 		sol, err = g.TopKIndependent()
-	case "topk-mono":
-		sol, err = g.TopKMonotonic()
 	case "smc":
 		sol, err = g.SetMultiCover()
 	case "baseline":

@@ -1,6 +1,7 @@
 package qgen
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -83,7 +84,7 @@ func TestRandomTreesAreValid(t *testing.T) {
 		if len(tree.OutputCols()) == 0 {
 			t.Fatalf("tree %d has no output columns:\n%s", i, tree)
 		}
-		if _, _, err := g.tryTree(tree, md, nil); err != nil {
+		if _, _, err := g.tryTree(tree, md, nil, math.MaxInt); err != nil {
 			t.Fatalf("tree %d failed the pipeline: %v\n%s", i, err, tree)
 		}
 	}

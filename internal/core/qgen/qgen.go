@@ -11,13 +11,15 @@
 //     arguments into a concrete logical query tree, emit SQL, and verify
 //     via RuleSet(q). For rule pairs, compose the two patterns (§3.2).
 //
-// Both methods run the full pipeline per trial (tree → SQL → parse → bind →
-// optimize), exactly like the paper's prototype on a real server.
+// Both methods run a trial through the full pipeline (tree → SQL → parse →
+// bind → optimize), like the paper's prototype on a real server; a pair trial
+// whose query could not replace the smallest hit so far stops before optimize.
 package qgen
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -72,6 +74,9 @@ type Generator struct {
 	cfg      Config
 	rng      *rand.Rand
 	patterns map[rules.ID]*rules.Pattern
+	// onOptimize, when non-nil, is called before each optimization a trial
+	// makes. Unexported: the call-budget test counts with it.
+	onOptimize func()
 }
 
 // New builds a generator. The rule patterns are fetched through the
@@ -108,10 +113,11 @@ func New(o *opt.Optimizer, cfg Config) (*Generator, error) {
 // parallel generation byte-identical to a sequential run.
 func (g *Generator) Fork(seed int64) *Generator {
 	return &Generator{
-		opt:      g.opt,
-		cfg:      g.cfg,
-		rng:      rand.New(rand.NewSource(seed)),
-		patterns: g.patterns,
+		opt:        g.opt,
+		cfg:        g.cfg,
+		rng:        rand.New(rand.NewSource(seed)),
+		patterns:   g.patterns,
+		onOptimize: g.onOptimize,
 	}
 }
 
@@ -125,8 +131,10 @@ func (g *Generator) Pattern(id rules.ID) (*rules.Pattern, error) {
 }
 
 // tryTree runs one trial: render the tree to SQL, parse and bind it, and
-// optimize. It reports whether all target rules were exercised.
-func (g *Generator) tryTree(tree *logical.Expr, md *logical.Metadata, target []rules.ID) (*Query, bool, error) {
+// optimize. It reports whether all target rules were exercised — "no",
+// without optimizing, for a bound tree of maxOps operators or more, which the
+// caller would not keep.
+func (g *Generator) tryTree(tree *logical.Expr, md *logical.Metadata, target []rules.ID, maxOps int) (*Query, bool, error) {
 	sqlText, err := sqlgen.Generate(tree, md)
 	if err != nil {
 		return nil, false, err
@@ -134,6 +142,12 @@ func (g *Generator) tryTree(tree *logical.Expr, md *logical.Metadata, target []r
 	bound, err := bind.BindSQL(sqlText, g.opt.Catalog())
 	if err != nil {
 		return nil, false, fmt.Errorf("qgen: generated SQL failed to bind: %w\nSQL: %s", err, sqlText)
+	}
+	if bound.Tree.CountOps() >= maxOps {
+		return nil, false, nil
+	}
+	if g.onOptimize != nil {
+		g.onOptimize()
 	}
 	res, err := g.opt.Optimize(bound.Tree, bound.MD, opt.Options{})
 	if err != nil {
@@ -162,7 +176,7 @@ func (g *Generator) GenerateRandom(target []rules.ID) (*Query, error) {
 		if err != nil {
 			return nil, err
 		}
-		q, ok, err := g.tryTree(tree, md, target)
+		q, ok, err := g.tryTree(tree, md, target, math.MaxInt)
 		if err != nil {
 			return nil, err
 		}
@@ -207,6 +221,7 @@ func (g *Generator) generateFromPatterns(target []rules.ID, candidates []*rules.
 	//qtrlint:allow wallclock telemetry only: Elapsed reports generation latency, never influences the query produced
 	start := time.Now()
 	var best *Query
+	maxOps := math.MaxInt // best's operator count, once there is one
 	for trial := 1; trial <= g.cfg.MaxTrials; trial++ {
 		p := candidates[(trial-1)%len(candidates)]
 		md := logical.NewMetadata(g.opt.Catalog())
@@ -225,22 +240,20 @@ func (g *Generator) generateFromPatterns(target []rules.ID, candidates []*rules.
 		if err != nil {
 			continue
 		}
-		q, ok, err := g.tryTree(tree, md, target)
+		// Prefer the smallest query; once we have swept every candidate
+		// composition once, return the best found (§3.2). Only a trial smaller
+		// than the best hit so far can change that, so only such a trial is
+		// optimized; a hit is therefore the new best.
+		q, ok, err := g.tryTree(tree, md, target, maxOps)
 		if err != nil {
 			return nil, err
 		}
 		if ok {
 			q.Trials = trial
 			q.Elapsed = time.Since(start)
-			// Prefer the smallest query; once we have swept every candidate
-			// composition once, return the best found (§3.2).
-			if best == nil || q.Tree.CountOps() < best.Tree.CountOps() {
-				best = q
-			}
-			if trial >= len(candidates) {
-				return best, nil
-			}
-		} else if best != nil && trial >= len(candidates) {
+			best, maxOps = q, q.Tree.CountOps()
+		}
+		if best != nil && trial >= len(candidates) {
 			return best, nil
 		}
 	}

@@ -133,59 +133,17 @@ func (g *Graph) SetMultiCover() (*Solution, error) {
 }
 
 // TopKIndependent is the algorithm of Figure 6: independently for every
-// target, pick the k edges with the lowest Cost(q,¬R). It is a factor-2
-// approximation of the optimal compression (§5.2). Targets are processed on
-// the worker pool — "independently for every target" is literal — and the
-// single-flight edge cache guarantees each (q,¬R) optimizes once even when
-// two targets race for a shared query's edge.
+// target, pick the k edges with the lowest Cost(q,¬R), ties broken by query
+// index. It is a factor-2 approximation of the optimal compression (§5.2).
+// It prices only the edges that can be among those k (§5.3.1): since
+// Cost(q) ≤ Cost(q,¬R) — the edge coster clamps to it — scanning a target's
+// candidates in increasing (Cost(q), q) order lets it stop as soon as the
+// next node cost exceeds the k-th best edge so far. Targets run on the worker
+// pool; within a target the scan stays sequential because each decision
+// (price or stop) depends on the k-th best edge seen so far — that keeps the
+// set of optimizer calls, and hence Figure 14's counts, identical for every
+// worker count.
 func (g *Graph) TopKIndependent() (*Solution, error) {
-	before := g.coster.calls.Load()
-	perTarget := make([][]Assignment, len(g.Targets))
-	err := par.ForEachErr(g.workers, len(g.Targets), func(ti int) error {
-		t := g.Targets[ti]
-		cand := g.Adj[ti]
-		if len(cand) < g.K {
-			return fmt.Errorf("suite: target %s has only %d covering queries, want %d", t, len(cand), g.K)
-		}
-		type edge struct {
-			q    int
-			cost float64
-		}
-		edges := make([]edge, len(cand))
-		for i, qi := range cand {
-			edges[i] = edge{q: qi, cost: g.coster.cost(g.Queries[qi], t)}
-		}
-		sort.Slice(edges, func(i, j int) bool {
-			if edges[i].cost != edges[j].cost {
-				return edges[i].cost < edges[j].cost
-			}
-			return edges[i].q < edges[j].q
-		})
-		asg := make([]Assignment, g.K)
-		for i, e := range edges[:g.K] {
-			asg[i] = Assignment{Target: ti, Query: e.q, EdgeCost: e.cost}
-		}
-		perTarget[ti] = asg
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sol := g.finalize("TOPK", flatten(perTarget), true)
-	sol.OptimizerCalls = int(g.coster.calls.Load() - before)
-	return sol, nil
-}
-
-// TopKMonotonic is TopKIndependent with the §5.3.1 optimization: since
-// Cost(q) ≤ Cost(q,¬R) for a well-behaved optimizer, scanning candidates in
-// increasing node-cost order lets the algorithm stop computing edge costs as
-// soon as the next node cost exceeds the current k-th best edge cost. It
-// returns the same solution while invoking the optimizer far less often.
-// Targets run on the worker pool; within a target the candidate scan stays
-// sequential because each edge-cost decision (compute or prune) depends on
-// the k-th best edge seen so far — that keeps the set of optimizer calls,
-// and hence Figure 14's counts, identical for every worker count.
-func (g *Graph) TopKMonotonic() (*Solution, error) {
 	before := g.coster.calls.Load()
 	perTarget := make([][]Assignment, len(g.Targets))
 	err := par.ForEachErr(g.workers, len(g.Targets), func(ti int) error {
@@ -201,45 +159,30 @@ func (g *Graph) TopKMonotonic() (*Solution, error) {
 			}
 			return cand[i] < cand[j]
 		})
-		type edge struct {
-			q    int
-			cost float64
-		}
-		var best []edge // kept sorted ascending by cost, size ≤ K
-		insert := func(e edge) {
-			pos := sort.Search(len(best), func(i int) bool {
-				if best[i].cost != e.cost {
-					return best[i].cost > e.cost
-				}
-				return best[i].q > e.q
-			})
-			best = append(best, edge{})
-			copy(best[pos+1:], best[pos:])
-			best[pos] = e
-			if len(best) > g.K {
-				best = best[:g.K]
-			}
-		}
+		var best []Assignment // the k cheapest edges so far, by (cost, query)
 		for _, qi := range cand {
-			if len(best) == g.K && g.Queries[qi].Cost > best[g.K-1].cost {
+			if len(best) == g.K && g.Queries[qi].Cost > best[g.K-1].EdgeCost {
 				// Every remaining candidate has node cost (and therefore
 				// edge cost) strictly above the current k-th best edge; no
 				// remaining edge can enter the top k.
 				break
 			}
-			insert(edge{q: qi, cost: g.coster.cost(g.Queries[qi], t)})
+			best = append(best, Assignment{Target: ti, Query: qi, EdgeCost: g.coster.cost(g.Queries[qi], t)})
+			sort.Slice(best, func(i, j int) bool {
+				if best[i].EdgeCost != best[j].EdgeCost {
+					return best[i].EdgeCost < best[j].EdgeCost
+				}
+				return best[i].Query < best[j].Query
+			})
+			best = best[:min(len(best), g.K)]
 		}
-		asg := make([]Assignment, len(best))
-		for i, e := range best {
-			asg[i] = Assignment{Target: ti, Query: e.q, EdgeCost: e.cost}
-		}
-		perTarget[ti] = asg
+		perTarget[ti] = best
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	sol := g.finalize("TOPK-MONO", flatten(perTarget), true)
+	sol := g.finalize("TOPK", flatten(perTarget), true)
 	sol.OptimizerCalls = int(g.coster.calls.Load() - before)
 	return sol, nil
 }

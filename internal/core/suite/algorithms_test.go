@@ -2,6 +2,7 @@ package suite
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"qtrtest/internal/logical"
@@ -12,7 +13,8 @@ import (
 // prescribed node costs, coverage and edge costs — the bipartite abstraction
 // of §4.1 in isolation, so algorithm behavior is testable exactly.
 //
-// edges[t][q] holds Cost(q,¬target_t), or a negative number for "no edge".
+// edges[t][q] holds Cost(q,¬target_t), or a negative number for "no edge";
+// like an optimized edge, a primed one never costs less than its query.
 func syntheticGraph(t *testing.T, k int, nodeCosts []float64, edges [][]float64) *Graph {
 	t.Helper()
 	g := &Graph{K: k, coster: newEdgeCoster(nil)}
@@ -35,7 +37,7 @@ func syntheticGraph(t *testing.T, k int, nodeCosts []float64, edges [][]float64)
 		g.Queries = append(g.Queries, q)
 		for ti := range edges {
 			if edges[ti][qi] >= 0 {
-				g.coster.prime(qi, g.Targets[ti], edgeResult{cost: edges[ti][qi]})
+				g.coster.prime(q, g.Targets[ti], edges[ti][qi])
 			}
 		}
 	}
@@ -112,7 +114,7 @@ func TestSMCIgnoresEdgeCosts(t *testing.T) {
 // TestTopKPicksKCheapestEdges checks exact selection with k=2.
 func TestTopKPicksKCheapestEdges(t *testing.T) {
 	g := syntheticGraph(t, 2,
-		[]float64{10, 20, 30, 40},
+		[]float64{10, 20, 11, 40},
 		[][]float64{
 			{15, 25, 12, 99},
 		})
@@ -130,14 +132,61 @@ func TestTopKPicksKCheapestEdges(t *testing.T) {
 	if !picked[0] || !picked[2] {
 		t.Errorf("TOPK picked %v, want queries 0 and 2 (edges 15, 12)", sol.Assignments)
 	}
-	// Total: node costs 10+30 + edges 15+12 = 67.
-	if sol.TotalCost != 67 {
-		t.Errorf("TOPK total = %f, want 67", sol.TotalCost)
+	// Total: node costs 10+11 + edges 15+12 = 48.
+	if sol.TotalCost != 48 {
+		t.Errorf("TOPK total = %f, want 48", sol.TotalCost)
 	}
 }
 
-// TestMonotonicEqualsFullOnSynthetic checks the two TOPK variants agree on
-// adversarial tie patterns (clamped costs guarantee node <= edge).
+// TestPrimeClampsToNodeCost: a synthetic edge below its node cost would break
+// the invariant TOPK's cut-off rests on, so prime clamps like edge does.
+func TestPrimeClampsToNodeCost(t *testing.T) {
+	g := syntheticGraph(t, 1, []float64{30}, [][]float64{{12}})
+	if got := g.EdgeCost(0, g.Targets[0]); got != 30 {
+		t.Errorf("primed edge 12 under node cost 30 reads %v, want 30", got)
+	}
+}
+
+// TestTopKCutoffTies pins the two ties of the cut-off. A candidate whose node
+// cost equals the k-th best edge so far is still priced: its edge may equal
+// that cost too and win on query index (q0 below, scanned after q1). And
+// equal edge costs break by query index, as the reference's (cost, query)
+// sort breaks them, not by scan order.
+func TestTopKCutoffTies(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		k         int
+		nodeCosts []float64
+		edges     []float64
+		want      []int
+	}{
+		{"node cost equal to the k-th best edge", 1, []float64{20, 10}, []float64{20, 20}, []int{0}},
+		{"the same, k=2", 2, []float64{20, 10, 10}, []float64{20, 20, 15}, []int{0, 2}},
+		{"equal edges, scan order opposite to index order", 2, []float64{12, 11, 10, 50}, []float64{20, 20, 20, 50}, []int{0, 1}},
+		{"node cost above the k-th best edge", 1, []float64{21, 10}, []float64{21, 20}, []int{1}},
+	} {
+		g := syntheticGraph(t, tc.k, tc.nodeCosts, [][]float64{tc.edges})
+		sol, err := g.TopKIndependent()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var got []int
+		for _, a := range sol.Assignments {
+			got = append(got, a.Query)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: TOPK picked queries %v, want %v", tc.name, got, tc.want)
+		}
+		ref, err := exhaustiveTopK(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameSolution(t, tc.name, ref, sol)
+	}
+}
+
+// TestMonotonicEqualsFullOnSynthetic checks that the pruned TOPK and the
+// exhaustive reference agree on adversarial tie patterns.
 func TestMonotonicEqualsFullOnSynthetic(t *testing.T) {
 	g := syntheticGraph(t, 2,
 		[]float64{10, 10, 10, 30, 30},
@@ -145,17 +194,15 @@ func TestMonotonicEqualsFullOnSynthetic(t *testing.T) {
 			{10, 10, 10, 30, 31},
 			{12, 10, -1, 35, 30},
 		})
-	full, err := g.TopKIndependent()
+	pruned, err := g.TopKIndependent()
 	if err != nil {
 		t.Fatal(err)
 	}
-	mono, err := g.TopKMonotonic()
+	full, err := exhaustiveTopK(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(full.TotalCost-mono.TotalCost) > 1e-9 {
-		t.Errorf("full %f vs mono %f", full.TotalCost, mono.TotalCost)
-	}
+	assertSameSolution(t, "synthetic ties", full, pruned)
 }
 
 // TestInsufficientCoverageErrors: a target with fewer than k covering
@@ -166,9 +213,6 @@ func TestInsufficientCoverageErrors(t *testing.T) {
 		[][]float64{{15}})
 	if _, err := g.TopKIndependent(); err == nil {
 		t.Error("TopK must error when coverage < k")
-	}
-	if _, err := g.TopKMonotonic(); err == nil {
-		t.Error("TopKMonotonic must error when coverage < k")
 	}
 }
 
@@ -222,7 +266,7 @@ func TestMatchingOptimalOnSynthetic(t *testing.T) {
 }
 
 // TestEdgeCostClampInvariant: the coster enforces Cost(q) <= Cost(q,¬R),
-// which TopKMonotonic's pruning depends on.
+// which TopKIndependent's cut-off depends on.
 func TestEdgeCostClampInvariant(t *testing.T) {
 	// Exercised through the real optimizer: every edge of a small real
 	// graph satisfies the invariant.

@@ -1,7 +1,6 @@
 package suite
 
 import (
-	"math"
 	"testing"
 
 	"qtrtest/internal/catalog"
@@ -39,7 +38,6 @@ func runCampaign(t *testing.T, cat *catalog.Catalog, targets []Target, k int, wo
 	}{
 		{"SMC", g.SetMultiCover},
 		{"TOPK", g.TopKIndependent},
-		{"TOPK-MONO", func() (*Solution, error) { g.ResetOptimizerCalls(); return g.TopKMonotonic() }},
 	} {
 		sol, err := algo.fn()
 		if err != nil {
@@ -75,21 +73,7 @@ func assertRunsIdentical(t *testing.T, label string, seq, par *suiteRun) {
 	}
 	for name, ssol := range seq.solutions {
 		psol := par.solutions[name]
-		if len(ssol.Assignments) != len(psol.Assignments) {
-			t.Fatalf("%s/%s: assignment counts differ: %d vs %d", label, name, len(ssol.Assignments), len(psol.Assignments))
-		}
-		for i := range ssol.Assignments {
-			sa, pa := ssol.Assignments[i], psol.Assignments[i]
-			if sa.Target != pa.Target || sa.Query != pa.Query {
-				t.Fatalf("%s/%s: assignment %d differs: %+v vs %+v", label, name, i, sa, pa)
-			}
-			if sa.EdgeCost != pa.EdgeCost && !(math.IsInf(sa.EdgeCost, 1) && math.IsInf(pa.EdgeCost, 1)) {
-				t.Fatalf("%s/%s: edge cost %d differs: %v vs %v", label, name, i, sa.EdgeCost, pa.EdgeCost)
-			}
-		}
-		if ssol.TotalCost != psol.TotalCost {
-			t.Errorf("%s/%s: total cost differs: %v vs %v", label, name, ssol.TotalCost, psol.TotalCost)
-		}
+		assertSameSolution(t, label+"/"+name, ssol, psol)
 		if seq.calls[name] != par.calls[name] {
 			t.Errorf("%s/%s: optimizer calls differ: %d vs %d", label, name, seq.calls[name], par.calls[name])
 		}
@@ -98,8 +82,7 @@ func assertRunsIdentical(t *testing.T, label string, seq, par *suiteRun) {
 
 // TestParallelCampaignDeterministicTPCH asserts the engine's hard
 // constraint: with the same seed, a sequential run (workers=1) and a
-// parallel run (workers=8) of suite generation + SMC + TOPK + TopKMonotonic
-// produce identical suites, Solution assignments, costs and OptimizerCalls
+// parallel run (workers=8) of suite generation + SMC + TOPK produce identical suites, Solution assignments, costs and OptimizerCalls
 // on the TPC-H schema.
 func TestParallelCampaignDeterministicTPCH(t *testing.T) {
 	cat := catalog.LoadTPCH(catalog.DefaultTPCHConfig())

@@ -23,7 +23,7 @@ func TestEdgeCosterSingleFlightConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	g.ResetOptimizerCalls()
+	g.coster = newEdgeCoster(o)
 
 	// Collect every (query, target) edge of the graph.
 	type edge struct {
@@ -53,7 +53,7 @@ func TestEdgeCosterSingleFlightConcurrent(t *testing.T) {
 	// Concurrent pass over a fresh cache: every edge requested by every
 	// goroutine, yet the call counter must land exactly where the
 	// sequential pass did.
-	g.ResetOptimizerCalls()
+	g.coster = newEdgeCoster(o)
 	const goroutines = 8
 	var wg sync.WaitGroup
 	for w := 0; w < goroutines; w++ {

@@ -2,9 +2,9 @@
 // (§2.3, §4, §5 of the paper): suite generation (k distinct queries per
 // rule or rule pair), the bipartite rule/query graph with node costs Cost(q)
 // and edge costs Cost(q,¬R), the BASELINE execution strategy, the
-// SetMultiCover and TopKIndependent compression algorithms (the latter with
-// the monotonicity optimization of §5.3.1), and the execution/validation
-// runner that detects correctness bugs.
+// SetMultiCover and TopKIndependent compression algorithms (the latter prices
+// only the edges §5.3.1's monotonicity leaves in play), and the
+// execution/validation runner that detects correctness bugs.
 package suite
 
 import (
@@ -94,9 +94,9 @@ type Query struct {
 
 // Graph is the bipartite graph of §4.1: rule targets on one side, queries on
 // the other, an edge (t,q) wherever optimizing q exercises every rule of t.
-// Edge costs Cost(q,¬R) are computed lazily through an edgeCoster so that
-// the monotonicity optimization's savings in optimizer calls are observable
-// (Figure 14).
+// Edge costs Cost(q,¬R) are computed lazily through an edgeCoster: an
+// algorithm pays one optimizer call per edge it asks about, and none for an
+// edge it never reads (Figure 14 counts them).
 type Graph struct {
 	Targets []Target
 	Queries []*Query
@@ -214,11 +214,12 @@ func (ec *edgeCoster) entry(k edgeKey) *edgeEntry {
 	return e
 }
 
-// prime seeds the cache with a known edge result without consuming an
-// optimizer call; tests use it to build synthetic graphs.
-func (ec *edgeCoster) prime(q int, t Target, res edgeResult) {
-	e := ec.entry(keyOf(q, t))
-	e.once.Do(func() { e.res = res })
+// prime seeds the cache with a known edge cost without consuming an
+// optimizer call; tests use it to build synthetic graphs. The cost is clamped
+// to Cost(q) as edge clamps an optimized one.
+func (ec *edgeCoster) prime(q *Query, t Target, cost float64) {
+	e := ec.entry(keyOf(q.Idx, t))
+	e.once.Do(func() { e.res = edgeResult{cost: math.Max(cost, q.Cost)} })
 }
 
 // cost returns Cost(q,¬R) for the target's rules, invoking the optimizer on
@@ -242,7 +243,7 @@ func (ec *edgeCoster) edge(q *Query, t Target) edgeResult {
 		// a rule disabled is a subset of the full one (§5.2). Our search is
 		// budget-capped, so the disabled run can occasionally stumble on a
 		// plan the full run's budget missed; clamp to restore the invariant
-		// the monotonicity optimization relies on.
+		// TopKIndependent's cut-off relies on.
 		e.res = edgeResult{cost: math.Max(res.Cost, q.Cost), plan: res.Plan}
 	})
 	return e.res
@@ -250,18 +251,6 @@ func (ec *edgeCoster) edge(q *Query, t Target) edgeResult {
 
 // OptimizerCalls reports how many Cost(q,¬R) optimizations have run so far.
 func (g *Graph) OptimizerCalls() int { return int(g.coster.calls.Load()) }
-
-// ResetOptimizerCalls zeroes the call counter and cache, so that successive
-// algorithm runs over the same graph can be compared (Figure 14).
-func (g *Graph) ResetOptimizerCalls() {
-	g.coster.calls.Store(0)
-	for i := range g.coster.shards {
-		s := &g.coster.shards[i]
-		s.mu.Lock()
-		s.m = make(map[edgeKey]*edgeEntry)
-		s.mu.Unlock()
-	}
-}
 
 // EdgeCost exposes Cost(q,¬R) for query index q and target t.
 func (g *Graph) EdgeCost(q int, t Target) float64 {

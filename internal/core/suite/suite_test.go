@@ -62,27 +62,26 @@ func TestSingletonCompression(t *testing.T) {
 	}
 }
 
+// TestTopKMonotonicMatchesTopK: on a rule-pair graph the pruned TOPK returns
+// the exhaustive reference's solution and prices fewer edges to find it.
 func TestTopKMonotonicMatchesTopK(t *testing.T) {
 	targets := PairTargets(explorationIDs(5))
 	g, _, _ := newGraph(t, targets, 2)
 
-	topk, err := g.TopKIndependent()
+	pruned, err := g.TopKIndependent()
 	if err != nil {
 		t.Fatalf("TopKIndependent: %v", err)
 	}
-	g.ResetOptimizerCalls()
-	mono, err := g.TopKMonotonic()
+	if err := g.Validate(pruned); err != nil {
+		t.Fatalf("pruned solution invalid: %v", err)
+	}
+	full, err := exhaustiveTopK(g)
 	if err != nil {
-		t.Fatalf("TopKMonotonic: %v", err)
+		t.Fatalf("exhaustive reference: %v", err)
 	}
-	if err := g.Validate(mono); err != nil {
-		t.Fatalf("monotonic solution invalid: %v", err)
-	}
-	if diff := topk.TotalCost - mono.TotalCost; diff > 1e-6 || diff < -1e-6 {
-		t.Errorf("monotonic TOPK changed solution cost: %f vs %f", mono.TotalCost, topk.TotalCost)
-	}
-	if mono.OptimizerCalls >= topk.OptimizerCalls {
-		t.Errorf("monotonicity saved no optimizer calls: %d vs %d", mono.OptimizerCalls, topk.OptimizerCalls)
+	assertSameSolution(t, "pairs", full, pruned)
+	if edges := g.OptimizerCalls(); pruned.OptimizerCalls >= edges {
+		t.Errorf("monotonicity saved no optimizer calls: %d of %d edges priced", pruned.OptimizerCalls, edges)
 	}
 }
 
@@ -198,19 +197,47 @@ func TestGenerateProducesDistinctQueriesPerTarget(t *testing.T) {
 	}
 }
 
+// TestEdgeCostCachedAcrossAlgorithms: an edge is optimized once per graph.
+// Re-running an algorithm costs nothing, and neither does an algorithm whose
+// edges another has already priced — MatchingNoShare prices every edge of a
+// singleton graph, so after it every algorithm is free.
 func TestEdgeCostCachedAcrossAlgorithms(t *testing.T) {
 	targets := SingletonTargets(explorationIDs(4))
 	g, _, _ := newGraph(t, targets, 2)
-	if _, err := g.TopKIndependent(); err != nil {
-		t.Fatal(err)
+	algos := []struct {
+		name string
+		run  func() (*Solution, error)
+	}{
+		{"TOPK", g.TopKIndependent},
+		{"SMC", g.SetMultiCover},
+		{"BASELINE", g.Baseline},
+		{"MATCHING", g.MatchingNoShare},
+	}
+	for _, a := range algos {
+		if _, err := a.run(); err != nil {
+			t.Fatalf("%s: %v", a.name, err)
+		}
+		calls := g.OptimizerCalls()
+		sol, err := a.run()
+		if err != nil {
+			t.Fatalf("%s again: %v", a.name, err)
+		}
+		if sol.OptimizerCalls != 0 || g.OptimizerCalls() != calls {
+			t.Errorf("%s recomputed its own cached edges: %d -> %d", a.name, calls, g.OptimizerCalls())
+		}
 	}
 	calls := g.OptimizerCalls()
-	// Re-running any algorithm must hit the cache only.
-	if _, err := g.Baseline(); err != nil {
-		t.Fatal(err)
+	edges := 0
+	for _, adj := range g.Adj {
+		edges += len(adj)
 	}
-	if _, err := g.TopKIndependent(); err != nil {
-		t.Fatal(err)
+	if calls != edges {
+		t.Fatalf("%d optimizer calls for %d edges after MatchingNoShare priced them all", calls, edges)
+	}
+	for _, a := range algos {
+		if _, err := a.run(); err != nil {
+			t.Fatalf("%s: %v", a.name, err)
+		}
 	}
 	if g.OptimizerCalls() != calls {
 		t.Errorf("algorithms recomputed cached edges: %d -> %d", calls, g.OptimizerCalls())

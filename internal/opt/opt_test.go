@@ -73,7 +73,7 @@ func TestFilterPushdownChosen(t *testing.T) {
 
 func TestDisableMonotonicityProperty(t *testing.T) {
 	// For a well-behaved optimizer, Cost(q) <= Cost(q, ¬R) — the invariant
-	// the TopKMonotonic algorithm relies on (§5.3.1). Check over all
+	// TopKIndependent's cut-off relies on (§5.3.1). Check over all
 	// singleton exploration-rule disablings for a few queries.
 	o, _ := harness(t)
 	queries := []string{

@@ -12,7 +12,7 @@
 //     (PATTERN) or stochastically (RANDOM);
 //   - test-suite compression: build the bipartite rule/query graph and
 //     minimize the cost of executing a correctness suite with the
-//     SetMultiCover or TopKIndependent algorithms, optionally exploiting
+//     SetMultiCover or TopKIndependent algorithms, the latter pruned by
 //     cost monotonicity.
 //
 // Quick start:
