@@ -1,6 +1,7 @@
 package qgen
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -23,7 +24,7 @@ import (
 
 // GenerateRelevant generates a query for which the rule is *relevant*: the
 // plan chosen with the rule disabled differs from the plan chosen with it
-// enabled. Every trial costs two optimizer calls.
+// enabled. Every trial costs one optimizer call and one Result.Without.
 func (g *Generator) GenerateRelevant(id rules.ID) (*Query, error) {
 	p, err := g.Pattern(id)
 	if err != nil {
@@ -71,18 +72,17 @@ func (g *Generator) relevantTry(tree *logical.Expr, md *logical.Metadata, id rul
 	if err != nil {
 		return nil, false, err
 	}
-	on.Release()
+	defer on.Release()
 	if !on.RuleSet.Contains(id) {
 		return nil, false, nil
 	}
-	off, err := g.opt.Optimize(bound.Tree, bound.MD, opt.Options{Disabled: rules.NewSet(id)})
-	if err != nil {
-		// With the rule off the query may become unplannable (for
-		// implementation rules); that certainly makes the rule relevant.
-		return &Query{SQL: sqlText, Tree: bound.Tree, MD: bound.MD, RuleSet: on.RuleSet, Plan: on.Plan, Cost: on.Cost}, true, nil
+	// With the rule off the query may become unplannable (for implementation
+	// rules); that certainly makes the rule relevant.
+	off, err := on.Without(id)
+	if err != nil && !errors.Is(err, opt.ErrNoPlan) {
+		return nil, false, err
 	}
-	off.Release()
-	if off.Plan.Hash() == on.Plan.Hash() {
+	if err == nil && off.Hash() == on.Plan.Hash() {
 		return nil, false, nil
 	}
 	return &Query{SQL: sqlText, Tree: bound.Tree, MD: bound.MD, RuleSet: on.RuleSet, Plan: on.Plan, Cost: on.Cost}, true, nil

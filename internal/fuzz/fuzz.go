@@ -327,7 +327,7 @@ func (c *campaign) runOne(idx int, w *qgen.Weights) result {
 		r.skip = "optimize"
 		return r
 	}
-	res.Release()
+	defer res.Release() // every Plan(q,¬R) below is derived from its memo
 	if res.Plan.Cost > maxCost {
 		r.skip = "estcap"
 		return r
@@ -403,10 +403,13 @@ func (c *campaign) runOne(idx int, w *qgen.Weights) result {
 	// Differential oracle: disable each exercised rule in turn and compare.
 	// An unplannable Plan(q,¬r) (r was the only implementation of some
 	// operator) is skipped, not reported: losing plannability is expected,
-	// wrong results are not.
+	// wrong results are not. Any other error skips the query, like the base's.
 	for _, id := range res.RuleSet.Sorted() {
-		alt, ok := c.planWithout(bound, id)
-		if !ok {
+		alt, err := res.Without(id)
+		if err != nil && !errors.Is(err, opt.ErrNoPlan) {
+			return result{skip: "optimize"}
+		}
+		if err != nil || alt.Cost > maxCost {
 			continue
 		}
 		if edge(alt, KindDifferential, id, "").Compared() {

@@ -97,29 +97,27 @@ func (c *campaign) shrinkFinding(f *finding) {
 }
 
 // replan runs a candidate tree through the standard pipeline up to the
-// optimized base plan, returning the re-bound tree alongside; ok is false
-// when the candidate no longer binds, plans, or fits the cost cap.
-func (c *campaign) replan(t *logical.Expr, md *logical.Metadata) (bound *bind.Bound, plan *physical.Expr, ok bool) {
+// optimized base plan, returning the re-bound tree alongside. The result is
+// the caller's to release, and nil when the candidate no longer binds, plans,
+// or fits the cost cap.
+func (c *campaign) replan(t *logical.Expr, md *logical.Metadata) (*bind.Bound, *opt.Result) {
 	sqlText, err := sqlgen.Generate(t, md)
 	if err != nil {
-		return nil, nil, false
+		return nil, nil
 	}
-	if bound, err = bind.BindSQL(sqlText, c.cfg.Catalog); err != nil {
-		return nil, nil, false
-	}
-	plan, ok = c.planWithout(bound)
-	return bound, plan, ok
-}
-
-// planWithout optimizes the bound query with the given rules disabled; ok is
-// false when there is no plan or its estimate exceeds the cost cap.
-func (c *campaign) planWithout(bound *bind.Bound, disabled ...rules.ID) (plan *physical.Expr, ok bool) {
-	res, err := c.opt.Optimize(bound.Tree, bound.MD, opt.Options{Disabled: rules.NewSet(disabled...)})
+	bound, err := bind.BindSQL(sqlText, c.cfg.Catalog)
 	if err != nil {
-		return nil, false
+		return nil, nil
 	}
-	res.Release()
-	return res.Plan, !(res.Plan.Cost > maxCost)
+	res, err := c.opt.Optimize(bound.Tree, bound.MD, opt.Options{})
+	if err != nil {
+		return nil, nil
+	}
+	if res.Plan.Cost > maxCost {
+		res.Release()
+		return nil, nil
+	}
+	return bound, res
 }
 
 // chargedBase charges and executes one plan of a candidate as an oracle base.
@@ -146,16 +144,17 @@ func (c *campaign) edgeTrips(base *oracle.Base, alt *physical.Expr, budget *shri
 // diffTrips reports whether the differential oracle still flags the query
 // with rule id disabled.
 func (c *campaign) diffTrips(t *logical.Expr, md *logical.Metadata, id rules.ID, budget *shrinkBudget) bool {
-	bound, plan, ok := c.replan(t, md)
-	if !ok {
+	_, res := c.replan(t, md)
+	if res == nil {
 		return false
 	}
-	base, err := c.chargedBase(plan, budget)
+	defer res.Release()
+	base, err := c.chargedBase(res.Plan, budget)
 	if err != nil {
 		return false
 	}
-	alt, ok := c.planWithout(bound, id)
-	return ok && c.edgeTrips(&base, alt, budget)
+	alt, err := res.Without(id)
+	return err == nil && !(alt.Cost > maxCost) && c.edgeTrips(&base, alt, budget)
 }
 
 // metaTrips reports whether the named metamorphic rewrite still applies to
@@ -163,11 +162,12 @@ func (c *campaign) diffTrips(t *logical.Expr, md *logical.Metadata, id rules.ID,
 // derived seed, so seed-dependent rewrites (EET site selection) replay the
 // same choice on each shrink candidate.
 func (c *campaign) metaTrips(t *logical.Expr, md *logical.Metadata, name string, seed int64, budget *shrinkBudget) bool {
-	bound, plan, ok := c.replan(t, md)
-	if !ok {
+	bound, res := c.replan(t, md)
+	if res == nil {
 		return false
 	}
-	base, err := c.chargedBase(plan, budget)
+	res.Release()
+	base, err := c.chargedBase(res.Plan, budget)
 	if err != nil {
 		return false
 	}
@@ -192,11 +192,12 @@ func (c *campaign) metaTrips(t *logical.Expr, md *logical.Metadata, name string,
 // candidate: the independent backend's replay of the query either errors
 // where the base succeeded or produces mismatching results.
 func (c *campaign) backendTrips(t *logical.Expr, md *logical.Metadata, budget *shrinkBudget) bool {
-	bound, plan, ok := c.replan(t, md)
-	if !ok {
+	bound, res := c.replan(t, md)
+	if res == nil {
 		return false
 	}
-	base, err := c.chargedBase(plan, budget)
+	res.Release()
+	base, err := c.chargedBase(res.Plan, budget)
 	if err != nil {
 		return false
 	}
@@ -208,12 +209,15 @@ func (c *campaign) backendTrips(t *logical.Expr, md *logical.Metadata, budget *s
 // execErrs reports whether the pipeline still fails with an execution error
 // (not the row cap): on the base plan when id is 0, else on Plan(q,¬id).
 func (c *campaign) execErrs(t *logical.Expr, md *logical.Metadata, id rules.ID, budget *shrinkBudget) bool {
-	bound, plan, ok := c.replan(t, md)
-	if !ok {
+	_, res := c.replan(t, md)
+	if res == nil {
 		return false
 	}
+	defer res.Release()
+	plan := res.Plan
 	if id != 0 {
-		if plan, ok = c.planWithout(bound, id); !ok {
+		var err error
+		if plan, err = res.Without(id); err != nil || plan.Cost > maxCost {
 			return false
 		}
 	}

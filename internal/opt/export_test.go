@@ -20,3 +20,17 @@ func (o Options) WithPoison() Options {
 
 // DumpPlan is dumpPlan for tests in package opt_test.
 var DumpPlan = dumpPlan
+
+// TPCHCorpus and StarCorpus are the differential harness's query lists.
+var TPCHCorpus, StarCorpus = tpchCorpus, starCorpus
+
+// WonBy returns, per group of an unreleased result's memo, the rule whose
+// candidate the base costing chose — what Without's shortcut reads.
+func WonBy(r *Result) []rules.ID { return r.scratch.imp.wonBy }
+
+// CountWork installs the work counter (true: an exploration, false: a
+// re-costing of a held memo) and returns the function that removes it.
+func CountWork(f func(explored bool)) (restore func()) {
+	onWork = f
+	return func() { onWork = nil }
+}

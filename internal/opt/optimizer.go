@@ -11,6 +11,7 @@ package opt
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"qtrtest/internal/catalog"
@@ -80,6 +81,10 @@ type Result struct {
 	Memo *memo.Memo
 	// scratch is that working set, until it is released.
 	scratch *scratch
+	// tree, md and opts are what Optimize was called with, kept for Without.
+	tree *logical.Expr
+	md   *logical.Metadata
+	opts Options
 }
 
 // Release hands the optimization's working set — the memo and everything
@@ -98,6 +103,53 @@ func (r *Result) Release() {
 	r.scratch, r.Memo = nil, nil
 	s.imp.o.pool(s)
 }
+
+// Without returns Plan(q,¬id) — Optimize's answer for the same query and
+// options with rule id disabled too — or ErrNoPlan. Like Release it is for the
+// Result's one owner, and an error after it; the plan survives Release.
+//
+// Exploration consults exploration rules only, so for any other rule the memo
+// of Plan(q,¬id) is the one held here and only the costing, a deterministic
+// scan, is repeated. A rule that won no group is not even re-costed: without
+// a loser a first-strict-minimum scan keeps its winner and cost, group by
+// group from the leaves up, and a group only id implements has id as winner,
+// so the answer is Plan itself. An exploration rule changes the memo: that is
+// a fresh Optimize in a working set of its own.
+func (r *Result) Without(id rules.ID) (*physical.Expr, error) {
+	s := r.scratch
+	if s == nil {
+		return nil, errors.New("opt: Without on a released Result")
+	}
+	rule, _ := s.imp.o.reg.ByID(id) // nil: no such rule explores or wins anything
+	_, explores := rule.(rules.ExplorationRule)
+	if !explores && !slices.Contains(s.imp.wonBy, id) {
+		return r.Plan, nil
+	}
+	opts := r.opts
+	opts.Disabled = opts.Disabled.Union(rules.NewSet(id))
+	if explores {
+		res, err := s.imp.o.Optimize(r.tree, r.md, opts)
+		if err != nil {
+			return nil, err
+		}
+		res.Release()
+		return res.Plan, nil
+	}
+	if onWork != nil {
+		onWork(false)
+	}
+	imp := s.imp // its tables are the base costing's, done with and large enough
+	imp.exercised, imp.disabled, imp.wonBy = make(rules.Set), opts.Disabled, nil
+	if plan := imp.cost(); plan != nil {
+		return plan, nil
+	}
+	return nil, ErrNoPlan
+}
+
+// onWork, when non-nil, is told of every exploration (true) and re-costing of
+// a held memo (false): TestFuzzStarExplorationBudget counts with it. A package
+// variable, nil in production, because campaigns build their own Optimizer.
+var onWork func(explored bool)
 
 // scratch is the working set of one optimization. An Optimizer keeps the
 // released ones in a sync.Pool — not a free list of its own, so the collector
@@ -172,13 +224,6 @@ func (o *Optimizer) Optimize(tree *logical.Expr, md *logical.Metadata, opts Opti
 		maxPasses = defaultMaxPasses
 	}
 
-	// Rules may allocate fresh columns while exploring; working on a private
-	// copy-on-write clone keeps concurrent optimizations of the same query
-	// race-free and makes the ColumnIDs they allocate independent of
-	// scheduling, without paying for a column-table copy on the (common)
-	// optimizations that never synthesize a column.
-	md = md.CowClone()
-
 	s, _ := o.scratch.Get().(*scratch)
 	if s == nil {
 		s = new(scratch)
@@ -187,7 +232,15 @@ func (o *Optimizer) Optimize(tree *logical.Expr, md *logical.Metadata, opts Opti
 	}
 	s.onPool = opts.onPool
 	m, ctx := &s.memo, &s.ctx
-	m.Reset(md)
+	// Rules may allocate fresh columns while exploring; working on a private
+	// copy-on-write clone keeps concurrent optimizations of the same query
+	// race-free and makes the ColumnIDs they allocate independent of
+	// scheduling, without paying for a column-table copy on the (common)
+	// optimizations that never synthesize a column.
+	m.Reset(md.CowClone())
+	if onWork != nil {
+		onWork(true)
+	}
 
 	// Presized so the typical optimization never grows them incrementally.
 	exercised := make(rules.Set, 48)
@@ -207,21 +260,20 @@ func (o *Optimizer) Optimize(tree *logical.Expr, md *logical.Metadata, opts Opti
 	}
 
 	s.sb.reset(m, opts.DisableHistograms)
-	n := m.NumGroups()
 	s.imp = implementor{
 		o: o, ctx: ctx, sb: &s.sb,
 		exercised: exercised, disabled: opts.Disabled,
-		best: resized(s.imp.best, n), winner: resized(s.imp.winner, n),
-		done: resized(s.imp.done, n), visiting: resized(s.imp.visiting, n),
+		best: s.imp.best, winner: s.imp.winner, done: s.imp.done, visiting: s.imp.visiting,
+		wonBy:     resized(s.imp.wonBy, m.NumGroups()),
 		onRelease: opts.onRelease,
 	}
-	plan := s.imp.bestPlan(m.Root)
-	s.imp.releaseLosers(m.Root)
+	plan := s.imp.cost()
 	if plan == nil {
 		o.pool(s)
 		return nil, ErrNoPlan
 	}
-	return &Result{Plan: plan, Cost: plan.Cost, RuleSet: exercised, Interactions: interactions, Memo: m, scratch: s}, nil
+	return &Result{Plan: plan, Cost: plan.Cost, RuleSet: exercised, Interactions: interactions, Memo: m,
+		scratch: s, tree: tree, md: md, opts: opts}, nil
 }
 
 // resized returns s with n zero elements, reusing its backing array when that
@@ -493,8 +545,8 @@ func recordInteractions(interactions map[[2]rules.ID]bool, b *memo.BoundExpr, fi
 
 // implementor runs the implementation/costing phase: a bottom-up dynamic
 // program over the memo choosing the cheapest physical expression per group.
-// Its per-group state is held in dense slices indexed by GroupID, sized once
-// at construction (the memo is final when implementation starts).
+// Its per-group state is held in dense slices indexed by GroupID, sized by
+// cost (the memo is final when implementation starts).
 //
 // Candidates belong to the implementor from the moment a rule returns them
 // until they are published in best[]: one that loses its group's costing, or
@@ -513,6 +565,9 @@ type implementor struct {
 	winner    []*memo.MExpr    // index = GroupID-1: the expression best[g] implements
 	done      []bool           // index = GroupID-1: best[g] is final (may be nil: no plan)
 	visiting  []bool           // index = GroupID-1; all false again when bestPlan returns
+	// wonBy records the rule whose candidate best[g] is (0: no plan), index =
+	// GroupID-1, for Result.Without; nil when Without itself is costing.
+	wonBy []rules.ID
 	// costKids lends a candidate its children while it is being costed; a
 	// candidate that wins gets a slice of its own (shared by the winners of
 	// one memo expression, as before).
@@ -529,6 +584,17 @@ func (imp *implementor) release(cand *physical.Expr) {
 	imp.ctx.Release(cand)
 }
 
+// cost runs the costing over the finished memo, in tables sized for it, and
+// returns the root's best plan, nil when it has none.
+func (imp *implementor) cost() *physical.Expr {
+	root, n := imp.ctx.Memo.Root, imp.ctx.Memo.NumGroups()
+	imp.best, imp.winner = resized(imp.best, n), resized(imp.winner, n)
+	imp.done, imp.visiting = resized(imp.done, n), resized(imp.visiting, n)
+	plan := imp.bestPlan(root)
+	imp.releaseLosers(root)
+	return plan
+}
+
 func (imp *implementor) bestPlan(g memo.GroupID) *physical.Expr {
 	if imp.done[g-1] {
 		return imp.best[g-1]
@@ -543,6 +609,7 @@ func (imp *implementor) bestPlan(g memo.GroupID) *physical.Expr {
 	group := imp.ctx.Memo.Group(g)
 	st := imp.sb.stats(g)
 	var best *physical.Expr
+	var bestRule rules.ID
 	for _, e := range group.Exprs {
 		ok := true
 		for _, k := range e.Kids {
@@ -588,13 +655,16 @@ func (imp *implementor) bestPlan(g memo.GroupID) *physical.Expr {
 				if best != nil {
 					imp.release(best)
 				}
-				best = cand
+				best, bestRule = cand, ir.ID()
 				imp.winner[g-1] = e
 			}
 		}
 	}
 	imp.best[g-1] = best
 	imp.done[g-1] = true
+	if imp.wonBy != nil {
+		imp.wonBy[g-1] = bestRule
+	}
 	return best
 }
 

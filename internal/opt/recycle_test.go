@@ -154,7 +154,7 @@ func poisonScratch(s *scratch) {
 	cand := new(physical.Expr)
 	poisonCandidate(cand)
 	for i := range s.imp.best {
-		s.imp.best[i], s.imp.done[i], s.imp.visiting[i] = cand, true, true
+		s.imp.best[i], s.imp.done[i], s.imp.visiting[i], s.imp.wonBy[i] = cand, true, true, -7
 	}
 }
 

@@ -13,22 +13,28 @@ import (
 	"qtrtest/internal/logical"
 	"qtrtest/internal/memo"
 	"qtrtest/internal/opt"
+	"qtrtest/internal/physical"
 	"qtrtest/internal/rules"
 )
 
-// releaseCase is one Optimize call of the release tests.
+// releaseCase is one Optimize call of the release tests, and the rules its
+// Result is then asked to do Without (every fourth case only): the
+// implementation rules it exercised and the first exploration rule.
 type releaseCase struct {
 	name     string
 	q        *qgen.Query
 	disabled rules.Set
+	without  []rules.ID
 }
 
 // releaseWorkload is one database's cases and what a fresh Optimizer that
-// never releases anything answers for each.
+// never releases anything answers for each, and for each with one more rule
+// disabled.
 type releaseWorkload struct {
-	cat   *catalog.Catalog
-	cases []releaseCase
-	want  []string
+	cat         *catalog.Catalog
+	cases       []releaseCase
+	want        []string
+	wantWithout [][]string
 }
 
 // outcome renders everything a released Result promises to keep: the plan —
@@ -45,6 +51,15 @@ func outcome(res *opt.Result, err error) string {
 	sort.Strings(inter)
 	return fmt.Sprintf("hash %s cost %v rules %v interactions %v\n%s%s",
 		res.Plan.Hash(), res.Cost, res.RuleSet.Sorted(), inter, res.Plan, opt.DumpPlan(res.Plan))
+}
+
+// withoutOutcome renders a plan Without returned, every field of every node,
+// or its error.
+func withoutOutcome(p *physical.Expr, err error) string {
+	if err != nil {
+		return planAnswer(nil, err)
+	}
+	return planAnswer(p, nil) + opt.DumpPlan(p)
 }
 
 // releaseWorkloads builds, for TPC-H and star, the PATTERN query of each of
@@ -85,8 +100,30 @@ func releaseWorkloads(t *testing.T, reg *rules.Registry) []releaseWorkload {
 				}
 			}
 			for _, disabled := range sets {
-				w.cases = append(w.cases, releaseCase{fmt.Sprintf("%s PATTERN(%d) disabled %v", db, id, disabled.Sorted()), q, disabled})
-				w.want = append(w.want, outcome(fresh.Optimize(q.Tree, q.MD, opt.Options{Disabled: disabled})))
+				c := releaseCase{name: fmt.Sprintf("%s PATTERN(%d) disabled %v", db, id, disabled.Sorted()), q: q, disabled: disabled}
+				res, err := fresh.Optimize(q.Tree, q.MD, opt.Options{Disabled: disabled})
+				var alts []string
+				if err == nil && len(w.cases)%4 == 0 {
+					explored := false
+					for _, id := range res.RuleSet.Sorted() {
+						if rule, _ := reg.ByID(id); rule.Kind() == rules.KindExploration {
+							if explored {
+								continue
+							}
+							explored = true
+						}
+						c.without = append(c.without, id)
+						var p *physical.Expr
+						alt, err := fresh.Optimize(q.Tree, q.MD, opt.Options{Disabled: disabled.Union(rules.NewSet(id))})
+						if err == nil {
+							p = alt.Plan
+						}
+						alts = append(alts, withoutOutcome(p, err))
+					}
+				}
+				w.cases = append(w.cases, c)
+				w.want = append(w.want, outcome(res, err))
+				w.wantWithout = append(w.wantWithout, alts)
 			}
 		}
 		out = append(out, w)
@@ -102,7 +139,10 @@ func releaseWorkloads(t *testing.T, reg *rules.Registry) []releaseWorkload {
 // equal, when it is released and again after every later optimization has run
 // in the recycled scratches, what a fresh Optimizer that never releases
 // answers: a plan that points into a scratch, or an optimization that reads
-// one byte its predecessor left behind, shows here and not in a campaign.
+// one byte its predecessor left behind, shows here and not in a campaign. The
+// same goes for the plans Result.Without derives from the held memo before the
+// release — by re-costing it, and in a second scratch for an exploration rule —
+// and Without on a released Result is an error.
 func TestReleasedScratchIsInvisible(t *testing.T) {
 	for _, w := range releaseWorkloads(t, rules.DefaultRegistry()) {
 		o := opt.New(rules.DefaultRegistry(), w.cat)
@@ -112,6 +152,21 @@ func TestReleasedScratchIsInvisible(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				held := make([]*opt.Result, len(w.cases))
+				heldAlts := make([][]*physical.Expr, len(w.cases))
+				// checkAlts compares the plans Without returned for case i with
+				// a fresh Optimizer's.
+				checkAlts := func(i int, when string) bool {
+					for k, p := range heldAlts[i] {
+						if p == nil {
+							continue
+						}
+						if got := withoutOutcome(p, nil); got != w.wantWithout[i][k] {
+							t.Errorf("%s: Without(%d) %s differs from a fresh optimizer's:\n got %s\nwant %s", w.cases[i].name, w.cases[i].without[k], when, got, w.wantWithout[i][k])
+							return false
+						}
+					}
+					return true
+				}
 				for n := range w.cases {
 					i := (n + g*len(w.cases)/4) % len(w.cases) // each goroutine starts elsewhere
 					c := w.cases[i]
@@ -120,10 +175,25 @@ func TestReleasedScratchIsInvisible(t *testing.T) {
 						if res.Memo == nil || res.Memo.NumExprs() == 0 {
 							t.Errorf("%s: no memo before Release", c.name)
 						}
+						for k, id := range c.without {
+							p, err := res.Without(id)
+							if err != nil {
+								if got := withoutOutcome(nil, err); got != w.wantWithout[i][k] {
+									t.Errorf("%s: Without(%d): %s, a fresh optimizer: %s", c.name, id, got, w.wantWithout[i][k])
+								}
+							}
+							heldAlts[i] = append(heldAlts[i], p)
+						}
 						res.Release()
 						res.Release() // a no-op: the scratch may be another call's by now
 						if res.Memo != nil {
 							t.Errorf("%s: Memo survives Release", c.name)
+						}
+						if p, err := res.Without(1); p != nil || err == nil || errors.Is(err, opt.ErrNoPlan) {
+							t.Errorf("%s: Without after Release returns (%v, %v), want an error of its own", c.name, p, err)
+						}
+						if !checkAlts(i, "after Release") {
+							return
 						}
 					}
 					if got := outcome(res, err); got != w.want[i] {
@@ -141,6 +211,9 @@ func TestReleasedScratchIsInvisible(t *testing.T) {
 					}
 					if got := outcome(res, nil); got != w.want[i] {
 						t.Errorf("%s: released result changed under later optimizations:\n now %s\nthen %s", w.cases[i].name, got, w.want[i])
+						return
+					}
+					if !checkAlts(i, "after later optimizations") {
 						return
 					}
 				}

@@ -133,7 +133,9 @@ type ImplementationRule interface {
 	// correspond 1:1 to e.Kids) or nil if a precondition fails. Every node
 	// is fresh and the caller's to mutate or to Release; the slice itself
 	// may be the Context's and is valid only until the next Implement call
-	// on the same Context.
+	// on the same Context. Implement must not allocate columns in ctx.MD():
+	// opt.Result.Without costs one memo more than once, and a column made
+	// on the way would number the next costing's columns differently.
 	Implement(ctx *Context, e *memo.MExpr) []*physical.Expr
 }
 

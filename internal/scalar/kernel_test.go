@@ -371,34 +371,29 @@ func FuzzCmpKernel(f *testing.F) {
 	})
 }
 
-// TestFingerprintDatumGolden pins what a constant contributes to plan hashes
-// and result-cache keys: FNV-1a sums recorded when a Datum still had a word
-// per payload (commit c05517b). A layout change that moves one moves every
-// report fingerprint with it.
-func TestFingerprintDatumGolden(t *testing.T) {
-	for _, c := range []struct {
-		d    datum.Datum
-		want uint64
-	}{
-		{datum.Null, 0xd4657f55662f817f},
-		{datum.NewInt(42), 0xf516b67930a190ca},
-		{datum.NewInt(-7), 0x2917941baeb3faae},
-		{datum.NewInt(math.MaxInt64), 0xb78b9f40f6344f14},
-		{datum.NewFloat(1.5), 0x60c5f85be09e743a},
-		{datum.NewFloat(0), 0x0603625b1c220725},
-		{datum.NewFloat(math.Copysign(0, -1)), 0x0450625b1ab072a5},
-		{datum.NewFloat(math.Inf(1)), 0xa648305c080c9c22},
-		{datum.NewFloat(math.NaN()), 0x98a5b700727b38bd},
-		{datum.NewDate(9000), 0xc0e962d786ee697b},
-		{datum.NewString("abc"), 0xe116eada9acfb5f6},
-		{datum.NewString(""), 0xed3470d84128c452},
-		{datum.NewBool(true), 0x7129b849fa4a7480},
-		{datum.NewBool(false), 0x7129b949fa4a7633},
-	} {
+// TestFingerprintDatumProperty: a constant's fingerprint follows Equal. The
+// memo interns on it and confirms a hit with Equal, so constants Equal holds
+// for must agree — built apart, NaN payloads included — and, over the kernel
+// corners, constants of another kind or payload (INT 1, DATE 1 and TRUE; the
+// two zeros; the empty string and NULL) must not: a collision there costs an
+// Equal call on every probe, not a wrong plan. Nothing else reads the sum:
+// plan hashes and result-cache keys are the textual Hash.
+func TestFingerprintDatumProperty(t *testing.T) {
+	fp := func(d datum.Datum) uint64 {
 		h := fnv64.New()
-		fingerprintDatum(c.d, &h)
-		if got := h.Sum(); got != c.want {
-			t.Errorf("fingerprintDatum(%v) = %#016x, recorded %#016x", c.d, got, c.want)
+		FingerprintInto(&Const{D: d}, &h)
+		return h.Sum()
+	}
+	vals := kernelValues()
+	for _, a := range vals {
+		for _, b := range kernelValues() {
+			equal := Equal(&Const{D: a}, &Const{D: b})
+			if same := fp(a) == fp(b); same != equal {
+				t.Errorf("%v (kind %d) and %v (kind %d): Equal %v, same fingerprint %v", a, a.K, b, b.K, equal, same)
+			}
 		}
+	}
+	if fp(datum.NewString(string([]byte("日本")))) != fp(datum.NewString("日本")) {
+		t.Error("equal strings held in different memory fingerprint differently")
 	}
 }

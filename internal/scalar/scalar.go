@@ -291,29 +291,12 @@ func FingerprintInto(e Expr, h *fnv64.Hash) {
 	}
 }
 
-// fingerprintDatum feeds the hash what it was fed when a Datum had a word
-// per payload — kind, integer, float, string, bool, the ones the kind does
-// not use as zero — so plan hashes and result-cache keys did not move when
-// the payloads came to share one word.
+// fingerprintDatum mixes what Equal compares two constants on: kind, payload
+// word and string. Only the memo's interning table reads the sum.
 func fingerprintDatum(d datum.Datum, h *fnv64.Hash) {
-	var (
-		i int64
-		f float64
-		b bool
-	)
-	switch d.K {
-	case datum.KindFloat:
-		f = d.Float()
-	case datum.KindBool:
-		b = d.Bool()
-	default:
-		i = d.I
-	}
 	h.Int(int64(d.K))
-	h.Int(i)
-	h.Float(f)
+	h.Int(d.I)
 	h.String(d.S)
-	h.Bool(b)
 }
 
 // Equal reports full structural equality of two scalar expressions — the

@@ -66,8 +66,9 @@ type (
 	Optimizer = opt.Optimizer
 	// OptimizeOptions configures one optimization (disabled rules etc).
 	OptimizeOptions = opt.Options
-	// OptimizeResult carries the plan, cost and exercised RuleSet; its
-	// optional Release hands the memo it was found in back to the Optimizer.
+	// OptimizeResult carries the plan, cost and exercised RuleSet; Without(R)
+	// derives Plan(q,¬R) from the memo it was found in, until the optional
+	// Release hands that memo back to the Optimizer.
 	OptimizeResult = opt.Result
 	// Generator produces rule-targeted queries (§3).
 	Generator = qgen.Generator
