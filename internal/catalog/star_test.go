@@ -1,6 +1,9 @@
 package catalog
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestLoadStarSchema(t *testing.T) {
 	c := LoadStar(DefaultStarConfig())
@@ -51,7 +54,7 @@ func TestStarDeterministic(t *testing.T) {
 			t.Fatalf("%s row counts differ", name)
 		}
 		for i := range ra {
-			if ra[i].Key() != rb[i].Key() {
+			if !slices.Equal(ra[i], rb[i]) {
 				t.Fatalf("%s row %d differs", name, i)
 			}
 		}

@@ -319,19 +319,3 @@ func (d Datum) AppendKey(buf []byte) []byte {
 	}
 	return append(buf, '?', ';')
 }
-
-// AppendKey appends the row's key encoding to buf; see Datum.AppendKey.
-// Callers on hot paths reuse the buffer across rows to avoid allocation.
-func (r Row) AppendKey(buf []byte) []byte {
-	for _, d := range r {
-		buf = d.AppendKey(buf)
-	}
-	return buf
-}
-
-// Key renders a row to a string usable as a hash-table key: rows that compare
-// equal produce equal keys and — because the encoding is injective — rows
-// that differ produce different keys.
-func (r Row) Key() string {
-	return string(r.AppendKey(make([]byte, 0, 16*len(r))))
-}

@@ -202,11 +202,11 @@ func TestAppendKeyText(t *testing.T) {
 func TestRowKeyFoldsNumericKinds(t *testing.T) {
 	a := Row{NewInt(3), NewString("x")}
 	b := Row{NewFloat(3.0), NewString("x")}
-	if a.Key() != b.Key() {
+	if rowKey(a) != rowKey(b) {
 		t.Error("rows equal under Compare must have equal keys")
 	}
 	c := Row{NewFloat(3.5), NewString("x")}
-	if a.Key() == c.Key() {
+	if rowKey(a) == rowKey(c) {
 		t.Error("distinct rows must not collide trivially")
 	}
 }
@@ -226,8 +226,8 @@ func TestRowKeyStringFramingInjective(t *testing.T) {
 		{{NewString("3:'b'")}, {NewString("b")}},
 	}
 	for _, c := range collisions {
-		if c[0].Key() == c[1].Key() {
-			t.Errorf("rows %v and %v must not share key %q", c[0], c[1], c[0].Key())
+		if rowKey(c[0]) == rowKey(c[1]) {
+			t.Errorf("rows %v and %v must not share key %q", c[0], c[1], rowKey(c[0]))
 		}
 	}
 }
@@ -276,16 +276,17 @@ func TestRowKeyInjectiveBruteForce(t *testing.T) {
 	}
 	for i := range rows {
 		for j := i + 1; j < len(rows); j++ {
-			sameKey := rows[i].Key() == rows[j].Key()
+			sameKey := rowKey(rows[i]) == rowKey(rows[j])
 			if sameKey != keyEquivalent(rows[i], rows[j]) {
 				t.Fatalf("rows %v and %v: key collision=%v, equivalent=%v (keys %q vs %q)",
-					rows[i], rows[j], sameKey, !sameKey, rows[i].Key(), rows[j].Key())
+					rows[i], rows[j], sameKey, !sameKey, rowKey(rows[i]), rowKey(rows[j]))
 			}
 		}
 	}
 }
 
-// AppendKey with a reused buffer must agree with Key.
+// AppendKey with a reused buffer must agree with fresh encodings: hash joins
+// and aggregation build every key in one buffer reset per row.
 func TestAppendKeyReusesBuffer(t *testing.T) {
 	rows := []Row{
 		{NewInt(1), NewString("a;b"), Null},
@@ -295,11 +296,26 @@ func TestAppendKeyReusesBuffer(t *testing.T) {
 	buf := make([]byte, 0, 64)
 	for _, row := range rows {
 		buf = buf[:0]
-		buf = row.AppendKey(buf)
-		if string(buf) != row.Key() {
-			t.Errorf("AppendKey %q != Key %q for %v", buf, row.Key(), row)
+		want := ""
+		for _, d := range row {
+			buf = d.AppendKey(buf)
+			want += string(d.AppendKey(nil))
+		}
+		if string(buf) != want {
+			t.Errorf("AppendKey into a reused buffer %q, fresh %q, for %v", buf, want, row)
 		}
 	}
+}
+
+// rowKey is a row's key: its values' AppendKey encodings in order. Rows that
+// compare equal share it and — the encoding being prefix-free — rows that
+// differ do not.
+func rowKey(r Row) string {
+	var buf []byte
+	for _, d := range r {
+		buf = d.AppendKey(buf)
+	}
+	return string(buf)
 }
 
 func TestDatumString(t *testing.T) {

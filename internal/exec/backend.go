@@ -3,7 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"qtrtest/internal/catalog"
 	"qtrtest/internal/datum"
@@ -254,29 +254,15 @@ func treeHasLimit(e *logical.Expr) bool {
 	return false
 }
 
-// NormalizeRows returns a copy of rows sorted by the oracle's total order
-// (datum.TotalCompare per slot, left to right): the canonical multiset
-// form. Two unordered results are equal iff their normalized forms are
-// positionally equal under TotalCompare — the same equivalence
-// EqualMultisets computes via key encoding, exposed here for tests and
-// tools that want a canonical listing.
+// NormalizeRows returns a copy of rows sorted by the oracle's order on rows
+// (rowCmp), equal rows in their input order: the canonical multiset form. Two
+// results are equal multisets iff their normalized forms are positionally
+// equal under that order — the equivalence EqualMultisets computes, exposed
+// here for tests and tools that want a canonical listing.
 func NormalizeRows(rows []datum.Row) []datum.Row {
-	out := make([]datum.Row, len(rows))
-	copy(out, rows)
-	sortRowsTotal(out)
+	out := slices.Clone(rows)
+	slices.SortStableFunc(out, rowCmp)
 	return out
-}
-
-func sortRowsTotal(rows []datum.Row) {
-	sort.SliceStable(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		for s := 0; s < len(a) && s < len(b); s++ {
-			if c := datum.TotalCompare(a[s], b[s]); c != 0 {
-				return c < 0
-			}
-		}
-		return len(a) < len(b)
-	})
 }
 
 // refBackend adapts the reference engine (internal/refengine) to the

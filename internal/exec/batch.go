@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"qtrtest/internal/catalog"
 	"qtrtest/internal/datum"
@@ -9,21 +10,18 @@ import (
 	"qtrtest/internal/scalar"
 )
 
-// The batch engine converts the hot operators — scan, filter, project, hash
-// and nested-loops join, aggregation — to columnar processing: operators
-// exchange Batches of column vectors instead of single rows, amortizing
-// interpretation overhead and eliminating the per-row key-string and
-// combined-row allocations of the Volcano engine. Operators without a
-// columnar implementation (sort, limit, concat, merge join) still run
-// row-at-a-time inside the same plan through adapter shims, and the row
+// The batch engine runs every operator columnar: operators exchange Batches
+// of column vectors instead of single rows, amortizing interpretation overhead
+// and eliminating the per-row key-string and combined-row allocations of the
+// Volcano engine. Rows are built once, at the root, for the result. The row
 // engine remains available as EngineRow — the differential golden tests pin
 // the two engines to identical results and emission order, and to identical
 // budget verdicts on plans without a Limit (compile.go states the rest).
 
 const (
-	// batchSize is the nominal number of rows per batch. Scans and adapters
-	// emit at most this many rows per batch; joins may emit up to candidateCap
-	// rows when a probe chunk is match-dense.
+	// batchSize is the nominal number of rows per batch. Scans, sorts and
+	// aggregates emit at most this many rows per batch; joins may emit up to
+	// candidateCap rows when a probe chunk is match-dense.
 	batchSize = 1024
 	// candidateCap bounds the candidate join pairs gathered per probe chunk,
 	// which bounds the memory a match-heavy (e.g. dropped-predicate) join can
@@ -67,10 +65,10 @@ type Batch struct {
 	Idx  []int
 	// Rows, when non-nil, is a ready-made row view of the batch: Rows[k] is
 	// row k (the row Idx[k] selects), backed by stable storage that outlives
-	// the batch. Producers that already hold materialized rows — scans window
-	// the catalog's row slice — set it so consumers that need rows can skip
-	// gathering. Operators that reshape the batch (filter, join, aggregate)
-	// drop it; they construct fresh Batch values, so staleness cannot leak.
+	// the batch. Scans set it — they window the catalog's row slice — so a
+	// result that is a bare scan is returned without gathering; a limit
+	// truncates it with Idx. Every other operator constructs a fresh Batch
+	// without one, so staleness cannot leak.
 	Rows []datum.Row
 }
 
@@ -92,8 +90,8 @@ type Engine int
 
 // Available engines.
 const (
-	// EngineBatch executes hot operators columnar with row-at-a-time shims
-	// for the rest. The default, and the engine every campaign runs on.
+	// EngineBatch executes every operator columnar. The default, and the
+	// engine every campaign runs on.
 	EngineBatch Engine = iota
 	// EngineRow is the original Volcano row-at-a-time engine, retained as
 	// the differential baseline and reachable as a cross-check backend.
@@ -173,92 +171,6 @@ func gatherRows(b *Batch) []datum.Row {
 	return rows
 }
 
-// ---- adapters ---------------------------------------------------------------
-
-// rowFromBatch adapts a batch subtree for a row-at-a-time consumer. Each
-// batch is materialized once into slab-backed rows because row operators
-// (sort, join build sides) retain rows past the batch's lifetime.
-type rowFromBatch struct {
-	child BatchIterator
-	rows  []datum.Row
-	pos   int
-}
-
-func (r *rowFromBatch) Open() error {
-	r.rows, r.pos = nil, 0
-	return r.child.Open()
-}
-
-func (r *rowFromBatch) Next() (datum.Row, error) {
-	for r.pos >= len(r.rows) {
-		b, err := r.child.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			return nil, nil
-		}
-		r.rows, r.pos = gatherRows(b), 0
-	}
-	row := r.rows[r.pos]
-	r.pos++
-	return row, nil
-}
-
-func (r *rowFromBatch) Close() error {
-	r.rows = nil
-	return r.child.Close()
-}
-
-// batchFromRows adapts a row subtree for a batch consumer, accumulating up to
-// batchSize rows per batch into reused vectors.
-type batchFromRows struct {
-	child iterator
-	width int
-	s     *opScratch
-	out   Batch
-}
-
-func (b *batchFromRows) Open() error {
-	if b.s == nil {
-		b.s = getOpScratch()
-	}
-	return b.child.Open()
-}
-
-func (b *batchFromRows) Next() (*Batch, error) {
-	b.s.vecs = sizeVecs(b.s.vecs, b.width)
-	vecs := b.s.vecs
-	n := 0
-	for n < batchSize {
-		row, err := b.child.Next()
-		if err != nil {
-			return nil, err
-		}
-		if row == nil {
-			break
-		}
-		for c := range vecs {
-			vecs[c].Append(row[c])
-		}
-		n++
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	b.out = Batch{Cols: vecs, Idx: iotaSel(n)}
-	return &b.out, nil
-}
-
-func (b *batchFromRows) Close() error {
-	if b.s != nil {
-		putOpScratch(b.s)
-		b.s = nil
-	}
-	b.out = Batch{}
-	return b.child.Close()
-}
-
 // ---- scan -------------------------------------------------------------------
 
 // batchScan windows the catalog's cached column vectors: zero copies, zero
@@ -292,9 +204,8 @@ func (s *batchScan) Next() (*Batch, error) {
 		end = len(s.idx)
 	}
 	// SeqIdx is the identity selection, so the same window of the catalog's
-	// row slice is this batch's row view: consumers that materialize rows
-	// (runBatch, row adapters) take it as-is instead of slab-copying what the
-	// catalog already stores.
+	// row slice is this batch's row view: runBatch takes it as-is instead of
+	// slab-copying what the catalog already stores.
 	s.out = Batch{Cols: s.cols, Idx: s.idx[s.pos:end], Rows: s.table.Rows[s.pos:end]}
 	s.pos = end
 	return &s.out, nil
@@ -400,4 +311,168 @@ func (p *batchProject) Close() error {
 	}
 	p.out = Batch{}
 	return p.child.Close()
+}
+
+// ---- sort -------------------------------------------------------------------
+
+// batchSort drains its input into pooled column vectors and stable-sorts a
+// permutation of their rows with the row engine's comparator and algorithm,
+// so ties land exactly where sortIter puts them. It emits the permutation
+// batchSize rows at a time as the selection over those vectors: no row is
+// built and nothing is copied out.
+type batchSort struct {
+	child BatchIterator
+	keys  []sortKey
+	width int
+
+	s   *opScratch // vecs: the drained input; sel: the sorted permutation
+	pos int
+	out Batch
+}
+
+func (s *batchSort) Open() error {
+	if s.s == nil {
+		s.s = getOpScratch()
+	}
+	s.s.vecs = sizeVecs(s.s.vecs, s.width)
+	s.pos = 0
+	if err := s.child.Open(); err != nil {
+		return err
+	}
+	vecs, n := s.s.vecs, 0
+	for {
+		b, err := s.child.Next()
+		if err != nil {
+			return err
+		}
+		if b == nil {
+			break
+		}
+		for c := range vecs {
+			vecs[c].AppendGather(b.Cols[c].D, b.Idx)
+		}
+		n += b.Len()
+	}
+	perm := s.s.sel[:0]
+	for i := 0; i < n; i++ {
+		perm = append(perm, i)
+	}
+	slices.SortStableFunc(perm, func(i, j int) int {
+		for _, k := range s.keys {
+			d := vecs[k.slot].D
+			if c := datum.TotalCompare(d[i], d[j]); c != 0 {
+				return k.apply(c)
+			}
+		}
+		return 0
+	})
+	s.s.sel = perm
+	return nil
+}
+
+func (s *batchSort) Next() (*Batch, error) {
+	perm := s.s.sel
+	if s.pos >= len(perm) {
+		return nil, nil
+	}
+	end := s.pos + batchSize
+	if end > len(perm) {
+		end = len(perm)
+	}
+	s.out = Batch{Cols: s.s.vecs, Idx: perm[s.pos:end]}
+	s.pos = end
+	return &s.out, nil
+}
+
+func (s *batchSort) Close() error {
+	if s.s != nil {
+		putOpScratch(s.s)
+		s.s = nil
+	}
+	s.pos, s.out = 0, Batch{}
+	return s.child.Close()
+}
+
+// ---- limit ------------------------------------------------------------------
+
+// batchLimit passes its input through until n rows have gone by, truncating
+// the batch that crosses the limit: its selection, and its row view with it.
+type batchLimit struct {
+	child   BatchIterator
+	n, seen int64
+	out     Batch
+}
+
+func (l *batchLimit) Open() error { l.seen = 0; return l.child.Open() }
+
+func (l *batchLimit) Next() (*Batch, error) {
+	if l.seen >= l.n {
+		return nil, nil
+	}
+	b, err := l.child.Next()
+	if err != nil || b == nil {
+		return nil, err
+	}
+	if rest := l.n - l.seen; int64(b.Len()) > rest {
+		l.out = Batch{Cols: b.Cols, Idx: b.Idx[:rest]}
+		if b.Rows != nil {
+			l.out.Rows = b.Rows[:rest]
+		}
+		b = &l.out
+	}
+	l.seen += int64(b.Len())
+	return b, nil
+}
+
+func (l *batchLimit) Close() error {
+	l.out = Batch{}
+	return l.child.Close()
+}
+
+// ---- concat (UNION ALL) -----------------------------------------------------
+
+// batchConcat emits each child's batches in turn, renamed to its output
+// layout by pointing the output columns at the child's vectors through the
+// slot map resolved at compile time. It copies nothing.
+type batchConcat struct {
+	kids []BatchIterator
+	maps [][]int     // per child: output position -> child slot
+	cols []datum.Vec // the output columns, aliasing the current child's
+	cur  int
+	out  Batch
+}
+
+func (c *batchConcat) Open() error {
+	c.cur = 0
+	for _, kid := range c.kids {
+		if err := kid.Open(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (c *batchConcat) Next() (*Batch, error) {
+	for c.cur < len(c.kids) {
+		b, err := c.kids[c.cur].Next()
+		if err != nil {
+			return nil, err
+		}
+		if b == nil {
+			c.cur++
+			continue
+		}
+		for j, slot := range c.maps[c.cur] {
+			c.cols[j] = b.Cols[slot]
+		}
+		c.out = Batch{Cols: c.cols, Idx: b.Idx}
+		return &c.out, nil
+	}
+	return nil, nil
+}
+
+func (c *batchConcat) Close() error {
+	clear(c.cols)
+	c.out = Batch{}
+	return closeAll(c.kids)
 }

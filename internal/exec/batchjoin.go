@@ -6,14 +6,15 @@ import (
 	"qtrtest/internal/scalar"
 )
 
-// batchJoin is the columnar join, hash and nested-loops alike. The build
-// side is held in column vectors; the probe side is processed in chunks of
-// candidate (left, right) pairs whose join predicate is evaluated in one
-// vectorized pass per chunk. The two operators differ in one step only — how
-// a probe row finds its candidate group: a hash join looks its key up in an
+// batchJoin is the columnar join, hash, merge and nested loops alike. The
+// build side is held in column vectors; the probe side is processed in chunks
+// of candidate (left, right) pairs whose join predicate is evaluated in one
+// vectorized pass per chunk. The operators differ in one step only — how a
+// probe row finds its candidate group: a hash join looks its key up in an
 // allocation-free index over the build side (map hits cost no allocation;
 // only distinct keys allocate), a nested-loops join's group is the whole
-// build side.
+// build side. A merge join is the hash join over a batchSort of its probe
+// side on the keys (joinKeys).
 //
 // Materialization is late: the predicate reads its columns in place, through
 // the candidate pairs, and a chunk gathers the output columns for the
@@ -77,22 +78,22 @@ type joinSeg struct {
 	final      bool // chunk holds the row's last candidates
 }
 
-func newBatchJoin(plan *physical.Expr, kids [2]BatchIterator, ins [2]*layout, out *layout) (*batchJoin, error) {
+func newBatchJoin(plan *physical.Expr, kids []BatchIterator, ins []*layout, out *layout) (*batchJoin, error) {
 	j := &batchJoin{
 		on: plan.On, left: kids[0], right: kids[1],
-		jt: plan.JoinType, hash: plan.Op == physical.OpHashJoin,
+		jt: plan.JoinType, hash: plan.Op != physical.OpNLJoin,
 		leftWidth: len(ins[0].cols), rightWidth: len(ins[1].cols),
-		ve: scalar.VecEval{Env: joinEnv(ins[:], out)},
+		ve: scalar.VecEval{Env: joinEnv(ins, out)},
 	}
 	if j.hash {
 		var err error
-		if j.leftSlots, err = keySlots(ins[0], plan.EquiLeft, "hash", "left"); err != nil {
-			return nil, err
-		}
-		if j.rightSlots, err = keySlots(ins[1], plan.EquiRight, "hash", "right"); err != nil {
+		if j.leftSlots, j.rightSlots, err = joinKeys(plan, ins); err != nil {
 			return nil, err
 		}
 		j.equi = equiOnly(plan)
+		if plan.Op == physical.OpMergeJoin {
+			j.left = &batchSort{child: j.left, keys: ascending(j.leftSlots), width: j.leftWidth}
+		}
 	}
 	j.ve.Pairs = &j.pairs
 	return j, nil

@@ -1,7 +1,10 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"sync"
 
 	"qtrtest/internal/datum"
 	"qtrtest/internal/logical"
@@ -11,43 +14,124 @@ import (
 
 // EqualMultisets reports whether two result sets contain the same rows with
 // the same multiplicities, ignoring order. This is the base correctness
-// oracle: two plans for the same query must produce equal multisets.
+// oracle: two plans for the same query must produce equal multisets. Rows are
+// the same row when rowCmp calls them equal.
 func EqualMultisets(a, b []datum.Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	counts := make(map[string]int, len(a))
-	for _, r := range a {
-		counts[r.Key()]++
-	}
-	for _, r := range b {
-		k := r.Key()
-		counts[k]--
-		if counts[k] < 0 {
-			return false
-		}
-	}
-	return true
+	return len(a) == len(b) && multisetDiff(a, b) < 0
 }
 
 // DiffSummary describes the first discrepancy between two result multisets,
-// for correctness-bug reports.
+// for correctness-bug reports: the first row, in the second result's order,
+// that the second result holds more often than the first.
 func DiffSummary(a, b []datum.Row) string {
 	if len(a) != len(b) {
 		return fmt.Sprintf("row count mismatch: %d vs %d", len(a), len(b))
 	}
-	counts := make(map[string]int, len(a))
-	for _, r := range a {
-		counts[r.Key()]++
-	}
-	for _, r := range b {
-		k := r.Key()
-		counts[k]--
-		if counts[k] < 0 {
-			return fmt.Sprintf("row %v appears more often in the second result", r)
-		}
+	if k := multisetDiff(a, b); k >= 0 {
+		return fmt.Sprintf("row %v appears more often in the second result", b[k])
 	}
 	return ""
+}
+
+// multisetDiff compares two results of one length as multisets without
+// re-encoding a row: it sorts a permutation of each by rowCmp, ties by
+// position, and walks the two side by side, matching each row of b to the
+// next equal row of a where both lie. It returns -1 when every row matched,
+// else the first unmatched row of b in b's order: the first whose count in
+// b up to there exceeds its count in a.
+func multisetDiff(a, b []datum.Row) int {
+	s := permPool.Get().(*permScratch)
+	defer permPool.Put(s)
+	s.a, s.b = sortedPerm(s.a, a), sortedPerm(s.b, b)
+	witness, i := -1, 0
+	for _, j := range s.b {
+		c := -1
+		for ; i < len(s.a); i++ {
+			if c = rowCmp(a[s.a[i]], b[j]); c >= 0 {
+				break
+			}
+		}
+		if c == 0 {
+			i++
+		} else if witness < 0 || int(j) < witness {
+			witness = int(j)
+		}
+	}
+	return witness
+}
+
+// permScratch holds multisetDiff's two permutations between comparisons.
+type permScratch struct{ a, b []int32 }
+
+var permPool = sync.Pool{New: func() interface{} { return new(permScratch) }}
+
+// sortedPerm fills p with the positions of rows sorted by rowCmp, equal rows
+// in their order.
+func sortedPerm(p []int32, rows []datum.Row) []int32 {
+	p = p[:0]
+	for i := range rows {
+		p = append(p, int32(i))
+	}
+	slices.SortFunc(p, func(i, j int32) int {
+		if c := rowCmp(rows[i], rows[j]); c != 0 {
+			return c
+		}
+		return cmp.Compare(i, j)
+	})
+	return p
+}
+
+// rowCmp is the oracle's total order on rows: value by value under valueCmp,
+// then the shorter row first. Rows it calls equal are the same row to
+// EqualMultisets.
+func rowCmp(a, b datum.Row) int {
+	for s := 0; s < len(a) && s < len(b); s++ {
+		if c := valueCmp(&a[s], &b[s]); c != 0 {
+			return c
+		}
+	}
+	return cmp.Compare(len(a), len(b))
+}
+
+// valueClass ranks the kinds valueCmp tells apart: NULL, numbers, strings,
+// bools.
+var valueClass = [...]uint8{
+	datum.KindNull: 0, datum.KindInt: 1, datum.KindFloat: 1, datum.KindDate: 1,
+	datum.KindString: 2, datum.KindBool: 3,
+}
+
+// valueCmp orders values by class, then by value. INT, DATE and FLOAT are one
+// class compared through their float64 image, so −0 equals +0 and integers
+// beyond 2^53 that share an image are equal; NaN is one value, below every
+// number. It cannot be datum.TotalCompare, whose Compare calls NaN equal to
+// every number: that is no order to sort by, and it would fold {NaN} into {1}.
+func valueCmp(a, b *datum.Datum) int {
+	ca, cb := valueClass[a.K], valueClass[b.K]
+	if ca != cb {
+		return cmp.Compare(ca, cb)
+	}
+	switch a.K {
+	case datum.KindInt, datum.KindFloat, datum.KindDate:
+		return cmp.Compare(numImage(a), numImage(b))
+	case datum.KindString:
+		return cmp.Compare(a.S, b.S)
+	case datum.KindBool:
+		if ab := a.Bool(); ab != b.Bool() {
+			if ab {
+				return 1
+			}
+			return -1
+		}
+	}
+	return 0
+}
+
+// numImage is the float64 a numeric value compares through.
+func numImage(d *datum.Datum) float64 {
+	if d.K == datum.KindFloat {
+		return d.Float()
+	}
+	return float64(d.I)
 }
 
 // Verdict classifies the outcome of comparing two executions of the same

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"testing"
 
 	"qtrtest/internal/datum"
@@ -14,7 +15,8 @@ import (
 // them with regressions on both production engines. Two invariants matter:
 // numeric kinds widen (an INT 1 row and a FLOAT 1.0 row are the same row to
 // the multiset oracle AND to the ordered key-sequence check, because both
-// Row.Key and TotalCompare fold numerics through their float64 image), and
+// the oracle's row order and TotalCompare fold numerics through their float64
+// image), and
 // NULL ordering is NULL-first ascending / NULL-last descending everywhere.
 
 // TestMultisetFoldsNumericKinds: INT vs FLOAT rows of equal value are one
@@ -27,6 +29,30 @@ func TestMultisetFoldsNumericKinds(t *testing.T) {
 	}
 	if EqualMultisets(a, []datum.Row{{datum.NewFloat(1.0)}, {datum.NewFloat(2.5)}}) {
 		t.Fatal("2 and 2.5 folded together")
+	}
+}
+
+// TestMultisetNaNIsOneValue: NaN is one value to the multiset oracle — every
+// payload alike — and no number, although datum.Compare calls it equal to
+// every number; and −0 is +0.
+func TestMultisetNaNIsOneValue(t *testing.T) {
+	nan, nan2 := datum.NewFloat(math.NaN()), datum.NewFloat(math.Float64frombits(0x7ff8000000000001))
+	for _, c := range []struct {
+		a, b  datum.Datum
+		equal bool
+	}{
+		{nan, datum.NewInt(1), false},
+		{nan, datum.NewFloat(math.Inf(1)), false},
+		{nan, nan2, true},
+		{datum.NewFloat(math.Copysign(0, -1)), datum.NewInt(0), true},
+	} {
+		a, b := []datum.Row{{c.a}}, []datum.Row{{c.b}}
+		if got := EqualMultisets(a, b); got != c.equal {
+			t.Errorf("{%v} = {%v}: %v, want %v", c.a, c.b, got, c.equal)
+		}
+		if got := DiffSummary(a, b) == ""; got != c.equal {
+			t.Errorf("{%v} vs {%v}: DiffSummary %q", c.a, c.b, DiffSummary(a, b))
+		}
 	}
 }
 
@@ -56,9 +82,9 @@ func TestFlippedNullPlacementIsMismatch(t *testing.T) {
 }
 
 // TestNormalizeRowsMatchesTotalCompare: NormalizeRows — the canonical
-// multiset form backends are compared in — must order rows exactly as
+// multiset form backends are compared in — orders NULLs and numbers as
 // datum.TotalCompare does: NULL first, then numeric values widened across
-// kinds.
+// kinds. (The two orders part at NaN; TestMultisetNaNIsOneValue.)
 func TestNormalizeRowsMatchesTotalCompare(t *testing.T) {
 	in := []datum.Row{
 		{datum.NewFloat(2.5)},

@@ -1,7 +1,10 @@
 package exec
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,6 +13,38 @@ import (
 	"qtrtest/internal/physical"
 	"qtrtest/internal/scalar"
 )
+
+// rowKey is the string key the multiset oracle once counted rows by: the
+// values' datum.AppendKey encodings in order, injective and prefix-free. Its
+// equality is what rowCmp's must be.
+func rowKey(r datum.Row) string {
+	var buf []byte
+	for _, d := range r {
+		buf = d.AppendKey(buf)
+	}
+	return string(buf)
+}
+
+// keyDiffSummary is the string-key reference for EqualMultisets and
+// DiffSummary: the map of key counts they were before comparing rows in
+// place, which yields "" exactly for equal multisets.
+func keyDiffSummary(a, b []datum.Row) string {
+	if len(a) != len(b) {
+		return fmt.Sprintf("row count mismatch: %d vs %d", len(a), len(b))
+	}
+	counts := make(map[string]int, len(a))
+	for _, r := range a {
+		counts[rowKey(r)]++
+	}
+	for _, r := range b {
+		k := rowKey(r)
+		counts[k]--
+		if counts[k] < 0 {
+			return fmt.Sprintf("row %v appears more often in the second result", r)
+		}
+	}
+	return ""
+}
 
 // bruteForceEqualMultisets is the obviously-correct O(n^2) reference: greedy
 // bipartite matching on row keys.
@@ -21,7 +56,7 @@ func bruteForceEqualMultisets(a, b []datum.Row) bool {
 	for _, ra := range a {
 		found := false
 		for j, rb := range b {
-			if !used[j] && ra.Key() == rb.Key() {
+			if !used[j] && rowKey(ra) == rowKey(rb) {
 				used[j] = true
 				found = true
 				break
@@ -58,9 +93,10 @@ func randomRows(rng *rand.Rand, n, width int) []datum.Row {
 	return out
 }
 
-// TestEqualMultisetsProperty checks the hashed multiset oracle against the
-// brute-force matcher on random row sets: permutations must compare equal,
-// and random independent draws must agree with the reference either way.
+// TestEqualMultisetsProperty checks the multiset oracle against the
+// brute-force matcher and DiffSummary against the string-key reference on
+// random row sets: permutations must compare equal, and random independent
+// draws must agree with the references either way.
 func TestEqualMultisetsProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 500; trial++ {
@@ -84,8 +120,8 @@ func TestEqualMultisetsProperty(t *testing.T) {
 		if got != want {
 			t.Fatalf("trial %d: EqualMultisets=%v, brute force=%v\na=%v\nb=%v", trial, got, want, a, b)
 		}
-		if !got && DiffSummary(a, b) == "" {
-			t.Fatalf("trial %d: unequal multisets but empty DiffSummary", trial)
+		if d, want := DiffSummary(a, b), keyDiffSummary(a, b); d != want {
+			t.Fatalf("trial %d: DiffSummary %q, string keys %q", trial, d, want)
 		}
 	}
 }
@@ -286,4 +322,116 @@ func TestCompareResultsCatchesFlippedSort(t *testing.T) {
 	if got != VerdictMismatch {
 		t.Fatalf("verdict = %s, want mismatch for reversed ordered results", got)
 	}
+}
+
+// fuzzCorners are the values FuzzEqualMultisets draws results from: the
+// comparison kernel's corners (NULL, NaN, the two zeros, 2^53 against 2^53+1,
+// INT 1 against FLOAT 1.0 and DATE 1, the infinities, the int64 extremes),
+// strings that look like key framing or numbers, and both bools.
+var fuzzCorners = []datum.Datum{
+	datum.Null,
+	datum.NewFloat(math.NaN()), datum.NewFloat(math.Float64frombits(0x7ff8000000000001)),
+	datum.NewFloat(0), datum.NewFloat(math.Copysign(0, -1)), datum.NewInt(0),
+	datum.NewInt(1 << 53), datum.NewInt(1<<53 + 1), datum.NewFloat(1 << 53),
+	datum.NewInt(1), datum.NewFloat(1), datum.NewDate(1), datum.NewFloat(1.5),
+	datum.NewFloat(math.Inf(1)), datum.NewFloat(math.Inf(-1)),
+	datum.NewInt(math.MaxInt64), datum.NewInt(math.MinInt64),
+	datum.NewString(""), datum.NewString("1"), datum.NewString("i1;"), datum.NewString("s1:a"),
+	datum.NewString("a;b"), datum.NewString(":"), datum.NewString("1:"),
+	datum.NewBool(false), datum.NewBool(true),
+}
+
+// fuzzTwin returns a value the oracle must take for d written another way:
+// INT n as FLOAT n, FLOAT n as DATE n, DATE n as INT n, a NaN with another
+// payload; anything else as itself.
+func fuzzTwin(d datum.Datum) datum.Datum {
+	switch d.K {
+	case datum.KindInt:
+		return datum.NewFloat(float64(d.I))
+	case datum.KindFloat:
+		switch f := d.Float(); {
+		case f != f:
+			return datum.NewFloat(math.Float64frombits(uint64(d.I) ^ 1))
+		case f == math.Trunc(f) && math.Abs(f) < 1<<62:
+			return datum.NewDate(int64(f))
+		}
+	case datum.KindDate:
+		return datum.NewInt(d.I)
+	}
+	return d
+}
+
+// fuzzResults decodes two results from fuzz bytes: data[0] picks the width
+// (1 to 3), data[1] the row counts (its low three bits a's, the next three
+// b's) and whether b instead mirrors a (bit 6): a's rows rotated by data[2],
+// each value replaced by its twin when its byte is odd. Every other byte picks
+// a corner value.
+func fuzzResults(data []byte) (a, b []datum.Row) {
+	if len(data) < 3 {
+		return nil, nil
+	}
+	w, na, nb, mirror, rot := 1+int(data[0]%3), int(data[1]%8), int(data[1]/8%8), data[1]&64 != 0, int(data[2])
+	vals := data[3:]
+	next := func() byte {
+		if len(vals) == 0 {
+			return 0
+		}
+		v := vals[0]
+		vals = vals[1:]
+		return v
+	}
+	draw := func(n int) []datum.Row {
+		rows := make([]datum.Row, n)
+		for i := range rows {
+			rows[i] = make(datum.Row, w)
+			for j := range rows[i] {
+				rows[i][j] = fuzzCorners[int(next())%len(fuzzCorners)]
+			}
+		}
+		return rows
+	}
+	a = draw(na)
+	if !mirror {
+		return a, draw(nb)
+	}
+	b = make([]datum.Row, na)
+	for i := range b {
+		b[i] = slices.Clone(a[(i+rot)%na])
+		for j := range b[i] {
+			if next()&1 == 1 {
+				b[i][j] = fuzzTwin(b[i][j])
+			}
+		}
+	}
+	return a, b
+}
+
+// FuzzEqualMultisets holds the oracle's in-place comparison to the string-key
+// reference over results drawn from the corner values: EqualMultisets agrees
+// with it, DiffSummary says what it says byte for byte (reports quote it) and
+// is empty exactly when the results are equal, and NormalizeRows puts equal
+// multisets in positionally equal order. The corners are committed as seeds
+// under testdata/fuzz/FuzzEqualMultisets.
+func FuzzEqualMultisets(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, b := fuzzResults(data)
+		want := keyDiffSummary(a, b)
+		equal := EqualMultisets(a, b)
+		if equal != (want == "") {
+			t.Fatalf("EqualMultisets = %v, string keys say %q\na=%v\nb=%v", equal, want, a, b)
+		}
+		if got := DiffSummary(a, b); got != want {
+			t.Fatalf("DiffSummary = %q, string keys %q\na=%v\nb=%v", got, want, a, b)
+		}
+		if len(a) == len(b) {
+			na, nb := NormalizeRows(a), NormalizeRows(b)
+			same := true
+			for i := range na {
+				same = same && rowCmp(na[i], nb[i]) == 0
+			}
+			if same != equal {
+				t.Fatalf("normalized forms equal %v, multisets equal %v\na=%v\nb=%v", same, equal, na, nb)
+			}
+		}
+	})
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"qtrtest/internal/catalog"
@@ -134,39 +135,37 @@ func (p *Program) run(st runState, maxRows int) (rows []datum.Row, err error) {
 
 // compile builds one operator tree for the program's plan.
 func (p *Program) compile(tapped bool) (*tree, error) {
-	if p.eng != EngineRow && p.eng != EngineBatch {
-		return nil, fmt.Errorf("exec: unknown engine %v", p.eng)
-	}
 	t := new(tree)
-	c := compiler{st: &t.runState, batch: p.eng == EngineBatch, tapped: tapped, size: p.plan.CountOps()}
+	c := compiler{st: &t.runState, tapped: tapped, size: p.plan.CountOps()}
 	var err error
-	if c.batch {
+	switch p.eng {
+	case EngineBatch:
 		t.batches, _, err = c.batchIter(p.plan)
-	} else {
+	case EngineRow:
 		t.rows, _, err = c.rowIter(p.plan)
+	default:
+		return nil, fmt.Errorf("exec: unknown engine %v", p.eng)
 	}
 	return t, err
 }
 
-// compiler turns a physical plan into an operator tree. The engine decides
-// one thing only — whether operators with a columnar implementation compile
-// to it. The rest is shared: row operators for everything else, an adapter
-// wherever a row operator meets a batch one, a tap above every operator of a
-// tree whose runs are observed.
+// compiler turns a physical plan into an operator tree: batch operators only
+// for EngineBatch, row operators only for EngineRow, and a tap above every
+// operator of a tree whose runs are observed. What the two share is
+// resolution — layouts, slot maps, key slots — and the shape of a merge join:
+// the hash join over a probe side sorted on its keys.
 type compiler struct {
 	// st is the compiled tree's run state: scans and taps keep the pointer
 	// and read through it what each run sets.
 	st *runState
-	// batch is EngineBatch: batchNative operators compile columnar. Unset,
-	// every operator compiles row-at-a-time (EngineRow).
-	batch bool
 	// tapped puts a tap above every operator; a run that neither budgets
 	// nor counts takes a tree without, and pays no call per row for it.
 	tapped bool
 	// size is the plan's operator count and ops the operators compiled so
-	// far, which is the next operator's index in tap order. Adapters are not
-	// operators and are not tapped. Taps of either kind and layouts come out
-	// of one slab each: a plan's set-up allocates per plan, not per operator.
+	// far, which is the next operator's index in tap order. A merge join's
+	// sort is not a plan operator and is not tapped. Taps of either kind and
+	// layouts come out of one slab each: a plan's set-up allocates per plan,
+	// not per operator.
 	size, ops int
 	rowTaps   []rowTap
 	batchTaps []batchTap
@@ -201,17 +200,8 @@ func (l *layout) env() scalar.Env {
 	return l.slots
 }
 
-// rowIter compiles plan for a row-at-a-time consumer. A scan stays on the
-// zero-copy scanIter even on the batch engine when a row operator consumes
-// it directly.
+// rowIter compiles plan to row operators.
 func (c *compiler) rowIter(plan *physical.Expr) (iterator, *layout, error) {
-	if c.batch && batchNative(plan.Op) && plan.Op != physical.OpScan {
-		b, out, err := c.batchIter(plan)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &rowFromBatch{child: b}, out, nil
-	}
 	kids := make([]iterator, len(plan.Children))
 	ins := make([]*layout, len(plan.Children))
 	for i, k := range plan.Children {
@@ -233,26 +223,20 @@ func (c *compiler) rowIter(plan *physical.Expr) (iterator, *layout, error) {
 	return it, out, nil
 }
 
-// batchIter compiles plan for a batch consumer.
+// batchIter compiles plan to batch operators.
 func (c *compiler) batchIter(plan *physical.Expr) (BatchIterator, *layout, error) {
-	if !c.batch || !batchNative(plan.Op) {
-		it, out, err := c.rowIter(plan)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &batchFromRows{child: it, width: len(out.cols)}, out, nil
-	}
-	// No columnar operator has more than two inputs.
-	var kids [2]BatchIterator
-	var ins [2]*layout
-	for i, k := range plan.Children {
+	// Two inputs fit on the stack; only a wider concat would spill.
+	var kidBuf [2]BatchIterator
+	var inBuf [2]*layout
+	kids, ins := kidBuf[:0], inBuf[:0]
+	for _, k := range plan.Children {
 		b, in, err := c.batchIter(k)
 		if err != nil {
 			return nil, nil, err
 		}
-		kids[i], ins[i] = b, in
+		kids, ins = append(kids, b), append(ins, in)
 	}
-	out := c.outputLayout(plan, ins[:len(plan.Children)])
+	out := c.outputLayout(plan, ins)
 	bit, err := batchOp(plan, kids, ins, out, c.st)
 	if err != nil {
 		return nil, nil, err
@@ -317,6 +301,28 @@ func keySlots(in *layout, cols []scalar.ColumnID, join, side string) ([]int, err
 	return slots, nil
 }
 
+// joinKeys resolves a hash or merge join's equi-key slots. A merge join is
+// the hash join over a probe side stably sorted on its keys — key groups in
+// key order, each left row's passing matches in build order, NULL keys
+// dropped, which is what merging two sorted inputs emits — so it is inner
+// only, like the merge it stands for.
+func joinKeys(plan *physical.Expr, ins []*layout) (left, right []int, err error) {
+	name := "hash"
+	if plan.Op == physical.OpMergeJoin {
+		if plan.JoinType != physical.JoinInner {
+			return nil, nil, fmt.Errorf("exec: merge join supports inner joins only, got %s", plan.JoinType)
+		}
+		name = "merge"
+	}
+	if left, err = keySlots(ins[0], plan.EquiLeft, name, "left"); err != nil {
+		return nil, nil, err
+	}
+	if right, err = keySlots(ins[1], plan.EquiRight, name, "right"); err != nil {
+		return nil, nil, err
+	}
+	return left, right, nil
+}
+
 // rowOp constructs one row operator over compiled inputs.
 func rowOp(plan *physical.Expr, kids []iterator, ins []*layout, out *layout, st *runState) (iterator, error) {
 	switch plan.Op {
@@ -326,57 +332,43 @@ func rowOp(plan *physical.Expr, kids []iterator, ins []*layout, out *layout, st 
 		return &filterIter{child: kids[0], pred: plan.Filter, env: ins[0].env()}, nil
 	case physical.OpProject:
 		return &projectIter{child: kids[0], items: plan.Projs, env: ins[0].env()}, nil
-	case physical.OpHashJoin, physical.OpMergeJoin:
-		name := "hash"
-		if plan.Op == physical.OpMergeJoin {
-			if plan.JoinType != physical.JoinInner {
-				return nil, fmt.Errorf("exec: merge join supports inner joins only, got %s", plan.JoinType)
+	case physical.OpHashJoin, physical.OpNLJoin, physical.OpMergeJoin:
+		j := &joinIter{rowPair: newRowPair(plan, ins, out), left: kids[0], right: kids[1], hash: plan.Op != physical.OpNLJoin}
+		if j.hash {
+			var err error
+			if j.leftSlots, j.rightSlots, err = joinKeys(plan, ins); err != nil {
+				return nil, err
 			}
-			name = "merge"
+			if plan.Op == physical.OpMergeJoin {
+				j.left = &sortIter{child: j.left, keys: ascending(j.leftSlots)}
+			}
 		}
-		ls, err := keySlots(ins[0], plan.EquiLeft, name, "left")
-		if err != nil {
-			return nil, err
-		}
-		rs, err := keySlots(ins[1], plan.EquiRight, name, "right")
-		if err != nil {
-			return nil, err
-		}
-		pair := newRowPair(plan, ins, out)
-		if plan.Op == physical.OpMergeJoin {
-			return &mergeJoinIter{rowPair: pair, left: kids[0], right: kids[1], leftSlots: ls, rightSlots: rs}, nil
-		}
-		return &hashJoinIter{rowPair: pair, left: kids[0], right: kids[1], leftSlots: ls, rightSlots: rs}, nil
-	case physical.OpNLJoin:
-		return &nlJoinIter{rowPair: newRowPair(plan, ins, out), left: kids[0], right: kids[1]}, nil
+		return j, nil
 	case physical.OpHashAgg, physical.OpSortAgg:
 		return &aggIter{
 			child: kids[0], groupCols: plan.GroupCols, aggs: plan.Aggs,
 			env: ins[0].env(), sorted: plan.Op == physical.OpSortAgg,
 		}, nil
 	case physical.OpSort:
-		return &sortIter{child: kids[0], keys: plan.Keys, env: ins[0].env()}, nil
+		keys, err := sortKeys(ins[0], plan.Keys)
+		if err != nil {
+			return nil, err
+		}
+		return &sortIter{child: kids[0], keys: keys}, nil
 	case physical.OpLimit:
 		return &limitIter{child: kids[0], n: plan.N}, nil
 	case physical.OpConcat:
-		return newConcatIter(plan, kids, ins)
+		maps, err := concatMaps(plan, ins)
+		if err != nil {
+			return nil, err
+		}
+		return &concatIter{kids: kids, maps: maps}, nil
 	}
 	return nil, fmt.Errorf("exec: unsupported physical operator %s", plan.Op)
 }
 
-// batchNative reports whether the operator has a columnar implementation,
-// i.e. whether batchOp can construct it.
-func batchNative(op physical.Op) bool {
-	switch op {
-	case physical.OpScan, physical.OpFilter, physical.OpProject,
-		physical.OpHashJoin, physical.OpNLJoin, physical.OpHashAgg, physical.OpSortAgg:
-		return true
-	}
-	return false
-}
-
-// batchOp constructs one columnar operator over compiled inputs.
-func batchOp(plan *physical.Expr, kids [2]BatchIterator, ins [2]*layout, out *layout, st *runState) (BatchIterator, error) {
+// batchOp constructs one batch operator over compiled inputs.
+func batchOp(plan *physical.Expr, kids []BatchIterator, ins []*layout, out *layout, st *runState) (BatchIterator, error) {
 	switch plan.Op {
 	case physical.OpScan:
 		return &batchScan{name: plan.Table, st: st}, nil
@@ -384,7 +376,7 @@ func batchOp(plan *physical.Expr, kids [2]BatchIterator, ins [2]*layout, out *la
 		return &batchFilter{child: kids[0], pred: plan.Filter, ve: scalar.VecEval{Env: ins[0].env()}}, nil
 	case physical.OpProject:
 		return &batchProject{child: kids[0], items: plan.Projs, ve: scalar.VecEval{Env: ins[0].env()}}, nil
-	case physical.OpHashJoin, physical.OpNLJoin:
+	case physical.OpHashJoin, physical.OpNLJoin, physical.OpMergeJoin:
 		return newBatchJoin(plan, kids, ins, out)
 	case physical.OpHashAgg, physical.OpSortAgg:
 		return &batchAgg{
@@ -392,8 +384,22 @@ func batchOp(plan *physical.Expr, kids [2]BatchIterator, ins [2]*layout, out *la
 			ve:     scalar.VecEval{Env: ins[0].env()},
 			sorted: plan.Op == physical.OpSortAgg,
 		}, nil
+	case physical.OpSort:
+		keys, err := sortKeys(ins[0], plan.Keys)
+		if err != nil {
+			return nil, err
+		}
+		return &batchSort{child: kids[0], keys: keys, width: len(ins[0].cols)}, nil
+	case physical.OpLimit:
+		return &batchLimit{child: kids[0], n: plan.N}, nil
+	case physical.OpConcat:
+		maps, err := concatMaps(plan, ins)
+		if err != nil {
+			return nil, err
+		}
+		return &batchConcat{kids: slices.Clone(kids), maps: maps, cols: make([]datum.Vec, len(plan.OutCols))}, nil
 	}
-	return nil, fmt.Errorf("exec: no columnar implementation of %s", plan.Op)
+	return nil, fmt.Errorf("exec: unsupported physical operator %s", plan.Op)
 }
 
 // rowTap and batchTap report the rows one operator emits to its run's tap.

@@ -35,7 +35,7 @@ func scanT3() *physical.Expr {
 
 func col(id scalar.ColumnID) scalar.Expr { return &scalar.ColRef{ID: id} }
 func intc(v int64) scalar.Expr           { return &scalar.Const{D: datum.NewInt(v)} }
-func cmp(op scalar.CmpOp, l, r scalar.Expr) scalar.Expr {
+func cmpExpr(op scalar.CmpOp, l, r scalar.Expr) scalar.Expr {
 	return &scalar.Cmp{Op: op, L: l, R: r}
 }
 
@@ -45,7 +45,7 @@ func filterOf(child *physical.Expr, pred scalar.Expr) *physical.Expr {
 
 // emptyT1 filters t1 down to zero rows (b > 1000 never holds).
 func emptyT1() *physical.Expr {
-	return filterOf(scanT1(), cmp(scalar.CmpGT, col(2), intc(1000)))
+	return filterOf(scanT1(), cmpExpr(scalar.CmpGT, col(2), intc(1000)))
 }
 
 // nlPlan is a nested-loops join of t1 with the given build side.
@@ -109,27 +109,27 @@ type conformanceCase struct {
 
 func conformanceCases() []conformanceCase {
 	ni, nf, null := datum.NewInt, datum.NewFloat, datum.Null
-	aLessX := cmp(scalar.CmpLT, col(1), col(3))
+	aLessX := cmpExpr(scalar.CmpLT, col(1), col(3))
 	return []conformanceCase{
 		{
 			// b > 15: (3,NULL) evaluates UNKNOWN and is dropped.
 			name: "3vl-filter-drops-unknown",
-			plan: filterOf(scanT1(), cmp(scalar.CmpGT, col(2), intc(15))),
+			plan: filterOf(scanT1(), cmpExpr(scalar.CmpGT, col(2), intc(15))),
 			want: []datum.Row{row(ni(2), ni(20)), row(null, ni(40))},
 		},
 		{
 			// NOT(b > 15): NOT UNKNOWN is still UNKNOWN, so (3,NULL) stays out
 			// of both the filter and its negation.
 			name: "3vl-not-unknown-stays-unknown",
-			plan: filterOf(scanT1(), &scalar.Not{Kid: cmp(scalar.CmpGT, col(2), intc(15))}),
+			plan: filterOf(scanT1(), &scalar.Not{Kid: cmpExpr(scalar.CmpGT, col(2), intc(15))}),
 			want: []datum.Row{row(ni(1), ni(10))},
 		},
 		{
 			// a = 1 OR b > 100: the (NULL,40) row is UNKNOWN OR FALSE = UNKNOWN.
 			name: "3vl-or-with-null",
 			plan: filterOf(scanT1(), &scalar.Or{Kids: []scalar.Expr{
-				cmp(scalar.CmpEQ, col(1), intc(1)),
-				cmp(scalar.CmpGT, col(2), intc(100)),
+				cmpExpr(scalar.CmpEQ, col(1), intc(1)),
+				cmpExpr(scalar.CmpGT, col(2), intc(100)),
 			}}),
 			want: []datum.Row{row(ni(1), ni(10))},
 		},
@@ -142,6 +142,16 @@ func conformanceCases() []conformanceCase {
 			// NULL join keys never match; a=1 matches twice, a=3 once.
 			name: "inner-join-null-keys",
 			plan: joinPlan(physical.OpHashJoin, physical.JoinInner),
+			want: []datum.Row{
+				row(ni(1), ni(10), ni(1), datum.NewString("one")),
+				row(ni(1), ni(10), ni(1), datum.NewString("uno")),
+				row(ni(3), null, ni(3), datum.NewString("three")),
+			},
+		},
+		{
+			// A merge join is inner: key groups in key order, NULL keys dropped.
+			name: "merge-join-null-keys",
+			plan: joinPlan(physical.OpMergeJoin, physical.JoinInner),
 			want: []datum.Row{
 				row(ni(1), ni(10), ni(1), datum.NewString("one")),
 				row(ni(1), ni(10), ni(1), datum.NewString("uno")),
@@ -204,7 +214,7 @@ func conformanceCases() []conformanceCase {
 		{
 			// No build row at all: every probe row is fallout.
 			name: "nl-left-empty-build",
-			plan: nlPlan(physical.JoinLeft, filterOf(scanT2(), cmp(scalar.CmpGT, col(3), intc(1000))), aLessX),
+			plan: nlPlan(physical.JoinLeft, filterOf(scanT2(), cmpExpr(scalar.CmpGT, col(3), intc(1000))), aLessX),
 			want: []datum.Row{
 				row(ni(1), ni(10), null, null), row(ni(2), ni(20), null, null),
 				row(ni(3), null, null, null), row(null, ni(40), null, null),

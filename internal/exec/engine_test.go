@@ -53,8 +53,9 @@ func requireSameRows(t *testing.T, want, got []datum.Row) {
 }
 
 // TestEngineDifferentialHandPlans pins row/batch equivalence on a hand-built
-// plan per operator and join type, including the adapter shims (sort, limit,
-// concat and merge join run row-at-a-time inside batch plans).
+// plan per operator and join type over the small tables;
+// TestBatchOperatorsHandPlans does sort, limit, concat and merge join over
+// inputs of several batches.
 func TestEngineDifferentialHandPlans(t *testing.T) {
 	filterGT15 := func(child *physical.Expr) *physical.Expr {
 		return &physical.Expr{
@@ -246,21 +247,21 @@ func TestEngineNLJoinShapes(t *testing.T) {
 	}
 	isTrue := &scalar.Const{D: datum.NewBool(true)}
 	// b < x + 15 over t1 × t2: NULL whenever b or x is.
-	nullable := cmp(scalar.CmpLT, col(2), &scalar.Arith{Op: scalar.ArithAdd, L: col(3), R: intc(15)})
-	emptyT2 := filterOf(scanT2(), cmp(scalar.CmpGT, col(3), intc(1000)))
+	nullable := cmpExpr(scalar.CmpLT, col(2), &scalar.Arith{Op: scalar.ArithAdd, L: col(3), R: intc(15)})
+	emptyT2 := filterOf(scanT2(), cmpExpr(scalar.CmpGT, col(3), intc(1000)))
 	for _, jt := range []physical.JoinType{physical.JoinInner, physical.JoinLeft, physical.JoinSemi, physical.JoinAnti} {
 		plans := map[string]*physical.Expr{
 			"empty-build":    nl(jt, scanT1(), emptyT2, eqOn()),
 			"on-true":        nl(jt, scanT1(), scanT2(), isTrue),
 			"null-predicate": nl(jt, scanT1(), scanT2(), nullable),
-			"built-side":     nl(jt, scanT1(), filterOf(scanT2(), cmp(scalar.CmpNE, col(3), intc(3))), nullable),
+			"built-side":     nl(jt, scanT1(), filterOf(scanT2(), cmpExpr(scalar.CmpNE, col(3), intc(3))), nullable),
 			// The probe batches are the lower join's chunks, not scan windows.
 			"probe-is-join-output": nl(jt,
 				nl(physical.JoinInner,
 					&physical.Expr{Op: physical.OpScan, Table: "wide_l", Cols: []scalar.ColumnID{10, 11}},
 					&physical.Expr{Op: physical.OpScan, Table: "three", Cols: []scalar.ColumnID{12, 13}},
 					isTrue),
-				scanT2(), cmp(scalar.CmpEQ, col(10), col(3))),
+				scanT2(), cmpExpr(scalar.CmpEQ, col(10), col(3))),
 		}
 		for name, plan := range plans {
 			t.Run(fmt.Sprintf("%s-%s", jt, name), func(t *testing.T) {
@@ -293,7 +294,7 @@ func TestLimitOverNLJoinBudgetLadder(t *testing.T) {
 				{Op: physical.OpScan, Table: "l", Cols: []scalar.ColumnID{1, 2}},
 				{Op: physical.OpScan, Table: "r", Cols: []scalar.ColumnID{3, 4}},
 			},
-			On: cmp(scalar.CmpLT, col(1), col(3)),
+			On: cmpExpr(scalar.CmpLT, col(1), col(3)),
 		}}}
 		want := runEngines(t, plan, cat)
 		var rowTrips, batchTrips int
@@ -365,8 +366,8 @@ func TestEngineLeftJoinOverJoinOutgrowsIota(t *testing.T) {
 		scan("evens", 5, 6), 4, 5)
 	nlLeft := &physical.Expr{
 		Op: physical.OpNLJoin, JoinType: physical.JoinLeft,
-		Children: []*physical.Expr{left, filterOf(scan("probe", 7, 8), cmp(scalar.CmpLT, col(7), intc(0)))},
-		On:       cmp(scalar.CmpEQ, col(6), col(8)),
+		Children: []*physical.Expr{left, filterOf(scan("probe", 7, 8), cmpExpr(scalar.CmpLT, col(7), intc(0)))},
+		On:       cmpExpr(scalar.CmpEQ, col(6), col(8)),
 	}
 	plans := map[string]*physical.Expr{
 		"leftjoin": left,
@@ -622,8 +623,8 @@ func TestLimitWorkIsEngineSpecific(t *testing.T) {
 	requireSameRows(t, want, rows)
 }
 
-// opTypes counts the concrete type of every operator, adapter and tap in a
-// compiled tree.
+// opTypes counts the concrete type of every operator and tap in a compiled
+// tree.
 func opTypes(v reflect.Value, out map[string]int) {
 	for v.Kind() == reflect.Interface || v.Kind() == reflect.Ptr {
 		if v.IsNil() {
@@ -641,39 +642,42 @@ func opTypes(v reflect.Value, out map[string]int) {
 		for i := 0; i < v.NumField(); i++ {
 			switch v.Field(i).Type() {
 			case reflect.TypeOf((*iterator)(nil)).Elem(), reflect.TypeOf((*BatchIterator)(nil)).Elem(),
-				reflect.TypeOf([]iterator(nil)):
+				reflect.TypeOf([]iterator(nil)), reflect.TypeOf([]BatchIterator(nil)):
 				opTypes(v.Field(i), out)
 			}
 		}
 	}
 }
 
-// TestEnginesCompileTheirOwnOperators: EngineRow compiles no batch operator,
-// and EngineBatch compiles the columnar operator for every batch-native
-// operator whether or not a work budget meets a Limit — what the row↔batch
-// differentials above and the benchmark's per-engine timings both rely on.
+// TestEnginesCompileTheirOwnOperators: each engine compiles its own operators
+// only — no batch tree holds a row operator or a row↔batch adapter, no row
+// tree a batch operator — with or without taps, and a merge join compiles on
+// both to the hash join over an untapped sort of its probe side. The
+// row↔batch differentials above and the benchmark's per-engine timings both
+// rely on it.
 func TestEnginesCompileTheirOwnOperators(t *testing.T) {
 	cat := testCatalog()
-	// compiled counts the operator types c compiles plan to.
-	compiled := func(batch, tapped bool, plan *physical.Expr) map[string]int {
+	// compiled counts the operator types eng compiles plan to.
+	compiled := func(eng Engine, tapped bool, plan *physical.Expr) map[string]int {
 		t.Helper()
-		eng := EngineRow
-		if batch {
-			eng = EngineBatch
-		}
 		tr, err := Compile(eng, plan).compile(tapped)
 		if err != nil {
-			t.Fatalf("batch %v: %v", batch, err)
+			t.Fatalf("%s: %v", eng, err)
 		}
 		got := map[string]int{}
-		if batch {
+		if tr.batches != nil {
 			opTypes(reflect.ValueOf(tr.batches), got)
 		} else {
 			opTypes(reflect.ValueOf(tr.rows), got)
 		}
+		for name := range got {
+			if strings.HasPrefix(name, "batch") != (eng == EngineBatch) {
+				t.Errorf("%s engine compiled a %s", eng, name)
+			}
+		}
 		return got
 	}
-	plan := &physical.Expr{Op: physical.OpLimit, N: 3, Children: []*physical.Expr{sortPlan(&physical.Expr{
+	aggs := &physical.Expr{Op: physical.OpLimit, N: 3, Children: []*physical.Expr{sortPlan(&physical.Expr{
 		Op: physical.OpSortAgg, GroupCols: []scalar.ColumnID{9},
 		Aggs: []scalar.Agg{{Op: scalar.AggCountStar, Out: 11}},
 		Children: []*physical.Expr{{
@@ -688,48 +692,63 @@ func TestEnginesCompileTheirOwnOperators(t *testing.T) {
 			}},
 		}},
 	}, logical.SortKey{Col: 9})}}
-	runEngines(t, plan, cat)
-
-	rowOps := map[string]int{"limitIter": 1, "sortIter": 1, "aggIter": 2, "projectIter": 1, "filterIter": 1, "hashJoinIter": 1, "scanIter": 2}
-	batchOps := map[string]int{"limitIter": 1, "sortIter": 1, "rowFromBatch": 1, "batchFromRows": 1,
-		"batchAgg": 2, "batchProject": 1, "batchFilter": 1, "batchJoin": 1, "batchScan": 2}
-	for _, batch := range []bool{false, true} {
-		for _, tapped := range []bool{false, true} {
-			ops := rowOps
-			if batch {
-				ops = batchOps
+	union := limitPlan(&physical.Expr{
+		Op: physical.OpConcat, Children: []*physical.Expr{joinPlan(physical.OpMergeJoin, physical.JoinInner), scanT1()},
+		OutCols: []scalar.ColumnID{30, 31}, InputCols: [][]scalar.ColumnID{{2, 3}, {1, 2}},
+	}, 4)
+	for _, tc := range []struct {
+		name       string
+		plan       *physical.Expr
+		row, batch map[string]int
+		ops        int // tapped: the plan's operators, not a merge join's sort
+	}{
+		{"aggregates", aggs,
+			map[string]int{"limitIter": 1, "sortIter": 1, "aggIter": 2, "projectIter": 1, "filterIter": 1, "joinIter": 1, "scanIter": 2},
+			map[string]int{"batchLimit": 1, "batchSort": 1, "batchAgg": 2, "batchProject": 1, "batchFilter": 1, "batchJoin": 1, "batchScan": 2},
+			9},
+		{"merge join under concat", union,
+			map[string]int{"limitIter": 1, "concatIter": 1, "joinIter": 1, "sortIter": 1, "scanIter": 3},
+			map[string]int{"batchLimit": 1, "batchConcat": 1, "batchJoin": 1, "batchSort": 1, "batchScan": 3},
+			6},
+	} {
+		runEngines(t, tc.plan, cat)
+		for _, eng := range []Engine{EngineRow, EngineBatch} {
+			for _, tapped := range []bool{false, true} {
+				ops, tap := tc.row, "rowTap"
+				if eng == EngineBatch {
+					ops, tap = tc.batch, "batchTap"
+				}
+				want := map[string]int{}
+				for name, n := range ops {
+					want[name] = n
+				}
+				if tapped {
+					want[tap] = tc.ops
+				}
+				if got := compiled(eng, tapped, tc.plan); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s, %s engine, tapped %v: compiled %v, want %v", tc.name, eng, tapped, got, want)
+				}
 			}
-			want := map[string]int{}
-			for name, n := range ops {
-				want[name] = n
-			}
-			// A tapped tree has a tap above every operator; adapters have none.
-			switch {
-			case tapped && batch:
-				want["rowTap"], want["batchTap"] = 2, 7
-			case tapped:
-				want["rowTap"] = 9
-			}
-			if got := compiled(batch, tapped, plan); !reflect.DeepEqual(got, want) {
-				t.Errorf("batch %v, tapped %v: compiled %v, want %v", batch, tapped, got, want)
-			}
+		}
+		if n := tc.plan.CountOps(); n != tc.ops {
+			t.Errorf("%s: %d plan operators, %d tapped", tc.name, n, tc.ops)
 		}
 	}
 
 	// Nested loops is the keyless case of the columnar join: on the batch
-	// engine no row join and no adapter surrounds it.
+	// engine no row join surrounds it.
 	for _, jt := range []physical.JoinType{physical.JoinInner, physical.JoinLeft, physical.JoinSemi, physical.JoinAnti} {
 		nl := joinPlan(physical.OpNLJoin, jt)
-		nl.Children[0] = filterOf(scanT1(), cmp(scalar.CmpGT, col(2), intc(5)))
+		nl.Children[0] = filterOf(scanT1(), cmpExpr(scalar.CmpGT, col(2), intc(5)))
 		for _, tc := range []struct {
-			batch bool
-			want  map[string]int
+			eng  Engine
+			want map[string]int
 		}{
-			{false, map[string]int{"nlJoinIter": 1, "filterIter": 1, "scanIter": 2}},
-			{true, map[string]int{"batchJoin": 1, "batchFilter": 1, "batchScan": 2}},
+			{EngineRow, map[string]int{"joinIter": 1, "filterIter": 1, "scanIter": 2}},
+			{EngineBatch, map[string]int{"batchJoin": 1, "batchFilter": 1, "batchScan": 2}},
 		} {
-			if got := compiled(tc.batch, false, nl); !reflect.DeepEqual(got, tc.want) {
-				t.Errorf("batch %v, %s nested-loops join: compiled %v, want %v", tc.batch, jt, got, tc.want)
+			if got := compiled(tc.eng, false, nl); !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("%s engine, %s nested-loops join: compiled %v, want %v", tc.eng, jt, got, tc.want)
 			}
 		}
 	}
@@ -777,7 +796,7 @@ func TestSumAvgNonNumericErrors(t *testing.T) {
 // sites the engines may name different ones.
 func TestJoinPredicateErrorFailsBothEngines(t *testing.T) {
 	cat := testCatalog()
-	bad := cmp(scalar.CmpGT, &scalar.Arith{Op: scalar.ArithAdd, L: col(1), R: col(4)}, intc(0))
+	bad := cmpExpr(scalar.CmpGT, &scalar.Arith{Op: scalar.ArithAdd, L: col(1), R: col(4)}, intc(0))
 	for _, op := range []physical.Op{physical.OpHashJoin, physical.OpNLJoin} {
 		for _, jt := range []physical.JoinType{physical.JoinInner, physical.JoinLeft, physical.JoinSemi, physical.JoinAnti} {
 			plan := joinPlan(op, jt)
@@ -838,7 +857,7 @@ func TestMinMaxMixedKinds(t *testing.T) {
 }
 
 // TestMergeJoinNonInnerRejected pins that both engines, with and without a
-// budget, reject a non-inner merge join through rowOp's single guard.
+// budget, reject a non-inner merge join through joinKeys' single guard.
 func TestMergeJoinNonInnerRejected(t *testing.T) {
 	cat := testCatalog()
 	plan := joinPlan(physical.OpMergeJoin, physical.JoinLeft)

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -27,9 +28,11 @@ func TestSortMissingKeyColumn(t *testing.T) {
 }
 
 // TestJoinMissingKeyColumn: hash and merge joins must reject equi-key
-// columns that are not produced by their inputs instead of probing slot 0.
+// columns that are not produced by their inputs instead of probing slot 0 —
+// on both engines, and for a merge join with the join's error, not that of
+// the sort under its probe side.
 func TestJoinMissingKeyColumn(t *testing.T) {
-	for _, op := range []physical.Op{physical.OpHashJoin, physical.OpMergeJoin} {
+	for op, name := range map[physical.Op]string{physical.OpHashJoin: "hash", physical.OpMergeJoin: "merge"} {
 		for _, side := range []string{"left", "right"} {
 			plan := joinPlan(op, physical.JoinInner)
 			if side == "left" {
@@ -37,10 +40,11 @@ func TestJoinMissingKeyColumn(t *testing.T) {
 			} else {
 				plan.EquiRight = []scalar.ColumnID{99}
 			}
-			_, err := Run(plan, testCatalog())
-			if err == nil || !strings.Contains(err.Error(), "join key column c99") ||
-				!strings.Contains(err.Error(), side) {
-				t.Errorf("%s/%s: err = %v, want missing join key column error", op, side, err)
+			for _, eng := range []Engine{EngineRow, EngineBatch} {
+				_, err := RunEngine(eng, plan, testCatalog(), 0, 0)
+				if want := fmt.Sprintf("exec: %s join key column c99 not in %s input", name, side); err == nil || err.Error() != want {
+					t.Errorf("%s/%s on the %s engine: err = %v, want %q", op, side, eng, err, want)
+				}
 			}
 		}
 	}

@@ -1,14 +1,15 @@
 // Package exec executes physical plans. Correctness testing (§2.3) executes
 // Plan(q) and Plan(q,¬R) and compares their results as multisets; this
 // package provides both the execution and the comparison oracle. One compiler
-// (compile.go) builds two engines: the batch engine everything runs on, and
-// the Volcano row engine in this file, its differential reference.
+// (compile.go) builds two engines from disjoint operator sets: the columnar
+// batch engine everything runs on, and the Volcano row engine in this file
+// and join.go, its differential reference.
 package exec
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"qtrtest/internal/catalog"
 	"qtrtest/internal/datum"
@@ -161,10 +162,49 @@ func (p *projectIter) Close() error { return p.child.Close() }
 
 // ---- sort -------------------------------------------------------------------
 
+// sortKey is one key of a sort resolved to its input slot.
+type sortKey struct {
+	slot int
+	desc bool
+}
+
+// apply orients a datum.TotalCompare result along the key's direction.
+func (k sortKey) apply(c int) int {
+	if k.desc {
+		return -c
+	}
+	return c
+}
+
+// sortKeys resolves a Sort's keys against its input layout. A sort key missing
+// from the input is a plan-construction bug and must fail loudly, not
+// silently sort by the column in slot 0.
+func sortKeys(in *layout, keys []logical.SortKey) ([]sortKey, error) {
+	env := in.env()
+	out := make([]sortKey, len(keys))
+	for i, k := range keys {
+		slot, ok := env[k.Col]
+		if !ok {
+			return nil, fmt.Errorf("exec: sort key column c%d not in input", k.Col)
+		}
+		out[i] = sortKey{slot: slot, desc: k.Desc}
+	}
+	return out, nil
+}
+
+// ascending is the sort a merge join puts under its probe side: ascending on
+// the equi-key slots.
+func ascending(slots []int) []sortKey {
+	out := make([]sortKey, len(slots))
+	for i, s := range slots {
+		out[i].slot = s
+	}
+	return out
+}
+
 type sortIter struct {
 	child iterator
-	keys  []logical.SortKey
-	env   scalar.Env
+	keys  []sortKey
 	rows  []datum.Row
 	pos   int
 }
@@ -172,17 +212,6 @@ type sortIter struct {
 func (s *sortIter) Open() error {
 	if err := s.child.Open(); err != nil {
 		return err
-	}
-	// Resolve key slots up front: a sort key missing from the input is a
-	// plan-construction bug and must fail loudly, not silently sort by the
-	// column in slot 0.
-	slots := make([]int, len(s.keys))
-	for i, k := range s.keys {
-		slot, ok := s.env[k.Col]
-		if !ok {
-			return fmt.Errorf("exec: sort key column c%d not in input", k.Col)
-		}
-		slots[i] = slot
 	}
 	s.rows = s.rows[:0]
 	for {
@@ -195,18 +224,13 @@ func (s *sortIter) Open() error {
 		}
 		s.rows = append(s.rows, row)
 	}
-	sort.SliceStable(s.rows, func(i, j int) bool {
-		for ki, k := range s.keys {
-			slot := slots[ki]
-			c := datum.TotalCompare(s.rows[i][slot], s.rows[j][slot])
-			if c != 0 {
-				if k.Desc {
-					return c > 0
-				}
-				return c < 0
+	slices.SortStableFunc(s.rows, func(a, b datum.Row) int {
+		for _, k := range s.keys {
+			if c := datum.TotalCompare(a[k.slot], b[k.slot]); c != 0 {
+				return k.apply(c)
 			}
 		}
-		return false
+		return 0
 	})
 	s.pos = 0
 	return nil
@@ -252,14 +276,10 @@ func (l *limitIter) Close() error { return l.child.Close() }
 
 // ---- concat (UNION ALL) ----------------------------------------------------------
 
-type concatIter struct {
-	kids []iterator
-	cur  int
-	maps [][]int // per child: output position -> child slot
-}
-
-func newConcatIter(plan *physical.Expr, kids []iterator, ins []*layout) (*concatIter, error) {
-	maps := make([][]int, len(kids))
+// concatMaps resolves, per child of a concat, which child slot feeds each
+// output position.
+func concatMaps(plan *physical.Expr, ins []*layout) ([][]int, error) {
+	maps := make([][]int, len(ins))
 	for i, in := range ins {
 		env := in.env()
 		m := make([]int, len(plan.OutCols))
@@ -272,7 +292,13 @@ func newConcatIter(plan *physical.Expr, kids []iterator, ins []*layout) (*concat
 		}
 		maps[i] = m
 	}
-	return &concatIter{kids: kids, maps: maps}, nil
+	return maps, nil
+}
+
+type concatIter struct {
+	kids []iterator
+	cur  int
+	maps [][]int // per child: output position -> child slot
 }
 
 func (c *concatIter) Open() error {
@@ -304,9 +330,12 @@ func (c *concatIter) Next() (datum.Row, error) {
 	return nil, nil
 }
 
-func (c *concatIter) Close() error {
+func (c *concatIter) Close() error { return closeAll(c.kids) }
+
+// closeAll closes every operator of a list and returns the first error.
+func closeAll[T interface{ Close() error }](kids []T) error {
 	var first error
-	for _, k := range c.kids {
+	for _, k := range kids {
 		if err := k.Close(); err != nil && first == nil {
 			first = err
 		}

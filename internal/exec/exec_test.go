@@ -389,7 +389,7 @@ func TestConcatSameChildTwice(t *testing.T) {
 	}
 	counts := map[string]int{}
 	for _, r := range rows {
-		counts[r.Key()]++
+		counts[rowKey(r)]++
 	}
 	for k, c := range counts {
 		if c != 2 {

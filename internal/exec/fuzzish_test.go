@@ -142,7 +142,7 @@ func TestAggAgainstNaiveReference(t *testing.T) {
 		}
 		ref := make(map[string]*acc)
 		for _, row := range tbl.Rows {
-			k := datum.Row{row[0]}.Key()
+			k := rowKey(datum.Row{row[0]})
 			a := ref[k]
 			if a == nil {
 				a = &acc{}
@@ -158,7 +158,7 @@ func TestAggAgainstNaiveReference(t *testing.T) {
 			t.Fatalf("seed %d: groups %d vs reference %d", seed, len(got), len(ref))
 		}
 		for _, row := range got {
-			k := datum.Row{row[0]}.Key()
+			k := rowKey(datum.Row{row[0]})
 			a := ref[k]
 			if a == nil {
 				t.Fatalf("seed %d: unexpected group %v", seed, row[0])

@@ -28,24 +28,36 @@ func TestIteratorsReopen(t *testing.T) {
 		{Op: physical.OpSort, Children: []*physical.Expr{scanT1()},
 			Keys: []logical.SortKey{{Col: 1}}},
 		{Op: physical.OpLimit, Children: []*physical.Expr{scanT1()}, N: 2},
+		{Op: physical.OpConcat, Children: []*physical.Expr{scanT1(), scanT2()},
+			OutCols: []scalar.ColumnID{20}, InputCols: [][]scalar.ColumnID{{2}, {3}}},
 	}
 	for _, plan := range plans {
-		for _, batch := range []bool{false, true} {
-			it, _, err := (&compiler{st: &runState{cat: cat}, batch: batch, size: plan.CountOps()}).rowIter(plan)
+		for _, eng := range []Engine{EngineRow, EngineBatch} {
+			tr, err := Compile(eng, plan).compile(false)
 			if err != nil {
 				t.Fatalf("%s: %v", plan.Op, err)
 			}
+			tr.cat = cat
+			var open, close func() error
+			var next func() (bool, error)
+			if tr.batches != nil {
+				open, close = tr.batches.Open, tr.batches.Close
+				next = func() (bool, error) { b, err := tr.batches.Next(); return b != nil, err }
+			} else {
+				open, close = tr.rows.Open, tr.rows.Close
+				next = func() (bool, error) { r, err := tr.rows.Next(); return r != nil, err }
+			}
 			count := func() int {
-				if err := it.Open(); err != nil {
-					t.Fatalf("%s open: %v", plan.Op, err)
+				if err := open(); err != nil {
+					t.Fatalf("%s/%s open: %v", plan.Op, eng, err)
 				}
 				n := 0
 				for {
-					row, err := it.Next()
+					more, err := next()
 					if err != nil {
-						t.Fatalf("%s next: %v", plan.Op, err)
+						t.Fatalf("%s/%s next: %v", plan.Op, eng, err)
 					}
-					if row == nil {
+					if !more {
 						break
 					}
 					n++
@@ -54,11 +66,11 @@ func TestIteratorsReopen(t *testing.T) {
 			}
 			first := count()
 			second := count()
-			if first != second {
-				t.Errorf("%s: first run %d rows, second run %d — Open must reset state", plan.Op, first, second)
+			if first == 0 || first != second {
+				t.Errorf("%s/%s: first run %d outputs, second run %d — Open must reset state", plan.Op, eng, first, second)
 			}
-			if err := it.Close(); err != nil {
-				t.Errorf("%s close: %v", plan.Op, err)
+			if err := close(); err != nil {
+				t.Errorf("%s/%s close: %v", plan.Op, eng, err)
 			}
 		}
 	}

@@ -30,8 +30,8 @@ import (
 //     stored in a scratch; ownSel, at the put sites, drops one that is.
 
 // opScratch is the reusable state of a single-input operator: a filter's
-// selection, the output vectors of a project, an aggregate or a row adapter,
-// an aggregate's argument vectors.
+// selection, the output vectors of a project or an aggregate, an aggregate's
+// argument vectors, a sort's drained input and permutation.
 type opScratch struct {
 	vecs, args []datum.Vec
 	sel        []int

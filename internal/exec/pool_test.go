@@ -60,10 +60,11 @@ func poisonPools(tb testing.TB) {
 // pool poisoned before each execution, batch results must still match the row
 // engine (which uses none of the pools) on plans covering every pooled
 // operator — filter selections, project vectors, join candidate/output/build
-// vectors and match flags, aggregate argument/result vectors, and the
-// row-adapter vectors behind sort. A reused Program takes its scratch afresh
-// in every run, so it is held to the same: its operators keep no buffer from
-// the run before that a poisoned pool could not have handed them.
+// vectors and match flags, aggregate argument/result vectors, and a sort's
+// drained vectors and permutation, a merge join's probe-side sort among them.
+// A reused Program takes its scratch afresh in every run, so it is held to
+// the same: its operators keep no buffer from the run before that a poisoned
+// pool could not have handed them.
 func TestPoolPoisonIsInvisible(t *testing.T) {
 	cat := testCatalog()
 	agg := func(child *physical.Expr) *physical.Expr {
@@ -85,8 +86,14 @@ func TestPoolPoisonIsInvisible(t *testing.T) {
 				{Out: 9, E: &scalar.Arith{Op: scalar.ArithAdd, L: &scalar.ColRef{ID: 1}, R: &scalar.Const{D: datum.NewInt(100)}}},
 			},
 		},
-		"agg":          agg(scanT1()),
-		"agg-over-row": agg(&physical.Expr{Op: physical.OpSort, Children: []*physical.Expr{scanT1()}, Keys: []logical.SortKey{{Col: 2, Desc: true}}}),
+		"agg":             agg(scanT1()),
+		"agg-over-sort":   agg(sortPlan(scanT1(), logical.SortKey{Col: 2, Desc: true})),
+		"limit-over-sort": limitPlan(sortPlan(filterOf(scanT1(), cmpExpr(scalar.CmpNE, col(1), intc(2))), logical.SortKey{Col: 1}), 2),
+		"concat-over-sort": {
+			Op: physical.OpConcat, Children: []*physical.Expr{sortPlan(scanT2(), logical.SortKey{Col: 4}), scanT1()},
+			OutCols: []scalar.ColumnID{30}, InputCols: [][]scalar.ColumnID{{3}, {2}},
+		},
+		"mergejoin": joinPlan(physical.OpMergeJoin, physical.JoinInner),
 	}
 	for _, jt := range []physical.JoinType{physical.JoinInner, physical.JoinLeft, physical.JoinSemi, physical.JoinAnti} {
 		plans[fmt.Sprintf("hashjoin-%s", jt)] = joinPlan(physical.OpHashJoin, jt)

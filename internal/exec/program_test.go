@@ -70,7 +70,7 @@ func requireIdleTree(t *testing.T, tr *tree) {
 	if !reflect.DeepEqual(tr.runState, runState{}) {
 		t.Errorf("idle tree keeps run state %+v", tr.runState)
 	}
-	// check visits one operator, adapter or tap and then its inputs.
+	// check visits one operator or tap and then its inputs.
 	var check func(op interface{})
 	check = func(op interface{}) {
 		clean := true
@@ -90,10 +90,18 @@ func requireIdleTree(t *testing.T, tr *tree) {
 			clean, kids = reflect.DeepEqual(o.joinRun, joinRun{}), []interface{}{o.left, o.right}
 		case *batchAgg:
 			clean, kids = o.s == nil && o.idx == nil && o.out.Cols == nil, []interface{}{o.child}
-		case *batchFromRows:
-			clean, kids = o.s == nil && o.out.Cols == nil, []interface{}{o.child}
-		case *rowFromBatch:
-			clean, kids = o.rows == nil, []interface{}{o.child}
+		case *batchSort:
+			clean, kids = o.s == nil && o.pos == 0 && o.out.Cols == nil, []interface{}{o.child}
+		case *batchLimit:
+			clean, kids = o.out.Cols == nil, []interface{}{o.child}
+		case *batchConcat:
+			clean = o.out.Cols == nil
+			for _, c := range o.cols {
+				clean = clean && c.D == nil
+			}
+			for _, k := range o.kids {
+				kids = append(kids, k)
+			}
 		case *scanIter:
 			clean = o.rows == nil
 		case *filterIter:
@@ -106,12 +114,8 @@ func requireIdleTree(t *testing.T, tr *tree) {
 			clean, kids = o.rows == nil, []interface{}{o.child}
 		case *aggIter:
 			clean, kids = o.out == nil, []interface{}{o.child}
-		case *hashJoinIter:
-			clean, kids = o.table == nil && o.leftRow == nil && o.cands == nil, []interface{}{o.left, o.right}
-		case *nlJoinIter:
-			clean, kids = o.rightRows == nil && o.leftRow == nil, []interface{}{o.left, o.right}
-		case *mergeJoinIter:
-			clean, kids = o.out == nil, []interface{}{o.left, o.right}
+		case *joinIter:
+			clean, kids = o.table == nil && o.build == nil && o.leftRow == nil && o.cands == nil, []interface{}{o.left, o.right}
 		case *concatIter:
 			for _, k := range o.kids {
 				kids = append(kids, k)
@@ -178,13 +182,13 @@ func TestProgramSurvivesFailedRuns(t *testing.T) {
 	}
 	buildMissing := &physical.Expr{
 		Op: physical.OpHashJoin, JoinType: physical.JoinInner,
-		Children: []*physical.Expr{filterOf(scanT1(), cmp(scalar.CmpGT, col(2), intc(0))), scanT3()},
-		On:       cmp(scalar.CmpEQ, col(1), col(5)), EquiLeft: []scalar.ColumnID{1}, EquiRight: []scalar.ColumnID{5},
+		Children: []*physical.Expr{filterOf(scanT1(), cmpExpr(scalar.CmpGT, col(2), intc(0))), scanT3()},
+		On:       cmpExpr(scalar.CmpEQ, col(1), col(5)), EquiLeft: []scalar.ColumnID{1}, EquiRight: []scalar.ColumnID{5},
 	}
 	probeMissing := &physical.Expr{
 		Op: physical.OpNLJoin, JoinType: physical.JoinLeft,
-		Children: []*physical.Expr{scanT3(), filterOf(scanT1(), cmp(scalar.CmpGT, col(2), intc(0)))},
-		On:       cmp(scalar.CmpLT, col(5), col(1)),
+		Children: []*physical.Expr{scanT3(), filterOf(scanT1(), cmpExpr(scalar.CmpGT, col(2), intc(0)))},
+		On:       cmpExpr(scalar.CmpLT, col(5), col(1)),
 	}
 	for _, eng := range []Engine{EngineRow, EngineBatch} {
 		for _, tc := range []struct {

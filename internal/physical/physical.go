@@ -4,6 +4,7 @@ package physical
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"unsafe"
@@ -178,42 +179,97 @@ func (e *Expr) Hash() string {
 	if h := e.cachedHash(); h != "" {
 		return h
 	}
+	// The text is fmt's: %d for the operator and join type, %v for column and
+	// sort-key lists ("[1 2]", "[[1 2] [3]]", "[{3 false}]"). Skips, cache
+	// entries and reports are keyed by it, so no byte of it may move.
+	size := 64
+	for _, c := range e.Children {
+		size += len(c.Hash())
+	}
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%d/%d|", e.Op, e.JoinType)
+	sb.Grow(size)
+	writeInt(&sb, int64(e.Op))
+	sb.WriteByte('/')
+	writeInt(&sb, int64(e.JoinType))
+	sb.WriteByte('|')
 	switch e.Op {
 	case OpScan:
-		fmt.Fprintf(&sb, "%s%v", e.Table, e.Cols)
+		sb.WriteString(e.Table)
+		writeCols(&sb, e.Cols)
 	case OpFilter:
-		sb.WriteString(e.Filter.Hash())
+		scalar.HashInto(e.Filter, &sb)
 	case OpHashJoin, OpNLJoin, OpMergeJoin:
 		if e.On != nil {
-			sb.WriteString(e.On.Hash())
+			scalar.HashInto(e.On, &sb)
 		}
-		fmt.Fprintf(&sb, "%v%v", e.EquiLeft, e.EquiRight)
+		writeCols(&sb, e.EquiLeft)
+		writeCols(&sb, e.EquiRight)
 	case OpProject:
 		for _, p := range e.Projs {
-			fmt.Fprintf(&sb, "%d=%s;", p.Out, p.E.Hash())
+			writeInt(&sb, int64(p.Out))
+			sb.WriteByte('=')
+			scalar.HashInto(p.E, &sb)
+			sb.WriteByte(';')
 		}
 	case OpHashAgg, OpSortAgg:
-		fmt.Fprintf(&sb, "%v|", e.GroupCols)
+		writeCols(&sb, e.GroupCols)
+		sb.WriteByte('|')
 		for _, a := range e.Aggs {
 			sb.WriteString(a.Hash())
 		}
 	case OpConcat:
-		fmt.Fprintf(&sb, "%v%v", e.OutCols, e.InputCols)
+		writeCols(&sb, e.OutCols)
+		sb.WriteByte('[')
+		for i, in := range e.InputCols {
+			if i > 0 {
+				sb.WriteByte(' ')
+			}
+			writeCols(&sb, in)
+		}
+		sb.WriteByte(']')
 	case OpLimit:
-		fmt.Fprintf(&sb, "%d", e.N)
+		writeInt(&sb, e.N)
 	case OpSort:
-		fmt.Fprintf(&sb, "%v", e.Keys)
+		sb.WriteByte('[')
+		for i, k := range e.Keys {
+			if i > 0 {
+				sb.WriteByte(' ')
+			}
+			sb.WriteByte('{')
+			writeInt(&sb, int64(k.Col))
+			if k.Desc {
+				sb.WriteString(" true}")
+			} else {
+				sb.WriteString(" false}")
+			}
+		}
+		sb.WriteByte(']')
 	}
-	sb.WriteString("(")
+	sb.WriteByte('(')
 	for _, c := range e.Children {
 		sb.WriteString(c.Hash())
 	}
-	sb.WriteString(")")
+	sb.WriteByte(')')
 	h := sb.String()
 	e.storeHash(h)
 	return h
+}
+
+func writeInt(sb *strings.Builder, v int64) {
+	var buf [20]byte
+	sb.Write(strconv.AppendInt(buf[:0], v, 10))
+}
+
+// writeCols writes a column list as %v does: "[1 2]".
+func writeCols(sb *strings.Builder, cols []scalar.ColumnID) {
+	sb.WriteByte('[')
+	for i, c := range cols {
+		if i > 0 {
+			sb.WriteByte(' ')
+		}
+		writeInt(sb, int64(c))
+	}
+	sb.WriteByte(']')
 }
 
 // String renders an indented plan with cost annotations, in the spirit of

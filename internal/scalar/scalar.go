@@ -503,12 +503,21 @@ func (a Agg) SQL(name func(ColumnID) string) string {
 	return fmt.Sprintf("%s(%s)", a.Op, a.Arg.SQL(name))
 }
 
-// Hash returns a structural fingerprint of the aggregate.
+// Hash returns a structural fingerprint of the aggregate: "cnt*->out", or
+// "op(arg)->out" with op's number.
 func (a Agg) Hash() string {
+	var sb strings.Builder
 	if a.Op == AggCountStar {
-		return fmt.Sprintf("cnt*->%d", a.Out)
+		sb.WriteString("cnt*")
+	} else {
+		writeInt(&sb, int64(a.Op))
+		sb.WriteByte('(')
+		HashInto(a.Arg, &sb)
+		sb.WriteByte(')')
 	}
-	return fmt.Sprintf("%d(%s)->%d", a.Op, a.Arg.Hash(), a.Out)
+	sb.WriteString("->")
+	writeInt(&sb, int64(a.Out))
+	return sb.String()
 }
 
 // FingerprintInto mixes the aggregate's structural fingerprint into h.

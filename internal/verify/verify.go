@@ -251,22 +251,35 @@ func checkRule(r rules.Rule, cfg *Config, rn *oracle.Runner) *ruleResult {
 	insts, truncated := enumerate(r.Pattern())
 	res.stat.Truncated = truncated
 	for _, inst := range insts {
-		switch rr := r.(type) {
-		case rules.ExplorationRule:
-			res.checkExploration(rr, inst)
-		case rules.ImplementationRule:
-			res.checkImplementation(rr, inst)
+		baseTree, base, alts := res.plans(r, inst)
+		if len(alts) == 0 {
+			continue
 		}
+		res.stat.Instances++
+		res.comparePlans(r, inst, baseTree, base, alts)
 	}
 	return res
 }
 
-// checkExploration applies the rule to one instantiation inside a private
-// memo and compares every substitute against the original tree. Both sides
+// plans returns what one instantiation compares — the base tree, its plan
+// and the rule's alternatives to it — or no alternatives when the rule does
+// not fire there.
+func (res *ruleResult) plans(r rules.Rule, inst *instance) (*logical.Expr, *physical.Expr, []*physical.Expr) {
+	switch rr := r.(type) {
+	case rules.ExplorationRule:
+		return res.explorationPlans(rr, inst)
+	case rules.ImplementationRule:
+		return res.implementationPlans(rr, inst)
+	}
+	return nil, nil, nil
+}
+
+// explorationPlans applies the rule to one instantiation inside a private
+// memo; every substitute is an alternative to the original tree. Both sides
 // are wrapped in a canonical projection over the root group's sorted column
 // set before lowering: substitutes agree with the original on the output
 // column set but may reorder it.
-func (res *ruleResult) checkExploration(r rules.ExplorationRule, inst *instance) {
+func (res *ruleResult) explorationPlans(r rules.ExplorationRule, inst *instance) (*logical.Expr, *physical.Expr, []*physical.Expr) {
 	m := res.ctx.Memo
 	m.Reset(inst.md)
 	g := m.Insert(inst.tree)
@@ -280,25 +293,23 @@ func (res *ruleResult) checkExploration(r rules.ExplorationRule, inst *instance)
 		}
 	}
 	if len(altTrees) == 0 {
-		return
+		return nil, nil, nil
 	}
-	res.stat.Instances++
 	outCols := m.Group(g).Cols.Sorted()
 	baseTree := wrapProject(inst.tree, outCols)
-	base := lower(baseTree)
 	alts := make([]*physical.Expr, len(altTrees))
 	for i, t := range altTrees {
 		alts[i] = lower(wrapProject(t, outCols))
 	}
-	res.comparePlans(r, inst, baseTree, base, alts)
+	return baseTree, lower(baseTree), alts
 }
 
-// checkImplementation asks the rule for its physical candidates over one
-// instantiation and compares each against the canonical lowering of the
+// implementationPlans asks the rule for its physical candidates over one
+// instantiation; each is an alternative to the canonical lowering of the
 // whole tree. Candidates come back as payload-only root nodes (children
 // unset, 1:1 with the memo expression's kid groups); the canonical lowering
 // of each kid group's tree is grafted underneath.
-func (res *ruleResult) checkImplementation(r rules.ImplementationRule, inst *instance) {
+func (res *ruleResult) implementationPlans(r rules.ImplementationRule, inst *instance) (*logical.Expr, *physical.Expr, []*physical.Expr) {
 	m := res.ctx.Memo
 	m.Reset(inst.md)
 	g := m.Insert(inst.tree)
@@ -315,10 +326,9 @@ func (res *ruleResult) checkImplementation(r rules.ImplementationRule, inst *ins
 		alts = append(alts, cand)
 	}
 	if len(alts) == 0 {
-		return
+		return nil, nil, nil
 	}
-	res.stat.Instances++
-	res.comparePlans(r, inst, inst.tree, lower(inst.tree), alts)
+	return inst.tree, lower(inst.tree), alts
 }
 
 // comparePlans sweeps every database over the live (structurally different)
