@@ -41,6 +41,26 @@ func TestCheckXMLExclusive(t *testing.T) {
 	}
 }
 
+// TestExtRejectedWhereMutantsIgnoreIt: every mutant registry is built from
+// the default rules, so -ext used to be dropped without a word by mutate and
+// by fuzz, check and verify with -mutant — the command ran and tested not
+// one extension rule. Each combination now fails with the exclusivity error.
+func TestExtRejectedWhereMutantsIgnoreIt(t *testing.T) {
+	e := checkDB(t, 2)
+	e.ext = true
+	for _, args := range [][]string{
+		{"mutate", "-k", "1"},
+		{"fuzz", "-n", "1", "-mutant", "wrong-agg"},
+		{"check", "-mutant", "wrong-agg"},
+		{"verify", "-mutant", "wrong-agg"},
+	} {
+		known, err := e.run(args[0], args[1:])
+		if !known || err == nil || !strings.Contains(err.Error(), "-ext cannot be combined") {
+			t.Errorf("-ext %v: known=%v err=%v, want the exclusivity error", args, known, err)
+		}
+	}
+}
+
 // TestCheckDeepPassFlagsMutant: check -verify runs the small-scope semantic
 // verifier as a deep pass; a semantically wrong mutant that the structural
 // linter alone cannot catch must still fail the command.
@@ -68,15 +88,14 @@ func TestVerifyCommandExitCodes(t *testing.T) {
 // TestUnknownBackendRejectedUpFront: -backend is resolved once, before any
 // subcommand runs. `suite` without -validate and `check` without -verify
 // never reach a campaign that would resolve the name, and used to succeed
-// silently with a typo in it. The engine campaigns execute on is rejected the
-// same way: `-backend batch suite -validate` used to print "0 cross-checks,
-// 0 disagreements" for a check that never ran.
+// silently with a typo in it. "ref" is the one backend: `-backend batch
+// suite -validate` used to print "0 cross-checks, 0 disagreements" for a
+// check that never ran, and "row" shares the batch engine's plan compiler
+// and scalar kernel, so it cannot see an optimizer fault.
 func TestUnknownBackendRejectedUpFront(t *testing.T) {
 	e := checkDB(t, 2)
-	for backend, want := range map[string]string{
-		"bogus": `unknown engine "bogus"`,
-		"batch": `backend "batch" is the engine campaigns execute on`,
-	} {
+	for _, backend := range []string{"bogus", "batch", "row"} {
+		want := `unknown backend "` + backend + `" (the one cross-check backend is "ref")`
 		e.oracle.Backend = backend
 		for _, args := range [][]string{
 			{"suite", "-n", "1", "-k", "1"},

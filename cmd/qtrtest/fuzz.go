@@ -29,11 +29,11 @@ func cmdFuzz(e env, args []string) error {
 		Cache: e.oracle.Cache, Backend: e.oracle.Backend,
 	}
 	if *mutant != "" {
-		ms, err := qtrtest.MutantsByKind(qtrtest.MutantKind(*mutant))
+		reg, err := mutantRegistry(e, "fuzz", *mutant)
 		if err != nil {
 			return err
 		}
-		cfg.Registry = ms[0].Registry()
+		cfg.Registry = reg
 		cfg.Mutant = *mutant
 	}
 	var rep *qtrtest.FuzzReport

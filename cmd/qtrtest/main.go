@@ -20,11 +20,9 @@
 // Global flags (before the subcommand): -scale, -seed, -db tpch|star, -ext,
 // -workers (worker pool size for the parallel campaign engine; suites,
 // solutions and validation reports are identical for every value),
-// -backend (an independent execution backend — "ref", the naive reference
-// interpreter, or "row", the row-at-a-time engine — cross-checked against
-// every base execution in suite -validate, mutate, check -verify, verify and
-// fuzz; an unknown name, or "batch", the engine campaigns execute on, is
-// rejected before any subcommand runs),
+// -backend ref (the independent reference interpreter, cross-checked
+// against every base execution in suite -validate, mutate, check -verify,
+// verify and fuzz; any other name is rejected before any subcommand runs),
 // -cache/-cachemb (campaign-wide plan-result cache; reports are
 // byte-identical with it on or off), -cachestats (print cache hit/miss/
 // eviction counters to stderr after the run),
@@ -50,6 +48,7 @@ import (
 type env struct {
 	db      *qtrtest.DB
 	schema  string
+	ext     bool // -ext: db's registry carries the extension rules
 	seed    int64
 	workers int
 	// oracle carries the execution options that are global flags (-cache,
@@ -104,7 +103,7 @@ func main() {
 	schema := flag.String("db", "tpch", "test database: tpch or star")
 	ext := flag.Bool("ext", false, "enable the schema-dependent extension rules (31-34)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker pool size for suite generation/compression/execution (results are identical for any value)")
-	backend := flag.String("backend", "", "independent cross-check backend (ref or row); replays base executions on it in suite -validate, mutate, check -verify, verify and fuzz")
+	backend := flag.String("backend", "", "independent cross-check backend (ref, the reference engine); replays base executions on it in suite -validate, mutate, check -verify, verify and fuzz")
 	cacheOn := flag.Bool("cache", true, "memoize plan-execution results across the campaign (reports are byte-identical either way)")
 	cacheMB := flag.Int("cachemb", 256, "result-cache memory budget in MiB")
 	cacheStats := flag.Bool("cachestats", false, "print result-cache hit/miss/eviction counters to stderr after the run")
@@ -139,7 +138,7 @@ func main() {
 	if *cacheOn {
 		rc = qtrtest.NewResultCache(int64(*cacheMB) << 20)
 	}
-	e := env{db: db, schema: *schema, seed: *seed, workers: *workers,
+	e := env{db: db, schema: *schema, ext: *ext, seed: *seed, workers: *workers,
 		oracle: oracle.Options{Backend: *backend, Cache: rc}}
 	known, err := e.run(args[0], args[1:])
 	if perr := profile.Stop(); perr != nil && err == nil {
@@ -160,7 +159,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: qtrtest [-scale F] [-seed S] [-db tpch|star] [-ext] [-workers W] [-backend ref|row] [-cache=false] [-cachemb M] [-cachestats] [-cpuprofile F] [-memprofile F] <rules|patterns|generate|ruleset|explain|analyze|query|suite|interactions|mutate|check|verify|fuzz> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: qtrtest [-scale F] [-seed S] [-db tpch|star] [-ext] [-workers W] [-backend ref] [-cache=false] [-cachemb M] [-cachestats] [-cpuprofile F] [-memprofile F] <rules|patterns|generate|ruleset|explain|analyze|query|suite|interactions|mutate|check|verify|fuzz> [flags]")
 	os.Exit(2)
 }
 
@@ -390,6 +389,9 @@ func cmdMutate(e env, args []string) error {
 	kinds := fs.String("kinds", "", "comma-separated mutant kinds (default: all)")
 	diff := fs.Bool("diff", false, "print per-mutant plan-diff evidence")
 	fs.Parse(args)
+	if e.ext {
+		return fmt.Errorf("mutate: -ext cannot be combined with a mutation campaign: every mutant registry is built from the default rules")
+	}
 	cfg := qtrtest.MutationConfig{
 		K: *k, Targets: *targets, ExtraOps: *extra, Seed: e.seed,
 		MaxTrials: *trials, Workers: e.workers, Cache: e.oracle.Cache, Backend: e.oracle.Backend,
@@ -445,7 +447,7 @@ func cmdCheck(e env, args []string) error {
 		rep = qtrtest.CheckExportedRules(ex)
 	} else {
 		var err error
-		if vcfg, err = verifyRegistry(e, *mutant, *eet); err != nil {
+		if vcfg, err = verifyRegistry(e, "check", *mutant, *eet); err != nil {
 			return err
 		}
 		rep = qtrtest.CheckRules(vcfg.Registry)

@@ -8,27 +8,40 @@ import (
 	"qtrtest"
 )
 
-// verifyRegistry resolves the registry a verify run targets: the active
-// registry by default, a mutant's registry with -mutant, either one extended
-// with the EET rule pack with -eet. The returned config carries the labels
-// the report and repro lines embed, and the global execution flags.
-func verifyRegistry(e env, mutant string, eet bool) (qtrtest.VerifyConfig, error) {
+// mutantRegistry resolves -mutant to the mutant's registry. Every mutant
+// registry is built from the default rules, so -ext, whose rules it would
+// drop without a word, is rejected instead.
+func mutantRegistry(e env, cmd, mutant string) (*qtrtest.Registry, error) {
+	if e.ext {
+		return nil, fmt.Errorf("%s: -ext cannot be combined with -mutant: every mutant registry is built from the default rules", cmd)
+	}
+	ms, err := qtrtest.MutantsByKind(qtrtest.MutantKind(mutant))
+	if err != nil {
+		return nil, err
+	}
+	return ms[0].Registry(), nil
+}
+
+// verifyRegistry resolves the registry a check or verify run (cmd) targets:
+// the active registry by default, a mutant's registry with -mutant, either
+// one extended with the EET rule pack with -eet. The returned config carries
+// the labels the report and repro lines embed, and the global execution
+// flags.
+func verifyRegistry(e env, cmd, mutant string, eet bool) (qtrtest.VerifyConfig, error) {
 	cfg := qtrtest.VerifyConfig{
 		Registry: e.db.Registry, EET: eet,
 		Workers: e.workers, Cache: e.oracle.Cache, Backend: e.oracle.Backend,
 	}
 	if mutant != "" {
-		ms, err := qtrtest.MutantsByKind(qtrtest.MutantKind(mutant))
+		reg, err := mutantRegistry(e, cmd, mutant)
 		if err != nil {
 			return cfg, err
 		}
-		cfg.Registry = ms[0].Registry()
+		cfg.Registry = reg
 		cfg.Mutant = mutant
-		if eet {
-			cfg.Registry = qtrtest.RegistryExtend(cfg.Registry, eetRulePack()...)
-		}
-	} else if eet {
-		cfg.Registry = qtrtest.RegistryWithEET()
+	}
+	if eet {
+		cfg.Registry = qtrtest.RegistryExtend(cfg.Registry, eetRulePack()...)
 	}
 	return cfg, nil
 }
@@ -58,7 +71,7 @@ func cmdVerify(e env, args []string) error {
 	asJSON := fs.Bool("json", false, "emit the report as JSON")
 	fs.Parse(args)
 
-	cfg, err := verifyRegistry(e, *mutant, *eet)
+	cfg, err := verifyRegistry(e, "verify", *mutant, *eet)
 	if err != nil {
 		return err
 	}

@@ -3,8 +3,8 @@
 // validation, mutation, fuzzing, small-scope verification) holds one Runner
 // and asks it three questions: Base (run the reference plan), Edge (run
 // another plan for the same query and compare) — both on the batch engine,
-// the one engine campaigns execute on — and Cross (replay the query on an
-// independent backend and compare). All three answer in one verdict
+// the one engine campaigns execute on — and Cross (replay the query on the
+// reference engine and compare). All three answer in one verdict
 // taxonomy, so what counts as a check, a skip or a finding is decided here
 // and not per campaign.
 package oracle
@@ -23,8 +23,8 @@ import (
 
 // Options is everything a campaign can say about how its plans execute.
 type Options struct {
-	// Backend names the independent engine Cross replays base queries on
-	// ("ref", "row"); empty disables the cross-check.
+	// Backend names the independent engine Cross replays base queries on:
+	// "ref", the reference engine, or empty to disable the cross-check.
 	Backend string
 	// Cache memoizes executions; nil executes directly. Outcomes are
 	// identical either way.
@@ -103,29 +103,23 @@ type Base struct {
 // Runner executes and compares under one set of Options. It is immutable
 // after New and shared by a campaign's workers.
 type Runner struct {
-	opts    Options
-	backend exec.Engine // opts.Backend resolved; meaningful when it is set
+	opts Options
 }
 
-// engine is what Base and Edge execute on.
-const engine = exec.EngineBatch
+// engine is what Base and Edge execute on; backend is what Cross replays on.
+const (
+	engine  = exec.EngineBatch
+	backend = exec.EngineRef
+)
 
-// New resolves the options. The errors are an unknown Backend name and a
-// Backend that names the primary engine: comparing the engine with itself
-// checks nothing, and a check that was asked for must not pass vacuously.
+// New checks the options. The one error is a Backend other than "ref": the
+// reference engine is the only engine that shares no code with the one Base
+// and Edge run on, and a check that was asked for must not pass vacuously.
 func New(opts Options) (*Runner, error) {
-	r := &Runner{opts: opts}
-	if opts.Backend != "" {
-		e, err := exec.EngineByName(opts.Backend)
-		if err != nil {
-			return nil, err
-		}
-		if e == engine {
-			return nil, fmt.Errorf("oracle: backend %q is the engine campaigns execute on; a cross-check against it would compare nothing", opts.Backend)
-		}
-		r.backend = e
+	if opts.Backend != "" && opts.Backend != backend.String() {
+		return nil, fmt.Errorf("oracle: unknown backend %q (the one cross-check backend is %q)", opts.Backend, backend.String())
 	}
-	return r, nil
+	return &Runner{opts: opts}, nil
 }
 
 // HasBackend reports whether Cross has an independent backend to replay on.
@@ -137,13 +131,9 @@ func (r *Runner) Key(cat *catalog.Catalog, p Plan) rescache.Key {
 	return rescache.KeyFor(engine, p.Expr, cat, r.opts.MaxRows, r.opts.MaxWork)
 }
 
-// CrossKey is the cache key Cross touches: the logical tree on a
-// tree-capable backend, the base plan on a built-in engine.
+// CrossKey is the cache key Cross touches: the logical tree on the backend.
 func (r *Runner) CrossKey(base *Base, tree *logical.Expr) rescache.Key {
-	if exec.HasTreeBackend(r.backend) {
-		return rescache.KeyForTree(r.backend, tree, base.cat, r.opts.MaxRows, r.opts.MaxWork)
-	}
-	return rescache.KeyFor(r.backend, base.Expr, base.cat, r.opts.MaxRows, r.opts.MaxWork)
+	return rescache.KeyForTree(backend, tree, base.cat, r.opts.MaxRows, r.opts.MaxWork)
 }
 
 // Base executes the reference plan against a database. The error is
@@ -171,34 +161,22 @@ func (r *Runner) Edge(base *Base, p Plan) (Outcome, error) {
 	return compare(base, rows, p.Order, err), nil
 }
 
-// Cross replays base's query on the independent backend and compares. A
-// tree-capable backend evaluates the pre-optimizer logical tree, so an
-// optimizer fault in the base plan cannot replay itself into the check; a
-// built-in engine re-executes the base plan. The error reports misuse (no
-// tree for a backend that needs one), never an execution failure.
+// Cross replays base's query on the reference engine and compares. The
+// engine evaluates the pre-optimizer logical tree, so an optimizer fault in
+// the base plan cannot replay itself into the check. The error reports
+// misuse (no tree), never an execution failure.
 func (r *Runner) Cross(base *Base, tree *logical.Expr) (Outcome, error) {
 	if !r.HasBackend() {
 		return Outcome{Verdict: Identical}, nil
 	}
-	var (
-		rows  []datum.Row
-		order exec.PlanOrder
-		err   error
-	)
-	if exec.HasTreeBackend(r.backend) {
-		if tree == nil {
-			return Outcome{}, fmt.Errorf("oracle: backend %v needs the logical tree for a cross-check", r.backend)
-		}
-		rows, err = r.opts.Cache.RunTree(r.backend, tree, base.cat, r.opts.MaxRows, r.opts.MaxWork)
-		order = exec.TreeOrder(tree)
-	} else {
-		rows, err = r.opts.Cache.Run(r.backend, base.Expr, base.cat, r.opts.MaxRows, r.opts.MaxWork)
-		order = base.Order
+	if tree == nil {
+		return Outcome{}, fmt.Errorf("oracle: backend %v needs the logical tree for a cross-check", backend)
 	}
+	rows, err := r.opts.Cache.RunTree(backend, tree, base.cat, r.opts.MaxRows, r.opts.MaxWork)
 	if err != nil && !errors.Is(err, exec.ErrRowLimit) {
-		return Outcome{Verdict: Mismatch, Detail: fmt.Sprintf("backend %v execution: %v", r.backend, err)}, nil
+		return Outcome{Verdict: Mismatch, Detail: fmt.Sprintf("backend %v execution: %v", backend, err)}, nil
 	}
-	return compare(base, rows, order, err), nil
+	return compare(base, rows, exec.TreeOrder(tree), err), nil
 }
 
 // compare maps an alternative's execution (err is nil or a cap) onto the

@@ -8,44 +8,21 @@ import (
 
 	"qtrtest/internal/bind"
 	"qtrtest/internal/catalog"
-	"qtrtest/internal/datum"
 	"qtrtest/internal/exec"
 	"qtrtest/internal/logical"
 	"qtrtest/internal/opt"
-	"qtrtest/internal/physical"
 	"qtrtest/internal/rescache"
 	"qtrtest/internal/rules"
 )
-
-// stubBackend is a tree-capable backend whose every execution ends the same
-// way, so the backend-side error and cap paths can be reached on demand.
-type stubBackend struct {
-	id   exec.Engine
-	name string
-	err  error
-}
-
-func (b stubBackend) Engine() exec.Engine { return b.id }
-func (b stubBackend) Name() string        { return b.name }
-func (b stubBackend) RunPlan(*physical.Expr, *catalog.Catalog, int, int64) ([]datum.Row, error) {
-	return nil, b.err
-}
-func (b stubBackend) RunTree(*logical.Expr, *catalog.Catalog, int, int64) ([]datum.Row, error) {
-	return nil, b.err
-}
-
-func init() {
-	exec.RegisterBackend(stubBackend{id: 101, name: "stub-fails", err: errors.New("stub exploded")})
-	exec.RegisterBackend(stubBackend{id: 102, name: "stub-caps", err: exec.ErrRowLimit})
-}
 
 type fixture struct {
 	cat *catalog.Catalog
 	// nation and its reoptimized twin return the same 25 rows from
 	// different plans; filtered returns fewer; the limit pair returns three
-	// rows each, chosen differently, with no order to say which.
+	// rows each, chosen differently, with no order to say which. missingTree
+	// scans a table the catalog does not have.
 	nation, twin, filtered, limitA, limitB, region Plan
-	nationTree                                     *logical.Expr
+	nationTree, missingTree                        *logical.Expr
 }
 
 func newFixture(t *testing.T) fixture {
@@ -64,7 +41,7 @@ func newFixture(t *testing.T) fixture {
 		return Prepare(res.Plan), res, bound.Tree
 	}
 	const joined = "SELECT n_name, r_name FROM nation JOIN region ON n_regionkey = r_regionkey WHERE n_nationkey >= 0"
-	f := fixture{cat: cat}
+	f := fixture{cat: cat, missingTree: &logical.Expr{Op: logical.OpGet, Table: "missing"}}
 	var res *opt.Result
 	f.nation, res, f.nationTree = plan(joined)
 	for _, id := range res.RuleSet.Sorted() {
@@ -106,10 +83,9 @@ func TestRunnerTaxonomy(t *testing.T) {
 		{name: "alternative over the work cap", opts: Options{MaxWork: 8}, base: f.region, alt: f.nation, want: Capped, lookups: 1},
 		{name: "no backend", base: f.nation, tree: f.nationTree, want: Identical},
 		{name: "backend agrees", opts: Options{Backend: "ref"}, base: f.nation, tree: f.nationTree, want: Match, lookups: 1},
-		{name: "row engine as backend agrees", opts: Options{Backend: "row"}, base: f.nation, tree: f.nationTree, want: Match, lookups: 1},
-		{name: "backend over its budget", opts: Options{Backend: "stub-caps"}, base: f.nation, tree: f.nationTree, want: Capped, lookups: 1},
-		{name: "backend fails to execute", opts: Options{Backend: "stub-fails"}, base: f.nation, tree: f.nationTree,
-			want: Mismatch, detail: "backend stub-fails execution: stub exploded", lookups: 1},
+		{name: "backend over the row cap", opts: Options{Backend: "ref", MaxRows: 3}, base: f.region, tree: f.nationTree, want: Capped, lookups: 1},
+		{name: "backend fails to execute", opts: Options{Backend: "ref"}, base: f.nation, tree: f.missingTree,
+			want: Mismatch, detail: "backend ref execution", lookups: 1},
 	}
 	for _, st := range steps {
 		var outcomes []Outcome
@@ -185,16 +161,16 @@ func TestRunnerBaseCapIsNotAVerdict(t *testing.T) {
 	}
 }
 
-// TestRunnerMisuse: an unknown backend name fails New, and so does the
-// engine campaigns execute on — a cross-check against it would report zero
-// disagreements having compared nothing; a tree-capable backend handed no
-// tree fails Cross instead of silently passing.
+// TestRunnerMisuse: every backend name but "ref" fails New with the one
+// error naming it — "batch", the engine campaigns execute on, would report
+// zero disagreements having compared nothing, and "row" shares the batch
+// engine's compiler and scalar kernel — and Cross handed no tree fails
+// instead of silently passing.
 func TestRunnerMisuse(t *testing.T) {
-	if _, err := New(Options{Backend: "bogus"}); err == nil {
-		t.Error(`New(Backend: "bogus") succeeded`)
-	}
-	if _, err := New(Options{Backend: "batch"}); err == nil || !strings.Contains(err.Error(), `"batch"`) {
-		t.Errorf(`New(Backend: "batch"): err = %v, want a rejection naming the engine`, err)
+	for _, name := range []string{"bogus", "batch", "row"} {
+		if _, err := New(Options{Backend: name}); err == nil || !strings.Contains(err.Error(), `cross-check backend is "ref"`) {
+			t.Errorf(`New(Backend: %q): err = %v, want the unknown-backend error naming "ref"`, name, err)
+		}
 	}
 	f := newFixture(t)
 	rn, err := New(Options{Backend: "ref"})
@@ -206,15 +182,6 @@ func TestRunnerMisuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	if out, err := rn.Cross(&base, nil); err == nil {
-		t.Errorf("Cross with no tree on a tree backend: %+v, want an error", out)
-	}
-	// A built-in engine as the backend re-executes the base plan and needs
-	// no tree.
-	rn, err = New(Options{Backend: "row"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out, err := rn.Cross(&base, nil); err != nil || out.Verdict != Match {
-		t.Errorf("Cross on the row engine with no tree: %+v, %v, want Match", out, err)
+		t.Errorf("Cross with no tree: %+v, want an error", out)
 	}
 }

@@ -134,8 +134,8 @@ func (g *Graph) Run(sol *Solution, o *opt.Optimizer, cat *catalog.Catalog) (*Rep
 	rep.PlanExecutions = len(distinct)
 	for i, out := range crosses {
 		if !out.Verdict.Compared() {
-			// Not asked, or nothing independent to compare (backend ==
-			// engine; caps cannot trip at (0,0)).
+			// Not asked: no backend, or no tree to replay (caps cannot
+			// trip at (0,0)).
 			continue
 		}
 		rep.BackendChecks++

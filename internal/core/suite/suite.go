@@ -127,9 +127,9 @@ func (g *Graph) SetWorkers(n int) { g.workers = n }
 func (g *Graph) SetCache(c *rescache.Cache) { g.ox.Cache = c }
 
 // SetBackend enables the independent-backend cross-check: Run additionally
-// replays every distinct base query on the named engine ("ref", "row") and
-// reports disagreements. An empty name disables the check (the default);
-// reports are byte-identical to a backend-less run then.
+// replays every distinct base query on the named engine ("ref", the
+// reference engine) and reports disagreements. An empty name disables the
+// check (the default); reports are byte-identical to a backend-less run then.
 func (g *Graph) SetBackend(name string) error {
 	ox := g.ox
 	ox.Backend = name
@@ -157,24 +157,16 @@ func keyOf(q int, t Target) edgeKey {
 	return k
 }
 
-// edgeCosterShards is the number of cache shards; a small power of two keeps
-// lock contention negligible without bloating the per-graph footprint.
-const edgeCosterShards = 16
-
 // edgeCoster computes and caches Cost(q, ¬R), counting optimizer calls. It
-// is safe for concurrent use: the cache is sharded under per-shard mutexes,
-// and each entry carries a sync.Once so that concurrent requests for the
-// same edge optimize exactly once (single-flight) — the call counter stays
-// exact under any parallel schedule, which Figure 14's accounting requires.
+// is safe for concurrent use: one mutex guards the map, and each entry
+// carries a sync.Once so that concurrent requests for the same edge optimize
+// exactly once (single-flight) — the call counter stays exact under any
+// parallel schedule, which Figure 14's accounting requires.
 type edgeCoster struct {
-	o      *opt.Optimizer
-	calls  atomic.Int64
-	shards [edgeCosterShards]edgeShard
-}
-
-type edgeShard struct {
-	mu sync.Mutex
-	m  map[edgeKey]*edgeEntry
+	o     *opt.Optimizer
+	calls atomic.Int64
+	mu    sync.Mutex
+	m     map[edgeKey]*edgeEntry
 }
 
 type edgeEntry struct {
@@ -188,29 +180,19 @@ type edgeResult struct {
 }
 
 func newEdgeCoster(o *opt.Optimizer) *edgeCoster {
-	ec := &edgeCoster{o: o}
-	for i := range ec.shards {
-		ec.shards[i].m = make(map[edgeKey]*edgeEntry)
-	}
-	return ec
-}
-
-func (ec *edgeCoster) shard(k edgeKey) *edgeShard {
-	h := uint64(k.q)*0x9e3779b9 + uint64(k.r1)*31 + uint64(k.r2)
-	return &ec.shards[h%edgeCosterShards]
+	return &edgeCoster{o: o, m: make(map[edgeKey]*edgeEntry)}
 }
 
 // entry returns the single-flight cache entry for an edge, creating it if
 // absent. Only the entry's creator-or-first-caller runs the optimizer.
 func (ec *edgeCoster) entry(k edgeKey) *edgeEntry {
-	s := ec.shard(k)
-	s.mu.Lock()
-	e, ok := s.m[k]
+	ec.mu.Lock()
+	e, ok := ec.m[k]
 	if !ok {
 		e = &edgeEntry{}
-		s.m[k] = e
+		ec.m[k] = e
 	}
-	s.mu.Unlock()
+	ec.mu.Unlock()
 	return e
 }
 

@@ -177,6 +177,34 @@ func TestRunSkipsIdenticalPlans(t *testing.T) {
 	}
 }
 
+// TestRunBackendPristine: with the reference engine as the cross-check
+// backend, Run replays every distinct query of the solution exactly once, and
+// on the pristine rules no replay disagrees.
+func TestRunBackendPristine(t *testing.T) {
+	g, o, cat := newGraph(t, SingletonTargets(explorationIDs(4)), 2)
+	sol, err := g.Baseline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.SetBackend("ref"); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := g.Run(sol, o, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	distinct := make(map[int]bool)
+	for _, a := range sol.Assignments {
+		distinct[a.Query] = true
+	}
+	if rep.BackendChecks != len(distinct) {
+		t.Errorf("%d backend checks, want one per distinct query (%d)", rep.BackendChecks, len(distinct))
+	}
+	for _, d := range rep.BackendDisagreements {
+		t.Errorf("pristine rules disagree with the reference engine: %s\n%s", d.Detail, d.Query.SQL)
+	}
+}
+
 func TestGenerateProducesDistinctQueriesPerTarget(t *testing.T) {
 	targets := SingletonTargets(explorationIDs(5))
 	g, _, _ := newGraph(t, targets, 3)

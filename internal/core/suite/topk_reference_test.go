@@ -70,10 +70,8 @@ func minCoverage(g *Graph) int {
 // pricedEdges is the set of edges the graph's coster has been asked about.
 func pricedEdges(g *Graph) map[edgeKey]bool {
 	out := make(map[edgeKey]bool)
-	for i := range g.coster.shards {
-		for k := range g.coster.shards[i].m {
-			out[k] = true
-		}
+	for k := range g.coster.m {
+		out[k] = true
 	}
 	return out
 }

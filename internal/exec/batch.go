@@ -94,13 +94,12 @@ const (
 	// engine every campaign runs on.
 	EngineBatch Engine = iota
 	// EngineRow is the original Volcano row-at-a-time engine, retained as
-	// the differential baseline and reachable as a cross-check backend.
+	// the differential baseline.
 	EngineRow
 	// EngineRef is the independent reference interpreter
-	// (internal/refengine), registered through the Backend seam in
-	// backend.go. It evaluates logical trees directly and shares no
-	// evaluation code with the two engines above, which is what makes it a
-	// usable cross-check oracle for both of them.
+	// (internal/refengine), reached through RunTree. It evaluates logical
+	// trees directly and shares no evaluation code with the two engines
+	// above, which is what makes it the cross-check backend for both of them.
 	EngineRef
 )
 
@@ -111,9 +110,8 @@ func (e Engine) String() string {
 		return "row"
 	case EngineBatch:
 		return "batch"
-	}
-	if b := backendFor(e); b != nil {
-		return b.Name()
+	case EngineRef:
+		return "ref"
 	}
 	return fmt.Sprintf("engine(%d)", int(e))
 }

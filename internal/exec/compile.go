@@ -98,8 +98,12 @@ func (p *Program) Plan() *physical.Expr { return p.plan }
 // cat's tables as they open, the work budget starts full, and the tree is
 // closed whatever the outcome, which leaves it ready for the next run.
 func (p *Program) Run(cat *catalog.Catalog, maxRows int, maxWork int64) ([]datum.Row, error) {
-	if b := backendFor(p.eng); b != nil { // interprets the plan: nothing to compile
-		return b.RunPlan(p.plan, cat, maxRows, maxWork)
+	if p.eng == EngineRef { // interprets the plan: nothing to compile
+		tree, err := Delower(p.plan)
+		if err != nil {
+			return nil, err
+		}
+		return RunTree(EngineRef, tree, cat, maxRows, maxWork)
 	}
 	return p.run(runState{cat: cat, capped: maxWork > 0, work: maxWork}, maxRows)
 }

@@ -145,7 +145,7 @@ func requireIdleTree(t *testing.T, tr *tree) {
 func TestProgramReuseIsInvisible(t *testing.T) {
 	a, b := confCatalog(), otherCatalog()
 	for _, tc := range conformanceCases() {
-		for _, eng := range Engines() {
+		for _, eng := range engines {
 			t.Run(tc.name+"/"+eng.String(), func(t *testing.T) {
 				p := Compile(eng, tc.plan)
 				for i, cat := range []*catalog.Catalog{a, b, a} {
@@ -158,7 +158,7 @@ func TestProgramReuseIsInvisible(t *testing.T) {
 						if !reflect.DeepEqual(got, want) {
 							t.Fatalf("run %d: reused program answers\n%v\nfresh execution\n%v", i, got, want)
 						}
-						if backendFor(eng) == nil {
+						if eng != EngineRef {
 							requireIdle(t, p)
 						}
 					}

@@ -95,13 +95,13 @@ type Config struct {
 	// and depends only on query indices, so the report stays
 	// workers-deterministic.
 	StopOnFinding bool
-	// Backend names an independent engine ("ref", "row") that every base
-	// query is additionally replayed on and compared against — the
-	// cross-engine oracle that breaks the campaign's self-differential
-	// circularity. The "ref" backend evaluates the pre-optimizer logical
-	// tree on the reference interpreter, so it catches faults the optimizer
-	// and both built-in engines share. Empty (the default) disables the
-	// check, leaving the report byte-identical to a backend-less campaign.
+	// Backend names the independent engine every base query is additionally
+	// replayed on and compared against — the cross-engine oracle that breaks
+	// the campaign's self-differential circularity. The one backend, "ref",
+	// evaluates the pre-optimizer logical tree on the reference interpreter,
+	// so it catches faults the optimizer and the batch engine share. Empty
+	// (the default) disables the check, leaving the report byte-identical to
+	// a backend-less campaign.
 	Backend string
 	// Cache, when non-nil, memoizes plan executions across the whole
 	// campaign — oracles and shrinker alike. Reports are byte-identical with

@@ -40,8 +40,8 @@ type Config struct {
 	// in the plans they execute. Scores are byte-identical with and without
 	// it.
 	Cache *rescache.Cache
-	// Backend names an independent execution backend ("" disables it). When
-	// set, every suite run additionally replays each base query there and
+	// Backend names the independent execution backend, "ref" (the reference
+	// engine); "" disables it. When set, every suite run additionally replays each base query there and
 	// records cross-engine disagreements — an oracle that catches mutants
 	// whose fault survives into both sides of the self-differential
 	// comparison.

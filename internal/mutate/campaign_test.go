@@ -90,3 +90,36 @@ func TestMutationSmoke(t *testing.T) {
 		t.Fatalf("smoke mutation score %d/3:\n%s", got, buf.String())
 	}
 }
+
+// TestBackendCatchesFlipSortDir: with the reference engine as the backend, the
+// flip-sort-dir mutant's wrong sort order disagrees with the reference replay
+// in every algorithm's suite, and the mutation score is the one the campaign
+// gives without a backend.
+func TestBackendCatchesFlipSortDir(t *testing.T) {
+	cat := catalog.LoadTPCH(catalog.TPCHConfig{ScaleRows: 0.05, Seed: 42})
+	ms, err := ByKind(KindFlipSortDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{K: 2, Seed: 42, Workers: 4, Mutants: ms}
+	off, err := Run(cat, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Backend = "ref"
+	on, err := Run(cat, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range on.Results[0].Algos {
+		if a.BackendChecks == 0 || a.BackendDisagreements == 0 {
+			t.Errorf("%s: %d of %d backend cross-checks disagreed, want at least one",
+				a.Algo, a.BackendDisagreements, a.BackendChecks)
+		}
+	}
+	for _, algo := range AlgoNames {
+		if got, want := on.CaughtBy(algo), off.CaughtBy(algo); got != want {
+			t.Errorf("%s: mutation score %d with the backend, %d without", algo, got, want)
+		}
+	}
+}

@@ -15,11 +15,14 @@
 // any pair is definitely broken, and the first failing pair — databases are
 // enumerated smallest-first — is emitted as a minimal replayable witness.
 //
-// Soundness caveat: the sweep is exhaustive only within its bounds (operator
-// payload vocabulary, ≤3 tables, ≤3 rows per table, values {NULL,0,1,2}).
-// A bug that needs a larger scope — wider schemas, deeper predicate nesting,
-// overflow-range arithmetic — is outside the net. The fuzzing and mutation
-// campaigns remain the backstop for that tail.
+// Soundness caveat: the sweep is not exhaustive over small databases. It
+// covers the operator payload vocabulary and ≤3 tables, but each table's
+// contents come from a hand-picked vocabulary (db.go): 6 plain and 4 keyed
+// contents of ≤3 rows over {NULL,0,1,2}, trimmed to 3 and 2 past the second
+// table. A bug that needs contents outside that list — {(N,N)} or
+// {(1,1),(1,1)}, say — or a larger scope — wider schemas, deeper predicate
+// nesting, overflow-range arithmetic — is outside the net. The fuzzing and
+// mutation campaigns remain the backstop for that tail.
 package verify
 
 import (
@@ -71,8 +74,8 @@ type Config struct {
 	// key costs: the sweep is 13–18 % slower with a cache than without
 	// (bench/README.md). Reports are byte-identical with and without it.
 	Cache *rescache.Cache
-	// Backend names an independent execution backend ("" disables it). When
-	// set, every base execution of the sweep is additionally replayed there
+	// Backend names the independent execution backend, "ref" (the reference
+	// engine); "" disables it. When set, every base execution of the sweep is additionally replayed there
 	// and compared under the same order-aware oracle, so an engine fault that
 	// corrupts both sides of a rewrite identically still surfaces.
 	Backend string
@@ -389,7 +392,7 @@ func (res *ruleResult) comparePlans(r rules.Rule, inst *instance, baseTree *logi
 
 // judge books one executed comparison — a mismatch fails the pair, an
 // undetermined one is counted — and reports whether there was one: false
-// means the alternative was capped (or the backend is the engine itself).
+// means the alternative was capped.
 func (res *ruleResult) judge(out oracle.Outcome, r rules.Rule, inst *instance, db database, base, alt *physical.Expr) bool {
 	switch out.Verdict {
 	case oracle.Mismatch:
