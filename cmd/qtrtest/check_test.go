@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -112,5 +113,22 @@ func TestUnknownBackendRejectedUpFront(t *testing.T) {
 	e.oracle.Backend = "ref"
 	if _, err := e.run("check", nil); err != nil {
 		t.Errorf("-backend ref check: %v", err)
+	}
+}
+
+// TestCacheMBRejectedUpFront: the result cache reads a budget <= 0 as its
+// 256 MiB default, so -cachemb 0, a negative value, or one whose conversion
+// to bytes overflows used to run with 256 MiB without a word. Each is now an
+// error naming the flag (exit 2 at the CLI).
+func TestCacheMBRejectedUpFront(t *testing.T) {
+	for _, mb := range []int{0, -1, math.MaxInt64>>20 + 1, math.MaxInt} {
+		if _, err := cacheBytes(mb); err == nil || !strings.Contains(err.Error(), "-cachemb") {
+			t.Errorf("-cachemb %d: err = %v, want an error naming the flag", mb, err)
+		}
+	}
+	for _, mb := range []int{1, 256, math.MaxInt64 >> 20} {
+		if got, err := cacheBytes(mb); err != nil || got != int64(mb)<<20 {
+			t.Errorf("-cachemb %d: %d bytes, %v", mb, got, err)
+		}
 	}
 }

@@ -33,6 +33,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -114,6 +115,11 @@ func main() {
 	if len(args) == 0 {
 		usage()
 	}
+	maxBytes, err := cacheBytes(*cacheMB)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "qtrtest:", err)
+		os.Exit(2)
+	}
 	var db *qtrtest.DB
 	switch *schema {
 	case "tpch":
@@ -136,7 +142,7 @@ func main() {
 	// byte-identical either way.
 	var rc *qtrtest.ResultCache
 	if *cacheOn {
-		rc = qtrtest.NewResultCache(int64(*cacheMB) << 20)
+		rc = qtrtest.NewResultCache(maxBytes)
 	}
 	e := env{db: db, schema: *schema, ext: *ext, seed: *seed, workers: *workers,
 		oracle: oracle.Options{Backend: *backend, Cache: rc}}
@@ -156,6 +162,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "qtrtest:", err)
 		os.Exit(1)
 	}
+}
+
+// cacheBytes converts -cachemb to the result cache's byte budget. The cache
+// reads a budget <= 0 as its 256 MiB default, so a zero or negative value —
+// or one so large that the conversion overflows — would silently become
+// that; it is an error instead.
+func cacheBytes(mb int) (int64, error) {
+	if mb <= 0 || int64(mb) > math.MaxInt64>>20 {
+		return 0, fmt.Errorf("-cachemb %d: the result-cache budget must be a positive number of MiB below 2^43", mb)
+	}
+	return int64(mb) << 20, nil
 }
 
 func usage() {

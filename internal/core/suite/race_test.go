@@ -14,7 +14,7 @@ import (
 // contract has two halves: every goroutine observes the same cost for an
 // edge, and the optimizer runs exactly once per distinct edge no matter how
 // the requests interleave — the exact-call accounting Figure 14 depends on.
-// Run under -race this also checks the sharded cache for data races.
+// Run under -race this also checks the cache's map and entries for data races.
 func TestEdgeCosterSingleFlightConcurrent(t *testing.T) {
 	cat := catalog.LoadTPCH(catalog.TPCHConfig{ScaleRows: 1.0, Seed: 42})
 	o := opt.New(rules.DefaultRegistry(), cat)

@@ -1,19 +1,23 @@
-// Package rescache is a sharded, single-flight execution-result cache.
-// Campaigns execute the same physical plan against the same database over
-// and over — Plan(q) vs Plan(q,¬R) when rule R never fires, shrinker replays
-// that differ by one reduction, metamorphic rewrites sharing subplans, and
-// qtrtest verify's bounded pairs over a tiny database pool. The cache keys
-// executions by (plan fingerprint, catalog identity/version, row cap, work
-// budget, engine) and memoizes the materialized result — including the error
+// Package rescache is a single-flight execution-result cache. Campaigns
+// execute the same physical plan against the same database over and over —
+// Plan(q) vs Plan(q,¬R) when rule R never fires, shrinker replays that differ
+// by one reduction, metamorphic rewrites sharing subplans, and qtrtest
+// verify's bounded pairs over a tiny database pool. The cache keys executions
+// by (plan fingerprint, catalog identity/version, row cap, work budget,
+// engine) and memoizes the materialized result — including the error
 // outcome, since execution is deterministic given the key — so every
 // recurrence after the first is a map hit.
 //
-// The design follows the PR-1 edge-costing cache in internal/core/suite:
-// fixed shard array indexed by key hash, per-shard mutex around a map of
-// entries, and a sync.Once per entry so concurrent requests for the same key
-// execute once and share the result (single-flight). On top of that it adds
-// what a long-running service needs (ROADMAP item 1): a per-shard LRU list
-// with a byte-size cap, an eviction counter, and hit/miss statistics.
+// The table is plan-major under one mutex: the plan text is hashed once, into
+// a map of distinct plans, and the rest of the key — small, fixed-size and
+// pointer-free — selects one of that plan's runs. A campaign has far fewer
+// distinct plans than executions (a verify sweep runs each plan on up to a
+// hundred tiny databases), so the string-keyed map stays small and a lookup
+// costs one string hash plus a few words. A sync.Once per entry makes
+// concurrent requests for one key execute once and share the result
+// (single-flight); the lock is never held while a result is computed. One
+// LRU list under a byte cap bounds the process, with an eviction counter and
+// hit/miss statistics.
 //
 // Determinism: cached rows are returned by reference and shared between
 // callers, which is safe because every consumer in this repo treats result
@@ -26,7 +30,6 @@ package rescache
 
 import (
 	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"qtrtest/internal/catalog"
@@ -80,44 +83,57 @@ func KeyForTree(eng exec.Engine, tree *logical.Expr, cat *catalog.Catalog, maxRo
 	}
 }
 
+// runKey is a Key without its plan text: which run of one plan.
+type runKey struct {
+	Engine  exec.Engine
+	CatID   uint64
+	CatVer  uint64
+	MaxRows int
+	MaxWork int64
+}
+
+// planRuns is every cached run of one plan. It leaves the cache's plan map
+// when its last run does.
+type planRuns struct {
+	plan string
+	runs map[runKey]*entry
+}
+
 // entry is one cached execution. The sync.Once provides single-flight: the
 // first goroutine to claim the entry computes, everyone else blocks on Do
 // and then reads the shared result.
 type entry struct {
-	key  Key
+	pr   *planRuns
+	rk   runKey
 	once sync.Once
 
 	rows []datum.Row
 	err  error
 	size int64
 
-	// LRU list hooks; an entry joins its shard's list only after its
-	// result is computed (in-flight entries are not evictable).
+	// LRU list hooks; an entry joins the list only after its result is
+	// computed, so an in-flight entry is never evicted.
 	prev, next *entry
 	listed     bool
 }
 
-// shard is one lock domain: a key-to-entry map plus an LRU list ordered
-// most-recently-used first.
-type shard struct {
-	mu         sync.Mutex
-	entries    map[Key]*entry
-	head, tail *entry
-	bytes      int64
-}
+// maxEntryShare bounds one entry to maxBytes/maxEntryShare: a result that
+// large would evict most of the cache and then itself, so it is dropped at
+// admit instead.
+const maxEntryShare = 16
 
-const numShards = 16
-
-// Cache is the sharded single-flight result cache. The zero value is not
-// usable; call New. A nil *Cache is a valid "caching disabled" instance:
-// Run falls through to direct execution.
+// Cache is the single-flight result cache. The zero value is not usable;
+// call New. A nil *Cache is a valid "caching disabled" instance: Run falls
+// through to direct execution.
 type Cache struct {
-	shards   [numShards]shard
 	maxBytes int64
 
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
+	mu         sync.Mutex
+	plans      map[string]*planRuns
+	head, tail *entry // LRU list, most recently used first
+	bytes      int64
+
+	hits, misses, evictions int64
 }
 
 // DefaultMaxBytes caps the cache at 256 MiB of (approximated) result bytes
@@ -130,11 +146,7 @@ func New(maxBytes int64) *Cache {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxBytes
 	}
-	c := &Cache{maxBytes: maxBytes}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[Key]*entry)
-	}
-	return c
+	return &Cache{maxBytes: maxBytes, plans: make(map[string]*planRuns)}
 }
 
 // Stats is a point-in-time snapshot of cache effectiveness counters.
@@ -154,46 +166,13 @@ func (c *Cache) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}
-	s := Stats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-	}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		s.Entries += len(sh.entries)
-		s.Bytes += sh.bytes
-		sh.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s := Stats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Bytes: c.bytes}
+	for _, pr := range c.plans {
+		s.Entries += len(pr.runs)
 	}
 	return s
-}
-
-// shardFor assigns keys to shards with FNV-1a over the key fields. The hash
-// is deliberately unseeded: shard assignment (and hence eviction behavior)
-// is a pure function of the key stream, which keeps cache behavior
-// reproducible run-to-run at a fixed worker count.
-func (c *Cache) shardFor(k Key) *shard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(k.Plan); i++ {
-		h = (h ^ uint64(k.Plan[i])) * prime64
-	}
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h = (h ^ (v & 0xff)) * prime64
-			v >>= 8
-		}
-	}
-	mix(k.CatID)
-	mix(k.CatVer)
-	mix(uint64(k.MaxRows))
-	mix(uint64(k.MaxWork))
-	mix(uint64(k.Engine))
-	return &c.shards[h%numShards]
 }
 
 // Run executes the plan through the cache: a hit returns the memoized rows
@@ -234,98 +213,100 @@ func (c *Cache) RunTree(eng exec.Engine, tree *logical.Expr, cat *catalog.Catalo
 // runKeyed is the shared cache core: look up the key, claim or join the
 // entry, compute once under the entry's sync.Once.
 func (c *Cache) runKeyed(k Key, compute func() ([]datum.Row, error)) ([]datum.Row, error) {
-	sh := c.shardFor(k)
+	rk := runKey{Engine: k.Engine, CatID: k.CatID, CatVer: k.CatVer, MaxRows: k.MaxRows, MaxWork: k.MaxWork}
 
-	sh.mu.Lock()
-	e, ok := sh.entries[k]
-	if ok {
-		if e.listed {
-			sh.moveToFront(e)
-		}
-		sh.mu.Unlock()
-		c.hits.Add(1)
-	} else {
-		e = &entry{key: k}
-		sh.entries[k] = e
-		sh.mu.Unlock()
-		c.misses.Add(1)
+	c.mu.Lock()
+	pr := c.plans[k.Plan]
+	if pr == nil {
+		pr = &planRuns{plan: k.Plan, runs: make(map[runKey]*entry)}
+		c.plans[k.Plan] = pr
 	}
+	e := pr.runs[rk]
+	if e != nil {
+		c.hits++
+		if e.listed {
+			c.moveToFront(e)
+		}
+	} else {
+		c.misses++
+		e = &entry{pr: pr, rk: rk}
+		pr.runs[rk] = e
+	}
+	c.mu.Unlock()
 
 	e.once.Do(func() {
 		e.rows, e.err = compute()
 		e.size = approxSize(e.rows)
-		c.admit(sh, e)
+		c.admit(e)
 	})
 	return e.rows, e.err
 }
 
-// admit links a freshly computed entry into its shard's LRU and evicts from
-// the cold end until the shard is back under its share of the byte budget.
-// An entry larger than the whole shard budget is dropped immediately — it
-// would only evict everything else and then itself on the next admit.
-func (c *Cache) admit(sh *shard, e *entry) {
-	budget := c.maxBytes / numShards
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	// The entry may have been evicted from the map while it was being
-	// computed (possible only via an explicit future Purge-style API; today
-	// in-flight entries stay mapped, but be defensive).
-	if sh.entries[e.key] != e {
+// admit links a freshly computed entry into the LRU and evicts from the cold
+// end until the cache is back under its byte budget. An entry larger than
+// maxBytes/maxEntryShare is dropped instead.
+func (c *Cache) admit(e *entry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e.size > c.maxBytes/maxEntryShare {
+		c.evict(e)
 		return
 	}
-	if e.size > budget {
-		delete(sh.entries, e.key)
-		c.evictions.Add(1)
-		return
-	}
-	sh.pushFront(e)
-	sh.bytes += e.size
-	for sh.bytes > budget && sh.tail != nil && sh.tail != e {
-		c.evictLocked(sh, sh.tail)
+	c.pushFront(e)
+	c.bytes += e.size
+	for c.bytes > c.maxBytes && c.tail != e {
+		c.evict(c.tail)
 	}
 }
 
-func (c *Cache) evictLocked(sh *shard, e *entry) {
-	sh.unlink(e)
-	delete(sh.entries, e.key)
-	sh.bytes -= e.size
-	c.evictions.Add(1)
+// evict drops an entry, and its plan with it when no run is left. The
+// caller holds c.mu.
+func (c *Cache) evict(e *entry) {
+	if e.listed {
+		c.unlink(e)
+		c.bytes -= e.size
+	}
+	delete(e.pr.runs, e.rk)
+	if len(e.pr.runs) == 0 {
+		delete(c.plans, e.pr.plan)
+	}
+	c.evictions++
 }
 
-func (sh *shard) pushFront(e *entry) {
+func (c *Cache) pushFront(e *entry) {
 	e.listed = true
 	e.prev = nil
-	e.next = sh.head
-	if sh.head != nil {
-		sh.head.prev = e
+	e.next = c.head
+	if c.head != nil {
+		c.head.prev = e
 	}
-	sh.head = e
-	if sh.tail == nil {
-		sh.tail = e
+	c.head = e
+	if c.tail == nil {
+		c.tail = e
 	}
 }
 
-func (sh *shard) unlink(e *entry) {
+func (c *Cache) unlink(e *entry) {
 	if e.prev != nil {
 		e.prev.next = e.next
 	} else {
-		sh.head = e.next
+		c.head = e.next
 	}
 	if e.next != nil {
 		e.next.prev = e.prev
 	} else {
-		sh.tail = e.prev
+		c.tail = e.prev
 	}
 	e.prev, e.next = nil, nil
 	e.listed = false
 }
 
-func (sh *shard) moveToFront(e *entry) {
-	if sh.head == e {
+func (c *Cache) moveToFront(e *entry) {
+	if c.head == e {
 		return
 	}
-	sh.unlink(e)
-	sh.pushFront(e)
+	c.unlink(e)
+	c.pushFront(e)
 }
 
 // datumSize is the in-memory footprint of one Datum excluding string bytes.

@@ -236,7 +236,7 @@ func TestConcurrentMixedKeys(t *testing.T) {
 
 func TestEvictionBoundsMemory(t *testing.T) {
 	cat := testCatalog(1000)
-	// Cap sized so each shard holds a few results but the 64-key stream
+	// Cap sized so the cache holds a few results but the 64-key stream
 	// overflows it, forcing LRU evictions.
 	const cap = 2 << 20
 	c := New(cap)
@@ -263,9 +263,10 @@ func TestEvictionBoundsMemory(t *testing.T) {
 func TestLRUKeepsHotEntries(t *testing.T) {
 	cat := testCatalog(300)
 	hot := filterPlan(1)
-	// Budget sized so one shard holds a few entries; keep touching `hot`
-	// while streaming cold keys through, then verify hot stayed cached.
-	c := New(numShards * 64 << 10)
+	// A 1 MiB budget holds about a hundred of the cold results, and 200 of
+	// them stream through; `hot` is touched after each, so the LRU must keep
+	// it while the cold ones are evicted.
+	c := New(1 << 20)
 	if _, err := c.Run(exec.EngineBatch, hot, cat, 0, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -286,16 +287,37 @@ func TestLRUKeepsHotEntries(t *testing.T) {
 	if after.Hits != before.Hits+1 {
 		t.Fatalf("hot plan was evicted: hits %d -> %d (stats %+v)", before.Hits, after.Hits, after)
 	}
+	if after.Evictions == 0 {
+		t.Fatalf("stats = %+v, want cold entries evicted under the budget", after)
+	}
 }
 
+// TestOversizedEntryIsDroppedNotAdmitted: one entry may take at most
+// maxBytes/16. A result exactly that size is admitted; under a budget
+// 16 bytes smaller the same result — though far below the whole budget —
+// is dropped at admit (counted as an eviction) and recomputed on re-request.
 func TestOversizedEntryIsDroppedNotAdmitted(t *testing.T) {
-	cat := testCatalog(5000)
-	// Cap far below one 5000-row result: the entry must be dropped at
-	// admit time (counted as an eviction) and recomputed on re-request.
-	c := New(numShards * 1024)
+	cat := testCatalog(50)
+	rows, err := exec.RunEngine(exec.EngineBatch, scanPlan(), cat, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := approxSize(rows)
+
+	fits := New(maxEntryShare * size)
+	for i := 0; i < 2; i++ {
+		if _, err := fits.Run(exec.EngineBatch, scanPlan(), cat, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := fits.Stats(); st.Misses != 1 || st.Hits != 1 || st.Evictions != 0 || st.Bytes != size {
+		t.Fatalf("stats = %+v, want a result of exactly maxBytes/16 admitted and hit", st)
+	}
+
+	c := New(maxEntryShare * (size - 1))
 	for i := 0; i < 2; i++ {
 		rows, err := c.Run(exec.EngineBatch, scanPlan(), cat, 0, 0)
-		if err != nil || len(rows) != 5000 {
+		if err != nil || len(rows) != 50 {
 			t.Fatalf("run %d: %d rows, err %v", i, len(rows), err)
 		}
 	}
@@ -303,8 +325,69 @@ func TestOversizedEntryIsDroppedNotAdmitted(t *testing.T) {
 	if st.Misses != 2 {
 		t.Fatalf("misses = %d, want 2 (oversized entry never admitted)", st.Misses)
 	}
-	if st.Evictions != 2 || st.Entries != 0 || st.Bytes != 0 {
-		t.Fatalf("stats = %+v, want both oversized results dropped", st)
+	if st.Evictions != 2 || st.Entries != 0 || st.Bytes != 0 || len(c.plans) != 0 {
+		t.Fatalf("stats = %+v, %d plans; want both oversized results dropped", st, len(c.plans))
+	}
+}
+
+// TestEqualPlansShareRuns: two distinct *physical.Expr with one Hash() are
+// one plan to the cache — the cross-rule sharing verify relies on, where
+// every rule instantiates its own trees. The same plan on a second catalog,
+// or on the first after a mutation, is a new run of that plan.
+func TestEqualPlansShareRuns(t *testing.T) {
+	cat, other := testCatalog(30), testCatalog(30)
+	p1, p2 := filterPlan(3), filterPlan(3)
+	if p1 == p2 || p1.Hash() != p2.Hash() {
+		t.Fatal("want two distinct plans with equal fingerprints")
+	}
+	c := New(0)
+	run := func(p *physical.Expr, cat *catalog.Catalog, want Stats) {
+		t.Helper()
+		if _, err := c.Run(exec.EngineBatch, p, cat, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		if st := c.Stats(); st.Hits != want.Hits || st.Misses != want.Misses {
+			t.Fatalf("stats = %+v, want %d hits and %d misses", st, want.Hits, want.Misses)
+		}
+	}
+	run(p1, cat, Stats{Misses: 1})
+	run(p2, cat, Stats{Misses: 1, Hits: 1})
+	run(p2, other, Stats{Misses: 2, Hits: 1})
+	cat.Add(&catalog.Table{Name: "u", Columns: []catalog.Column{{Name: "x", Type: datum.TypeInt}}})
+	run(p1, cat, Stats{Misses: 3, Hits: 1})
+	if len(c.plans) != 1 || len(c.plans[p1.Hash()].runs) != 3 {
+		t.Fatalf("%d plans, want one plan with three runs", len(c.plans))
+	}
+}
+
+// TestRunlessPlanLeavesTable: evicting a plan's last run drops the plan
+// from the table, so the string-keyed map holds only plans with results.
+func TestRunlessPlanLeavesTable(t *testing.T) {
+	cat := testCatalog(100)
+	// val < 7 for every row, so each threshold from 7 up is a distinct plan
+	// with the same 100-row result.
+	plan := func(i int) *physical.Expr { return filterPlan(int64(7 + i)) }
+	rows, err := exec.RunEngine(exec.EngineBatch, plan(0), cat, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(maxEntryShare * approxSize(rows))
+	for i := 0; i < maxEntryShare; i++ {
+		if _, err := c.Run(exec.EngineBatch, plan(i), cat, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := c.Stats(); st.Evictions != 0 || len(c.plans) != maxEntryShare {
+		t.Fatalf("stats = %+v, %d plans; want %d plans and no eviction", st, len(c.plans), maxEntryShare)
+	}
+	if _, err := c.Run(exec.EngineBatch, plan(maxEntryShare), cat, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Evictions != 1 || st.Entries != maxEntryShare {
+		t.Fatalf("stats = %+v, want one eviction", st)
+	}
+	if _, ok := c.plans[plan(0).Hash()]; ok || len(c.plans) != maxEntryShare {
+		t.Fatalf("%d plans; want the least recently used plan gone with its one run", len(c.plans))
 	}
 }
 

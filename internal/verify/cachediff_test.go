@@ -41,3 +41,20 @@ func TestCacheDifferentialAcrossWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestVerifyCacheCounts pins a default sweep's cache counters on a fresh
+// cache. Without eviction a miss is a distinct key and a hit is every later
+// request for it, so both are a function of the key stream alone — the same
+// at any worker count, and unchanged by how the cache lays out its table.
+func TestVerifyCacheCounts(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		c := rescache.New(0)
+		if _, err := Run(Config{Workers: workers, Cache: c}); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		st := c.Stats()
+		if st.Hits != 6200 || st.Misses != 32048 || st.Evictions != 0 {
+			t.Errorf("workers=%d: stats = %+v, want 6200 hits, 32048 misses, 0 evictions", workers, st)
+		}
+	}
+}

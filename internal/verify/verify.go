@@ -70,9 +70,11 @@ type Config struct {
 	// across rules and a table tuple's databases share their catalogs, so a
 	// (plan, database) pair executes once per cache instead of once per
 	// rule. Measured, that does not pay here — 16 % of a sweep's lookups
-	// hit and a hit saves an execution of a few microseconds, less than its
-	// key costs: the sweep is 13–18 % slower with a cache than without
-	// (bench/README.md). Reports are byte-identical with and without it.
+	// hit, a hit saves an execution of a few microseconds, and the cache
+	// keeps every result alive for the collector to scan: one
+	// `qtrtest -workers 1 verify` takes 0.072 s with a cache and 0.054 s
+	// without (README, "The result cache"). Reports are byte-identical
+	// with and without it.
 	Cache *rescache.Cache
 	// Backend names the independent execution backend, "ref" (the reference
 	// engine); "" disables it. When set, every base execution of the sweep is additionally replayed there
