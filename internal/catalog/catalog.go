@@ -6,6 +6,7 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -55,60 +56,33 @@ type Table struct {
 	vecs    []datum.Vec
 	seqIdx  []int
 
-	joinIdx sync.Map // encoded key-column slots -> *joinIndexOnce
+	joinMu  sync.Mutex
+	joinIdx []*joinIndex // one per key-column set asked for
 }
 
-// JoinIndex is a hash index over one key-column set of a table: Lookup maps
-// an encoded key to a slot in Groups, and Groups[slot] lists the table row
-// positions holding that key, in row order. Rows with a NULL key column have
-// no entry (they can never hash-match). Callers must treat both fields as
-// read-only; the index is shared across concurrent executions.
-type JoinIndex struct {
-	Lookup map[string]int32
-	Groups [][]int32
+type joinIndex struct {
+	slots []int
+	once  sync.Once
+	idx   datum.KeyIndex
 }
 
-type joinIndexOnce struct {
-	once sync.Once
-	idx  JoinIndex
-}
-
-// JoinIndex returns the table's hash index over the given key-column
-// ordinals, building it on first use. Tables are immutable during a run, so
-// the index — like ColumnData — is computed once per (table, key columns) and
-// shared by every hash join that builds against a bare scan of the table.
-func (t *Table) JoinIndex(slots []int) *JoinIndex {
-	kb := make([]byte, 0, 2*len(slots))
-	for _, s := range slots {
-		kb = append(kb, byte(s), byte(s>>8))
+// JoinIndex returns the table's key index over the given key-column
+// ordinals, built on first use by the builder joins use for a drained build
+// side. Tables are immutable during a run, so the index, like ColumnData, is
+// computed once per (table, key columns) and shared, read-only, by every join
+// that builds against a bare scan of the table. Finding a built index costs
+// no allocation: a table has a few key-column sets, searched in order.
+func (t *Table) JoinIndex(slots []int) *datum.KeyIndex {
+	t.joinMu.Lock()
+	i := slices.IndexFunc(t.joinIdx, func(ji *joinIndex) bool { return slices.Equal(ji.slots, slots) })
+	if i < 0 {
+		i = len(t.joinIdx)
+		t.joinIdx = append(t.joinIdx, &joinIndex{slots: slices.Clone(slots)})
 	}
-	v, _ := t.joinIdx.LoadOrStore(string(kb), &joinIndexOnce{})
-	jo := v.(*joinIndexOnce)
-	jo.once.Do(func() {
-		vecs := t.ColumnData()
-		idx := JoinIndex{Lookup: make(map[string]int32)}
-		var keyBuf []byte
-	rows:
-		for ri := 0; ri < len(t.Rows); ri++ {
-			keyBuf = keyBuf[:0]
-			for _, s := range slots {
-				d := vecs[s].D[ri]
-				if d.IsNull() {
-					continue rows
-				}
-				keyBuf = d.AppendKey(keyBuf)
-			}
-			slot, ok := idx.Lookup[string(keyBuf)]
-			if !ok {
-				slot = int32(len(idx.Groups))
-				idx.Lookup[string(keyBuf)] = slot
-				idx.Groups = append(idx.Groups, nil)
-			}
-			idx.Groups[slot] = append(idx.Groups[slot], int32(ri))
-		}
-		jo.idx = idx
-	})
-	return &jo.idx
+	ji := t.joinIdx[i]
+	t.joinMu.Unlock()
+	ji.once.Do(func() { ji.idx.Build(t.ColumnData(), ji.slots, len(t.Rows)) })
+	return &ji.idx
 }
 
 // ColumnIndex returns the ordinal of the named column, or -1. It is safe for

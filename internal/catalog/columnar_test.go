@@ -56,16 +56,12 @@ func TestJoinIndexGroupsRowsByKey(t *testing.T) {
 		},
 	}
 	idx := tbl.JoinIndex([]int{0})
-	if len(idx.Groups) != 2 {
-		t.Fatalf("got %d groups, want 2 (NULL keys are not indexed)", len(idx.Groups))
+	if idx.Keys.Len() != 2 {
+		t.Fatalf("got %d keys, want 2 (NULL keys are not indexed)", idx.Keys.Len())
 	}
-	var key []byte
-	key = datum.NewInt(7).AppendKey(key)
-	slot, ok := idx.Lookup[string(key)]
-	if !ok {
-		t.Fatal("key 7 not indexed")
-	}
-	if g := idx.Groups[slot]; len(g) != 2 || g[0] != 0 || g[1] != 3 {
+	// FLOAT 7.0 is the key INT 7 is.
+	probe := []datum.Vec{{D: []datum.Datum{datum.NewFloat(7)}}}
+	if g := idx.Lookup(probe, []int{0}, 0); len(g) != 2 || g[0] != 0 || g[1] != 3 {
 		t.Errorf("group for key 7 = %v, want [0 3] in row order", g)
 	}
 	// Distinct key-column sets build distinct indexes; repeated calls share.
@@ -101,7 +97,7 @@ func TestColumnDataConcurrent(t *testing.T) {
 func TestJoinIndexConcurrent(t *testing.T) {
 	tbl := columnarFixture()
 	var wg sync.WaitGroup
-	idxs := make([]*JoinIndex, 8)
+	idxs := make([]*datum.KeyIndex, 8)
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {

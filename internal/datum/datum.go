@@ -286,8 +286,9 @@ func (r Row) Clone() Row {
 
 // AppendKey appends an injective, prefix-free encoding of the datum to buf
 // and returns the extended slice. Rows that Compare equal produce equal
-// encodings (numeric kinds are folded through their float64 image), and rows
-// that differ produce different encodings regardless of the bytes string
+// encodings (numeric kinds are folded through their float64 image) unless a
+// NaN, which Compare calls equal to every number, is among them; rows that
+// differ produce different encodings regardless of the bytes string
 // values contain: string parts are length-prefixed rather than escaped, so a
 // value embedding the separator bytes of neighboring parts cannot alias a
 // different row. Every non-string part is terminated by ';', which cannot

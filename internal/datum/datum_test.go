@@ -171,8 +171,7 @@ func TestTriLogic(t *testing.T) {
 }
 
 // The key's text is a contract, not just its equalities: sorted aggregation
-// orders groups by it and the catalog's JoinIndex shares it with the join's
-// probe side, so a byte of difference reorders reports.
+// orders groups by it, so a byte of difference reorders reports.
 func TestAppendKeyText(t *testing.T) {
 	for _, c := range []struct {
 		d    Datum

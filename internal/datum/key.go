@@ -1,0 +1,174 @@
+package datum
+
+import (
+	"math"
+	"slices"
+)
+
+// IsNaN reports whether d is a FLOAT NaN.
+func (d *Datum) IsNaN() bool { return d.K == KindFloat && math.IsNaN(d.Float()) }
+
+// KeyEqual reports whether a and b are the same join or group-by key part,
+// that is whether their AppendKey encodings are equal: numbers by float64
+// image (−0 = +0, all NaNs one key), strings by bytes, bools by value, NULL
+// by itself. Off NULL that is Compare equality, but for NaN.
+func KeyEqual(a, b *Datum) bool {
+	if an, ok := a.numeric(); ok {
+		bn, ok := b.numeric()
+		return ok && (an == bn || an != an && bn != bn)
+	}
+	return a.K == b.K && (a.K != KindString || a.S == b.S) && (a.K != KindBool || a.Bool() == b.Bool())
+}
+
+// KeyHash hashes a key part so that KeyEqual parts hash alike: a number to
+// its float64 image's bits, anything else by FNV-1a from a seed of its kind.
+func KeyHash(d *Datum) uint64 {
+	if f, ok := d.numeric(); ok {
+		if f != f {
+			f = math.NaN()
+		}
+		return math.Float64bits(f + 0) // −0 + 0 is +0
+	}
+	h := uint64(d.K+1) << 59
+	if d.K == KindBool && d.Bool() {
+		h++
+	}
+	for i := 0; i < len(d.S); i++ {
+		h = (h ^ uint64(d.S[i])) * 1099511628211
+	}
+	return h
+}
+
+// KeyFlags reports whether the key row ri of cols holds at slots has a NULL
+// part, which SQL equality never matches, and whether it has a NaN part.
+func KeyFlags(cols []Vec, slots []int, ri int) (null, nan bool) {
+	for _, s := range slots {
+		d := &cols[s].D[ri]
+		if d.K == KindNull {
+			return true, nan
+		}
+		nan = nan || d.IsNaN()
+	}
+	return false, nan
+}
+
+// KeyTable numbers the distinct keys of a column set densely in first-seen
+// order: hash heads plus a collision chain, checked with KeyEqual against the
+// parts of the row that first held each key. No text is built per row.
+type KeyTable struct {
+	width int
+	heads map[uint64]int32 // key hash -> 1 + the latest key with that hash
+	chain []int32          // chain[k]: the previous key with k's hash, or -1
+	parts []Datum          // key k's parts: parts[k*width : (k+1)*width]
+}
+
+// Reset empties the table for keys of width parts. It keeps its storage but
+// for a map grown past 4096 keys, which every later use would pay to clear.
+func (t *KeyTable) Reset(width int) {
+	if t.heads == nil || len(t.heads) > 4096 {
+		t.heads = make(map[uint64]int32)
+	}
+	clear(t.heads)
+	clear(t.parts) // unpin the strings
+	t.width, t.chain, t.parts = width, t.chain[:0], t.parts[:0]
+}
+
+// Len returns the number of keys.
+func (t *KeyTable) Len() int { return len(t.chain) }
+
+// Key returns key k's parts, which callers must not modify.
+func (t *KeyTable) Key(k int32) []Datum { return t.parts[int(k)*t.width : (int(k)+1)*t.width] }
+
+// Add returns the number of the key row ri of cols holds at slots, numbering
+// it when it is new.
+func (t *KeyTable) Add(cols []Vec, slots []int, ri int) int32 {
+	h := keyHash(cols, slots, ri)
+	prev := t.heads[h] - 1
+	if k := t.match(prev, cols, slots, ri); k >= 0 {
+		return k
+	}
+	t.chain = append(Grow(t.chain, 1), prev)
+	t.heads[h] = int32(len(t.chain))
+	t.parts = Grow(t.parts, len(slots))
+	for _, s := range slots {
+		t.parts = append(t.parts, cols[s].D[ri])
+	}
+	return int32(len(t.chain) - 1)
+}
+
+func keyHash(cols []Vec, slots []int, ri int) uint64 {
+	h := uint64(0x9e3779b97f4a7c15)
+	for _, s := range slots {
+		h = (h ^ KeyHash(&cols[s].D[ri])) * 0xbf58476d1ce4e5b9
+		h ^= h >> 31
+	}
+	return h
+}
+
+// match walks the chain from key k for row ri's key; -1 when it is absent.
+func (t *KeyTable) match(k int32, cols []Vec, slots []int, ri int) int32 {
+next:
+	for ; k >= 0; k = t.chain[k] {
+		for i, s := range slots {
+			if !KeyEqual(&cols[s].D[ri], &t.parts[int(k)*t.width+i]) {
+				continue next
+			}
+		}
+		return k
+	}
+	return -1
+}
+
+// KeyIndex groups rows by key: the rows holding key k of Keys are
+// Rows[Start[k]:Start[k+1]], in row order; rows with a NULL key part are left
+// out. NaN reports a NaN key part, which Compare calls equal to every number:
+// a join must then find its candidates by scanning.
+type KeyIndex struct {
+	Keys        KeyTable
+	Start, Rows []int32
+	NaN         bool
+	ids         []int32 // each row's key, or -1
+}
+
+// Build indexes rows 0..n-1 of cols by their key at slots, reusing storage.
+func (x *KeyIndex) Build(cols []Vec, slots []int, n int) {
+	x.Keys.Reset(len(slots))
+	x.NaN, x.ids = false, Grow(x.ids[:0], n)
+	for ri := 0; ri < n; ri++ {
+		k := int32(-1)
+		if null, nan := KeyFlags(cols, slots, ri); !null {
+			k, x.NaN = x.Keys.Add(cols, slots, ri), x.NaN || nan
+		}
+		x.ids = append(x.ids, k)
+	}
+	// Counting sort: Start[k] becomes key k's first position, advances as
+	// rows are placed, ends at key k's end and shifts into Start[k+1].
+	nk := x.Keys.Len()
+	x.Start = slices.Grow(x.Start[:0], nk+1)[:nk+1]
+	clear(x.Start)
+	for _, k := range x.ids {
+		x.Start[k+1]++ // the NULL rows' count lands in Start[0] and is reset below
+	}
+	x.Start[0] = 0
+	for k := 1; k <= nk; k++ {
+		x.Start[k] += x.Start[k-1]
+	}
+	x.Rows = slices.Grow(x.Rows[:0], int(x.Start[nk]))[:x.Start[nk]]
+	for ri, k := range x.ids {
+		if k >= 0 {
+			x.Rows[x.Start[k]], x.Start[k] = int32(ri), x.Start[k]+1
+		}
+	}
+	copy(x.Start[1:], x.Start[:nk])
+	x.Start[0] = 0
+}
+
+// Lookup returns the indexed rows holding the key row ri of cols holds at
+// slots, which has no NULL part; nil when there are none.
+func (x *KeyIndex) Lookup(cols []Vec, slots []int, ri int) []int32 {
+	k := x.Keys.match(x.Keys.heads[keyHash(cols, slots, ri)]-1, cols, slots, ri)
+	if k < 0 {
+		return nil
+	}
+	return x.Rows[x.Start[k]:x.Start[k+1]]
+}

@@ -17,21 +17,22 @@ func (v *Vec) Append(d Datum) { v.D = append(v.D, d) }
 // an Append loop, with the slice growth hoisted out of the per-datum path.
 func (v *Vec) AppendGather(src []Datum, idx []int) {
 	n := len(v.D)
-	total := n + len(idx)
-	if cap(v.D) < total {
-		grown := 2 * cap(v.D)
-		if grown < total {
-			grown = total
-		}
-		nd := make([]Datum, n, grown)
-		copy(nd, v.D)
-		v.D = nd
-	}
-	v.D = v.D[:total]
+	v.D = Grow(v.D, len(idx))[:n+len(idx)]
 	dst := v.D[n:]
 	for k, i := range idx {
 		dst[k] = src[i]
 	}
+}
+
+// Grow returns s with room for n more elements, at least doubling its
+// capacity when it must grow. Slabs that pooled scratch builds up row by row
+// grow through it: append's growth falls to 1.25x for large slices, which
+// allocates a slab about five times over on its way to full size.
+func Grow[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	return append(make([]T, 0, max(2*cap(s), len(s)+n)), s...)
 }
 
 // Len returns the number of values in the vector.

@@ -33,8 +33,8 @@ type aggState struct {
 	sawRow bool
 }
 
-func newAggState() *aggState {
-	return &aggState{allInt: true, min: datum.Null, max: datum.Null}
+func newAggState() aggState {
+	return aggState{allInt: true, min: datum.Null, max: datum.Null}
 }
 
 func (s *aggState) add(d datum.Datum, op scalar.AggOp) error {
@@ -102,7 +102,7 @@ func (s *aggState) result(op scalar.AggOp) datum.Datum {
 type aggGroup struct {
 	key    string
 	rep    datum.Row // group column values
-	states []*aggState
+	states []aggState
 }
 
 func (a *aggIter) Open() error {
@@ -136,7 +136,7 @@ func (a *aggIter) Open() error {
 		}
 		g, ok := groups[string(keyBuf)]
 		if !ok {
-			g = &aggGroup{key: string(keyBuf), rep: rep, states: make([]*aggState, len(a.aggs))}
+			g = &aggGroup{key: string(keyBuf), rep: rep, states: make([]aggState, len(a.aggs))}
 			for i := range g.states {
 				g.states[i] = newAggState()
 			}
@@ -160,7 +160,7 @@ func (a *aggIter) Open() error {
 	// Scalar aggregation over empty input yields one row (COUNT=0, others
 	// NULL), per SQL semantics.
 	if len(a.groupCols) == 0 && len(order) == 0 {
-		g := &aggGroup{states: make([]*aggState, len(a.aggs))}
+		g := &aggGroup{states: make([]aggState, len(a.aggs))}
 		for i := range g.states {
 			g.states[i] = newAggState()
 		}

@@ -9,11 +9,14 @@ import (
 )
 
 // batchAgg is the columnar grouped/scalar aggregation. Aggregate arguments
-// are evaluated once per batch (one vectorized pass per aggregate), and group
-// keys go through an allocation-free two-step index: only the first row of
-// each distinct group allocates its key string. The accumulators are the row
-// engine's aggState, so aggregate semantics — including the SUM/AVG
-// non-numeric execution error — live in exactly one place.
+// are evaluated once per batch (one vectorized pass per aggregate), and rows
+// find their group in the exact key table joins use (datum.KeyTable), which
+// numbers groups in first-seen order and keeps their column values. The
+// accumulators lie in one pooled slice, len(aggs) per group, so a group costs
+// no allocation once the scratch has grown. A SortAgg orders its groups by
+// their AppendKey text, built once per group: the row engine's order. The
+// accumulators are the row engine's aggState, so aggregate semantics —
+// including the SUM/AVG non-numeric execution error — live in one place.
 type batchAgg struct {
 	child     BatchIterator
 	groupCols []scalar.ColumnID
@@ -21,9 +24,9 @@ type batchAgg struct {
 	ve        scalar.VecEval
 	sorted    bool
 
-	keyBuf []byte
-
-	s   *opScratch // args: one vector per aggregate argument; vecs: the transposed result rows
+	// s: args, one vector per aggregate argument; keys and states, the groups;
+	// sel, their emission order; vecs, the result columns.
+	s   *opScratch
 	idx []int
 	pos int
 	out Batch
@@ -44,10 +47,13 @@ func (a *batchAgg) Open() error {
 	if a.s == nil {
 		a.s = getOpScratch()
 	}
-	a.s.args = sizeVecs(a.s.args, len(a.aggs))
-	argVecs := a.s.args
-	groups := make(map[string]*aggGroup)
-	var order []*aggGroup
+	s := a.s
+	s.args = sizeVecs(s.args, len(a.aggs))
+	s.keys.Reset(len(slots))
+	if len(slots) == 0 {
+		s.keys.Add(nil, nil, 0) // a scalar aggregate is one group, even over no rows
+	}
+	argVecs, na, states := s.args, len(a.aggs), s.states[:0]
 	for {
 		b, err := a.child.Next()
 		if err != nil {
@@ -65,59 +71,55 @@ func (a *batchAgg) Open() error {
 			}
 		}
 		for k, ri := range b.Idx {
-			a.keyBuf = a.keyBuf[:0]
-			for _, s := range slots {
-				a.keyBuf = b.Cols[s].D[ri].AppendKey(a.keyBuf)
-			}
-			g, ok := groups[string(a.keyBuf)]
-			if !ok {
-				rep := make(datum.Row, len(slots))
-				for i, s := range slots {
-					rep[i] = b.Cols[s].D[ri]
-				}
-				g = &aggGroup{key: string(a.keyBuf), rep: rep, states: make([]*aggState, len(a.aggs))}
-				for i := range g.states {
-					g.states[i] = newAggState()
-				}
-				groups[g.key] = g
-				order = append(order, g)
+			g := int(s.keys.Add(b.Cols, slots, ri)) * na
+			for len(states) < s.keys.Len()*na {
+				states = append(datum.Grow(states, 1), newAggState())
 			}
 			for i, ag := range a.aggs {
 				var d datum.Datum
 				if ag.Op != scalar.AggCountStar {
 					d = argVecs[i].D[k]
 				}
-				if err := g.states[i].add(d, ag.Op); err != nil {
+				if err := states[g+i].add(d, ag.Op); err != nil {
+					s.states = states
 					return err
 				}
 			}
 		}
 	}
-	// Scalar aggregation over empty input yields one row (COUNT=0, others
-	// NULL), per SQL semantics.
-	if len(a.groupCols) == 0 && len(order) == 0 {
-		g := &aggGroup{states: make([]*aggState, len(a.aggs))}
-		for i := range g.states {
-			g.states[i] = newAggState()
-		}
+	groups := s.keys.Len()
+	for len(states) < groups*na { // the scalar group over no rows
+		states = append(states, newAggState())
+	}
+	s.states = states
+	order := s.sel[:0]
+	for g := 0; g < groups; g++ {
 		order = append(order, g)
 	}
 	if a.sorted {
-		// Key strings use the same injective encoding in both engines, so
-		// this order is byte-for-byte the row engine's.
-		sort.Slice(order, func(i, j int) bool { return order[i].key < order[j].key })
+		text := make([]string, groups)
+		var buf []byte
+		for g := range text {
+			buf = buf[:0]
+			for _, d := range s.keys.Key(int32(g)) {
+				buf = d.AppendKey(buf)
+			}
+			text[g] = string(buf)
+		}
+		sort.Slice(order, func(i, j int) bool { return text[order[i]] < text[order[j]] })
 	}
-	a.s.vecs = sizeVecs(a.s.vecs, len(a.groupCols)+len(a.aggs))
-	vecs := a.s.vecs
+	s.sel = order
+	s.vecs = sizeVecs(s.vecs, len(slots)+na)
+	vecs := s.vecs
 	for _, g := range order {
-		for i := range g.rep {
-			vecs[i].Append(g.rep[i])
+		for i, d := range s.keys.Key(int32(g)) {
+			vecs[i].Append(d)
 		}
 		for i, ag := range a.aggs {
-			vecs[len(a.groupCols)+i].Append(g.states[i].result(ag.Op))
+			vecs[len(slots)+i].Append(states[g*na+i].result(ag.Op))
 		}
 	}
-	a.idx = iotaSel(len(order))
+	a.idx = iotaSel(groups)
 	a.pos = 0
 	return nil
 }

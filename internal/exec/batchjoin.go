@@ -9,12 +9,13 @@ import (
 // batchJoin is the columnar join, hash, merge and nested loops alike. The
 // build side is held in column vectors; the probe side is processed in chunks
 // of candidate (left, right) pairs whose join predicate is evaluated in one
-// vectorized pass per chunk. The operators differ in one step only — how a
-// probe row finds its candidate group: a hash join looks its key up in an
-// allocation-free index over the build side (map hits cost no allocation;
-// only distinct keys allocate), a nested-loops join's group is the whole
-// build side. A merge join is the hash join over a batchSort of its probe
-// side on the keys (joinKeys).
+// vectorized pass per chunk. A probe row's candidates depend on the
+// predicate and the build side, not the operator: a join with a key — a hash
+// or merge join's equi-key, or the probe = build column equalities of a
+// nested-loops join whose On cannot fail — looks them up in an exact key
+// index over the build side (datum.KeyIndex); other joins, and nested loops
+// over fewer than keyedNLMinBuild rows, take the whole build side. A merge
+// join is the hash join over a batchSort of its probe side on the keys.
 //
 // Materialization is late: the predicate reads its columns in place, through
 // the candidate pairs, and a chunk gathers the output columns for the
@@ -31,14 +32,20 @@ type batchJoin struct {
 	jt         physical.JoinType
 	leftWidth  int
 	rightWidth int
-	hash       bool           // candidates come from the key index, not the whole build side
-	leftSlots  []int          // hash: key slots in the probe input
-	rightSlots []int          // hash: key slots in the build input
-	equi       bool           // hash, and On is exactly the equi-key conjunction
+	keyed      bool           // the join has a key: candidates can come from a key index
+	minBuild   int            // keyed: the fewest build rows worth indexing
+	leftSlots  []int          // keyed: key slots in the probe input
+	rightSlots []int          // keyed: key slots in the build input
+	equi       bool           // keyed, and On is exactly the key's equalities
 	ve         scalar.VecEval // reads candidate pairs in place, through pairs
 
 	joinRun
 }
+
+// keyedNLMinBuild is the build size from which a keyed nested-loops join
+// indexes its build side: below it, as on every verify database, comparing
+// all pairs costs less than an index per run.
+const keyedNLMinBuild = 64
 
 // joinRun is the state of one execution of a batchJoin. Everything above it
 // in the operator is a function of the plan; everything in it is taken in
@@ -49,9 +56,10 @@ type joinRun struct {
 	// build side: s.build filled by this join, or — over a bare table scan —
 	// the catalog's cached column vectors, which must never enter a pool.
 	rightVecs []datum.Vec
-	buildRows int // nested loops: every probe row's candidates are 0..buildRows-1
-	lookup    map[string]int32
-	groups    [][]int32
+	buildRows int
+	// index finds a probe row's candidates: s.index or the catalog's
+	// Table.JoinIndex. Nil: every probe row's candidates are 0..buildRows-1.
+	index *datum.KeyIndex
 
 	// probe cursor: position li in the current left batch; mi is the offset
 	// into the current row's candidate group when the row's candidates span
@@ -61,7 +69,7 @@ type joinRun struct {
 	li       int
 	inRow    bool
 	mi       int
-	group    []int32 // hash: the current row's candidates; nil under nested loops
+	group    []int32 // index: the current row's candidates; nil without one
 	groupLen int
 
 	// pairs is the current chunk's candidate pairs as the predicate sees
@@ -81,16 +89,26 @@ type joinSeg struct {
 func newBatchJoin(plan *physical.Expr, kids []BatchIterator, ins []*layout, out *layout) (*batchJoin, error) {
 	j := &batchJoin{
 		on: plan.On, left: kids[0], right: kids[1],
-		jt: plan.JoinType, hash: plan.Op != physical.OpNLJoin,
+		jt:        plan.JoinType,
 		leftWidth: len(ins[0].cols), rightWidth: len(ins[1].cols),
 		ve: scalar.VecEval{Env: joinEnv(ins, out)},
 	}
-	if j.hash {
+	eqLeft, eqRight, whole := keyConjuncts(plan.On, j.ve.Env, j.leftWidth)
+	if plan.Op == physical.OpNLJoin {
+		// A key drops the pairs that fail it unevaluated, which only an On
+		// that cannot fail allows: an error must surface as it does over all
+		// pairs.
+		if len(eqLeft) > 0 && scalar.ErrFreePred(plan.On, j.ve.Env) {
+			j.keyed, j.minBuild = true, keyedNLMinBuild
+			j.leftSlots, j.rightSlots, j.equi = eqLeft, eqRight, whole
+		}
+	} else {
 		var err error
 		if j.leftSlots, j.rightSlots, err = joinKeys(plan, ins); err != nil {
 			return nil, err
 		}
-		j.equi = equiOnly(plan)
+		j.keyed = true
+		j.equi = whole && impliedByKey(eqLeft, eqRight, j.leftSlots, j.rightSlots)
 		if plan.Op == physical.OpMergeJoin {
 			j.left = &batchSort{child: j.left, keys: ascending(j.leftSlots), width: j.leftWidth}
 		}
@@ -99,46 +117,55 @@ func newBatchJoin(plan *physical.Expr, kids []BatchIterator, ins []*layout, out 
 	return j, nil
 }
 
-// equiOnly reports whether the join predicate is exactly the conjunction of
-// the equi-key equalities. The hash index only ever yields non-NULL key-equal
-// candidates, and the key encoding is injective with respect to
-// datum.Compare equality (numeric kinds fold through the same float64 image
-// both sides use), so for such predicates every candidate passes by
-// construction and the per-candidate predicate pass can be skipped.
-func equiOnly(plan *physical.Expr) bool {
-	conj := []scalar.Expr{plan.On}
-	if and, ok := plan.On.(*scalar.And); ok {
+// keyConjuncts scans the conjuncts of a join predicate for equalities between
+// a probe column and a build column, returning their slots in the probe and
+// build inputs, and whether such equalities are all of the predicate. env is
+// the slot map of the combined (probe ++ build) row, the probe's split slots
+// wide.
+func keyConjuncts(on scalar.Expr, env scalar.Env, split int) (left, right []int, whole bool) {
+	conj := []scalar.Expr{on}
+	if and, ok := on.(*scalar.And); ok {
 		conj = and.Kids
 	}
-	if len(conj) != len(plan.EquiLeft) {
-		return false
-	}
-	used := make([]bool, len(plan.EquiLeft))
+	whole = true
 	for _, e := range conj {
-		cmp, ok := e.(*scalar.Cmp)
-		if !ok || cmp.Op != scalar.CmpEQ {
-			return false
+		l, r := -1, -1
+		if cmp, ok := e.(*scalar.Cmp); ok && cmp.Op == scalar.CmpEQ {
+			l, r = slotOf(cmp.L, env), slotOf(cmp.R, env)
 		}
-		l, lok := cmp.L.(*scalar.ColRef)
-		r, rok := cmp.R.(*scalar.ColRef)
-		if !lok || !rok {
-			return false
+		if l > r {
+			l, r = r, l
 		}
-		found := false
-		for i := range plan.EquiLeft {
-			if used[i] {
-				continue
+		if l < 0 || l >= split || r < split {
+			whole = false
+			continue
+		}
+		left, right = append(left, l), append(right, r-split)
+	}
+	return left, right, whole
+}
+
+// slotOf is the slot of a column reference in env; -1 for anything else.
+func slotOf(e scalar.Expr, env scalar.Env) int {
+	if c, ok := e.(*scalar.ColRef); ok {
+		if s, ok := env[c.ID]; ok {
+			return s
+		}
+	}
+	return -1
+}
+
+// impliedByKey reports whether every equality (left[i], right[i]) is one of
+// the key's pairs, so that a key match satisfies all of them.
+func impliedByKey(left, right, keyLeft, keyRight []int) bool {
+next:
+	for i := range left {
+		for k := range keyLeft {
+			if keyLeft[k] == left[i] && keyRight[k] == right[i] {
+				continue next
 			}
-			if (plan.EquiLeft[i] == l.ID && plan.EquiRight[i] == r.ID) ||
-				(plan.EquiLeft[i] == r.ID && plan.EquiRight[i] == l.ID) {
-				used[i] = true
-				found = true
-				break
-			}
 		}
-		if !found {
-			return false
-		}
+		return false
 	}
 	return true
 }
@@ -171,23 +198,20 @@ func scanOf(it BatchIterator) (*batchScan, *batchTap) {
 	return bs, nil
 }
 
-// buildSide drains the right child into column vectors; a hash join also
-// indexes the rows' keys, and does not store rows with a NULL key, which can
-// never match.
+// buildSide drains the right child into column vectors and, for a keyed
+// join with enough build rows, indexes their keys.
 //
 // When the build child is a bare table scan, the catalog's cached column
-// vectors are used in place: they are stable storage, so copying them per
-// execution would be pure overhead. A hash join's group index then holds
-// table row positions and skipped NULL-key rows simply have no group entry.
+// vectors are used in place, and its cached Table.JoinIndex: they are stable
+// storage, so copying or indexing them per execution would be pure overhead.
 func (h *batchJoin) buildSide() error {
 	if err := h.right.Open(); err != nil {
 		return err
 	}
 	if bs, tap := scanOf(h.right); bs != nil {
 		h.rightVecs, h.buildRows = bs.cols, len(bs.idx)
-		if h.hash {
-			idx := bs.table.JoinIndex(h.rightSlots)
-			h.lookup, h.groups = idx.Lookup, idx.Groups
+		if h.keyed && h.buildRows >= h.minBuild {
+			h.index = bs.table.JoinIndex(h.rightSlots)
 		}
 		if tap != nil {
 			// Report what the scan would have emitted batch by batch; only
@@ -202,56 +226,24 @@ func (h *batchJoin) buildSide() error {
 	s := h.s
 	s.build = sizeVecs(s.build, h.rightWidth)
 	h.rightVecs, h.buildRows = s.build, 0
-	if h.hash {
-		h.lookup = make(map[string]int32)
-		h.groups = nil // never reuse: the fast path above aliases a shared index
-	}
 	for {
 		b, err := h.right.Next()
 		if err != nil {
 			return err
 		}
 		if b == nil {
-			return nil
-		}
-		keep := b.Idx
-		if h.hash {
-			keep = h.indexKeys(b)
+			break
 		}
 		for c := range s.build {
-			s.build[c].AppendGather(b.Cols[c].D, keep)
+			s.build[c].AppendGather(b.Cols[c].D, b.Idx)
 		}
-		h.buildRows += len(keep)
+		h.buildRows += b.Len()
 	}
-}
-
-// indexKeys adds a build batch's rows to the key index and returns the rows
-// to store: those without a NULL key.
-func (h *batchJoin) indexKeys(b *Batch) []int {
-	s := h.s
-	s.keep = s.keep[:0]
-	stored := int32(h.buildRows)
-rows:
-	for _, ri := range b.Idx {
-		s.keyBuf = s.keyBuf[:0]
-		for _, slot := range h.rightSlots {
-			d := b.Cols[slot].D[ri]
-			if d.IsNull() {
-				continue rows
-			}
-			s.keyBuf = d.AppendKey(s.keyBuf)
-		}
-		slot, ok := h.lookup[string(s.keyBuf)]
-		if !ok {
-			slot = int32(len(h.groups))
-			h.lookup[string(s.keyBuf)] = slot
-			h.groups = append(h.groups, nil)
-		}
-		s.keep = append(s.keep, ri)
-		h.groups[slot] = append(h.groups[slot], stored)
-		stored++
+	if h.keyed && h.buildRows >= h.minBuild {
+		s.index.Build(s.build, h.rightSlots, h.buildRows)
+		h.index = &s.index
 	}
-	return s.keep
+	return nil
 }
 
 func (h *batchJoin) Next() (*Batch, error) {
@@ -275,7 +267,7 @@ func (h *batchJoin) Next() (*Batch, error) {
 		}
 		var b *Batch
 		var err error
-		if h.equi && (h.jt == physical.JoinSemi || h.jt == physical.JoinAnti) {
+		if h.keyOnly() && (h.jt == physical.JoinSemi || h.jt == physical.JoinAnti) {
 			b = h.semiAntiEqui()
 		} else {
 			b, err = h.processChunk()
@@ -292,10 +284,14 @@ func (h *batchJoin) Next() (*Batch, error) {
 	}
 }
 
+// keyOnly reports that every candidate passes: it is a key match, and On is
+// exactly the key's equalities.
+func (h *batchJoin) keyOnly() bool { return h.index != nil && h.equi }
+
 // semiAntiEqui handles semi and anti joins whose predicate is exactly the
-// equi-key conjunction: a probe row passes iff its candidate group is
-// (non-)empty, so the whole batch resolves with one hash lookup per row and
-// no candidate pairs are ever gathered.
+// key: a probe row passes iff its candidate group is (non-)empty, so the
+// whole batch resolves with one index lookup per row and no candidate pairs
+// are ever gathered.
 func (h *batchJoin) semiAntiEqui() *Batch {
 	outIdx := h.s.outL[:0]
 	for ; h.li < len(h.lb.Idx); h.li++ {
@@ -310,29 +306,44 @@ func (h *batchJoin) semiAntiEqui() *Batch {
 	return &h.out
 }
 
-// resolveRow finds the candidate group of the probe row at position li: the
-// key index's entry under a hash join, the whole build side under nested
-// loops.
+// resolveRow finds the candidate group of the probe row at position li: its
+// key's rows in the index, or the whole build side without one.
+//
+// NaN is exact: Compare calls it equal to every number, which no key index
+// can file, so a probe row with a NaN key part — and every probe row when
+// the build side has one — scans for its candidates instead.
 func (h *batchJoin) resolveRow() {
 	h.group, h.groupLen, h.mi, h.inRow = nil, 0, 0, true
-	if !h.hash {
+	if h.index == nil {
 		h.groupLen = h.buildRows
 		return
 	}
 	ri := h.lb.Idx[h.li]
-	s := h.s
-	s.keyBuf = s.keyBuf[:0]
-	for _, slot := range h.leftSlots {
-		d := h.lb.Cols[slot].D[ri]
-		if d.IsNull() {
-			return
+	switch null, nan := datum.KeyFlags(h.lb.Cols, h.leftSlots, ri); {
+	case null:
+	case nan || h.index.NaN:
+		h.group = h.scanGroup(ri)
+	default:
+		h.group = h.index.Lookup(h.lb.Cols, h.leftSlots, ri)
+	}
+	h.groupLen = len(h.group)
+}
+
+// scanGroup returns the build rows whose key parts all Compare-equal those of
+// probe row ri, in build order.
+func (h *batchJoin) scanGroup(ri int) []int32 {
+	g := h.s.scan[:0]
+rows:
+	for r := 0; r < h.buildRows; r++ {
+		for i, ls := range h.leftSlots {
+			if c, ok := datum.ComparePtr(&h.lb.Cols[ls].D[ri], &h.rightVecs[h.rightSlots[i]].D[r]); !ok || c != 0 {
+				continue rows
+			}
 		}
-		s.keyBuf = d.AppendKey(s.keyBuf)
+		g = append(g, int32(r))
 	}
-	if slot, ok := h.lookup[string(s.keyBuf)]; ok {
-		h.group = h.groups[slot]
-		h.groupLen = len(h.group)
-	}
+	h.s.scan = g
+	return g
 }
 
 // processChunk gathers up to candidateCap candidate pairs starting at the
@@ -360,7 +371,7 @@ func (h *batchJoin) processChunk() (*Batch, error) {
 		for k := h.mi; k < h.mi+take; k++ {
 			candL = append(candL, ri)
 		}
-		if h.hash {
+		if h.index != nil {
 			for _, r := range h.group[h.mi : h.mi+take] {
 				candR = append(candR, int(r))
 			}
@@ -388,12 +399,12 @@ func (h *batchJoin) processChunk() (*Batch, error) {
 
 // evalChunk runs one vectorized predicate pass over the chunk's candidate
 // pairs, read where they lie in the probe batch and the build side, and
-// returns the passing candidate positions. For an equi-only predicate the
-// pass is skipped: every hash candidate matches by construction.
+// returns the passing candidate positions. When On is exactly the key the
+// pass is skipped: every candidate is a key match and passes by construction.
 func (h *batchJoin) evalChunk() ([]int, error) {
 	s := h.s
 	n := len(s.candL)
-	if h.equi || n == 0 {
+	if h.keyOnly() || n == 0 {
 		// The shared read-only iota: nothing below this point writes through
 		// the selection it is handed.
 		return iotaSel(n), nil

@@ -39,9 +39,10 @@ func benchCatalog(rows int) *catalog.Catalog {
 
 // benchPlans returns the per-operator plans the engine benchmarks execute,
 // from bare scan up to aggregation over a join, plus nested-loops joins of a
-// tenth of the dimension table with all of it (2.5M candidate pairs) under a
-// non-equi predicate that about one pair in a hundred passes. The catalog must
-// come from benchCatalog.
+// tenth of the dimension table with all of it (2.5M pairs): under a non-equi
+// predicate that about one pair in a hundred passes, which compares every
+// pair, and under d.a = d'.a, which the batch engine answers through the
+// table's key index. The catalog must come from benchCatalog.
 func benchPlans() []struct {
 	name string
 	plan *physical.Expr
@@ -65,23 +66,26 @@ func benchPlans() []struct {
 			{Op: scalar.AggCountStar, Out: 20},
 			{Op: scalar.AggSum, Arg: &scalar.ColRef{ID: 3}, Out: 21},
 		}}
-	nl := func(jt physical.JoinType) *physical.Expr {
+	// d.b has 100 distinct values: b + b' < 13 holds for 91 of 10 000 value pairs.
+	sumLT13 := &scalar.Cmp{Op: scalar.CmpLT,
+		L: &scalar.Arith{Op: scalar.ArithAdd, L: &scalar.ColRef{ID: 8}, R: &scalar.ColRef{ID: 5}},
+		R: &scalar.Const{D: datum.NewInt(13)}}
+	aEq := &scalar.Cmp{Op: scalar.CmpEQ, L: &scalar.ColRef{ID: 7}, R: &scalar.ColRef{ID: 4}}
+	nl := func(jt physical.JoinType, on scalar.Expr) *physical.Expr {
 		return &physical.Expr{Op: physical.OpNLJoin, JoinType: jt,
 			Children: []*physical.Expr{{
 				Op: physical.OpFilter, Children: []*physical.Expr{{Op: physical.OpScan, Table: "d", Cols: []scalar.ColumnID{7, 8, 9}}},
 				Filter: &scalar.Cmp{Op: scalar.CmpLT, L: &scalar.ColRef{ID: 9}, R: &scalar.Const{D: datum.NewInt(500)}},
 			}, scanD},
-			// d.b has 100 distinct values: b + b' < 13 holds for 91 of 10 000 value pairs.
-			On: &scalar.Cmp{Op: scalar.CmpLT,
-				L: &scalar.Arith{Op: scalar.ArithAdd, L: &scalar.ColRef{ID: 8}, R: &scalar.ColRef{ID: 5}},
-				R: &scalar.Const{D: datum.NewInt(13)}}}
+			On: on}
 	}
 	return []struct {
 		name string
 		plan *physical.Expr
 	}{
 		{"scan", scanF}, {"filter", filter}, {"project", project}, {"join", join}, {"agg", agg},
-		{"nljoin", nl(physical.JoinInner)}, {"nljoin-semi", nl(physical.JoinSemi)},
+		{"nljoin", nl(physical.JoinInner, sumLT13)}, {"nljoin-semi", nl(physical.JoinSemi, sumLT13)},
+		{"nljoin-equi", nl(physical.JoinInner, aEq)}, {"nljoin-equi-anti", nl(physical.JoinAnti, aEq)},
 	}
 }
 

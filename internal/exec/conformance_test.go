@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"qtrtest/internal/catalog"
@@ -11,9 +13,10 @@ import (
 )
 
 // confCatalog is testCatalog plus a FLOAT table for the numeric-widening
-// cases:
+// cases and one with a NaN for the join-key cases:
 //
 //	t3(f): 1.0, 2.5
+//	tn(g, tag): (NaN,'nan') (2.0,'two') (7.5,'miss')
 func confCatalog() *catalog.Catalog {
 	c := testCatalog()
 	t3 := &catalog.Table{
@@ -26,11 +29,26 @@ func confCatalog() *catalog.Catalog {
 	}
 	t3.ComputeStats()
 	c.Add(t3)
+	tn := &catalog.Table{
+		Name:    "tn",
+		Columns: []catalog.Column{{Name: "g", Type: datum.TypeFloat}, {Name: "tag", Type: datum.TypeString}},
+		Rows: []datum.Row{
+			{datum.NewFloat(math.NaN()), datum.NewString("nan")},
+			{datum.NewFloat(2.0), datum.NewString("two")},
+			{datum.NewFloat(7.5), datum.NewString("miss")},
+		},
+	}
+	tn.ComputeStats()
+	c.Add(tn)
 	return c
 }
 
 func scanT3() *physical.Expr {
 	return &physical.Expr{Op: physical.OpScan, Table: "t3", Cols: []scalar.ColumnID{5}}
+}
+
+func scanTN() *physical.Expr {
+	return &physical.Expr{Op: physical.OpScan, Table: "tn", Cols: []scalar.ColumnID{6, 7}}
 }
 
 func col(id scalar.ColumnID) scalar.Expr { return &scalar.ColRef{ID: id} }
@@ -63,8 +81,9 @@ var engines = []Engine{EngineRow, EngineBatch, EngineRef}
 // every engine — row, batch and the reference engine (ref) — from a
 // single test, pinning the semantics the backends must agree on: 3VL
 // predicate evaluation, NULL grouping, NULL join keys (hash) and join
-// predicates (nested loops), empty-input aggregates, LIMIT, sort stability and
-// NULL placement, and numeric-kind widening of group keys. A case whose plan has a root order (RootOrder) compares the
+// predicates (nested loops), NaN join keys (every operator), empty-input
+// aggregates, LIMIT, sort stability and NULL placement, and numeric-kind
+// widening of group keys. A case whose plan has a root order (RootOrder) compares the
 // output row-for-row, which pins the sort-key slots and stability with them;
 // the others compare after NormalizeRows on both sides.
 func TestBackendConformance(t *testing.T) {
@@ -110,7 +129,7 @@ type conformanceCase struct {
 func conformanceCases() []conformanceCase {
 	ni, nf, null := datum.NewInt, datum.NewFloat, datum.Null
 	aLessX := cmpExpr(scalar.CmpLT, col(1), col(3))
-	return []conformanceCase{
+	return append([]conformanceCase{
 		{
 			// b > 15: (3,NULL) evaluates UNKNOWN and is dropped.
 			name: "3vl-filter-drops-unknown",
@@ -376,5 +395,78 @@ func conformanceCases() []conformanceCase {
 			},
 			want: []datum.Row{row(ni(1), ni(3))},
 		},
+	}, nanJoinCases()...)
+}
+
+// nanJoinCases join t1 and tn on a = g with the NaN on the build side (t1
+// probes tn) and on the probe side (tn probes t1), for every join type under
+// hash and nested loops and for the inner merge join. Compare calls NaN equal
+// to every number, so it matches a = 1, 2 and 3, and the answer is the same
+// whichever operator computes it: a key index filing NaN apart from the
+// numbers must not decide it.
+func nanJoinCases() []conformanceCase {
+	ni, nf, null, str := datum.NewInt, datum.NewFloat, datum.Null, datum.NewString
+	nan := nf(math.NaN())
+	join := func(op physical.Op, jt physical.JoinType, nanProbes bool) *physical.Expr {
+		p := &physical.Expr{
+			Op: op, JoinType: jt,
+			Children: []*physical.Expr{scanT1(), scanTN()},
+			On:       cmpExpr(scalar.CmpEQ, col(1), col(6)),
+			EquiLeft: []scalar.ColumnID{1}, EquiRight: []scalar.ColumnID{6},
+		}
+		if nanProbes {
+			p.Children = []*physical.Expr{scanTN(), scanT1()}
+			p.EquiLeft, p.EquiRight = p.EquiRight, p.EquiLeft
+		}
+		return p
 	}
+	want := map[bool]map[physical.JoinType][]datum.Row{
+		false: { // t1 probes the NaN
+			physical.JoinInner: {
+				row(ni(1), ni(10), nan, str("nan")), row(ni(2), ni(20), nan, str("nan")),
+				row(ni(2), ni(20), nf(2), str("two")), row(ni(3), null, nan, str("nan")),
+			},
+			physical.JoinLeft: {
+				row(ni(1), ni(10), nan, str("nan")), row(ni(2), ni(20), nan, str("nan")),
+				row(ni(2), ni(20), nf(2), str("two")), row(ni(3), null, nan, str("nan")),
+				row(null, ni(40), null, null),
+			},
+			physical.JoinSemi: {row(ni(1), ni(10)), row(ni(2), ni(20)), row(ni(3), null)},
+			physical.JoinAnti: {row(null, ni(40))},
+		},
+		true: { // the NaN probes t1
+			physical.JoinInner: {
+				row(nan, str("nan"), ni(1), ni(10)), row(nan, str("nan"), ni(2), ni(20)),
+				row(nan, str("nan"), ni(3), null), row(nf(2), str("two"), ni(2), ni(20)),
+			},
+			physical.JoinLeft: {
+				row(nan, str("nan"), ni(1), ni(10)), row(nan, str("nan"), ni(2), ni(20)),
+				row(nan, str("nan"), ni(3), null), row(nf(2), str("two"), ni(2), ni(20)),
+				row(nf(7.5), str("miss"), null, null),
+			},
+			physical.JoinSemi: {row(nan, str("nan")), row(nf(2), str("two"))},
+			physical.JoinAnti: {row(nf(7.5), str("miss"))},
+		},
+	}
+	var cases []conformanceCase
+	for _, nanProbes := range []bool{false, true} {
+		side := "nan-build"
+		if nanProbes {
+			side = "nan-probe"
+		}
+		for _, jt := range []physical.JoinType{physical.JoinInner, physical.JoinLeft, physical.JoinSemi, physical.JoinAnti} {
+			ops := []physical.Op{physical.OpHashJoin, physical.OpNLJoin}
+			if jt == physical.JoinInner {
+				ops = append(ops, physical.OpMergeJoin) // merge joins are inner only
+			}
+			for _, op := range ops {
+				cases = append(cases, conformanceCase{
+					name: fmt.Sprintf("%s-%s-%s", side, op, jt),
+					plan: join(op, jt, nanProbes),
+					want: want[nanProbes][jt],
+				})
+			}
+		}
+	}
+	return cases
 }

@@ -67,17 +67,19 @@ func nullRow(n int) datum.Row {
 }
 
 // keyOf builds a hash key from the given slots; ok is false when any key
-// datum is NULL (SQL equality never matches NULLs). The bytes match what the
-// batch engine's key index produces: both are Datum.AppendKey sequences.
-func keyOf(row datum.Row, slots []int) (string, bool) {
+// datum is NULL (SQL equality never matches NULLs), and nan reports a NaN
+// part. Its text is the Datum.AppendKey sequence, whose equality is the batch
+// engine's datum.KeyEqual part by part.
+func keyOf(row datum.Row, slots []int) (key string, ok, nan bool) {
 	var buf []byte
 	for _, s := range slots {
 		if row[s].IsNull() {
-			return "", false
+			return "", false, false
 		}
+		nan = nan || row[s].IsNaN()
 		buf = row[s].AppendKey(buf)
 	}
-	return string(buf), true
+	return string(buf), true, nan
 }
 
 // ---- join ------------------------------------------------------------------
@@ -85,7 +87,9 @@ func keyOf(row datum.Row, slots []int) (string, bool) {
 // joinIter is the row join, hash and nested loops alike: a probe row's
 // candidates are the build rows sharing its key under a hash join, every
 // build row under nested loops; each candidate pair is tested against the
-// full predicate.
+// full predicate. NaN is exact, as in the batch join: Compare calls it equal
+// to every number, so a probe row with a NaN key part, and every probe row
+// when a build key has one, takes the Compare-equal build rows instead.
 type joinIter struct {
 	rowPair
 	left, right iterator
@@ -94,8 +98,9 @@ type joinIter struct {
 	leftSlots  []int // hash: key slots in the probe input
 	rightSlots []int // hash: key slots in the build input
 
-	table map[string][]datum.Row // hash: build rows by key, NULL keys left out
-	build []datum.Row            // nested loops: every build row
+	table    map[string][]datum.Row // hash: build rows by key, NULL keys left out
+	build    []datum.Row            // every build row
+	nanBuild bool                   // hash: a build key has a NaN part
 
 	leftRow datum.Row
 	cands   []datum.Row
@@ -110,15 +115,15 @@ func (h *joinIter) Open() error {
 	if err != nil {
 		return err
 	}
+	h.build, h.nanBuild = rows, false
 	if h.hash {
 		h.table = make(map[string][]datum.Row)
 		for _, row := range rows {
-			if key, ok := keyOf(row, h.rightSlots); ok {
+			if key, ok, nan := keyOf(row, h.rightSlots); ok {
 				h.table[key] = append(h.table[key], row)
+				h.nanBuild = h.nanBuild || nan
 			}
 		}
-	} else {
-		h.build = rows
 	}
 	h.leftRow, h.cands, h.midx, h.matched, h.done = nil, nil, 0, false, false
 	return h.left.Open()
@@ -180,11 +185,29 @@ func (h *joinIter) Next() (datum.Row, error) {
 		h.cands = h.build
 		if h.hash {
 			h.cands = nil
-			if key, ok := keyOf(lrow, h.leftSlots); ok {
+			if key, ok, nan := keyOf(lrow, h.leftSlots); ok && (nan || h.nanBuild) {
+				h.cands = h.compareMatches(lrow)
+			} else if ok {
 				h.cands = h.table[key]
 			}
 		}
 	}
+}
+
+// compareMatches returns the build rows whose key parts all Compare-equal
+// those of probe row l, in build order.
+func (h *joinIter) compareMatches(l datum.Row) []datum.Row {
+	var out []datum.Row
+rows:
+	for _, r := range h.build {
+		for i, ls := range h.leftSlots {
+			if c, ok := datum.Compare(l[ls], r[h.rightSlots[i]]); !ok || c != 0 {
+				continue rows
+			}
+		}
+		out = append(out, r)
+	}
+	return out
 }
 
 func (h *joinIter) Close() error {

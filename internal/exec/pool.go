@@ -31,21 +31,25 @@ import (
 
 // opScratch is the reusable state of a single-input operator: a filter's
 // selection, the output vectors of a project or an aggregate, an aggregate's
-// argument vectors, a sort's drained input and permutation.
+// argument vectors, groups and accumulators, a sort's drained input and
+// permutation.
 type opScratch struct {
 	vecs, args []datum.Vec
 	sel        []int
+	keys       datum.KeyTable
+	states     []aggState
 }
 
 // joinScratch is the reusable state of a batchJoin; the fields are documented
 // where the join uses them.
 type joinScratch struct {
-	build, cand             []datum.Vec
-	keep, candL, candR, sel []int
-	outL, outR              []int
-	segs                    []joinSeg
-	matched                 []bool
-	keyBuf                  []byte
+	build, cand     []datum.Vec
+	index           datum.KeyIndex
+	scan            []int32
+	candL, candR    []int
+	sel, outL, outR []int
+	segs            []joinSeg
+	matched         []bool
 }
 
 var (

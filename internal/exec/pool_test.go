@@ -2,6 +2,8 @@ package exec
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"qtrtest/internal/datum"
@@ -12,7 +14,8 @@ import (
 
 // poisonPools preloads both scratch pools with garbage-filled buffers: vectors
 // carrying live datums and null bits at full length, selection vectors full of
-// out-of-range indices, flag slices stuck at true, a key buffer full of bytes.
+// out-of-range indices, flag slices stuck at true, key tables and indexes
+// full of keys, accumulators mid-sum.
 // If any operator trusts a pooled buffer's contents or length instead of
 // resetting before use, the poison surfaces as wrong rows — which the
 // differential run below would catch. Buffers are Put at poisoned length
@@ -36,10 +39,30 @@ func poisonPools(tb testing.TB) {
 		}
 		return sel
 	}
+	// A key table and index over the poisoned vectors: every key, row and
+	// accumulator of them is a wrong answer if it survives into a later run.
+	keys := func() (t datum.KeyTable) {
+		v := vecs()
+		t.Reset(1)
+		for ri := range v[0].D {
+			t.Add(v, []int{0}, ri)
+		}
+		return t
+	}
+	index := func() (x datum.KeyIndex) {
+		v := vecs()
+		v[0].D[7] = datum.NewFloat(math.NaN())
+		x.Build(v, []int{0}, len(v[0].D))
+		return x
+	}
+	states := make([]aggState, 500)
+	for k := range states {
+		states[k] = aggState{count: 1 << 30, sumI: -777, sawRow: true, min: datum.NewInt(-777), max: datum.NewInt(777)}
+	}
 	// A plan takes one scratch per operator, so a handful per pool outnumbers
 	// any plan here.
 	for i := 0; i < 16; i++ {
-		opPool.Put(&opScratch{vecs: vecs(), args: vecs(), sel: sel()})
+		opPool.Put(&opScratch{vecs: vecs(), args: vecs(), sel: sel(), keys: keys(), states: slices.Clone(states)})
 		flags := make([]bool, 3000)
 		for k := range flags {
 			flags[k] = true
@@ -48,10 +71,14 @@ func poisonPools(tb testing.TB) {
 		for k := range segs {
 			segs[k] = joinSeg{li: 1 << 30, start: 1 << 30, end: 1 << 30, final: true}
 		}
+		scan := make([]int32, 100)
+		for k := range scan {
+			scan[k] = 1 << 30
+		}
 		joinPool.Put(&joinScratch{
-			build: vecs(), cand: vecs(),
-			keep: sel(), candL: sel(), candR: sel(), sel: sel(), outL: sel(), outR: sel(),
-			segs: segs, matched: flags, keyBuf: []byte("poisoned key bytes"),
+			build: vecs(), cand: vecs(), index: index(), scan: scan,
+			candL: sel(), candR: sel(), sel: sel(), outL: sel(), outR: sel(),
+			segs: segs, matched: flags,
 		})
 	}
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -20,6 +21,7 @@ import (
 //	t1(a, b):  (3,1) (3,NULL) (NULL,NULL) (7,70) (1,5)
 //	t2(x, y):  (3,30) (7,70) (7,71)
 //	t3(f):     3.0
+//	tn(g, tag): (7.0,'seven') (NaN,'nan') (NULL,'null')
 func otherCatalog() *catalog.Catalog {
 	ni, null := datum.NewInt, datum.Null
 	c := catalog.New()
@@ -38,6 +40,15 @@ func otherCatalog() *catalog.Catalog {
 			Name:    "t3",
 			Columns: []catalog.Column{{Name: "f", Type: datum.TypeFloat}},
 			Rows:    []datum.Row{{datum.NewFloat(3.0)}},
+		},
+		{
+			Name:    "tn",
+			Columns: []catalog.Column{{Name: "g", Type: datum.TypeFloat}, {Name: "tag", Type: datum.TypeString}},
+			Rows: []datum.Row{
+				{datum.NewFloat(7), datum.NewString("seven")},
+				{datum.NewFloat(math.NaN()), datum.NewString("nan")},
+				{null, datum.NewString("null")},
+			},
 		},
 	} {
 		tbl.ComputeStats()

@@ -266,7 +266,7 @@ func (v *VecEval) EvalPred(e Expr, cols []datum.Vec, idx []int, sel []int) ([]in
 		}
 		allSafe := true
 		for _, kid := range t.Kids {
-			if !errFreePred(kid, v.Env) {
+			if !ErrFreePred(kid, v.Env) {
 				allSafe = false
 				break
 			}

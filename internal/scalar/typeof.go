@@ -125,13 +125,13 @@ func typesComparable(l, r datum.Type) bool {
 	return l == r
 }
 
-// errFreePred reports whether e is statically guaranteed to evaluate
+// ErrFreePred reports whether e is statically guaranteed to evaluate
 // without error as a predicate under env: it yields only BOOL or NULL, and
 // no subexpression can raise a typed or data-dependent execution error.
 // This is a syntactic check (no column types needed): column references in
 // predicate position are NOT errFree, since the environment cannot prove
 // them boolean.
-func errFreePred(e Expr, env Env) bool {
+func ErrFreePred(e Expr, env Env) bool {
 	switch t := e.(type) {
 	case *Const:
 		return t.D.IsNull() || t.D.K == datum.KindBool
@@ -141,20 +141,20 @@ func errFreePred(e Expr, env Env) bool {
 		return errFreeValue(t.Kid, env)
 	case *And:
 		for _, k := range t.Kids {
-			if !errFreePred(k, env) {
+			if !ErrFreePred(k, env) {
 				return false
 			}
 		}
 		return true
 	case *Or:
 		for _, k := range t.Kids {
-			if !errFreePred(k, env) {
+			if !ErrFreePred(k, env) {
 				return false
 			}
 		}
 		return true
 	case *Not:
-		return errFreePred(t.Kid, env)
+		return ErrFreePred(t.Kid, env)
 	}
 	return false
 }
@@ -162,7 +162,7 @@ func errFreePred(e Expr, env Env) bool {
 // errFreeValue reports whether evaluating e (in any value position) cannot
 // error: bound column references and constants are safe, arithmetic is not
 // (its operands' kinds are data-dependent), and predicates are safe iff
-// errFreePred says so.
+// ErrFreePred says so.
 func errFreeValue(e Expr, env Env) bool {
 	switch t := e.(type) {
 	case *ColRef:
@@ -171,6 +171,6 @@ func errFreeValue(e Expr, env Env) bool {
 	case *Const:
 		return true
 	default:
-		return errFreePred(e, env)
+		return ErrFreePred(e, env)
 	}
 }
