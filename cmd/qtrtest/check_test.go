@@ -1,6 +1,8 @@
 package main
 
 import (
+	"errors"
+	"flag"
 	"math"
 	"strings"
 	"testing"
@@ -113,6 +115,41 @@ func TestUnknownBackendRejectedUpFront(t *testing.T) {
 	e.oracle.Backend = "ref"
 	if _, err := e.run("check", nil); err != nil {
 		t.Errorf("-backend ref check: %v", err)
+	}
+}
+
+// TestCountsRejectedUpFront: a zero or negative count used to run the
+// campaign's default (fuzz -n 0 ran 500 queries, suite -k 0 printed k=0 and
+// ran K=10, suite -n -2 every rule), and -scale 0 opened one-row tables. Each
+// is now a usage error naming the flag (exit 2 at the CLI), raised before any
+// work.
+func TestCountsRejectedUpFront(t *testing.T) {
+	e := checkDB(t, 2)
+	for _, args := range [][]string{
+		{"fuzz", "-n", "0"},
+		{"fuzz", "-n", "-5"},
+		{"suite", "-k", "0"},
+		{"suite", "-n", "-2"},
+		{"mutate", "-k", "0"},
+		{"mutate", "-trials", "-1"},
+		{"generate", "-rule", "14", "-trials", "0"},
+		{"interactions", "-n", "0"},
+		{"interactions", "-per", "0"},
+	} {
+		known, err := e.run(args[0], args[1:])
+		if !known || !errors.As(err, new(usageError)) || !strings.Contains(err.Error(), args[len(args)-2]+" "+args[len(args)-1]) {
+			t.Errorf("%v: known=%v err=%v, want a usage error naming the flag", args, known, err)
+		}
+	}
+	for _, scale := range []string{"0", "-1", "NaN"} {
+		fs := flag.NewFlagSet("qtrtest", flag.ContinueOnError)
+		fs.Float64("scale", 1, "")
+		if err := fs.Parse([]string{"-scale", scale}); err != nil {
+			t.Fatal(err)
+		}
+		if err := positive(fs, "scale"); !errors.As(err, new(usageError)) || !strings.Contains(err.Error(), "-scale") {
+			t.Errorf("-scale %s: err = %v, want a usage error naming the flag", scale, err)
+		}
 	}
 }
 

@@ -22,6 +22,9 @@ func cmdFuzz(e env, args []string) error {
 	eet := fs.Bool("eet", false, "enable the expression-level equivalence (EET) rewrites")
 	stop := fs.Bool("stop-on-finding", false, "stop at the first round boundary with a finding")
 	fs.Parse(args)
+	if err := positive(fs, "n"); err != nil {
+		return err
+	}
 
 	cfg := qtrtest.FuzzConfig{
 		Seed: e.seed, N: *n, Workers: e.workers, Timeout: *timeout,

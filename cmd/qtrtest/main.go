@@ -31,6 +31,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -116,6 +117,9 @@ func main() {
 		usage()
 	}
 	maxBytes, err := cacheBytes(*cacheMB)
+	if err == nil {
+		err = positive(flag.CommandLine, "scale")
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "qtrtest:", err)
 		os.Exit(2)
@@ -160,8 +164,29 @@ func main() {
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "qtrtest:", err)
+		if errors.As(err, new(usageError)) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
+}
+
+// usageError is a command line that names no valid run: main exits 2 on it,
+// as the flag package does on a malformed flag.
+type usageError struct{ error }
+
+// positive rejects a count or scale flag of fs that is not above zero. The
+// campaigns read a zero or negative count as their default (or as "all"),
+// and a database of scale zero has one row per table, so such a value would
+// run something other than what was asked for without a word.
+func positive(fs *flag.FlagSet, names ...string) error {
+	for _, name := range names {
+		v := fs.Lookup(name).Value.String()
+		if f, err := strconv.ParseFloat(v, 64); err != nil || !(f > 0) {
+			return usageError{fmt.Errorf("-%s %s: must be positive", name, v)}
+		}
+	}
+	return nil
 }
 
 // cacheBytes converts -cachemb to the result cache's byte budget. The cache
@@ -222,6 +247,9 @@ func cmdGenerate(e env, args []string) error {
 	relevant := fs.Bool("relevant", false, "require the rule to change the chosen plan (§7)")
 	interact := fs.Bool("interact", false, "require -pair to fire on -rule's output (§7)")
 	fs.Parse(args)
+	if err := positive(fs, "trials"); err != nil {
+		return err
+	}
 	if *rule == 0 {
 		return fmt.Errorf("generate: -rule is required")
 	}
@@ -360,6 +388,9 @@ func cmdInteractions(e env, args []string) error {
 	n := fs.Int("n", 8, "number of exploration rules")
 	per := fs.Int("per", 3, "queries generated per rule")
 	fs.Parse(args)
+	if err := positive(fs, "n", "per"); err != nil {
+		return err
+	}
 	gen, err := db.NewGenerator(qtrtest.GenConfig{Seed: e.seed, MaxTrials: 256, ExtraOps: 2})
 	if err != nil {
 		return err
@@ -406,6 +437,9 @@ func cmdMutate(e env, args []string) error {
 	kinds := fs.String("kinds", "", "comma-separated mutant kinds (default: all)")
 	diff := fs.Bool("diff", false, "print per-mutant plan-diff evidence")
 	fs.Parse(args)
+	if err := positive(fs, "k", "trials"); err != nil {
+		return err
+	}
 	if e.ext {
 		return fmt.Errorf("mutate: -ext cannot be combined with a mutation campaign: every mutant registry is built from the default rules")
 	}
@@ -519,6 +553,9 @@ func cmdSuite(e env, args []string) error {
 	extra := fs.Int("extra", 3, "extra random operators per query")
 	validate := fs.Bool("validate", false, "execute the compressed suite and compare results")
 	fs.Parse(args)
+	if err := positive(fs, "n", "k"); err != nil {
+		return err
+	}
 
 	ids := db.ExplorationRuleIDs(*n)
 	var targets []qtrtest.Target

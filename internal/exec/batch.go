@@ -56,10 +56,10 @@ func iotaSel(n int) []int {
 	return s
 }
 
-// Batch is a unit of columnar data flow: one vector per output column plus a
-// selection vector. Row k of the batch is (Cols[0].D[Idx[k]], Cols[1].D[Idx[k]], …);
-// filters shrink Idx without touching the vectors. A batch and its backing
-// arrays are only valid until the producer's next Next call.
+// Batch is a unit of columnar data flow: one vector per output column — empty
+// if no consumer reads it — and a selection vector. Row k is (Cols[0].D[Idx[k]],
+// Cols[1].D[Idx[k]], …). The vectors may be another operator's or the catalog's
+// (DESIGN.md §11); the batch is valid until the producer's next Next call.
 type Batch struct {
 	Cols []datum.Vec
 	Idx  []int
@@ -266,14 +266,17 @@ func (f *batchFilter) Close() error {
 
 // ---- project ----------------------------------------------------------------
 
-// batchProject evaluates each projection once per batch into reused output
-// vectors.
+// batchProject evaluates its live items once per batch into reused output
+// vectors, a dead item's slot an empty vector; when every live item is a column
+// reference, it emits its input's vectors and selection, as a concat does.
 type batchProject struct {
-	child BatchIterator
-	items []logical.ProjItem
-	ve    scalar.VecEval
-	s     *opScratch
-	out   Batch
+	child   BatchIterator
+	items   []logical.ProjItem
+	live    []int // the items evaluated: those read above, and those that can fail
+	aliased bool  // every live item is a column reference in scope
+	ve      scalar.VecEval
+	s       *opScratch
+	out     Batch
 }
 
 func (p *batchProject) Open() error {
@@ -281,6 +284,7 @@ func (p *batchProject) Open() error {
 		p.s = getOpScratch()
 	}
 	p.s.vecs = sizeVecs(p.s.vecs, len(p.items))
+	p.s.cols = append(p.s.cols[:0], make([]datum.Vec, len(p.items))...)
 	return p.child.Open()
 }
 
@@ -292,9 +296,16 @@ func (p *batchProject) Next() (*Batch, error) {
 	if b == nil {
 		return nil, nil
 	}
+	if p.aliased {
+		for _, i := range p.live {
+			p.s.cols[i] = b.Cols[p.ve.Env[p.items[i].E.(*scalar.ColRef).ID]]
+		}
+		p.out = Batch{Cols: p.s.cols, Idx: b.Idx}
+		return &p.out, nil
+	}
 	vecs := p.s.vecs
-	for i, item := range p.items {
-		if err := p.ve.Eval(item.E, b.Cols, b.Idx, &vecs[i]); err != nil {
+	for _, i := range p.live {
+		if err := p.ve.Eval(p.items[i].E, b.Cols, b.Idx, &vecs[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -313,15 +324,15 @@ func (p *batchProject) Close() error {
 
 // ---- sort -------------------------------------------------------------------
 
-// batchSort drains its input into pooled column vectors and stable-sorts a
-// permutation of their rows with the row engine's comparator and algorithm,
-// so ties land exactly where sortIter puts them. It emits the permutation
-// batchSize rows at a time as the selection over those vectors: no row is
-// built and nothing is copied out.
+// batchSort drains the live slots of its input into pooled column vectors
+// and stable-sorts a permutation of their rows with the row engine's
+// comparator and algorithm, so ties land exactly where sortIter puts them. It
+// emits the permutation batchSize rows at a time as the selection over those
+// vectors: no row is built and nothing is copied out.
 type batchSort struct {
 	child BatchIterator
 	keys  []sortKey
-	width int
+	live  []int // the slots read above the sort, its keys among them
 
 	s   *opScratch // vecs: the drained input; sel: the sorted permutation
 	pos int
@@ -332,12 +343,11 @@ func (s *batchSort) Open() error {
 	if s.s == nil {
 		s.s = getOpScratch()
 	}
-	s.s.vecs = sizeVecs(s.s.vecs, s.width)
 	s.pos = 0
 	if err := s.child.Open(); err != nil {
 		return err
 	}
-	vecs, n := s.s.vecs, 0
+	n := 0
 	for {
 		b, err := s.child.Next()
 		if err != nil {
@@ -346,11 +356,15 @@ func (s *batchSort) Open() error {
 		if b == nil {
 			break
 		}
-		for c := range vecs {
-			vecs[c].AppendGather(b.Cols[c].D, b.Idx)
+		if n == 0 {
+			s.s.vecs = sizeVecs(s.s.vecs, len(b.Cols))
+		}
+		for _, c := range s.live {
+			s.s.vecs[c].AppendGather(b.Cols[c].D, b.Idx)
 		}
 		n += b.Len()
 	}
+	vecs := s.s.vecs
 	perm := s.s.sel[:0]
 	for i := 0; i < n; i++ {
 		perm = append(perm, i)

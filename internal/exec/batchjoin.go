@@ -17,10 +17,11 @@ import (
 // over fewer than keyedNLMinBuild rows, take the whole build side. A merge
 // join is the hash join over a batchSort of its probe side on the keys.
 //
-// Materialization is late: the predicate reads its columns in place, through
-// the candidate pairs, and a chunk gathers the output columns for the
-// surviving pairs only; semi and anti joins emit a selection over the probe
-// batch and gather no output at all.
+// Materialization is late and narrow: the predicate reads its columns in
+// place, through the candidate pairs, and a chunk gathers the columns read
+// above the join for the surviving pairs only; semi and anti joins emit a
+// selection over the probe batch and gather nothing. A drained build side
+// holds only the columns the join reads or emits.
 //
 // Emission order is pinned to the row engine's: for each probe row in stream
 // order, its passing matches in build order, then its outer/anti fallout. The
@@ -32,6 +33,8 @@ type batchJoin struct {
 	jt         physical.JoinType
 	leftWidth  int
 	rightWidth int
+	outLive    []int          // the output slots read above the join
+	buildLive  []int          // the build slots the join reads or emits
 	keyed      bool           // the join has a key: candidates can come from a key index
 	minBuild   int            // keyed: the fewest build rows worth indexing
 	leftSlots  []int          // keyed: key slots in the probe input
@@ -86,12 +89,14 @@ type joinSeg struct {
 	final      bool // chunk holds the row's last candidates
 }
 
-func newBatchJoin(plan *physical.Expr, kids []BatchIterator, ins []*layout, out *layout) (*batchJoin, error) {
+func (c *compiler) newBatchJoin(plan *physical.Expr, kids []BatchIterator, ins []*layout, joined *layout, need, read *liveCols) (*batchJoin, error) {
 	j := &batchJoin{
 		on: plan.On, left: kids[0], right: kids[1],
 		jt:        plan.JoinType,
 		leftWidth: len(ins[0].cols), rightWidth: len(ins[1].cols),
-		ve: scalar.VecEval{Env: joinEnv(ins, out)},
+		outLive:   c.liveSlots(joined, need),
+		buildLive: c.liveSlots(ins[1], read),
+		ve:        scalar.VecEval{Env: joined.env()},
 	}
 	eqLeft, eqRight, whole := keyConjuncts(plan.On, j.ve.Env, j.leftWidth)
 	if plan.Op == physical.OpNLJoin {
@@ -110,7 +115,7 @@ func newBatchJoin(plan *physical.Expr, kids []BatchIterator, ins []*layout, out 
 		j.keyed = true
 		j.equi = whole && impliedByKey(eqLeft, eqRight, j.leftSlots, j.rightSlots)
 		if plan.Op == physical.OpMergeJoin {
-			j.left = &batchSort{child: j.left, keys: ascending(j.leftSlots), width: j.leftWidth}
+			j.left = &batchSort{child: j.left, keys: ascending(j.leftSlots), live: c.liveSlots(ins[0], read)}
 		}
 	}
 	j.ve.Pairs = &j.pairs
@@ -234,7 +239,7 @@ func (h *batchJoin) buildSide() error {
 		if b == nil {
 			break
 		}
-		for c := range s.build {
+		for _, c := range h.buildLive {
 			s.build[c].AppendGather(b.Cols[c].D, b.Idx)
 		}
 		h.buildRows += b.Len()
@@ -476,17 +481,18 @@ func (h *batchJoin) emitChunk(sel []int) *Batch {
 	}
 }
 
-// gather materializes output rows (probe row outL[k] ++ build row outR[k]),
-// a negative build row standing for a left join's NULL padding.
+// gather materializes the live columns of output rows (probe row outL[k] ++
+// build row outR[k]), a negative build row standing for NULL padding.
 func (h *batchJoin) gather(outL, outR []int) *Batch {
 	vecs := h.s.cand
-	for c := 0; c < h.leftWidth; c++ {
-		vecs[c].Reset()
-		vecs[c].AppendGather(h.lb.Cols[c].D, outL)
-	}
-	for c := 0; c < h.rightWidth; c++ {
-		v, src := &vecs[h.leftWidth+c], h.rightVecs[c].D
+	for _, c := range h.outLive {
+		v := &vecs[c]
 		v.Reset()
+		if c < h.leftWidth {
+			v.AppendGather(h.lb.Cols[c].D, outL)
+			continue
+		}
+		src := h.rightVecs[c-h.leftWidth].D
 		if h.jt != physical.JoinLeft {
 			v.AppendGather(src, outR)
 			continue

@@ -144,7 +144,7 @@ func (p *Program) compile(tapped bool) (*tree, error) {
 	var err error
 	switch p.eng {
 	case EngineBatch:
-		t.batches, _, err = c.batchIter(p.plan)
+		t.batches, _, err = c.batchIter(p.plan, nil)
 	case EngineRow:
 		t.rows, _, err = c.rowIter(p.plan)
 	default:
@@ -167,13 +167,115 @@ type compiler struct {
 	tapped bool
 	// size is the plan's operator count and ops the operators compiled so
 	// far, which is the next operator's index in tap order. A merge join's
-	// sort is not a plan operator and is not tapped. Taps of either kind and
-	// layouts come out of one slab each: a plan's set-up allocates per plan,
-	// not per operator.
+	// sort is not a plan operator and is not tapped. Taps of either kind,
+	// nodes and live-slot lists come out of one slab each: a plan's set-up
+	// allocates per plan, not per operator.
 	size, ops int
 	rowTaps   []rowTap
 	batchTaps []batchTap
-	layouts   []layout
+	nodes     []node
+	slots     []int
+}
+
+// node is what the compiler resolves for one plan operator: the layout it
+// emits (or, for a join, reads) and the columns it reads of its inputs.
+type node struct {
+	out  layout
+	kids liveCols
+}
+
+// liveCols is the set of columns an operator's consumers read; nil, at the
+// root, whose consumer is the result, every column.
+type liveCols struct{ cols scalar.ColSet }
+
+func (l *liveCols) has(id scalar.ColumnID) bool { return l == nil || l.cols.Contains(id) }
+
+// readBy sets l to the columns plan reads of its inputs (one set for all)
+// when its consumers read need, and returns it, or nil for every column.
+// Filter, sort, limit and joins pass need on; a project reads what its live
+// items reference, a concat the inputs of the outputs read; and each reads
+// its own predicate, key, sort-key, group and argument columns.
+func (l *liveCols) readBy(plan *physical.Expr, need *liveCols) *liveCols {
+	switch plan.Op {
+	case physical.OpFilter, physical.OpSort, physical.OpLimit, physical.OpHashJoin, physical.OpNLJoin, physical.OpMergeJoin:
+		if need == nil {
+			return nil
+		}
+		l.cols = scalar.ColSet{}.Union(need.cols) // storage of its own: Add on a copy could write the parent's
+	case physical.OpProject:
+		for _, it := range plan.Projs {
+			if need.has(it.Out) || !errFree(it.E, nil) {
+				it.E.Cols(&l.cols)
+			}
+		}
+	case physical.OpConcat:
+		for j, out := range plan.OutCols {
+			for _, in := range plan.InputCols {
+				if need.has(out) && j < len(in) {
+					l.cols.Add(in[j])
+				}
+			}
+		}
+	}
+	// The fields of the other operators are empty.
+	for _, e := range []scalar.Expr{plan.Filter, plan.On} {
+		if e != nil {
+			e.Cols(&l.cols)
+		}
+	}
+	for _, a := range plan.Aggs {
+		if a.Arg != nil {
+			a.Arg.Cols(&l.cols)
+		}
+	}
+	for _, k := range plan.Keys {
+		l.cols.Add(k.Col)
+	}
+	for _, ids := range [][]scalar.ColumnID{plan.EquiLeft, plan.EquiRight, plan.GroupCols} {
+		for _, id := range ids {
+			l.cols.Add(id)
+		}
+	}
+	return l
+}
+
+// errFree reports a constant, or a column reference in env (any, if nil).
+func errFree(e scalar.Expr, env scalar.Env) bool {
+	switch t := e.(type) {
+	case *scalar.ColRef:
+		_, ok := env[t.ID]
+		return ok || env == nil
+	case *scalar.Const:
+		return true
+	}
+	return false
+}
+
+// liveSlots returns the slots of in whose columns need holds.
+func (c *compiler) liveSlots(in *layout, need *liveCols) []int {
+	return c.where(len(in.cols), func(slot int) bool { return need.has(in.cols[slot]) })
+}
+
+// where returns the i < n for which keep holds, ascending: denseIota[:n] when
+// that is every one, else a list carved from the compile's slab.
+func (c *compiler) where(n int, keep func(int) bool) []int {
+	all := true
+	for i := 0; all && i < n; i++ {
+		all = keep(i)
+	}
+	if all {
+		return denseIota[:n]
+	}
+	if c.slots == nil {
+		c.slots = make([]int, 0, 4*c.size)
+	}
+	start := len(c.slots)
+	for i := 0; i < n; i++ {
+		if keep(i) {
+			c.slots = append(c.slots, i)
+		}
+	}
+	return c.slots[start:len(c.slots):len(c.slots)]
 }
 
 // slabAdd appends v to the slab and returns its address. The slab is made at
@@ -206,6 +308,7 @@ func (l *layout) env() scalar.Env {
 
 // rowIter compiles plan to row operators.
 func (c *compiler) rowIter(plan *physical.Expr) (iterator, *layout, error) {
+	n := slabAdd(&c.nodes, c.size, node{})
 	kids := make([]iterator, len(plan.Children))
 	ins := make([]*layout, len(plan.Children))
 	for i, k := range plan.Children {
@@ -215,8 +318,8 @@ func (c *compiler) rowIter(plan *physical.Expr) (iterator, *layout, error) {
 		}
 		kids[i], ins[i] = it, in
 	}
-	out := c.outputLayout(plan, ins)
-	it, err := rowOp(plan, kids, ins, out, c.st)
+	out := outputLayout(plan, ins, n)
+	it, err := rowOp(plan, kids, ins, &n.out, c.st)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -227,21 +330,24 @@ func (c *compiler) rowIter(plan *physical.Expr) (iterator, *layout, error) {
 	return it, out, nil
 }
 
-// batchIter compiles plan to batch operators.
-func (c *compiler) batchIter(plan *physical.Expr) (BatchIterator, *layout, error) {
+// batchIter compiles plan to batch operators whose consumers read need of
+// the columns plan emits.
+func (c *compiler) batchIter(plan *physical.Expr, need *liveCols) (BatchIterator, *layout, error) {
+	n := slabAdd(&c.nodes, c.size, node{})
+	read := n.kids.readBy(plan, need)
 	// Two inputs fit on the stack; only a wider concat would spill.
 	var kidBuf [2]BatchIterator
 	var inBuf [2]*layout
 	kids, ins := kidBuf[:0], inBuf[:0]
 	for _, k := range plan.Children {
-		b, in, err := c.batchIter(k)
+		b, in, err := c.batchIter(k, read)
 		if err != nil {
 			return nil, nil, err
 		}
 		kids, ins = append(kids, b), append(ins, in)
 	}
-	out := c.outputLayout(plan, ins)
-	bit, err := batchOp(plan, kids, ins, out, c.st)
+	out := outputLayout(plan, ins, n)
+	bit, err := c.batchOp(plan, kids, ins, &n.out, need, read)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -252,41 +358,24 @@ func (c *compiler) batchIter(plan *physical.Expr) (BatchIterator, *layout, error
 	return bit, out, nil
 }
 
-// outputLayout resolves the layout plan emits from its inputs' layouts.
-func (c *compiler) outputLayout(plan *physical.Expr, ins []*layout) *layout {
-	var cols []scalar.ColumnID
+// outputLayout resolves the layout plan emits: its node's, or its input's
+// when it passes that through. A join's node holds the combined (left ++
+// right) row its predicate reads, which semi and anti joins do not emit.
+func outputLayout(plan *physical.Expr, ins []*layout, n *node) *layout {
 	switch plan.Op {
 	case physical.OpFilter, physical.OpSort, physical.OpLimit:
 		return ins[0]
 	case physical.OpHashJoin, physical.OpNLJoin, physical.OpMergeJoin:
+		l, r := ins[0].cols, ins[1].cols
+		n.out.cols = append(append(make([]scalar.ColumnID, 0, len(l)+len(r)), l...), r...)
 		if plan.JoinType == physical.JoinSemi || plan.JoinType == physical.JoinAnti {
 			return ins[0]
 		}
-		l, r := ins[0].cols, ins[1].cols
-		cols = append(append(make([]scalar.ColumnID, 0, len(l)+len(r)), l...), r...)
 	default:
 		// Scan, project, aggregate, concat: the plan node states its own columns.
-		cols = plan.OutputCols()
+		n.out.cols = plan.OutputCols()
 	}
-	return slabAdd(&c.layouts, c.size, layout{cols: cols})
-}
-
-// joinEnv is the slot map of the combined (left ++ right) row a join
-// predicate is evaluated over. Inner and left joins emit that row, so it is
-// their output layout's map; semi and anti joins emit the left row only.
-func joinEnv(ins []*layout, out *layout) scalar.Env {
-	if out != ins[0] {
-		return out.env()
-	}
-	l, r := ins[0].cols, ins[1].cols
-	env := make(scalar.Env, len(l)+len(r))
-	for i, c := range l {
-		env[c] = i
-	}
-	for i, c := range r {
-		env[c] = len(l) + i
-	}
-	return env
+	return &n.out
 }
 
 // keySlots resolves equi-key columns to input row slots. A key column
@@ -328,7 +417,7 @@ func joinKeys(plan *physical.Expr, ins []*layout) (left, right []int, err error)
 }
 
 // rowOp constructs one row operator over compiled inputs.
-func rowOp(plan *physical.Expr, kids []iterator, ins []*layout, out *layout, st *runState) (iterator, error) {
+func rowOp(plan *physical.Expr, kids []iterator, ins []*layout, joined *layout, st *runState) (iterator, error) {
 	switch plan.Op {
 	case physical.OpScan:
 		return &scanIter{name: plan.Table, st: st}, nil
@@ -337,7 +426,7 @@ func rowOp(plan *physical.Expr, kids []iterator, ins []*layout, out *layout, st 
 	case physical.OpProject:
 		return &projectIter{child: kids[0], items: plan.Projs, env: ins[0].env()}, nil
 	case physical.OpHashJoin, physical.OpNLJoin, physical.OpMergeJoin:
-		j := &joinIter{rowPair: newRowPair(plan, ins, out), left: kids[0], right: kids[1], hash: plan.Op != physical.OpNLJoin}
+		j := &joinIter{rowPair: newRowPair(plan, ins, joined), left: kids[0], right: kids[1], hash: plan.Op != physical.OpNLJoin}
 		if j.hash {
 			var err error
 			if j.leftSlots, j.rightSlots, err = joinKeys(plan, ins); err != nil {
@@ -371,17 +460,26 @@ func rowOp(plan *physical.Expr, kids []iterator, ins []*layout, out *layout, st 
 	return nil, fmt.Errorf("exec: unsupported physical operator %s", plan.Op)
 }
 
-// batchOp constructs one batch operator over compiled inputs.
-func batchOp(plan *physical.Expr, kids []BatchIterator, ins []*layout, out *layout, st *runState) (BatchIterator, error) {
+// batchOp constructs one batch operator over compiled inputs, a join over rows
+// of layout joined. Operators copy only the columns read above or by them.
+func (c *compiler) batchOp(plan *physical.Expr, kids []BatchIterator, ins []*layout, joined *layout, need, read *liveCols) (BatchIterator, error) {
 	switch plan.Op {
 	case physical.OpScan:
-		return &batchScan{name: plan.Table, st: st}, nil
+		return &batchScan{name: plan.Table, st: c.st}, nil
 	case physical.OpFilter:
 		return &batchFilter{child: kids[0], pred: plan.Filter, ve: scalar.VecEval{Env: ins[0].env()}}, nil
 	case physical.OpProject:
-		return &batchProject{child: kids[0], items: plan.Projs, ve: scalar.VecEval{Env: ins[0].env()}}, nil
+		// Items read above or able to fail are live; columns in scope alias.
+		env := ins[0].env()
+		p := &batchProject{child: kids[0], items: plan.Projs, ve: scalar.VecEval{Env: env}, aliased: true}
+		p.live = c.where(len(p.items), func(i int) bool { return need.has(p.items[i].Out) || !errFree(p.items[i].E, env) })
+		for _, i := range p.live {
+			_, ref := p.items[i].E.(*scalar.ColRef)
+			p.aliased = p.aliased && ref && errFree(p.items[i].E, env)
+		}
+		return p, nil
 	case physical.OpHashJoin, physical.OpNLJoin, physical.OpMergeJoin:
-		return newBatchJoin(plan, kids, ins, out)
+		return c.newBatchJoin(plan, kids, ins, joined, need, read)
 	case physical.OpHashAgg, physical.OpSortAgg:
 		return &batchAgg{
 			child: kids[0], groupCols: plan.GroupCols, aggs: plan.Aggs,
@@ -393,7 +491,7 @@ func batchOp(plan *physical.Expr, kids []BatchIterator, ins []*layout, out *layo
 		if err != nil {
 			return nil, err
 		}
-		return &batchSort{child: kids[0], keys: keys, width: len(ins[0].cols)}, nil
+		return &batchSort{child: kids[0], keys: keys, live: c.liveSlots(ins[0], read)}, nil
 	case physical.OpLimit:
 		return &batchLimit{child: kids[0], n: plan.N}, nil
 	case physical.OpConcat:

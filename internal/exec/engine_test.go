@@ -454,9 +454,19 @@ func (g *planGen) gen(depth int) *physical.Expr {
 	if depth <= 0 || g.r.Intn(4) == 0 {
 		return g.scan()
 	}
+	return g.op(depth, -1)
+}
+
+// op builds an operator of the given kind over random inputs: 0 filter,
+// 1 project, 2 join, 3 aggregate, 4 sort, 5 limit, 6 concat; a negative kind
+// draws one.
+func (g *planGen) op(depth, kind int) *physical.Expr {
 	child := g.gen(depth - 1)
 	cols := child.OutputCols()
-	switch g.r.Intn(7) {
+	if kind < 0 {
+		kind = g.r.Intn(7)
+	}
+	switch kind {
 	case 0:
 		return &physical.Expr{
 			Op: physical.OpFilter, Children: []*physical.Expr{child},
@@ -591,6 +601,63 @@ func TestEngineDifferentialRandomPlans(t *testing.T) {
 				t.Fatalf("seed %d maxRows %d: want ErrRowLimit on both, got %v / %v",
 					seed, maxRows, rowErr, batchErr)
 			}
+		}
+	}
+}
+
+// narrow projects one or two of child's columns, now and then one of them
+// through arithmetic: a consumer that reads few of the columns below it.
+func (g *planGen) narrow(child *physical.Expr) *physical.Expr {
+	cols := child.OutputCols()
+	projs := make([]logical.ProjItem, 1+g.r.Intn(2))
+	for i := range projs {
+		var e scalar.Expr = &scalar.ColRef{ID: cols[g.r.Intn(len(cols))]}
+		if g.r.Intn(4) == 0 {
+			e = &scalar.Arith{Op: scalar.ArithAdd, L: e, R: g.operand(cols)}
+		}
+		projs[i] = logical.ProjItem{Out: g.nextCol, E: e}
+		g.nextCol++
+	}
+	return &physical.Expr{Op: physical.OpProject, Children: []*physical.Expr{child}, Projs: projs}
+}
+
+// TestEngineDifferentialNarrowPlans holds plans whose consumers read few
+// columns — a narrow projection over a join, a merge join, a sort or a
+// concat of random subtrees, now and then under a filter and a second
+// projection — to the row engine's rows and order. The batch engine copies
+// only the columns read above an operator, so every column a join, build
+// side or sort skips is one nothing above it may read.
+func TestEngineDifferentialNarrowPlans(t *testing.T) {
+	seeds := 40
+	if testing.Short() {
+		seeds = 10
+	}
+	for seed := 0; seed < seeds; seed++ {
+		for _, kind := range []string{"join", "merge join", "sort", "concat"} {
+			g := &planGen{r: rand.New(rand.NewSource(int64(seed))), cat: catalog.New(), nextCol: 1}
+			if seed%3 == 0 {
+				g.big = 1
+			}
+			var plan *physical.Expr
+			switch kind {
+			case "join":
+				plan = g.op(3, 2)
+			case "merge join":
+				plan = g.op(3, 2)
+				plan.Op, plan.JoinType = physical.OpMergeJoin, physical.JoinInner
+			case "sort":
+				plan = g.op(3, 4)
+			case "concat":
+				plan = g.op(3, 6)
+			}
+			plan = g.narrow(plan)
+			if seed%2 == 0 {
+				plan = g.narrow(&physical.Expr{
+					Op: physical.OpFilter, Children: []*physical.Expr{plan},
+					Filter: g.pred(plan.OutputCols(), 1),
+				})
+			}
+			t.Run(fmt.Sprintf("%s/%d", kind, seed), func(t *testing.T) { runEngines(t, plan, g.cat) })
 		}
 	}
 }

@@ -35,10 +35,10 @@ type rowPair struct {
 	pair                  datum.Row
 }
 
-func newRowPair(plan *physical.Expr, ins []*layout, out *layout) rowPair {
+func newRowPair(plan *physical.Expr, ins []*layout, joined *layout) rowPair {
 	lw, rw := len(ins[0].cols), len(ins[1].cols)
 	return rowPair{
-		on: plan.On, jt: plan.JoinType, env: joinEnv(ins, out),
+		on: plan.On, jt: plan.JoinType, env: joined.env(),
 		leftWidth: lw, rightWidth: rw, pair: make(datum.Row, lw+rw),
 	}
 }

@@ -32,9 +32,10 @@ import (
 // opScratch is the reusable state of a single-input operator: a filter's
 // selection, the output vectors of a project or an aggregate, an aggregate's
 // argument vectors, groups and accumulators, a sort's drained input and
-// permutation.
+// permutation; cols, a project's output aliasing its input's, comes back cleared.
 type opScratch struct {
 	vecs, args []datum.Vec
+	cols       []datum.Vec
 	sel        []int
 	keys       datum.KeyTable
 	states     []aggState
@@ -61,6 +62,7 @@ func getOpScratch() *opScratch { return opPool.Get().(*opScratch) }
 
 func putOpScratch(s *opScratch) {
 	s.sel = ownSel(s.sel)
+	clear(s.cols)
 	opPool.Put(s)
 }
 

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"qtrtest/internal/catalog"
 	"qtrtest/internal/datum"
 	"qtrtest/internal/logical"
 	"qtrtest/internal/physical"
@@ -62,7 +63,7 @@ func poisonPools(tb testing.TB) {
 	// A plan takes one scratch per operator, so a handful per pool outnumbers
 	// any plan here.
 	for i := 0; i < 16; i++ {
-		opPool.Put(&opScratch{vecs: vecs(), args: vecs(), sel: sel(), keys: keys(), states: slices.Clone(states)})
+		opPool.Put(&opScratch{vecs: vecs(), args: vecs(), cols: vecs(), sel: sel(), keys: keys(), states: slices.Clone(states)})
 		flags := make([]bool, 3000)
 		for k := range flags {
 			flags[k] = true
@@ -91,7 +92,9 @@ func poisonPools(tb testing.TB) {
 // drained vectors and permutation, a merge join's probe-side sort among them.
 // A reused Program takes its scratch afresh in every run, so it is held to
 // the same: its operators keep no buffer from the run before that a poisoned
-// pool could not have handed them.
+// pool could not have handed them. A narrow plan run right after a wide one
+// takes back the vectors the wide run filled, and leaves the columns nothing
+// above it reads in them: none of that stale data may reach its result.
 func TestPoolPoisonIsInvisible(t *testing.T) {
 	cat := testCatalog()
 	agg := func(child *physical.Expr) *physical.Expr {
@@ -159,6 +162,45 @@ func TestPoolPoisonIsInvisible(t *testing.T) {
 					}
 					requireSameRows(t, want, got)
 				}
+			}
+		})
+	}
+
+	wide := catalog.New()
+	wide.Add(randomTable("wl", 6, 1500, 1))
+	wide.Add(randomTable("wr", 6, 1500, 2))
+	build := filterOf(scanWR(), &scalar.Not{Kid: &scalar.IsNull{Kid: col(16)}})
+	wides := map[string]*physical.Expr{
+		"sort": sortPlan(scanWL(), logical.SortKey{Col: 2}),
+		"hashjoin": {
+			Op: physical.OpHashJoin, JoinType: physical.JoinLeft, Children: []*physical.Expr{scanWL(), build},
+			On: cmpExpr(scalar.CmpEQ, col(1), col(11)), EquiLeft: []scalar.ColumnID{1}, EquiRight: []scalar.ColumnID{11},
+		},
+		"mergejoin": {
+			Op: physical.OpMergeJoin, Children: []*physical.Expr{filterOf(scanWL(), cmpExpr(scalar.CmpLT, col(3), intc(2))), build},
+			On: cmpExpr(scalar.CmpEQ, col(1), col(11)), EquiLeft: []scalar.ColumnID{1}, EquiRight: []scalar.ColumnID{11},
+		},
+	}
+	for name, plan := range wides {
+		t.Run("narrow-after-wide-"+name, func(t *testing.T) {
+			narrow := &physical.Expr{
+				Op: physical.OpProject, Children: []*physical.Expr{plan},
+				Projs: []logical.ProjItem{{Out: 100, E: col(2)}, {Out: 101, E: intc(7)}},
+			}
+			want, err := RunEngine(EngineRow, narrow, wide, 0, 0)
+			if err != nil {
+				t.Fatalf("row engine: %v", err)
+			}
+			for round := 0; round < 4; round++ {
+				poisonPools(t)
+				if _, err := RunEngine(EngineBatch, plan, wide, 0, 0); err != nil {
+					t.Fatalf("round %d: wide plan: %v", round, err)
+				}
+				got, err := RunEngine(EngineBatch, narrow, wide, 0, 0)
+				if err != nil {
+					t.Fatalf("round %d: narrow plan: %v", round, err)
+				}
+				requireSameRows(t, want, got)
 			}
 		})
 	}
