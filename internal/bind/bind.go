@@ -6,6 +6,7 @@ package bind
 
 import (
 	"fmt"
+	"slices"
 
 	"qtrtest/internal/catalog"
 	"qtrtest/internal/datum"
@@ -98,19 +99,17 @@ type scope struct {
 }
 
 func (s *scope) resolve(qual, name string) (scalar.ColumnID, error) {
-	var found []scalar.ColumnID
+	var found scalar.ColumnID
+	matches := 0
 	for _, c := range s.cols {
-		if c.name != name {
-			continue
+		if c.name == name && (qual == "" || c.qual == qual) {
+			found = c.id
+			matches++
 		}
-		if qual != "" && c.qual != qual {
-			continue
-		}
-		found = append(found, c.id)
 	}
-	switch len(found) {
+	switch matches {
 	case 1:
-		return found[0], nil
+		return found, nil
 	case 0:
 		if s.outer != nil {
 			return s.outer.resolve(qual, name)
@@ -126,6 +125,9 @@ func (s *scope) resolve(qual, name string) (scalar.ColumnID, error) {
 
 type binder struct {
 	md *logical.Metadata
+	// aliases stacks the table aliases of the FROM clauses being bound, the
+	// innermost clause's last.
+	aliases []string
 }
 
 // bindStmt binds a statement, returning the tree and its ordered output
@@ -172,7 +174,7 @@ func (b *binder) bindSetOp(s *sql.SetOp, outer *scope) (*logical.Expr, []scopeCo
 }
 
 func (b *binder) bindSelect(s *sql.Select, outer *scope) (*logical.Expr, []scopeCol, error) {
-	tree, sc, err := b.bindFrom(s.From)
+	tree, sc, err := b.bindFromClause(s.From)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -197,11 +199,12 @@ func (b *binder) bindSelect(s *sql.Select, outer *scope) (*logical.Expr, []scope
 	if s.Having != nil && len(s.GroupBy) == 0 && !hasAgg {
 		return nil, nil, fmt.Errorf("bind: HAVING requires GROUP BY or aggregates")
 	}
-	aggOuts := make(map[int]scalar.ColumnID) // select-item index -> agg output
+	var aggOuts []scalar.ColumnID // select-item index -> agg output, 0 for none
 	if len(s.GroupBy) > 0 || hasAgg {
 		if s.Star {
 			return nil, nil, fmt.Errorf("bind: SELECT * cannot be combined with GROUP BY or aggregates")
 		}
+		aggOuts = make([]scalar.ColumnID, len(s.Items))
 		var groupCols []scalar.ColumnID
 		var groupSet scalar.ColSet
 		for _, g := range s.GroupBy {
@@ -252,8 +255,11 @@ func (b *binder) bindSelect(s *sql.Select, outer *scope) (*logical.Expr, []scope
 	}
 
 	// Root projection fixes output order and names.
-	var items []logical.ProjItem
-	var outs []scopeCol
+	n := len(s.Items)
+	if s.Star {
+		n = len(sc.cols)
+	}
+	items, outs := make([]logical.ProjItem, 0, n), make([]scopeCol, 0, n)
 	if s.Star {
 		for _, c := range sc.cols {
 			items = append(items, logical.ProjItem{Out: c.id, E: &scalar.ColRef{ID: c.id}})
@@ -262,8 +268,8 @@ func (b *binder) bindSelect(s *sql.Select, outer *scope) (*logical.Expr, []scope
 	} else {
 		for i, item := range s.Items {
 			var e scalar.Expr
-			if aggID, ok := aggOuts[i]; ok {
-				e = &scalar.ColRef{ID: aggID}
+			if aggOuts != nil && aggOuts[i] != 0 {
+				e = &scalar.ColRef{ID: aggOuts[i]}
 			} else {
 				var err error
 				e, err = b.bindExpr(item.E, sc)
@@ -310,9 +316,9 @@ func (b *binder) bindSelect(s *sql.Select, outer *scope) (*logical.Expr, []scope
 	// SELECT DISTINCT deduplicates the projected output: a GroupBy over all
 	// output columns with no aggregates.
 	if s.Distinct {
-		var gc []scalar.ColumnID
-		for _, oc := range outs {
-			gc = append(gc, oc.id)
+		gc := make([]scalar.ColumnID, len(outs))
+		for i, oc := range outs {
+			gc[i] = oc.id
 		}
 		tree = &logical.Expr{Op: logical.OpGroupBy, Children: []*logical.Expr{tree}, GroupCols: gc}
 	}
@@ -325,7 +331,7 @@ func (b *binder) bindSelect(s *sql.Select, outer *scope) (*logical.Expr, []scope
 	}
 	if len(s.OrderBy) > 0 {
 		outScope := &scope{cols: outs}
-		var keys []logical.SortKey
+		keys := make([]logical.SortKey, 0, len(s.OrderBy))
 		for _, o := range s.OrderBy {
 			id, err := b.bindIdent(o.E, outScope)
 			if err != nil {
@@ -341,21 +347,43 @@ func (b *binder) bindSelect(s *sql.Select, outer *scope) (*logical.Expr, []scope
 	return tree, outs, nil
 }
 
-func (b *binder) bindFrom(f sql.FromItem) (*logical.Expr, *scope, error) {
+// bindFromClause binds one FROM clause, whose table aliases — a table's
+// name where it has none — must differ: with two t's, t.col would be
+// ambiguous or, where only one side has col, silently bind to it.
+func (b *binder) bindFromClause(f sql.FromItem) (*logical.Expr, *scope, error) {
+	start := len(b.aliases)
+	tree, sc, err := b.bindFrom(f, start)
+	b.aliases = b.aliases[:start]
+	return tree, sc, err
+}
+
+// alias adds a table alias to the FROM clause whose aliases start at start.
+func (b *binder) alias(name string, start int) error {
+	if slices.Contains(b.aliases[start:], name) {
+		return fmt.Errorf("bind: table alias %q specified more than once", name)
+	}
+	b.aliases = append(b.aliases, name)
+	return nil
+}
+
+func (b *binder) bindFrom(f sql.FromItem, start int) (*logical.Expr, *scope, error) {
 	switch t := f.(type) {
 	case *sql.TableRef:
-		get, err := b.md.AddTable(t.Name)
-		if err != nil {
-			return nil, nil, err
-		}
 		alias := t.Alias
 		if alias == "" {
 			alias = t.Name
 		}
+		if err := b.alias(alias, start); err != nil {
+			return nil, nil, err
+		}
+		get, err := b.md.AddTable(t.Name)
+		if err != nil {
+			return nil, nil, err
+		}
 		tbl, _ := b.md.Catalog().Table(t.Name)
-		sc := &scope{}
+		sc := &scope{cols: make([]scopeCol, len(tbl.Columns))}
 		for i, col := range tbl.Columns {
-			sc.cols = append(sc.cols, scopeCol{qual: alias, name: col.Name, id: get.Cols[i]})
+			sc.cols[i] = scopeCol{qual: alias, name: col.Name, id: get.Cols[i]}
 		}
 		return get, sc, nil
 	case *sql.Derived:
@@ -363,21 +391,24 @@ func (b *binder) bindFrom(f sql.FromItem) (*logical.Expr, *scope, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		sc := &scope{}
-		for _, oc := range outs {
-			sc.cols = append(sc.cols, scopeCol{qual: t.Alias, name: oc.name, id: oc.id})
+		if err := b.alias(t.Alias, start); err != nil {
+			return nil, nil, err
+		}
+		sc := &scope{cols: make([]scopeCol, len(outs))}
+		for i, oc := range outs {
+			sc.cols[i] = scopeCol{qual: t.Alias, name: oc.name, id: oc.id}
 		}
 		return tree, sc, nil
 	case *sql.JoinRef:
-		lt, ls, err := b.bindFrom(t.L)
+		lt, ls, err := b.bindFrom(t.L, start)
 		if err != nil {
 			return nil, nil, err
 		}
-		rt, rs, err := b.bindFrom(t.R)
+		rt, rs, err := b.bindFrom(t.R, start)
 		if err != nil {
 			return nil, nil, err
 		}
-		sc := &scope{cols: append(append([]scopeCol(nil), ls.cols...), rs.cols...)}
+		sc := &scope{cols: append(append(make([]scopeCol, 0, len(ls.cols)+len(rs.cols)), ls.cols...), rs.cols...)}
 		on, err := b.bindExpr(t.On, sc)
 		if err != nil {
 			return nil, nil, err
@@ -396,18 +427,7 @@ func (b *binder) bindFrom(f sql.FromItem) (*logical.Expr, *scope, error) {
 // and EXISTS / NOT EXISTS terms.
 func (b *binder) bindWhere(tree *logical.Expr, sc *scope, where sql.Expr) (*logical.Expr, error) {
 	var plain []scalar.Expr
-	var conjuncts []sql.Expr
-	var flatten func(e sql.Expr)
-	flatten = func(e sql.Expr) {
-		if bin, ok := e.(*sql.BinExpr); ok && bin.Op == "AND" {
-			flatten(bin.L)
-			flatten(bin.R)
-			return
-		}
-		conjuncts = append(conjuncts, e)
-	}
-	flatten(where)
-	for _, c := range conjuncts {
+	for _, c := range conjuncts(nil, where) {
 		if ex, ok := c.(*sql.ExistsExpr); ok {
 			var err error
 			tree, err = b.bindExists(tree, sc, ex)
@@ -431,6 +451,14 @@ func (b *binder) bindWhere(tree *logical.Expr, sc *scope, where sql.Expr) (*logi
 	return tree, nil
 }
 
+// conjuncts appends e's top-level AND operands to dst.
+func conjuncts(dst []sql.Expr, e sql.Expr) []sql.Expr {
+	if bin, ok := e.(*sql.BinExpr); ok && bin.Op == "AND" {
+		return conjuncts(conjuncts(dst, bin.L), bin.R)
+	}
+	return append(dst, e)
+}
+
 // bindExists turns an EXISTS subquery into a semi join (NOT EXISTS into an
 // anti join). For a simple correlated subquery (a single SELECT whose
 // correlation appears in its WHERE clause) the select list and grouping are
@@ -451,7 +479,7 @@ func (b *binder) bindExists(tree *logical.Expr, sc *scope, ex *sql.ExistsExpr) (
 		}
 		return &logical.Expr{Op: op, Children: []*logical.Expr{tree, inner}, On: scalar.TrueExpr()}, nil
 	}
-	inner, innerScope, err := b.bindFrom(sel.From)
+	inner, innerScope, err := b.bindFromClause(sel.From)
 	if err != nil {
 		return nil, err
 	}
@@ -459,18 +487,7 @@ func (b *binder) bindExists(tree *logical.Expr, sc *scope, ex *sql.ExistsExpr) (
 	var innerConj, onConj []scalar.Expr
 	if sel.Where != nil {
 		innerScope.outer = sc
-		var conjuncts []sql.Expr
-		var flatten func(e sql.Expr)
-		flatten = func(e sql.Expr) {
-			if bin, ok := e.(*sql.BinExpr); ok && bin.Op == "AND" {
-				flatten(bin.L)
-				flatten(bin.R)
-				return
-			}
-			conjuncts = append(conjuncts, e)
-		}
-		flatten(sel.Where)
-		for _, c := range conjuncts {
+		for _, c := range conjuncts(nil, sel.Where) {
 			if _, nested := c.(*sql.ExistsExpr); nested {
 				return nil, fmt.Errorf("bind: nested EXISTS inside EXISTS is not supported")
 			}
@@ -585,32 +602,7 @@ func (b *binder) bindExpr(e sql.Expr, sc *scope) (scalar.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		switch t.Op {
-		case "AND":
-			return &scalar.And{Kids: []scalar.Expr{l, r}}, nil
-		case "OR":
-			return &scalar.Or{Kids: []scalar.Expr{l, r}}, nil
-		case "=":
-			return &scalar.Cmp{Op: scalar.CmpEQ, L: l, R: r}, nil
-		case "<>":
-			return &scalar.Cmp{Op: scalar.CmpNE, L: l, R: r}, nil
-		case "<":
-			return &scalar.Cmp{Op: scalar.CmpLT, L: l, R: r}, nil
-		case "<=":
-			return &scalar.Cmp{Op: scalar.CmpLE, L: l, R: r}, nil
-		case ">":
-			return &scalar.Cmp{Op: scalar.CmpGT, L: l, R: r}, nil
-		case ">=":
-			return &scalar.Cmp{Op: scalar.CmpGE, L: l, R: r}, nil
-		case "+":
-			return &scalar.Arith{Op: scalar.ArithAdd, L: l, R: r}, nil
-		case "-":
-			return &scalar.Arith{Op: scalar.ArithSub, L: l, R: r}, nil
-		case "*":
-			return &scalar.Arith{Op: scalar.ArithMul, L: l, R: r}, nil
-		default:
-			return nil, fmt.Errorf("bind: unsupported operator %q", t.Op)
-		}
+		return b.combineBin(t.Op, l, r)
 	case *sql.InExpr:
 		kid, err := b.bindExpr(t.E, sc)
 		if err != nil {

@@ -85,6 +85,37 @@ func TestBindAmbiguousColumn(t *testing.T) {
 	}
 }
 
+// TestBindDuplicateAlias: a FROM clause that names one alias twice is
+// rejected up front. Over two different tables it used to plan, t.col binding
+// to whichever side had col; over one table it failed later with a misleading
+// "ambiguous" error.
+func TestBindDuplicateAlias(t *testing.T) {
+	const want = `bind: table alias "t" specified more than once`
+	for _, q := range []string{
+		"SELECT * FROM nation t JOIN region t ON t.n_regionkey = t.r_regionkey",
+		"SELECT t.n_name FROM nation t JOIN nation t ON t.n_nationkey = t.n_regionkey",
+		"SELECT * FROM nation AS t JOIN (SELECT r_regionkey FROM region) AS t ON n_regionkey = r_regionkey",
+		"SELECT * FROM region JOIN nation t ON r_regionkey = n_regionkey JOIN supplier AS t ON s_nationkey = n_nationkey",
+	} {
+		if _, err := BindSQL(q, testCatalog()); err == nil || err.Error() != want {
+			t.Errorf("%s: err = %v, want %q", q, err, want)
+		}
+	}
+	if _, err := BindSQL("SELECT * FROM nation JOIN nation ON n_nationkey = n_regionkey", testCatalog()); err == nil ||
+		!strings.Contains(err.Error(), `table alias "nation" specified more than once`) {
+		t.Errorf("unaliased self-join: err = %v, want the duplicate-alias error", err)
+	}
+	// An alias may come back in another FROM clause: a derived table's, or
+	// an EXISTS subquery's.
+	for _, q := range []string{
+		"SELECT * FROM (SELECT n_nationkey FROM nation t) AS t",
+		"SELECT * FROM nation t WHERE EXISTS (SELECT r_regionkey FROM region t WHERE r_regionkey = n_regionkey)",
+		"SELECT * FROM (SELECT * FROM nation t) AS a JOIN (SELECT * FROM region t) AS b ON n_regionkey = r_regionkey",
+	} {
+		mustBind(t, q)
+	}
+}
+
 func TestBindGroupBy(t *testing.T) {
 	b := mustBind(t, "SELECT n_regionkey, COUNT(*) AS cnt, MAX(n_nationkey) AS m FROM nation GROUP BY n_regionkey")
 	var gb *logical.Expr

@@ -1,11 +1,15 @@
-// Package fnv64 is an allocation-free streaming FNV-1a 64-bit hasher for the
-// optimizer's structural fingerprints. The stdlib hash/fnv forces every
-// write through an []byte and an interface, which costs allocations on the
-// memo's interning hot path; this value-type state hashes ints and strings
-// directly. FNV-1a is deterministic across processes (unlike hash/maphash),
-// so fingerprints can be logged and compared between runs, and correctness
-// never depends on its quality: the memo backs every fingerprint bucket
-// with a full structural-equality check.
+// Package fnv64 is an allocation-free streaming 64-bit hasher for the
+// optimizer's structural fingerprints: FNV-1a over words. A string is mixed
+// byte by byte, but an integer, a float or a bool is one word, mixed in a
+// single xor-multiply step rather than eight byte rounds — the memo's
+// interning keys are almost all small integers (operators, column and group
+// IDs). The stdlib hash/fnv forces every write through an []byte and an
+// interface, which costs allocations on the interning hot path; this
+// value-type state hashes ints and strings directly. The sum is
+// deterministic across processes (unlike hash/maphash), so fingerprints can
+// be logged and compared between runs, and correctness never depends on its
+// quality: the memo backs every fingerprint bucket with a full
+// structural-equality check, and the fuzzer only counts distinct plan shapes.
 package fnv64
 
 import "math"
@@ -15,8 +19,8 @@ const (
 	prime64  = 1099511628211
 )
 
-// Hash is in-progress FNV-1a state. The zero value is NOT ready to use;
-// start from New.
+// Hash is in-progress hash state. The zero value is NOT ready to use; start
+// from New.
 type Hash struct {
 	v uint64
 }
@@ -41,14 +45,9 @@ func (h *Hash) String(s string) {
 	h.v = v
 }
 
-// Uint64 mixes v as eight little-endian bytes.
+// Uint64 mixes x as one word.
 func (h *Hash) Uint64(x uint64) {
-	v := h.v
-	for i := 0; i < 8; i++ {
-		v = (v ^ (x & 0xff)) * prime64
-		x >>= 8
-	}
-	h.v = v
+	h.v = (h.v ^ x) * prime64
 }
 
 // Int mixes a signed integer.

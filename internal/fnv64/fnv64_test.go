@@ -1,27 +1,24 @@
 package fnv64
 
-import (
-	"encoding/binary"
-	"hash/fnv"
-	"testing"
-)
+import "testing"
 
-// TestMatchesStdlib: the streaming hasher must agree with hash/fnv byte for
-// byte, so fingerprints are the standard FNV-1a function of the mixed bytes.
-func TestMatchesStdlib(t *testing.T) {
-	ref := fnv.New64a()
-	ref.Write([]byte("hello"))
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], 42)
-	ref.Write(buf[:])
-	ref.Write([]byte{7})
-
+// TestWordMixingGolden pins the mixing: a string byte by byte, an integer as
+// one xor-multiply of the whole word. Nothing outside a process reads a sum,
+// so a change here breaks no report; it moves every memo and plan-shape key,
+// and so must be deliberate.
+func TestWordMixingGolden(t *testing.T) {
 	h := New()
 	h.String("hello")
 	h.Uint64(42)
 	h.Byte(7)
-	if h.Sum() != ref.Sum64() {
-		t.Errorf("Sum = %#x, stdlib = %#x", h.Sum(), ref.Sum64())
+	if got, want := h.Sum(), uint64(0x8ae44fb77b4e8efc); got != want {
+		t.Errorf("Sum = %#x, pinned %#x", got, want)
+	}
+	w := New()
+	w.Int(-1)
+	basis, prime := uint64(offset64), uint64(prime64)
+	if got, want := w.Sum(), (basis^^uint64(0))*prime; got != want {
+		t.Errorf("Int(-1) = %#x, want one step %#x", got, want)
 	}
 }
 

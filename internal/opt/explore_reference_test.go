@@ -9,7 +9,7 @@ import (
 // explorer replaced, preserved verbatim as the reference semantics. The
 // differential tests run it through Options.exploreOverride and require the
 // production explorer to produce byte-identical memos, rule sets, and plans.
-func exploreReference(o *Optimizer, ctx *rules.Context, exercised rules.Set, interactions map[[2]rules.ID]bool, disabled rules.Set, maxExprs, maxPasses int) {
+func exploreReference(o *Optimizer, ctx *rules.Context, tab *ruleTab, maxExprs, maxPasses int) {
 	m := ctx.Memo
 	expl := o.reg.Exploration()
 	// Pattern bindings of an expression depend only on the expressions in
@@ -38,7 +38,8 @@ func exploreReference(o *Optimizer, ctx *rules.Context, exercised rules.Set, int
 				}
 				triedAt[e] = ver
 				for _, r := range expl {
-					if disabled.Contains(r.ID()) || e.WasApplied(int(r.ID())) {
+					p := o.reg.Pos(r.ID())
+					if tab.off(p) || e.WasApplied(int(r.ID())) {
 						continue
 					}
 					binds := rules.Bind(m, e, r.Pattern())
@@ -51,8 +52,7 @@ func exploreReference(o *Optimizer, ctx *rules.Context, exercised rules.Set, int
 					for _, b := range binds {
 						subs := r.Apply(ctx, b)
 						if len(subs) > 0 {
-							exercised.Add(r.ID())
-							recordInteractions(interactions, b, r.ID())
+							tab.fire(p, r.ID(), b)
 						}
 						for _, sub := range subs {
 							if m.InsertSubstituteFrom(sub, e.Group, int(r.ID())) {

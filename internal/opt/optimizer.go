@@ -48,7 +48,7 @@ type Options struct {
 	// unexported and only settable from within this package: the differential
 	// test uses it to run the reference pass-based explorer against the same
 	// memo and compare outcomes.
-	exploreOverride func(o *Optimizer, ctx *rules.Context, exercised rules.Set, interactions map[[2]rules.ID]bool, disabled rules.Set, maxExprs, maxPasses int)
+	exploreOverride func(o *Optimizer, ctx *rules.Context, tab *ruleTab, maxExprs, maxPasses int)
 	// onFirstFire, when non-nil, is told the first time a disabled rule's
 	// pattern binds — where the full exploration would have fired it, and so
 	// the point up to which Plan(q,¬R) repeats Plan(q) — and how many
@@ -139,7 +139,8 @@ func (r *Result) Without(id rules.ID) (*physical.Expr, error) {
 		onWork(false)
 	}
 	imp := s.imp // its tables are the base costing's, done with and large enough
-	imp.exercised, imp.disabled, imp.wonBy = make(rules.Set), opts.Disabled, nil
+	imp.wonBy = nil
+	s.tab.disable(opts.Disabled)
 	if plan := imp.cost(); plan != nil {
 		return plan, nil
 	}
@@ -162,6 +163,7 @@ type scratch struct {
 	// ctx survives from call to call so that its free list of released
 	// candidates does.
 	ctx rules.Context
+	tab ruleTab
 	ex  explorer
 	// onAdd is ex.onAdd, bound once.
 	onAdd  func(*memo.MExpr)
@@ -242,17 +244,14 @@ func (o *Optimizer) Optimize(tree *logical.Expr, md *logical.Metadata, opts Opti
 		onWork(true)
 	}
 
-	// Presized so the typical optimization never grows them incrementally.
-	exercised := make(rules.Set, 48)
-	interactions := make(map[[2]rules.ID]bool, 16)
-
+	s.tab.reset(o.reg, opts.Disabled)
 	if opts.exploreOverride != nil {
 		m.SetRoot(m.Insert(tree))
-		opts.exploreOverride(o, ctx, exercised, interactions, opts.Disabled, maxExprs, maxPasses)
+		opts.exploreOverride(o, ctx, &s.tab, maxExprs, maxPasses)
 	} else {
 		// The explorer's memo hook must be live before the query tree is
 		// interned so the initial expressions seed its worklist.
-		s.ex.reset(o, ctx, exercised, interactions, opts.Disabled, maxExprs, maxPasses)
+		s.ex.reset(o, ctx, &s.tab, maxExprs, maxPasses)
 		s.ex.onFirstFire = opts.onFirstFire
 		m.SetOnAdd(s.onAdd)
 		m.SetRoot(m.Insert(tree))
@@ -261,8 +260,7 @@ func (o *Optimizer) Optimize(tree *logical.Expr, md *logical.Metadata, opts Opti
 
 	s.sb.reset(m, opts.DisableHistograms)
 	s.imp = implementor{
-		o: o, ctx: ctx, sb: &s.sb,
-		exercised: exercised, disabled: opts.Disabled,
+		o: o, ctx: ctx, sb: &s.sb, tab: &s.tab,
 		best: s.imp.best, winner: s.imp.winner, done: s.imp.done, visiting: s.imp.visiting,
 		wonBy:     resized(s.imp.wonBy, m.NumGroups()),
 		onRelease: opts.onRelease,
@@ -272,7 +270,7 @@ func (o *Optimizer) Optimize(tree *logical.Expr, md *logical.Metadata, opts Opti
 		o.pool(s)
 		return nil, ErrNoPlan
 	}
-	return &Result{Plan: plan, Cost: plan.Cost, RuleSet: exercised, Interactions: interactions, Memo: m,
+	return &Result{Plan: plan, Cost: plan.Cost, RuleSet: s.tab.ruleSet(), Interactions: s.tab.interactions(), Memo: m,
 		scratch: s, tree: tree, md: md, opts: opts}, nil
 }
 
@@ -314,13 +312,11 @@ func resized[T any](s []T, n int) []T {
 // are precisely those whose pattern root differs from the expression's
 // operator, for which Bind returns no matches (and fires no side effects).
 type explorer struct {
-	o            *Optimizer
-	ctx          *rules.Context
-	exercised    rules.Set
-	interactions map[[2]rules.ID]bool
-	disabled     rules.Set
-	maxExprs     int
-	maxPasses    int
+	o         *Optimizer
+	ctx       *rules.Context
+	tab       *ruleTab
+	maxExprs  int
+	maxPasses int
 
 	// parents registers, for each group (index = GroupID-1), the memo
 	// expressions that have it as a child; they are the expressions
@@ -341,13 +337,12 @@ type explorer struct {
 // reset readies the explorer for one exploration, keeping the storage of the
 // last one: the parents index (its per-group lists emptied, not dropped) and
 // the worklists, which an exploration cut short by maxExprs leaves filled.
-func (ex *explorer) reset(o *Optimizer, ctx *rules.Context, exercised rules.Set, interactions map[[2]rules.ID]bool, disabled rules.Set, maxExprs, maxPasses int) {
+func (ex *explorer) reset(o *Optimizer, ctx *rules.Context, tab *ruleTab, maxExprs, maxPasses int) {
 	for i, p := range ex.parents {
 		ex.parents[i] = p[:0]
 	}
 	*ex = explorer{
-		o: o, ctx: ctx,
-		exercised: exercised, interactions: interactions, disabled: disabled,
+		o: o, ctx: ctx, tab: tab,
 		maxExprs: maxExprs, maxPasses: maxPasses,
 		parents: ex.parents[:0], cur: ex.cur[:0], next: ex.next[:0],
 	}
@@ -411,7 +406,7 @@ func (ex *explorer) dirty(e *memo.MExpr) {
 // reached.
 func (ex *explorer) run() {
 	defer ex.ctx.Memo.SetOnAdd(nil)
-	m := ex.ctx.Memo
+	m, reg := ex.ctx.Memo, ex.o.reg
 	for round := 0; round < ex.maxPasses && len(ex.next) > 0; round++ {
 		// Swap the queues, recycling the drained round's backing storage. The
 		// drained round left no inCur mark behind (pop clears it), so moving
@@ -427,18 +422,20 @@ func (ex *explorer) run() {
 			e := ex.cur.pop()
 			e.Queued &^= inCur
 			ex.processing = e
-			for _, r := range ex.o.reg.ExplorationFor(e.Op()) {
-				if ex.disabled.Contains(r.ID()) {
+			for _, r := range reg.ExplorationFor(e.Op()) {
+				id := r.ID()
+				p := reg.Pos(id)
+				if ex.tab.off(p) {
 					if ex.onFirstFire != nil {
 						m.ReleaseBindings()
 						if len(rules.Bind(m, e, r.Pattern())) > 0 {
-							ex.onFirstFire(r.ID(), m.NumExprs())
+							ex.onFirstFire(id, m.NumExprs())
 							ex.onFirstFire = nil
 						}
 					}
 					continue
 				}
-				if e.WasApplied(int(r.ID())) {
+				if e.WasApplied(int(id)) {
 					continue
 				}
 				// The previous application's substitutes are interned (or it
@@ -450,15 +447,14 @@ func (ex *explorer) run() {
 					// gain expressions; retry when they grow.
 					continue
 				}
-				e.MarkApplied(int(r.ID()))
+				e.MarkApplied(int(id))
 				for _, b := range binds {
 					subs := r.Apply(ex.ctx, b)
 					if len(subs) > 0 {
-						ex.exercised.Add(r.ID())
-						recordInteractions(ex.interactions, b, r.ID())
+						ex.tab.fire(p, id, b)
 					}
 					for _, sub := range subs {
-						m.InsertSubstituteFrom(sub, e.Group, int(r.ID()))
+						m.InsertSubstituteFrom(sub, e.Group, int(id))
 					}
 				}
 				if m.NumExprs() >= ex.maxExprs {
@@ -532,15 +528,82 @@ func (h exprHeap) siftDown(i int) {
 	}
 }
 
-// recordInteractions notes, for every concrete expression the binding
-// matched that some earlier rule created, the interaction (creator, fired).
-func recordInteractions(interactions map[[2]rules.ID]bool, b *memo.BoundExpr, fired rules.ID) {
-	if b.Src != nil && b.Src.CreatedBy != 0 && rules.ID(b.Src.CreatedBy) != fired {
-		interactions[[2]rules.ID{rules.ID(b.Src.CreatedBy), fired}] = true
+// ruleTab is one optimization's rule bookkeeping, kept so that applying a
+// rule hashes nothing: one bit set, indexed by a rule's position p in the
+// registry (rules.Registry.Pos), holds whether the rule is disabled (bit p),
+// whether it was exercised (bit n+p) and whether the rule at c interacted
+// with it (bit 2n+c*n+p); pairs lists those interactions. Result.RuleSet and
+// Result.Interactions are built from it when the optimization is done.
+type ruleTab struct {
+	reg   *rules.Registry
+	n     int
+	bits  []uint64
+	pairs [][2]rules.ID
+}
+
+func (t *ruleTab) bit(i int) bool { return t.bits[i>>6]&(1<<(i&63)) != 0 }
+func (t *ruleTab) set(i int)      { t.bits[i>>6] |= 1 << (i & 63) }
+
+// off reports whether the rule at position p is disabled; exercise records
+// that it was exercised.
+func (t *ruleTab) off(p int) bool { return t.bit(p) }
+func (t *ruleTab) exercise(p int) { t.set(t.n + p) }
+
+// reset readies the table for an optimization with the rules of disabled
+// off, keeping the storage of the last one.
+func (t *ruleTab) reset(reg *rules.Registry, disabled rules.Set) {
+	t.reg, t.n = reg, len(reg.All())
+	t.bits, t.pairs = resized(t.bits, (t.n*(t.n+2)+63)/64), t.pairs[:0]
+	t.disable(disabled)
+}
+
+// disable turns off exactly the rules of s that the registry holds.
+func (t *ruleTab) disable(s rules.Set) {
+	for p := range t.n {
+		t.bits[p>>6] &^= 1 << (p & 63)
+	}
+	for id, on := range s {
+		if p := t.reg.Pos(id); on && p >= 0 {
+			t.set(p)
+		}
+	}
+}
+
+// fire records that exploration rule id, at position p, substituted binding
+// b: it was exercised, and it interacted with each earlier rule that created
+// an expression b matched (§7).
+func (t *ruleTab) fire(p int, id rules.ID, b *memo.BoundExpr) {
+	t.exercise(p)
+	if b.Src != nil && b.Src.CreatedBy != 0 && rules.ID(b.Src.CreatedBy) != id {
+		c := rules.ID(b.Src.CreatedBy)
+		if i := t.n*(2+t.reg.Pos(c)) + p; !t.bit(i) {
+			t.set(i)
+			t.pairs = append(t.pairs, [2]rules.ID{c, id})
+		}
 	}
 	for _, k := range b.Kids {
-		recordInteractions(interactions, k, fired)
+		t.fire(p, id, k)
 	}
+}
+
+// ruleSet and interactions build the Result's maps.
+func (t *ruleTab) ruleSet() rules.Set {
+	var buf [64]rules.ID
+	ids := buf[:0]
+	for p, r := range t.reg.All() {
+		if t.bit(t.n + p) {
+			ids = append(ids, r.ID())
+		}
+	}
+	return rules.NewSet(ids...)
+}
+
+func (t *ruleTab) interactions() map[[2]rules.ID]bool {
+	out := make(map[[2]rules.ID]bool, len(t.pairs))
+	for _, pair := range t.pairs {
+		out[pair] = true
+	}
+	return out
 }
 
 // implementor runs the implementation/costing phase: a bottom-up dynamic
@@ -556,15 +619,14 @@ func recordInteractions(interactions map[[2]rules.ID]bool, b *memo.BoundExpr, fi
 // (releaseLosers). Only the plan stays allocated, and nothing reachable from
 // it is ever released.
 type implementor struct {
-	o         *Optimizer
-	ctx       *rules.Context
-	sb        *statsBuilder
-	exercised rules.Set
-	disabled  rules.Set
-	best      []*physical.Expr // index = GroupID-1
-	winner    []*memo.MExpr    // index = GroupID-1: the expression best[g] implements
-	done      []bool           // index = GroupID-1: best[g] is final (may be nil: no plan)
-	visiting  []bool           // index = GroupID-1; all false again when bestPlan returns
+	o        *Optimizer
+	ctx      *rules.Context
+	sb       *statsBuilder
+	tab      *ruleTab
+	best     []*physical.Expr // index = GroupID-1
+	winner   []*memo.MExpr    // index = GroupID-1: the expression best[g] implements
+	done     []bool           // index = GroupID-1: best[g] is final (may be nil: no plan)
+	visiting []bool           // index = GroupID-1; all false again when bestPlan returns
 	// wonBy records the rule whose candidate best[g] is (0: no plan), index =
 	// GroupID-1, for Result.Without; nil when Without itself is costing.
 	wonBy []rules.ID
@@ -606,7 +668,7 @@ func (imp *implementor) bestPlan(g memo.GroupID) *physical.Expr {
 	imp.visiting[g-1] = true
 	defer func() { imp.visiting[g-1] = false }()
 
-	group := imp.ctx.Memo.Group(g)
+	group, reg := imp.ctx.Memo.Group(g), imp.o.reg
 	st := imp.sb.stats(g)
 	var best *physical.Expr
 	var bestRule rules.ID
@@ -628,13 +690,15 @@ func (imp *implementor) bestPlan(g memo.GroupID) *physical.Expr {
 			costKids = append(costKids, imp.best[k-1])
 		}
 		var kidPlans []*physical.Expr // the winners' Children, built on first use
-		for _, ir := range imp.o.reg.ImplementationFor(e.Op()) {
-			if imp.disabled.Contains(ir.ID()) {
+		for _, ir := range reg.ImplementationFor(e.Op()) {
+			id := ir.ID()
+			p := reg.Pos(id)
+			if imp.tab.off(p) {
 				continue
 			}
 			cands := ir.Implement(imp.ctx, e)
 			if len(cands) > 0 {
-				imp.exercised.Add(ir.ID())
+				imp.tab.exercise(p)
 			}
 			for _, cand := range cands {
 				cand.Children = costKids
@@ -655,7 +719,7 @@ func (imp *implementor) bestPlan(g memo.GroupID) *physical.Expr {
 				if best != nil {
 					imp.release(best)
 				}
-				best, bestRule = cand, ir.ID()
+				best, bestRule = cand, id
 				imp.winner[g-1] = e
 			}
 		}

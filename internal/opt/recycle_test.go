@@ -140,6 +140,10 @@ func poisonScratch(s *scratch) {
 		}
 	}
 	s.ex.processing = expr
+	for i := range s.tab.bits {
+		s.tab.bits[i] = ^uint64(0)
+	}
+	s.tab.pairs = append(s.tab.pairs[:0], [2]rules.ID{-7, -7})
 	used := s.sb.slabs[:len(s.sb.slabs)-len(s.sb.slab)]
 	for i := range used {
 		used[i] = math.NaN()

@@ -197,8 +197,12 @@ func (s Set) Union(o Set) Set {
 
 // Registry holds the rule set R = {r1..rn} of the optimizer (§2.2).
 type Registry struct {
-	all    []Rule
-	byID   map[ID]Rule
+	all []Rule
+	// byID maps an ID to the rule's position in all; pos is the same map as
+	// a slice over the IDs below 1<<16 (-1: no such rule), so the optimizer
+	// finds a rule's row in its per-rule tables without hashing.
+	byID   map[ID]int
+	pos    []int32
 	byName map[string]Rule
 	// expl/impl are the kind-filtered views, cached at construction so the
 	// optimizer's hot loops never re-filter or re-allocate them.
@@ -209,8 +213,8 @@ type Registry struct {
 	// operator (never OpAny), so the index is total: a rule appears under
 	// exactly one operator, and Bind on any other operator's expressions
 	// would return nothing anyway.
-	explByOp map[logical.Op][]ExplorationRule
-	implByOp map[logical.Op][]ImplementationRule
+	explByOp [logical.OpSort + 1][]ExplorationRule
+	implByOp [logical.OpSort + 1][]ImplementationRule
 }
 
 // NewRegistry returns a registry with the given rules; it panics on
@@ -219,24 +223,26 @@ type Registry struct {
 // fails at registry construction rather than later, mid-optimization, when
 // the binder first walks its pattern.
 func NewRegistry(rs ...Rule) *Registry {
-	reg := &Registry{
-		byID:     make(map[ID]Rule),
-		byName:   make(map[string]Rule),
-		explByOp: make(map[logical.Op][]ExplorationRule),
-		implByOp: make(map[logical.Op][]ImplementationRule),
-	}
+	reg := &Registry{byID: make(map[ID]int), byName: make(map[string]Rule)}
 	for _, r := range rs {
-		if _, dup := reg.byID[r.ID()]; dup {
-			panic(fmt.Sprintf("rules: duplicate rule id %d", r.ID()))
+		id := r.ID()
+		if _, dup := reg.byID[id]; dup {
+			panic(fmt.Sprintf("rules: duplicate rule id %d", id))
 		}
 		if _, dup := reg.byName[r.Name()]; dup {
 			panic(fmt.Sprintf("rules: duplicate rule name %q", r.Name()))
 		}
 		if err := ValidatePattern(r.Pattern()); err != nil {
-			panic(fmt.Sprintf("rules: rule %s(#%d): %v", r.Name(), r.ID(), err))
+			panic(fmt.Sprintf("rules: rule %s(#%d): %v", r.Name(), id, err))
 		}
+		if id >= 0 && id < 1<<16 {
+			for len(reg.pos) <= int(id) {
+				reg.pos = append(reg.pos, -1)
+			}
+			reg.pos[id] = int32(len(reg.all))
+		}
+		reg.byID[id] = len(reg.all)
 		reg.all = append(reg.all, r)
-		reg.byID[r.ID()] = r
 		reg.byName[r.Name()] = r
 		op := r.Pattern().Op
 		if er, ok := r.(ExplorationRule); ok {
@@ -272,13 +278,26 @@ func (r *Registry) ExplorationFor(op logical.Op) []ExplorationRule { return r.ex
 // op, in definition order.
 func (r *Registry) ImplementationFor(op logical.Op) []ImplementationRule { return r.implByOp[op] }
 
+// Pos returns the position of rule id in All, or -1 when there is no such
+// rule: the row the optimizer keeps for the rule in its per-optimization
+// tables.
+func (r *Registry) Pos(id ID) int {
+	if uint(id) < uint(len(r.pos)) {
+		return int(r.pos[id])
+	}
+	if p, ok := r.byID[id]; ok {
+		return p
+	}
+	return -1
+}
+
 // ByID returns the rule with the given id, or an error.
 func (r *Registry) ByID(id ID) (Rule, error) {
-	rule, ok := r.byID[id]
+	p, ok := r.byID[id]
 	if !ok {
 		return nil, fmt.Errorf("rules: no rule with id %d", id)
 	}
-	return rule, nil
+	return r.all[p], nil
 }
 
 // ByName returns the rule with the given name, or an error.

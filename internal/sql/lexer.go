@@ -24,19 +24,38 @@ type token struct {
 	pos  int
 }
 
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"ORDER": true, "LIMIT": true, "AS": true, "JOIN": true, "LEFT": true,
-	"OUTER": true, "INNER": true, "ON": true, "AND": true, "OR": true,
-	"NOT": true, "IS": true, "NULL": true, "TRUE": true, "FALSE": true,
-	"EXISTS": true, "UNION": true, "ALL": true, "ASC": true, "DESC": true,
-	"COUNT": true, "SUM": true, "MIN": true, "MAX": true, "AVG": true,
-	"HAVING": true, "DISTINCT": true, "IN": true, "BETWEEN": true,
+// keywords maps each keyword to itself, so that a word looked up by its
+// upper-cased bytes yields the keyword's own string without allocating.
+var keywords = map[string]string{}
+
+func init() {
+	for _, kw := range strings.Fields(`SELECT FROM WHERE GROUP BY ORDER LIMIT AS
+		JOIN LEFT OUTER INNER ON AND OR NOT IS NULL TRUE FALSE EXISTS UNION ALL
+		ASC DESC COUNT SUM MIN MAX AVG HAVING DISTINCT IN BETWEEN`) {
+		keywords[kw] = kw
+	}
+}
+
+// keyword returns the keyword word spells in any letter case. Clearing bit
+// 5 upper-cases a letter, turns a digit into a control byte and keeps '_':
+// no keyword contains either.
+func keyword(word string) (string, bool) {
+	var up [8]byte // the longest keyword's length
+	if len(word) > len(up) {
+		return "", false
+	}
+	for i := range len(word) {
+		up[i] = word[i] &^ 0x20
+	}
+	kw, ok := keywords[string(up[:len(word)])]
+	return kw, ok
 }
 
 // lex tokenizes the input, returning a token slice ending in tokEOF.
 func lex(input string) ([]token, error) {
-	var toks []token
+	// Generated SQL runs at about one token per four bytes; room for one per
+	// three sizes the slice once.
+	toks := make([]token, 0, len(input)/3+1)
 	i := 0
 	n := len(input)
 	for i < n {
@@ -45,24 +64,25 @@ func lex(input string) ([]token, error) {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
 			i++
 		case c == '\'':
-			j := i + 1
-			var sb strings.Builder
-			for {
+			j, quoted := i+1, false
+			for ; ; j++ {
 				if j >= n {
 					return nil, fmt.Errorf("sql: unterminated string literal at offset %d", i)
 				}
 				if input[j] == '\'' {
 					if j+1 < n && input[j+1] == '\'' {
-						sb.WriteByte('\'')
-						j += 2
+						quoted = true
+						j++
 						continue
 					}
 					break
 				}
-				sb.WriteByte(input[j])
-				j++
 			}
-			toks = append(toks, token{kind: tokString, text: sb.String(), pos: i})
+			text := input[i+1 : j]
+			if quoted {
+				text = strings.ReplaceAll(text, "''", "'")
+			}
+			toks = append(toks, token{kind: tokString, text: text, pos: i})
 			i = j + 1
 		case c >= '0' && c <= '9':
 			j := i
@@ -99,9 +119,8 @@ func lex(input string) ([]token, error) {
 				j++
 			}
 			word := input[i:j]
-			up := strings.ToUpper(word)
-			if keywords[up] {
-				toks = append(toks, token{kind: tokKeyword, text: up, pos: i})
+			if kw, ok := keyword(word); ok {
+				toks = append(toks, token{kind: tokKeyword, text: kw, pos: i})
 			} else {
 				toks = append(toks, token{kind: tokIdent, text: strings.ToLower(word), pos: i})
 			}

@@ -483,8 +483,6 @@ func (p *parser) parseUnary() (Expr, error) {
 	return p.parsePrimary()
 }
 
-var aggNames = map[string]bool{"COUNT": true, "SUM": true, "MIN": true, "MAX": true, "AVG": true}
-
 func (p *parser) parsePrimary() (Expr, error) {
 	t := p.peek()
 	switch t.kind {
