@@ -27,7 +27,7 @@ func TestBackendCampaignCatchesAllMutants(t *testing.T) {
 			rep, err := Run(Config{
 				Seed: seed, N: 300, Workers: 8, Catalog: cat, DB: "tpch",
 				Registry: m.Registry(), Mutant: string(m.Kind), Backend: "ref",
-				StopOnFinding: true, MaxShrunk: 1,
+				StopOnFinding: true,
 			})
 			if err != nil {
 				t.Fatalf("seed=%d mutant=%s: %v", seed, m.Kind, err)

@@ -19,7 +19,7 @@ func TestEETCampaignCatchesAllMutants(t *testing.T) {
 			rep, err := Run(Config{
 				Seed: seed, N: 300, Workers: 8, Catalog: cat, DB: "tpch",
 				Registry: m.Registry(), Mutant: string(m.Kind), EET: true,
-				StopOnFinding: true, MaxShrunk: 1,
+				StopOnFinding: true,
 			})
 			if err != nil {
 				t.Fatalf("seed=%d mutant=%s: %v", seed, m.Kind, err)
@@ -35,7 +35,7 @@ func TestEETCampaignCatchesAllMutants(t *testing.T) {
 					seed, m.Kind, f.Kind)
 				continue
 			}
-			if !shrunkStillTrips(t, cat, m, f) {
+			if !shrunkStillTrips(t, cat, m.Registry(), f) {
 				t.Errorf("seed=%d mutant=%s: shrunk reproducer no longer trips the oracle: kind=%s rewrite=%q sql=%s",
 					seed, m.Kind, f.Kind, f.Rewrite, f.ShrunkSQL)
 			}

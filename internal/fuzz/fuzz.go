@@ -1,10 +1,11 @@
 // Package fuzz is the plan-guided metamorphic fuzzing subsystem: a seeded,
 // deterministic campaign that generates random logical query trees (and,
-// optionally, random catalogs), runs two oracles per query — the paper's
-// differential Plan(q) vs Plan(q,¬R) execution oracle and a metamorphic
-// oracle built on known-equivalence rewrites — steers generation QPG-style
-// with a plan-shape coverage map, and shrinks every reported failure to a
-// minimal query.
+// optionally, random catalogs), checks each one with the paper's
+// differential Plan(q) vs Plan(q,¬R) execution oracle, a metamorphic oracle
+// built on known-equivalence rewrites and, when a backend is configured, a
+// cross-engine oracle, steers generation QPG-style with a plan-shape
+// coverage map, and shrinks the first findings to minimal queries under the
+// same check that raised them.
 //
 // Determinism contract: for a fixed Config (and no Timeout cutoff) the
 // report is byte-identical at every worker count. Per-query randomness is
@@ -57,7 +58,10 @@ const (
 	// roundSize is the number of queries per steering round. Coverage
 	// feedback adjusts generator weights only between rounds.
 	roundSize = 32
-	// maxShrinkChecks bounds shrink-oracle evaluations per finding.
+	// maxShrunk is how many findings get shrunk, in report order.
+	maxShrunk = 8
+	// maxShrinkChecks bounds the distinct plan executions one finding's
+	// shrink may charge.
 	maxShrinkChecks = 300
 )
 
@@ -84,9 +88,6 @@ type Config struct {
 	DB string
 	// Mutant labels an injected fault in the report and reproducer line.
 	Mutant string
-	// MaxShrunk bounds how many findings get shrunk (default 8, in report
-	// order).
-	MaxShrunk int
 	// EET enables the expression-level equivalence rewrites (the scalar EET
 	// catalog) alongside the tree-level metamorphic rewrites.
 	EET bool
@@ -115,9 +116,6 @@ type Config struct {
 func (c *Config) setDefaults() {
 	if c.N <= 0 {
 		c.N = 500
-	}
-	if c.MaxShrunk <= 0 {
-		c.MaxShrunk = 8
 	}
 	if c.Registry == nil {
 		c.Registry = rules.DefaultRegistry()
@@ -200,6 +198,15 @@ type result struct {
 
 // Run executes a fuzz campaign and returns its report.
 func Run(cfg Config) (*Report, error) {
+	c, err := newCampaign(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return c.run(), nil
+}
+
+// newCampaign fills in cfg's defaults and builds the campaign's shared state.
+func newCampaign(cfg Config) (*campaign, error) {
 	cfg.setDefaults()
 	rn, err := oracle.New(oracle.Options{
 		Backend: cfg.Backend, Cache: cfg.Cache, MaxRows: maxRows, MaxWork: maxWork,
@@ -212,8 +219,12 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &campaign{cfg: cfg, opt: o, gen: gen, rewrites: rewritesFor(cfg), oracle: rn}
+	return &campaign{cfg: cfg, opt: o, gen: gen, rewrites: rewritesFor(cfg), oracle: rn}, nil
+}
 
+// run generates, checks and shrinks the campaign's queries.
+func (c *campaign) run() *Report {
+	cfg := c.cfg
 	rep := &Report{
 		Schema: ReportSchema, DB: cfg.DB, Mutant: cfg.Mutant, Backend: cfg.Backend,
 		Seed: cfg.Seed, N: cfg.N, Findings: []Finding{},
@@ -277,14 +288,10 @@ func Run(cfg Config) (*Report, error) {
 	}
 	rep.PlanShapes = len(coverage)
 
-	// Shrink the first MaxShrunk findings, in parallel (each shrink is a
+	// Shrink the first maxShrunk findings, in parallel (each shrink is a
 	// deterministic function of its finding alone, so slots keep the report
 	// deterministic).
-	nshrink := len(found)
-	if nshrink > cfg.MaxShrunk {
-		nshrink = cfg.MaxShrunk
-	}
-	par.ForEach(cfg.Workers, nshrink, func(i int) {
+	par.ForEach(cfg.Workers, min(len(found), maxShrunk), func(i int) {
 		c.shrinkFinding(&found[i])
 	})
 	for i := range found {
@@ -294,56 +301,58 @@ func Run(cfg Config) (*Report, error) {
 	sort.SliceStable(rep.Findings, func(i, j int) bool {
 		return rep.Findings[i].Query < rep.Findings[j].Query
 	})
-	return rep, nil
+	return rep
 }
 
-// runOne generates and tests one query: tree → SQL → bind → optimize →
-// execute, then the differential oracle over every rule in RuleSet(q) and
-// the metamorphic oracle over every applicable rewrite.
+// runOne generates query idx from its derived seed and checks it.
 func (c *campaign) runOne(idx int, w *qgen.Weights) result {
-	var r result
 	seed := par.DeriveSeed(c.cfg.Seed, idx)
 	g := c.gen.Fork(seed)
 	rng := rand.New(rand.NewSource(par.DeriveSeed(seed, 1)))
 	md := logical.NewMetadata(c.cfg.Catalog)
-	budget := 2 + rng.Intn(maxOps-1)
-	tree, err := g.RandomTreeWeighted(md, budget, w)
+	tree, err := g.RandomTreeWeighted(md, 2+rng.Intn(maxOps-1), w)
 	if err != nil {
-		r.skip = "generate"
-		return r
+		return result{skip: "generate"}
 	}
-	sqlText, err := sqlgen.Generate(tree, md)
+	return c.check(tree, md, idx, seed, nil, nil)
+}
+
+// check is the one judgement of a query tree: tree → SQL → bind → optimize →
+// execute Plan(q), then the cross-engine oracle, the differential oracle over
+// every rule in RuleSet(q) and the metamorphic oracle over every applicable
+// rewrite. The campaign passes a nil want and runs every step. The shrinker
+// passes the finding it minimizes as want: after the base, only the step that
+// filed it runs — the backend, the rule want.Rule or the rewrite
+// want.Rewrite — and charge, when non-nil, is handed the key of every
+// execution: the base and the cross-check before they run, an alternative
+// after it executes (an identical one executes nothing).
+func (c *campaign) check(tree *logical.Expr, md *logical.Metadata, idx int, seed int64, want *Finding, charge func(rescache.Key)) result {
+	q, stage, err := c.plan(tree, md)
 	if err != nil {
-		r.skip = "render"
-		return r
+		return result{skip: stage}
 	}
-	bound, err := bind.BindSQL(sqlText, c.cfg.Catalog)
-	if err != nil {
-		r.skip = "bind"
-		return r
-	}
-	res, err := c.opt.Optimize(bound.Tree, bound.MD, opt.Options{})
-	if err != nil {
-		r.skip = "optimize"
-		return r
-	}
+	res := q.res
 	defer res.Release() // every Plan(q,¬R) below is derived from its memo
 	if res.Plan.Cost > maxCost {
-		r.skip = "estcap"
-		return r
+		return result{skip: "estcap"}
 	}
-	r.shape = PlanShape(res.Plan)
-	r.ops = distinctOps(bound.Tree)
+	r := result{shape: PlanShape(res.Plan), ops: distinctOps(q.bound.Tree)}
 
+	// step reports whether the step filing findings under the backend, rule
+	// id or rewrite runs: every step does for the campaign, only the
+	// finding's own for the shrinker.
+	step := func(backend bool, id rules.ID, rewrite string) bool {
+		return want == nil || backend == (want.Kind == KindBackend) && int(id) == want.Rule && rewrite == want.Rewrite
+	}
 	// add files a finding; plans are Plan(q) and, when there is one, the
 	// alternative it was compared with.
 	add := func(kind string, id rules.ID, rewrite, detail string, plans ...*physical.Expr) {
 		f := finding{
 			pub: Finding{
 				Query: idx, Seed: seed, Kind: kind, Rule: int(id), Rewrite: rewrite,
-				SQL: sqlText, RuleSet: fmt.Sprintf("%v", res.RuleSet.Sorted()), Detail: detail,
+				SQL: q.sql, RuleSet: fmt.Sprintf("%v", res.RuleSet.Sorted()), Detail: detail,
 			},
-			tree: bound.Tree, md: bound.MD,
+			tree: q.bound.Tree, md: q.bound.MD,
 		}
 		if len(plans) > 0 {
 			f.pub.BasePlan = plans[0].String()
@@ -354,7 +363,11 @@ func (c *campaign) runOne(idx int, w *qgen.Weights) result {
 		r.findings = append(r.findings, f)
 	}
 
-	base, err := c.oracle.Base(c.cfg.Catalog, oracle.Prepare(res.Plan))
+	p := oracle.Prepare(res.Plan)
+	if charge != nil {
+		charge(c.oracle.Key(c.cfg.Catalog, p))
+	}
+	base, err := c.oracle.Base(c.cfg.Catalog, p)
 	if errors.Is(err, exec.ErrRowLimit) {
 		r.skip = "rowcap"
 		return r
@@ -379,7 +392,11 @@ func (c *campaign) runOne(idx int, w *qgen.Weights) result {
 	// edge runs an alternative plan against the base. An execution error on
 	// it is a finding of its own and yields no verdict (the zero one).
 	edge := func(alt *physical.Expr, kind string, id rules.ID, rewrite string) oracle.Verdict {
-		out, err := c.oracle.Edge(&base, oracle.Prepare(alt))
+		p := oracle.Prepare(alt)
+		out, err := c.oracle.Edge(&base, p)
+		if charge != nil && out.Verdict != oracle.Identical {
+			charge(c.oracle.Key(c.cfg.Catalog, p))
+		}
 		if err != nil {
 			add(KindExecError, id, rewrite, err.Error(), res.Plan, alt)
 			return 0
@@ -390,8 +407,11 @@ func (c *campaign) runOne(idx int, w *qgen.Weights) result {
 	// Cross-engine oracle: replay the query on the independent backend and
 	// compare against the base execution. A budget trip on the backend skips
 	// the comparison per the budget-parity contract.
-	if c.oracle.HasBackend() {
-		out, err := c.oracle.Cross(&base, bound.Tree)
+	if c.oracle.HasBackend() && step(true, 0, "") {
+		if charge != nil {
+			charge(c.oracle.CrossKey(&base, q.bound.Tree))
+		}
+		out, err := c.oracle.Cross(&base, q.bound.Tree)
 		if err != nil {
 			out = oracle.Outcome{Verdict: oracle.Mismatch, Detail: err.Error()}
 		}
@@ -405,6 +425,9 @@ func (c *campaign) runOne(idx int, w *qgen.Weights) result {
 	// operator) is skipped, not reported: losing plannability is expected,
 	// wrong results are not. Any other error skips the query, like the base's.
 	for _, id := range res.RuleSet.Sorted() {
+		if !step(false, id, "") {
+			continue
+		}
 		alt, err := res.Without(id)
 		if err != nil && !errors.Is(err, opt.ErrNoPlan) {
 			return result{skip: "optimize"}
@@ -418,23 +441,27 @@ func (c *campaign) runOne(idx int, w *qgen.Weights) result {
 		}
 	}
 
-	// Metamorphic oracle: each applicable rewrite is rendered, re-planned
+	// Metamorphic oracle: each applicable rewrite is re-planned from its SQL
 	// and compared against the base execution. A rewrite that re-plans to
 	// the base plan is a (trivially passing) check that executed nothing.
 	for _, rw := range c.rewrites {
-		alt := rw.Apply(bound.Tree, bound.MD, seed)
+		if !step(false, 0, rw.Name) {
+			continue
+		}
+		alt := rw.Apply(q.bound.Tree, q.bound.MD, seed)
 		if alt == nil {
 			continue
 		}
-		altPlan, err := c.planTree(alt, bound.MD)
+		aq, _, err := c.plan(alt, q.bound.MD)
 		if err != nil {
 			add(KindRewriteError, 0, rw.Name, err.Error())
 			continue
 		}
-		if altPlan.Cost > maxCost {
+		aq.res.Release()
+		if aq.res.Plan.Cost > maxCost {
 			continue
 		}
-		switch v := edge(altPlan, KindMetamorphic, 0, rw.Name); {
+		switch v := edge(aq.res.Plan, KindMetamorphic, 0, rw.Name); {
 		case v.Compared():
 			r.planExecs++
 			r.metaChecks++
@@ -445,25 +472,34 @@ func (c *campaign) runOne(idx int, w *qgen.Weights) result {
 	return r
 }
 
-// planTree renders a logical tree to SQL, re-binds and optimizes it — the
-// same pipeline a generated query takes, applied to a rewritten tree. The
-// supplied metadata is the original query's (a superset of the tree's
-// columns), which sqlgen accepts because it names columns by ID.
-func (c *campaign) planTree(tree *logical.Expr, md *logical.Metadata) (*physical.Expr, error) {
-	sqlText, err := sqlgen.Generate(tree, md)
-	if err != nil {
-		return nil, fmt.Errorf("render: %w", err)
+// planned is a query tree taken through the front end: its SQL, the tree
+// bound back from that SQL, and the optimization — the caller's to release.
+type planned struct {
+	sql   string
+	bound *bind.Bound
+	res   *opt.Result
+}
+
+// plan renders a logical tree to SQL, re-binds and optimizes it: the one
+// front end of the generated query, of each rewrite's alternative and of
+// each shrink candidate. The metadata may be a superset of the tree's
+// columns (a rewrite's or a shrink candidate's is the original query's),
+// which sqlgen accepts because it names columns by ID. On failure it returns
+// the stage that failed — "render", "bind" or "optimize" — and an error that
+// names it.
+func (c *campaign) plan(tree *logical.Expr, md *logical.Metadata) (planned, string, error) {
+	var q planned
+	var err error
+	if q.sql, err = sqlgen.Generate(tree, md); err != nil {
+		return q, "render", fmt.Errorf("render: %w", err)
 	}
-	bound, err := bind.BindSQL(sqlText, c.cfg.Catalog)
-	if err != nil {
-		return nil, fmt.Errorf("bind: %w (sql: %s)", err, sqlText)
+	if q.bound, err = bind.BindSQL(q.sql, c.cfg.Catalog); err != nil {
+		return q, "bind", fmt.Errorf("bind: %w (sql: %s)", err, q.sql)
 	}
-	res, err := c.opt.Optimize(bound.Tree, bound.MD, opt.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("optimize: %w", err)
+	if q.res, err = c.opt.Optimize(q.bound.Tree, q.bound.MD, opt.Options{}); err != nil {
+		return q, "optimize", fmt.Errorf("optimize: %w", err)
 	}
-	res.Release()
-	return res.Plan, nil
+	return q, "", nil
 }
 
 // distinctOps returns the distinct logical operators of a tree, sorted, for

@@ -86,11 +86,12 @@ func TestRewritesPreserveResults(t *testing.T) {
 					}
 					applied[rw.Name]++
 					dbApplied[rw.Name]++
-					altPlan, err := c.planTree(alt, bound.MD)
+					aq, _, err := c.plan(alt, bound.MD)
 					if err != nil {
 						t.Errorf("%s: rewrite %s (seed %d) of %q failed to plan: %v", db, rw.Name, seed, sql, err)
 						continue
 					}
+					altPlan := aq.res.Plan
 					out, err := rn.Edge(&base, oracle.Prepare(altPlan))
 					if err != nil {
 						t.Errorf("%s: rewrite %s (seed %d) of %q failed to execute: %v", db, rw.Name, seed, sql, err)

@@ -9,6 +9,7 @@ import (
 	"qtrtest/internal/exec"
 	"qtrtest/internal/mutate"
 	"qtrtest/internal/opt"
+	"qtrtest/internal/physical"
 	"qtrtest/internal/rules"
 )
 
@@ -24,7 +25,7 @@ func TestCampaignCatchesAllMutants(t *testing.T) {
 			rep, err := Run(Config{
 				Seed: seed, N: 300, Workers: 8, Catalog: cat, DB: "tpch",
 				Registry: m.Registry(), Mutant: string(m.Kind),
-				StopOnFinding: true, MaxShrunk: 1,
+				StopOnFinding: true,
 			})
 			if err != nil {
 				t.Fatalf("seed=%d mutant=%s: %v", seed, m.Kind, err)
@@ -45,7 +46,7 @@ func TestCampaignCatchesAllMutants(t *testing.T) {
 			}
 			// The shrunk reproducer must still trip the same oracle when
 			// replayed from its SQL alone.
-			if !shrunkStillTrips(t, cat, m, f) {
+			if !shrunkStillTrips(t, cat, m.Registry(), f) {
 				t.Errorf("seed=%d mutant=%s: shrunk reproducer no longer trips the oracle: kind=%s sql=%s",
 					seed, m.Kind, f.Kind, f.ShrunkSQL)
 			}
@@ -54,12 +55,15 @@ func TestCampaignCatchesAllMutants(t *testing.T) {
 }
 
 // shrunkStillTrips replays a finding's shrunk SQL through the same pipeline
-// and oracle that produced the original finding. The rewrite lookup spans
-// the full catalog (tree-level plus EET) so EET-campaign findings replay
-// too; the finding's own Seed replays any seed-dependent site choice.
-func shrunkStillTrips(t *testing.T, cat *catalog.Catalog, m mutate.Mutant, f Finding) bool {
+// and oracle that produced the original finding under registry reg. The
+// rewrite lookup spans the full catalog (tree-level plus EET, and the
+// test-only failingFilter) so findings of every campaign replay; the
+// finding's own Seed replays any seed-dependent site choice. An
+// exec-error finding replays the plan it was raised on: Plan(q,¬Rule) for a
+// rule, the named rewrite's plan for a rewrite, else the base plan.
+func shrunkStillTrips(t *testing.T, cat *catalog.Catalog, reg *rules.Registry, f Finding) bool {
 	t.Helper()
-	o := opt.New(m.Registry(), cat)
+	o := opt.New(reg, cat)
 	bound, err := bind.BindSQL(f.ShrunkSQL, cat)
 	if err != nil {
 		t.Logf("shrunk SQL does not bind: %v", err)
@@ -73,6 +77,26 @@ func shrunkStillTrips(t *testing.T, cat *catalog.Catalog, m mutate.Mutant, f Fin
 	rn, err := oracle.New(oracle.Options{MaxWork: 2e6})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// rewritten returns the plan of the finding's rewrite of the query, or
+	// nil when the rewrite no longer applies or plans.
+	rewritten := func() *physical.Expr {
+		for _, rw := range append(rewritesFor(Config{EET: true}), failingFilter) {
+			if rw.Name != f.Rewrite {
+				continue
+			}
+			alt := rw.Apply(bound.Tree, bound.MD, f.Seed)
+			if alt == nil {
+				return nil
+			}
+			c := &campaign{cfg: Config{Catalog: cat}, opt: o}
+			aq, _, err := c.plan(alt, bound.MD)
+			if err != nil {
+				return nil
+			}
+			return aq.res.Plan
+		}
+		return nil
 	}
 	switch f.Kind {
 	case KindDifferential:
@@ -91,31 +115,25 @@ func shrunkStillTrips(t *testing.T, cat *catalog.Catalog, m mutate.Mutant, f Fin
 		if err != nil {
 			return false
 		}
-		for _, rw := range rewritesFor(Config{EET: true}) {
-			if rw.Name != f.Rewrite {
-				continue
-			}
-			alt := rw.Apply(bound.Tree, bound.MD, f.Seed)
-			if alt == nil {
-				return false
-			}
-			c := &campaign{cfg: Config{Catalog: cat}, opt: o}
-			altPlan, err := c.planTree(alt, bound.MD)
-			if err != nil {
-				return false
-			}
-			out, err := rn.Edge(&base, oracle.Prepare(altPlan))
-			return err == nil && out.Verdict == oracle.Mismatch
+		altPlan := rewritten()
+		if altPlan == nil {
+			return false
 		}
-		return false
+		out, err := rn.Edge(&base, oracle.Prepare(altPlan))
+		return err == nil && out.Verdict == oracle.Mismatch
 	case KindExecError:
 		plan := res.Plan
-		if f.Rule != 0 {
+		switch {
+		case f.Rule != 0:
 			altRes, err := o.Optimize(bound.Tree, bound.MD, opt.Options{Disabled: rules.NewSet(rules.ID(f.Rule))})
 			if err != nil {
 				return false
 			}
 			plan = altRes.Plan
+		case f.Rewrite != "":
+			if plan = rewritten(); plan == nil {
+				return false
+			}
 		}
 		_, err := exec.Run(plan, cat)
 		return err != nil
@@ -134,7 +152,7 @@ func TestMutantCampaignDeterministic(t *testing.T) {
 	cfg := Config{
 		Seed: 5, N: 96, Workers: 4, Catalog: cat, DB: "tpch",
 		Registry: ms[0].Registry(), Mutant: string(ms[0].Kind),
-		StopOnFinding: true, MaxShrunk: 2,
+		StopOnFinding: true,
 	}
 	a, err := Run(cfg)
 	if err != nil {
