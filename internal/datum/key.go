@@ -2,6 +2,7 @@ package datum
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -53,24 +54,40 @@ func KeyFlags(cols []Vec, slots []int, ri int) (null, nan bool) {
 }
 
 // KeyTable numbers the distinct keys of a column set densely in first-seen
-// order: hash heads plus a collision chain, checked with KeyEqual against the
-// parts of the row that first held each key. No text is built per row.
+// order. A power-of-two directory, indexed by the top bits of a key's hash,
+// heads a chain per bucket, latest key first; a probe compares the stored
+// hash, then the parts of the row that first held the key, with KeyEqual. No
+// text is built per row.
 type KeyTable struct {
-	width int
-	heads map[uint64]int32 // key hash -> 1 + the latest key with that hash
-	chain []int32          // chain[k]: the previous key with k's hash, or -1
-	parts []Datum          // key k's parts: parts[k*width : (k+1)*width]
+	width  int
+	shift  uint     // 64 - log2(len(dir)): a hash's bucket is h >> shift
+	dir    []int32  // bucket -> 1 + its latest key, or 0
+	hashes []uint64 // hashes[k]: key k's hash
+	chain  []int32  // chain[k]: the previous key in k's bucket, or -1
+	parts  []Datum  // key k's parts: parts[k*width : (k+1)*width]
 }
 
-// Reset empties the table for keys of width parts. It keeps its storage but
-// for a map grown past 4096 keys, which every later use would pay to clear.
-func (t *KeyTable) Reset(width int) {
-	if t.heads == nil || len(t.heads) > 4096 {
-		t.heads = make(map[uint64]int32)
+// Reset empties the table for keys of width parts, keeping its storage.
+func (t *KeyTable) Reset(width int) { t.reset(width, 0) }
+
+// reset empties the table with a directory that holds n keys at a load of at
+// most ½.
+func (t *KeyTable) reset(width, n int) {
+	size := 16
+	for size < 2*n {
+		size *= 2
 	}
-	clear(t.heads)
+	t.setDir(size)
 	clear(t.parts) // unpin the strings
-	t.width, t.chain, t.parts = width, t.chain[:0], t.parts[:0]
+	t.width, t.hashes, t.chain, t.parts = width, t.hashes[:0], t.chain[:0], t.parts[:0]
+}
+
+// setDir gives the table an empty directory of size buckets, a power of two,
+// clearing only those it re-slices.
+func (t *KeyTable) setDir(size int) {
+	t.dir = Grow(t.dir[:0], size)[:size]
+	clear(t.dir)
+	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
 }
 
 // Len returns the number of keys.
@@ -80,20 +97,27 @@ func (t *KeyTable) Len() int { return len(t.chain) }
 func (t *KeyTable) Key(k int32) []Datum { return t.parts[int(k)*t.width : (int(k)+1)*t.width] }
 
 // Add returns the number of the key row ri of cols holds at slots, numbering
-// it when it is new.
+// it when it is new. It doubles the directory when the load passes ½.
 func (t *KeyTable) Add(cols []Vec, slots []int, ri int) int32 {
 	h := keyHash(cols, slots, ri)
-	prev := t.heads[h] - 1
-	if k := t.match(prev, cols, slots, ri); k >= 0 {
+	if k := t.find(h, cols, slots, ri); k >= 0 {
 		return k
 	}
-	t.chain = append(Grow(t.chain, 1), prev)
-	t.heads[h] = int32(len(t.chain))
+	k := int32(len(t.chain))
+	t.hashes = append(Grow(t.hashes, 1), h)
+	t.chain = append(Grow(t.chain, 1), t.dir[h>>t.shift]-1)
+	t.dir[h>>t.shift] = k + 1
+	if 2*len(t.chain) > len(t.dir) { // relink every key, in order: latest first again
+		t.setDir(2 * len(t.dir))
+		for j, hj := range t.hashes {
+			t.chain[j], t.dir[hj>>t.shift] = t.dir[hj>>t.shift]-1, int32(j)+1
+		}
+	}
 	t.parts = Grow(t.parts, len(slots))
 	for _, s := range slots {
 		t.parts = append(t.parts, cols[s].D[ri])
 	}
-	return int32(len(t.chain) - 1)
+	return k
 }
 
 func keyHash(cols []Vec, slots []int, ri int) uint64 {
@@ -105,10 +129,15 @@ func keyHash(cols []Vec, slots []int, ri int) uint64 {
 	return h
 }
 
-// match walks the chain from key k for row ri's key; -1 when it is absent.
-func (t *KeyTable) match(k int32, cols []Vec, slots []int, ri int) int32 {
+// find returns the number of the key with hash h that row ri of cols holds at
+// slots; -1 when it is absent. It only reads the table, so workers may probe a
+// shared index at once.
+func (t *KeyTable) find(h uint64, cols []Vec, slots []int, ri int) int32 {
 next:
-	for ; k >= 0; k = t.chain[k] {
+	for k := t.dir[h>>t.shift] - 1; k >= 0; k = t.chain[k] {
+		if t.hashes[k] != h {
+			continue
+		}
 		for i, s := range slots {
 			if !KeyEqual(&cols[s].D[ri], &t.parts[int(k)*t.width+i]) {
 				continue next
@@ -132,7 +161,7 @@ type KeyIndex struct {
 
 // Build indexes rows 0..n-1 of cols by their key at slots, reusing storage.
 func (x *KeyIndex) Build(cols []Vec, slots []int, n int) {
-	x.Keys.Reset(len(slots))
+	x.Keys.reset(len(slots), n)
 	x.NaN, x.ids = false, Grow(x.ids[:0], n)
 	for ri := 0; ri < n; ri++ {
 		k := int32(-1)
@@ -166,7 +195,7 @@ func (x *KeyIndex) Build(cols []Vec, slots []int, n int) {
 // Lookup returns the indexed rows holding the key row ri of cols holds at
 // slots, which has no NULL part; nil when there are none.
 func (x *KeyIndex) Lookup(cols []Vec, slots []int, ri int) []int32 {
-	k := x.Keys.match(x.Keys.heads[keyHash(cols, slots, ri)]-1, cols, slots, ri)
+	k := x.Keys.find(keyHash(cols, slots, ri), cols, slots, ri)
 	if k < 0 {
 		return nil
 	}

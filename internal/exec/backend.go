@@ -3,7 +3,6 @@ package exec
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"qtrtest/internal/catalog"
 	"qtrtest/internal/datum"
@@ -144,15 +143,4 @@ func treeHasLimit(e *logical.Expr) bool {
 		}
 	}
 	return false
-}
-
-// NormalizeRows returns a copy of rows sorted by the oracle's order on rows
-// (rowCmp), equal rows in their input order: the canonical multiset form. Two
-// results are equal multisets iff their normalized forms are positionally
-// equal under that order — the equivalence EqualMultisets computes, exposed
-// here for tests and tools that want a canonical listing.
-func NormalizeRows(rows []datum.Row) []datum.Row {
-	out := slices.Clone(rows)
-	slices.SortStableFunc(out, rowCmp)
-	return out
 }

@@ -117,7 +117,8 @@ func (e Engine) String() string {
 }
 
 // runBatch opens, drains and closes a batch iterator, gathering result rows
-// with the same maxRows semantics as runIter. A failed Open is closed too: the
+// with the same maxRows semantics as runIter. The first batch's rows become
+// the result's own, uncopied. A failed Open is closed too: the
 // operators below the failure did open and hold pooled scratch, and Close is
 // safe on an operator that never opened.
 func runBatch(it BatchIterator, maxRows int) (out []datum.Row, err error) {
@@ -140,7 +141,11 @@ func runBatch(it BatchIterator, maxRows int) (out []datum.Row, err error) {
 		if maxRows > 0 && len(out)+b.Len() > maxRows {
 			return nil, ErrRowLimit
 		}
-		out = append(out, gatherRows(b)...)
+		if rows := gatherRows(b); out == nil && len(rows) > 0 {
+			out = rows[:len(rows):len(rows)] // clipped: a scan's rows are its table's
+		} else {
+			out = append(out, rows...)
+		}
 	}
 }
 

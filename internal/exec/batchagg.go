@@ -111,6 +111,9 @@ func (a *batchAgg) Open() error {
 	s.sel = order
 	s.vecs = sizeVecs(s.vecs, len(slots)+na)
 	vecs := s.vecs
+	for i := range vecs {
+		vecs[i].D = datum.Grow(vecs[i].D, groups)
+	}
 	for _, g := range order {
 		for i, d := range s.keys.Key(int32(g)) {
 			vecs[i].Append(d)

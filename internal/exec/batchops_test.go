@@ -326,3 +326,41 @@ func TestLimitOverBatchOperatorsBudgetLadder(t *testing.T) {
 		})
 	}
 }
+
+// TestScanResultOwnsItsRows: a bare scan's result takes its first batch's rows
+// as they are, and those are a window of the table's own row slice. The result
+// must still be the caller's: appending to it must not write into the table's
+// spare capacity, and a second run must leave the table and the first result
+// as they were. Both sizes leave the table spare capacity; the larger spans
+// two batches.
+func TestScanResultOwnsItsRows(t *testing.T) {
+	for _, n := range []int{batchSize / 2, batchSize + batchSize/2} {
+		tbl := &catalog.Table{Name: "t", Columns: []catalog.Column{{Name: "k", Type: datum.TypeInt}}}
+		tbl.Rows = make([]datum.Row, n, 2*n)
+		for i := range tbl.Rows {
+			tbl.Rows[i] = datum.Row{datum.NewInt(int64(i))}
+		}
+		tbl.ComputeStats()
+		cat := catalog.New()
+		cat.Add(tbl)
+		want := slices.Clone(tbl.Rows)
+		scan := &physical.Expr{Op: physical.OpScan, Table: "t", Cols: []scalar.ColumnID{1}}
+		first, err := RunEngine(EngineBatch, scan, cat, 0, 0)
+		if err != nil || len(first) != n {
+			t.Fatalf("%d rows: %d rows, %v", n, len(first), err)
+		}
+		first = append(first, datum.Row{datum.NewInt(-1)})
+		second, err := RunEngine(EngineBatch, scan, cat, 0, 0)
+		if err != nil || len(second) != n {
+			t.Fatalf("%d rows: second run: %d rows, %v", n, len(second), err)
+		}
+		if spare := tbl.Rows[:n+1][n]; spare != nil {
+			t.Errorf("%d rows: appending to a result wrote %v into the table's spare capacity", n, spare)
+		}
+		for i, r := range want {
+			if &tbl.Rows[i][0] != &r[0] || &first[i][0] != &r[0] || &second[i][0] != &r[0] {
+				t.Fatalf("%d rows: row %d moved: table %v, first %v, second %v", n, i, tbl.Rows[i], first[i], second[i])
+			}
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sync"
 
 	"qtrtest/internal/datum"
 	"qtrtest/internal/logical"
@@ -34,20 +33,26 @@ func DiffSummary(a, b []datum.Row) string {
 }
 
 // multisetDiff compares two results of one length as multisets without
-// re-encoding a row: it sorts a permutation of each by rowCmp, ties by
-// position, and walks the two side by side, matching each row of b to the
-// next equal row of a where both lie. It returns -1 when every row matched,
-// else the first unmatched row of b in b's order: the first whose count in
-// b up to there exceeds its count in a.
+// re-encoding a row. Results that agree row for row under rowCmp are equal
+// multisets, and most do, so it first walks them side by side. Otherwise it
+// sorts a permutation of each by rowCmp, ties by position, and walks the two
+// side by side, matching each row of b to the next equal row of a where both
+// lie. It returns -1 when every row matched, else the first unmatched row of b
+// in b's order: the first whose count in b up to there exceeds its count in a.
 func multisetDiff(a, b []datum.Row) int {
-	s := permPool.Get().(*permScratch)
-	defer permPool.Put(s)
-	s.a, s.b = sortedPerm(s.a, a), sortedPerm(s.b, b)
+	i := 0
+	for i < len(a) && rowCmp(a[i], b[i]) == 0 {
+		i++
+	}
+	if i == len(a) {
+		return -1
+	}
+	pa, pb := sortedPerm(a), sortedPerm(b)
 	witness, i := -1, 0
-	for _, j := range s.b {
+	for _, j := range pb {
 		c := -1
-		for ; i < len(s.a); i++ {
-			if c = rowCmp(a[s.a[i]], b[j]); c >= 0 {
+		for ; i < len(pa); i++ {
+			if c = rowCmp(a[pa[i]], b[j]); c >= 0 {
 				break
 			}
 		}
@@ -60,17 +65,12 @@ func multisetDiff(a, b []datum.Row) int {
 	return witness
 }
 
-// permScratch holds multisetDiff's two permutations between comparisons.
-type permScratch struct{ a, b []int32 }
-
-var permPool = sync.Pool{New: func() interface{} { return new(permScratch) }}
-
-// sortedPerm fills p with the positions of rows sorted by rowCmp, equal rows
-// in their order.
-func sortedPerm(p []int32, rows []datum.Row) []int32 {
-	p = p[:0]
-	for i := range rows {
-		p = append(p, int32(i))
+// sortedPerm returns the positions of rows sorted by rowCmp, equal rows in
+// their order.
+func sortedPerm(rows []datum.Row) []int32 {
+	p := make([]int32, len(rows))
+	for i := range p {
+		p[i] = int32(i)
 	}
 	slices.SortFunc(p, func(i, j int32) int {
 		if c := rowCmp(rows[i], rows[j]); c != 0 {

@@ -14,6 +14,16 @@ import (
 	"qtrtest/internal/scalar"
 )
 
+// NormalizeRows returns a copy of rows sorted by the oracle's order on rows
+// (rowCmp), equal rows in their input order: the canonical multiset form. Two
+// results are equal multisets iff their normalized forms are positionally
+// equal under that order.
+func NormalizeRows(rows []datum.Row) []datum.Row {
+	out := slices.Clone(rows)
+	slices.SortStableFunc(out, rowCmp)
+	return out
+}
+
 // rowKey is the string key the multiset oracle once counted rows by: the
 // values' datum.AppendKey encodings in order, injective and prefix-free. Its
 // equality is what rowCmp's must be.
@@ -411,7 +421,9 @@ func fuzzResults(data []byte) (a, b []datum.Row) {
 // with it, DiffSummary says what it says byte for byte (reports quote it) and
 // is empty exactly when the results are equal, and NormalizeRows puts equal
 // multisets in positionally equal order. The corners are committed as seeds
-// under testdata/fuzz/FuzzEqualMultisets.
+// under testdata/fuzz/FuzzEqualMultisets, with three for the comparison's
+// positional first pass: results equal row for row, one multiset in two
+// orders that part at row 3, and results that differ only in their last row.
 func FuzzEqualMultisets(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, b := fuzzResults(data)
