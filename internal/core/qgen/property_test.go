@@ -84,7 +84,11 @@ func TestRandomTreesAreValid(t *testing.T) {
 		if len(tree.OutputCols()) == 0 {
 			t.Fatalf("tree %d has no output columns:\n%s", i, tree)
 		}
-		if _, _, err := g.tryTree(tree, md, nil, math.MaxInt); err != nil {
+		h, err := g.tryTree(tree, md, nil, math.MaxInt)
+		if err == nil {
+			_, err = g.keep(h)
+		}
+		if err != nil {
 			t.Fatalf("tree %d failed the pipeline: %v\n%s", i, err, tree)
 		}
 	}

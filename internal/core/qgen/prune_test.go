@@ -2,22 +2,25 @@ package qgen
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
+	"qtrtest/internal/bind"
 	"qtrtest/internal/catalog"
 	"qtrtest/internal/logical"
 	"qtrtest/internal/opt"
 	"qtrtest/internal/par"
 	"qtrtest/internal/rules"
+	"qtrtest/internal/sqlgen"
 )
 
 // referencePatternPair is GeneratePatternPair as §3.2 states it, with no
-// shortcut: every trial of the composition sweep is optimized, and among the
-// hits the query with the fewest operators (the earliest, on a tie) wins.
-// generateFromPatterns skips the optimization of a trial that could not win
-// and is held to this.
-func referencePatternPair(g *Generator, a, b rules.ID) (*Query, error) {
+// shortcut: every trial of the composition sweep is rendered, bound and sent
+// through a plain Optimize (counted in optimized), and among the hits the
+// query with the fewest operators (the earliest, on a tie) wins.
+// generateFromPatterns skips the optimization of a trial that could not win,
+// explores a trial only until its targets have fired and costs only the query
+// it keeps, and is held to this.
+func referencePatternPair(g *Generator, a, b rules.ID, optimized *int) (*Query, error) {
 	pa, err := g.Pattern(a)
 	if err != nil {
 		return nil, err
@@ -27,7 +30,6 @@ func referencePatternPair(g *Generator, a, b rules.ID) (*Query, error) {
 		return nil, err
 	}
 	candidates := ComposePatterns(pa, pb)
-	target := []rules.ID{a, b}
 	var best *Query
 trials:
 	for trial := 1; trial <= g.cfg.MaxTrials; trial++ {
@@ -41,12 +43,22 @@ trials:
 				continue trials
 			}
 		}
-		q, ok, err := g.tryTree(tree, md, target, math.MaxInt)
+		sqlText, err := sqlgen.Generate(tree, md)
 		if err != nil {
 			return nil, err
 		}
-		if ok {
-			q.Trials = trial
+		bound, err := bind.BindSQL(sqlText, g.opt.Catalog())
+		if err != nil {
+			return nil, err
+		}
+		*optimized++
+		res, err := g.opt.Optimize(bound.Tree, bound.MD, opt.Options{})
+		if err != nil {
+			return nil, err
+		}
+		res.Release()
+		if res.RuleSet.Contains(a) && res.RuleSet.Contains(b) {
+			q := &Query{SQL: sqlText, Tree: bound.Tree, RuleSet: res.RuleSet, Plan: res.Plan, Cost: res.Cost, Trials: trial}
 			if best == nil || q.Tree.CountOps() < best.Tree.CountOps() {
 				best = q
 			}
@@ -94,9 +106,8 @@ func TestPatternPairMatchesUnprunedReference(t *testing.T) {
 					for seed := int64(1); seed <= 3; seed++ {
 						label := fmt.Sprintf("%s extra=%d pair {%d,%d} seed %d", db.name, extra, ids[i], ids[j], seed)
 						ref, gen := base.Fork(seed), base.Fork(seed)
-						ref.onOptimize = func() { refOptimized++ }
-						gen.onOptimize = func() { optimized++ }
-						want, wantErr := referencePatternPair(ref, ids[i], ids[j])
+						gen.onRelease = func(*opt.Result) { optimized++ }
+						want, wantErr := referencePatternPair(ref, ids[i], ids[j], &refOptimized)
 						got, err := gen.GeneratePatternPair(ids[i], ids[j])
 						if (err != nil) != (wantErr != nil) {
 							t.Fatalf("%s: error %v, reference %v", label, err, wantErr)
@@ -129,20 +140,33 @@ func TestPatternPairMatchesUnprunedReference(t *testing.T) {
 // TestSuitePairsGenerationBudget holds the generation half of the suite_pairs
 // benchmark workload — 4 distinct queries for each of the 28 pairs of the
 // first 8 exploration rules, TPC-H scale 1, seed 42, 3 padding operators, the
-// per-target generators suite.Generate forks — to a ceiling of optimizer
-// calls: 213 measured (700, one per trial, before trials that cannot win were
-// skipped). The edge-costing half is
-// TestSuitePairsOptimizerCallBudget in the root package, which cannot see
-// this package's hook. Raise the ceiling only with the reason in the PR.
+// per-target generators suite.Generate forks — to three budgets:
+//   - optimizer calls: 213 measured (700, one per trial, before trials that
+//     cannot win were skipped);
+//   - costings, one per query returned: a trial is explored only until its
+//     targets fire, and only the query kept is explored to the end and costed
+//     (every one of the 213 was costed before);
+//   - memo expressions the trials' explorations built, 130 904 measured (205 080
+//     when every trial was explored to its end).
+//
+// The edge-costing half is TestSuitePairsOptimizerCallBudget in the root
+// package, which cannot see this package's hook. Raise a ceiling only with
+// the reason in the PR.
 func TestSuitePairsGenerationBudget(t *testing.T) {
-	const seed, k, ceiling = 42, 4, 220
+	const seed, k, ceiling, exprCeiling = 42, 4, 220, 144000
 	o := opt.New(rules.DefaultRegistry(), catalog.LoadTPCH(catalog.TPCHConfig{ScaleRows: 1.0, Seed: seed}))
 	base, err := New(o, Config{Seed: seed, ExtraOps: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	optimized, target := 0, 0
-	base.onOptimize = func() { optimized++ }
+	optimized, costed, exprs, returned, target := 0, 0, 0, 0, 0
+	base.onRelease = func(res *opt.Result) {
+		optimized++
+		exprs += res.Memo.NumExprs()
+		if res.Plan != nil {
+			costed++
+		}
+	}
 	ids := firstExplorationIDs(8)
 	for i := 0; i < len(ids); i++ {
 		for j := i + 1; j < len(ids); j++ {
@@ -154,12 +178,19 @@ func TestSuitePairsGenerationBudget(t *testing.T) {
 				if err != nil {
 					t.Fatalf("pair {%d,%d}: %v", ids[i], ids[j], err)
 				}
+				returned++
 				seen[q.SQL] = true
 			}
 		}
 	}
-	t.Logf("%d optimizations", optimized)
+	t.Logf("%d optimizations, %d costed, %d queries returned, %d memo expressions", optimized, costed, returned, exprs)
 	if optimized > ceiling {
 		t.Errorf("%d optimizations to generate the suite_pairs suite, budget %d", optimized, ceiling)
+	}
+	if costed != returned {
+		t.Errorf("%d costings for %d queries returned: only a query kept is costed", costed, returned)
+	}
+	if exprs > exprCeiling {
+		t.Errorf("%d memo expressions explored to generate the suite_pairs suite, budget %d", exprs, exprCeiling)
 	}
 }

@@ -12,8 +12,10 @@
 //     via RuleSet(q). For rule pairs, compose the two patterns (§3.2).
 //
 // Both methods run a trial through the full pipeline (tree → SQL → parse →
-// bind → optimize), like the paper's prototype on a real server; a pair trial
-// whose query could not replace the smallest hit so far stops before optimize.
+// bind → optimize), like the paper's prototype on a real server, but explore
+// it only until its target rules have fired (opt.Optimizer.Explore): only the
+// query kept is explored to the end and costed. A pair trial whose query
+// could not replace the smallest hit so far stops before optimize.
 package qgen
 
 import (
@@ -60,6 +62,7 @@ type Query struct {
 	Trials int
 	// Elapsed is the wall-clock time spent, including failed trials.
 	Elapsed time.Duration
+	res     *opt.Result // a hit's unfinished optimization, until kept or dropped
 }
 
 // ErrExhausted is returned when MaxTrials attempts did not produce a query
@@ -74,9 +77,9 @@ type Generator struct {
 	cfg      Config
 	rng      *rand.Rand
 	patterns map[rules.ID]*rules.Pattern
-	// onOptimize, when non-nil, is called before each optimization a trial
-	// makes. Unexported: the call-budget test counts with it.
-	onOptimize func()
+	// onRelease, when non-nil, sees each trial's optimization just before it
+	// is released. Unexported: the budget tests count with it.
+	onRelease func(*opt.Result)
 }
 
 // New builds a generator. The rule patterns are fetched through the
@@ -113,11 +116,11 @@ func New(o *opt.Optimizer, cfg Config) (*Generator, error) {
 // parallel generation byte-identical to a sequential run.
 func (g *Generator) Fork(seed int64) *Generator {
 	return &Generator{
-		opt:        g.opt,
-		cfg:        g.cfg,
-		rng:        rand.New(rand.NewSource(seed)),
-		patterns:   g.patterns,
-		onOptimize: g.onOptimize,
+		opt:       g.opt,
+		cfg:       g.cfg,
+		rng:       rand.New(rand.NewSource(seed)),
+		patterns:  g.patterns,
+		onRelease: g.onRelease,
 	}
 }
 
@@ -130,39 +133,78 @@ func (g *Generator) Pattern(id rules.ID) (*rules.Pattern, error) {
 	return p, nil
 }
 
-// tryTree runs one trial: render the tree to SQL, parse and bind it, and
-// optimize. It reports whether all target rules were exercised — "no",
-// without optimizing, for a bound tree of maxOps operators or more, which the
-// caller would not keep.
-func (g *Generator) tryTree(tree *logical.Expr, md *logical.Metadata, target []rules.ID, maxOps int) (*Query, bool, error) {
+// renderError is a trial's failure to render its tree to SQL.
+type renderError struct{ error }
+
+// tryTree renders the tree to SQL, parses and binds it, and explores it until
+// every target rule has fired: a hit, its optimization unfinished, or nil for
+// a miss and (not optimized) for a tree of maxOps operators or more.
+func (g *Generator) tryTree(tree *logical.Expr, md *logical.Metadata, target []rules.ID, maxOps int) (*Query, error) {
 	sqlText, err := sqlgen.Generate(tree, md)
 	if err != nil {
-		return nil, false, err
+		return nil, renderError{err}
 	}
 	bound, err := bind.BindSQL(sqlText, g.opt.Catalog())
 	if err != nil {
-		return nil, false, fmt.Errorf("qgen: generated SQL failed to bind: %w\nSQL: %s", err, sqlText)
+		return nil, fmt.Errorf("qgen: generated SQL failed to bind: %w\nSQL: %s", err, sqlText)
 	}
 	if bound.Tree.CountOps() >= maxOps {
-		return nil, false, nil
+		return nil, nil
 	}
-	if g.onOptimize != nil {
-		g.onOptimize()
-	}
-	res, err := g.opt.Optimize(bound.Tree, bound.MD, opt.Options{})
+	res, err := g.opt.Explore(bound.Tree, bound.MD, opt.Options{}, target...)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	res.Release()
+	q := &Query{SQL: sqlText, Tree: bound.Tree, MD: bound.MD, res: res}
 	for _, id := range target {
 		if !res.RuleSet.Contains(id) {
-			return nil, false, nil
+			g.release(q)
+			return nil, nil
 		}
 	}
-	return &Query{
-		SQL: sqlText, Tree: bound.Tree, MD: bound.MD,
-		RuleSet: res.RuleSet, Plan: res.Plan, Cost: res.Cost,
-	}, true, nil
+	return q, nil
+}
+
+// keep finishes the hit's optimization, takes its answers and releases it.
+func (g *Generator) keep(q *Query) (*Query, error) {
+	defer g.release(q)
+	if err := q.res.Finish(); err != nil {
+		return nil, err
+	}
+	q.RuleSet, q.Plan, q.Cost = q.res.RuleSet, q.res.Plan, q.res.Cost
+	return q, nil
+}
+
+// release hands a hit's optimization back to the optimizer, if it holds one.
+func (g *Generator) release(q *Query) {
+	if q == nil || q.res == nil {
+		return
+	}
+	if g.onRelease != nil && q.res.Memo != nil {
+		g.onRelease(q.res)
+	}
+	q.res.Release()
+	q.res = nil
+}
+
+// sweep runs trials until try reports done or an error, or MaxTrials: trial n
+// instantiates candidates[(n-1) % len] and pads it with pad random operators,
+// or is skipped when the catalog has no arguments for that.
+func (g *Generator) sweep(candidates []*rules.Pattern, pad int, try func(trial int, tree *logical.Expr, md *logical.Metadata) (done bool, err error)) error {
+	for trial := 1; trial <= g.cfg.MaxTrials; trial++ {
+		md := logical.NewMetadata(g.opt.Catalog())
+		tree, err := g.instantiate(candidates[(trial-1)%len(candidates)], md)
+		for i := 0; i < pad && err == nil; i++ {
+			tree, err = g.wrapRandomOp(tree, md)
+		}
+		if err != nil {
+			continue
+		}
+		if done, err := try(trial, tree, md); done || err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // GenerateRandom is the RANDOM method: stochastic queries until one
@@ -176,14 +218,13 @@ func (g *Generator) GenerateRandom(target []rules.ID) (*Query, error) {
 		if err != nil {
 			return nil, err
 		}
-		q, ok, err := g.tryTree(tree, md, target, math.MaxInt)
+		q, err := g.tryTree(tree, md, target, math.MaxInt)
 		if err != nil {
 			return nil, err
 		}
-		if ok {
-			q.Trials = trial
-			q.Elapsed = time.Since(start)
-			return q, nil
+		if q != nil {
+			q.Trials, q.Elapsed = trial, time.Since(start)
+			return g.keep(q)
 		}
 	}
 	return nil, fmt.Errorf("%w (RANDOM, target %v, %d trials)", ErrExhausted, target, g.cfg.MaxTrials)
@@ -216,51 +257,34 @@ func (g *Generator) GeneratePatternPair(a, b rules.ID) (*Query, error) {
 }
 
 // generateFromPatterns rotates through candidate patterns, instantiating
-// each with fresh random arguments per trial.
+// each with fresh random arguments per trial. It prefers the smallest query:
+// once every candidate composition has been swept, it returns the best found
+// (§3.2). Only a trial smaller than the best hit so far can change that, so
+// only such a trial is optimized; a hit is therefore the new best, and holds
+// its unfinished optimization until a smaller hit displaces it or the sweep
+// ends.
 func (g *Generator) generateFromPatterns(target []rules.ID, candidates []*rules.Pattern) (*Query, error) {
 	//qtrlint:allow wallclock telemetry only: Elapsed reports generation latency, never influences the query produced
 	start := time.Now()
 	var best *Query
+	defer func() { g.release(best) }()
 	maxOps := math.MaxInt // best's operator count, once there is one
-	for trial := 1; trial <= g.cfg.MaxTrials; trial++ {
-		p := candidates[(trial-1)%len(candidates)]
-		md := logical.NewMetadata(g.opt.Catalog())
-		tree, err := g.instantiate(p, md)
-		if err != nil {
-			// Some compositions cannot be instantiated against this catalog
-			// (e.g. no type-compatible columns); try the next.
-			continue
-		}
-		for i := 0; i < g.cfg.ExtraOps; i++ {
-			tree, err = g.wrapRandomOp(tree, md)
-			if err != nil {
-				break
-			}
-		}
-		if err != nil {
-			continue
-		}
-		// Prefer the smallest query; once we have swept every candidate
-		// composition once, return the best found (§3.2). Only a trial smaller
-		// than the best hit so far can change that, so only such a trial is
-		// optimized; a hit is therefore the new best.
-		q, ok, err := g.tryTree(tree, md, target, maxOps)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			q.Trials = trial
-			q.Elapsed = time.Since(start)
+	err := g.sweep(candidates, g.cfg.ExtraOps, func(trial int, tree *logical.Expr, md *logical.Metadata) (bool, error) {
+		q, err := g.tryTree(tree, md, target, maxOps)
+		if q != nil {
+			g.release(best)
+			q.Trials, q.Elapsed = trial, time.Since(start)
 			best, maxOps = q, q.Tree.CountOps()
 		}
-		if best != nil && trial >= len(candidates) {
-			return best, nil
-		}
+		return best != nil && trial >= len(candidates), err
+	})
+	if err != nil {
+		return nil, err
 	}
-	if best != nil {
-		return best, nil
+	if best == nil {
+		return nil, fmt.Errorf("%w (PATTERN, target %v, %d trials)", ErrExhausted, target, g.cfg.MaxTrials)
 	}
-	return nil, fmt.Errorf("%w (PATTERN, target %v, %d trials)", ErrExhausted, target, g.cfg.MaxTrials)
+	return g.keep(best)
 }
 
 // ComposePatterns enumerates compositions of two rule patterns (§3.2):

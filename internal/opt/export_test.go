@@ -10,13 +10,20 @@ func (o Options) WithFirstFire(f func(r rules.ID, exprs int)) Options {
 	return o
 }
 
-// WithPoison makes the optimization poison what it hands back for reuse: each
-// candidate it releases and, when its Result is released, its whole scratch.
+// WithPoison makes the optimization poison each candidate it releases.
 func (o Options) WithPoison() Options {
 	o.onRelease = poisonCandidate
-	o.onPool = poisonScratch
 	return o
 }
+
+// PoisonPool makes o poison every scratch on its way back to its pool: the
+// whole working set of a released Result. Call it before o's first
+// optimization.
+func PoisonPool(o *Optimizer) { o.onPool = poisonScratch }
+
+// OnPool makes o call f with every scratch on its way back to its pool; call
+// it before o's first optimization.
+func OnPool(o *Optimizer, f func()) { o.onPool = func(*scratch) { f() } }
 
 // DumpPlan is dumpPlan for tests in package opt_test.
 var DumpPlan = dumpPlan

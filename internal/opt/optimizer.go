@@ -57,15 +57,11 @@ type Options struct {
 	// could save (ROADMAP item 5(c)). Until the first hit it costs one extra
 	// Bind per disabled-rule attempt.
 	onFirstFire func(r rules.ID, exprs int)
-	// onPool, when non-nil, is handed the optimization's scratch just before
-	// it goes back to the Optimizer's pool. Unexported: the release test
-	// poisons everything in it.
-	onPool func(*scratch)
 }
 
-// Result is the outcome of optimizing one query.
+// Result is the outcome of optimizing one query, or, unfinished, of Explore.
 type Result struct {
-	// Plan is the lowest-cost physical plan found.
+	// Plan is the lowest-cost physical plan found; nil until Finish.
 	Plan *physical.Expr
 	// Cost is the optimizer-estimated cost of Plan.
 	Cost float64
@@ -81,6 +77,7 @@ type Result struct {
 	Memo *memo.Memo
 	// scratch is that working set, until it is released.
 	scratch *scratch
+	paused  bool // the exploration has more to do
 	// tree, md and opts are what Optimize was called with, kept for Without.
 	tree *logical.Expr
 	md   *logical.Metadata
@@ -101,7 +98,7 @@ func (r *Result) Release() {
 		return
 	}
 	r.scratch, r.Memo = nil, nil
-	s.imp.o.pool(s)
+	s.o.pool(s)
 }
 
 // Without returns Plan(q,¬id) — Optimize's answer for the same query and
@@ -120,7 +117,10 @@ func (r *Result) Without(id rules.ID) (*physical.Expr, error) {
 	if s == nil {
 		return nil, errors.New("opt: Without on a released Result")
 	}
-	rule, _ := s.imp.o.reg.ByID(id) // nil: no such rule explores or wins anything
+	if r.Plan == nil {
+		return nil, errors.New("opt: Without before Finish")
+	}
+	rule, _ := s.o.reg.ByID(id) // nil: no such rule explores or wins anything
 	_, explores := rule.(rules.ExplorationRule)
 	if !explores && !slices.Contains(s.imp.wonBy, id) {
 		return r.Plan, nil
@@ -128,7 +128,7 @@ func (r *Result) Without(id rules.ID) (*physical.Expr, error) {
 	opts := r.opts
 	opts.Disabled = opts.Disabled.Union(rules.NewSet(id))
 	if explores {
-		res, err := s.imp.o.Optimize(r.tree, r.md, opts)
+		res, err := s.o.Optimize(r.tree, r.md, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -159,6 +159,7 @@ var onWork func(explored bool)
 // the stats cache and the implementor's tables afresh: after a few calls an
 // optimization allocates little besides what it returns.
 type scratch struct {
+	o    *Optimizer // whose pool the scratch belongs to
 	memo memo.Memo
 	// ctx survives from call to call so that its free list of released
 	// candidates does.
@@ -166,16 +167,15 @@ type scratch struct {
 	tab ruleTab
 	ex  explorer
 	// onAdd is ex.onAdd, bound once.
-	onAdd  func(*memo.MExpr)
-	sb     statsBuilder
-	imp    implementor
-	onPool func(*scratch)
+	onAdd func(*memo.MExpr)
+	sb    statsBuilder
+	imp   implementor
 }
 
 // pool puts a scratch no Result refers to any more back in the pool.
 func (o *Optimizer) pool(s *scratch) {
-	if s.onPool != nil {
-		s.onPool(s)
+	if o.onPool != nil {
+		o.onPool(s)
 	}
 	o.scratch.Put(s)
 }
@@ -194,6 +194,9 @@ type Optimizer struct {
 	reg     *rules.Registry
 	cat     *catalog.Catalog
 	scratch sync.Pool // of *scratch
+	// onPool, when non-nil, sees every scratch on its way back to the pool:
+	// the release tests poison it, the generation leak test counts.
+	onPool func(*scratch)
 }
 
 // New returns an optimizer over the given rules and test database.
@@ -212,8 +215,41 @@ func (o *Optimizer) Catalog() *catalog.Catalog { return o.cat }
 var ErrNoPlan = errors.New("opt: no physical plan for query (implementation rules disabled?)")
 
 // Optimize explores the query's plan space and returns the best plan found,
-// the rules exercised, and the estimated cost.
+// the rules exercised, and the estimated cost: Explore, then Finish.
 func (o *Optimizer) Optimize(tree *logical.Expr, md *logical.Metadata, opts Options) (*Result, error) {
+	r, err := o.explore(tree, md, opts, nil)
+	if err == nil {
+		err = r.Finish()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// Explore is Optimize paused once every rule of stop has been exercised: the
+// Result is unfinished (Plan nil, RuleSet and Interactions as far as they go),
+// and Finish makes it what Optimize returns. An exploration rule is in
+// RuleSet(q) from its first firing on; a stop rule only costing exercises
+// makes Explore finish.
+func (o *Optimizer) Explore(tree *logical.Expr, md *logical.Metadata, opts Options, stop ...rules.ID) (*Result, error) {
+	for _, id := range stop {
+		rule, _ := o.reg.ByID(id)
+		if _, ok := rule.(rules.ExplorationRule); !ok {
+			return o.Optimize(tree, md, opts)
+		}
+	}
+	r, err := o.explore(tree, md, opts, stop)
+	if err != nil {
+		return nil, err
+	}
+	r.RuleSet, r.Interactions = r.scratch.tab.ruleSet(), r.scratch.tab.interactions()
+	return r, nil
+}
+
+// explore takes a scratch and explores the query in it, until the rules of
+// stop have all fired or the exploration is over.
+func (o *Optimizer) explore(tree *logical.Expr, md *logical.Metadata, opts Options, stop []rules.ID) (*Result, error) {
 	if tree == nil {
 		return nil, errors.New("opt: nil query tree")
 	}
@@ -228,11 +264,10 @@ func (o *Optimizer) Optimize(tree *logical.Expr, md *logical.Metadata, opts Opti
 
 	s, _ := o.scratch.Get().(*scratch)
 	if s == nil {
-		s = new(scratch)
+		s = &scratch{o: o}
 		s.ctx.Memo = &s.memo
 		s.onAdd = s.ex.onAdd
 	}
-	s.onPool = opts.onPool
 	m, ctx := &s.memo, &s.ctx
 	// Rules may allocate fresh columns while exploring; working on a private
 	// copy-on-write clone keeps concurrent optimizations of the same query
@@ -245,33 +280,52 @@ func (o *Optimizer) Optimize(tree *logical.Expr, md *logical.Metadata, opts Opti
 	}
 
 	s.tab.reset(o.reg, opts.Disabled)
+	r := &Result{Memo: m, scratch: s, tree: tree, md: md, opts: opts}
 	if opts.exploreOverride != nil {
 		m.SetRoot(m.Insert(tree))
 		opts.exploreOverride(o, ctx, &s.tab, maxExprs, maxPasses)
 	} else {
 		// The explorer's memo hook must be live before the query tree is
 		// interned so the initial expressions seed its worklist.
-		s.ex.reset(o, ctx, &s.tab, maxExprs, maxPasses)
+		s.ex.reset(o, ctx, &s.tab, maxExprs, maxPasses, stop)
 		s.ex.onFirstFire = opts.onFirstFire
 		m.SetOnAdd(s.onAdd)
 		m.SetRoot(m.Insert(tree))
+		r.paused = s.ex.run()
+	}
+	return r, nil
+}
+
+// Finish resumes a paused exploration, runs it to its end and costs the memo,
+// or releases the Result and returns ErrNoPlan. For the Result's one owner; a
+// no-op once finished, an error once released.
+func (r *Result) Finish() error {
+	if r.Plan != nil {
+		return nil
+	}
+	s := r.scratch
+	if s == nil {
+		return errors.New("opt: Finish on a released Result")
+	}
+	if r.paused {
+		r.paused = false
+		s.memo.SetOnAdd(s.onAdd)
 		s.ex.run()
 	}
-
-	s.sb.reset(m, opts.DisableHistograms)
+	s.sb.reset(&s.memo, r.opts.DisableHistograms)
 	s.imp = implementor{
-		o: o, ctx: ctx, sb: &s.sb, tab: &s.tab,
+		o: s.o, ctx: &s.ctx, sb: &s.sb, tab: &s.tab,
 		best: s.imp.best, winner: s.imp.winner, done: s.imp.done, visiting: s.imp.visiting,
-		wonBy:     resized(s.imp.wonBy, m.NumGroups()),
-		onRelease: opts.onRelease,
+		wonBy:     resized(s.imp.wonBy, s.memo.NumGroups()),
+		onRelease: r.opts.onRelease,
 	}
 	plan := s.imp.cost()
 	if plan == nil {
-		o.pool(s)
-		return nil, ErrNoPlan
+		r.Release()
+		return ErrNoPlan
 	}
-	return &Result{Plan: plan, Cost: plan.Cost, RuleSet: s.tab.ruleSet(), Interactions: s.tab.interactions(), Memo: m,
-		scratch: s, tree: tree, md: md, opts: opts}, nil
+	r.Plan, r.Cost, r.RuleSet, r.Interactions = plan, plan.Cost, s.tab.ruleSet(), s.tab.interactions()
+	return nil
 }
 
 // resized returns s with n zero elements, reusing its backing array when that
@@ -286,7 +340,8 @@ func resized[T any](s []T, n int) []T {
 }
 
 // explorer runs exploration rules to a fixpoint (or the limits) using a
-// dirty worklist instead of whole-memo fixpoint passes.
+// dirty worklist instead of whole-memo fixpoint passes; it can pause between
+// two memo expressions and resume there.
 //
 // The reference semantics (kept runnable in explore_reference_test.go) scan
 // the memo in (group, ord) order once per pass, re-binding an expression only
@@ -317,6 +372,8 @@ type explorer struct {
 	tab       *ruleTab
 	maxExprs  int
 	maxPasses int
+	round     int        // rounds begun
+	stop      []rules.ID // rules whose firing pauses the exploration, until it does
 
 	// parents registers, for each group (index = GroupID-1), the memo
 	// expressions that have it as a child; they are the expressions
@@ -337,13 +394,13 @@ type explorer struct {
 // reset readies the explorer for one exploration, keeping the storage of the
 // last one: the parents index (its per-group lists emptied, not dropped) and
 // the worklists, which an exploration cut short by maxExprs leaves filled.
-func (ex *explorer) reset(o *Optimizer, ctx *rules.Context, tab *ruleTab, maxExprs, maxPasses int) {
+func (ex *explorer) reset(o *Optimizer, ctx *rules.Context, tab *ruleTab, maxExprs, maxPasses int, stop []rules.ID) {
 	for i, p := range ex.parents {
 		ex.parents[i] = p[:0]
 	}
 	*ex = explorer{
 		o: o, ctx: ctx, tab: tab,
-		maxExprs: maxExprs, maxPasses: maxPasses,
+		maxExprs: maxExprs, maxPasses: maxPasses, stop: stop,
 		parents: ex.parents[:0], cur: ex.cur[:0], next: ex.next[:0],
 	}
 }
@@ -403,21 +460,24 @@ func (ex *explorer) dirty(e *memo.MExpr) {
 }
 
 // run drains rounds of the worklist until a round adds nothing, or a cap is
-// reached.
-func (ex *explorer) run() {
+// reached, or — a pause, resumed by the next run — the stop rules have fired.
+func (ex *explorer) run() (paused bool) {
 	defer ex.ctx.Memo.SetOnAdd(nil)
 	m, reg := ex.ctx.Memo, ex.o.reg
-	for round := 0; round < ex.maxPasses && len(ex.next) > 0; round++ {
-		// Swap the queues, recycling the drained round's backing storage. The
-		// drained round left no inCur mark behind (pop clears it), so moving
-		// the next round's marks over is all the bookkeeping there is.
-		prevCur := ex.cur
-		ex.cur = exprHeap(ex.next)
-		for _, e := range ex.cur {
-			e.Queued = inCur
+	for len(ex.cur) > 0 || ex.round < ex.maxPasses && len(ex.next) > 0 {
+		if len(ex.cur) == 0 {
+			ex.round++
+			// Swap the queues, recycling the drained round's storage. It left
+			// no inCur mark behind (pop clears it), so moving the next round's
+			// marks over is all the bookkeeping there is.
+			prevCur := ex.cur
+			ex.cur = exprHeap(ex.next)
+			for _, e := range ex.cur {
+				e.Queued = inCur
+			}
+			ex.cur.init()
+			ex.next = prevCur[:0]
 		}
-		ex.cur.init()
-		ex.next = prevCur[:0]
 		for len(ex.cur) > 0 {
 			e := ex.cur.pop()
 			e.Queued &^= inCur
@@ -458,12 +518,17 @@ func (ex *explorer) run() {
 					}
 				}
 				if m.NumExprs() >= ex.maxExprs {
-					return
+					return false
 				}
 			}
 			ex.processing = nil
+			if len(ex.stop) > 0 && ex.tab.exercisedAll(ex.stop) {
+				ex.stop = nil
+				return true
+			}
 		}
 	}
+	return false
 }
 
 // exprLess orders memo expressions by scan position (group, then ord).
@@ -548,6 +613,16 @@ func (t *ruleTab) set(i int)      { t.bits[i>>6] |= 1 << (i & 63) }
 // that it was exercised.
 func (t *ruleTab) off(p int) bool { return t.bit(p) }
 func (t *ruleTab) exercise(p int) { t.set(t.n + p) }
+
+// exercisedAll reports whether the rules of ids were all exercised.
+func (t *ruleTab) exercisedAll(ids []rules.ID) bool {
+	for _, id := range ids {
+		if !t.bit(t.n + t.reg.Pos(id)) {
+			return false
+		}
+	}
+	return true
+}
 
 // reset readies the table for an optimization with the rules of disabled
 // off, keeping the storage of the last one.

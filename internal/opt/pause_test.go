@@ -1,0 +1,194 @@
+package opt_test
+
+import (
+	"fmt"
+	"math"
+	"sort"
+	"testing"
+
+	"qtrtest/internal/bind"
+	"qtrtest/internal/catalog"
+	"qtrtest/internal/opt"
+	"qtrtest/internal/rules"
+)
+
+// capQuery reaches the exploration cap: PushGroupByBelowUnionAll fires on its
+// own output until the memo holds 1 203 expressions in 903 groups.
+const capQuery = "SELECT n, COUNT(*) AS c FROM (SELECT n_name AS n FROM nation UNION ALL SELECT r_name AS n FROM region) AS t GROUP BY n"
+
+// pauseOutcome renders everything an optimization answers that a paused and
+// finished one must repeat: memo size, rule set, interactions, plan hash and
+// cost (its bits), and with withouts Plan(q,¬id) for every id given.
+func pauseOutcome(res *opt.Result, withouts []rules.ID) string {
+	var inter []string
+	for pair := range res.Interactions {
+		inter = append(inter, fmt.Sprint(pair))
+	}
+	sort.Strings(inter)
+	out := fmt.Sprintf("memo %d exprs %d groups, rules %v, interactions %v, plan %s cost %x",
+		res.Memo.NumExprs(), res.Memo.NumGroups(), res.RuleSet.Sorted(), inter, res.Plan.Hash(), math.Float64bits(res.Cost))
+	for _, id := range withouts {
+		out += fmt.Sprintf("\nwithout %d: %s", id, planAnswer(res.Without(id)))
+	}
+	return out
+}
+
+// TestPauseAnywhereMatchesOptimize is the resumable exploration's reference
+// test. For each query of the differential TPC-H and star corpora, a query
+// that stops at the expression cap, and 200 fuzz-drawn trees at each of seeds
+// 1 and 42: Explore with the stop set {r} for every exploration rule r of
+// RuleSet(q), and {r, s} for every pair of them, then Finish, must answer what
+// a plain Optimize with the same options answers (default caps, and for every
+// fourth query also exploration cut at one round): memo size, RuleSet,
+// Interactions, plan hash, bit-equal cost, and Without(id) for every rule of
+// RuleSet(q) — every rule for the single-rule stops, and for the pairs the
+// implementation rules, whose Without re-costs the held memo (an exploration
+// rule's Without is a fresh Optimize of its own). Before Finish, the paused
+// result must hold every stop rule and no rule the full optimization does not.
+func TestPauseAnywhereMatchesOptimize(t *testing.T) {
+	trees := 200
+	if testing.Short() {
+		trees = 40
+	}
+	reg := rules.DefaultRegistry()
+	var runs, paused int
+	reachedCap := false
+	for _, d := range []struct {
+		db     string
+		cat    *catalog.Catalog
+		corpus []string
+	}{
+		{"tpch", catalog.LoadTPCH(catalog.TPCHConfig{ScaleRows: 1, Seed: 42}), append([]string{capQuery}, opt.TPCHCorpus...)},
+		{"star", catalog.LoadStar(catalog.StarConfig{ScaleRows: 1, Seed: 42}), opt.StarCorpus},
+	} {
+		o := opt.New(reg, d.cat)
+		for qi, q := range withoutQueries(t, d.cat, d.corpus, trees) {
+			variants := []opt.Options{{}}
+			if qi%4 == 0 {
+				variants = append(variants, opt.Options{MaxPasses: 1})
+			}
+			for _, opts := range variants {
+				name := fmt.Sprintf("%s/q%d max passes %d", d.db, qi, opts.MaxPasses)
+				ref, err := o.Optimize(q.Tree, q.MD, opts)
+				if err != nil {
+					continue // the front end can draw a query no rule set plans
+				}
+				all := ref.RuleSet.Sorted()
+				var explored, impl []rules.ID
+				for _, id := range all {
+					if rule, _ := reg.ByID(id); rule.Kind() == rules.KindExploration {
+						explored = append(explored, id)
+					} else {
+						impl = append(impl, id)
+					}
+				}
+				want, wantImpl := pauseOutcome(ref, all), pauseOutcome(ref, impl)
+				if ref.Memo.NumExprs() >= 1200 {
+					reachedCap = true
+				}
+				ref.Release()
+				var stops [][]rules.ID
+				for i, a := range explored {
+					stops = append(stops, []rules.ID{a})
+					for _, b := range explored[i+1:] {
+						stops = append(stops, []rules.ID{a, b})
+					}
+				}
+				for _, stop := range stops {
+					res, err := o.Explore(q.Tree, q.MD, opts, stop...)
+					if err != nil {
+						t.Fatalf("%s stop %v: %v", name, stop, err)
+					}
+					if res.Plan != nil {
+						t.Fatalf("%s stop %v: Explore costed the memo", name, stop)
+					}
+					for _, id := range stop {
+						if !res.RuleSet.Contains(id) {
+							t.Fatalf("%s stop %v: paused without rule %d in %v", name, stop, id, res.RuleSet.Sorted())
+						}
+					}
+					for id := range res.RuleSet {
+						if !ref.RuleSet.Contains(id) {
+							t.Fatalf("%s stop %v: rule %d exercised before the pause, not by Optimize", name, stop, id)
+						}
+					}
+					before := res.Memo.NumExprs()
+					if _, err := res.Without(stop[0]); err == nil {
+						t.Fatalf("%s stop %v: Without answers before Finish", name, stop)
+					}
+					if err := res.Finish(); err != nil {
+						t.Fatalf("%s stop %v: Finish: %v", name, stop, err)
+					}
+					if res.Memo.NumExprs() > before {
+						paused++
+					}
+					runs++
+					withouts, w := impl, wantImpl
+					if len(stop) == 1 {
+						withouts, w = all, want
+					}
+					if got := pauseOutcome(res, withouts); got != w {
+						t.Fatalf("%s stop %v: paused and finished\n%s\nOptimize\n%s", name, stop, got, w)
+					}
+					plan := res.Plan
+					if err := res.Finish(); err != nil || res.Plan != plan {
+						t.Fatalf("%s stop %v: a second Finish: %v", name, stop, err)
+					}
+					res.Release()
+					if err := res.Finish(); res.Plan == nil || err != nil {
+						t.Fatalf("%s stop %v: Finish after Release of a finished result: %v", name, stop, err)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d paused explorations finished, %d of them with exploration left to do", runs, paused)
+	if !reachedCap {
+		t.Errorf("no query reached the expression cap")
+	}
+	if paused < runs/2 {
+		t.Errorf("only %d of %d explorations paused before their end", paused, runs)
+	}
+}
+
+// TestFinishOnReleasedPausedResult: a paused Result released before Finish
+// cannot be finished, and a stop rule only costing exercises makes Explore
+// return a finished result.
+func TestFinishOnReleasedPausedResult(t *testing.T) {
+	cat := catalog.LoadTPCH(catalog.TPCHConfig{ScaleRows: 1, Seed: 42})
+	o := opt.New(rules.DefaultRegistry(), cat)
+	b, err := bind.BindSQL(capQuery, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := o.Optimize(b.Tree, b.MD, opt.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.Release()
+	var expl, impl rules.ID
+	for _, id := range ref.RuleSet.Sorted() {
+		switch rule, _ := o.Registry().ByID(id); {
+		case rule.Kind() == rules.KindExploration && expl == 0:
+			expl = id
+		case rule.Kind() == rules.KindImplementation && impl == 0:
+			impl = id
+		}
+	}
+	res, err := o.Explore(b.Tree, b.MD, opt.Options{}, expl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Release()
+	if err := res.Finish(); err == nil || res.Plan != nil {
+		t.Errorf("Finish on a released paused result: plan %v, error %v", res.Plan, err)
+	}
+	res, err = o.Explore(b.Tree, b.MD, opt.Options{}, expl, impl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Release()
+	if res.Plan == nil || res.Plan.Hash() != ref.Plan.Hash() || res.Cost != ref.Cost {
+		t.Errorf("Explore with implementation rule %d to stop at: plan %v, want Optimize's", impl, res.Plan)
+	}
+}

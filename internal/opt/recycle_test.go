@@ -122,7 +122,7 @@ func poisonCandidate(e *physical.Expr) {
 
 // poisonScratch overwrites everything a scratch has handed out, on its way
 // back to the pool: the memo's storage (memo.Poison), the explorer's parents
-// index and worklists, the stats cache, stats and slab, and the implementor's
+// index, worklists and round, the stats cache, stats and slab, and the implementor's
 // tables. The candidates on the rule context's free list were poisoned as they
 // were released (Options.onRelease). An optimization that runs in this scratch
 // next, or a Result that still points into it, reads poison.
@@ -140,6 +140,7 @@ func poisonScratch(s *scratch) {
 		}
 	}
 	s.ex.processing = expr
+	s.ex.round = -7
 	for i := range s.tab.bits {
 		s.tab.bits[i] = ^uint64(0)
 	}

@@ -142,10 +142,15 @@ func releaseWorkloads(t *testing.T, reg *rules.Registry) []releaseWorkload {
 // one byte its predecessor left behind, shows here and not in a campaign. The
 // same goes for the plans Result.Without derives from the held memo before the
 // release — by re-costing it, and in a second scratch for an exploration rule —
-// and Without on a released Result is an error.
+// and Without on a released Result is an error. Each case also pauses an
+// exploration at its first exploration rule: on every other case the paused
+// Result is released at once — its scratch, worklists and all, goes back to
+// the pool poisoned, and Finish on it is an error — and on the rest it is
+// held across the case's Optimize and finished after it, to the same answer.
 func TestReleasedScratchIsInvisible(t *testing.T) {
 	for _, w := range releaseWorkloads(t, rules.DefaultRegistry()) {
 		o := opt.New(rules.DefaultRegistry(), w.cat)
+		opt.PoisonPool(o)
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
 			wg.Add(1)
@@ -170,7 +175,40 @@ func TestReleasedScratchIsInvisible(t *testing.T) {
 				for n := range w.cases {
 					i := (n + g*len(w.cases)/4) % len(w.cases) // each goroutine starts elsewhere
 					c := w.cases[i]
+					// A paused exploration of the case: released at once on
+					// odd n, held across the case's Optimize on even n and
+					// finished after it.
+					var stop []rules.ID
+					for _, id := range c.q.RuleSet.Sorted() {
+						if rule, _ := o.Registry().ByID(id); rule.Kind() == rules.KindExploration && !c.disabled.Contains(id) {
+							stop = append(stop, id)
+							break
+						}
+					}
+					paused, err := o.Explore(c.q.Tree, c.q.MD, opt.Options{Disabled: c.disabled}.WithPoison(), stop...)
+					if err != nil {
+						t.Errorf("%s: Explore: %v", c.name, err)
+						return
+					}
+					if paused.Plan != nil || paused.Memo == nil {
+						t.Errorf("%s: Explore returned plan %v, memo %v", c.name, paused.Plan, paused.Memo)
+					}
+					if n%2 == 1 {
+						paused.Release()
+						if err := paused.Finish(); err == nil || paused.Plan != nil || paused.Memo != nil {
+							t.Errorf("%s: Finish on a released paused result: plan %v, error %v", c.name, paused.Plan, err)
+						}
+						paused = nil
+					}
 					res, err := o.Optimize(c.q.Tree, c.q.MD, opt.Options{Disabled: c.disabled}.WithPoison())
+					if paused != nil {
+						ferr := paused.Finish()
+						if got := outcome(paused, ferr); got != w.want[i] {
+							t.Errorf("%s: a paused result finished after another optimization differs from a fresh optimizer's:\n got %s\nwant %s", c.name, got, w.want[i])
+							return
+						}
+						paused.Release()
+					}
 					if err == nil {
 						if res.Memo == nil || res.Memo.NumExprs() == 0 {
 							t.Errorf("%s: no memo before Release", c.name)
@@ -247,6 +285,7 @@ func TestPanickingRuleLeavesPoolClean(t *testing.T) {
 	reg := rules.RegistryWith(bomb)
 	for _, w := range releaseWorkloads(t, reg) {
 		o := opt.New(reg, w.cat)
+		opt.PoisonPool(o)
 		optimize := func(c releaseCase) (res *opt.Result, err error) {
 			defer func() {
 				if r := recover(); r != nil {
