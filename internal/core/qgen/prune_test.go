@@ -141,19 +141,21 @@ func TestPatternPairMatchesUnprunedReference(t *testing.T) {
 // benchmark workload — 4 distinct queries for each of the 28 pairs of the
 // first 8 exploration rules, TPC-H scale 1, seed 42, 3 padding operators, the
 // per-target generators suite.Generate forks — to three budgets:
-//   - optimizer calls: 213 measured (700, one per trial, before trials that
-//     cannot win were skipped);
+//   - optimizer calls: 212 measured (700, one per trial, before trials that
+//     cannot win were skipped; 213 while PushGroupByBelowUnionAll fed itself
+//     until MaxExprs);
 //   - costings, one per query returned: a trial is explored only until its
 //     targets fire, and only the query kept is explored to the end and costed
 //     (every one of the 213 was costed before);
-//   - memo expressions the trials' explorations built, 130 904 measured (205 080
-//     when every trial was explored to its end).
+//   - memo expressions the trials' explorations built, 128 534 measured and
+//     pinned as the ceiling (130 904 while PushGroupByBelowUnionAll fed itself
+//     until MaxExprs, 205 080 when every trial was explored to its end).
 //
 // The edge-costing half is TestSuitePairsOptimizerCallBudget in the root
 // package, which cannot see this package's hook. Raise a ceiling only with
 // the reason in the PR.
 func TestSuitePairsGenerationBudget(t *testing.T) {
-	const seed, k, ceiling, exprCeiling = 42, 4, 220, 144000
+	const seed, k, ceiling, exprCeiling = 42, 4, 220, 128534
 	o := opt.New(rules.DefaultRegistry(), catalog.LoadTPCH(catalog.TPCHConfig{ScaleRows: 1.0, Seed: seed}))
 	base, err := New(o, Config{Seed: seed, ExtraOps: 3})
 	if err != nil {

@@ -35,9 +35,10 @@ var TPCHCorpus, StarCorpus = tpchCorpus, starCorpus
 // candidate the base costing chose — what Without's shortcut reads.
 func WonBy(r *Result) []rules.ID { return r.scratch.imp.wonBy }
 
-// CountWork installs the work counter (true: an exploration, false: a
-// re-costing of a held memo) and returns the function that removes it.
-func CountWork(f func(explored bool)) (restore func()) {
+// CountWork installs the work counter (true: an exploration, with the memo
+// expressions it built up to its end or pause; false: a re-costing of a held
+// memo) and returns the function that removes it.
+func CountWork(f func(explored bool, exprs int)) (restore func()) {
 	onWork = f
 	return func() { onWork = nil }
 }

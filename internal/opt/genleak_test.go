@@ -25,7 +25,7 @@ import (
 // makes every trial finish: a padding UNION ALL has no plan).
 func TestGenerationReleasesEveryScratch(t *testing.T) {
 	var live, peak int
-	defer opt.CountWork(func(explored bool) {
+	defer opt.CountWork(func(explored bool, _ int) {
 		if explored {
 			live++
 			peak = max(peak, live)

@@ -136,7 +136,7 @@ func (r *Result) Without(id rules.ID) (*physical.Expr, error) {
 		return res.Plan, nil
 	}
 	if onWork != nil {
-		onWork(false)
+		onWork(false, 0)
 	}
 	imp := s.imp // its tables are the base costing's, done with and large enough
 	imp.wonBy = nil
@@ -147,10 +147,12 @@ func (r *Result) Without(id rules.ID) (*physical.Expr, error) {
 	return nil, ErrNoPlan
 }
 
-// onWork, when non-nil, is told of every exploration (true) and re-costing of
-// a held memo (false): TestFuzzStarExplorationBudget counts with it. A package
-// variable, nil in production, because campaigns build their own Optimizer.
-var onWork func(explored bool)
+// onWork, when non-nil, is told of every exploration (true) when it ends or
+// pauses, with the memo expressions it has built, and of every re-costing of
+// a held memo (false, 0): TestFuzzStarExplorationBudget counts with it. A
+// package variable, nil in production, because campaigns build their own
+// Optimizer.
+var onWork func(explored bool, exprs int)
 
 // scratch is the working set of one optimization. An Optimizer keeps the
 // released ones in a sync.Pool — not a free list of its own, so the collector
@@ -275,9 +277,6 @@ func (o *Optimizer) explore(tree *logical.Expr, md *logical.Metadata, opts Optio
 	// scheduling, without paying for a column-table copy on the (common)
 	// optimizations that never synthesize a column.
 	m.Reset(md.CowClone())
-	if onWork != nil {
-		onWork(true)
-	}
 
 	s.tab.reset(o.reg, opts.Disabled)
 	r := &Result{Memo: m, scratch: s, tree: tree, md: md, opts: opts}
@@ -292,6 +291,9 @@ func (o *Optimizer) explore(tree *logical.Expr, md *logical.Metadata, opts Optio
 		m.SetOnAdd(s.onAdd)
 		m.SetRoot(m.Insert(tree))
 		r.paused = s.ex.run()
+	}
+	if onWork != nil {
+		onWork(true, m.NumExprs())
 	}
 	return r, nil
 }

@@ -12,9 +12,16 @@ import (
 	"qtrtest/internal/rules"
 )
 
-// capQuery reaches the exploration cap: PushGroupByBelowUnionAll fires on its
-// own output until the memo holds 1 203 expressions in 903 groups.
-const capQuery = "SELECT n, COUNT(*) AS c FROM (SELECT n_name AS n FROM nation UNION ALL SELECT r_name AS n FROM region) AS t GROUP BY n"
+// capQuery reaches the exploration cap through join enumeration: region ⋈
+// supplier, joined with customer ⋈ supplier, under an OR … IS NULL filter,
+// fills the memo to 1 200 expressions in 409 groups.
+const capQuery = "SELECT c1 AS c1, c2 AS c2, c3 AS c3, c6 AS c6, c7 AS c7, c8 AS c8, c9 AS c9, c11 AS c11 FROM (" +
+	"SELECT * FROM (SELECT c1 AS c1, c2 AS c2, c3 AS c3, c6 AS c6, c7 AS c7, c8 AS c8, c9 AS c9, c11 AS c11 FROM (" +
+	"SELECT * FROM (SELECT * FROM (SELECT r_regionkey AS c1, r_name AS c2 FROM region) AS t1 " +
+	"JOIN (SELECT s_suppkey AS c3, s_name AS c4, s_nationkey AS c5, s_acctbal AS c6 FROM supplier) AS t2 ON ((c1 = c3) AND (c1 <= c5))) AS t5 " +
+	"JOIN (SELECT * FROM (SELECT c_custkey AS c7, c_name AS c8, c_nationkey AS c9, c_acctbal AS c10, c_mktsegment AS c11 FROM customer) AS t3 " +
+	"JOIN (SELECT s_suppkey AS c12, s_name AS c13, s_nationkey AS c14, s_acctbal AS c15 FROM supplier) AS t4 ON (c7 = c12)) AS t6 ON (c6 = c15)) AS t7) AS t8 " +
+	"WHERE ((c7 < 29) OR (c7 IS NULL))) AS t9"
 
 // pauseOutcome renders everything an optimization answers that a paused and
 // finished one must repeat: memo size, rule set, interactions, plan hash and
@@ -34,9 +41,9 @@ func pauseOutcome(res *opt.Result, withouts []rules.ID) string {
 }
 
 // TestPauseAnywhereMatchesOptimize is the resumable exploration's reference
-// test. For each query of the differential TPC-H and star corpora, a query
-// that stops at the expression cap, and 200 fuzz-drawn trees at each of seeds
-// 1 and 42: Explore with the stop set {r} for every exploration rule r of
+// test. For each query of the differential TPC-H and star corpora, capQuery
+// (it must stop at the expression cap), and 200 fuzz-drawn trees at each of
+// seeds 1 and 42: Explore with the stop set {r} for every exploration rule r of
 // RuleSet(q), and {r, s} for every pair of them, then Finish, must answer what
 // a plain Optimize with the same options answers (default caps, and for every
 // fourth query also exploration cut at one round): memo size, RuleSet,
@@ -52,7 +59,6 @@ func TestPauseAnywhereMatchesOptimize(t *testing.T) {
 	}
 	reg := rules.DefaultRegistry()
 	var runs, paused int
-	reachedCap := false
 	for _, d := range []struct {
 		db     string
 		cat    *catalog.Catalog
@@ -83,8 +89,8 @@ func TestPauseAnywhereMatchesOptimize(t *testing.T) {
 					}
 				}
 				want, wantImpl := pauseOutcome(ref, all), pauseOutcome(ref, impl)
-				if ref.Memo.NumExprs() >= 1200 {
-					reachedCap = true
+				if d.db == "tpch" && qi == 0 && opts.MaxPasses == 0 && ref.Memo.NumExprs() < 1200 {
+					t.Errorf("capQuery stops at %d memo expressions, before the cap", ref.Memo.NumExprs())
 				}
 				ref.Release()
 				var stops [][]rules.ID
@@ -143,9 +149,6 @@ func TestPauseAnywhereMatchesOptimize(t *testing.T) {
 		}
 	}
 	t.Logf("%d paused explorations finished, %d of them with exploration left to do", runs, paused)
-	if !reachedCap {
-		t.Errorf("no query reached the expression cap")
-	}
 	if paused < runs/2 {
 		t.Errorf("only %d of %d explorations paused before their end", paused, runs)
 	}

@@ -336,12 +336,8 @@ func ExplorationRules() []ExplorationRule {
 				u := b.Kids[0]
 				kids := make([]*memo.BoundExpr, 2)
 				for i := 0; i < 2; i++ {
-					mapping := make(map[scalar.ColumnID]scalar.ColumnID, len(u.Node.OutCols))
-					for j, out := range u.Node.OutCols {
-						mapping[out] = u.Node.InputCols[i][j]
-					}
 					kids[i] = ctx.Memo.BoundNew(logical.Expr{
-						Op: logical.OpSelect, Filter: scalar.Remap(b.Node.Filter, mapping),
+						Op: logical.OpSelect, Filter: scalar.Remap(b.Node.Filter, branchCols(u, i)),
 					}, u.Kids[i])
 				}
 				return ctx.sub(ctx.Memo.Bound(u.Node, kids[0], kids[1]))
@@ -517,10 +513,7 @@ func ExplorationRules() []ExplorationRule {
 					outCols[j] = it.Out
 				}
 				for i := 0; i < 2; i++ {
-					mapping := make(map[scalar.ColumnID]scalar.ColumnID, len(u.Node.OutCols))
-					for j, out := range u.Node.OutCols {
-						mapping[out] = u.Node.InputCols[i][j]
-					}
+					mapping := branchCols(u, i)
 					items := make([]logical.ProjItem, len(b.Node.Projs))
 					inCols[i] = make([]scalar.ColumnID, len(b.Node.Projs))
 					for j, it := range b.Node.Projs {
@@ -610,7 +603,9 @@ func pullGroupByAboveJoin(ctx *Context, b *memo.BoundExpr, joinOp logical.Op) []
 // pushGroupByBelowUnionAll implements rule 25 (local/global aggregation):
 // GroupBy(a ∪ b) → GroupBy_global(GroupBy_local(a) ∪ GroupBy_local(b)).
 // COUNT becomes SUM of local counts; AVG is not decomposable and blocks the
-// rule.
+// rule. So does a union whose branches' groups both hold a GroupBy over their
+// grouping columns, as the rule's output does: a local aggregate there removes
+// no row, and as it mints columns the rule would feed itself up to the cap.
 func pushGroupByBelowUnionAll(ctx *Context, b *memo.BoundExpr) []*memo.BoundExpr {
 	u := b.Kids[0]
 	md := ctx.MD()
@@ -621,55 +616,53 @@ func pushGroupByBelowUnionAll(ctx *Context, b *memo.BoundExpr) []*memo.BoundExpr
 			return nil
 		}
 	}
+	mappings := [2]map[scalar.ColumnID]scalar.ColumnID{branchCols(u, 0), branchCols(u, 1)}
+	var localGC [2][]scalar.ColumnID
+	grouped := true
+	for i := range mappings {
+		localGC[i] = make([]scalar.ColumnID, len(b.Node.GroupCols))
+		for j, g := range b.Node.GroupCols {
+			c, ok := mappings[i][g]
+			if !ok {
+				return nil
+			}
+			localGC[i][j] = c
+		}
+		grouped = grouped && groupedBy(ctx, u.Kids[i], localGC[i])
+	}
+	if grouped {
+		return nil
+	}
 	// The new union outputs the grouping columns under their original ids
 	// plus one fresh column per aggregate.
 	newOut := append([]scalar.ColumnID(nil), b.Node.GroupCols...)
 	aggUnionCols := make([]scalar.ColumnID, len(b.Node.Aggs))
+	metas := make([]logical.ColumnMeta, len(b.Node.Aggs))
 	for k, ag := range b.Node.Aggs {
-		typ := md.Column(ag.Out).Type
+		metas[k] = logical.ColumnMeta{Name: "la", Type: md.Column(ag.Out).Type}
 		if ag.Op == scalar.AggCount || ag.Op == scalar.AggCountStar {
-			typ = datum.TypeInt
+			metas[k].Type = datum.TypeInt
 		}
-		aggUnionCols[k] = md.AddColumn(logical.ColumnMeta{Name: "la", Type: typ})
+		aggUnionCols[k] = md.AddColumn(metas[k])
 		newOut = append(newOut, aggUnionCols[k])
-	}
-	outIdx := make(map[scalar.ColumnID]int, len(u.Node.OutCols))
-	for j, out := range u.Node.OutCols {
-		outIdx[out] = j
 	}
 	kids := make([]*memo.BoundExpr, 2)
 	inCols := make([][]scalar.ColumnID, 2)
 	for i := 0; i < 2; i++ {
-		mapping := make(map[scalar.ColumnID]scalar.ColumnID, len(u.Node.OutCols))
-		for j, out := range u.Node.OutCols {
-			mapping[out] = u.Node.InputCols[i][j]
-		}
-		localGC := make([]scalar.ColumnID, len(b.Node.GroupCols))
-		for j, g := range b.Node.GroupCols {
-			idx, ok := outIdx[g]
-			if !ok {
-				return nil
-			}
-			localGC[j] = u.Node.InputCols[i][idx]
-		}
 		localAggs := make([]scalar.Agg, len(b.Node.Aggs))
 		localOuts := make([]scalar.ColumnID, len(b.Node.Aggs))
 		for k, ag := range b.Node.Aggs {
-			typ := md.Column(ag.Out).Type
-			if ag.Op == scalar.AggCount || ag.Op == scalar.AggCountStar {
-				typ = datum.TypeInt
-			}
-			localOuts[k] = md.AddColumn(logical.ColumnMeta{Name: "la", Type: typ})
+			localOuts[k] = md.AddColumn(metas[k])
 			var arg scalar.Expr
 			if ag.Arg != nil {
-				arg = scalar.Remap(ag.Arg, mapping)
+				arg = scalar.Remap(ag.Arg, mappings[i])
 			}
 			localAggs[k] = scalar.Agg{Op: ag.Op, Arg: arg, Out: localOuts[k]}
 		}
 		kids[i] = ctx.Memo.BoundNew(logical.Expr{
-			Op: logical.OpGroupBy, GroupCols: localGC, Aggs: localAggs,
+			Op: logical.OpGroupBy, GroupCols: localGC[i], Aggs: localAggs,
 		}, u.Kids[i])
-		inCols[i] = append(append([]scalar.ColumnID(nil), localGC...), localOuts...)
+		inCols[i] = append(append([]scalar.ColumnID(nil), localGC[i]...), localOuts...)
 	}
 	newUnion := ctx.Memo.BoundNew(logical.Expr{
 		Op: logical.OpUnionAll, OutCols: newOut, InputCols: inCols,
@@ -685,6 +678,27 @@ func pushGroupByBelowUnionAll(ctx *Context, b *memo.BoundExpr) []*memo.BoundExpr
 	return ctx.sub(ctx.Memo.BoundNew(logical.Expr{
 		Op: logical.OpGroupBy, GroupCols: b.Node.GroupCols, Aggs: globalAggs,
 	}, newUnion))
+}
+
+// branchCols maps a union's output columns to those of its i-th input.
+func branchCols(u *memo.BoundExpr, i int) map[scalar.ColumnID]scalar.ColumnID {
+	m := make(map[scalar.ColumnID]scalar.ColumnID, len(u.Node.OutCols))
+	for j, out := range u.Node.OutCols {
+		m[out] = u.Node.InputCols[i][j]
+	}
+	return m
+}
+
+// groupedBy reports whether the bound child's group holds a GroupBy over
+// exactly the given grouping columns.
+func groupedBy(ctx *Context, b *memo.BoundExpr, cols []scalar.ColumnID) bool {
+	want := scalar.NewColSet(cols...)
+	for _, e := range ctx.Memo.Group(b.Group).Exprs {
+		if e.Op() == logical.OpGroupBy && scalar.NewColSet(e.Node.GroupCols...).Equals(want) {
+			return true
+		}
+	}
+	return false
 }
 
 // pruneJoinSide implements rules 26/27: Project(a ⋈ b) → Project(Project(a') ⋈ b)

@@ -35,7 +35,7 @@ func TestCampaignReportGoldens(t *testing.T) {
 		{"suite -pairs", []string{"-seed", "42", "-workers", "2", "suite", "-pairs", "-n", "6", "-k", "3", "-algo", "topk", "-validate"},
 			"94851efadc39f4392ca4a3a5b8720235ac6edaa809c1f7e85cafe8838d67b742"},
 		{"star fuzz", []string{"-db", "star", "-seed", "42", "-workers", "2", "fuzz", "-n", "200", "-json"},
-			"5765df3272c7786e801fac42466179eefe16b2c09d157c993f179241e5bdd61d"},
+			"7b96278bb7d4596de3ec322b4097d8fda335c4768cd8d45ed5000d5254390e26"},
 		{"verify", []string{"-workers", "2", "verify", "-json"},
 			"052f56e53dd26b1f84aee2e7d591db8e171a3bdfadab2fabedfcd1fd4538bfea"},
 	} {
