@@ -10,6 +10,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // Type identifies the SQL-level type of a column or value.
@@ -45,7 +47,7 @@ func (t Type) String() string {
 }
 
 // Kind discriminates the runtime representation held by a Datum. It is one
-// byte so that a Datum is four words, not six.
+// byte, padded to a word: a Datum is two words.
 type Kind uint8
 
 // Datum kinds. KindNull is its own kind regardless of the column type.
@@ -58,17 +60,36 @@ const (
 	KindDate
 )
 
-// Datum is a single SQL value. The zero value is NULL. It is 32 bytes: every
-// table, column vector, batch and cached result is an array of these, so a
-// word here is a word per value moved, cleared and scanned by the collector.
+// Datum is a single SQL value. The zero value is NULL. It is 16 bytes and
+// holds no pointer: every table, column vector, batch and cached result is an
+// array of these, so a word here is a word per value moved and cleared, and a
+// pointer would have the collector scan every value, integers included.
 type Datum struct {
 	K Kind
 	// I is the one payload word: the value of a KindInt or KindDate, the
-	// IEEE-754 bits of a KindFloat (read it through Float) and 0 or 1 for a
-	// KindBool (read it through Bool). Struct equality is therefore bitwise:
-	// NaN equals itself and +0.0 differs from -0.0, unlike under Compare.
+	// IEEE-754 bits of a KindFloat (read it through Float), 0 or 1 for a
+	// KindBool (read it through Bool) and the intern ID of a KindString (read
+	// it through Str). Struct equality is therefore bitwise — NaN equals
+	// itself and +0.0 differs from -0.0, unlike under Compare — and, the
+	// intern table being canonical, strings are equal by value.
 	I int64
-	S string
+}
+
+// interned is the process-wide string table behind KindString datums: a
+// string's ID is its index in list, given on first use and never changed, so
+// equal strings have equal IDs. IDs follow interning order, which varies with
+// scheduling: they may decide equality and hashing, never order or output.
+// The table only grows; writers serialize on mu and publish each longer list
+// atomically, so readers index it without a lock. ID 0 is "".
+var interned struct {
+	mu   sync.Mutex
+	ids  map[string]int64
+	list atomic.Pointer[[]string]
+}
+
+func init() {
+	interned.ids = map[string]int64{"": 0}
+	interned.list.Store(&[]string{""})
 }
 
 // Null is the SQL NULL value.
@@ -80,8 +101,20 @@ func NewInt(v int64) Datum { return Datum{K: KindInt, I: v} }
 // NewFloat returns a float datum.
 func NewFloat(v float64) Datum { return Datum{K: KindFloat, I: int64(math.Float64bits(v))} }
 
-// NewString returns a string datum.
-func NewString(v string) Datum { return Datum{K: KindString, S: v} }
+// NewString returns a string datum, interning v on its first use.
+func NewString(v string) Datum {
+	interned.mu.Lock()
+	defer interned.mu.Unlock()
+	id, ok := interned.ids[v]
+	if !ok {
+		v = strings.Clone(v) // pin no larger text v may be cut from
+		list := append(*interned.list.Load(), v)
+		id = int64(len(list) - 1)
+		interned.ids[v] = id
+		interned.list.Store(&list)
+	}
+	return Datum{K: KindString, I: id}
+}
 
 // NewBool returns a boolean datum.
 func NewBool(v bool) Datum {
@@ -103,6 +136,14 @@ func (d Datum) Float() float64 { return math.Float64frombits(uint64(d.I)) }
 
 // Bool returns the value of a KindBool datum.
 func (d Datum) Bool() bool { return d.I != 0 }
+
+// Str returns the value of a KindString datum, "" for any other kind.
+func (d Datum) Str() string {
+	if d.K != KindString {
+		return ""
+	}
+	return (*interned.list.Load())[d.I]
+}
 
 // Tri is the three-valued logic truth value produced by SQL comparisons.
 type Tri int
@@ -198,7 +239,10 @@ func ComparePtr(a, b *Datum) (cmp int, ok bool) {
 	}
 	switch a.K {
 	case KindString:
-		return strings.Compare(a.S, b.S), true
+		if a.I == b.I {
+			return 0, true
+		}
+		return strings.Compare(a.Str(), b.Str()), true
 	case KindBool:
 		switch ab, bb := a.Bool(), b.Bool(); {
 		case !ab && bb:
@@ -247,7 +291,7 @@ func (d Datum) String() string {
 	case KindFloat:
 		return strconv.FormatFloat(d.Float(), 'g', -1, 64)
 	case KindString:
-		return "'" + strings.ReplaceAll(d.S, "'", "''") + "'"
+		return "'" + strings.ReplaceAll(d.Str(), "'", "''") + "'"
 	case KindBool:
 		if d.Bool() {
 			return "TRUE"
@@ -308,10 +352,11 @@ func (d Datum) AppendKey(buf []byte) []byte {
 		}
 		return append(buf, ';')
 	case KindString:
+		s := d.Str()
 		buf = append(buf, 's')
-		buf = strconv.AppendInt(buf, int64(len(d.S)), 10)
+		buf = strconv.AppendInt(buf, int64(len(s)), 10)
 		buf = append(buf, ':')
-		return append(buf, d.S...)
+		return append(buf, s...)
 	case KindBool:
 		if d.Bool() {
 			return append(buf, 'b', '1', ';')

@@ -9,13 +9,42 @@ import (
 	"unsafe"
 )
 
-// A Datum is four words. Every table, column vector, batch and cached result
-// is an array of them, so a fifth word is a quarter more memory moved, cleared
-// and scanned on every execution: growing it is a decision, not an accident.
-func TestDatumIs32Bytes(t *testing.T) {
-	if n := unsafe.Sizeof(Datum{}); n != 32 {
-		t.Fatalf("unsafe.Sizeof(Datum{}) = %d, want 32", n)
+// A Datum is two words and holds no pointer. Every table, column vector,
+// batch and cached result is an array of them, so a third word is half again
+// the memory moved and cleared on every execution, and a field that can hold
+// a pointer has the collector scan every value: either is a decision, not an
+// accident.
+func TestDatumIs16BytesAndPointerFree(t *testing.T) {
+	if n := unsafe.Sizeof(Datum{}); n != 16 {
+		t.Fatalf("unsafe.Sizeof(Datum{}) = %d, want 16", n)
 	}
+	typ := reflect.TypeOf(Datum{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); holdsPointer(f.Type) {
+			t.Errorf("Datum.%s (%s) can hold a pointer", f.Name, f.Type)
+		}
+	}
+}
+
+// holdsPointer reports whether a value of type typ can hold a pointer the
+// collector must trace.
+func holdsPointer(typ reflect.Type) bool {
+	switch typ.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	case reflect.Array:
+		return typ.Len() > 0 && holdsPointer(typ.Elem())
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			if holdsPointer(typ.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	}
+	return true // pointers, strings, slices, maps, channels, funcs, interfaces
 }
 
 // The float payload shares the integer word: NewFloat(x).Float() must be x bit

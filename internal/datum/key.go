@@ -11,18 +11,19 @@ func (d *Datum) IsNaN() bool { return d.K == KindFloat && math.IsNaN(d.Float()) 
 
 // KeyEqual reports whether a and b are the same join or group-by key part,
 // that is whether their AppendKey encodings are equal: numbers by float64
-// image (−0 = +0, all NaNs one key), strings by bytes, bools by value, NULL
-// by itself. Off NULL that is Compare equality, but for NaN.
+// image (−0 = +0, all NaNs one key), strings by intern ID, bools by value,
+// NULL by itself. Off NULL that is Compare equality, but for NaN.
 func KeyEqual(a, b *Datum) bool {
 	if an, ok := a.numeric(); ok {
 		bn, ok := b.numeric()
 		return ok && (an == bn || an != an && bn != bn)
 	}
-	return a.K == b.K && (a.K != KindString || a.S == b.S) && (a.K != KindBool || a.Bool() == b.Bool())
+	return a.K == b.K && (a.K != KindString || a.I == b.I) && (a.K != KindBool || a.Bool() == b.Bool())
 }
 
 // KeyHash hashes a key part so that KeyEqual parts hash alike: a number to
-// its float64 image's bits, anything else by FNV-1a from a seed of its kind.
+// its float64 image's bits, anything else to a seed of its kind plus its bool
+// value or string intern ID.
 func KeyHash(d *Datum) uint64 {
 	if f, ok := d.numeric(); ok {
 		if f != f {
@@ -31,11 +32,11 @@ func KeyHash(d *Datum) uint64 {
 		return math.Float64bits(f + 0) // −0 + 0 is +0
 	}
 	h := uint64(d.K+1) << 59
-	if d.K == KindBool && d.Bool() {
+	switch {
+	case d.K == KindString:
+		h += uint64(d.I)
+	case d.K == KindBool && d.Bool():
 		h++
-	}
-	for i := 0; i < len(d.S); i++ {
-		h = (h ^ uint64(d.S[i])) * 1099511628211
 	}
 	return h
 }
@@ -78,7 +79,6 @@ func (t *KeyTable) reset(width, n int) {
 		size *= 2
 	}
 	t.setDir(size)
-	clear(t.parts) // unpin the strings
 	t.width, t.hashes, t.chain, t.parts = width, t.hashes[:0], t.chain[:0], t.parts[:0]
 }
 

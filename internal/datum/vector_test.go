@@ -61,7 +61,7 @@ func TestColumnVecsTransposes(t *testing.T) {
 	if vecs[0].D[0].I != 1 || !vecs[0].IsNull(1) || vecs[0].D[2].I != 3 {
 		t.Error("column 0 wrong")
 	}
-	if vecs[1].D[0].S != "a" || vecs[1].D[1].S != "b" || !vecs[1].IsNull(2) {
+	if vecs[1].D[0].Str() != "a" || vecs[1].D[1].Str() != "b" || !vecs[1].IsNull(2) {
 		t.Error("column 1 wrong")
 	}
 }

@@ -114,7 +114,10 @@ func valueCmp(a, b *datum.Datum) int {
 	case datum.KindInt, datum.KindFloat, datum.KindDate:
 		return cmp.Compare(numImage(a), numImage(b))
 	case datum.KindString:
-		return cmp.Compare(a.S, b.S)
+		if a.I == b.I {
+			return 0
+		}
+		return cmp.Compare(a.Str(), b.Str())
 	case datum.KindBool:
 		if ab := a.Bool(); ab != b.Bool() {
 			if ab {

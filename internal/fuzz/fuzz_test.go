@@ -131,11 +131,9 @@ func TestStringDomainCarriesFramingBytes(t *testing.T) {
 			}
 			for _, row := range tbl.Rows {
 				for _, dm := range row {
-					if !dm.IsNull() && len(dm.S) > 0 {
-						for _, b := range []byte(dm.S) {
-							if b == '|' || b == ':' || b == ';' {
-								found = true
-							}
+					for _, b := range []byte(dm.Str()) {
+						if b == '|' || b == ':' || b == ';' {
+							found = true
 						}
 					}
 				}

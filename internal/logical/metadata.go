@@ -2,6 +2,8 @@ package logical
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 
 	"qtrtest/internal/catalog"
 	"qtrtest/internal/datum"
@@ -86,6 +88,7 @@ func (m *Metadata) AddTable(name string) (*Expr, error) {
 		return nil, err
 	}
 	m.tables++
+	m.cols = slices.Grow(m.cols, len(t.Columns))
 	ids := make([]scalar.ColumnID, len(t.Columns))
 	for i, col := range t.Columns {
 		ids[i] = m.AddColumn(ColumnMeta{
@@ -102,7 +105,7 @@ func (m *Metadata) AddTable(name string) (*Expr, error) {
 // generator and binder both use this scheme, which is what makes generated
 // SQL round-trippable.
 func (m *Metadata) ColumnName(id scalar.ColumnID) string {
-	return fmt.Sprintf("c%d", id)
+	return "c" + strconv.Itoa(int(id))
 }
 
 // BaseColumn returns the catalog column behind id, or ok=false for computed

@@ -2,6 +2,7 @@ package refengine
 
 import (
 	"fmt"
+	"strings"
 
 	"qtrtest/internal/datum"
 	"qtrtest/internal/scalar"
@@ -244,13 +245,7 @@ func compareVals(l, r datum.Datum) (int, bool) {
 	}
 	switch l.K {
 	case datum.KindString:
-		switch {
-		case l.S < r.S:
-			return -1, true
-		case l.S > r.S:
-			return 1, true
-		}
-		return 0, true
+		return strings.Compare(l.Str(), r.Str()), true
 	case datum.KindBool:
 		switch {
 		case !l.Bool() && r.Bool():

@@ -309,23 +309,21 @@ func (c *Cache) moveToFront(e *entry) {
 	c.pushFront(e)
 }
 
-// datumSize is the in-memory footprint of one Datum excluding string bytes.
+// datumSize is the in-memory footprint of one Datum. A string's bytes live
+// once, in the intern table, not in the results that hold it.
 const datumSize = int64(unsafe.Sizeof(datum.Datum{}))
 
 // rowHeaderSize is the slice header of one Row within a result slice.
 const rowHeaderSize = int64(unsafe.Sizeof(datum.Row{}))
 
 // approxSize estimates the retained bytes of a materialized result. It
-// counts row headers, datum structs and string payloads; map/list overhead
-// of the cache itself is ignored, so the byte cap is an approximation — good
-// enough to bound the process, which is all eviction is for.
+// counts row headers and datum structs; map/list overhead of the cache itself
+// is ignored, so the byte cap is an approximation — good enough to bound the
+// process, which is all eviction is for.
 func approxSize(rows []datum.Row) int64 {
 	n := int64(64) // entry struct + map slot, roughly
 	for _, r := range rows {
 		n += rowHeaderSize + datumSize*int64(len(r))
-		for i := range r {
-			n += int64(len(r[i].S))
-		}
 	}
 	return n
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"qtrtest/internal/catalog"
 	"qtrtest/internal/datum"
@@ -31,6 +32,9 @@ func testCatalog(n int) *catalog.Catalog {
 	cat.Add(t)
 	return cat
 }
+
+// rowBytes is what approxSize charges one row of testCatalog's two columns.
+const rowBytes = int64(unsafe.Sizeof(datum.Row{}) + 2*unsafe.Sizeof(datum.Datum{}))
 
 func scanPlan() *physical.Expr {
 	return &physical.Expr{Op: physical.OpScan, Table: "t", Cols: []scalar.ColumnID{1, 2}}
@@ -236,9 +240,10 @@ func TestConcurrentMixedKeys(t *testing.T) {
 
 func TestEvictionBoundsMemory(t *testing.T) {
 	cat := testCatalog(1000)
-	// Cap sized so the cache holds a few results but the 64-key stream
-	// overflows it, forcing LRU evictions.
-	const cap = 2 << 20
+	// The 64-key stream returns about 36,000 rows (val < 1..7 of 1,000, nine
+	// times over), the largest result 1,000. A cap of 24,000 rows holds a few
+	// results but the stream overflows it, forcing LRU evictions.
+	const cap = 24000 * rowBytes
 	c := New(cap)
 	for i := 0; i < 64; i++ {
 		plan := filterPlan(int64(i%7) + 1)
@@ -263,10 +268,11 @@ func TestEvictionBoundsMemory(t *testing.T) {
 func TestLRUKeepsHotEntries(t *testing.T) {
 	cat := testCatalog(300)
 	hot := filterPlan(1)
-	// A 1 MiB budget holds about a hundred of the cold results, and 200 of
-	// them stream through; `hot` is touched after each, so the LRU must keep
-	// it while the cold ones are evicted.
-	c := New(1 << 20)
+	// A cold result is the 86 of 300 rows with val < 2. The budget holds
+	// about a hundred of them, and 200 stream through; `hot` is touched after
+	// each, so the LRU must keep it while the cold ones are evicted.
+	const coldRows = 86
+	c := New(100 * coldRows * rowBytes)
 	if _, err := c.Run(exec.EngineBatch, hot, cat, 0, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -405,11 +411,13 @@ func TestKeyForIncorporatesCatalogVersion(t *testing.T) {
 	}
 }
 
-func TestApproxSizeCountsStrings(t *testing.T) {
+// A result holding a string is charged its datum, not the string's bytes:
+// those live once, in the intern table, however many results hold them.
+func TestApproxSizeLeavesStringBytesToInternTable(t *testing.T) {
 	small := []datum.Row{{datum.NewInt(1)}}
 	big := []datum.Row{{datum.NewString(fmt.Sprintf("%01000d", 7))}}
-	if approxSize(big) <= approxSize(small) {
-		t.Fatalf("approxSize ignores string payloads: big %d <= small %d",
+	if approxSize(big) != approxSize(small) {
+		t.Fatalf("approxSize charges string bytes: big %d, small %d",
 			approxSize(big), approxSize(small))
 	}
 }

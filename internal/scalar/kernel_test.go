@@ -66,9 +66,9 @@ func refCmp(op CmpOp, l, r datum.Datum) datum.Tri {
 	case lnum || rnum || l.K != r.K:
 		return datum.Unknown
 	case l.K == datum.KindString:
-		if l.S < r.S {
+		if l.Str() < r.Str() {
 			c = -1
-		} else if l.S > r.S {
+		} else if l.Str() > r.Str() {
 			c = 1
 		}
 	case l.K == datum.KindBool:

@@ -291,12 +291,16 @@ func FingerprintInto(e Expr, h *fnv64.Hash) {
 	}
 }
 
-// fingerprintDatum mixes what Equal compares two constants on: kind, payload
-// word and string. Only the memo's interning table reads the sum.
+// fingerprintDatum mixes what Equal compares two constants on: kind, then a
+// string's bytes (not its intern ID, which varies with scheduling) or any
+// other kind's payload word. Only the memo's interning table reads the sum.
 func fingerprintDatum(d datum.Datum, h *fnv64.Hash) {
 	h.Int(int64(d.K))
-	h.Int(d.I)
-	h.String(d.S)
+	if d.K == datum.KindString {
+		h.String(d.Str())
+	} else {
+		h.Int(d.I)
+	}
 }
 
 // Equal reports full structural equality of two scalar expressions — the

@@ -6,6 +6,7 @@ package sqlgen
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"qtrtest/internal/logical"
@@ -39,7 +40,7 @@ func (g *Generator) nextAlias() string {
 	return fmt.Sprintf("t%d", g.alias)
 }
 
-func colName(id scalar.ColumnID) string { return fmt.Sprintf("c%d", id) }
+func colName(id scalar.ColumnID) string { return "c" + strconv.Itoa(int(id)) }
 
 func (g *Generator) scalarSQL(e scalar.Expr) string {
 	return e.SQL(colName)

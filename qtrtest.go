@@ -88,7 +88,8 @@ type (
 	SuiteConfig = suite.GenConfig
 	// Row is a result row.
 	Row = datum.Row
-	// Datum is a single SQL value.
+	// Datum is a single SQL value: a kind and one payload word. Read it
+	// through its accessors; a string's is Str.
 	Datum = datum.Datum
 )
 

@@ -135,7 +135,7 @@ func ExampleDB_Query() {
 		log.Fatal(err)
 	}
 	for _, r := range rows {
-		fmt.Println(r[0].S)
+		fmt.Println(r[0].Str())
 	}
 	// Output:
 	// CANADA
