@@ -56,16 +56,6 @@ func (w *Weights) Clone() *Weights {
 	return &Weights{w: append([]int(nil), w.w...)}
 }
 
-// Weight returns the current weight of op (0 if op is not in WeightedOps).
-func (w *Weights) Weight(op logical.Op) int {
-	for i, o := range WeightedOps {
-		if o == op {
-			return w.w[i]
-		}
-	}
-	return 0
-}
-
 // Boost raises op's weight by delta, saturating at max. Operators outside
 // WeightedOps are ignored.
 func (w *Weights) Boost(op logical.Op, delta, max int) {

@@ -14,7 +14,7 @@ import (
 // RunTree evaluates a logical query tree on the reference engine
 // (internal/refengine) with RunEngine's budget semantics; its budget trip
 // surfaces as ErrRowLimit. The reference engine shares no compiler and no
-// scalar kernel with the batch and row engines, so the cross-check it runs
+// scalar kernel with the batch operators, so the cross-check it runs
 // cannot replay their faults. The built-in engines reject a tree: they would
 // have to lower it through the same code the oracle is trying to check.
 func RunTree(eng Engine, tree *logical.Expr, cat *catalog.Catalog, maxRows int, maxWork int64) ([]datum.Row, error) {

@@ -10,18 +10,19 @@ import (
 	"qtrtest/internal/scalar"
 )
 
-// The batch engine runs every operator columnar: operators exchange Batches
-// of column vectors instead of single rows, amortizing interpretation overhead
-// and eliminating the per-row key-string and combined-row allocations of the
-// Volcano engine. Rows are built once, at the root, for the result. The row
-// engine remains available as EngineRow — the differential golden tests pin
-// the two engines to identical results and emission order, and to identical
-// budget verdicts on plans without a Limit (compile.go states the rest).
+// The batch operators run every plan columnar: operators exchange Batches of
+// column vectors instead of single rows, amortizing interpretation overhead.
+// Rows are built once, at the root, for the result. A Program fixes the batch
+// size of the operators that chunk their output — scans, sorts and
+// aggregates: batchSize under EngineBatch, one row under EngineRow. The
+// differential tests pin the two to identical results, emission order and
+// ANALYZE counts, and to identical budget verdicts on plans without a Limit
+// (compile.go states the rest); the reference engine checks both.
 
 const (
-	// batchSize is the nominal number of rows per batch. Scans, sorts and
-	// aggregates emit at most this many rows per batch; joins may emit up to
-	// candidateCap rows when a probe chunk is match-dense.
+	// batchSize is EngineBatch's nominal number of rows per batch. Scans,
+	// sorts and aggregates emit at most this many rows per batch; joins may
+	// emit up to candidateCap rows when a probe chunk is match-dense.
 	batchSize = 1024
 	// candidateCap bounds the candidate join pairs gathered per probe chunk,
 	// which bounds the memory a match-heavy (e.g. dropped-predicate) join can
@@ -90,11 +91,12 @@ type Engine int
 
 // Available engines.
 const (
-	// EngineBatch executes every operator columnar. The default, and the
-	// engine every campaign runs on.
+	// EngineBatch runs the batch operators batchSize rows per batch. The
+	// default, and the engine every campaign runs on.
 	EngineBatch Engine = iota
-	// EngineRow is the original Volcano row-at-a-time engine, retained as
-	// the differential baseline.
+	// EngineRow runs the same batch operators one row per batch: scans,
+	// sorts and aggregates emit single-row batches. Comparing it with
+	// EngineBatch checks that no result depends on the batch size.
 	EngineRow
 	// EngineRef is the independent reference interpreter
 	// (internal/refengine), reached through RunTree. It evaluates logical
@@ -116,9 +118,10 @@ func (e Engine) String() string {
 	return fmt.Sprintf("engine(%d)", int(e))
 }
 
-// runBatch opens, drains and closes a batch iterator, gathering result rows
-// with the same maxRows semantics as runIter. The first batch's rows become
-// the result's own, uncopied. A failed Open is closed too: the
+// runBatch opens, drains and closes a batch iterator, gathering result rows;
+// maxRows > 0 caps the result size. The first batch's rows become the
+// result's own, uncopied. A Close error on an otherwise successful run is a
+// real failure and is not swallowed. A failed Open is closed too: the
 // operators below the failure did open and hold pooled scratch, and Close is
 // safe on an operator that never opened.
 func runBatch(it BatchIterator, maxRows int) (out []datum.Row, err error) {
@@ -152,8 +155,7 @@ func runBatch(it BatchIterator, maxRows int) (out []datum.Row, err error) {
 // gatherRows materializes a batch into rows backed by one shared slab
 // allocation, written column-at-a-time: the per-row make() this replaces
 // dominated the profile of scan-heavy plans. Batches that carry a row view
-// skip even the slab — a bare scan returns the catalog's own rows, the same
-// zero-copy contract the row engine's scanIter has always had.
+// skip even the slab — a bare scan returns the catalog's own rows, uncopied.
 func gatherRows(b *Batch) []datum.Row {
 	if b.Rows != nil {
 		return b.Rows
@@ -176,11 +178,12 @@ func gatherRows(b *Batch) []datum.Row {
 
 // ---- scan -------------------------------------------------------------------
 
-// batchScan windows the catalog's cached column vectors: zero copies, zero
-// per-row work. The table is the run's: Open looks it up in the run's
-// database and Close lets go of it and of everything windowing it.
+// batchScan windows the catalog's cached column vectors, n rows per batch:
+// zero copies, zero per-row work. The table is the run's: Open looks it up in
+// the run's database and Close lets go of it and of everything windowing it.
 type batchScan struct {
 	name  string
+	n     int
 	st    *runState
 	table *catalog.Table
 	cols  []datum.Vec
@@ -202,10 +205,7 @@ func (s *batchScan) Next() (*Batch, error) {
 	if s.pos >= len(s.idx) {
 		return nil, nil
 	}
-	end := s.pos + batchSize
-	if end > len(s.idx) {
-		end = len(s.idx)
-	}
+	end := min(s.pos+s.n, len(s.idx))
 	// SeqIdx is the identity selection, so the same window of the catalog's
 	// row slice is this batch's row view: runBatch takes it as-is instead of
 	// slab-copying what the catalog already stores.
@@ -330,14 +330,15 @@ func (p *batchProject) Close() error {
 // ---- sort -------------------------------------------------------------------
 
 // batchSort drains the live slots of its input into pooled column vectors
-// and stable-sorts a permutation of their rows with the row engine's
-// comparator and algorithm, so ties land exactly where sortIter puts them. It
-// emits the permutation batchSize rows at a time as the selection over those
-// vectors: no row is built and nothing is copied out.
+// and stable-sorts a permutation of their rows by datum.TotalCompare, so tied
+// rows keep their input order. It emits the permutation n rows at a time as
+// the selection over those vectors: no row is built and nothing is copied
+// out.
 type batchSort struct {
 	child BatchIterator
 	keys  []sortKey
 	live  []int // the slots read above the sort, its keys among them
+	n     int   // rows per batch
 
 	s   *opScratch // vecs: the drained input; sel: the sorted permutation
 	pos int
@@ -392,10 +393,7 @@ func (s *batchSort) Next() (*Batch, error) {
 	if s.pos >= len(perm) {
 		return nil, nil
 	}
-	end := s.pos + batchSize
-	if end > len(perm) {
-		end = len(perm)
-	}
+	end := min(s.pos+s.n, len(perm))
 	s.out = Batch{Cols: s.s.vecs, Idx: perm[s.pos:end]}
 	s.pos = end
 	return &s.out, nil
@@ -491,5 +489,11 @@ func (c *batchConcat) Next() (*Batch, error) {
 func (c *batchConcat) Close() error {
 	clear(c.cols)
 	c.out = Batch{}
-	return closeAll(c.kids)
+	var first error
+	for _, k := range c.kids {
+		if err := k.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }

@@ -14,15 +14,15 @@ import (
 // numbers groups in first-seen order and keeps their column values. The
 // accumulators lie in one pooled slice, len(aggs) per group, so a group costs
 // no allocation once the scratch has grown. A SortAgg orders its groups by
-// their AppendKey text, built once per group: the row engine's order. The
-// accumulators are the row engine's aggState, so aggregate semantics —
-// including the SUM/AVG non-numeric execution error — live in one place.
+// their AppendKey text, built once per group. The result is emitted n groups
+// per batch.
 type batchAgg struct {
 	child     BatchIterator
 	groupCols []scalar.ColumnID
 	aggs      []scalar.Agg
 	ve        scalar.VecEval
 	sorted    bool
+	n         int // groups per batch
 
 	// s: args, one vector per aggregate argument; keys and states, the groups;
 	// sel, their emission order; vecs, the result columns.
@@ -131,10 +131,7 @@ func (a *batchAgg) Next() (*Batch, error) {
 	if a.pos >= len(a.idx) {
 		return nil, nil
 	}
-	end := a.pos + batchSize
-	if end > len(a.idx) {
-		end = len(a.idx)
-	}
+	end := min(a.pos+a.n, len(a.idx))
 	a.out = Batch{Cols: a.s.vecs, Idx: a.idx[a.pos:end]}
 	a.pos = end
 	return &a.out, nil
@@ -147,4 +144,81 @@ func (a *batchAgg) Close() error {
 	}
 	a.idx, a.out = nil, Batch{}
 	return a.child.Close()
+}
+
+// aggState accumulates one aggregate over one group.
+type aggState struct {
+	count  int64 // non-null inputs (or all rows for COUNT(*))
+	sumI   int64
+	sumF   float64
+	allInt bool
+	min    datum.Datum
+	max    datum.Datum
+	sawRow bool
+}
+
+func newAggState() aggState {
+	return aggState{allInt: true, min: datum.Null, max: datum.Null}
+}
+
+func (s *aggState) add(d datum.Datum, op scalar.AggOp) error {
+	if op == scalar.AggCountStar {
+		s.count++
+		return nil
+	}
+	if d.IsNull() {
+		return nil
+	}
+	s.count++
+	s.sawRow = true
+	switch d.K {
+	case datum.KindInt, datum.KindDate:
+		s.sumI += d.I
+		s.sumF += float64(d.I)
+	case datum.KindFloat:
+		s.allInt = false
+		s.sumF += d.Float()
+	default:
+		// SUM/AVG over a non-numeric input used to fall through here without
+		// accumulating anything, so result() silently returned 0.0 — a wrong
+		// answer the differential oracle would then trust. Surface it as an
+		// execution error instead. COUNT/MIN/MAX are defined for any kind
+		// (MIN/MAX order mixed kinds by datum.TotalCompare) and stay legal.
+		if op == scalar.AggSum || op == scalar.AggAvg {
+			return fmt.Errorf("exec: %s over non-numeric %s value", op, d.TypeOf())
+		}
+		s.allInt = false
+	}
+	if s.min.IsNull() || datum.TotalCompare(d, s.min) < 0 {
+		s.min = d
+	}
+	if s.max.IsNull() || datum.TotalCompare(d, s.max) > 0 {
+		s.max = d
+	}
+	return nil
+}
+
+func (s *aggState) result(op scalar.AggOp) datum.Datum {
+	switch op {
+	case scalar.AggCountStar, scalar.AggCount:
+		return datum.NewInt(s.count)
+	case scalar.AggSum:
+		if !s.sawRow {
+			return datum.Null
+		}
+		if s.allInt {
+			return datum.NewInt(s.sumI)
+		}
+		return datum.NewFloat(s.sumF)
+	case scalar.AggMin:
+		return s.min
+	case scalar.AggMax:
+		return s.max
+	case scalar.AggAvg:
+		if s.count == 0 {
+			return datum.Null
+		}
+		return datum.NewFloat(s.sumF / float64(s.count))
+	}
+	return datum.Null
 }

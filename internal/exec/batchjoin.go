@@ -23,9 +23,10 @@ import (
 // selection over the probe batch and gather nothing. A drained build side
 // holds only the columns the join reads or emits.
 //
-// Emission order is pinned to the row engine's: for each probe row in stream
-// order, its passing matches in build order, then its outer/anti fallout. The
-// differential golden tests rely on it.
+// Emission order is fixed: for each probe row in stream order, its passing
+// matches in build order, then its outer/anti fallout — the order of an
+// all-pairs nested loop, whatever the batch size. The differential tests rely
+// on it.
 type batchJoin struct {
 	on          scalar.Expr
 	left, right BatchIterator
@@ -115,7 +116,7 @@ func (c *compiler) newBatchJoin(plan *physical.Expr, kids []BatchIterator, ins [
 		j.keyed = true
 		j.equi = whole && impliedByKey(eqLeft, eqRight, j.leftSlots, j.rightSlots)
 		if plan.Op == physical.OpMergeJoin {
-			j.left = &batchSort{child: j.left, keys: ascending(j.leftSlots), live: c.liveSlots(ins[0], read)}
+			j.left = &batchSort{child: j.left, keys: ascending(j.leftSlots), live: c.liveSlots(ins[0], read), n: c.batch}
 		}
 	}
 	j.ve.Pairs = &j.pairs
@@ -353,7 +354,7 @@ rows:
 
 // processChunk gathers up to candidateCap candidate pairs starting at the
 // probe cursor, evaluates the join predicate once over all of them, and
-// emits the chunk's output in row-engine order.
+// emits the chunk's output in emission order.
 func (h *batchJoin) processChunk() (*Batch, error) {
 	s := h.s
 	candL, candR, segs := s.candL[:0], s.candR[:0], s.segs[:0]
@@ -363,8 +364,8 @@ func (h *batchJoin) processChunk() (*Batch, error) {
 			h.resolveRow()
 		}
 		if semiAnti && s.matched[h.li] {
-			// Decision already made in an earlier chunk; the row engine stops
-			// probing such a row too.
+			// Decision already made in an earlier chunk: a semi or anti
+			// join stops probing a row at its first match.
 			h.mi = h.groupLen
 		}
 		start := len(candL)

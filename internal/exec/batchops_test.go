@@ -96,10 +96,9 @@ func mergePlan(l, r *physical.Expr, residual scalar.Expr) *physical.Expr {
 	}
 }
 
-// TestBatchOperatorsHandPlans is the row↔batch differential for the
-// operators that went columnar last — sort, limit, concat, merge join — over
-// inputs of several batches: exact rows in exact order on both engines, and
-// the same multiset on the reference engine.
+// TestBatchOperatorsHandPlans holds sort, limit, concat and merge join over
+// inputs of several batches to exact rows in exact order at both batch sizes,
+// and to the reference engine's result.
 func TestBatchOperatorsHandPlans(t *testing.T) {
 	cat := opsCatalog()
 	asc := func(c scalar.ColumnID) logical.SortKey { return logical.SortKey{Col: c} }
@@ -140,19 +139,7 @@ func TestBatchOperatorsHandPlans(t *testing.T) {
 		"mergejoin-under-aggregate": {Op: physical.OpHashAgg, Children: []*physical.Expr{mergePlan(scanML(), scanMR(), nil)}, GroupCols: []scalar.ColumnID{4}, Aggs: []scalar.Agg{{Op: scalar.AggCountStar, Out: 30}}},
 	}
 	for name, plan := range plans {
-		t.Run(name, func(t *testing.T) {
-			rows := runEngines(t, plan, cat)
-			ref, err := RunEngine(EngineRef, plan, cat, 0, 0)
-			if err != nil {
-				t.Fatalf("ref engine: %v", err)
-			}
-			if !hasLimit(plan) && !EqualMultisets(rows, ref) {
-				t.Fatalf("ref engine disagrees:\n%s", DiffSummary(rows, ref))
-			}
-			if len(rows) != len(ref) {
-				t.Fatalf("%d rows, ref engine %d", len(rows), len(ref))
-			}
-		})
+		t.Run(name, func(t *testing.T) { runEngines(t, plan, cat) })
 	}
 }
 
@@ -235,8 +222,8 @@ func refMergeJoin(lrows, rrows []datum.Row, lslots, rslots []int, on scalar.Expr
 	return out, nil
 }
 
-// TestMergeJoinMatchesMergeReference: on both engines the merge join — a hash
-// join over its probe side sorted on the keys — emits refMergeJoin's rows in
+// TestMergeJoinMatchesMergeReference: at both batch sizes the merge join — a
+// hash join over its probe side sorted on the keys — emits refMergeJoin's rows in
 // refMergeJoin's order, over NULL keys, duplicate key groups on both sides,
 // INT against FLOAT keys, a residual predicate, composite keys, and inputs
 // that are not bare scans.
@@ -282,9 +269,10 @@ func TestMergeJoinMatchesMergeReference(t *testing.T) {
 }
 
 // TestLimitOverBatchOperatorsBudgetLadder extends the Limit budget ladder to
-// sort, concat and merge join: under a Limit the batch operator emits a whole
-// batch where the row one gives exactly N, so a row trip implies a batch trip,
-// and the rows are equal whenever neither trips.
+// sort, concat and merge join: under a Limit an operator emits a whole batch,
+// batchSize rows under EngineBatch where EngineRow emits one, so an EngineRow
+// trip implies an EngineBatch trip, and the rows are equal whenever neither
+// trips.
 func TestLimitOverBatchOperatorsBudgetLadder(t *testing.T) {
 	cat := opsCatalog()
 	plans := map[string]*physical.Expr{
@@ -331,35 +319,38 @@ func TestLimitOverBatchOperatorsBudgetLadder(t *testing.T) {
 // as they are, and those are a window of the table's own row slice. The result
 // must still be the caller's: appending to it must not write into the table's
 // spare capacity, and a second run must leave the table and the first result
-// as they were. Both sizes leave the table spare capacity; the larger spans
-// two batches.
+// as they were. Both table sizes leave the table spare capacity; at batchSize
+// rows per batch the larger spans two batches, at one row per batch both span
+// many.
 func TestScanResultOwnsItsRows(t *testing.T) {
-	for _, n := range []int{batchSize / 2, batchSize + batchSize/2} {
-		tbl := &catalog.Table{Name: "t", Columns: []catalog.Column{{Name: "k", Type: datum.TypeInt}}}
-		tbl.Rows = make([]datum.Row, n, 2*n)
-		for i := range tbl.Rows {
-			tbl.Rows[i] = datum.Row{datum.NewInt(int64(i))}
-		}
-		tbl.ComputeStats()
-		cat := catalog.New()
-		cat.Add(tbl)
-		want := slices.Clone(tbl.Rows)
-		scan := &physical.Expr{Op: physical.OpScan, Table: "t", Cols: []scalar.ColumnID{1}}
-		first, err := RunEngine(EngineBatch, scan, cat, 0, 0)
-		if err != nil || len(first) != n {
-			t.Fatalf("%d rows: %d rows, %v", n, len(first), err)
-		}
-		first = append(first, datum.Row{datum.NewInt(-1)})
-		second, err := RunEngine(EngineBatch, scan, cat, 0, 0)
-		if err != nil || len(second) != n {
-			t.Fatalf("%d rows: second run: %d rows, %v", n, len(second), err)
-		}
-		if spare := tbl.Rows[:n+1][n]; spare != nil {
-			t.Errorf("%d rows: appending to a result wrote %v into the table's spare capacity", n, spare)
-		}
-		for i, r := range want {
-			if &tbl.Rows[i][0] != &r[0] || &first[i][0] != &r[0] || &second[i][0] != &r[0] {
-				t.Fatalf("%d rows: row %d moved: table %v, first %v, second %v", n, i, tbl.Rows[i], first[i], second[i])
+	for _, eng := range []Engine{EngineRow, EngineBatch} {
+		for _, n := range []int{batchSize / 2, batchSize + batchSize/2} {
+			tbl := &catalog.Table{Name: "t", Columns: []catalog.Column{{Name: "k", Type: datum.TypeInt}}}
+			tbl.Rows = make([]datum.Row, n, 2*n)
+			for i := range tbl.Rows {
+				tbl.Rows[i] = datum.Row{datum.NewInt(int64(i))}
+			}
+			tbl.ComputeStats()
+			cat := catalog.New()
+			cat.Add(tbl)
+			want := slices.Clone(tbl.Rows)
+			scan := &physical.Expr{Op: physical.OpScan, Table: "t", Cols: []scalar.ColumnID{1}}
+			first, err := RunEngine(eng, scan, cat, 0, 0)
+			if err != nil || len(first) != n {
+				t.Fatalf("%s engine, %d rows: %d rows, %v", eng, n, len(first), err)
+			}
+			first = append(first, datum.Row{datum.NewInt(-1)})
+			second, err := RunEngine(eng, scan, cat, 0, 0)
+			if err != nil || len(second) != n {
+				t.Fatalf("%s engine, %d rows: second run: %d rows, %v", eng, n, len(second), err)
+			}
+			if spare := tbl.Rows[:n+1][n]; spare != nil {
+				t.Errorf("%s engine, %d rows: appending to a result wrote %v into the table's spare capacity", eng, n, spare)
+			}
+			for i, r := range want {
+				if &tbl.Rows[i][0] != &r[0] || &first[i][0] != &r[0] || &second[i][0] != &r[0] {
+					t.Fatalf("%s engine, %d rows: row %d moved: table %v, first %v, second %v", eng, n, i, tbl.Rows[i], first[i], second[i])
+				}
 			}
 		}
 	}

@@ -89,8 +89,8 @@ func benchPlans() []struct {
 	}
 }
 
-// BenchmarkEngineOps measures each hot operator on the row and batch engines
-// over a 50k-row synthetic table.
+// BenchmarkEngineOps measures each hot operator one row per batch (row) and
+// batchSize rows per batch (batch) over a 50k-row synthetic table.
 func BenchmarkEngineOps(b *testing.B) {
 	cat := benchCatalog(50000)
 	for _, p := range benchPlans() {

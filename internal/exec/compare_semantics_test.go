@@ -112,8 +112,7 @@ func TestNormalizeRowsMatchesTotalCompare(t *testing.T) {
 
 // TestEnginesAgreeOnWidenedKeys is the engine-level regression: the same
 // query computed with INT keys on one side and FLOAT-widened keys on the
-// other (a + 0.0) must compare Equal through the oracle on the row engine,
-// the batch engine, and between them.
+// other (a + 0.0) must compare Equal through the oracle at both batch sizes.
 func TestEnginesAgreeOnWidenedKeys(t *testing.T) {
 	cat := testCatalog()
 	intPlan := &physical.Expr{

@@ -18,14 +18,15 @@ import (
 // small (a dropped join predicate under an aggregation); the work budget can.
 // Zero or negative caps mean uncapped.
 //
-// Work accounting is engine-specific. Plans without a Limit drain every
-// operator completely under either built-in engine, so their work totals —
-// and ErrRowLimit outcomes — are identical. Under a Limit a batch child
-// materializes up to batchSize rows where the row engine pulls exactly N:
-// batch work is never less than row work, so the batch engine trips whenever
-// the row engine does and may trip where it does not (LIMIT 1 over a filter
-// over a 5000-row scan at maxWork=100). Oracles treat a trip on either side
-// of a comparison as Capped, never as a verdict (DESIGN.md §15).
+// Work accounting depends on the batch size. Plans without a Limit drain
+// every operator completely under either built-in engine, so their work
+// totals — and ErrRowLimit outcomes — are identical. Under a Limit a child
+// emits whole batches: a scan, sort or aggregate hands its parent up to
+// batchSize rows at a time under EngineBatch and one under EngineRow, so
+// EngineBatch's work is never less than EngineRow's. It trips whenever
+// EngineRow does and may trip where it does not (LIMIT 1 over a filter over
+// a 5000-row scan at maxWork=100). Oracles treat a trip on either side of a
+// comparison as Capped, never as a verdict (DESIGN.md §15).
 func RunEngine(eng Engine, plan *physical.Expr, cat *catalog.Catalog, maxRows int, maxWork int64) ([]datum.Row, error) {
 	return Compile(eng, plan).Run(cat, maxRows, maxWork)
 }
@@ -38,8 +39,9 @@ func RunEngine(eng Engine, plan *physical.Expr, cat *catalog.Catalog, maxRows in
 // the run, so a second database costs no compilation and no operator
 // allocation. Concurrent Runs are safe: each checks a tree out.
 type Program struct {
-	eng  Engine
-	plan *physical.Expr
+	eng   Engine
+	plan  *physical.Expr
+	batch int // rows per batch of scans, sorts and aggregates
 
 	mu sync.Mutex
 	// idle holds the compiled trees no run holds, linked through next: under
@@ -49,9 +51,8 @@ type Program struct {
 }
 
 // tree is one instance of a Program's operator tree, with the state of the
-// run it is serving. Exactly one of rows and batches is set.
+// run it is serving.
 type tree struct {
-	rows    iterator
 	batches BatchIterator
 	next    *tree
 	runState
@@ -87,7 +88,11 @@ func (st *runState) emit(op, rows int) error {
 // an operator without an implementation — is every Run's error, as is a table
 // missing from that run's database.
 func Compile(eng Engine, plan *physical.Expr) *Program {
-	return &Program{eng: eng, plan: plan}
+	p := &Program{eng: eng, plan: plan, batch: batchSize}
+	if eng == EngineRow {
+		p.batch = 1
+	}
+	return p
 }
 
 // Engine and Plan are what the program was compiled from.
@@ -125,11 +130,7 @@ func (p *Program) run(st runState, maxRows int) (rows []datum.Row, err error) {
 		}
 	}
 	t.runState = st
-	if t.batches != nil {
-		rows, err = runBatch(t.batches, maxRows)
-	} else {
-		rows, err = runIter(t.rows, maxRows)
-	}
+	rows, err = runBatch(t.batches, maxRows)
 	t.runState = runState{}
 	p.mu.Lock()
 	t.next, p.idle[tapped] = p.idle[tapped], t
@@ -139,25 +140,19 @@ func (p *Program) run(st runState, maxRows int) (rows []datum.Row, err error) {
 
 // compile builds one operator tree for the program's plan.
 func (p *Program) compile(tapped bool) (*tree, error) {
-	t := new(tree)
-	c := compiler{st: &t.runState, tapped: tapped, size: p.plan.CountOps()}
-	var err error
-	switch p.eng {
-	case EngineBatch:
-		t.batches, _, err = c.batchIter(p.plan, nil)
-	case EngineRow:
-		t.rows, _, err = c.rowIter(p.plan)
-	default:
+	if p.eng != EngineBatch && p.eng != EngineRow {
 		return nil, fmt.Errorf("exec: unknown engine %v", p.eng)
 	}
+	t := new(tree)
+	c := compiler{st: &t.runState, tapped: tapped, size: p.plan.CountOps(), batch: p.batch}
+	var err error
+	t.batches, _, err = c.batchIter(p.plan, nil)
 	return t, err
 }
 
-// compiler turns a physical plan into an operator tree: batch operators only
-// for EngineBatch, row operators only for EngineRow, and a tap above every
-// operator of a tree whose runs are observed. What the two share is
-// resolution — layouts, slot maps, key slots — and the shape of a merge join:
-// the hash join over a probe side sorted on its keys.
+// compiler turns a physical plan into a tree of batch operators, with a tap
+// above every operator of a tree whose runs are observed. A merge join
+// compiles to the hash join over a probe side sorted on its keys.
 type compiler struct {
 	// st is the compiled tree's run state: scans and taps keep the pointer
 	// and read through it what each run sets.
@@ -167,11 +162,12 @@ type compiler struct {
 	tapped bool
 	// size is the plan's operator count and ops the operators compiled so
 	// far, which is the next operator's index in tap order. A merge join's
-	// sort is not a plan operator and is not tapped. Taps of either kind,
-	// nodes and live-slot lists come out of one slab each: a plan's set-up
-	// allocates per plan, not per operator.
+	// sort is not a plan operator and is not tapped. Taps, nodes and
+	// live-slot lists come out of one slab each: a plan's set-up allocates
+	// per plan, not per operator.
 	size, ops int
-	rowTaps   []rowTap
+	// batch is the program's rows per batch of scans, sorts and aggregates.
+	batch     int
 	batchTaps []batchTap
 	nodes     []node
 	slots     []int
@@ -306,30 +302,6 @@ func (l *layout) env() scalar.Env {
 	return l.slots
 }
 
-// rowIter compiles plan to row operators.
-func (c *compiler) rowIter(plan *physical.Expr) (iterator, *layout, error) {
-	n := slabAdd(&c.nodes, c.size, node{})
-	kids := make([]iterator, len(plan.Children))
-	ins := make([]*layout, len(plan.Children))
-	for i, k := range plan.Children {
-		it, in, err := c.rowIter(k)
-		if err != nil {
-			return nil, nil, err
-		}
-		kids[i], ins[i] = it, in
-	}
-	out := outputLayout(plan, ins, n)
-	it, err := rowOp(plan, kids, ins, &n.out, c.st)
-	if err != nil {
-		return nil, nil, err
-	}
-	if c.tapped {
-		it = slabAdd(&c.rowTaps, c.size, rowTap{iterator: it, st: c.st, op: c.ops})
-		c.ops++
-	}
-	return it, out, nil
-}
-
 // batchIter compiles plan to batch operators whose consumers read need of
 // the columns plan emits.
 func (c *compiler) batchIter(plan *physical.Expr, need *liveCols) (BatchIterator, *layout, error) {
@@ -416,56 +388,12 @@ func joinKeys(plan *physical.Expr, ins []*layout) (left, right []int, err error)
 	return left, right, nil
 }
 
-// rowOp constructs one row operator over compiled inputs.
-func rowOp(plan *physical.Expr, kids []iterator, ins []*layout, joined *layout, st *runState) (iterator, error) {
-	switch plan.Op {
-	case physical.OpScan:
-		return &scanIter{name: plan.Table, st: st}, nil
-	case physical.OpFilter:
-		return &filterIter{child: kids[0], pred: plan.Filter, env: ins[0].env()}, nil
-	case physical.OpProject:
-		return &projectIter{child: kids[0], items: plan.Projs, env: ins[0].env()}, nil
-	case physical.OpHashJoin, physical.OpNLJoin, physical.OpMergeJoin:
-		j := &joinIter{rowPair: newRowPair(plan, ins, joined), left: kids[0], right: kids[1], hash: plan.Op != physical.OpNLJoin}
-		if j.hash {
-			var err error
-			if j.leftSlots, j.rightSlots, err = joinKeys(plan, ins); err != nil {
-				return nil, err
-			}
-			if plan.Op == physical.OpMergeJoin {
-				j.left = &sortIter{child: j.left, keys: ascending(j.leftSlots)}
-			}
-		}
-		return j, nil
-	case physical.OpHashAgg, physical.OpSortAgg:
-		return &aggIter{
-			child: kids[0], groupCols: plan.GroupCols, aggs: plan.Aggs,
-			env: ins[0].env(), sorted: plan.Op == physical.OpSortAgg,
-		}, nil
-	case physical.OpSort:
-		keys, err := sortKeys(ins[0], plan.Keys)
-		if err != nil {
-			return nil, err
-		}
-		return &sortIter{child: kids[0], keys: keys}, nil
-	case physical.OpLimit:
-		return &limitIter{child: kids[0], n: plan.N}, nil
-	case physical.OpConcat:
-		maps, err := concatMaps(plan, ins)
-		if err != nil {
-			return nil, err
-		}
-		return &concatIter{kids: kids, maps: maps}, nil
-	}
-	return nil, fmt.Errorf("exec: unsupported physical operator %s", plan.Op)
-}
-
 // batchOp constructs one batch operator over compiled inputs, a join over rows
 // of layout joined. Operators copy only the columns read above or by them.
 func (c *compiler) batchOp(plan *physical.Expr, kids []BatchIterator, ins []*layout, joined *layout, need, read *liveCols) (BatchIterator, error) {
 	switch plan.Op {
 	case physical.OpScan:
-		return &batchScan{name: plan.Table, st: c.st}, nil
+		return &batchScan{name: plan.Table, n: c.batch, st: c.st}, nil
 	case physical.OpFilter:
 		return &batchFilter{child: kids[0], pred: plan.Filter, ve: scalar.VecEval{Env: ins[0].env()}}, nil
 	case physical.OpProject:
@@ -484,14 +412,14 @@ func (c *compiler) batchOp(plan *physical.Expr, kids []BatchIterator, ins []*lay
 		return &batchAgg{
 			child: kids[0], groupCols: plan.GroupCols, aggs: plan.Aggs,
 			ve:     scalar.VecEval{Env: ins[0].env()},
-			sorted: plan.Op == physical.OpSortAgg,
+			sorted: plan.Op == physical.OpSortAgg, n: c.batch,
 		}, nil
 	case physical.OpSort:
 		keys, err := sortKeys(ins[0], plan.Keys)
 		if err != nil {
 			return nil, err
 		}
-		return &batchSort{child: kids[0], keys: keys, live: c.liveSlots(ins[0], read)}, nil
+		return &batchSort{child: kids[0], keys: keys, live: c.liveSlots(ins[0], read), n: c.batch}, nil
 	case physical.OpLimit:
 		return &batchLimit{child: kids[0], n: plan.N}, nil
 	case physical.OpConcat:
@@ -504,23 +432,7 @@ func (c *compiler) batchOp(plan *physical.Expr, kids []BatchIterator, ins []*lay
 	return nil, fmt.Errorf("exec: unsupported physical operator %s", plan.Op)
 }
 
-// rowTap and batchTap report the rows one operator emits to its run's tap.
-type rowTap struct {
-	iterator
-	st *runState
-	op int
-}
-
-func (t *rowTap) Next() (datum.Row, error) {
-	row, err := t.iterator.Next()
-	if row != nil {
-		if err := t.st.emit(t.op, 1); err != nil {
-			return nil, err
-		}
-	}
-	return row, err
-}
-
+// batchTap reports the rows one operator emits to its run's tap.
 type batchTap struct {
 	BatchIterator
 	st *runState

@@ -3,8 +3,10 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,10 +17,11 @@ import (
 	"qtrtest/internal/scalar"
 )
 
-// runEngines executes the plan on both engines and requires byte-identical
-// results in identical order: the batch engine's contract is not just
-// multiset equality but emission-order fidelity, which the fuzz report
-// byte-identity test and CompareResults both lean on.
+// runEngines executes the plan one row per batch (EngineRow) and batchSize
+// rows per batch (EngineBatch) and requires byte-identical results in
+// identical order — emission order must not depend on the batch size, which
+// the fuzz report byte-identity test and CompareResults both lean on — and
+// then holds the result to the reference engine's.
 func runEngines(t *testing.T, plan *physical.Expr, cat *catalog.Catalog) []datum.Row {
 	t.Helper()
 	want, err := RunEngine(EngineRow, plan, cat, 0, 0)
@@ -30,14 +33,30 @@ func runEngines(t *testing.T, plan *physical.Expr, cat *catalog.Catalog) []datum
 		t.Fatalf("batch engine: %v", err)
 	}
 	requireSameRows(t, want, got)
+	requireRefAgrees(t, plan, cat, got)
 	return got
+}
+
+// requireRefAgrees holds rows, plan's result over cat, to the reference
+// engine's through the oracle: row for row on the sort keys where the plan
+// has a root order, as multisets otherwise. Only under a Limit without a
+// total order may the surviving rows differ; their count may not.
+func requireRefAgrees(t *testing.T, plan *physical.Expr, cat *catalog.Catalog, rows []datum.Row) {
+	t.Helper()
+	ref, err := RunEngine(EngineRef, plan, cat, 0, 0)
+	if err != nil {
+		t.Fatalf("ref engine: %v", err)
+	}
+	order := RootOrder(plan)
+	if v, detail := CompareResults(ref, order, rows, order); v == VerdictMismatch {
+		t.Fatalf("ref engine disagrees: %s", detail)
+	}
 }
 
 func requireSameRows(t *testing.T, want, got []datum.Row) {
 	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("batch engine returned %d rows, row engine %d\n%s",
-			len(got), len(want), DiffSummary(want, got))
+		t.Fatalf("got %d rows, want %d\n%s", len(got), len(want), DiffSummary(want, got))
 	}
 	for i := range want {
 		if len(got[i]) != len(want[i]) {
@@ -45,15 +64,16 @@ func requireSameRows(t *testing.T, want, got []datum.Row) {
 		}
 		for j := range want[i] {
 			if got[i][j] != want[i][j] {
-				t.Fatalf("row %d col %d: batch %v (kind %v) vs row %v (kind %v)",
+				t.Fatalf("row %d col %d: got %v (kind %v), want %v (kind %v)",
 					i, j, got[i][j], got[i][j].K, want[i][j], want[i][j].K)
 			}
 		}
 	}
 }
 
-// TestEngineDifferentialHandPlans pins row/batch equivalence on a hand-built
-// plan per operator and join type over the small tables;
+// TestEngineDifferentialHandPlans holds a hand-built plan per operator and
+// join type over the small tables to the reference engine, at one row and at
+// batchSize rows per batch;
 // TestBatchOperatorsHandPlans does sort, limit, concat and merge join over
 // inputs of several batches.
 func TestEngineDifferentialHandPlans(t *testing.T) {
@@ -265,24 +285,17 @@ func TestEngineNLJoinShapes(t *testing.T) {
 		}
 		for name, plan := range plans {
 			t.Run(fmt.Sprintf("%s-%s", jt, name), func(t *testing.T) {
-				rows := runEngines(t, plan, cat)
-				ref, err := RunEngine(EngineRef, plan, cat, 0, 0)
-				if err != nil {
-					t.Fatalf("ref engine: %v", err)
-				}
-				if !EqualMultisets(rows, ref) {
-					t.Fatalf("ref engine disagrees:\n%s", DiffSummary(rows, ref))
-				}
+				runEngines(t, plan, cat)
 			})
 		}
 	}
 }
 
-// TestLimitOverNLJoinBudgetLadder pins the budget contract on the operator
-// that moved engines: under a Limit the batch nested-loops join pulls whole
-// probe batches and emits whole chunks where the row join stops at N rows, so
-// batch work is never less than row work — the row engine tripping implies
-// the batch engine trips, and the rows are equal whenever neither does.
+// TestLimitOverNLJoinBudgetLadder pins the budget contract on nested loops:
+// under a Limit the join pulls whole probe batches and emits whole chunks,
+// batchSize probe rows' worth under EngineBatch and one probe row's under
+// EngineRow, so EngineBatch's work is never less — EngineRow tripping implies
+// EngineBatch trips, and the rows are equal whenever neither does.
 func TestLimitOverNLJoinBudgetLadder(t *testing.T) {
 	cat := catalog.New()
 	cat.Add(randomTable("l", 2, 3*batchSize, 5))
@@ -382,13 +395,6 @@ func TestEngineLeftJoinOverJoinOutgrowsIota(t *testing.T) {
 			rows := runEngines(t, plan, c)
 			if want := candidateCap + candidateCap/2; len(rows) != want || want <= len(denseIota) {
 				t.Fatalf("%d rows, want one %d-row chunk longer than denseIota (%d)", len(rows), want, len(denseIota))
-			}
-			ref, err := RunEngine(EngineRef, plan, c, 0, 0)
-			if err != nil {
-				t.Fatalf("ref engine: %v", err)
-			}
-			if !EqualMultisets(rows, ref) {
-				t.Fatalf("ref engine disagrees:\n%s", DiffSummary(rows, ref))
 			}
 		})
 	}
@@ -555,14 +561,14 @@ func (g *planGen) op(depth, kind int) *physical.Expr {
 	}
 }
 
-// TestEngineDifferentialRandomPlans compares the engines over hundreds of
-// random operator trees — every third over a table of several batches — then
-// re-runs each plan under a ladder of work and row budgets. Without a Limit
-// the verdicts are identical: same rows, or ErrRowLimit on both sides. Under
-// a Limit a batch child materializes a whole batch where the row engine
-// pulls N rows, so batch work is never less than row work: the batch engine
-// trips whenever the row engine does, and the rows are equal whenever neither
-// trips.
+// TestEngineDifferentialRandomPlans holds hundreds of random operator trees
+// — every third over a table of several batches — to the reference engine at
+// both batch sizes, then re-runs each plan under a ladder of work and row
+// budgets. Without a Limit the verdicts are identical: same rows, or
+// ErrRowLimit on both sides. Under a Limit a child hands up a whole batch
+// where EngineRow hands up one row, so EngineBatch's work is never less:
+// EngineBatch trips whenever EngineRow does, and the rows are equal whenever
+// neither trips.
 func TestEngineDifferentialRandomPlans(t *testing.T) {
 	seeds := 60
 	if testing.Short() {
@@ -621,17 +627,24 @@ func (g *planGen) narrow(child *physical.Expr) *physical.Expr {
 	return &physical.Expr{Op: physical.OpProject, Children: []*physical.Expr{child}, Projs: projs}
 }
 
-// TestEngineDifferentialNarrowPlans holds plans whose consumers read few
-// columns — a narrow projection over a join, a merge join, a sort or a
-// concat of random subtrees, now and then under a filter and a second
-// projection — to the row engine's rows and order. The batch engine copies
-// only the columns read above an operator, so every column a join, build
-// side or sort skips is one nothing above it may read.
-func TestEngineDifferentialNarrowPlans(t *testing.T) {
+// narrowCase is one plan of the narrow-plan corpus with the database it runs
+// on.
+type narrowCase struct {
+	name string
+	plan *physical.Expr
+	cat  *catalog.Catalog
+}
+
+// narrowPlans is the narrow-plan corpus: per seed, a narrow projection over a
+// join, a merge join, a sort or a concat of random subtrees, now and then
+// under a filter and a second projection, every third seed over a table of
+// several batches. Under -short it draws a quarter of the seeds.
+func narrowPlans() []narrowCase {
 	seeds := 40
 	if testing.Short() {
 		seeds = 10
 	}
+	var out []narrowCase
 	for seed := 0; seed < seeds; seed++ {
 		for _, kind := range []string{"join", "merge join", "sort", "concat"} {
 			g := &planGen{r: rand.New(rand.NewSource(int64(seed))), cat: catalog.New(), nextCol: 1}
@@ -657,15 +670,88 @@ func TestEngineDifferentialNarrowPlans(t *testing.T) {
 					Filter: g.pred(plan.OutputCols(), 1),
 				})
 			}
-			t.Run(fmt.Sprintf("%s/%d", kind, seed), func(t *testing.T) { runEngines(t, plan, g.cat) })
+			out = append(out, narrowCase{fmt.Sprintf("%s/%d", kind, seed), plan, g.cat})
 		}
+	}
+	return out
+}
+
+// TestEngineDifferentialNarrowPlans holds the narrow-plan corpus — plans
+// whose consumers read few columns — to the reference engine at both batch
+// sizes. The batch operators copy only the columns read above an operator, so
+// every column a join, build side or sort skips is one nothing above it may
+// read.
+func TestEngineDifferentialNarrowPlans(t *testing.T) {
+	for _, tc := range narrowPlans() {
+		t.Run(tc.name, func(t *testing.T) { runEngines(t, tc.plan, tc.cat) })
+	}
+}
+
+// TestBatchSizeInvariance runs the conformance corpus and the narrow-plan
+// corpus one row per batch (EngineRow) and batchSize rows per batch
+// (EngineBatch). Both must emit the same rows in the same order. On a plan
+// without a Limit every operator drains its input, so both must also count
+// the same rows per operator under ANALYZE and give the same ErrRowLimit
+// outcomes: the work total is the sum of those counts, and a budget one row
+// short of it, or a row cap one row short of the result, trips both where the
+// exact figure passes both.
+func TestBatchSizeInvariance(t *testing.T) {
+	cases := narrowPlans()
+	conf := confCatalog()
+	for _, tc := range conformanceCases() {
+		cases = append(cases, narrowCase{"conformance/" + tc.name, tc.plan, conf})
+	}
+	engs := []Engine{EngineRow, EngineBatch}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var rows [2][]datum.Row
+			var acts [2][]int64
+			for i, eng := range engs {
+				acts[i] = make([]int64, tc.plan.CountOps())
+				var err error
+				if rows[i], err = Compile(eng, tc.plan).run(runState{cat: tc.cat, acts: acts[i]}, 0); err != nil {
+					t.Fatalf("%s engine: %v", eng, err)
+				}
+			}
+			requireSameRows(t, rows[0], rows[1])
+			if hasLimit(tc.plan) {
+				return
+			}
+			if !slices.Equal(acts[0], acts[1]) {
+				t.Fatalf("ANALYZE counts %v one row per batch, %v at batchSize", acts[0], acts[1])
+			}
+			var work int64
+			for _, n := range acts[0] {
+				work += n
+			}
+			n := len(rows[0])
+			for _, c := range []struct {
+				maxRows int
+				maxWork int64
+				trip    bool
+			}{
+				{0, work - 1, work > 1}, {0, work, false},
+				{n - 1, 0, n > 1}, {n, 0, false},
+			} {
+				for _, eng := range engs {
+					got, err := RunEngine(eng, tc.plan, tc.cat, c.maxRows, c.maxWork)
+					if tripped := errors.Is(err, ErrRowLimit); tripped != c.trip || (err != nil && !tripped) {
+						t.Fatalf("%s engine, maxRows %d, maxWork %d of %d: err = %v, want a trip: %v", eng, c.maxRows, c.maxWork, work, err, c.trip)
+					}
+					if err == nil {
+						requireSameRows(t, rows[0], got)
+					}
+				}
+			}
+		})
 	}
 }
 
 // TestLimitWorkIsEngineSpecific pins the one place the engines' budget
 // verdicts may differ, with RunEngine's own example: LIMIT 1 over a filter
-// over a 5000-row scan at maxWork=100 completes row-at-a-time (three rows of
-// work) and trips on the batch engine, whose scan emits a whole batch.
+// over a 5000-row scan at maxWork=100 completes one row per batch (three rows
+// of work) and trips at batchSize rows per batch, where the scan emits a whole
+// batch.
 func TestLimitWorkIsEngineSpecific(t *testing.T) {
 	cat := catalog.New()
 	cat.Add(randomTable("wide", 3, 5000, 1))
@@ -690,9 +776,8 @@ func TestLimitWorkIsEngineSpecific(t *testing.T) {
 	requireSameRows(t, want, rows)
 }
 
-// opTypes counts the concrete type of every operator and tap in a compiled
-// tree.
-func opTypes(v reflect.Value, out map[string]int) {
+// walkOps calls visit on every operator and tap of a compiled tree.
+func walkOps(v reflect.Value, visit func(op reflect.Value)) {
 	for v.Kind() == reflect.Interface || v.Kind() == reflect.Ptr {
 		if v.IsNil() {
 			return
@@ -702,47 +787,50 @@ func opTypes(v reflect.Value, out map[string]int) {
 	switch v.Kind() {
 	case reflect.Slice:
 		for i := 0; i < v.Len(); i++ {
-			opTypes(v.Index(i), out)
+			walkOps(v.Index(i), visit)
 		}
 	case reflect.Struct:
-		out[v.Type().Name()]++
+		visit(v)
 		for i := 0; i < v.NumField(); i++ {
 			switch v.Field(i).Type() {
-			case reflect.TypeOf((*iterator)(nil)).Elem(), reflect.TypeOf((*BatchIterator)(nil)).Elem(),
-				reflect.TypeOf([]iterator(nil)), reflect.TypeOf([]BatchIterator(nil)):
-				opTypes(v.Field(i), out)
+			case reflect.TypeOf((*BatchIterator)(nil)).Elem(), reflect.TypeOf([]BatchIterator(nil)):
+				walkOps(v.Field(i), visit)
 			}
 		}
 	}
 }
 
-// TestEnginesCompileTheirOwnOperators: each engine compiles its own operators
-// only — no batch tree holds a row operator or a row↔batch adapter, no row
-// tree a batch operator — with or without taps, and a merge join compiles on
-// both to the hash join over an untapped sort of its probe side. The
-// row↔batch differentials above and the benchmark's per-engine timings both
-// rely on it.
+// TestEnginesCompileTheirOwnOperators: both built-in engines compile the one
+// batch operator set — the same operators, with or without taps, and a merge
+// join on both to the hash join over an untapped sort of its probe side — and
+// differ only in how many rows per batch their scans, sorts and aggregates (a
+// merge join's sort among them) emit: one under EngineRow, batchSize under
+// EngineBatch. The benchmark's per-engine timings rely on it.
 func TestEnginesCompileTheirOwnOperators(t *testing.T) {
 	cat := testCatalog()
 	// compiled counts the operator types eng compiles plan to.
 	compiled := func(eng Engine, tapped bool, plan *physical.Expr) map[string]int {
 		t.Helper()
-		tr, err := Compile(eng, plan).compile(tapped)
+		p := Compile(eng, plan)
+		tr, err := p.compile(tapped)
 		if err != nil {
 			t.Fatalf("%s: %v", eng, err)
 		}
 		got := map[string]int{}
-		if tr.batches != nil {
-			opTypes(reflect.ValueOf(tr.batches), got)
-		} else {
-			opTypes(reflect.ValueOf(tr.rows), got)
-		}
-		for name := range got {
-			if strings.HasPrefix(name, "batch") != (eng == EngineBatch) {
-				t.Errorf("%s engine compiled a %s", eng, name)
+		walkOps(reflect.ValueOf(tr.batches), func(op reflect.Value) {
+			name := op.Type().Name()
+			got[name]++
+			switch name {
+			case "batchScan", "batchSort", "batchAgg":
+				if n := op.FieldByName("n").Int(); n != int64(p.batch) {
+					t.Errorf("%s engine compiled a %s of %d rows per batch, want %d", eng, name, n, p.batch)
+				}
 			}
-		}
+		})
 		return got
+	}
+	if b, r := Compile(EngineBatch, scanT1()).batch, Compile(EngineRow, scanT1()).batch; b != batchSize || r != 1 {
+		t.Fatalf("rows per batch: %d on the batch engine, %d on the row engine; want %d and 1", b, r, batchSize)
 	}
 	aggs := &physical.Expr{Op: physical.OpLimit, N: 3, Children: []*physical.Expr{sortPlan(&physical.Expr{
 		Op: physical.OpSortAgg, GroupCols: []scalar.ColumnID{9},
@@ -764,33 +852,24 @@ func TestEnginesCompileTheirOwnOperators(t *testing.T) {
 		OutCols: []scalar.ColumnID{30, 31}, InputCols: [][]scalar.ColumnID{{2, 3}, {1, 2}},
 	}, 4)
 	for _, tc := range []struct {
-		name       string
-		plan       *physical.Expr
-		row, batch map[string]int
-		ops        int // tapped: the plan's operators, not a merge join's sort
+		name  string
+		plan  *physical.Expr
+		types map[string]int // operator types compiled, taps aside
+		ops   int            // tapped: the plan's operators, not a merge join's sort
 	}{
 		{"aggregates", aggs,
-			map[string]int{"limitIter": 1, "sortIter": 1, "aggIter": 2, "projectIter": 1, "filterIter": 1, "joinIter": 1, "scanIter": 2},
 			map[string]int{"batchLimit": 1, "batchSort": 1, "batchAgg": 2, "batchProject": 1, "batchFilter": 1, "batchJoin": 1, "batchScan": 2},
 			9},
 		{"merge join under concat", union,
-			map[string]int{"limitIter": 1, "concatIter": 1, "joinIter": 1, "sortIter": 1, "scanIter": 3},
 			map[string]int{"batchLimit": 1, "batchConcat": 1, "batchJoin": 1, "batchSort": 1, "batchScan": 3},
 			6},
 	} {
 		runEngines(t, tc.plan, cat)
 		for _, eng := range []Engine{EngineRow, EngineBatch} {
 			for _, tapped := range []bool{false, true} {
-				ops, tap := tc.row, "rowTap"
-				if eng == EngineBatch {
-					ops, tap = tc.batch, "batchTap"
-				}
-				want := map[string]int{}
-				for name, n := range ops {
-					want[name] = n
-				}
+				want := maps.Clone(tc.types)
 				if tapped {
-					want[tap] = tc.ops
+					want["batchTap"] = tc.ops
 				}
 				if got := compiled(eng, tapped, tc.plan); !reflect.DeepEqual(got, want) {
 					t.Errorf("%s, %s engine, tapped %v: compiled %v, want %v", tc.name, eng, tapped, got, want)
@@ -802,20 +881,14 @@ func TestEnginesCompileTheirOwnOperators(t *testing.T) {
 		}
 	}
 
-	// Nested loops is the keyless case of the columnar join: on the batch
-	// engine no row join surrounds it.
+	// Nested loops is the keyless case of the columnar join.
 	for _, jt := range []physical.JoinType{physical.JoinInner, physical.JoinLeft, physical.JoinSemi, physical.JoinAnti} {
 		nl := joinPlan(physical.OpNLJoin, jt)
 		nl.Children[0] = filterOf(scanT1(), cmpExpr(scalar.CmpGT, col(2), intc(5)))
-		for _, tc := range []struct {
-			eng  Engine
-			want map[string]int
-		}{
-			{EngineRow, map[string]int{"joinIter": 1, "filterIter": 1, "scanIter": 2}},
-			{EngineBatch, map[string]int{"batchJoin": 1, "batchFilter": 1, "batchScan": 2}},
-		} {
-			if got := compiled(tc.eng, false, nl); !reflect.DeepEqual(got, tc.want) {
-				t.Errorf("%s engine, %s nested-loops join: compiled %v, want %v", tc.eng, jt, got, tc.want)
+		want := map[string]int{"batchJoin": 1, "batchFilter": 1, "batchScan": 2}
+		for _, eng := range []Engine{EngineRow, EngineBatch} {
+			if got := compiled(eng, false, nl); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s engine, %s nested-loops join: compiled %v, want %v", eng, jt, got, want)
 			}
 		}
 	}
@@ -858,9 +931,8 @@ func TestSumAvgNonNumericErrors(t *testing.T) {
 // contract for a join predicate with a data-dependent error site (a + y over
 // t2's strings), as a hash join's residual and as a nested-loops predicate:
 // both engines fail execution under every join type. Only the failure is
-// pinned — a semi or anti join's row engine stops at a probe row's first
-// match where the batch join evaluates the whole chunk, so with several error
-// sites the engines may name different ones.
+// pinned — the pairs a join evaluates at once depend on its probe batch, so
+// with several error sites the two batch sizes may name different ones.
 func TestJoinPredicateErrorFailsBothEngines(t *testing.T) {
 	cat := testCatalog()
 	bad := cmpExpr(scalar.CmpGT, &scalar.Arith{Op: scalar.ArithAdd, L: col(1), R: col(4)}, intc(0))

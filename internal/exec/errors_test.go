@@ -50,7 +50,8 @@ func TestJoinMissingKeyColumn(t *testing.T) {
 	}
 }
 
-// failingCloseIter yields a fixed set of rows and then fails on Close.
+// failingCloseIter yields a fixed set of rows, one batch each, and then fails
+// on Close.
 type failingCloseIter struct {
 	rows     []datum.Row
 	pos      int
@@ -60,16 +61,16 @@ type failingCloseIter struct {
 
 func (f *failingCloseIter) Open() error { f.pos = 0; return nil }
 
-func (f *failingCloseIter) Next() (datum.Row, error) {
+func (f *failingCloseIter) Next() (*Batch, error) {
 	if f.nextErr != nil && f.pos == len(f.rows) {
 		return nil, f.nextErr
 	}
 	if f.pos >= len(f.rows) {
 		return nil, nil
 	}
-	row := f.rows[f.pos]
+	b := &Batch{Idx: []int{0}, Rows: f.rows[f.pos : f.pos+1]}
 	f.pos++
-	return row, nil
+	return b, nil
 }
 
 func (f *failingCloseIter) Close() error { return f.closeErr }
@@ -79,7 +80,7 @@ func (f *failingCloseIter) Close() error { return f.closeErr }
 func TestRunPropagatesCloseError(t *testing.T) {
 	closeErr := errors.New("close failed")
 	it := &failingCloseIter{rows: intRows(1, 2), closeErr: closeErr}
-	rows, err := runIter(it, 0)
+	rows, err := runBatch(it, 0)
 	if !errors.Is(err, closeErr) {
 		t.Fatalf("err = %v, want the Close error", err)
 	}
@@ -93,7 +94,7 @@ func TestRunPropagatesCloseError(t *testing.T) {
 func TestRunPrefersNextError(t *testing.T) {
 	nextErr := errors.New("next failed")
 	it := &failingCloseIter{rows: intRows(1), nextErr: nextErr, closeErr: errors.New("close failed")}
-	_, err := runIter(it, 0)
+	_, err := runBatch(it, 0)
 	if !errors.Is(err, nextErr) {
 		t.Fatalf("err = %v, want the Next error", err)
 	}

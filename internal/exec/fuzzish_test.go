@@ -34,6 +34,20 @@ func randomTable(name string, cols, rows int, seed int64) *catalog.Table {
 	return t
 }
 
+// concatRows returns the row l ++ r.
+func concatRows(l, r datum.Row) datum.Row {
+	return append(append(make(datum.Row, 0, len(l)+len(r)), l...), r...)
+}
+
+// nullRow returns a row of n NULLs.
+func nullRow(n int) datum.Row {
+	out := make(datum.Row, n)
+	for i := range out {
+		out[i] = datum.Null
+	}
+	return out
+}
+
 // naiveJoin computes a reference join result directly over the rows.
 func naiveJoin(l, r *catalog.Table, jt physical.JoinType) []datum.Row {
 	matches := func(a, b datum.Row) bool {

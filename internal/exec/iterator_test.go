@@ -9,9 +9,9 @@ import (
 	"qtrtest/internal/scalar"
 )
 
-// TestIteratorsReopen: every operator of either engine must be re-runnable
-// without a Close in between (Open resets state, and a batch operator keeps
-// the pooled scratch it already holds instead of taking a second one).
+// TestIteratorsReopen: every batch operator, at either batch size, must be
+// re-runnable without a Close in between (Open resets state, and an operator
+// keeps the pooled scratch it already holds instead of taking a second one).
 func TestIteratorsReopen(t *testing.T) {
 	cat := testCatalog()
 	plans := []*physical.Expr{
@@ -38,29 +38,20 @@ func TestIteratorsReopen(t *testing.T) {
 				t.Fatalf("%s: %v", plan.Op, err)
 			}
 			tr.cat = cat
-			var open, close func() error
-			var next func() (bool, error)
-			if tr.batches != nil {
-				open, close = tr.batches.Open, tr.batches.Close
-				next = func() (bool, error) { b, err := tr.batches.Next(); return b != nil, err }
-			} else {
-				open, close = tr.rows.Open, tr.rows.Close
-				next = func() (bool, error) { r, err := tr.rows.Next(); return r != nil, err }
-			}
 			count := func() int {
-				if err := open(); err != nil {
+				if err := tr.batches.Open(); err != nil {
 					t.Fatalf("%s/%s open: %v", plan.Op, eng, err)
 				}
 				n := 0
 				for {
-					more, err := next()
+					b, err := tr.batches.Next()
 					if err != nil {
 						t.Fatalf("%s/%s next: %v", plan.Op, eng, err)
 					}
-					if !more {
+					if b == nil {
 						break
 					}
-					n++
+					n += b.Len()
 				}
 				return n
 			}
@@ -69,46 +60,62 @@ func TestIteratorsReopen(t *testing.T) {
 			if first == 0 || first != second {
 				t.Errorf("%s/%s: first run %d outputs, second run %d — Open must reset state", plan.Op, eng, first, second)
 			}
-			if err := close(); err != nil {
+			if err := tr.batches.Close(); err != nil {
 				t.Errorf("%s/%s close: %v", plan.Op, eng, err)
 			}
 		}
 	}
 }
 
-// TestNextAfterEOF: Next after exhaustion keeps returning nil without error.
+// TestNextAfterEOF: Next after exhaustion keeps returning nil without error,
+// on every operator that emits batches of its own at either batch size.
 func TestNextAfterEOF(t *testing.T) {
-	it, _, err := (&compiler{st: &runState{cat: testCatalog()}, size: 1}).rowIter(scanT1())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := it.Open(); err != nil {
-		t.Fatal(err)
-	}
-	for {
-		row, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if row == nil {
-			break
-		}
-	}
-	for i := 0; i < 3; i++ {
-		row, err := it.Next()
-		if err != nil || row != nil {
-			t.Fatalf("Next after EOF: row=%v err=%v", row, err)
+	for _, plan := range []*physical.Expr{
+		scanT1(),
+		sortPlan(scanT1(), logical.SortKey{Col: 1}),
+		{Op: physical.OpHashAgg, Children: []*physical.Expr{scanT1()}, Aggs: []scalar.Agg{{Op: scalar.AggCountStar, Out: 10}}},
+		joinPlan(physical.OpHashJoin, physical.JoinLeft),
+	} {
+		for _, eng := range []Engine{EngineRow, EngineBatch} {
+			tr, err := Compile(eng, plan).compile(false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr.cat = testCatalog()
+			if err := tr.batches.Open(); err != nil {
+				t.Fatal(err)
+			}
+			for {
+				b, err := tr.batches.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if b == nil {
+					break
+				}
+			}
+			for i := 0; i < 3; i++ {
+				if b, err := tr.batches.Next(); err != nil || b != nil {
+					t.Fatalf("%s/%s: Next after EOF: batch=%v err=%v", plan.Op, eng, b, err)
+				}
+			}
+			if err := tr.batches.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }
 
-// TestFilterErrorPropagation: scalar evaluation errors surface, not panic.
+// TestFilterErrorPropagation: scalar evaluation errors surface, not panic,
+// at either batch size.
 func TestFilterErrorPropagation(t *testing.T) {
 	plan := &physical.Expr{
 		Op: physical.OpFilter, Children: []*physical.Expr{scanT1()},
 		Filter: &scalar.Cmp{Op: scalar.CmpEQ, L: &scalar.ColRef{ID: 999}, R: &scalar.Const{D: datum.NewInt(1)}},
 	}
-	if _, err := Run(plan, testCatalog()); err == nil {
-		t.Error("unbound column must produce an error")
+	for _, eng := range []Engine{EngineRow, EngineBatch} {
+		if _, err := RunEngine(eng, plan, testCatalog(), 0, 0); err == nil {
+			t.Errorf("%s engine: unbound column must produce an error", eng)
+		}
 	}
 }

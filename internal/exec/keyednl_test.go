@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"qtrtest/internal/catalog"
@@ -62,15 +63,79 @@ func keyedCatalog() *catalog.Catalog {
 	return c
 }
 
+// pairsNLJoin is the all-pairs nested-loops reference for an NLJoin plan over
+// a probe scan and a build side that is a scan, or a filter over one: for
+// each probe row in table order, its build rows in order, each pair tested
+// against the full On with scalar.EvalBool, a semi or anti join stopping at a
+// probe row's first match. It returns the join's rows in that order and the
+// rows each operator of the plan emits, in ANALYZE's order (children before
+// their parent, left to right).
+func pairsNLJoin(plan *physical.Expr, cat *catalog.Catalog) ([]datum.Row, []int64, error) {
+	table := func(scan *physical.Expr) []datum.Row {
+		t, err := cat.Table(scan.Table)
+		if err != nil {
+			panic(err)
+		}
+		return t.Rows
+	}
+	probe, build := plan.Children[0], plan.Children[1]
+	lrows := table(probe)
+	acts := []int64{int64(len(lrows))}
+	var rrows []datum.Row
+	if build.Op == physical.OpFilter {
+		all := table(build.Children[0])
+		acts = append(acts, int64(len(all)))
+		env := envOf(build.Children[0].OutputCols())
+		for _, r := range all {
+			ok, err := scalar.EvalBool(build.Filter, r, env)
+			if err != nil {
+				return nil, nil, err
+			}
+			if ok {
+				rrows = append(rrows, r)
+			}
+		}
+	} else {
+		rrows = table(build)
+	}
+	acts = append(acts, int64(len(rrows)))
+	env := envOf(slices.Concat(probe.OutputCols(), build.OutputCols()))
+	var out []datum.Row
+	for _, l := range lrows {
+		matched := false
+		for _, r := range rrows {
+			pair := concatRows(l, r)
+			ok, err := scalar.EvalBool(plan.On, pair, env)
+			if err != nil {
+				return nil, nil, err
+			}
+			if !ok {
+				continue
+			}
+			matched = true
+			if plan.JoinType == physical.JoinSemi || plan.JoinType == physical.JoinAnti {
+				break
+			}
+			out = append(out, pair)
+		}
+		switch {
+		case plan.JoinType == physical.JoinLeft && !matched:
+			out = append(out, concatRows(l, nullRow(len(build.OutputCols()))))
+		case plan.JoinType == physical.JoinSemi && matched, plan.JoinType == physical.JoinAnti && !matched:
+			out = append(out, l)
+		}
+	}
+	return out, append(acts, int64(len(out))), nil
+}
+
 // TestKeyedNestedLoopsMatchPairs holds the keyed nested-loops join — a join
 // whose error-free On equates probe and build columns, indexed from 64 build
-// rows — to the row engine's all-pairs nested loops: identical rows in
-// identical order and equal ANALYZE counts, and the same multiset as the
-// reference engine, for every join type, over build sides of 63 (all pairs),
-// 64 and 320 rows (indexed), as a bare scan (the catalog's index) and under a
-// filter (an index built per run). An On that can fail — arithmetic over a
-// string — is never keyed, so it fails on the batch engine exactly when the
-// row engine does.
+// rows — to pairsNLJoin, the all-pairs reference: identical rows in identical
+// order and equal ANALYZE counts at both batch sizes, for every join type,
+// over build sides of 63 (all pairs), 64 and 320 rows (indexed), as a bare
+// scan (the catalog's index) and under a filter (an index built per run). An
+// On that can fail — arithmetic over a string — is never keyed, so it fails
+// on the engines exactly when it fails over all pairs.
 func TestKeyedNestedLoopsMatchPairs(t *testing.T) {
 	cat := keyedCatalog()
 	probe := &physical.Expr{Op: physical.OpScan, Table: "kp", Cols: []scalar.ColumnID{1, 2, 3, 4, 5, 6, 7}}
@@ -109,29 +174,23 @@ func TestKeyedNestedLoopsMatchPairs(t *testing.T) {
 						Children: []*physical.Expr{probe, build(table, filtered)}, On: p.on}
 					t.Run(name, func(t *testing.T) {
 						requireKeyedRun(t, plan, cat, p.keyed)
-						rowActs := make([]int64, plan.CountOps())
-						want, rowErr := Compile(EngineRow, plan).run(runState{cat: cat, acts: rowActs}, 0)
-						batchActs := make([]int64, plan.CountOps())
-						got, batchErr := Compile(EngineBatch, plan).run(runState{cat: cat, acts: batchActs}, 0)
-						if (rowErr != nil) != (batchErr != nil) {
-							t.Fatalf("row engine error %v, batch engine error %v", rowErr, batchErr)
-						}
-						if rowErr != nil {
+						want, wantActs, wantErr := pairsNLJoin(plan, cat)
+						if wantErr != nil {
 							failures++
-							return
 						}
-						requireSameRows(t, want, got)
-						for op := range rowActs {
-							if rowActs[op] != batchActs[op] {
-								t.Fatalf("ANALYZE: operator %d emitted %d rows on the row engine, %d on the batch engine", op, rowActs[op], batchActs[op])
+						for _, eng := range []Engine{EngineRow, EngineBatch} {
+							acts := make([]int64, plan.CountOps())
+							got, err := Compile(eng, plan).run(runState{cat: cat, acts: acts}, 0)
+							if (err != nil) != (wantErr != nil) {
+								t.Fatalf("%s engine error %v, all pairs %v", eng, err, wantErr)
 							}
-						}
-						ref, err := RunEngine(EngineRef, plan, cat, 0, 0)
-						if err != nil {
-							t.Fatalf("ref engine: %v", err)
-						}
-						if !EqualMultisets(got, ref) {
-							t.Fatalf("ref engine disagrees:\n%s", DiffSummary(got, ref))
+							if err != nil {
+								continue
+							}
+							requireSameRows(t, want, got)
+							if !slices.Equal(acts, wantActs) {
+								t.Fatalf("ANALYZE on the %s engine: %v rows per operator, all pairs %v", eng, acts, wantActs)
+							}
 						}
 					})
 				}
@@ -141,7 +200,7 @@ func TestKeyedNestedLoopsMatchPairs(t *testing.T) {
 	// kb320's e = 'x' row passes the filter (its v is 1), so it is under both
 	// builds of kb320: 4 join types x 2 build shapes.
 	if failures != 8 {
-		t.Errorf("%d runs failed on both engines, want the 8 error-capable joins over kb320", failures)
+		t.Errorf("%d joins failed over all pairs, want the 8 error-capable joins over kb320", failures)
 	}
 }
 

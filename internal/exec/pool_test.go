@@ -85,11 +85,13 @@ func poisonPools(tb testing.TB) {
 }
 
 // TestPoolPoisonIsInvisible is the pooled-scratch hygiene guard: with every
-// pool poisoned before each execution, batch results must still match the row
-// engine (which uses none of the pools) on plans covering every pooled
-// operator — filter selections, project vectors, join candidate/output/build
-// vectors and match flags, aggregate argument/result vectors, and a sort's
-// drained vectors and permutation, a merge join's probe-side sort among them.
+// pool poisoned before each execution, results must still match the reference
+// engine (which uses none of the pools) and, rows and order, the first run,
+// on plans covering every pooled operator — filter selections, project
+// vectors, join candidate/output/build vectors and match flags, aggregate
+// argument/result vectors, and a sort's drained vectors and permutation, a
+// merge join's probe-side sort among them. Both batch sizes run: a poisoned
+// pool would corrupt either.
 // A reused Program takes its scratch afresh in every run, so it is held to
 // the same: its operators keep no buffer from the run before that a poisoned
 // pool could not have handed them. A narrow plan run right after a wide one
@@ -141,24 +143,29 @@ func TestPoolPoisonIsInvisible(t *testing.T) {
 
 	for name, plan := range plans {
 		t.Run(name, func(t *testing.T) {
-			want, err := RunEngine(EngineRow, plan, cat, 0, 0)
-			if err != nil {
-				t.Fatalf("row engine: %v", err)
-			}
 			// Several rounds so later executions consume buffers earlier
-			// poisoned *and* buffers recycled from the execution before; the
-			// two take turns at the freshly poisoned pool.
-			reused := Compile(EngineBatch, plan)
-			runs := []func() ([]datum.Row, error){
-				func() ([]datum.Row, error) { return RunEngine(EngineBatch, plan, cat, 0, 0) },
-				func() ([]datum.Row, error) { return reused.Run(cat, 0, 0) },
+			// poisoned *and* buffers recycled from the execution before; a
+			// fresh and a reused program per batch size take turns at the
+			// freshly poisoned pool.
+			var runs []func() ([]datum.Row, error)
+			for _, eng := range []Engine{EngineBatch, EngineRow} {
+				reused := Compile(eng, plan)
+				runs = append(runs,
+					func() ([]datum.Row, error) { return RunEngine(eng, plan, cat, 0, 0) },
+					func() ([]datum.Row, error) { return reused.Run(cat, 0, 0) })
 			}
-			for round := 0; round < 4; round++ {
+			var want []datum.Row
+			for round := range runs {
 				poisonPools(t)
 				for i := range runs {
-					got, err := runs[(round+i)%2]()
+					k := (round + i) % len(runs)
+					got, err := runs[k]()
 					if err != nil {
-						t.Fatalf("round %d: batch engine (reused program: %v): %v", round, (round+i)%2 == 1, err)
+						t.Fatalf("round %d, run %d (batch size 1: %v, reused program: %v): %v", round, k, k >= 2, k%2 == 1, err)
+					}
+					if want == nil {
+						want = got
+						requireRefAgrees(t, plan, cat, want)
 					}
 					requireSameRows(t, want, got)
 				}
@@ -187,10 +194,7 @@ func TestPoolPoisonIsInvisible(t *testing.T) {
 				Op: physical.OpProject, Children: []*physical.Expr{plan},
 				Projs: []logical.ProjItem{{Out: 100, E: col(2)}, {Out: 101, E: intc(7)}},
 			}
-			want, err := RunEngine(EngineRow, narrow, wide, 0, 0)
-			if err != nil {
-				t.Fatalf("row engine: %v", err)
-			}
+			var want []datum.Row
 			for round := 0; round < 4; round++ {
 				poisonPools(t)
 				if _, err := RunEngine(EngineBatch, plan, wide, 0, 0); err != nil {
@@ -199,6 +203,10 @@ func TestPoolPoisonIsInvisible(t *testing.T) {
 				got, err := RunEngine(EngineBatch, narrow, wide, 0, 0)
 				if err != nil {
 					t.Fatalf("round %d: narrow plan: %v", round, err)
+				}
+				if want == nil {
+					want = got
+					requireRefAgrees(t, narrow, wide, want)
 				}
 				requireSameRows(t, want, got)
 			}

@@ -60,7 +60,7 @@ func otherCatalog() *catalog.Catalog {
 // requireIdle fails unless the program's trees — after sequential runs, at
 // most one with taps and one without — are idle and hold nothing a run took
 // from its database or from a pool: no table, no transposition, no join
-// index, no build vectors, no batch or row of the last run, no scratch.
+// index, no build vectors, no batch of the last run, no scratch.
 func requireIdle(t *testing.T, p *Program) {
 	t.Helper()
 	if p.idle == [2]*tree{} {
@@ -87,8 +87,6 @@ func requireIdleTree(t *testing.T, tr *tree) {
 		clean := true
 		var kids []interface{}
 		switch o := op.(type) {
-		case *rowTap:
-			kids = []interface{}{o.iterator}
 		case *batchTap:
 			kids = []interface{}{o.BatchIterator}
 		case *batchScan:
@@ -113,24 +111,6 @@ func requireIdleTree(t *testing.T, tr *tree) {
 			for _, k := range o.kids {
 				kids = append(kids, k)
 			}
-		case *scanIter:
-			clean = o.rows == nil
-		case *filterIter:
-			kids = []interface{}{o.child}
-		case *projectIter:
-			kids = []interface{}{o.child}
-		case *limitIter:
-			kids = []interface{}{o.child}
-		case *sortIter:
-			clean, kids = o.rows == nil, []interface{}{o.child}
-		case *aggIter:
-			clean, kids = o.out == nil, []interface{}{o.child}
-		case *joinIter:
-			clean, kids = o.table == nil && o.build == nil && o.leftRow == nil && o.cands == nil, []interface{}{o.left, o.right}
-		case *concatIter:
-			for _, k := range o.kids {
-				kids = append(kids, k)
-			}
 		default:
 			t.Fatalf("requireIdle does not know operator %T", op)
 		}
@@ -141,11 +121,7 @@ func requireIdleTree(t *testing.T, tr *tree) {
 			check(k)
 		}
 	}
-	if tr.batches != nil {
-		check(tr.batches)
-	} else {
-		check(tr.rows)
-	}
+	check(tr.batches)
 }
 
 // TestProgramReuseIsInvisible: every conformance plan through one Program on

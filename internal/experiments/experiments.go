@@ -39,11 +39,6 @@ type Config struct {
 	Workers int
 }
 
-// DefaultConfig mirrors the paper's parameters.
-func DefaultConfig() Config {
-	return Config{Seed: 42, ScaleRows: 1.0, MaxTrials: 256}
-}
-
 // Runner owns the database and optimizer shared by all figures.
 type Runner struct {
 	cfg Config
@@ -290,24 +285,10 @@ func PrintFig10(w io.Writer, results []*PairGenResult) {
 	fmt.Fprintf(w, "Figure 10: total time to generate a query per rule pair\n")
 	fmt.Fprintf(w, "%6s %7s %12s %12s %8s\n", "n", "pairs", "RANDOM", "PATTERN", "speedup")
 	for _, res := range results {
-		sp := float64(res.RandomElapsed) / float64(max64(int64(res.PatternElapsed), 1))
+		sp := float64(res.RandomElapsed) / float64(max(res.PatternElapsed, 1))
 		fmt.Fprintf(w, "%6d %7d %12s %12s %7.1fx\n", res.N, res.Pairs,
 			res.RandomElapsed.Round(time.Millisecond), res.PatternElapsed.Round(time.Millisecond), sp)
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // ---------------------------------------------------------------------------

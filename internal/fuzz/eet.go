@@ -1,7 +1,6 @@
 package fuzz
 
 import (
-	"qtrtest/internal/datum"
 	"qtrtest/internal/logical"
 	"qtrtest/internal/scalar"
 )
@@ -33,17 +32,6 @@ func eetRewrites() []Rewrite {
 	return out
 }
 
-// mdTypeEnv adapts query metadata to the scalar type checker, bounds-checked
-// so an out-of-range ColumnID is "unknown" rather than a panic.
-func mdTypeEnv(md *logical.Metadata) scalar.TypeEnv {
-	return func(id scalar.ColumnID) (datum.Type, bool) {
-		if id < 1 || int(id) > md.NumColumns() {
-			return datum.TypeUnknown, false
-		}
-		return md.Column(id).Type, true
-	}
-}
-
 // eetCandidate is one applicable (operator, expression-site) pair on a
 // cloned tree: set installs a rewritten expression at that operator slot.
 type eetCandidate struct {
@@ -58,7 +46,7 @@ type eetCandidate struct {
 // expressions with the original, but Site.Rebuild is copy-on-write, so the
 // original tree's expressions are never mutated.
 func applyEETRewrite(er scalar.EETRewrite, tree *logical.Expr, md *logical.Metadata, seed int64) *logical.Expr {
-	env := mdTypeEnv(md)
+	env := md.TypeEnv()
 	out := tree.Clone()
 	var cands []eetCandidate
 	collect := func(e scalar.Expr, set func(scalar.Expr)) {

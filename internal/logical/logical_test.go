@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"qtrtest/internal/catalog"
+	"qtrtest/internal/datum"
 	"qtrtest/internal/scalar"
 )
 
@@ -49,6 +50,25 @@ func TestMetadataBaseColumn(t *testing.T) {
 	computed := md.AddColumn(ColumnMeta{Name: "x"})
 	if _, _, ok := md.BaseColumn(computed); ok {
 		t.Error("computed column has no base")
+	}
+}
+
+// TestMetadataTypeEnv: the type checker's view of the metadata gives each
+// allocated column its declared type and calls any other id unknown.
+func TestMetadataTypeEnv(t *testing.T) {
+	md := NewMetadata(testCatalog())
+	get := mustTable(t, md, "region")
+	env := md.TypeEnv()
+	computed := md.AddColumn(ColumnMeta{Name: "x", Type: datum.TypeFloat})
+	for _, id := range append(get.Cols, computed) {
+		if typ, ok := env(id); !ok || typ != md.Column(id).Type {
+			t.Errorf("c%d: type %v, %v; want %v", id, typ, ok, md.Column(id).Type)
+		}
+	}
+	for _, id := range []scalar.ColumnID{0, -1, computed + 1} {
+		if typ, ok := env(id); ok || typ != datum.TypeUnknown {
+			t.Errorf("c%d: type %v, %v; want unknown", id, typ, ok)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package logical
 import (
 	"fmt"
 	"slices"
-	"strconv"
 
 	"qtrtest/internal/catalog"
 	"qtrtest/internal/datum"
@@ -79,6 +78,17 @@ func (m *Metadata) Column(id scalar.ColumnID) ColumnMeta {
 // NumColumns returns how many columns have been allocated.
 func (m *Metadata) NumColumns() int { return len(m.cols) }
 
+// TypeEnv adapts the metadata to the scalar type checker, bounds-checked so
+// an unknown ColumnID is "unknown" rather than a panic.
+func (m *Metadata) TypeEnv() scalar.TypeEnv {
+	return func(id scalar.ColumnID) (datum.Type, bool) {
+		if id < 1 || int(id) > len(m.cols) {
+			return datum.TypeUnknown, false
+		}
+		return m.cols[id-1].Type, true
+	}
+}
+
 // AddTable allocates fresh ColumnIDs for every column of the named table and
 // returns a Get expression over them. Each call returns distinct ids, so the
 // same table can be scanned several times in one query.
@@ -99,13 +109,6 @@ func (m *Metadata) AddTable(name string) (*Expr, error) {
 		})
 	}
 	return &Expr{Op: OpGet, Table: name, Cols: ids}, nil
-}
-
-// ColumnName returns a SQL-safe unique name for the column ("c<ID>"); the SQL
-// generator and binder both use this scheme, which is what makes generated
-// SQL round-trippable.
-func (m *Metadata) ColumnName(id scalar.ColumnID) string {
-	return "c" + strconv.Itoa(int(id))
 }
 
 // BaseColumn returns the catalog column behind id, or ok=false for computed

@@ -1,8 +1,8 @@
 // Package refengine is a deliberately naive reference interpreter for
 // logical query trees. It exists to break the oracle circularity of testing
 // an optimizer+executor pair against itself: every campaign oracle so far
-// compares Plan(q) with Plan(q,¬R) on the same Volcano/batch executor, so a
-// fault shared by the optimizer and both executors is invisible. This
+// compares Plan(q) with Plan(q,¬R) on the same batch executor, so a fault
+// shared by the optimizer and the executor is invisible. This
 // package evaluates the *logical* tree directly — no optimizer, no physical
 // plans, no batching, no memory pooling, no iterator protocol — with the
 // simplest implementation of each operator that is obviously correct by

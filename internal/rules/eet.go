@@ -1,7 +1,6 @@
 package rules
 
 import (
-	"qtrtest/internal/datum"
 	"qtrtest/internal/logical"
 	"qtrtest/internal/memo"
 	"qtrtest/internal/scalar"
@@ -70,7 +69,7 @@ func applyEET(ctx *Context, b *memo.BoundExpr, er scalar.EETRewrite, atAnySite b
 	if f == nil {
 		return nil
 	}
-	env := eetTypeEnv(ctx.MD())
+	env := ctx.MD().TypeEnv()
 	var filters []scalar.Expr
 	if atAnySite {
 		for _, s := range scalar.RewriteSites(f) {
@@ -93,16 +92,6 @@ func applyEET(ctx *Context, b *memo.BoundExpr, er scalar.EETRewrite, atAnySite b
 		out[i] = ctx.Memo.BoundNew(logical.Expr{Op: logical.OpSelect, Filter: nf}, b.Kids[0])
 	}
 	return out
-}
-
-// eetTypeEnv adapts plan metadata to the scalar type checker.
-func eetTypeEnv(md *logical.Metadata) scalar.TypeEnv {
-	return func(id scalar.ColumnID) (datum.Type, bool) {
-		if id < 1 || int(id) > md.NumColumns() {
-			return datum.TypeUnknown, false
-		}
-		return md.Column(id).Type, true
-	}
 }
 
 // containsNot reports whether any node of e is a NOT. Every shape-growing

@@ -115,8 +115,8 @@ func TestDoubleNegationMatchesBothEngines(t *testing.T) {
 // kid before folding, so a conjunct that errors surfaces the error no
 // matter where it sits — reorder-predicates can no longer flip Error↔OK,
 // and both engines agree. The erroring conjunct is string arithmetic inside
-// a comparison; the other conjunct is FALSE (previously the row engine's
-// short-circuit skipped the error when FALSE came first).
+// a comparison; the other conjunct is FALSE (previously Eval's short-circuit
+// skipped the error when FALSE came first).
 func TestConnectiveErrorsDominate(t *testing.T) {
 	row := datum.Row{datum.NewInt(1), datum.NewString("x")}
 	en := env(1, 2)
@@ -151,8 +151,8 @@ func TestConnectiveErrorsDominate(t *testing.T) {
 }
 
 // TestEvalPredMixedConjunctionSelection: the slow path a can-error conjunct
-// forces must still select exactly the rows row-engine WHERE semantics
-// keep, when no row actually errors.
+// forces must still select exactly the rows EvalBool's WHERE semantics keep,
+// when no row actually errors.
 func TestEvalPredMixedConjunctionSelection(t *testing.T) {
 	rows := []datum.Row{
 		{datum.NewInt(1), datum.NewInt(10)},
@@ -187,11 +187,11 @@ func TestEvalPredMixedConjunctionSelection(t *testing.T) {
 		}
 	}
 	if len(sel) != len(want) {
-		t.Fatalf("EvalPred kept %v, row engine %v", sel, want)
+		t.Fatalf("EvalPred kept %v, EvalBool %v", sel, want)
 	}
 	for i := range sel {
 		if sel[i] != want[i] {
-			t.Fatalf("EvalPred kept %v, row engine %v", sel, want)
+			t.Fatalf("EvalPred kept %v, EvalBool %v", sel, want)
 		}
 	}
 }

@@ -198,11 +198,11 @@ func (v *VecEval) Eval(e Expr, cols []datum.Vec, idx []int, out *datum.Vec) erro
 }
 
 // evalVariadic folds AND/OR over the kids' dense results. Every kid is
-// evaluated before folding — the same errors-dominate rule as the row
-// engine's Eval — so Error-vs-OK never depends on conjunct order or engine.
-// When both engines error, the error *message* may differ (this engine
-// evaluates conjunct-major, the row engine row-major, so a different
-// offending value can be seen first); error presence is the contract.
+// evaluated before folding — the same errors-dominate rule as the
+// row-at-a-time Eval — so Error-vs-OK never depends on conjunct order or
+// evaluator. When both error, the error *message* may differ (this one
+// evaluates conjunct-major, Eval row-major, so a different offending value
+// can be seen first); error presence is the contract.
 func (v *VecEval) evalVariadic(kids []Expr, cols []datum.Vec, idx []int, out *datum.Vec, unit datum.Tri, fold func(datum.Tri, datum.Tri) datum.Tri) error {
 	if len(kids) == 0 {
 		d := triToDatum(unit)
@@ -215,7 +215,7 @@ func (v *VecEval) evalVariadic(kids []Expr, cols []datum.Vec, idx []int, out *da
 		return err
 	}
 	// Normalize the first kid through datumToTri so a single-kid AND/OR
-	// rejects non-boolean operands exactly like the row engine's fold.
+	// rejects non-boolean operands exactly like Eval's fold.
 	for k := range out.D {
 		tri, err := datumToTri(out.D[k])
 		if err != nil {
@@ -252,8 +252,8 @@ func (v *VecEval) evalVariadic(kids []Expr, cols []datum.Vec, idx []int, out *da
 // sel may alias idx's storage: the output is always a subsequence of the
 // input, written left to right, so in-place restriction is safe.
 //
-// Conjunction restricts the selection kid by kid — the same early-out the
-// row engine's filter loop gets from rows failing an early conjunct — but
+// Conjunction restricts the selection kid by kid — the same early-out a
+// row-at-a-time filter gets from rows failing an early conjunct — but
 // ONLY when every conjunct is statically error-free (errFree): a conjunct
 // that can error must see every input row, or errors-dominate would depend
 // on which conjunct ran first. Mixed conjunctions fall back to evaluating

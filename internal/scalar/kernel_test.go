@@ -157,7 +157,7 @@ func checkKernelPair(t testing.TB, l, r datum.Datum) {
 }
 
 // checkEvaluatorsAgree holds VecEval.Eval and — for a comparison —
-// VecEval.EvalPred to the row engine's Eval and EvalBool of e over rows. The
+// VecEval.EvalPred to the row-at-a-time Eval and EvalBool of e over rows. The
 // batch carries a row the selection skips, so a position in the selection is
 // never the row's index: a dense operand read by row index, or a column read
 // by position, shows.
@@ -267,8 +267,8 @@ func checkOperandShapes(t testing.TB, mk func(l, r Expr) Expr, pairs []datum.Row
 }
 
 // TestKernelTable: over every pair of corner values, the pointer kernels are
-// the spelled-out semantics, the row engine computes exactly that, and the
-// vector engine agrees with the row engine in every operand shape.
+// the spelled-out semantics, Eval computes exactly that, and the vector
+// engine agrees with Eval in every operand shape.
 func TestKernelTable(t *testing.T) {
 	vals := kernelValues()
 	var pairs []datum.Row
