@@ -126,20 +126,6 @@ func (t *Table) SeqIdx() []int {
 	return t.seqIdx
 }
 
-// IsKey reports whether the given column set contains the primary key (and
-// therefore functionally determines the row).
-func (t *Table) IsKey(cols map[string]bool) bool {
-	if len(t.PrimaryKey) == 0 {
-		return false
-	}
-	for _, k := range t.PrimaryKey {
-		if !cols[k] {
-			return false
-		}
-	}
-	return true
-}
-
 // ComputeStats scans the rows and fills in Stats.
 func (t *Table) ComputeStats() {
 	st := Stats{RowCount: int64(len(t.Rows)), DistinctCount: make(map[string]int64, len(t.Columns))}
@@ -167,6 +153,8 @@ type Catalog struct {
 	// ColumnData and JoinIndex already rely on).
 	id      uint64
 	version uint64
+	// scale is the row scale a loader built the catalog at.
+	scale float64
 }
 
 // catalogIDs hands out process-unique catalog identities.
@@ -176,6 +164,10 @@ var catalogIDs atomic.Uint64
 func New() *Catalog {
 	return &Catalog{tables: make(map[string]*Table), id: catalogIDs.Add(1)}
 }
+
+// ScaleRows is the row scale LoadTPCH or LoadStar built the catalog at, or
+// zero for a catalog assembled table by table.
+func (c *Catalog) ScaleRows() float64 { return c.scale }
 
 // Add registers a table; it replaces any existing table of the same name.
 func (c *Catalog) Add(t *Table) {

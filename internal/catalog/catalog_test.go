@@ -141,12 +141,6 @@ func TestTableHelpers(t *testing.T) {
 	if tbl.ColumnIndex("o_orderkey") != 0 || tbl.ColumnIndex("nope") != -1 {
 		t.Error("ColumnIndex wrong")
 	}
-	if !tbl.IsKey(map[string]bool{"o_orderkey": true, "o_custkey": true}) {
-		t.Error("o_orderkey superset should be a key")
-	}
-	if tbl.IsKey(map[string]bool{"o_custkey": true}) {
-		t.Error("o_custkey is not a key")
-	}
 	if _, err := c.Table("missing"); err == nil {
 		t.Error("missing table should error")
 	}

@@ -117,7 +117,7 @@ func (h *Histogram) SelectivityLT(v float64, orEqual bool) float64 {
 			if v == b.Upper && !orEqual {
 				// Remove an estimate of the rows exactly equal to the
 				// boundary value.
-				below -= float64(b.Count) / float64(maxInt64(b.Distinct, 1))
+				below -= float64(b.Count) / float64(max(b.Distinct, 1))
 			}
 			lower = b.Upper
 			continue
@@ -149,7 +149,7 @@ func (h *Histogram) SelectivityEQ(v float64) float64 {
 			if v <= lower && b.Upper != v && len(h.Buckets) > 0 && b != h.Buckets[0] {
 				return 0 // falls between buckets
 			}
-			return float64(b.Count) / float64(maxInt64(b.Distinct, 1)) / float64(h.TotalCount)
+			return float64(b.Count) / float64(max(b.Distinct, 1)) / float64(h.TotalCount)
 		}
 		lower = b.Upper
 	}
@@ -167,13 +167,6 @@ func (h *Histogram) lowerBound() float64 {
 		return first.Upper - (h.Buckets[1].Upper - first.Upper)
 	}
 	return first.Upper - 1
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // histogramBuckets is the default resolution; small enough to build fast at

@@ -39,6 +39,7 @@ var starTiers = []string{"BRONZE", "SILVER", "GOLD", "PLATINUM"}
 func LoadStar(cfg StarConfig) *Catalog {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	c := New()
+	c.scale = cfg.ScaleRows
 
 	nDates := scaled(120, cfg.ScaleRows)
 	nProducts := scaled(80, cfg.ScaleRows)

@@ -59,6 +59,7 @@ func scaled(base int, scale float64) int {
 func LoadTPCH(cfg TPCHConfig) *Catalog {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	c := New()
+	c.scale = cfg.ScaleRows
 
 	nRegion := len(tpchRegions)
 	nNation := len(tpchNations)

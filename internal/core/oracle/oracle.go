@@ -90,6 +90,14 @@ func Prepare(e *physical.Expr) Plan {
 	return Plan{Expr: e, Hash: e.Hash(), Order: exec.RootOrder(e), prog: exec.Compile(engine, e)}
 }
 
+// PrepareCross prepares a query's logical tree for Cross: its canonical
+// lowering (exec.Lower), readied for the reference engine. Lower once per
+// query, however many databases the query meets.
+func PrepareCross(tree *logical.Expr) Plan {
+	e := exec.Lower(tree)
+	return Plan{Expr: e, Hash: e.Hash(), Order: exec.RootOrder(e), prog: exec.Compile(backend, e)}
+}
+
 // Base is one executed Plan(q): the reference side of every Edge and Cross
 // for that query. It remembers its database, so the other side cannot run
 // against a different one. Rows may be shared with the cache and are
@@ -125,17 +133,6 @@ func New(opts Options) (*Runner, error) {
 // HasBackend reports whether Cross has an independent backend to replay on.
 func (r *Runner) HasBackend() bool { return r.opts.Backend != "" }
 
-// Key is the cache key Base and Edge touch for a plan on a database — the
-// execution's identity, for budgets that charge by distinct execution.
-func (r *Runner) Key(cat *catalog.Catalog, p Plan) rescache.Key {
-	return rescache.KeyFor(engine, p.Expr, cat, r.opts.MaxRows, r.opts.MaxWork)
-}
-
-// CrossKey is the cache key Cross touches: the logical tree on the backend.
-func (r *Runner) CrossKey(base *Base, tree *logical.Expr) rescache.Key {
-	return rescache.KeyForTree(backend, tree, base.cat, r.opts.MaxRows, r.opts.MaxWork)
-}
-
 // Base executes the reference plan against a database. The error is
 // exec.ErrRowLimit when a cap tripped, else the engine's execution error.
 func (r *Runner) Base(cat *catalog.Catalog, p Plan) (Base, error) {
@@ -162,21 +159,22 @@ func (r *Runner) Edge(base *Base, p Plan) (Outcome, error) {
 }
 
 // Cross replays base's query on the reference engine and compares. The
-// engine evaluates the pre-optimizer logical tree, so an optimizer fault in
-// the base plan cannot replay itself into the check. The error reports
-// misuse (no tree), never an execution failure.
-func (r *Runner) Cross(base *Base, tree *logical.Expr) (Outcome, error) {
+// engine evaluates the pre-optimizer logical tree, which p holds lowered
+// (PrepareCross), so an optimizer fault in the base plan cannot replay
+// itself into the check. The error reports misuse (a plan not prepared for
+// the reference engine), never an execution failure.
+func (r *Runner) Cross(base *Base, p Plan) (Outcome, error) {
 	if !r.HasBackend() {
 		return Outcome{Verdict: Identical}, nil
 	}
-	if tree == nil {
-		return Outcome{}, fmt.Errorf("oracle: backend %v needs the logical tree for a cross-check", backend)
+	if p.prog == nil || p.prog.Engine() != backend {
+		return Outcome{}, fmt.Errorf("oracle: a cross-check runs a plan PrepareCross readied for backend %v", backend)
 	}
-	rows, err := r.opts.Cache.RunTree(backend, tree, base.cat, r.opts.MaxRows, r.opts.MaxWork)
+	rows, err := r.opts.Cache.RunProgram(p.prog, base.cat, r.opts.MaxRows, r.opts.MaxWork)
 	if err != nil && !errors.Is(err, exec.ErrRowLimit) {
 		return Outcome{Verdict: Mismatch, Detail: fmt.Sprintf("backend %v execution: %v", backend, err)}, nil
 	}
-	return compare(base, rows, exec.TreeOrder(tree), err), nil
+	return compare(base, rows, p.Order, err), nil
 }
 
 // compare maps an alternative's execution (err is nil or a cap) onto the

@@ -104,7 +104,7 @@ func TestRunnerTaxonomy(t *testing.T) {
 			if st.alt.Expr != nil {
 				out, err = rn.Edge(&base, st.alt)
 			} else {
-				out, err = rn.Cross(&base, st.tree)
+				out, err = rn.Cross(&base, PrepareCross(st.tree))
 			}
 			if err != nil {
 				t.Fatalf("%s: %v", st.name, err)
@@ -164,8 +164,9 @@ func TestRunnerBaseCapIsNotAVerdict(t *testing.T) {
 // TestRunnerMisuse: every backend name but "ref" fails New with the one
 // error naming it — "batch", the engine campaigns execute on, would report
 // zero disagreements having compared nothing, and "row" shares the batch
-// engine's compiler and scalar kernel — and Cross handed no tree fails
-// instead of silently passing.
+// engine's compiler and scalar kernel — and Cross handed a plan Prepare
+// readied for the batch engine fails instead of comparing the batch engine
+// with itself.
 func TestRunnerMisuse(t *testing.T) {
 	for _, name := range []string{"bogus", "batch", "row"} {
 		if _, err := New(Options{Backend: name}); err == nil || !strings.Contains(err.Error(), `cross-check backend is "ref"`) {
@@ -181,7 +182,7 @@ func TestRunnerMisuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out, err := rn.Cross(&base, nil); err == nil {
-		t.Errorf("Cross with no tree: %+v, want an error", out)
+	if out, err := rn.Cross(&base, f.nation); err == nil {
+		t.Errorf("Cross with a batch-engine plan: %+v, want an error", out)
 	}
 }

@@ -122,7 +122,7 @@ func (g *Graph) Run(sol *Solution, o *opt.Optimizer, cat *catalog.Catalog) (*Rep
 		}
 		bases[i] = base
 		if rn.HasBackend() && q.Tree != nil {
-			if crosses[i], err = rn.Cross(&base, q.Tree); err != nil {
+			if crosses[i], err = rn.Cross(&base, oracle.PrepareCross(q.Tree)); err != nil {
 				return fmt.Errorf("suite: cross-checking query %d: %w", qi, err)
 			}
 		}

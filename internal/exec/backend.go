@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"qtrtest/internal/catalog"
 	"qtrtest/internal/datum"
@@ -15,8 +16,8 @@ import (
 // (internal/refengine) with RunEngine's budget semantics; its budget trip
 // surfaces as ErrRowLimit. The reference engine shares no compiler and no
 // scalar kernel with the batch operators, so the cross-check it runs
-// cannot replay their faults. The built-in engines reject a tree: they would
-// have to lower it through the same code the oracle is trying to check.
+// cannot replay their faults. An EngineRef Program runs its plan here,
+// delowered; the built-in engines reject a tree.
 func RunTree(eng Engine, tree *logical.Expr, cat *catalog.Catalog, maxRows int, maxWork int64) ([]datum.Row, error) {
 	if eng != EngineRef {
 		return nil, fmt.Errorf("exec: engine %v cannot evaluate logical trees directly", eng)
@@ -28,119 +29,83 @@ func RunTree(eng Engine, tree *logical.Expr, cat *catalog.Catalog, maxRows int, 
 	return rows, err
 }
 
-// Delower translates a physical plan back to the logical tree it
-// implements: the inverse of canonical lowering. Every physical join
-// algorithm collapses to its logical join (On carries the full predicate,
-// so dropping EquiLeft/EquiRight loses nothing), both aggregate
-// implementations collapse to GroupBy, and the remaining operators map
-// one-to-one. This is how the reference engine executes "the same plan" a
-// built-in engine ran: same semantics, none of the physical machinery.
-func Delower(plan *physical.Expr) (*logical.Expr, error) {
+// opPairs is the one correspondence between logical operators and the
+// physical operators that implement them. Lower emits the first physical
+// operator of a logical operator's row, its canonical implementation;
+// delower maps every physical operator of a row back to the row's logical
+// operator. A join row also fixes the join type.
+var opPairs = []struct {
+	log  logical.Op
+	phys []physical.Op
+	join physical.JoinType
+}{
+	{logical.OpGet, []physical.Op{physical.OpScan}, 0},
+	{logical.OpSelect, []physical.Op{physical.OpFilter}, 0},
+	{logical.OpProject, []physical.Op{physical.OpProject}, 0},
+	{logical.OpJoin, joinOps, physical.JoinInner},
+	{logical.OpLeftJoin, joinOps, physical.JoinLeft},
+	{logical.OpSemiJoin, joinOps, physical.JoinSemi},
+	{logical.OpAntiJoin, joinOps, physical.JoinAnti},
+	{logical.OpGroupBy, []physical.Op{physical.OpHashAgg, physical.OpSortAgg}, 0},
+	{logical.OpUnionAll, []physical.Op{physical.OpConcat}, 0},
+	{logical.OpSort, []physical.Op{physical.OpSort}, 0},
+	{logical.OpLimit, []physical.Op{physical.OpLimit}, 0},
+}
+
+var joinOps = []physical.Op{physical.OpNLJoin, physical.OpHashJoin, physical.OpMergeJoin}
+
+// Lower translates a logical tree into its canonical physical form: one
+// fixed, rule-independent implementation per logical operator (scans,
+// filters, nested-loop joins, hash aggregation, concatenation). Operator
+// payloads carry over as they are; each operator reads only its own. The
+// verifier lowers both sides of an exploration rewrite this way, so the only
+// semantic difference between the compared plans is the rewrite itself, and
+// the reference-engine cross-check runs a query's lowered tree. Lower panics
+// on an operator without an implementation, the pattern placeholder OpAny,
+// which no query tree holds.
+func Lower(e *logical.Expr) *physical.Expr {
+	kids := make([]*physical.Expr, len(e.Children))
+	for i, c := range e.Children {
+		kids[i] = Lower(c)
+	}
+	for _, p := range opPairs {
+		if p.log == e.Op {
+			return &physical.Expr{
+				Op: p.phys[0], JoinType: p.join, Children: kids,
+				Table: e.Table, Cols: e.Cols, Filter: e.Filter, On: e.On, Projs: e.Projs,
+				GroupCols: e.GroupCols, Aggs: e.Aggs, OutCols: e.OutCols, InputCols: e.InputCols,
+				N: e.N, Keys: e.Keys,
+			}
+		}
+	}
+	panic(fmt.Sprintf("exec: cannot lower logical operator %v", e.Op))
+}
+
+// delower translates a physical plan back to the logical tree it
+// implements, the inverse of Lower: every physical join algorithm collapses
+// to its logical join (On carries the full predicate, so dropping
+// EquiLeft/EquiRight loses nothing), both aggregate implementations collapse
+// to GroupBy, and the remaining operators map one-to-one. This is how the
+// reference engine executes "the same plan" a built-in engine ran: same
+// semantics, none of the physical machinery.
+func delower(plan *physical.Expr) (*logical.Expr, error) {
 	kids := make([]*logical.Expr, len(plan.Children))
 	for i, c := range plan.Children {
-		k, err := Delower(c)
+		k, err := delower(c)
 		if err != nil {
 			return nil, err
 		}
 		kids[i] = k
 	}
-	out := &logical.Expr{Children: kids}
-	switch plan.Op {
-	case physical.OpScan:
-		out.Op = logical.OpGet
-		out.Table = plan.Table
-		out.Cols = plan.Cols
-	case physical.OpFilter:
-		out.Op = logical.OpSelect
-		out.Filter = plan.Filter
-	case physical.OpProject:
-		out.Op = logical.OpProject
-		out.Projs = plan.Projs
-	case physical.OpHashJoin, physical.OpNLJoin, physical.OpMergeJoin:
-		switch plan.JoinType {
-		case physical.JoinLeft:
-			out.Op = logical.OpLeftJoin
-		case physical.JoinSemi:
-			out.Op = logical.OpSemiJoin
-		case physical.JoinAnti:
-			out.Op = logical.OpAntiJoin
-		default:
-			out.Op = logical.OpJoin
-		}
-		out.On = plan.On
-	case physical.OpHashAgg, physical.OpSortAgg:
-		out.Op = logical.OpGroupBy
-		out.GroupCols = plan.GroupCols
-		out.Aggs = plan.Aggs
-	case physical.OpConcat:
-		out.Op = logical.OpUnionAll
-		out.OutCols = plan.OutCols
-		out.InputCols = plan.InputCols
-	case physical.OpSort:
-		out.Op = logical.OpSort
-		out.Keys = plan.Keys
-	case physical.OpLimit:
-		out.Op = logical.OpLimit
-		out.N = plan.N
-	default:
-		return nil, fmt.Errorf("exec: cannot delower physical operator %v", plan.Op)
-	}
-	return out, nil
-}
-
-// TreeOrder computes the ordering contract of a logical tree's output, the
-// counterpart of RootOrder for plans: whether a Sort survives to the root
-// through order-preserving operators (Limit, Select, Project), which output
-// slots carry its keys, and where Limits sit relative to it. Cross-engine
-// comparisons pass the built-in engine's RootOrder and the tree backend's
-// TreeOrder to CompareResults, which then applies the shared normalization
-// (positional comparison only when both sides are ordered).
-func TreeOrder(tree *logical.Expr) PlanOrder {
-	o := PlanOrder{HasLimit: treeHasLimit(tree)}
-	var projs [][]logical.ProjItem
-	cur := tree
-walk:
-	for {
-		switch cur.Op {
-		case logical.OpLimit, logical.OpSelect:
-			cur = cur.Children[0]
-		case logical.OpProject:
-			projs = append(projs, cur.Projs)
-			cur = cur.Children[0]
-		case logical.OpSort:
-			slots := envOf(tree.OutputCols())
-			for i, k := range cur.Keys {
-				col, ok := liftCol(k.Col, projs)
-				if !ok {
-					break
-				}
-				slot, ok := slots[col]
-				if !ok {
-					break
-				}
-				o.Slots = append(o.Slots, slot)
-				o.Descs = append(o.Descs, cur.Keys[i].Desc)
-			}
-			o.Sorted = len(o.Slots) > 0
-			if o.Sorted {
-				o.LimitBelowSort = treeHasLimit(cur.Children[0])
-			}
-			break walk
-		default:
-			break walk
+	for _, p := range opPairs {
+		if slices.Contains(p.phys, plan.Op) && (!p.log.IsJoin() || p.join == plan.JoinType) {
+			return &logical.Expr{
+				Op: p.log, Children: kids,
+				Table: plan.Table, Cols: plan.Cols, Filter: plan.Filter, On: plan.On, Projs: plan.Projs,
+				GroupCols: plan.GroupCols, Aggs: plan.Aggs, OutCols: plan.OutCols, InputCols: plan.InputCols,
+				N: plan.N, Keys: plan.Keys,
+			}, nil
 		}
 	}
-	return o
-}
-
-func treeHasLimit(e *logical.Expr) bool {
-	if e.Op == logical.OpLimit {
-		return true
-	}
-	for _, c := range e.Children {
-		if treeHasLimit(c) {
-			return true
-		}
-	}
-	return false
+	return nil, fmt.Errorf("exec: cannot delower physical operator %v", plan.Op)
 }

@@ -99,9 +99,9 @@ const (
 	// EngineBatch checks that no result depends on the batch size.
 	EngineRow
 	// EngineRef is the independent reference interpreter
-	// (internal/refengine), reached through RunTree. It evaluates logical
-	// trees directly and shares no evaluation code with the two engines
-	// above, which is what makes it the cross-check backend for both of them.
+	// (internal/refengine). It evaluates a plan's logical tree (RunTree),
+	// and shares no evaluation code with the two engines above, which is
+	// what makes it the cross-check backend for both of them.
 	EngineRef
 )
 

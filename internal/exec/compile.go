@@ -7,6 +7,7 @@ import (
 
 	"qtrtest/internal/catalog"
 	"qtrtest/internal/datum"
+	"qtrtest/internal/logical"
 	"qtrtest/internal/physical"
 	"qtrtest/internal/scalar"
 )
@@ -51,9 +52,11 @@ type Program struct {
 }
 
 // tree is one instance of a Program's operator tree, with the state of the
-// run it is serving.
+// run it is serving. An EngineRef program's tree is its plan delowered, which
+// the reference engine interprets.
 type tree struct {
 	batches BatchIterator
+	ref     *logical.Expr
 	next    *tree
 	runState
 }
@@ -101,15 +104,9 @@ func (p *Program) Plan() *physical.Expr { return p.plan }
 
 // Run executes the program against cat with RunEngine's caps: scans bind to
 // cat's tables as they open, the work budget starts full, and the tree is
-// closed whatever the outcome, which leaves it ready for the next run.
+// closed whatever the outcome, which leaves it ready for the next run. Under
+// EngineRef the tree is the plan delowered, once, and RunTree evaluates it.
 func (p *Program) Run(cat *catalog.Catalog, maxRows int, maxWork int64) ([]datum.Row, error) {
-	if p.eng == EngineRef { // interprets the plan: nothing to compile
-		tree, err := Delower(p.plan)
-		if err != nil {
-			return nil, err
-		}
-		return RunTree(EngineRef, tree, cat, maxRows, maxWork)
-	}
 	return p.run(runState{cat: cat, capped: maxWork > 0, work: maxWork}, maxRows)
 }
 
@@ -130,7 +127,11 @@ func (p *Program) run(st runState, maxRows int) (rows []datum.Row, err error) {
 		}
 	}
 	t.runState = st
-	rows, err = runBatch(t.batches, maxRows)
+	if t.ref != nil {
+		rows, err = RunTree(EngineRef, t.ref, st.cat, maxRows, st.work)
+	} else {
+		rows, err = runBatch(t.batches, maxRows)
+	}
 	t.runState = runState{}
 	p.mu.Lock()
 	t.next, p.idle[tapped] = p.idle[tapped], t
@@ -138,14 +139,19 @@ func (p *Program) run(st runState, maxRows int) (rows []datum.Row, err error) {
 	return rows, err
 }
 
-// compile builds one operator tree for the program's plan.
+// compile builds one operator tree for the program's plan, or delowers the
+// plan for the reference engine.
 func (p *Program) compile(tapped bool) (*tree, error) {
+	t := new(tree)
+	var err error
+	if p.eng == EngineRef {
+		t.ref, err = delower(p.plan)
+		return t, err
+	}
 	if p.eng != EngineBatch && p.eng != EngineRow {
 		return nil, fmt.Errorf("exec: unknown engine %v", p.eng)
 	}
-	t := new(tree)
 	c := compiler{st: &t.runState, tapped: tapped, size: p.plan.CountOps(), batch: p.batch}
-	var err error
 	t.batches, _, err = c.batchIter(p.plan, nil)
 	return t, err
 }

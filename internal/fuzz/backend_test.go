@@ -84,7 +84,7 @@ func backendFindingReplays(t *testing.T, cat *catalog.Catalog, m mutate.Mutant, 
 		return false
 	}
 	// A backend error where the base ran is a Mismatch too: still a divergence.
-	out, err := rn.Cross(&base, bound.Tree)
+	out, err := rn.Cross(&base, oracle.PrepareCross(bound.Tree))
 	return err == nil && out.Verdict == oracle.Mismatch
 }
 

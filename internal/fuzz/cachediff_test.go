@@ -10,36 +10,39 @@ import (
 
 // TestCacheDifferentialAcrossWorkers is the result cache's correctness
 // contract for the fuzz campaign: the JSON report must be byte-identical
-// with the cache on and off, at every worker count. Cached rows are shared
-// read-only and cached errors replay verbatim, so the cache may change only
-// how fast a campaign runs, never what it reports.
+// with the cache on and off, at every worker count, with the reference-engine
+// cross-check off and on. Cached rows are shared read-only and cached errors
+// replay verbatim, so the cache may change only how fast a campaign runs,
+// never what it reports.
 func TestCacheDifferentialAcrossWorkers(t *testing.T) {
 	cat := catalog.LoadTPCH(catalog.TPCHConfig{ScaleRows: 0.1, Seed: 1})
-	var want []byte
-	for _, workers := range []int{1, 8} {
-		for _, cached := range []bool{false, true} {
-			cfg := Config{Seed: 7, N: 96, Workers: workers, Catalog: cat, DB: "tpch"}
-			if cached {
-				cfg.Cache = rescache.New(0)
-			}
-			rep, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("workers=%d cached=%v: %v", workers, cached, err)
-			}
-			data, err := rep.JSON()
-			if err != nil {
-				t.Fatalf("workers=%d cached=%v: JSON: %v", workers, cached, err)
-			}
-			if want == nil {
-				want = data
-			} else if !bytes.Equal(data, want) {
-				t.Fatalf("report differs at workers=%d cached=%v:\n--- want ---\n%s\n--- got ---\n%s",
-					workers, cached, want, data)
-			}
-			if cached {
-				st := cfg.Cache.Stats()
-				if st.Hits == 0 {
-					t.Errorf("workers=%d: cache saw zero hits; the campaign has no plan overlap to test", workers)
+	for _, backend := range []string{"", "ref"} {
+		var want []byte
+		for _, workers := range []int{1, 8} {
+			for _, cached := range []bool{false, true} {
+				cfg := Config{Seed: 7, N: 96, Workers: workers, Catalog: cat, DB: "tpch", Backend: backend}
+				if cached {
+					cfg.Cache = rescache.New(0)
+				}
+				rep, err := Run(cfg)
+				if err != nil {
+					t.Fatalf("backend=%q workers=%d cached=%v: %v", backend, workers, cached, err)
+				}
+				data, err := rep.JSON()
+				if err != nil {
+					t.Fatalf("backend=%q workers=%d cached=%v: JSON: %v", backend, workers, cached, err)
+				}
+				if want == nil {
+					want = data
+				} else if !bytes.Equal(data, want) {
+					t.Fatalf("backend=%q: report differs at workers=%d cached=%v:\n--- want ---\n%s\n--- got ---\n%s",
+						backend, workers, cached, want, data)
+				}
+				if cached {
+					st := cfg.Cache.Stats()
+					if st.Hits == 0 {
+						t.Errorf("backend=%q workers=%d: cache saw zero hits; the campaign has no plan overlap to test", backend, workers)
+					}
 				}
 			}
 		}

@@ -132,11 +132,19 @@ func (c *Config) setDefaults() {
 }
 
 // repro formats the reproducer line: the CLI invocation that replays the
-// campaign byte-identically at any -workers count.
+// campaign byte-identically at any -workers count. The catalog says the
+// -scale it was loaded at (a random catalog has none), and a registry holding
+// the extension rules was built by -ext.
 func (c *Config) repro() string {
 	db := fmt.Sprintf("-db %s ", c.DB)
 	if c.DB == "rand" {
 		db = ""
+	}
+	if s := c.Catalog.ScaleRows(); s != 0 && s != 1 {
+		db += fmt.Sprintf("-scale %g ", s)
+	}
+	if c.Registry.Pos(rules.ExtensionRules()[0].ID()) >= 0 {
+		db += "-ext "
 	}
 	backend := ""
 	if c.Backend != "" {
@@ -323,10 +331,14 @@ func (c *campaign) runOne(idx int, w *qgen.Weights) result {
 // rewrite. The campaign passes a nil want and runs every step. The shrinker
 // passes the finding it minimizes as want: after the base, only the step that
 // filed it runs — the backend, the rule want.Rule or the rewrite
-// want.Rewrite — and charge, when non-nil, is handed the key of every
+// want.Rewrite — and charge, when non-nil, is handed the identity of every
 // execution: the base and the cross-check before they run, an alternative
-// after it executes (an identical one executes nothing).
-func (c *campaign) check(tree *logical.Expr, md *logical.Metadata, idx int, seed int64, want *Finding, charge func(rescache.Key)) result {
+// after it executes (an identical one executes nothing). A base or an
+// alternative is its plan's fingerprint, a cross-check its lowered tree's
+// under the prefix "cross|": within one finding's shrink the catalog, the
+// caps and each kind's engine are fixed, so nothing else tells two
+// executions apart.
+func (c *campaign) check(tree *logical.Expr, md *logical.Metadata, idx int, seed int64, want *Finding, charge func(string)) result {
 	q, stage, err := c.plan(tree, md)
 	if err != nil {
 		return result{skip: stage}
@@ -365,7 +377,7 @@ func (c *campaign) check(tree *logical.Expr, md *logical.Metadata, idx int, seed
 
 	p := oracle.Prepare(res.Plan)
 	if charge != nil {
-		charge(c.oracle.Key(c.cfg.Catalog, p))
+		charge(p.Hash)
 	}
 	base, err := c.oracle.Base(c.cfg.Catalog, p)
 	if errors.Is(err, exec.ErrRowLimit) {
@@ -395,7 +407,7 @@ func (c *campaign) check(tree *logical.Expr, md *logical.Metadata, idx int, seed
 		p := oracle.Prepare(alt)
 		out, err := c.oracle.Edge(&base, p)
 		if charge != nil && out.Verdict != oracle.Identical {
-			charge(c.oracle.Key(c.cfg.Catalog, p))
+			charge(p.Hash)
 		}
 		if err != nil {
 			add(KindExecError, id, rewrite, err.Error(), res.Plan, alt)
@@ -408,10 +420,11 @@ func (c *campaign) check(tree *logical.Expr, md *logical.Metadata, idx int, seed
 	// compare against the base execution. A budget trip on the backend skips
 	// the comparison per the budget-parity contract.
 	if c.oracle.HasBackend() && step(true, 0, "") {
+		cross := oracle.PrepareCross(q.bound.Tree)
 		if charge != nil {
-			charge(c.oracle.CrossKey(&base, q.bound.Tree))
+			charge("cross|" + cross.Hash)
 		}
-		out, err := c.oracle.Cross(&base, q.bound.Tree)
+		out, err := c.oracle.Cross(&base, cross)
 		if err != nil {
 			out = oracle.Outcome{Verdict: oracle.Mismatch, Detail: err.Error()}
 		}

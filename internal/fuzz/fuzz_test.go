@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"qtrtest/internal/catalog"
+	"qtrtest/internal/mutate"
+	"qtrtest/internal/rules"
 )
 
 // TestDeterminismAcrossWorkers is the campaign's core contract: the same
@@ -96,6 +98,42 @@ func TestReproLine(t *testing.T) {
 	want = "qtrtest -db tpch -seed 9 fuzz -n 50 -eet -mutant wrong-agg  # any -workers"
 	if got != want {
 		t.Errorf("eet repro line:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestReproLineNamesScaleAndExt: a reproducer names every global flag the
+// campaign depends on. A TPC-H catalog loaded at row scale 0.25 is the CLI's
+// -scale 0.25, and a registry holding the extension rules is -ext; a random
+// catalog ignores -scale, so its line never names one.
+func TestReproLineNamesScaleAndExt(t *testing.T) {
+	ms, err := mutate.ByKind(mutate.KindWrongAgg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(Config{
+		Seed: 42, N: 64, Workers: 2, DB: "tpch",
+		Catalog:  catalog.LoadTPCH(catalog.TPCHConfig{ScaleRows: 0.25, Seed: 42}),
+		Registry: ms[0].Registry(), Mutant: string(ms[0].Kind), StopOnFinding: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Findings) == 0 {
+		t.Fatal("the wrong-agg campaign at scale 0.25 found nothing")
+	}
+	if got, want := rep.Findings[0].Repro, "qtrtest -db tpch -scale 0.25 -seed 42 fuzz -n 64 -mutant wrong-agg  # any -workers"; got != want {
+		t.Errorf("repro line:\n got %q\nwant %q", got, want)
+	}
+
+	ext := Config{Seed: 9, N: 50, DB: "star", Catalog: catalog.LoadStar(catalog.DefaultStarConfig()), Registry: rules.RegistryWithExtensions()}
+	ext.setDefaults()
+	if got, want := ext.repro(), "qtrtest -db star -ext -seed 9 fuzz -n 50  # any -workers"; got != want {
+		t.Errorf("-ext repro line:\n got %q\nwant %q", got, want)
+	}
+	rnd := Config{Seed: 4, Registry: rules.RegistryWithExtensions()}
+	rnd.setDefaults()
+	if got, want := rnd.repro(), "qtrtest -ext -seed 4 fuzz -n 500 -randcat  # any -workers"; got != want {
+		t.Errorf("-ext randcat repro line:\n got %q\nwant %q", got, want)
 	}
 }
 

@@ -14,24 +14,14 @@ import (
 // hoisted child missing columns its new parent references) are rejected by
 // keep itself when the reduced tree fails to render, bind or plan.
 //
-// maxChecks bounds the number of keep evaluations; every accepted reduction
-// strictly decreases CountOps or a payload length, so termination does not
-// depend on the bound. The returned tree shares nodes with the input; the
-// input is never mutated.
-func Shrink(tree *logical.Expr, keep func(*logical.Expr) bool, maxChecks int) *logical.Expr {
-	if maxChecks <= 0 {
-		maxChecks = 400
-	}
-	checks := 0
+// Every accepted reduction strictly decreases CountOps or a payload length,
+// so shrinking terminates; a keep with a budget to keep rejects every
+// candidate once it is spent. The returned tree shares nodes with the input;
+// the input is never mutated.
+func Shrink(tree *logical.Expr, keep func(*logical.Expr) bool) *logical.Expr {
 	best := tree
 	for {
-		next := shrinkStep(best, func(cand *logical.Expr) bool {
-			if checks >= maxChecks {
-				return false
-			}
-			checks++
-			return keep(cand)
-		}, checks >= maxChecks)
+		next := shrinkStep(best, keep)
 		if next == nil {
 			return best
 		}
@@ -40,11 +30,8 @@ func Shrink(tree *logical.Expr, keep func(*logical.Expr) bool, maxChecks int) *l
 }
 
 // shrinkStep returns the first accepted reduction of root, or nil when no
-// candidate is accepted (or the budget is spent).
-func shrinkStep(root *logical.Expr, try func(*logical.Expr) bool, exhausted bool) *logical.Expr {
-	if exhausted {
-		return nil
-	}
+// candidate is accepted.
+func shrinkStep(root *logical.Expr, try func(*logical.Expr) bool) *logical.Expr {
 	var nodes []*logical.Expr
 	var paths [][]int
 	var walk func(e *logical.Expr, path []int)

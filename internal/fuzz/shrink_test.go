@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"qtrtest/internal/datum"
+	"qtrtest/internal/exec"
 	"qtrtest/internal/logical"
 	"qtrtest/internal/scalar"
 )
@@ -39,7 +40,7 @@ func TestShrinkHoistsToMinimalTree(t *testing.T) {
 		}},
 	}
 	keep := func(e *logical.Expr) bool { return e.ContainsOp(logical.OpGroupBy) }
-	got := Shrink(tree, keep, 0)
+	got := Shrink(tree, keep)
 	if got.CountOps() != 2 {
 		t.Fatalf("shrunk to %d ops, want 2:\n%s", got.CountOps(), got)
 	}
@@ -71,7 +72,7 @@ func TestShrinkDropsConjuncts(t *testing.T) {
 		}
 		return false
 	}
-	got := Shrink(tree, keep, 0)
+	got := Shrink(tree, keep)
 	conj := scalar.Conjuncts(got.Filter)
 	if len(conj) != 1 || !scalar.Equal(conj[0], needle) {
 		t.Errorf("shrunk filter is %s, want exactly the needle conjunct", got.Filter.SQL(func(id scalar.ColumnID) string { return "c" }))
@@ -109,7 +110,7 @@ func TestShrinkDropsSiblingSubtree(t *testing.T) {
 		})
 		return found
 	}
-	got := Shrink(tree, keep, 0)
+	got := Shrink(tree, keep)
 	if got.Op != logical.OpGet || got.Cols[0] != 3 {
 		t.Errorf("shrunk to:\n%s\nwant the bare right-input scan", got)
 	}
@@ -137,37 +138,13 @@ func TestShrinkDeterministic(t *testing.T) {
 	keep := func(e *logical.Expr) bool {
 		return e.ContainsOp(logical.OpGroupBy) && e.ContainsOp(logical.OpSelect)
 	}
-	a := Shrink(build(), keep, 0)
-	b := Shrink(build(), keep, 0)
-	if a.Hash() != b.Hash() {
+	a := Shrink(build(), keep)
+	b := Shrink(build(), keep)
+	if exec.Lower(a).Hash() != exec.Lower(b).Hash() {
 		t.Errorf("repeated shrink differs:\n--- first ---\n%s\n--- second ---\n%s", a, b)
 	}
 	if a.ContainsOp(logical.OpSort) {
 		t.Errorf("Sort should have been hoisted away:\n%s", a)
-	}
-}
-
-// TestShrinkRespectsBudget: maxChecks=1 allows at most one keep evaluation,
-// so at most the very first candidate reduction can be accepted.
-func TestShrinkRespectsBudget(t *testing.T) {
-	tree := &logical.Expr{
-		Op:     logical.OpSelect,
-		Filter: cmpGT(1, 0),
-		Children: []*logical.Expr{{
-			Op:       logical.OpSelect,
-			Filter:   cmpGT(2, 0),
-			Children: []*logical.Expr{scanNode(1, 2)},
-		}},
-	}
-	calls := 0
-	keep := func(e *logical.Expr) bool { calls++; return true }
-	got := Shrink(tree, keep, 1)
-	if calls > 1 {
-		t.Errorf("keep evaluated %d times, budget was 1", calls)
-	}
-	// One accepted hoist: Select over Scan (3 ops -> 2 ops).
-	if got.CountOps() != 2 {
-		t.Errorf("shrunk to %d ops, want exactly one accepted reduction (2 ops)", got.CountOps())
 	}
 }
 
@@ -179,12 +156,12 @@ func TestShrinkKeepsUnshrinkable(t *testing.T) {
 		Filter:   cmpGT(1, 0),
 		Children: []*logical.Expr{scanNode(1)},
 	}
-	orig := tree.Hash()
-	got := Shrink(tree, func(*logical.Expr) bool { return false }, 0)
+	orig := exec.Lower(tree).Hash()
+	got := Shrink(tree, func(*logical.Expr) bool { return false })
 	if got != tree {
 		t.Error("unshrinkable tree should be returned as-is")
 	}
-	if tree.Hash() != orig {
+	if exec.Lower(tree).Hash() != orig {
 		t.Error("input tree was mutated")
 	}
 }

@@ -2,14 +2,14 @@ package fuzz
 
 import (
 	"qtrtest/internal/logical"
-	"qtrtest/internal/rescache"
 	"qtrtest/internal/sqlgen"
 )
 
-// shrinkBudget charges the shrinker's oracle budget by execution identity: a
-// plan execution costs one check the first time its cache key appears during
-// this finding's shrink and is free on every recurrence — exactly the
-// executions that would miss a result cache primed by this shrink alone.
+// shrinkBudget charges the shrinker's oracle budget by execution identity
+// (check's charge): a plan execution costs one check the first time its
+// identity appears during this finding's shrink and is free on every
+// recurrence — exactly the executions that would miss a result cache primed
+// by this shrink alone.
 //
 // The seen-set is deliberately local to the finding rather than asking the
 // shared campaign cache "would this hit?": cache contents depend on eviction
@@ -21,16 +21,16 @@ import (
 // are hits there too.
 type shrinkBudget struct {
 	remaining int
-	seen      map[rescache.Key]struct{}
+	seen      map[string]struct{}
 }
 
 func newShrinkBudget(n int) *shrinkBudget {
-	return &shrinkBudget{remaining: n, seen: make(map[rescache.Key]struct{})}
+	return &shrinkBudget{remaining: n, seen: make(map[string]struct{})}
 }
 
-// charge deducts one check if this execution key — whichever one the oracle
+// charge deducts one check if this execution — whichever one the oracle
 // step touches — is new to the finding.
-func (b *shrinkBudget) charge(k rescache.Key) {
+func (b *shrinkBudget) charge(k string) {
 	if _, ok := b.seen[k]; ok {
 		return
 	}
@@ -48,9 +48,8 @@ func (b *shrinkBudget) spent() bool { return b.remaining <= 0 }
 //
 // The oracle budget (maxShrinkChecks) counts distinct plan executions, not
 // keep evaluations: candidates whose plans were all executed earlier in the
-// shrink re-check for free. Shrink's own check bound is effectively
-// disabled — budget exhaustion rejects every candidate, which terminates the
-// reduction loop.
+// shrink re-check for free. Once it is spent keep rejects every candidate,
+// which ends the reduction.
 func (c *campaign) shrinkFinding(f *finding) {
 	if f.pub.Kind == KindRewriteError {
 		return
@@ -73,7 +72,7 @@ func (c *campaign) shrinkFinding(f *finding) {
 		// it unshrunk rather than attach a wrong reproducer.
 		return
 	}
-	shrunk := Shrink(f.tree, keep, 1<<30)
+	shrunk := Shrink(f.tree, keep)
 	sqlText, err := sqlgen.Generate(shrunk, f.md)
 	if err != nil {
 		return

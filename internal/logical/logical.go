@@ -387,22 +387,6 @@ func colsEqual(a, b []scalar.ColumnID) bool {
 	return true
 }
 
-// Hash fingerprints the whole tree.
-func (e *Expr) Hash() string {
-	var sb strings.Builder
-	var walk func(x *Expr)
-	walk = func(x *Expr) {
-		x.PayloadHashInto(&sb)
-		sb.WriteString("(")
-		for _, c := range x.Children {
-			walk(c)
-		}
-		sb.WriteString(")")
-	}
-	walk(e)
-	return sb.String()
-}
-
 // String renders an indented operator tree for debugging.
 func (e *Expr) String() string {
 	var sb strings.Builder

@@ -32,8 +32,8 @@ func TestMetadataAddTable(t *testing.T) {
 	if cm.Table != "nation" || cm.TableCol != "n_name" {
 		t.Errorf("column meta wrong: %+v", cm)
 	}
-	if md.NumColumns() != 6 {
-		t.Errorf("NumColumns = %d, want 6", md.NumColumns())
+	if b.Cols[len(b.Cols)-1] != 6 {
+		t.Errorf("last column id = %d, want 6: two scans of a 3-column table", b.Cols[len(b.Cols)-1])
 	}
 	if _, err := md.AddTable("nope"); err == nil {
 		t.Error("AddTable of a missing table must error")
@@ -114,21 +114,6 @@ func TestCloneIsDeep(t *testing.T) {
 	cp.Children[0].Cols[0] = 999
 	if sel.Children[0].Table != "region" || sel.Children[0].Cols[0] == 999 {
 		t.Error("Clone shares child state")
-	}
-}
-
-func TestHashDistinguishesTrees(t *testing.T) {
-	md := NewMetadata(testCatalog())
-	r := mustTable(t, md, "region")
-	n := mustTable(t, md, "nation")
-	on := &scalar.Cmp{Op: scalar.CmpEQ, L: &scalar.ColRef{ID: n.Cols[2]}, R: &scalar.ColRef{ID: r.Cols[0]}}
-	j1 := &Expr{Op: OpJoin, Children: []*Expr{n, r}, On: on}
-	j2 := &Expr{Op: OpJoin, Children: []*Expr{r, n}, On: on}
-	if j1.Hash() == j2.Hash() {
-		t.Error("commuted joins must hash differently (different trees)")
-	}
-	if j1.Hash() != j1.Clone().Hash() {
-		t.Error("clone must hash identically")
 	}
 }
 

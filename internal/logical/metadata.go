@@ -75,9 +75,6 @@ func (m *Metadata) Column(id scalar.ColumnID) ColumnMeta {
 	return m.cols[id-1]
 }
 
-// NumColumns returns how many columns have been allocated.
-func (m *Metadata) NumColumns() int { return len(m.cols) }
-
 // TypeEnv adapts the metadata to the scalar type checker, bounds-checked so
 // an unknown ColumnID is "unknown" rather than a panic.
 func (m *Metadata) TypeEnv() scalar.TypeEnv {

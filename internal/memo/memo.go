@@ -569,15 +569,10 @@ func (m *Memo) ensureGroup(b *BoundExpr, createdBy int) GroupID {
 	return m.internBound(b, kids, nil, createdBy).Group
 }
 
-// InsertSubstitute adds the root of a rule's substitute tree to the target
-// group (the group of the matched expression). It returns true if a new
+// InsertSubstituteFrom adds the root of a rule's substitute tree to the
+// target group (the group of the matched expression), recording the creating
+// rule's ID on every newly added expression. It returns true if a new
 // expression was added anywhere.
-func (m *Memo) InsertSubstitute(b *BoundExpr, target GroupID) bool {
-	return m.InsertSubstituteFrom(b, target, 0)
-}
-
-// InsertSubstituteFrom is InsertSubstitute recording the creating rule's ID
-// on every newly added expression.
 func (m *Memo) InsertSubstituteFrom(b *BoundExpr, target GroupID, createdBy int) bool {
 	if b.IsLeaf() {
 		// A substitute that is just "the child group" (e.g. eliminating a

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"qtrtest/internal/catalog"
+	"qtrtest/internal/exec"
 	"qtrtest/internal/logical"
 	"qtrtest/internal/scalar"
 )
@@ -67,20 +68,20 @@ func TestInsertSubstituteDedup(t *testing.T) {
 	// Commute: Join(r, n) is new.
 	sub := NewBound(&logical.Expr{Op: logical.OpJoin, On: scalar.TrueExpr()},
 		GroupRef(e.Kids[1]), GroupRef(e.Kids[0]))
-	if !m.InsertSubstitute(sub, root) {
+	if !m.InsertSubstituteFrom(sub, root, 0) {
 		t.Fatal("first substitute should add an expression")
 	}
 	if len(m.Group(root).Exprs) != 2 {
 		t.Fatalf("group should have 2 exprs, got %d", len(m.Group(root).Exprs))
 	}
 	// Re-inserting the same substitute must be a no-op.
-	if m.InsertSubstitute(sub, root) {
+	if m.InsertSubstituteFrom(sub, root, 0) {
 		t.Error("duplicate substitute should not add")
 	}
 	// Re-inserting the original expression must be a no-op too.
 	orig := NewBound(&logical.Expr{Op: logical.OpJoin, On: scalar.TrueExpr()},
 		GroupRef(e.Kids[0]), GroupRef(e.Kids[1]))
-	if m.InsertSubstitute(orig, root) {
+	if m.InsertSubstituteFrom(orig, root, 0) {
 		t.Error("original substitute should dedup")
 	}
 }
@@ -99,7 +100,7 @@ func TestInsertSubstituteCreatesInnerGroups(t *testing.T) {
 	// Insert into a new group context: we abuse root here — in real use the
 	// target group is logically equivalent; for this structural test we
 	// just verify group creation mechanics.
-	m.InsertSubstitute(outer, root)
+	m.InsertSubstituteFrom(outer, root, 0)
 	if m.NumGroups() != before+1 {
 		t.Errorf("expected exactly one new group for the inner select, got %d new", m.NumGroups()-before)
 	}
@@ -110,7 +111,7 @@ func TestLeafSubstituteRejected(t *testing.T) {
 	n := scan(t, md, "nation")
 	m := New(md)
 	root := m.Insert(n)
-	if m.InsertSubstitute(GroupRef(root), root) {
+	if m.InsertSubstituteFrom(GroupRef(root), root, 0) {
 		t.Error("a pure group reference cannot be inserted as a substitute")
 	}
 }
@@ -126,7 +127,7 @@ func TestExtractFirstRoundTrips(t *testing.T) {
 	root := m.Insert(sel)
 	m.SetRoot(root)
 	got := m.ExtractFirst(root)
-	if got.Hash() != sel.Hash() {
+	if exec.Lower(got).Hash() != exec.Lower(sel).Hash() {
 		t.Errorf("ExtractFirst differs:\n%s\nvs\n%s", got, sel)
 	}
 }
@@ -176,10 +177,10 @@ func TestForcedCollisionsStayCorrect(t *testing.T) {
 	e := m.Group(root).Exprs[0]
 	sub := NewBound(&logical.Expr{Op: logical.OpJoin, On: scalar.TrueExpr()},
 		GroupRef(e.Kids[1]), GroupRef(e.Kids[0]))
-	if !m.InsertSubstitute(sub, root) {
+	if !m.InsertSubstituteFrom(sub, root, 0) {
 		t.Fatal("commuted substitute should be recognized as new")
 	}
-	if m.InsertSubstitute(sub, root) {
+	if m.InsertSubstituteFrom(sub, root, 0) {
 		t.Error("repeated substitute should dedup inside the collision bucket")
 	}
 	if got := len(m.Group(root).Exprs); got != 2 {
@@ -199,7 +200,7 @@ func TestOrdTracksGroupPosition(t *testing.T) {
 	e := m.Group(root).Exprs[0]
 	sub := NewBound(&logical.Expr{Op: logical.OpJoin, On: scalar.TrueExpr()},
 		GroupRef(e.Kids[1]), GroupRef(e.Kids[0]))
-	m.InsertSubstitute(sub, root)
+	m.InsertSubstituteFrom(sub, root, 0)
 	for _, g := range m.Groups() {
 		for i, e := range g.Exprs {
 			if e.Ord != i {
@@ -234,7 +235,7 @@ func TestOnAddHookObservesEveryExpr(t *testing.T) {
 	e := m.Group(root).Exprs[0]
 	sub := NewBound(&logical.Expr{Op: logical.OpJoin, On: scalar.TrueExpr()},
 		GroupRef(e.Kids[1]), GroupRef(e.Kids[0]))
-	m.InsertSubstitute(sub, root)
+	m.InsertSubstituteFrom(sub, root, 0)
 	if len(seen) != 4 {
 		t.Fatalf("hook fired %d times after substitute, want 4", len(seen))
 	}

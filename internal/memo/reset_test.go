@@ -73,7 +73,7 @@ func TestInternedAwaySubstituteFreesItsNodeOnce(t *testing.T) {
 		dup := m.BoundNew(logical.Expr{Op: logical.OpSelect, Filter: gt(n.Cols[0], 1)}, GroupRef(get))
 		node := dup.Node
 		for i := 0; i < 3; i++ {
-			if m.InsertSubstitute(dup, root) {
+			if m.InsertSubstituteFrom(dup, root, 0) {
 				t.Fatalf("insert %d: a duplicate substitute added an expression", i)
 			}
 			checkFreeList(t, m, 1)
@@ -89,7 +89,7 @@ func TestInternedAwaySubstituteFreesItsNodeOnce(t *testing.T) {
 		if fresh.Node.Op != logical.OpSelect || fresh.Node.Filter.Hash() != gt(n.Cols[0], 2).Hash() {
 			t.Errorf("reused node carries its previous payload: %+v", fresh.Node)
 		}
-		if !m.InsertSubstitute(fresh, root) {
+		if !m.InsertSubstituteFrom(fresh, root, 0) {
 			t.Fatal("a new substitute in a reused node was not added")
 		}
 		checkFreeList(t, m, 0)
@@ -120,7 +120,7 @@ func TestSharedFreshSubtreeIsDisownedOnce(t *testing.T) {
 			shared := m.BoundNew(logical.Expr{Op: logical.OpSelect, Filter: innerFilter}, GroupRef(get))
 			s1 := m.BoundNew(logical.Expr{Op: logical.OpSelect, Filter: gt(n.Cols[0], 10)}, shared)
 			s2 := m.BoundNew(logical.Expr{Op: logical.OpSelect, Filter: gt(n.Cols[0], 11)}, shared)
-			if !m.InsertSubstitute(s1, root) || !m.InsertSubstitute(s2, root) {
+			if !m.InsertSubstituteFrom(s1, root, 0) || !m.InsertSubstituteFrom(s2, root, 0) {
 				t.Fatalf("exists=%v: substitutes over a shared subtree were not added", exists)
 			}
 			wantFree, wantGroups := 0, groups+1
@@ -156,11 +156,11 @@ func TestPassedThroughAndForeignNodesAreNeverFreed(t *testing.T) {
 
 		// Commute and commute back: the second is the original join.
 		commuted := m.Bound(je.Node, GroupRef(je.Kids[1]), GroupRef(je.Kids[0]))
-		if !m.InsertSubstitute(commuted, je.Group) {
+		if !m.InsertSubstituteFrom(commuted, je.Group, 0) {
 			t.Fatal("commuted join was not added")
 		}
 		back := m.Bound(je.Node, GroupRef(je.Kids[0]), GroupRef(je.Kids[1]))
-		if m.InsertSubstitute(back, je.Group) || m.InsertSubstitute(commuted, je.Group) {
+		if m.InsertSubstituteFrom(back, je.Group, 0) || m.InsertSubstituteFrom(commuted, je.Group, 0) {
 			t.Error("a passed-through duplicate added an expression")
 		}
 		checkFreeList(t, m, 0, je.Node)
@@ -172,7 +172,7 @@ func TestPassedThroughAndForeignNodesAreNeverFreed(t *testing.T) {
 		foreign := &logical.Expr{Op: logical.OpSelect, Filter: gt(n.Cols[0], 1)}
 		mixed := NewBound(foreign,
 			m.BoundNew(logical.Expr{Op: logical.OpJoin, On: scalar.TrueExpr()}, GroupRef(je.Kids[0]), GroupRef(je.Kids[1])))
-		if m.InsertSubstitute(mixed, root) {
+		if m.InsertSubstituteFrom(mixed, root, 0) {
 			t.Error("a duplicate mixed substitute added an expression")
 		}
 		checkFreeList(t, m, 1, je.Node, foreign)
@@ -184,7 +184,7 @@ func TestPassedThroughAndForeignNodesAreNeverFreed(t *testing.T) {
 		foreignJoin := &logical.Expr{Op: logical.OpLeftJoin, On: scalar.TrueExpr()}
 		mixed = m.BoundNew(logical.Expr{Op: logical.OpSelect, Filter: gt(n.Cols[0], 2)},
 			NewBound(foreignJoin, GroupRef(je.Kids[0]), GroupRef(je.Kids[1])))
-		if !m.InsertSubstitute(mixed, root) {
+		if !m.InsertSubstituteFrom(mixed, root, 0) {
 			t.Error("a new mixed substitute was not added")
 		}
 		checkFreeList(t, m, 0, je.Node, foreign, foreignJoin)
@@ -216,8 +216,8 @@ func TestResetLeavesNoTrace(t *testing.T) {
 				e.Queued = 3
 				m.NewBinding(e)
 				// One more expression per group, and one duplicate each.
-				m.InsertSubstitute(m.BoundNew(logical.Expr{Op: logical.OpLimit, N: int64(g.ID)}, GroupRef(g.ID)), g.ID)
-				m.InsertSubstitute(m.BoundNew(logical.Expr{Op: logical.OpLimit, N: int64(g.ID)}, GroupRef(g.ID)), g.ID)
+				m.InsertSubstituteFrom(m.BoundNew(logical.Expr{Op: logical.OpLimit, N: int64(g.ID)}, GroupRef(g.ID)), g.ID, 0)
+				m.InsertSubstituteFrom(m.BoundNew(logical.Expr{Op: logical.OpLimit, N: int64(g.ID)}, GroupRef(g.ID)), g.ID, 0)
 			}
 			checkFreeList(t, m, 1) // each duplicate reused the node the one before it freed
 			if poison {

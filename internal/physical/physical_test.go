@@ -82,15 +82,3 @@ func TestStringAndCount(t *testing.T) {
 		t.Errorf("CountOps = %d", f.CountOps())
 	}
 }
-
-func TestDOTExport(t *testing.T) {
-	l := scanNode("a", 1)
-	r := scanNode("b", 2)
-	join := &Expr{Op: OpHashJoin, JoinType: JoinLeft, Children: []*Expr{l, r}, Rows: 5, Cost: 42}
-	dot := join.DOT()
-	for _, frag := range []string{"digraph plan", "HashJoin\\nLeft", "Scan\\na", "n0 -> n1", "n0 -> n2"} {
-		if !strings.Contains(dot, frag) {
-			t.Errorf("DOT missing %q:\n%s", frag, dot)
-		}
-	}
-}

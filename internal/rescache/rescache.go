@@ -6,7 +6,9 @@
 // by (plan fingerprint, catalog identity/version, row cap, work budget,
 // engine) and memoizes the materialized result — including the error
 // outcome, since execution is deterministic given the key — so every
-// recurrence after the first is a map hit.
+// recurrence after the first is a map hit. The reference-engine cross-check
+// is a plan execution like the others (the query's lowered tree, run on
+// exec.EngineRef), so one key shape covers every execution.
 //
 // The table is plan-major under one mutex: the plan text is hashed once, into
 // a map of distinct plans, and the rest of the key — small, fixed-size and
@@ -35,14 +37,13 @@ import (
 	"qtrtest/internal/catalog"
 	"qtrtest/internal/datum"
 	"qtrtest/internal/exec"
-	"qtrtest/internal/logical"
 	"qtrtest/internal/physical"
 )
 
-// Key identifies one execution: what ran, against which database state, and
+// key identifies one execution: what ran, against which database state, and
 // under which caps. Everything RunEngine's outcome depends on is in the key,
 // which is what makes caching errors (row-cap trips included) sound.
-type Key struct {
+type key struct {
 	Plan    string // physical.Expr.Hash fingerprint
 	CatID   uint64 // catalog identity; process-unique per Catalog value
 	CatVer  uint64 // catalog mutation version
@@ -51,12 +52,10 @@ type Key struct {
 	Engine  exec.Engine
 }
 
-// KeyFor builds the cache key for one execution. It is exported so oracle
-// budgets (the shrinker's miss-only accounting) can reason about execution
-// identity without depending on cache internals.
-func KeyFor(eng exec.Engine, plan *physical.Expr, cat *catalog.Catalog, maxRows int, maxWork int64) Key {
+// keyFor builds the cache key for one execution.
+func keyFor(eng exec.Engine, plan *physical.Expr, cat *catalog.Catalog, maxRows int, maxWork int64) key {
 	id, ver := cat.Identity()
-	return Key{
+	return key{
 		Plan:    plan.Hash(),
 		CatID:   id,
 		CatVer:  ver,
@@ -66,24 +65,7 @@ func KeyFor(eng exec.Engine, plan *physical.Expr, cat *catalog.Catalog, maxRows 
 	}
 }
 
-// KeyForTree builds the cache key for a logical-tree execution on a
-// tree-capable backend. The engine dimension alone already separates
-// backend results from the built-in engines'; the fingerprint prefix
-// additionally separates a tree evaluation from a (hypothetical) plan
-// execution on the same backend.
-func KeyForTree(eng exec.Engine, tree *logical.Expr, cat *catalog.Catalog, maxRows int, maxWork int64) Key {
-	id, ver := cat.Identity()
-	return Key{
-		Plan:    "tree|" + tree.Hash(),
-		CatID:   id,
-		CatVer:  ver,
-		MaxRows: maxRows,
-		MaxWork: maxWork,
-		Engine:  eng,
-	}
-}
-
-// runKey is a Key without its plan text: which run of one plan.
+// runKey is a key without its plan text: which run of one plan.
 type runKey struct {
 	Engine  exec.Engine
 	CatID   uint64
@@ -191,28 +173,7 @@ func (c *Cache) RunProgram(p *exec.Program, cat *catalog.Catalog, maxRows int, m
 	if c == nil {
 		return p.Run(cat, maxRows, maxWork)
 	}
-	return c.runKeyed(KeyFor(p.Engine(), p.Plan(), cat, maxRows, maxWork), func() ([]datum.Row, error) {
-		return p.Run(cat, maxRows, maxWork)
-	})
-}
-
-// RunTree executes a logical tree on a tree-capable backend through the
-// cache, with the same hit/miss/single-flight behavior as Run. Tree and
-// plan executions live in one keyspace but cannot collide: tree keys carry
-// the "tree|" fingerprint prefix (physical and logical fingerprints both
-// start with an operator number) and a backend engine ID.
-func (c *Cache) RunTree(eng exec.Engine, tree *logical.Expr, cat *catalog.Catalog, maxRows int, maxWork int64) ([]datum.Row, error) {
-	if c == nil {
-		return exec.RunTree(eng, tree, cat, maxRows, maxWork)
-	}
-	return c.runKeyed(KeyForTree(eng, tree, cat, maxRows, maxWork), func() ([]datum.Row, error) {
-		return exec.RunTree(eng, tree, cat, maxRows, maxWork)
-	})
-}
-
-// runKeyed is the shared cache core: look up the key, claim or join the
-// entry, compute once under the entry's sync.Once.
-func (c *Cache) runKeyed(k Key, compute func() ([]datum.Row, error)) ([]datum.Row, error) {
+	k := keyFor(p.Engine(), p.Plan(), cat, maxRows, maxWork)
 	rk := runKey{Engine: k.Engine, CatID: k.CatID, CatVer: k.CatVer, MaxRows: k.MaxRows, MaxWork: k.MaxWork}
 
 	c.mu.Lock()
@@ -235,7 +196,7 @@ func (c *Cache) runKeyed(k Key, compute func() ([]datum.Row, error)) ([]datum.Ro
 	c.mu.Unlock()
 
 	e.once.Do(func() {
-		e.rows, e.err = compute()
+		e.rows, e.err = p.Run(cat, maxRows, maxWork)
 		e.size = approxSize(e.rows)
 		c.admit(e)
 	})

@@ -399,10 +399,10 @@ func TestRunlessPlanLeavesTable(t *testing.T) {
 
 func TestKeyForIncorporatesCatalogVersion(t *testing.T) {
 	cat := testCatalog(10)
-	k1 := KeyFor(exec.EngineBatch, scanPlan(), cat, 0, 0)
+	k1 := keyFor(exec.EngineBatch, scanPlan(), cat, 0, 0)
 	extra := &catalog.Table{Name: "u", Columns: []catalog.Column{{Name: "x", Type: datum.TypeInt}}}
 	cat.Add(extra)
-	k2 := KeyFor(exec.EngineBatch, scanPlan(), cat, 0, 0)
+	k2 := keyFor(exec.EngineBatch, scanPlan(), cat, 0, 0)
 	if k1 == k2 {
 		t.Fatalf("key unchanged across catalog mutation: %+v", k1)
 	}

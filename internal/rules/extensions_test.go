@@ -140,7 +140,7 @@ func TestOrExpansionShape(t *testing.T) {
 	if len(subs) != 1 || subs[0].Node.Op != logical.OpUnionAll {
 		t.Fatalf("expected a UnionAll substitute, got %v", subs)
 	}
-	if !m.InsertSubstitute(subs[0], root) {
+	if !m.InsertSubstituteFrom(subs[0], root, 0) {
 		t.Error("substitute not inserted")
 	}
 }

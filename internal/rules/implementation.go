@@ -80,36 +80,23 @@ func equiKeys(ctx *Context, e *memo.MExpr) (left, right []scalar.ColumnID, ok bo
 	return left, right, true
 }
 
-func joinTypeOf(op logical.Op) physical.JoinType {
-	switch op {
-	case logical.OpLeftJoin:
-		return physical.JoinLeft
-	case logical.OpSemiJoin:
-		return physical.JoinSemi
-	case logical.OpAntiJoin:
-		return physical.JoinAnti
-	default:
-		return physical.JoinInner
-	}
-}
-
-func hashJoinImpl(id ID, name string, op logical.Op) ImplementationRule {
+func hashJoinImpl(id ID, name string, op logical.Op, jt physical.JoinType) ImplementationRule {
 	return impl(id, name, P(op, Any(), Any()), func(ctx *Context, e *memo.MExpr) []*physical.Expr {
 		l, r, ok := equiKeys(ctx, e)
 		if !ok {
 			return nil
 		}
 		return ctx.one(physical.Expr{
-			Op: physical.OpHashJoin, JoinType: joinTypeOf(op),
+			Op: physical.OpHashJoin, JoinType: jt,
 			On: e.Node.On, EquiLeft: l, EquiRight: r,
 		})
 	})
 }
 
-func nlJoinImpl(id ID, name string, op logical.Op) ImplementationRule {
+func nlJoinImpl(id ID, name string, op logical.Op, jt physical.JoinType) ImplementationRule {
 	return impl(id, name, P(op, Any(), Any()), func(ctx *Context, e *memo.MExpr) []*physical.Expr {
 		return ctx.one(physical.Expr{
-			Op: physical.OpNLJoin, JoinType: joinTypeOf(op), On: e.Node.On,
+			Op: physical.OpNLJoin, JoinType: jt, On: e.Node.On,
 		})
 	})
 }
@@ -131,8 +118,8 @@ func ImplementationRules() []ImplementationRule {
 			return ctx.one(physical.Expr{Op: physical.OpProject, Projs: e.Node.Projs})
 		}),
 
-		hashJoinImpl(104, "JoinToHashJoin", logical.OpJoin),
-		nlJoinImpl(105, "JoinToNLJoin", logical.OpJoin),
+		hashJoinImpl(104, "JoinToHashJoin", logical.OpJoin, physical.JoinInner),
+		nlJoinImpl(105, "JoinToNLJoin", logical.OpJoin, physical.JoinInner),
 
 		impl(106, "JoinToMergeJoin", P(logical.OpJoin, Any(), Any()), func(ctx *Context, e *memo.MExpr) []*physical.Expr {
 			l, r, ok := equiKeys(ctx, e)
@@ -145,12 +132,12 @@ func ImplementationRules() []ImplementationRule {
 			})
 		}),
 
-		hashJoinImpl(107, "LeftJoinToHashJoin", logical.OpLeftJoin),
-		nlJoinImpl(108, "LeftJoinToNLJoin", logical.OpLeftJoin),
-		hashJoinImpl(109, "SemiJoinToHashJoin", logical.OpSemiJoin),
-		nlJoinImpl(110, "SemiJoinToNLJoin", logical.OpSemiJoin),
-		hashJoinImpl(111, "AntiJoinToHashJoin", logical.OpAntiJoin),
-		nlJoinImpl(112, "AntiJoinToNLJoin", logical.OpAntiJoin),
+		hashJoinImpl(107, "LeftJoinToHashJoin", logical.OpLeftJoin, physical.JoinLeft),
+		nlJoinImpl(108, "LeftJoinToNLJoin", logical.OpLeftJoin, physical.JoinLeft),
+		hashJoinImpl(109, "SemiJoinToHashJoin", logical.OpSemiJoin, physical.JoinSemi),
+		nlJoinImpl(110, "SemiJoinToNLJoin", logical.OpSemiJoin, physical.JoinSemi),
+		hashJoinImpl(111, "AntiJoinToHashJoin", logical.OpAntiJoin, physical.JoinAnti),
+		nlJoinImpl(112, "AntiJoinToNLJoin", logical.OpAntiJoin, physical.JoinAnti),
 
 		impl(113, "GroupByToHashAgg", P(logical.OpGroupBy, Any()), func(ctx *Context, e *memo.MExpr) []*physical.Expr {
 			return ctx.one(physical.Expr{

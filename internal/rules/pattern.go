@@ -312,13 +312,6 @@ func bindExpr(m *memo.Memo, e *memo.MExpr, p *Pattern, limit int) []*memo.BoundE
 	return out
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func bindGroup(m *memo.Memo, g memo.GroupID, p *Pattern, limit int) []*memo.BoundExpr {
 	if p.IsGeneric() {
 		return []*memo.BoundExpr{m.LeafRef(g)}

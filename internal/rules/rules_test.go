@@ -214,7 +214,7 @@ func TestBindEnumeratesAlternatives(t *testing.T) {
 	joinGroup := sel.Kids[0]
 	je := m.Group(joinGroup).Exprs[0]
 	sub := memo.NewBound(je.Node, memo.GroupRef(je.Kids[1]), memo.GroupRef(je.Kids[0]))
-	if !m.InsertSubstitute(sub, joinGroup) {
+	if !m.InsertSubstituteFrom(sub, joinGroup, 0) {
 		t.Fatal("substitute not added")
 	}
 	binds := Bind(m, sel, P(logical.OpSelect, P(logical.OpJoin, Any(), Any())))
@@ -286,7 +286,7 @@ func TestBindLimitCapsBindings(t *testing.T) {
 			je.Node.On,
 			&scalar.Cmp{Op: scalar.CmpGE, L: &scalar.ColRef{ID: 1}, R: &scalar.Const{D: datum.NewInt(int64(i))}},
 		}}
-		m.InsertSubstitute(memo.NewBound(n, memo.GroupRef(je.Kids[0]), memo.GroupRef(je.Kids[1])), joinGroup)
+		m.InsertSubstituteFrom(memo.NewBound(n, memo.GroupRef(je.Kids[0]), memo.GroupRef(je.Kids[1])), joinGroup, 0)
 	}
 	binds := Bind(m, sel, P(logical.OpSelect, P(logical.OpJoin, Any(), Any())))
 	if len(binds) == 0 || len(binds) > maxBindings {

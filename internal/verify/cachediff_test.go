@@ -9,34 +9,36 @@ import (
 
 // TestCacheDifferentialAcrossWorkers: the small-scope verifier's JSON report
 // must be byte-identical with the result cache on and off at every worker
-// count. Verification instantiates each rule pattern over the same tiny
-// databases, so both sides of many rewrite pairs resolve to identical plans
-// across rules — reuse the cache exploits, and reuse that must not alter a
-// single finding or stat.
+// count, with the reference-engine cross-check off and on. Verification
+// instantiates each rule pattern over the same tiny databases, so both sides
+// of many rewrite pairs resolve to identical plans across rules — reuse the
+// cache exploits, and reuse that must not alter a single finding or stat.
 func TestCacheDifferentialAcrossWorkers(t *testing.T) {
-	var want []byte
-	for _, workers := range []int{1, 8} {
-		for _, cached := range []bool{false, true} {
-			cfg := Config{Workers: workers}
-			if cached {
-				cfg.Cache = rescache.New(0)
-			}
-			rep, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("workers=%d cached=%v: %v", workers, cached, err)
-			}
-			data, err := rep.JSON()
-			if err != nil {
-				t.Fatalf("workers=%d cached=%v: JSON: %v", workers, cached, err)
-			}
-			if want == nil {
-				want = data
-			} else if !bytes.Equal(data, want) {
-				t.Fatalf("report differs at workers=%d cached=%v:\n--- want ---\n%s\n--- got ---\n%s",
-					workers, cached, want, data)
-			}
-			if cached && cfg.Cache.Stats().Hits == 0 {
-				t.Errorf("workers=%d: cache saw zero hits across rule instantiations", workers)
+	for _, backend := range []string{"", "ref"} {
+		var want []byte
+		for _, workers := range []int{1, 8} {
+			for _, cached := range []bool{false, true} {
+				cfg := Config{Workers: workers, Backend: backend}
+				if cached {
+					cfg.Cache = rescache.New(0)
+				}
+				rep, err := Run(cfg)
+				if err != nil {
+					t.Fatalf("backend=%q workers=%d cached=%v: %v", backend, workers, cached, err)
+				}
+				data, err := rep.JSON()
+				if err != nil {
+					t.Fatalf("backend=%q workers=%d cached=%v: JSON: %v", backend, workers, cached, err)
+				}
+				if want == nil {
+					want = data
+				} else if !bytes.Equal(data, want) {
+					t.Fatalf("backend=%q: report differs at workers=%d cached=%v:\n--- want ---\n%s\n--- got ---\n%s",
+						backend, workers, cached, want, data)
+				}
+				if cached && cfg.Cache.Stats().Hits == 0 {
+					t.Errorf("backend=%q workers=%d: cache saw zero hits across rule instantiations", backend, workers)
+				}
 			}
 		}
 	}

@@ -32,12 +32,14 @@ import (
 	"strings"
 
 	"qtrtest/internal/core/oracle"
+	"qtrtest/internal/exec"
 	"qtrtest/internal/logical"
 	"qtrtest/internal/memo"
 	"qtrtest/internal/par"
 	"qtrtest/internal/physical"
 	"qtrtest/internal/rescache"
 	"qtrtest/internal/rules"
+	"qtrtest/internal/scalar"
 )
 
 // ReportSchema identifies the report's JSON shape.
@@ -184,10 +186,10 @@ func indent(s, pad string) string {
 // The only error conditions are configuration mistakes (an unknown rule id);
 // rule failures are reported as findings, not errors.
 func Run(cfg Config) (*Report, error) {
-	reg := cfg.Registry
-	if reg == nil {
-		reg = rules.DefaultRegistry()
+	if cfg.Registry == nil {
+		cfg.Registry = rules.DefaultRegistry()
 	}
+	reg := cfg.Registry
 	rn, err := oracle.New(oracle.Options{
 		Backend: cfg.Backend, Cache: cfg.Cache, MaxRows: maxResultRows, MaxWork: maxWorkRows,
 	})
@@ -304,9 +306,9 @@ func (res *ruleResult) explorationPlans(r rules.ExplorationRule, inst *instance)
 	baseTree := wrapProject(inst.tree, outCols)
 	alts := make([]*physical.Expr, len(altTrees))
 	for i, t := range altTrees {
-		alts[i] = lower(wrapProject(t, outCols))
+		alts[i] = exec.Lower(wrapProject(t, outCols))
 	}
-	return baseTree, lower(baseTree), alts
+	return baseTree, exec.Lower(baseTree), alts
 }
 
 // implementationPlans asks the rule for its physical candidates over one
@@ -326,14 +328,42 @@ func (res *ruleResult) implementationPlans(r rules.ImplementationRule, inst *ins
 		}
 		cand.Children = make([]*physical.Expr, len(root.Kids))
 		for i, kid := range root.Kids {
-			cand.Children[i] = lower(m.ExtractFirst(kid))
+			cand.Children[i] = exec.Lower(m.ExtractFirst(kid))
 		}
 		alts = append(alts, cand)
 	}
 	if len(alts) == 0 {
 		return nil, nil, nil
 	}
-	return inst.tree, lower(inst.tree), alts
+	return inst.tree, exec.Lower(inst.tree), alts
+}
+
+// wrapProject puts a pure column-reference projection over the tree, fixing
+// the output column ORDER to the given list. Substitutes in a memo group
+// agree with the original on the output column SET but may reorder it (a
+// commuted join emits right++left); comparing through a canonical
+// projection makes the multiset oracle see both sides in one layout.
+func wrapProject(tree *logical.Expr, cols []scalar.ColumnID) *logical.Expr {
+	projs := make([]logical.ProjItem, len(cols))
+	for i, c := range cols {
+		projs[i] = logical.ProjItem{Out: c, E: &scalar.ColRef{ID: c}}
+	}
+	return &logical.Expr{Op: logical.OpProject, Projs: projs, Children: []*logical.Expr{tree}}
+}
+
+// extractBound rebuilds the logical tree a substitute denotes: bound nodes
+// contribute their payloads, and leaf references pull the referenced group's
+// original expression out of the memo.
+func extractBound(m *memo.Memo, b *memo.BoundExpr) *logical.Expr {
+	if b.IsLeaf() {
+		return m.ExtractFirst(b.Group)
+	}
+	node := *b.Node
+	node.Children = make([]*logical.Expr, len(b.Kids))
+	for i, k := range b.Kids {
+		node.Children[i] = extractBound(m, k)
+	}
+	return &node
 }
 
 // comparePlans sweeps every database over the live (structurally different)
@@ -344,6 +374,10 @@ func (res *ruleResult) implementationPlans(r rules.ImplementationRule, inst *ins
 // variants, whose payloads differ, still get the full sweep.
 func (res *ruleResult) comparePlans(r rules.Rule, inst *instance, baseTree *logical.Expr, basePlan *physical.Expr, alts []*physical.Expr) {
 	base := oracle.Prepare(basePlan)
+	var cross oracle.Plan
+	if res.oracle.HasBackend() {
+		cross = oracle.PrepareCross(baseTree)
+	}
 	var live []oracle.Plan
 	for _, alt := range alts {
 		if alt.Hash() == base.Hash {
@@ -367,7 +401,7 @@ func (res *ruleResult) comparePlans(r rules.Rule, inst *instance, baseTree *logi
 			continue
 		}
 		if res.oracle.HasBackend() {
-			out, err := res.oracle.Cross(&bx, baseTree)
+			out, err := res.oracle.Cross(&bx, cross)
 			if err != nil {
 				out = oracle.Outcome{Verdict: oracle.Mismatch, Detail: err.Error()}
 			}
@@ -413,6 +447,9 @@ func (res *ruleResult) fail(r rules.Rule, inst *instance, db database, base, alt
 		return
 	}
 	repro := "qtrtest"
+	if res.cfg.Registry.Pos(rules.ExtensionRules()[0].ID()) >= 0 {
+		repro += " -ext" // only -ext puts the extension rules in a registry
+	}
 	if res.cfg.Backend != "" {
 		repro += " -backend " + res.cfg.Backend
 	}

@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"qtrtest/internal/logical"
 	"qtrtest/internal/mutate"
+	"qtrtest/internal/physical"
 	"qtrtest/internal/rules"
 )
 
@@ -105,6 +107,19 @@ func TestAllMutantsFlagged(t *testing.T) {
 				t.Error("witness is missing plan pair or detail")
 			}
 		})
+	}
+}
+
+// TestReproNamesExt: only -ext puts the extension rules (31-34) in a
+// registry, so a finding under such a registry replays with -ext; without it
+// "-rules 31" names no rule.
+func TestReproNamesExt(t *testing.T) {
+	res := &ruleResult{cfg: &Config{Registry: rules.RegistryWithExtensions(), Backend: "ref"}}
+	r := rules.ExtensionRules()[0]
+	plan := &physical.Expr{Op: physical.OpScan, Table: "s"}
+	res.fail(r, &instance{tree: &logical.Expr{Op: logical.OpGet, Table: "s"}}, database{}, plan, plan, "detail")
+	if got, want := res.finding.Repro, "qtrtest -ext -backend ref verify -rules 31"; got != want {
+		t.Errorf("repro = %q, want %q", got, want)
 	}
 }
 
