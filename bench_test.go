@@ -615,28 +615,34 @@ func TestExecAllocBudget(t *testing.T) {
 
 // TestVerifyAllocBudget holds one whole VerifyRules sweep — every rule, a
 // fresh result cache, one worker: what the benchmark's verify_sweep repeats —
-// to a committed ceiling of objects per executed pair, about 15 % above
-// measured. A sweep executes each plan on 4 to 108 databases, so per-execution
-// set-up is what the figure is made of: 70 objects per pair when every
-// execution compiled its plan afresh, 14.8 once a plan compiled once for its
-// whole sweep and a table tuple's databases were enumerated once per process,
-// 8.7 once the comparison sorted two pooled permutations where it built a key
-// string per row and a map (8.2 after later executor work), 7.5 now that a
-// result takes its first batch's rows without copying them.
+// to committed ceilings of objects and bytes per executed pair, 0.4 objects
+// and 5 % above measured. A sweep executes each plan on 4 to 108 databases, so
+// per-execution set-up and the cache's bookkeeping are what the figures are
+// made of: 70 objects per pair when every execution compiled its plan afresh,
+// 14.8 once a plan compiled once for its whole sweep and a table tuple's
+// databases were enumerated once per process, 8.7 once the comparison sorted
+// two pooled permutations where it built a key string per row and a map (8.2
+// after later executor work), 7.5 (1 026 bytes) once a result took its first
+// batch's rows without copying them, and 7.1 (793 bytes) now that a cached
+// execution is an 80-byte entry in one table keyed by two dense ids, where it
+// was a 144-byte entry in a map per plan.
 func TestVerifyAllocBudget(t *testing.T) {
-	const budget = 9
+	const objectBudget, byteBudget = 7.5, 830
 	executed := 0
-	objects := testing.AllocsPerRun(1, func() { // the warm-up sweep fills the per-process database lists
+	objects, bytes := allocsAndBytesPerRun(1, func() { // the warm-up sweep fills the per-process database lists
 		rep, err := VerifyRules(VerifyConfig{Workers: 1, Cache: NewResultCache(0)})
 		if err != nil || len(rep.Findings) != 0 {
 			t.Fatalf("sweep: %v, %d findings", err, len(rep.Findings))
 		}
 		executed = rep.Executed
 	})
-	perPair := objects / float64(executed)
-	t.Logf("%.0f objects per sweep, %d executed pairs: %.1f objects per pair", objects, executed, perPair)
-	if perPair > budget {
-		t.Errorf("%.1f objects per executed pair, budget %d", perPair, budget)
+	objects, bytes = objects/float64(executed), bytes/float64(executed)
+	t.Logf("%d executed pairs per sweep: %.2f objects and %.0f bytes per pair", executed, objects, bytes)
+	if objects > objectBudget {
+		t.Errorf("%.2f objects per executed pair, budget %.1f", objects, objectBudget)
+	}
+	if bytes > byteBudget {
+		t.Errorf("%.0f bytes per executed pair, budget %d", bytes, byteBudget)
 	}
 }
 

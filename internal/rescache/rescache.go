@@ -10,16 +10,17 @@
 // is a plan execution like the others (the query's lowered tree, run on
 // exec.EngineRef), so one key shape covers every execution.
 //
-// The table is plan-major under one mutex: the plan text is hashed once, into
-// a map of distinct plans, and the rest of the key — small, fixed-size and
-// pointer-free — selects one of that plan's runs. A campaign has far fewer
-// distinct plans than executions (a verify sweep runs each plan on up to a
-// hundred tiny databases), so the string-keyed map stays small and a lookup
-// costs one string hash plus a few words. A sync.Once per entry makes
-// concurrent requests for one key execute once and share the result
-// (single-flight); the lock is never held while a result is computed. One
-// LRU list under a byte cap bounds the process, with an eviction counter and
-// hit/miss statistics.
+// The table is one flat map under one mutex, keyed by two dense 32-bit ids
+// packed into a uint64: one numbers the plan text, the other the run context
+// (engine, catalog identity and version, caps). A campaign has far fewer
+// distinct plans and contexts than executions — a verify sweep makes 32 048
+// entries from 974 plans and 250 contexts — so the two id maps stay small,
+// the table's slots are two words, and the key stays exact. An id is
+// recycled once no entry uses it, so the id maps are bounded by the entries.
+// A sync.Once per entry makes concurrent requests for one key execute once
+// and share the result (single-flight); the lock is never held while a
+// result is computed. One LRU list under a byte cap bounds the process, with
+// an eviction counter and hit/miss statistics.
 //
 // Determinism: cached rows are returned by reference and shared between
 // callers, which is safe because every consumer in this repo treats result
@@ -31,6 +32,7 @@
 package rescache
 
 import (
+	"math"
 	"sync"
 	"unsafe"
 
@@ -40,33 +42,11 @@ import (
 	"qtrtest/internal/physical"
 )
 
-// key identifies one execution: what ran, against which database state, and
-// under which caps. Everything RunEngine's outcome depends on is in the key,
-// which is what makes caching errors (row-cap trips included) sound.
-type key struct {
-	Plan    string // physical.Expr.Hash fingerprint
-	CatID   uint64 // catalog identity; process-unique per Catalog value
-	CatVer  uint64 // catalog mutation version
-	MaxRows int
-	MaxWork int64
-	Engine  exec.Engine
-}
-
-// keyFor builds the cache key for one execution.
-func keyFor(eng exec.Engine, plan *physical.Expr, cat *catalog.Catalog, maxRows int, maxWork int64) key {
-	id, ver := cat.Identity()
-	return key{
-		Plan:    plan.Hash(),
-		CatID:   id,
-		CatVer:  ver,
-		MaxRows: maxRows,
-		MaxWork: maxWork,
-		Engine:  eng,
-	}
-}
-
-// runKey is a key without its plan text: which run of one plan.
-type runKey struct {
+// runCtx is everything a run's outcome depends on besides the plan: the
+// engine, the database state (catalog identity and mutation version) and the
+// caps. With the plan text it is the cache key, exact — which is what makes
+// caching errors (row-cap trips included) sound.
+type runCtx struct {
 	Engine  exec.Engine
 	CatID   uint64
 	CatVer  uint64
@@ -74,29 +54,62 @@ type runKey struct {
 	MaxWork int64
 }
 
-// planRuns is every cached run of one plan. It leaves the cache's plan map
-// when its last run does.
-type planRuns struct {
-	plan string
-	runs map[runKey]*entry
+// ids numbers the distinct values of one half of the key densely and counts
+// the cached entries that use each number; a number no entry uses leaves the
+// map and is handed out again, so the id map stays bounded by the entries.
+type ids[K comparable] struct {
+	of   map[K]uint32
+	slot []idSlot[K]
+	free []uint32
+}
+
+type idSlot[K comparable] struct {
+	key  K
+	live int32
+}
+
+// use counts one more entry under k's id and returns it: id, found as
+// id, ok := t.of[k], or a fresh one when k has none.
+func (t *ids[K]) use(k K, id uint32, ok bool) uint32 {
+	if !ok {
+		if n := len(t.free); n > 0 {
+			id, t.free = t.free[n-1], t.free[:n-1]
+			t.slot[id].key = k
+		} else {
+			id = uint32(len(t.slot))
+			t.slot = append(t.slot, idSlot[K]{key: k})
+		}
+		t.of[k] = id
+	}
+	t.slot[id].live++
+	return id
+}
+
+// release drops one entry's use of id, freeing the id with its last use.
+func (t *ids[K]) release(id uint32) {
+	s := &t.slot[id]
+	if s.live--; s.live == 0 {
+		delete(t.of, s.key)
+		s.key = *new(K)
+		t.free = append(t.free, id)
+	}
 }
 
 // entry is one cached execution. The sync.Once provides single-flight: the
 // first goroutine to claim the entry computes, everyone else blocks on Do
 // and then reads the shared result.
 type entry struct {
-	pr   *planRuns
-	rk   runKey
+	id   uint64 // plan id << 32 | run context id: the entry's table key
 	once sync.Once
+	size int32 // approxSize of the result, set when it is admitted
 
 	rows []datum.Row
 	err  error
-	size int64
 
 	// LRU list hooks; an entry joins the list only after its result is
-	// computed, so an in-flight entry is never evicted.
+	// computed, so an in-flight entry is never evicted and never frees
+	// its ids.
 	prev, next *entry
-	listed     bool
 }
 
 // maxEntryShare bounds one entry to maxBytes/maxEntryShare: a result that
@@ -111,7 +124,9 @@ type Cache struct {
 	maxBytes int64
 
 	mu         sync.Mutex
-	plans      map[string]*planRuns
+	plans      ids[string] // plan texts (physical.Expr.Hash)
+	ctxs       ids[runCtx]
+	table      map[uint64]*entry
 	head, tail *entry // LRU list, most recently used first
 	bytes      int64
 
@@ -128,7 +143,12 @@ func New(maxBytes int64) *Cache {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxBytes
 	}
-	return &Cache{maxBytes: maxBytes, plans: make(map[string]*planRuns)}
+	return &Cache{
+		maxBytes: maxBytes,
+		plans:    ids[string]{of: make(map[string]uint32)},
+		ctxs:     ids[runCtx]{of: make(map[runCtx]uint32)},
+		table:    make(map[uint64]*entry),
+	}
 }
 
 // Stats is a point-in-time snapshot of cache effectiveness counters.
@@ -150,11 +170,7 @@ func (c *Cache) Stats() Stats {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := Stats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Bytes: c.bytes}
-	for _, pr := range c.plans {
-		s.Entries += len(pr.runs)
-	}
-	return s
+	return Stats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Entries: len(c.table), Bytes: c.bytes}
 }
 
 // Run executes the plan through the cache: a hit returns the memoized rows
@@ -173,69 +189,68 @@ func (c *Cache) RunProgram(p *exec.Program, cat *catalog.Catalog, maxRows int, m
 	if c == nil {
 		return p.Run(cat, maxRows, maxWork)
 	}
-	k := keyFor(p.Engine(), p.Plan(), cat, maxRows, maxWork)
-	rk := runKey{Engine: k.Engine, CatID: k.CatID, CatVer: k.CatVer, MaxRows: k.MaxRows, MaxWork: k.MaxWork}
+	plan := p.Plan().Hash()
+	catID, catVer := cat.Identity()
+	rc := runCtx{Engine: p.Engine(), CatID: catID, CatVer: catVer, MaxRows: maxRows, MaxWork: maxWork}
 
 	c.mu.Lock()
-	pr := c.plans[k.Plan]
-	if pr == nil {
-		pr = &planRuns{plan: k.Plan, runs: make(map[runKey]*entry)}
-		c.plans[k.Plan] = pr
+	var e *entry
+	pid, okp := c.plans.of[plan]
+	cid, okc := c.ctxs.of[rc]
+	if okp && okc {
+		e = c.table[uint64(pid)<<32|uint64(cid)]
 	}
-	e := pr.runs[rk]
 	if e != nil {
 		c.hits++
-		if e.listed {
-			c.moveToFront(e)
+		if e.prev != nil { // listed, and not at the front
+			c.unlink(e)
+			c.pushFront(e)
 		}
 	} else {
 		c.misses++
-		e = &entry{pr: pr, rk: rk}
-		pr.runs[rk] = e
+		e = &entry{id: uint64(c.plans.use(plan, pid, okp))<<32 | uint64(c.ctxs.use(rc, cid, okc))}
+		c.table[e.id] = e
 	}
 	c.mu.Unlock()
 
 	e.once.Do(func() {
 		e.rows, e.err = p.Run(cat, maxRows, maxWork)
-		e.size = approxSize(e.rows)
-		c.admit(e)
+		c.admit(e, approxSize(e.rows))
 	})
 	return e.rows, e.err
 }
 
 // admit links a freshly computed entry into the LRU and evicts from the cold
 // end until the cache is back under its byte budget. An entry larger than
-// maxBytes/maxEntryShare is dropped instead.
-func (c *Cache) admit(e *entry) {
+// maxBytes/maxEntryShare, or than an int32 holds, is dropped instead.
+func (c *Cache) admit(e *entry, size int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e.size > c.maxBytes/maxEntryShare {
+	if size > min(c.maxBytes/maxEntryShare, math.MaxInt32) {
 		c.evict(e)
 		return
 	}
+	e.size = int32(size)
 	c.pushFront(e)
-	c.bytes += e.size
+	c.bytes += size
 	for c.bytes > c.maxBytes && c.tail != e {
 		c.evict(c.tail)
 	}
 }
 
-// evict drops an entry, and its plan with it when no run is left. The
-// caller holds c.mu.
+// evict drops an entry and releases its two ids. The caller holds c.mu.
 func (c *Cache) evict(e *entry) {
-	if e.listed {
+	if e.prev != nil || c.head == e { // listed
 		c.unlink(e)
-		c.bytes -= e.size
+		c.bytes -= int64(e.size)
 	}
-	delete(e.pr.runs, e.rk)
-	if len(e.pr.runs) == 0 {
-		delete(c.plans, e.pr.plan)
-	}
+	delete(c.table, e.id)
+	c.plans.release(uint32(e.id >> 32))
+	c.ctxs.release(uint32(e.id))
 	c.evictions++
 }
 
 func (c *Cache) pushFront(e *entry) {
-	e.listed = true
 	e.prev = nil
 	e.next = c.head
 	if c.head != nil {
@@ -259,15 +274,6 @@ func (c *Cache) unlink(e *entry) {
 		c.tail = e.prev
 	}
 	e.prev, e.next = nil, nil
-	e.listed = false
-}
-
-func (c *Cache) moveToFront(e *entry) {
-	if c.head == e {
-		return
-	}
-	c.unlink(e)
-	c.pushFront(e)
 }
 
 // datumSize is the in-memory footprint of one Datum. A string's bytes live
@@ -277,12 +283,16 @@ const datumSize = int64(unsafe.Sizeof(datum.Datum{}))
 // rowHeaderSize is the slice header of one Row within a result slice.
 const rowHeaderSize = int64(unsafe.Sizeof(datum.Row{}))
 
-// approxSize estimates the retained bytes of a materialized result. It
-// counts row headers and datum structs; map/list overhead of the cache itself
-// is ignored, so the byte cap is an approximation — good enough to bound the
-// process, which is all eviction is for.
+// entryCost is what an entry costs the cache besides its result: the entry
+// itself and its slot of the table.
+const entryCost = int64(unsafe.Sizeof(entry{}) + unsafe.Sizeof(uint64(0)) + unsafe.Sizeof((*entry)(nil)))
+
+// approxSize estimates the retained bytes of a cached result: entryCost plus
+// row headers and datum structs. The id tables and the table's spare slots
+// are ignored, so the byte cap is an approximation — good enough to bound
+// the process, which is all eviction is for.
 func approxSize(rows []datum.Row) int64 {
-	n := int64(64) // entry struct + map slot, roughly
+	n := entryCost
 	for _, r := range rows {
 		n += rowHeaderSize + datumSize*int64(len(r))
 	}

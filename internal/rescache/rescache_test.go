@@ -3,8 +3,11 @@ package rescache
 import (
 	"errors"
 	"fmt"
+	"math"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 	"unsafe"
 
 	"qtrtest/internal/catalog"
@@ -331,15 +334,16 @@ func TestOversizedEntryIsDroppedNotAdmitted(t *testing.T) {
 	if st.Misses != 2 {
 		t.Fatalf("misses = %d, want 2 (oversized entry never admitted)", st.Misses)
 	}
-	if st.Evictions != 2 || st.Entries != 0 || st.Bytes != 0 || len(c.plans) != 0 {
-		t.Fatalf("stats = %+v, %d plans; want both oversized results dropped", st, len(c.plans))
+	if st.Evictions != 2 || st.Entries != 0 || st.Bytes != 0 || len(c.table) != 0 || len(c.plans.of) != 0 || len(c.ctxs.of) != 0 {
+		t.Fatalf("stats = %+v, %d plan ids, %d context ids; want both oversized results dropped with their ids",
+			st, len(c.plans.of), len(c.ctxs.of))
 	}
 }
 
 // TestEqualPlansShareRuns: two distinct *physical.Expr with one Hash() are
-// one plan to the cache — the cross-rule sharing verify relies on, where
+// one plan id to the cache — the cross-rule sharing verify relies on, where
 // every rule instantiates its own trees. The same plan on a second catalog,
-// or on the first after a mutation, is a new run of that plan.
+// or on the first after a mutation, is a new run context of that plan.
 func TestEqualPlansShareRuns(t *testing.T) {
 	cat, other := testCatalog(30), testCatalog(30)
 	p1, p2 := filterPlan(3), filterPlan(3)
@@ -361,53 +365,112 @@ func TestEqualPlansShareRuns(t *testing.T) {
 	run(p2, other, Stats{Misses: 2, Hits: 1})
 	cat.Add(&catalog.Table{Name: "u", Columns: []catalog.Column{{Name: "x", Type: datum.TypeInt}}})
 	run(p1, cat, Stats{Misses: 3, Hits: 1})
-	if len(c.plans) != 1 || len(c.plans[p1.Hash()].runs) != 3 {
-		t.Fatalf("%d plans, want one plan with three runs", len(c.plans))
+	if len(c.plans.of) != 1 || len(c.ctxs.of) != 3 || len(c.table) != 3 {
+		t.Fatalf("%d plan ids, %d context ids, %d entries; want one plan run in three contexts",
+			len(c.plans.of), len(c.ctxs.of), len(c.table))
 	}
 }
 
-// TestRunlessPlanLeavesTable: evicting a plan's last run drops the plan
-// from the table, so the string-keyed map holds only plans with results.
+// TestRunlessPlanLeavesTable: evicting the last entry of a plan, or of a run
+// context, frees that id — its key leaves the id map, and the next new plan
+// or context is given the id — so the id maps hold only keys with results
+// and number at most one id more than the table's entries.
 func TestRunlessPlanLeavesTable(t *testing.T) {
 	cat := testCatalog(100)
 	// val < 7 for every row, so each threshold from 7 up is a distinct plan
-	// with the same 100-row result.
+	// with the same 100-row result, and so is each row cap from 100 up.
 	plan := func(i int) *physical.Expr { return filterPlan(int64(7 + i)) }
 	rows, err := exec.RunEngine(exec.EngineBatch, plan(0), cat, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(maxEntryShare * approxSize(rows))
-	for i := 0; i < maxEntryShare; i++ {
-		if _, err := c.Run(exec.EngineBatch, plan(i), cat, 0, 0); err != nil {
-			t.Fatal(err)
+	catID, catVer := cat.Identity()
+	for _, tc := range []struct {
+		name string
+		run  func(c *Cache, i int) error
+		// varied reports the id map of the key half the stream varies: the
+		// keys it maps, the ids it has numbered, and whether the stream's
+		// first key is still mapped; fixed is the other half's key count.
+		varied func(c *Cache) (keys, numbered int, first bool)
+		fixed  func(c *Cache) int
+	}{
+		{"plans",
+			func(c *Cache, i int) error {
+				_, err := c.Run(exec.EngineBatch, plan(i), cat, 0, 0)
+				return err
+			},
+			func(c *Cache) (int, int, bool) {
+				_, ok := c.plans.of[plan(0).Hash()]
+				return len(c.plans.of), len(c.plans.slot), ok
+			},
+			func(c *Cache) int { return len(c.ctxs.of) }},
+		{"run contexts",
+			func(c *Cache, i int) error {
+				_, err := c.Run(exec.EngineBatch, plan(0), cat, 100+i, 0)
+				return err
+			},
+			func(c *Cache) (int, int, bool) {
+				_, ok := c.ctxs.of[runCtx{Engine: exec.EngineBatch, CatID: catID, CatVer: catVer, MaxRows: 100}]
+				return len(c.ctxs.of), len(c.ctxs.slot), ok
+			},
+			func(c *Cache) int { return len(c.plans.of) }},
+	} {
+		c := New(maxEntryShare * approxSize(rows))
+		for i := 0; i < 2*maxEntryShare; i++ {
+			if err := tc.run(c, i); err != nil {
+				t.Fatal(err)
+			}
+			st := c.Stats()
+			keys, numbered, first := tc.varied(c)
+			if st.Entries != min(i+1, maxEntryShare) || st.Evictions != int64(max(0, i+1-maxEntryShare)) {
+				t.Fatalf("%s, run %d: stats = %+v, want the LRU entry evicted from run %d on", tc.name, i, st, maxEntryShare)
+			}
+			if keys != st.Entries || numbered != min(i+1, maxEntryShare+1) || first != (i < maxEntryShare) || tc.fixed(c) != 1 {
+				t.Fatalf("%s, run %d: %d keys (first mapped: %v) over %d ids, %d in the other half; want one key per entry and evicted ids reused",
+					tc.name, i, keys, first, numbered, tc.fixed(c))
+			}
 		}
-	}
-	if st := c.Stats(); st.Evictions != 0 || len(c.plans) != maxEntryShare {
-		t.Fatalf("stats = %+v, %d plans; want %d plans and no eviction", st, len(c.plans), maxEntryShare)
-	}
-	if _, err := c.Run(exec.EngineBatch, plan(maxEntryShare), cat, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if st := c.Stats(); st.Evictions != 1 || st.Entries != maxEntryShare {
-		t.Fatalf("stats = %+v, want one eviction", st)
-	}
-	if _, ok := c.plans[plan(0).Hash()]; ok || len(c.plans) != maxEntryShare {
-		t.Fatalf("%d plans; want the least recently used plan gone with its one run", len(c.plans))
 	}
 }
 
-func TestKeyForIncorporatesCatalogVersion(t *testing.T) {
+// TestCatalogMutationMisses: a plan run on a catalog, and again after the
+// catalog gained a table, is two entries with two run contexts — one catalog
+// identity at two versions — and a rerun at the new version hits.
+func TestCatalogMutationMisses(t *testing.T) {
 	cat := testCatalog(10)
-	k1 := keyFor(exec.EngineBatch, scanPlan(), cat, 0, 0)
-	extra := &catalog.Table{Name: "u", Columns: []catalog.Column{{Name: "x", Type: datum.TypeInt}}}
-	cat.Add(extra)
-	k2 := keyFor(exec.EngineBatch, scanPlan(), cat, 0, 0)
-	if k1 == k2 {
-		t.Fatalf("key unchanged across catalog mutation: %+v", k1)
+	c := New(0)
+	run := func() {
+		t.Helper()
+		if _, err := c.Run(exec.EngineBatch, scanPlan(), cat, 0, 0); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if k1.CatID != k2.CatID {
-		t.Fatalf("catalog identity changed without a new catalog: %d vs %d", k1.CatID, k2.CatID)
+	run()
+	cat.Add(&catalog.Table{Name: "u", Columns: []catalog.Column{{Name: "x", Type: datum.TypeInt}}})
+	run()
+	run()
+	if st := c.Stats(); st.Misses != 2 || st.Hits != 1 {
+		t.Fatalf("stats = %+v, want a miss per catalog version and one hit", st)
+	}
+	before, after := c.ctxs.slot[0].key, c.ctxs.slot[1].key
+	if len(c.ctxs.of) != 2 || before.CatID != after.CatID || before.CatVer == after.CatVer {
+		t.Fatalf("run contexts %+v and %+v, want one catalog identity at two versions", before, after)
+	}
+}
+
+// TestEntryCost pins what the byte cap charges an entry beyond its rows: the
+// entry struct and one slot of the flat table (a uint64 key and a pointer),
+// for an entry of at most 96 bytes.
+func TestEntryCost(t *testing.T) {
+	if size := unsafe.Sizeof(entry{}); size > 96 {
+		t.Fatalf("entry is %d bytes, want at most 96", size)
+	}
+	if got, want := approxSize(nil), int64(unsafe.Sizeof(entry{}))+16; got != want {
+		t.Fatalf("an empty result is charged %d bytes, want the entry's %d and a 16-byte table slot", got, unsafe.Sizeof(entry{}))
+	}
+	one := []datum.Row{{datum.NewInt(1), datum.NewInt(2)}}
+	if got := approxSize(one) - approxSize(nil); got != rowBytes {
+		t.Fatalf("a two-column row is charged %d bytes, want %d", got, rowBytes)
 	}
 }
 
@@ -419,5 +482,224 @@ func TestApproxSizeLeavesStringBytesToInternTable(t *testing.T) {
 	if approxSize(big) != approxSize(small) {
 		t.Fatalf("approxSize charges string bytes: big %d, small %d",
 			approxSize(big), approxSize(small))
+	}
+}
+
+// checkIDs fails unless every live plan and context id is used by a cached
+// entry: each id map's live counts sum to the table's entries, and neither
+// map holds more keys than there are entries.
+func checkIDs(t *testing.T, c *Cache) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	planUses, ctxUses := 0, 0
+	for _, s := range c.plans.slot {
+		planUses += int(s.live)
+	}
+	for _, s := range c.ctxs.slot {
+		ctxUses += int(s.live)
+	}
+	n := len(c.table)
+	if planUses != n || ctxUses != n || len(c.plans.of) > n || len(c.ctxs.of) > n ||
+		len(c.plans.slot)-len(c.plans.free) != len(c.plans.of) || len(c.ctxs.slot)-len(c.ctxs.free) != len(c.ctxs.of) {
+		t.Fatalf("%d entries; plan ids: %d keys, %d uses, %d numbered, %d free; context ids: %d keys, %d uses, %d numbered, %d free",
+			n, len(c.plans.of), planUses, len(c.plans.slot), len(c.plans.free),
+			len(c.ctxs.of), ctxUses, len(c.ctxs.slot), len(c.ctxs.free))
+	}
+}
+
+// TestIdsStayBoundedByEntries: a stream of 10 000 distinct plans over 300
+// distinct catalogs — every run a miss — under a cap of 64 results leaves no
+// more live plan or context ids than live entries at any point, and numbers
+// at most one id more than the table ever held entries.
+func TestIdsStayBoundedByEntries(t *testing.T) {
+	cats := make([]*catalog.Catalog, 300)
+	for i := range cats {
+		cats[i] = testCatalog(3)
+	}
+	full, err := exec.RunEngine(exec.EngineBatch, scanPlan(), cats[0], 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const held = 64
+	c := New(held * approxSize(full))
+	peak := 0
+	for i := 0; i < 10000; i++ {
+		if _, err := c.Run(exec.EngineBatch, filterPlan(int64(i)), cats[i%len(cats)], 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		checkIDs(t, c)
+		peak = max(peak, c.Stats().Entries)
+	}
+	st := c.Stats()
+	if st.Misses != 10000 || st.Entries < held || len(c.plans.slot) > peak+1 || len(c.ctxs.slot) > peak+1 {
+		t.Fatalf("stats = %+v; %d plan and %d context ids numbered, want 10000 misses and at most %d entries' ids and one more",
+			st, len(c.plans.slot), len(c.ctxs.slot), peak)
+	}
+}
+
+// TestEvictionReleasesResult: once its entry is evicted, a result is
+// unreachable from the cache. Entries are allocated one per miss; carved out
+// of a shared chunk, an evicted entry's rows would stay reachable through its
+// siblings, and the byte cap would bound nothing.
+func TestEvictionReleasesResult(t *testing.T) {
+	cat := testCatalog(100)
+	full, err := exec.RunEngine(exec.EngineBatch, scanPlan(), cat, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(maxEntryShare * approxSize(full))
+	// The 44 rows with val < 3 are gathered into a slice of the result's
+	// own, which closes freed when the collector finds it unreachable.
+	freed := make(chan struct{})
+	func() {
+		rows, err := c.Run(exec.EngineBatch, filterPlan(3), cat, 0, 0)
+		if err != nil || len(rows) != 44 {
+			t.Fatalf("%d rows, %v; want 44", len(rows), err)
+		}
+		runtime.SetFinalizer(&rows[0], func(*datum.Row) { close(freed) })
+	}()
+	runtime.GC()
+	runtime.GC()
+	select {
+	case <-freed:
+		t.Fatal("a cached result was collected while its entry is in the table")
+	default:
+	}
+	for i := 0; c.Stats().Evictions == 0; i++ {
+		if _, err := c.Run(exec.EngineBatch, filterPlan(int64(100+i)), cat, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := c.plans.of[filterPlan(3).Hash()]; ok {
+		t.Fatal("the first eviction did not take the least recently used entry")
+	}
+	runtime.GC()
+	select {
+	case <-freed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("an evicted entry's result is still reachable")
+	}
+}
+
+// TestChurnRecyclesIDsUnderReaders: goroutines sharing 48 keys under a cap
+// of about eight results, so entries are evicted and their ids recycled
+// while other goroutines look up, wait on and read entries. Run it under
+// -race; every result must equal direct execution.
+func TestChurnRecyclesIDsUnderReaders(t *testing.T) {
+	cats := []*catalog.Catalog{testCatalog(50), testCatalog(50), testCatalog(50), testCatalog(50)}
+	plans := make([]*physical.Expr, 12)
+	want := make([][][]datum.Row, len(plans))
+	for i := range plans {
+		plans[i] = filterPlan(int64(i))
+		for _, cat := range cats {
+			rows, err := exec.RunEngine(exec.EngineBatch, plans[i], cat, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = append(want[i], rows)
+		}
+	}
+	full, err := exec.RunEngine(exec.EngineBatch, scanPlan(), cats[0], 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(8 * approxSize(full))
+	const goroutines, runs = 8, 200
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < runs; i++ {
+				k := (g*7 + i*5) % (len(plans) * len(cats))
+				p, db := k%len(plans), k/len(plans)
+				rows, err := c.Run(exec.EngineBatch, plans[p], cats[db], 0, 0)
+				if err != nil {
+					t.Errorf("run: %v", err)
+					return
+				}
+				if len(rows) != len(want[p][db]) {
+					t.Errorf("plan %d on catalog %d: %d rows, want %d", p, db, len(rows), len(want[p][db]))
+					return
+				}
+				for r := range rows {
+					if rows[r][0] != want[p][db][r][0] || rows[r][1] != want[p][db][r][1] {
+						t.Errorf("plan %d on catalog %d: row %d is %v, want %v", p, db, r, rows[r], want[p][db][r])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	st := c.Stats()
+	if st.Hits+st.Misses != goroutines*runs || st.Evictions == 0 || st.Bytes > 8*approxSize(full) {
+		t.Fatalf("stats = %+v, want %d lookups and evictions under the cap", st, goroutines*runs)
+	}
+	checkIDs(t, c)
+}
+
+// TestCachedMissAllocBudget holds a miss to what it must add to a direct
+// Program.Run: one object, the entry, in its 80-byte size class, and the
+// table's and the id maps' growth amortized over 4 096 distinct keys — 64
+// plans on 64 run contexts, about verify's ratio of runs to plans. Measured:
+// 1.02 objects and 160 bytes, half of them the table's growth. The
+// plan-major table it replaced, a 144-byte entry and a map per plan, added
+// 1.19 objects and 350 bytes.
+func TestCachedMissAllocBudget(t *testing.T) {
+	cat := testCatalog(3)
+	progs := make([]*exec.Program, 64)
+	for i := range progs {
+		progs[i] = exec.Compile(exec.EngineBatch, filterPlan(int64(i)))
+		progs[i].Plan().Hash()
+		if _, err := progs[i].Run(cat, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const contexts = 64
+	keys := float64(len(progs) * contexts)
+	sweep := func(run func(p *exec.Program, maxRows int) error) func() {
+		return func() {
+			for _, p := range progs {
+				for j := 0; j < contexts; j++ {
+					if err := run(p, 1000+j); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+	}
+	measure := func(f func()) (objects, bytes float64) {
+		objects = testing.AllocsPerRun(3, f)
+		bytes = math.Inf(1)
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			f()
+			runtime.ReadMemStats(&after)
+			bytes = min(bytes, float64(after.TotalAlloc-before.TotalAlloc))
+		}
+		return objects, bytes
+	}
+	directObjects, directBytes := measure(sweep(func(p *exec.Program, maxRows int) error {
+		_, err := p.Run(cat, maxRows, 0)
+		return err
+	}))
+	cachedObjects, cachedBytes := measure(func() {
+		c := New(0)
+		sweep(func(p *exec.Program, maxRows int) error {
+			_, err := c.RunProgram(p, cat, maxRows, 0)
+			return err
+		})()
+		if st := c.Stats(); st.Misses != int64(keys) {
+			t.Fatalf("stats = %+v, want %.0f misses", st, keys)
+		}
+	})
+	objects, bytes := (cachedObjects-directObjects)/keys, (cachedBytes-directBytes)/keys
+	t.Logf("a miss adds %.3f objects and %.1f bytes to a direct run", objects, bytes)
+	const objectBudget, byteBudget = 1.05, 176
+	if objects > objectBudget || bytes > byteBudget {
+		t.Errorf("a miss adds %.3f objects and %.1f bytes to a direct run, budget %.2f and %d", objects, bytes, objectBudget, byteBudget)
 	}
 }
