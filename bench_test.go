@@ -339,18 +339,22 @@ func allocsAndBytesPerRun(runs int, f func()) (objects, bytes float64) {
 
 // TestOptimizeAllocBudget holds one Optimize call of benchQuery — the call
 // BenchmarkOptimize and BenchmarkOptimizeWithDisabledRules time — to committed
-// allocation ceilings, about 10 % above measured. A caller that keeps the
-// Result's memo pays for a whole working set — one scratch where memo, rule
-// context, explorer, stats builder and implementor were five objects —
-// namely 133 objects / 15.9 KB with every rule on, 63 / 10.4 KB with
+// allocation ceilings: about 10 % above measured for a released Result, and
+// older, looser ones for a kept Result. A caller that keeps the Result's memo
+// pays for a whole working set — one scratch where memo, rule context,
+// explorer, stats builder and implementor were five objects — namely
+// 120 objects / 16.4 KB with every rule on, 64 / 10.8 KB with
 // {5,6,7,104} disabled. A caller that releases the Result runs in the scratch
 // of the call before and pays for what it is handed — plan, rule set,
-// interactions — and what the rules compute: 54 objects / 3.1 KB and 15 /
-// 2.2 KB once the scratch has its size. (Before the per-rule bookkeeping moved
-// from maps to one bit set, with result maps built at their final size, the
-// four cases took 130 / 16.8 KB, 67 / 12.0 KB, 56 / 4.7 KB and 20 / 4.2 KB.) A per-candidate, per-binding or per-substitute allocation creeping
-// back fails go test here instead of waiting for a campaign benchmark to show
-// it.
+// interactions, the plan's join keys in one slab — and for the payload pieces
+// of the substitutes the memo adopts: 33 objects / 2.8 KB and 14 / 2.2 KB once
+// the scratch has its size. (Before the rules built substitutes and join keys
+// in recycled scratch, the four cases took 133 / 15.9 KB, 63 / 10.4 KB,
+// 54 / 3.1 KB and 15 / 2.2 KB; before the per-rule bookkeeping moved from maps
+// to one bit set, with result maps built at their final size, 130 / 16.8 KB,
+// 67 / 12.0 KB, 56 / 4.7 KB and 20 / 4.2 KB.) A per-candidate, per-binding or
+// per-substitute allocation creeping back fails go test here instead of
+// waiting for a campaign benchmark to show it.
 func TestOptimizeAllocBudget(t *testing.T) {
 	db := benchDB()
 	bound, err := bind.BindSQL(benchQuery, db.Catalog)
@@ -365,8 +369,8 @@ func TestOptimizeAllocBudget(t *testing.T) {
 	}{
 		{"all rules", OptimizeOptions{}, false, 142, 17500},
 		{"5,6,7,104 disabled", OptimizeOptions{Disabled: NewRuleSet(5, 6, 7, 104)}, false, 70, 11500},
-		{"all rules, released", OptimizeOptions{}, true, 60, 3400},
-		{"5,6,7,104 disabled, released", OptimizeOptions{Disabled: NewRuleSet(5, 6, 7, 104)}, true, 17, 2500},
+		{"all rules, released", OptimizeOptions{}, true, 36, 3100},
+		{"5,6,7,104 disabled, released", OptimizeOptions{Disabled: NewRuleSet(5, 6, 7, 104)}, true, 15, 2450},
 	} {
 		optimize := func() {
 			res, err := db.Optimizer.Optimize(bound.Tree, bound.MD, tc.opts)

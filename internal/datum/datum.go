@@ -7,6 +7,7 @@
 package datum
 
 import (
+	"fmt"
 	"math"
 	"strconv"
 	"strings"
@@ -79,13 +80,18 @@ type Datum struct {
 // string's ID is its index in list, given on first use and never changed, so
 // equal strings have equal IDs. IDs follow interning order, which varies with
 // scheduling: they may decide equality and hashing, never order or output.
-// The table only grows; writers serialize on mu and publish each longer list
-// atomically, so readers index it without a lock. ID 0 is "".
+// The table only grows, up to internCap strings; writers serialize on mu and
+// publish each longer list atomically, so readers index it without a lock.
+// ID 0 is "".
 var interned struct {
 	mu   sync.Mutex
 	ids  map[string]int64
 	list atomic.Pointer[[]string]
 }
+
+// internCap bounds the intern table, which a long native -fuzz run would
+// otherwise grow without end: past it NewString panics.
+var internCap = 1 << 22
 
 func init() {
 	interned.ids = map[string]int64{"": 0}
@@ -107,6 +113,10 @@ func NewString(v string) Datum {
 	defer interned.mu.Unlock()
 	id, ok := interned.ids[v]
 	if !ok {
+		if len(interned.ids) >= internCap {
+			panic(fmt.Sprintf("datum: the string intern table is full: %d distinct strings, and a string is never freed; "+
+				"a long native -fuzz run reaches this, so run it for less time or in shorter pieces", len(interned.ids)))
+		}
 		v = strings.Clone(v) // pin no larger text v may be cut from
 		list := append(*interned.list.Load(), v)
 		id = int64(len(list) - 1)

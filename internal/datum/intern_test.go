@@ -133,3 +133,28 @@ func TestInternConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestInternCapFailsLoudly: a full intern table still interns the strings it
+// holds, and refuses a new one with a panic that says why.
+func TestInternCapFailsLoudly(t *testing.T) {
+	held := NewString("held-at-the-intern-cap")
+	interned.mu.Lock()
+	saved := internCap
+	internCap = len(interned.ids)
+	interned.mu.Unlock()
+	defer func() {
+		interned.mu.Lock()
+		internCap = saved
+		interned.mu.Unlock()
+	}()
+	if NewString("held-at-the-intern-cap") != held {
+		t.Fatal("a string the full table holds interned differently")
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "intern table is full") {
+			t.Errorf("a new string past the cap: panic %q, want one saying the intern table is full", msg)
+		}
+	}()
+	NewString("past-the-intern-cap")
+}

@@ -41,28 +41,34 @@ func RejectsNullsOn(pred scalar.Expr, cols scalar.ColSet) bool {
 // versa; pairs are normalized left-first). remainder receives the conjuncts
 // that are not such equalities.
 func EquiJoinCols(on scalar.Expr, left, right scalar.ColSet) (pairs [][2]scalar.ColumnID, remainder []scalar.Expr) {
-	for _, c := range scalar.Conjuncts(on) {
-		cmp, ok := c.(*scalar.Cmp)
-		if !ok || cmp.Op != scalar.CmpEQ {
-			remainder = append(remainder, c)
-			continue
-		}
-		lref, lok := cmp.L.(*scalar.ColRef)
-		rref, rok := cmp.R.(*scalar.ColRef)
-		if !lok || !rok {
-			remainder = append(remainder, c)
-			continue
-		}
-		switch {
-		case left.Contains(lref.ID) && right.Contains(rref.ID):
-			pairs = append(pairs, [2]scalar.ColumnID{lref.ID, rref.ID})
-		case left.Contains(rref.ID) && right.Contains(lref.ID):
-			pairs = append(pairs, [2]scalar.ColumnID{rref.ID, lref.ID})
-		default:
+	var buf [8]scalar.Expr
+	for _, c := range scalar.AppendConjuncts(buf[:0], on) {
+		if l, r, ok := EquiPair(c, left, right); ok {
+			pairs = append(pairs, [2]scalar.ColumnID{l, r})
+		} else {
 			remainder = append(remainder, c)
 		}
 	}
 	return pairs, remainder
+}
+
+// EquiPair reports whether conjunct c is an equality between a column of left
+// and a column of right, and returns the two, left first.
+func EquiPair(c scalar.Expr, left, right scalar.ColSet) (l, r scalar.ColumnID, ok bool) {
+	cmp, ok := c.(*scalar.Cmp)
+	if !ok || cmp.Op != scalar.CmpEQ {
+		return 0, 0, false
+	}
+	lref, lok := cmp.L.(*scalar.ColRef)
+	rref, rok := cmp.R.(*scalar.ColRef)
+	switch {
+	case !lok || !rok:
+	case left.Contains(lref.ID) && right.Contains(rref.ID):
+		return lref.ID, rref.ID, true
+	case left.Contains(rref.ID) && right.Contains(lref.ID):
+		return rref.ID, lref.ID, true
+	}
+	return 0, 0, false
 }
 
 // AggsReferenceOnly reports whether every aggregate argument references only

@@ -6,7 +6,10 @@ package memo
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync/atomic"
+	"unsafe"
 
 	"qtrtest/internal/fnv64"
 	"qtrtest/internal/logical"
@@ -113,25 +116,30 @@ type Memo struct {
 	// Storage everything the memo hands out is carved from. It is private to
 	// this memo, so a pointer into it stays valid for as long as the memo is
 	// reachable and not Reset.
-	exprs  arena[MExpr]
-	grps   arena[Group]
-	kidIDs arena[GroupID]
+	exprs  Arena[MExpr]
+	grps   Arena[Group]
+	kidIDs Arena[GroupID]
 	// nodes holds the payloads rules build fresh (BoundNew); freeNodes those
 	// whose substitute turned out to be interned already.
-	nodes     arena[logical.Expr]
+	nodes     Arena[logical.Expr]
 	freeNodes []*logical.Expr
-	// bindings holds the binder's nodes and the rules' substitutes. Unlike the
-	// rest it is recycled within one optimization: ReleaseBindings rewinds it
+	// bindings holds the binder's nodes and the rules' substitutes, the rest
+	// the scratch of their payloads (ScratchExprs). Unlike the storage above
+	// they are recycled within one optimization: ReleaseBindings rewinds them
 	// once a rule application is over.
-	bindings arena[binding]
+	bindings Arena[binding]
+	conj     Arena[scalar.Expr]
+	ands     Arena[scalar.And]
+	projs    Arena[logical.ProjItem]
+	cols     Arena[scalar.ColumnID]
 }
 
-// arena hands out elements of doubling chunks (first, first, 2·first, … up to
-// 128) that it keeps: rewind makes all of them available again. A chunk is
+// Arena hands out elements of doubling chunks (first, first, 2·first, … up to
+// 128) that it keeps: Rewind makes all of them available again. A chunk is
 // never grown, so pointers into it are stable, and a three-expression memo
 // costs a few hundred bytes where a thousand-expression one costs a handful
-// of allocations.
-type arena[T any] struct {
+// of allocations. The zero Arena has no chunk until its first Take.
+type Arena[T any] struct {
 	chunks [][]T
 	chunk  int // index into chunks of the chunk being carved
 	next   int // next unused element of that chunk
@@ -139,9 +147,12 @@ type arena[T any] struct {
 	total  int // elements in all chunks
 }
 
-// take returns n contiguous elements, zero unless a rewind left them as they
-// were. first sizes the first chunk.
-func (a *arena[T]) take(n, first int) []T {
+// Take returns n contiguous elements (nil for none), zero unless a Rewind
+// left them as they were. first sizes the first chunk.
+func (a *Arena[T]) Take(n, first int) []T {
+	if n == 0 {
+		return nil
+	}
 	for a.chunk < len(a.chunks) && len(a.chunks[a.chunk])-a.next < n {
 		a.chunk, a.next = a.chunk+1, 0
 	}
@@ -156,9 +167,9 @@ func (a *arena[T]) take(n, first int) []T {
 	return out
 }
 
-// rewind makes every element available again, zeroed if zero is set and
+// Rewind makes every element available again, zeroed if zero is set and
 // otherwise as it was left.
-func (a *arena[T]) rewind(zero bool) {
+func (a *Arena[T]) Rewind(zero bool) {
 	if zero && len(a.chunks) > 0 {
 		for _, c := range a.chunks[:a.top+1] {
 			clear(c)
@@ -168,8 +179,8 @@ func (a *arena[T]) rewind(zero bool) {
 	a.chunk, a.next = 0, 0
 }
 
-// fill overwrites with v what a zeroing rewind would zero.
-func (a *arena[T]) fill(v T) {
+// Fill overwrites with v what a zeroing Rewind would zero.
+func (a *Arena[T]) Fill(v T) {
 	if len(a.chunks) > 0 {
 		for _, c := range a.chunks[:a.top+1] {
 			for i := range c {
@@ -177,6 +188,17 @@ func (a *arena[T]) fill(v T) {
 			}
 		}
 	}
+}
+
+// holds reports whether p points into one of the arena's chunks.
+func (a *Arena[T]) holds(p *T) bool {
+	at := uintptr(unsafe.Pointer(p))
+	for _, c := range a.chunks {
+		if at-uintptr(unsafe.Pointer(unsafe.SliceData(c))) < uintptr(len(c))*unsafe.Sizeof(*p) {
+			return true
+		}
+	}
+	return false
 }
 
 // New returns an empty memo over the given metadata.
@@ -187,7 +209,7 @@ func New(md *logical.Metadata) *Memo {
 }
 
 // Reset empties the memo for another query over md, keeping its storage: every
-// expression, group, payload node, binding and substitute it handed out is
+// expression, group, payload node, binding, substitute and scratch it handed out is
 // zeroed and will be handed out again (groups keep the backing arrays of
 // their expression lists), so the caller must hold no pointer into the memo
 // past this call. The zero Memo is ready for its first Reset.
@@ -203,20 +225,30 @@ func (m *Memo) Reset(md *logical.Metadata) {
 		*g = Group{Exprs: g.Exprs[:0]}
 	}
 	m.groups = m.groups[:0]
-	m.grps.rewind(false)
-	m.exprs.rewind(true)
-	m.kidIDs.rewind(false)
-	m.nodes.rewind(true)
+	m.grps.Rewind(false)
+	m.exprs.Rewind(true)
+	m.kidIDs.Rewind(false)
+	m.nodes.Rewind(true)
 	m.freeNodes = m.freeNodes[:0]
-	m.bindings.rewind(true)
+	m.rewindScratch(true)
 	clear(m.intern)
 	m.MD, m.nexprs, m.Root, m.onAdd = md, 0, 0, nil
 }
 
-// Poison overwrites every expression, group, payload node, binding and
-// substitute the memo has handed out with values no optimization produces;
-// only Reset makes the memo usable again. It is for tests of code that
-// recycles memos: whatever still points into this one afterwards reads poison.
+// rewindScratch rewinds the storage ReleaseBindings recycles.
+func (m *Memo) rewindScratch(zero bool) {
+	m.bindings.Rewind(zero)
+	m.conj.Rewind(zero)
+	m.ands.Rewind(zero)
+	m.projs.Rewind(zero)
+	m.cols.Rewind(zero)
+}
+
+// Poison overwrites every expression, group, payload node, binding,
+// substitute and scratch the memo has handed out with values no optimization
+// produces; only Reset makes the memo usable again. It is for tests of code
+// that recycles memos: whatever still points into this one afterwards reads
+// poison.
 func (m *Memo) Poison() {
 	node := &logical.Expr{Op: -7, Table: "POISON", N: -7}
 	expr := &MExpr{Node: node, Kids: []GroupID{-7}, Group: -7, Ord: -7, applied: ^uint64(0), CreatedBy: -7, Queued: 0xff}
@@ -229,14 +261,30 @@ func (m *Memo) Poison() {
 		}
 		*g = Group{ID: -7, Exprs: g.Exprs, Cols: scalar.NewColSet(127, 128), leaf: *bound}
 	}
-	m.exprs.fill(*expr)
-	m.kidIDs.fill(-7)
-	m.nodes.fill(*node)
-	m.bindings.fill(binding{b: *bound, kids: [2]*BoundExpr{bound, bound}, self: [1]*BoundExpr{bound}})
+	m.exprs.Fill(*expr)
+	m.kidIDs.Fill(-7)
+	m.nodes.Fill(*node)
+	m.bindings.Fill(binding{b: *bound, kids: [2]*BoundExpr{bound, bound}, self: [1]*BoundExpr{bound}})
+	m.poisonScratch()
 	for fp := range m.intern {
 		m.intern[fp] = expr
 	}
 	m.MD, m.nexprs, m.Root = nil, -7, -7
+}
+
+// PoisonReleased, when set, makes every ReleaseBindings overwrite the scratch
+// it recycles with poison first, and rules.Context.RewindKeys the join keys.
+// It is for tests: an expression, payload or plan that still points into
+// recycled scratch then reads poison.
+var PoisonReleased atomic.Bool
+
+// poisonScratch overwrites the substitutes' scratch with poison.
+func (m *Memo) poisonScratch() {
+	bad := &scalar.ColRef{ID: -7}
+	m.conj.Fill(bad)
+	m.ands.Fill(scalar.And{Kids: []scalar.Expr{bad}})
+	m.projs.Fill(logical.ProjItem{Out: -7, E: bad})
+	m.cols.Fill(-7)
 }
 
 // SetOnAdd registers fn to be called for every newly interned expression
@@ -337,7 +385,7 @@ func (m *Memo) colSetOf(node *logical.Expr, kids []GroupID) scalar.ColSet {
 }
 
 func (m *Memo) newGroup(node *logical.Expr, kids []GroupID) *Group {
-	g := &m.grps.take(1, 4)[0]
+	g := &m.grps.Take(1, 4)[0]
 	g.ID = GroupID(len(m.groups) + 1)
 	g.Cols = m.colSetOf(node, kids)
 	g.leaf.Group = g.ID
@@ -352,8 +400,8 @@ func (m *Memo) newGroup(node *logical.Expr, kids []GroupID) *Group {
 // kids may be the caller's scratch: the expression keeps a copy carved from
 // the memo's own storage.
 func (m *Memo) addInterned(fp uint64, node *logical.Expr, kids []GroupID, g *Group, createdBy int) *MExpr {
-	e := &m.exprs.take(1, 4)[0]
-	own := m.kidIDs.take(len(kids), 8)
+	e := &m.exprs.Take(1, 4)[0]
+	own := m.kidIDs.Take(len(kids), 8)
 	copy(own, kids)
 	*e = MExpr{Node: node, Kids: own, Group: g.ID, Ord: len(g.Exprs), CreatedBy: createdBy}
 	g.Exprs = append(g.Exprs, e)
@@ -446,19 +494,87 @@ func (m *Memo) NewBinding(e *MExpr) (*BoundExpr, []*BoundExpr) {
 	}
 	// 2, 2, 4, 8 … 128 nodes a chunk: most applications bind once, and a
 	// memo that is never explored (verify's) binds little else.
-	n := &m.bindings.take(1, 2)[0]
+	n := &m.bindings.Take(1, 2)[0]
 	n.b = BoundExpr{Node: e.Node, Kids: n.kids[:len(e.Kids):len(e.Kids)], Group: e.Group, Src: e}
 	n.self[0] = &n.b
 	return &n.b, n.self[:]
 }
 
-// ReleaseBindings hands every binding NewBinding returned so far, and every
-// substitute Bound and BoundNew built, back for reuse. The caller must hold
-// none of them past this call: the explorer calls it between rule
-// applications, when the substitutes have been interned and only group
+// ReleaseBindings hands every binding NewBinding returned so far, every
+// substitute Bound and BoundNew built and all scratch back for reuse. The
+// caller must hold none of them past this call: the explorer calls it between
+// rule applications, when the substitutes have been interned and only group
 // references survive. A caller that never calls it (verify, the reference
 // explorer) keeps them all until Reset.
-func (m *Memo) ReleaseBindings() { m.bindings.rewind(false) }
+func (m *Memo) ReleaseBindings() {
+	if PoisonReleased.Load() {
+		m.poisonScratch()
+	}
+	m.rewindScratch(false)
+}
+
+// ScratchExprs, ScratchCols and ScratchProjs return n elements of the memo's
+// scratch, and And is scalar.MakeAnd with its node carved there: storage a
+// rule builds a substitute's payload in, valid until ReleaseBindings. Only a
+// BoundNew payload may point into it, from Filter or On (an And and its
+// conjunct list), Projs and GroupCols; an expression interned from it adopts
+// heap copies (see Payload), and a duplicate costs no allocation at all.
+func (m *Memo) ScratchExprs(n int) []scalar.Expr { return m.conj.Take(n, 8) }
+
+// ScratchCols: see ScratchExprs.
+func (m *Memo) ScratchCols(n int) []scalar.ColumnID { return m.cols.Take(n, 8) }
+
+// ScratchProjs: see ScratchExprs.
+func (m *Memo) ScratchProjs(n int) []logical.ProjItem { return m.projs.Take(n, 4) }
+
+// And: see ScratchExprs.
+func (m *Memo) And(conj []scalar.Expr) scalar.Expr {
+	if len(conj) == 1 {
+		return conj[0]
+	}
+	a := &m.ands.Take(1, 2)[0]
+	a.Kids = conj
+	return a
+}
+
+// Payload returns a copy of substitute b's payload that stays valid past
+// ReleaseBindings and Reset: the pieces of a BoundNew payload carved from
+// scratch are copied to the heap.
+func (m *Memo) Payload(b *BoundExpr) logical.Expr {
+	node := *b.Node
+	if b.owned {
+		node.Filter, node.On = m.heapAnd(node.Filter), m.heapAnd(node.On)
+		if len(node.Projs) > 0 && m.projs.holds(&node.Projs[0]) {
+			node.Projs = slices.Clone(node.Projs)
+		}
+		if len(node.GroupCols) > 0 && m.cols.holds(&node.GroupCols[0]) {
+			node.GroupCols = slices.Clone(node.GroupCols)
+		}
+	}
+	return node
+}
+
+// heapAnd returns e, or a heap copy of it if it is an And from the scratch,
+// sized exactly: plans keep these. Two conjuncts, the common case, share one
+// allocation with the node.
+func (m *Memo) heapAnd(e scalar.Expr) scalar.Expr {
+	a, ok := e.(*scalar.And)
+	if !ok || !m.ands.holds(a) {
+		return e
+	}
+	switch len(a.Kids) {
+	case 0:
+		return &scalar.And{}
+	case 2:
+		cp := new(struct {
+			and  scalar.And
+			kids [2]scalar.Expr
+		})
+		cp.and.Kids = append(cp.kids[:0:2], a.Kids...)
+		return &cp.and
+	}
+	return &scalar.And{Kids: slices.Clone(a.Kids)}
+}
 
 // Bound returns a substitute node over kids whose payload is node, a matched
 // expression's, shared as it is. Like a binding, the substitute lives in the
@@ -467,7 +583,7 @@ func (m *Memo) Bound(node *logical.Expr, kids ...*BoundExpr) *BoundExpr {
 	if len(kids) > 2 {
 		panic("memo: Bound with more than 2 kids")
 	}
-	n := &m.bindings.take(1, 2)[0]
+	n := &m.bindings.Take(1, 2)[0]
 	copy(n.kids[:], kids)
 	n.b = BoundExpr{Node: node, Kids: n.kids[:len(kids):len(kids)]}
 	return &n.b
@@ -482,7 +598,7 @@ func (m *Memo) BoundNew(payload logical.Expr, kids ...*BoundExpr) *BoundExpr {
 	if n := len(m.freeNodes); n > 0 {
 		node, m.freeNodes = m.freeNodes[n-1], m.freeNodes[:n-1]
 	} else {
-		node = &m.nodes.take(1, 1)[0]
+		node = &m.nodes.Take(1, 1)[0]
 	}
 	*node = payload
 	b := m.Bound(node, kids...)
@@ -494,13 +610,17 @@ func (m *Memo) BoundNew(payload logical.Expr, kids ...*BoundExpr) *BoundExpr {
 // as, adding it to group g — a new group when g is nil — if it is new; an
 // expression that exists already stays in the group it has (the memo does not
 // merge groups; see DESIGN.md). An owned payload node is disowned either way,
-// once: adopted by the new expression, or put on the free list with b pointed
-// at the equal node that was there first, so that a subtree two substitutes
-// share resolves to the same expression for both.
+// once: adopted by the new expression, its scratch pieces copied to the heap,
+// or put on the free list with b pointed at the equal node that was there
+// first, so that a subtree two substitutes share resolves to the same
+// expression for both.
 func (m *Memo) internBound(b *BoundExpr, kids []GroupID, g *Group, createdBy int) *MExpr {
 	fp := m.fingerprint(b.Node, kids)
 	e := m.lookup(fp, b.Node, kids)
 	if e == nil {
+		if b.owned {
+			*b.Node = m.Payload(b)
+		}
 		if g == nil {
 			g = m.newGroup(b.Node, kids)
 		}

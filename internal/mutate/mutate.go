@@ -193,7 +193,7 @@ func Mutants() []Mutant {
 					kept := make([]scalar.Expr, 0, len(conj))
 					dropped := false
 					for _, c := range conj {
-						if !dropped && isEquiPair(c, dl, dr) {
+						if _, _, eq := logical.EquiPair(c, scalar.NewColSet(dl), scalar.NewColSet(dr)); eq && !dropped {
 							dropped = true
 							continue
 						}
@@ -282,19 +282,4 @@ func ByKind(kinds ...Kind) ([]Mutant, error) {
 		return nil, fmt.Errorf("mutate: unknown mutant kind %q", k)
 	}
 	return out, nil
-}
-
-// isEquiPair reports whether e is the equality comparison between exactly
-// the two given columns (in either order).
-func isEquiPair(e scalar.Expr, l, r scalar.ColumnID) bool {
-	cmp, ok := e.(*scalar.Cmp)
-	if !ok || cmp.Op != scalar.CmpEQ {
-		return false
-	}
-	a, aok := cmp.L.(*scalar.ColRef)
-	b, bok := cmp.R.(*scalar.ColRef)
-	if !aok || !bok {
-		return false
-	}
-	return (a.ID == l && b.ID == r) || (a.ID == r && b.ID == l)
 }

@@ -10,6 +10,7 @@ import (
 
 	"qtrtest/internal/bind"
 	"qtrtest/internal/catalog"
+	"qtrtest/internal/memo"
 	"qtrtest/internal/rules"
 )
 
@@ -180,6 +181,27 @@ func TestDifferentialReferenceExplorer(t *testing.T) {
 	for i := range ref {
 		if fmt.Sprintf("%+v", got[i]) != fmt.Sprintf("%+v", ref[i]) {
 			t.Errorf("entry %d: dirty-queue explorer diverged from pass-based reference:\n got: %+v\nwant: %+v", i, got[i], ref[i])
+		}
+	}
+}
+
+// TestScratchPoisonIsInvisible is the scratch lifetime guard on the
+// differential harness, at default and at the tight limits below: with every
+// ReleaseBindings overwriting the bindings, substitutes and payload scratch it
+// recycles, and every costing the join keys it recycles, each entry must equal
+// the unpoisoned run's. An expression, payload or plan that kept a pointer
+// into recycled scratch would read poison and differ, or panic.
+func TestScratchPoisonIsInvisible(t *testing.T) {
+	defer memo.PoisonReleased.Store(false)
+	for _, lim := range []Options{{}, {MaxExprs: 40, MaxPasses: 2}, {MaxExprs: 75, MaxPasses: 1}, {MaxExprs: 300, MaxPasses: 3}} {
+		want := collectDifferential(t, lim)
+		memo.PoisonReleased.Store(true)
+		got := collectDifferential(t, lim)
+		memo.PoisonReleased.Store(false)
+		for i := range want {
+			if fmt.Sprintf("%+v", got[i]) != fmt.Sprintf("%+v", want[i]) {
+				t.Errorf("limits %+v entry %d: poisoned scratch changed the outcome:\n got: %+v\nwant: %+v", lim, i, got[i], want[i])
+			}
 		}
 	}
 }

@@ -724,13 +724,19 @@ func (imp *implementor) release(cand *physical.Expr) {
 }
 
 // cost runs the costing over the finished memo, in tables sized for it, and
-// returns the root's best plan, nil when it has none.
+// returns the root's best plan, nil when it has none. The candidates' join
+// keys come from the rule context's key scratch, rewound here; the plan's are
+// copied out of it before it is returned.
 func (imp *implementor) cost() *physical.Expr {
 	root, n := imp.ctx.Memo.Root, imp.ctx.Memo.NumGroups()
 	imp.best, imp.winner = resized(imp.best, n), resized(imp.winner, n)
 	imp.done, imp.visiting = resized(imp.done, n), resized(imp.visiting, n)
+	imp.ctx.RewindKeys()
 	plan := imp.bestPlan(root)
 	imp.releaseLosers(root)
+	if plan != nil {
+		imp.ctx.KeepKeys(plan)
+	}
 	return plan
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"qtrtest/internal/bind"
 	"qtrtest/internal/catalog"
+	"qtrtest/internal/memo"
 	"qtrtest/internal/opt"
 	"qtrtest/internal/rules"
 )
@@ -57,6 +58,25 @@ func TestPauseAnywhereMatchesOptimize(t *testing.T) {
 	if testing.Short() {
 		trees = 40
 	}
+	pauseAnywhere(t, trees, false)
+}
+
+// TestPauseAnywhereUnderScratchPoison is the scratch lifetime guard on the
+// pause-anywhere corpus (40 fuzz-drawn trees a seed): with every
+// ReleaseBindings overwriting the bindings, substitutes and payload scratch it
+// recycles, and every costing the join keys it recycles, each paused and
+// finished exploration and each Optimize must still answer what an unpoisoned
+// Optimize answers. An expression, payload or plan that kept a pointer into
+// recycled scratch would read poison and differ, or panic.
+func TestPauseAnywhereUnderScratchPoison(t *testing.T) {
+	pauseAnywhere(t, 40, true)
+}
+
+// pauseAnywhere runs the pause-anywhere comparison over the corpora with trees
+// fuzz-drawn trees a seed; with poison, every optimization but the unpoisoned
+// reference runs with memo.PoisonReleased set.
+func pauseAnywhere(t *testing.T, trees int, poison bool) {
+	defer memo.PoisonReleased.Store(false)
 	reg := rules.DefaultRegistry()
 	var runs, paused int
 	for _, d := range []struct {
@@ -75,6 +95,7 @@ func TestPauseAnywhereMatchesOptimize(t *testing.T) {
 			}
 			for _, opts := range variants {
 				name := fmt.Sprintf("%s/q%d max passes %d", d.db, qi, opts.MaxPasses)
+				memo.PoisonReleased.Store(false)
 				ref, err := o.Optimize(q.Tree, q.MD, opts)
 				if err != nil {
 					continue // the front end can draw a query no rule set plans
@@ -93,6 +114,17 @@ func TestPauseAnywhereMatchesOptimize(t *testing.T) {
 					t.Errorf("capQuery stops at %d memo expressions, before the cap", ref.Memo.NumExprs())
 				}
 				ref.Release()
+				memo.PoisonReleased.Store(poison)
+				if poison {
+					res, err := o.Optimize(q.Tree, q.MD, opts)
+					if err != nil {
+						t.Fatalf("%s under poison: %v", name, err)
+					}
+					if got := pauseOutcome(res, all); got != want {
+						t.Fatalf("%s: Optimize under poison\n%s\nunpoisoned\n%s", name, got, want)
+					}
+					res.Release()
+				}
 				var stops [][]rules.ID
 				for i, a := range explored {
 					stops = append(stops, []rules.ID{a})

@@ -37,36 +37,37 @@ func (r *explRule) producing(ps ...*Pattern) *explRule {
 	return r
 }
 
-// kidCols returns the output column set of a bound child.
-func kidCols(ctx *Context, b *memo.BoundExpr) scalar.ColSet {
-	return ctx.Memo.Cols(b)
+// conjuncts returns the conjuncts of preds, in order, in one list of the memo's
+// scratch.
+func conjuncts(ctx *Context, preds ...scalar.Expr) []scalar.Expr {
+	n := 0
+	for _, p := range preds {
+		n += scalar.NumConjuncts(p)
+	}
+	conj := ctx.Memo.ScratchExprs(n)[:0]
+	for _, p := range preds {
+		conj = scalar.AppendConjuncts(conj, p)
+	}
+	return conj
 }
 
-// splitConjuncts partitions the conjuncts of pred into those whose columns
-// are all within allowed, and the rest.
-func splitConjuncts(pred scalar.Expr, allowed scalar.ColSet) (within, rest []scalar.Expr) {
-	return splitConjunctList(scalar.Conjuncts(pred), allowed)
-}
-
-// splitConjunctList is splitConjuncts over an already flattened conjunct
-// list, for callers that assembled one and would otherwise wrap it in an And
-// only to have it taken apart again.
-func splitConjunctList(conj []scalar.Expr, allowed scalar.ColSet) (within, rest []scalar.Expr) {
+// splitConjuncts partitions a conjunct list into the conjuncts whose columns
+// are all within allowed and the rest, each in order: conj itself when all
+// fall on one side, else the two halves of one list of the memo's scratch.
+func splitConjuncts(ctx *Context, conj []scalar.Expr, allowed scalar.ColSet) (within, rest []scalar.Expr) {
 	nw := 0
 	for _, c := range conj {
 		if scalar.RefsWithin(c, allowed) {
 			nw++
 		}
 	}
-	// All-on-one-side cases share the (immutable, capacity-clipped) conjunct
-	// slice; a genuine split fills both halves of one backing allocation.
 	switch nw {
 	case 0:
 		return nil, conj
 	case len(conj):
 		return conj, nil
 	}
-	buf := make([]scalar.Expr, len(conj))
+	buf := ctx.Memo.ScratchExprs(len(conj))
 	within, rest = buf[:0:nw], buf[nw:nw:len(conj)]
 	for _, c := range conj {
 		if scalar.RefsWithin(c, allowed) {
@@ -78,29 +79,11 @@ func splitConjunctList(conj []scalar.Expr, allowed scalar.ColSet) (within, rest 
 	return within, rest
 }
 
-// groupHasRowKey reports whether some expression in the bound child's group
-// guarantees duplicate-free rows: a Get over a table with a primary key (Get
-// produces every table column, so the key is always in the output). This is
-// the functional-dependency precondition of the group-by/join reordering
-// rules — the paper's example of a condition beyond the pattern (§1).
-func groupHasRowKey(ctx *Context, b *memo.BoundExpr) bool {
-	if b.IsLeaf() {
-		for _, e := range ctx.Memo.Group(b.Group).Exprs {
-			if e.Op() == logical.OpGet {
-				t, err := ctx.MD().Catalog().Table(e.Node.Table)
-				if err == nil && len(t.PrimaryKey) > 0 {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	return b.Node.Op == logical.OpGet
-}
-
 // colsFormKey reports whether the given columns contain a key of the bound
 // child: the child's group must hold a Get over a table whose primary-key
-// columns all appear in cols.
+// columns all appear in cols. It is the functional-dependency precondition of
+// the group-by/join reordering rules — the paper's example of a condition
+// beyond the pattern (§1).
 func colsFormKey(ctx *Context, b *memo.BoundExpr, cols scalar.ColSet) bool {
 	if !b.IsLeaf() {
 		return false
@@ -128,21 +111,22 @@ func colsFormKey(ctx *Context, b *memo.BoundExpr, cols scalar.ColSet) bool {
 	return false
 }
 
-// colRefProjs builds pass-through projection items for the given columns.
-func colRefProjs(cols []scalar.ColumnID) []logical.ProjItem {
-	items := make([]logical.ProjItem, len(cols))
+// colRefProjs builds pass-through projection items for the given columns, in
+// the memo's scratch.
+func colRefProjs(ctx *Context, cols []scalar.ColumnID) []logical.ProjItem {
+	items := ctx.Memo.ScratchProjs(len(cols))
 	for i, c := range cols {
-		items[i] = logical.ProjItem{Out: c, E: &scalar.ColRef{ID: c}}
+		items[i] = logical.ProjItem{Out: c, E: scalar.Ref(c)}
 	}
 	return items
 }
 
 // selectOver wraps b in a Select if the conjunct list is non-empty.
-func selectOver(ctx *Context, b *memo.BoundExpr, conjuncts []scalar.Expr) *memo.BoundExpr {
-	if len(conjuncts) == 0 {
+func selectOver(ctx *Context, b *memo.BoundExpr, conj []scalar.Expr) *memo.BoundExpr {
+	if len(conj) == 0 {
 		return b
 	}
-	return ctx.Memo.BoundNew(logical.Expr{Op: logical.OpSelect, Filter: scalar.MakeAnd(conjuncts)}, b)
+	return ctx.Memo.BoundNew(logical.Expr{Op: logical.OpSelect, Filter: ctx.Memo.And(conj)}, b)
 }
 
 // explProduces declares, per rule ID, the shapes the rule's substitution
@@ -201,15 +185,15 @@ func ExplorationRules() []ExplorationRule {
 				// (a ⋈p1 b) ⋈p2 c  →  a ⋈outer (b ⋈inner c)
 				inner := b.Kids[0]
 				a, bb, c := inner.Kids[0], inner.Kids[1], b.Kids[1]
-				all := append(scalar.Conjuncts(inner.Node.On), scalar.Conjuncts(b.Node.On)...)
-				bc := kidCols(ctx, bb).Union(kidCols(ctx, c))
-				within, rest := splitConjunctList(all, bc)
+				all := conjuncts(ctx, inner.Node.On, b.Node.On)
+				bc := ctx.Memo.Cols(bb).Union(ctx.Memo.Cols(c))
+				within, rest := splitConjuncts(ctx, all, bc)
 				if len(within) == 0 && len(all) > 0 {
 					// Refuse to synthesize a cross product.
 					return nil
 				}
-				newInner := ctx.Memo.BoundNew(logical.Expr{Op: logical.OpJoin, On: scalar.MakeAnd(within)}, bb, c)
-				return ctx.sub(ctx.Memo.BoundNew(logical.Expr{Op: logical.OpJoin, On: scalar.MakeAnd(rest)}, a, newInner))
+				newInner := ctx.Memo.BoundNew(logical.Expr{Op: logical.OpJoin, On: ctx.Memo.And(within)}, bb, c)
+				return ctx.sub(ctx.Memo.BoundNew(logical.Expr{Op: logical.OpJoin, On: ctx.Memo.And(rest)}, a, newInner))
 			}),
 
 		expl(3, "JoinAssocRight", P(logical.OpJoin, Any(), P(logical.OpJoin, Any(), Any())),
@@ -217,14 +201,14 @@ func ExplorationRules() []ExplorationRule {
 				// a ⋈p1 (b ⋈p2 c)  →  (a ⋈inner b) ⋈outer c
 				inner := b.Kids[1]
 				a, bb, c := b.Kids[0], inner.Kids[0], inner.Kids[1]
-				all := append(scalar.Conjuncts(b.Node.On), scalar.Conjuncts(inner.Node.On)...)
-				ab := kidCols(ctx, a).Union(kidCols(ctx, bb))
-				within, rest := splitConjunctList(all, ab)
+				all := conjuncts(ctx, b.Node.On, inner.Node.On)
+				ab := ctx.Memo.Cols(a).Union(ctx.Memo.Cols(bb))
+				within, rest := splitConjuncts(ctx, all, ab)
 				if len(within) == 0 && len(all) > 0 {
 					return nil
 				}
-				newInner := ctx.Memo.BoundNew(logical.Expr{Op: logical.OpJoin, On: scalar.MakeAnd(within)}, a, bb)
-				return ctx.sub(ctx.Memo.BoundNew(logical.Expr{Op: logical.OpJoin, On: scalar.MakeAnd(rest)}, newInner, c))
+				newInner := ctx.Memo.BoundNew(logical.Expr{Op: logical.OpJoin, On: ctx.Memo.And(within)}, a, bb)
+				return ctx.sub(ctx.Memo.BoundNew(logical.Expr{Op: logical.OpJoin, On: ctx.Memo.And(rest)}, newInner, c))
 			}),
 
 		// --- selection placement --------------------------------------------
@@ -232,52 +216,31 @@ func ExplorationRules() []ExplorationRule {
 		expl(4, "SelectMerge", P(logical.OpSelect, P(logical.OpSelect, Any())),
 			func(ctx *Context, b *memo.BoundExpr) []*memo.BoundExpr {
 				inner := b.Kids[0]
-				merged := scalar.MakeAnd(append(scalar.Conjuncts(b.Node.Filter), scalar.Conjuncts(inner.Node.Filter)...))
+				merged := ctx.Memo.And(conjuncts(ctx, b.Node.Filter, inner.Node.Filter))
 				return ctx.sub(ctx.Memo.BoundNew(logical.Expr{Op: logical.OpSelect, Filter: merged}, inner.Kids[0]))
 			}),
 
 		expl(5, "SelectIntoJoin", P(logical.OpSelect, P(logical.OpJoin, Any(), Any())),
 			func(ctx *Context, b *memo.BoundExpr) []*memo.BoundExpr {
 				join := b.Kids[0]
-				merged := scalar.MakeAnd(append(scalar.Conjuncts(join.Node.On), scalar.Conjuncts(b.Node.Filter)...))
+				merged := ctx.Memo.And(conjuncts(ctx, join.Node.On, b.Node.Filter))
 				return ctx.sub(ctx.Memo.BoundNew(logical.Expr{Op: logical.OpJoin, On: merged}, join.Kids[0], join.Kids[1]))
 			}),
 
 		expl(6, "PushSelectBelowJoinLeft", P(logical.OpSelect, P(logical.OpJoin, Any(), Any())),
 			func(ctx *Context, b *memo.BoundExpr) []*memo.BoundExpr {
-				join := b.Kids[0]
-				left := kidCols(ctx, join.Kids[0])
-				within, rest := splitConjuncts(b.Node.Filter, left)
-				if len(within) == 0 {
-					return nil
-				}
-				newJoin := ctx.Memo.Bound(join.Node, selectOver(ctx, join.Kids[0], within), join.Kids[1])
-				return ctx.sub(selectOver(ctx, newJoin, rest))
+				return pushSelectBelowJoin(ctx, b, 0)
 			}),
 
 		expl(7, "PushSelectBelowJoinRight", P(logical.OpSelect, P(logical.OpJoin, Any(), Any())),
 			func(ctx *Context, b *memo.BoundExpr) []*memo.BoundExpr {
-				join := b.Kids[0]
-				right := kidCols(ctx, join.Kids[1])
-				within, rest := splitConjuncts(b.Node.Filter, right)
-				if len(within) == 0 {
-					return nil
-				}
-				newJoin := ctx.Memo.Bound(join.Node, join.Kids[0], selectOver(ctx, join.Kids[1], within))
-				return ctx.sub(selectOver(ctx, newJoin, rest))
+				return pushSelectBelowJoin(ctx, b, 1)
 			}),
 
 		expl(8, "PushSelectBelowLeftJoin", P(logical.OpSelect, P(logical.OpLeftJoin, Any(), Any())),
 			func(ctx *Context, b *memo.BoundExpr) []*memo.BoundExpr {
 				// Only left-side conjuncts may move below a left outer join.
-				join := b.Kids[0]
-				left := kidCols(ctx, join.Kids[0])
-				within, rest := splitConjuncts(b.Node.Filter, left)
-				if len(within) == 0 {
-					return nil
-				}
-				newJoin := ctx.Memo.Bound(join.Node, selectOver(ctx, join.Kids[0], within), join.Kids[1])
-				return ctx.sub(selectOver(ctx, newJoin, rest))
+				return pushSelectBelowJoin(ctx, b, 0)
 			}),
 
 		expl(9, "SimplifyLeftJoin", P(logical.OpSelect, P(logical.OpLeftJoin, Any(), Any())),
@@ -285,7 +248,7 @@ func ExplorationRules() []ExplorationRule {
 				// A null-rejecting filter on the null-extended side turns the
 				// outer join into an inner join.
 				join := b.Kids[0]
-				right := kidCols(ctx, join.Kids[1])
+				right := ctx.Memo.Cols(join.Kids[1])
 				if !logical.RejectsNullsOn(b.Node.Filter, right) {
 					return nil
 				}
@@ -313,7 +276,7 @@ func ExplorationRules() []ExplorationRule {
 				for _, it := range inner.Node.Projs {
 					subst[it.Out] = it.E
 				}
-				items := make([]logical.ProjItem, len(b.Node.Projs))
+				items := ctx.Memo.ScratchProjs(len(b.Node.Projs))
 				for i, it := range b.Node.Projs {
 					items[i] = logical.ProjItem{Out: it.Out, E: scalar.Substitute(it.E, subst)}
 				}
@@ -323,7 +286,7 @@ func ExplorationRules() []ExplorationRule {
 		expl(12, "PushSelectBelowGroupBy", P(logical.OpSelect, P(logical.OpGroupBy, Any())),
 			func(ctx *Context, b *memo.BoundExpr) []*memo.BoundExpr {
 				gb := b.Kids[0]
-				within, rest := splitConjuncts(b.Node.Filter, scalar.NewColSet(gb.Node.GroupCols...))
+				within, rest := splitConjuncts(ctx, conjuncts(ctx, b.Node.Filter), scalar.NewColSet(gb.Node.GroupCols...))
 				if len(within) == 0 {
 					return nil
 				}
@@ -353,7 +316,7 @@ func ExplorationRules() []ExplorationRule {
 				// from b form a key of b, so no a-row is duplicated.
 				join := b.Kids[0]
 				a, bb := join.Kids[0], join.Kids[1]
-				colsA := kidCols(ctx, a)
+				colsA := ctx.Memo.Cols(a)
 				gcSet := scalar.NewColSet(b.Node.GroupCols...)
 				if !logical.AggsReferenceOnly(b.Node.Aggs, colsA) {
 					return nil
@@ -367,7 +330,7 @@ func ExplorationRules() []ExplorationRule {
 				if !grouped {
 					return nil
 				}
-				pairs, _ := logical.EquiJoinCols(join.Node.On, colsA, kidCols(ctx, bb))
+				pairs, _ := logical.EquiJoinCols(join.Node.On, colsA, ctx.Memo.Cols(bb))
 				var rcols scalar.ColSet
 				for _, p := range pairs {
 					rcols.Add(p[1])
@@ -379,7 +342,7 @@ func ExplorationRules() []ExplorationRule {
 				for _, c := range b.Node.GroupCols {
 					if colsA.Contains(c) {
 						gcA = append(gcA, c)
-					} else if !kidCols(ctx, bb).Contains(c) {
+					} else if !ctx.Memo.Cols(bb).Contains(c) {
 						return nil
 					}
 				}
@@ -387,11 +350,11 @@ func ExplorationRules() []ExplorationRule {
 					Op: logical.OpGroupBy, GroupCols: gcA, Aggs: b.Node.Aggs,
 				}, a)
 				newJoin := ctx.Memo.Bound(join.Node, newGB, bb)
-				outs := append([]scalar.ColumnID(nil), b.Node.GroupCols...)
+				outs := append(ctx.Memo.ScratchCols(len(b.Node.GroupCols) + len(b.Node.Aggs))[:0], b.Node.GroupCols...)
 				for _, ag := range b.Node.Aggs {
 					outs = append(outs, ag.Out)
 				}
-				return ctx.sub(ctx.Memo.BoundNew(logical.Expr{Op: logical.OpProject, Projs: colRefProjs(outs)}, newJoin))
+				return ctx.sub(ctx.Memo.BoundNew(logical.Expr{Op: logical.OpProject, Projs: colRefProjs(ctx, outs)}, newJoin))
 			}),
 
 		expl(15, "PullGroupByAboveJoin", P(logical.OpJoin, P(logical.OpGroupBy, Any()), Any()),
@@ -412,7 +375,7 @@ func ExplorationRules() []ExplorationRule {
 				// only — the paper's §3 example of rule dependencies.
 				loj := b.Kids[1]
 				a, bb, c := b.Kids[0], loj.Kids[0], loj.Kids[1]
-				ab := kidCols(ctx, a).Union(kidCols(ctx, bb))
+				ab := ctx.Memo.Cols(a).Union(ctx.Memo.Cols(bb))
 				if !scalar.ReferencedCols(b.Node.On).SubsetOf(ab) {
 					return nil
 				}
@@ -425,7 +388,7 @@ func ExplorationRules() []ExplorationRule {
 				// (a ⋈p1 b) LOJ p2 c → a ⋈p1 (b LOJ p2 c), requires p2 over b,c.
 				join := b.Kids[0]
 				a, bb, c := join.Kids[0], join.Kids[1], b.Kids[1]
-				bc := kidCols(ctx, bb).Union(kidCols(ctx, c))
+				bc := ctx.Memo.Cols(bb).Union(ctx.Memo.Cols(c))
 				if !scalar.ReferencedCols(b.Node.On).SubsetOf(bc) {
 					return nil
 				}
@@ -435,60 +398,17 @@ func ExplorationRules() []ExplorationRule {
 
 		// --- semi / anti joins -------------------------------------------------
 
-		expl(19, "PushSelectBelowSemiJoin", P(logical.OpSelect, P(logical.OpSemiJoin, Any(), Any())),
-			func(ctx *Context, b *memo.BoundExpr) []*memo.BoundExpr {
-				sj := b.Kids[0]
-				newLeft := ctx.Memo.Bound(b.Node, sj.Kids[0])
-				return ctx.sub(ctx.Memo.Bound(sj.Node, newLeft, sj.Kids[1]))
-			}),
-
-		expl(20, "PushSelectBelowAntiJoin", P(logical.OpSelect, P(logical.OpAntiJoin, Any(), Any())),
-			func(ctx *Context, b *memo.BoundExpr) []*memo.BoundExpr {
-				aj := b.Kids[0]
-				newLeft := ctx.Memo.Bound(b.Node, aj.Kids[0])
-				return ctx.sub(ctx.Memo.Bound(aj.Node, newLeft, aj.Kids[1]))
-			}),
+		expl(19, "PushSelectBelowSemiJoin", P(logical.OpSelect, P(logical.OpSemiJoin, Any(), Any())), pushSelectLeft),
+		expl(20, "PushSelectBelowAntiJoin", P(logical.OpSelect, P(logical.OpAntiJoin, Any(), Any())), pushSelectLeft),
 
 		expl(21, "SemiJoinToJoin", P(logical.OpSemiJoin, Any(), Any()),
 			func(ctx *Context, b *memo.BoundExpr) []*memo.BoundExpr {
-				// a SEMI b → Project_a(a ⋈ Distinct_joincols(b)); requires a
-				// pure equi-join condition.
-				a, bb := b.Kids[0], b.Kids[1]
-				pairs, rest := logical.EquiJoinCols(b.Node.On, kidCols(ctx, a), kidCols(ctx, bb))
-				if len(pairs) == 0 || len(rest) > 0 {
-					return nil
-				}
-				rcols := make([]scalar.ColumnID, len(pairs))
-				for i, p := range pairs {
-					rcols[i] = p[1]
-				}
-				distinct := ctx.Memo.BoundNew(logical.Expr{Op: logical.OpGroupBy, GroupCols: rcols}, bb)
-				join := ctx.Memo.BoundNew(logical.Expr{Op: logical.OpJoin, On: b.Node.On}, a, distinct)
-				return ctx.sub(ctx.Memo.BoundNew(logical.Expr{
-					Op: logical.OpProject, Projs: colRefProjs(kidCols(ctx, a).Sorted()),
-				}, join))
+				return existentialToJoin(ctx, b, logical.OpJoin)
 			}),
 
 		expl(22, "AntiJoinToLeftJoin", P(logical.OpAntiJoin, Any(), Any()),
 			func(ctx *Context, b *memo.BoundExpr) []*memo.BoundExpr {
-				// a ANTI b → Project_a(σ(r IS NULL)(a LOJ Distinct_joincols(b))).
-				a, bb := b.Kids[0], b.Kids[1]
-				pairs, rest := logical.EquiJoinCols(b.Node.On, kidCols(ctx, a), kidCols(ctx, bb))
-				if len(pairs) == 0 || len(rest) > 0 {
-					return nil
-				}
-				rcols := make([]scalar.ColumnID, len(pairs))
-				for i, p := range pairs {
-					rcols[i] = p[1]
-				}
-				distinct := ctx.Memo.BoundNew(logical.Expr{Op: logical.OpGroupBy, GroupCols: rcols}, bb)
-				loj := ctx.Memo.BoundNew(logical.Expr{Op: logical.OpLeftJoin, On: b.Node.On}, a, distinct)
-				sel := ctx.Memo.BoundNew(logical.Expr{
-					Op: logical.OpSelect, Filter: &scalar.IsNull{Kid: &scalar.ColRef{ID: rcols[0]}},
-				}, loj)
-				return ctx.sub(ctx.Memo.BoundNew(logical.Expr{
-					Op: logical.OpProject, Projs: colRefProjs(kidCols(ctx, a).Sorted()),
-				}, sel))
+				return existentialToJoin(ctx, b, logical.OpLeftJoin)
 			}),
 
 		// --- union ---------------------------------------------------------------
@@ -575,10 +495,57 @@ func ExplorationRules() []ExplorationRule {
 	return out
 }
 
+// existentialToJoin implements rules 21/22, which require a pure equi-join
+// condition: a SEMI b → Project_a(a ⋈ Distinct_joincols(b)) and a ANTI b →
+// Project_a(σ(r IS NULL)(a LOJ Distinct_joincols(b))).
+func existentialToJoin(ctx *Context, b *memo.BoundExpr, joinOp logical.Op) []*memo.BoundExpr {
+	a, bb := b.Kids[0], b.Kids[1]
+	colsA := ctx.Memo.Cols(a)
+	pairs, rest := logical.EquiJoinCols(b.Node.On, colsA, ctx.Memo.Cols(bb))
+	if len(pairs) == 0 || len(rest) > 0 {
+		return nil
+	}
+	rcols := ctx.Memo.ScratchCols(len(pairs))
+	for i, p := range pairs {
+		rcols[i] = p[1]
+	}
+	distinct := ctx.Memo.BoundNew(logical.Expr{Op: logical.OpGroupBy, GroupCols: rcols}, bb)
+	join := ctx.Memo.BoundNew(logical.Expr{Op: joinOp, On: b.Node.On}, a, distinct)
+	if joinOp == logical.OpLeftJoin {
+		join = ctx.Memo.BoundNew(logical.Expr{
+			Op: logical.OpSelect, Filter: &scalar.IsNull{Kid: scalar.Ref(rcols[0])},
+		}, join)
+	}
+	return ctx.sub(ctx.Memo.BoundNew(logical.Expr{
+		Op: logical.OpProject, Projs: colRefProjs(ctx, keptCols(ctx, colsA, colsA)),
+	}, join))
+}
+
+// pushSelectLeft implements rules 19/20: σ(a SEMI b) → σ(a) SEMI b, and
+// likewise for ANTI: the filter reads only a's columns, which are the join's.
+func pushSelectLeft(ctx *Context, b *memo.BoundExpr) []*memo.BoundExpr {
+	j := b.Kids[0]
+	return ctx.sub(ctx.Memo.Bound(j.Node, ctx.Memo.Bound(b.Node, j.Kids[0]), j.Kids[1]))
+}
+
+// pushSelectBelowJoin implements rules 6–8: Select(a ⋈ b) → Select(Select(a)
+// ⋈ b) (side 0) or Select(a ⋈ Select(b)) (side 1), moving the filter's
+// conjuncts over that side's columns below the join.
+func pushSelectBelowJoin(ctx *Context, b *memo.BoundExpr, side int) []*memo.BoundExpr {
+	join := b.Kids[0]
+	within, rest := splitConjuncts(ctx, conjuncts(ctx, b.Node.Filter), ctx.Memo.Cols(join.Kids[side]))
+	if len(within) == 0 {
+		return nil
+	}
+	kids := [2]*memo.BoundExpr{join.Kids[0], join.Kids[1]}
+	kids[side] = selectOver(ctx, kids[side], within)
+	return ctx.sub(selectOver(ctx, ctx.Memo.Bound(join.Node, kids[0], kids[1]), rest))
+}
+
 // pullGroupByAboveJoin implements rules 15/16: (GroupBy(a)) ⋈ b →
 // GroupBy(a ⋈ b) grouping additionally by every column of b. Preconditions:
 // the join predicate must not reference aggregate outputs, and b must be
-// duplicate-free (see groupHasRowKey).
+// duplicate-free: a Get over a table with a primary key in its group.
 func pullGroupByAboveJoin(ctx *Context, b *memo.BoundExpr, joinOp logical.Op) []*memo.BoundExpr {
 	gb := b.Kids[0]
 	a, bb := gb.Kids[0], b.Kids[1]
@@ -589,11 +556,12 @@ func pullGroupByAboveJoin(ctx *Context, b *memo.BoundExpr, joinOp logical.Op) []
 	if scalar.ReferencedCols(b.Node.On).Intersects(aggOuts) {
 		return nil
 	}
-	if !groupHasRowKey(ctx, bb) {
+	if !colsFormKey(ctx, bb, ctx.Memo.Cols(bb)) {
 		return nil
 	}
-	gc := append([]scalar.ColumnID(nil), gb.Node.GroupCols...)
-	gc = append(gc, kidCols(ctx, bb).Sorted()...)
+	colsB := ctx.Memo.Cols(bb)
+	gc := append(ctx.Memo.ScratchCols(len(gb.Node.GroupCols) + colsB.Len())[:0], gb.Node.GroupCols...)
+	gc = append(gc, keptCols(ctx, colsB, colsB)...)
 	newJoin := ctx.Memo.BoundNew(logical.Expr{Op: joinOp, On: b.Node.On}, a, bb)
 	return ctx.sub(ctx.Memo.BoundNew(logical.Expr{
 		Op: logical.OpGroupBy, GroupCols: gc, Aggs: gb.Node.Aggs,
@@ -673,7 +641,7 @@ func pushGroupByBelowUnionAll(ctx *Context, b *memo.BoundExpr) []*memo.BoundExpr
 		if op == scalar.AggCount || op == scalar.AggCountStar {
 			op = scalar.AggSum
 		}
-		globalAggs[k] = scalar.Agg{Op: op, Arg: &scalar.ColRef{ID: aggUnionCols[k]}, Out: ag.Out}
+		globalAggs[k] = scalar.Agg{Op: op, Arg: scalar.Ref(aggUnionCols[k]), Out: ag.Out}
 	}
 	return ctx.sub(ctx.Memo.BoundNew(logical.Expr{
 		Op: logical.OpGroupBy, GroupCols: b.Node.GroupCols, Aggs: globalAggs,
@@ -710,22 +678,22 @@ func pruneJoinSide(ctx *Context, b *memo.BoundExpr, side int) []*memo.BoundExpr 
 		it.E.Cols(&needed)
 	}
 	join.Node.On.Cols(&needed)
-	sideCols := kidCols(ctx, join.Kids[side])
-	keep := keptCols(sideCols, needed)
+	sideCols := ctx.Memo.Cols(join.Kids[side])
+	keep := keptCols(ctx, sideCols, needed)
 	if len(keep) == 0 || len(keep) == sideCols.Len() {
 		return nil
 	}
-	pruned := ctx.Memo.BoundNew(logical.Expr{Op: logical.OpProject, Projs: colRefProjs(keep)}, join.Kids[side])
+	pruned := ctx.Memo.BoundNew(logical.Expr{Op: logical.OpProject, Projs: colRefProjs(ctx, keep)}, join.Kids[side])
 	kids := []*memo.BoundExpr{join.Kids[0], join.Kids[1]}
 	kids[side] = pruned
 	newJoin := ctx.Memo.Bound(join.Node, kids[0], kids[1])
 	return ctx.sub(ctx.Memo.Bound(b.Node, newJoin))
 }
 
-// keptCols returns the members of cols that are also in needed, ascending, or
-// nil when there are none.
-func keptCols(cols, needed scalar.ColSet) []scalar.ColumnID {
-	var keep []scalar.ColumnID
+// keptCols returns the members of cols that are also in needed, ascending, in
+// the memo's scratch; keptCols(ctx, s, s) is s sorted.
+func keptCols(ctx *Context, cols, needed scalar.ColSet) []scalar.ColumnID {
+	keep := ctx.Memo.ScratchCols(cols.Len())[:0]
 	cols.ForEach(func(c scalar.ColumnID) {
 		if needed.Contains(c) {
 			keep = append(keep, c)
@@ -737,12 +705,12 @@ func keptCols(cols, needed scalar.ColSet) []scalar.ColumnID {
 // reduceExistentialRight implements rules 28/29: the right input of a semi or
 // anti join only needs the columns its predicate references.
 func reduceExistentialRight(ctx *Context, b *memo.BoundExpr, op logical.Op) []*memo.BoundExpr {
-	right := kidCols(ctx, b.Kids[1])
+	right := ctx.Memo.Cols(b.Kids[1])
 	needed := scalar.ReferencedCols(b.Node.On)
-	keep := keptCols(right, needed)
+	keep := keptCols(ctx, right, needed)
 	if len(keep) == 0 || len(keep) == right.Len() {
 		return nil
 	}
-	pruned := ctx.Memo.BoundNew(logical.Expr{Op: logical.OpProject, Projs: colRefProjs(keep)}, b.Kids[1])
+	pruned := ctx.Memo.BoundNew(logical.Expr{Op: logical.OpProject, Projs: colRefProjs(ctx, keep)}, b.Kids[1])
 	return ctx.sub(ctx.Memo.Bound(b.Node, b.Kids[0], pruned))
 }

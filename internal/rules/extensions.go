@@ -160,7 +160,7 @@ func applyEliminateFKSemiJoin(ctx *Context, b *memo.BoundExpr) []*memo.BoundExpr
 		return nil
 	}
 	return ctx.sub(ctx.Memo.BoundNew(logical.Expr{
-		Op: logical.OpProject, Projs: colRefProjs(factCols.Sorted()),
+		Op: logical.OpProject, Projs: colRefProjs(ctx, keptCols(ctx, factCols, factCols)),
 	}, fact))
 }
 

@@ -25,69 +25,36 @@ func impl(id ID, name string, pattern *Pattern, fn func(*Context, *memo.MExpr) [
 	}
 }
 
-// equiKeys extracts hash/merge-join key columns from a join predicate; ok is
-// false when the predicate has no equality conjunct between the two sides.
+// equiKeys extracts hash/merge-join key columns from a join predicate, in the
+// Context's key scratch; ok is false when the predicate has no equality
+// conjunct between the two sides.
 func equiKeys(ctx *Context, e *memo.MExpr) (left, right []scalar.ColumnID, ok bool) {
 	l := ctx.Memo.Group(e.Kids[0]).Cols
 	r := ctx.Memo.Group(e.Kids[1]).Cols
-	// Inlined equi-pair extraction (EquiJoinCols without the pairs and
-	// remainder slices): this runs per join expression per costing pass.
-	// The single-comparison predicate gets a no-slice fast path, and both
-	// key slices share one backing allocation (count pass, then fill).
-	var single [1]scalar.Expr
-	var conj []scalar.Expr
-	if _, isAnd := e.Node.On.(*scalar.And); isAnd {
-		conj = scalar.Conjuncts(e.Node.On)
-	} else {
-		single[0] = e.Node.On
-		conj = single[:]
-	}
-	crossSide := func(c scalar.Expr) (lid, rid scalar.ColumnID, ok bool) {
-		cmp, cok := c.(*scalar.Cmp)
-		if !cok || cmp.Op != scalar.CmpEQ {
-			return 0, 0, false
-		}
-		lref, lok := cmp.L.(*scalar.ColRef)
-		rref, rok := cmp.R.(*scalar.ColRef)
-		if !lok || !rok {
-			return 0, 0, false
-		}
-		switch {
-		case l.Contains(lref.ID) && r.Contains(rref.ID):
-			return lref.ID, rref.ID, true
-		case l.Contains(rref.ID) && r.Contains(lref.ID):
-			return rref.ID, lref.ID, true
-		}
-		return 0, 0, false
-	}
-	n := 0
+	var buf [8]scalar.Expr
+	conj := scalar.AppendConjuncts(buf[:0], e.Node.On)
+	n := len(conj)
+	keys := ctx.keys.Take(2*n, 16)
+	left, right = keys[:0:n], keys[n:n:2*n]
 	for _, c := range conj {
-		if _, _, cok := crossSide(c); cok {
-			n++
-		}
-	}
-	if n == 0 {
-		return nil, nil, false
-	}
-	buf := make([]scalar.ColumnID, 2*n)
-	left, right = buf[:0:n], buf[n:n:2*n]
-	for _, c := range conj {
-		if lid, rid, cok := crossSide(c); cok {
+		if lid, rid, cok := logical.EquiPair(c, l, r); cok {
 			left = append(left, lid)
 			right = append(right, rid)
 		}
 	}
-	return left, right, true
+	return left, right, len(left) > 0
 }
 
-func hashJoinImpl(id ID, name string, op logical.Op, jt physical.JoinType) ImplementationRule {
+// keyedJoinImpl implements a join as a pop (hash or merge) join on its
+// predicate's equality keys.
+func keyedJoinImpl(id ID, name string, op logical.Op, pop physical.Op, jt physical.JoinType) ImplementationRule {
 	return impl(id, name, P(op, Any(), Any()), func(ctx *Context, e *memo.MExpr) []*physical.Expr {
 		l, r, ok := equiKeys(ctx, e)
 		if !ok {
 			return nil
 		}
 		return ctx.one(physical.Expr{
-			Op: physical.OpHashJoin, JoinType: jt,
+			Op: pop, JoinType: jt,
 			On: e.Node.On, EquiLeft: l, EquiRight: r,
 		})
 	})
@@ -118,25 +85,14 @@ func ImplementationRules() []ImplementationRule {
 			return ctx.one(physical.Expr{Op: physical.OpProject, Projs: e.Node.Projs})
 		}),
 
-		hashJoinImpl(104, "JoinToHashJoin", logical.OpJoin, physical.JoinInner),
+		keyedJoinImpl(104, "JoinToHashJoin", logical.OpJoin, physical.OpHashJoin, physical.JoinInner),
 		nlJoinImpl(105, "JoinToNLJoin", logical.OpJoin, physical.JoinInner),
-
-		impl(106, "JoinToMergeJoin", P(logical.OpJoin, Any(), Any()), func(ctx *Context, e *memo.MExpr) []*physical.Expr {
-			l, r, ok := equiKeys(ctx, e)
-			if !ok {
-				return nil
-			}
-			return ctx.one(physical.Expr{
-				Op: physical.OpMergeJoin, JoinType: physical.JoinInner,
-				On: e.Node.On, EquiLeft: l, EquiRight: r,
-			})
-		}),
-
-		hashJoinImpl(107, "LeftJoinToHashJoin", logical.OpLeftJoin, physical.JoinLeft),
+		keyedJoinImpl(106, "JoinToMergeJoin", logical.OpJoin, physical.OpMergeJoin, physical.JoinInner),
+		keyedJoinImpl(107, "LeftJoinToHashJoin", logical.OpLeftJoin, physical.OpHashJoin, physical.JoinLeft),
 		nlJoinImpl(108, "LeftJoinToNLJoin", logical.OpLeftJoin, physical.JoinLeft),
-		hashJoinImpl(109, "SemiJoinToHashJoin", logical.OpSemiJoin, physical.JoinSemi),
+		keyedJoinImpl(109, "SemiJoinToHashJoin", logical.OpSemiJoin, physical.OpHashJoin, physical.JoinSemi),
 		nlJoinImpl(110, "SemiJoinToNLJoin", logical.OpSemiJoin, physical.JoinSemi),
-		hashJoinImpl(111, "AntiJoinToHashJoin", logical.OpAntiJoin, physical.JoinAnti),
+		keyedJoinImpl(111, "AntiJoinToHashJoin", logical.OpAntiJoin, physical.OpHashJoin, physical.JoinAnti),
 		nlJoinImpl(112, "AntiJoinToNLJoin", logical.OpAntiJoin, physical.JoinAnti),
 
 		impl(113, "GroupByToHashAgg", P(logical.OpGroupBy, Any()), func(ctx *Context, e *memo.MExpr) []*physical.Expr {

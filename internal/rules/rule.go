@@ -15,6 +15,7 @@ import (
 	"qtrtest/internal/logical"
 	"qtrtest/internal/memo"
 	"qtrtest/internal/physical"
+	"qtrtest/internal/scalar"
 )
 
 // ID identifies a rule. IDs are stable across runs: they index experiment
@@ -54,6 +55,47 @@ type Context struct {
 	// return, subs the one-substitute slice of the exploration rules.
 	result [1]*physical.Expr
 	subs   [1]*memo.BoundExpr
+	// keys is the scratch the built-in join implementation rules carve their
+	// candidates' key columns from (see RewindKeys and KeepKeys).
+	keys memo.Arena[scalar.ColumnID]
+}
+
+// RewindKeys makes the key scratch available again: the caller must hold no
+// candidate whose keys KeepKeys has not copied out. The optimizer's
+// implementor calls it as each costing starts.
+func (c *Context) RewindKeys() {
+	if memo.PoisonReleased.Load() {
+		c.keys.Fill(-7)
+	}
+	c.keys.Rewind(false)
+}
+
+// KeepKeys copies the join keys of every node of plan into one slab of exactly
+// their size, so that the plan outlives RewindKeys and pins no scratch.
+func (c *Context) KeepKeys(plan *physical.Expr) {
+	moveKeys(plan, make([]scalar.ColumnID, 0, numKeys(plan)))
+}
+
+func numKeys(e *physical.Expr) int {
+	n := len(e.EquiLeft) + len(e.EquiRight)
+	for _, k := range e.Children {
+		n += numKeys(k)
+	}
+	return n
+}
+
+// moveKeys appends the keys of e and its descendants to slab, pointing them
+// there, and returns the longer slab.
+func moveKeys(e *physical.Expr, slab []scalar.ColumnID) []scalar.ColumnID {
+	if len(e.EquiLeft)+len(e.EquiRight) > 0 {
+		at, mid := len(slab), len(slab)+len(e.EquiLeft)
+		slab = append(append(slab, e.EquiLeft...), e.EquiRight...)
+		e.EquiLeft, e.EquiRight = slab[at:mid:mid], slab[mid:len(slab):len(slab)]
+	}
+	for _, k := range e.Children {
+		slab = moveKeys(k, slab)
+	}
+	return slab
 }
 
 // MD returns the query metadata.

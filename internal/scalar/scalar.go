@@ -80,6 +80,24 @@ type Expr interface {
 // ColRef references a column by id.
 type ColRef struct{ ID ColumnID }
 
+// refs backs Ref: refs[i] is ColRef{ID: i}.
+var refs = func() (t [1 << 12]ColRef) {
+	for i := range t {
+		t[i].ID = ColumnID(i)
+	}
+	return t
+}()
+
+// Ref returns a reference to column id that callers share, so it must never
+// be modified: it costs no allocation (but for ids past the table's 4 096,
+// which get a node of their own).
+func Ref(id ColumnID) *ColRef {
+	if uint(id) < uint(len(refs)) {
+		return &refs[id]
+	}
+	return &ColRef{ID: id}
+}
+
 // Const is a literal.
 type Const struct{ D datum.Datum }
 
@@ -380,30 +398,19 @@ func (e *IsNull) Hash() string { return hashOne(e) }
 // TrueExpr returns an always-true predicate.
 func TrueExpr() Expr { return &And{} }
 
-// Conjuncts flattens a predicate into its top-level AND factors.
-func Conjuncts(e Expr) []Expr {
+// Conjuncts flattens a predicate into its top-level AND factors, in a list of
+// its own.
+func Conjuncts(e Expr) []Expr { return AppendConjuncts(nil, e) }
+
+// AppendConjuncts appends the conjuncts of e, Conjuncts(e), to dst.
+func AppendConjuncts(dst []Expr, e Expr) []Expr {
 	if a, ok := e.(*And); ok {
-		flat := true
 		for _, k := range a.Kids {
-			if _, nested := k.(*And); nested {
-				flat = false
-				break
-			}
+			dst = AppendConjuncts(dst, k)
 		}
-		if flat {
-			// Common case: no nested conjunctions, so the Kids slice already
-			// is the conjunct list. Share it with capacity clipped: callers
-			// that append get a private reallocation instead of writing
-			// through to this node.
-			return a.Kids[:len(a.Kids):len(a.Kids)]
-		}
-		var out []Expr
-		for _, k := range a.Kids {
-			out = append(out, Conjuncts(k)...)
-		}
-		return out
+		return dst
 	}
-	return []Expr{e}
+	return append(dst, e)
 }
 
 // NumConjuncts returns len(Conjuncts(e)) without materializing the slice.

@@ -117,6 +117,26 @@ func TestConjunctsAndMakeAnd(t *testing.T) {
 	if MakeAnd(cs[:1]) != cs[0] {
 		t.Error("MakeAnd of one conjunct should unwrap")
 	}
+	buf := make([]Expr, 1, 8)
+	if got := AppendConjuncts(buf, e); len(got) != 4 || &got[0] != &buf[0] || got[1] != cs[0] || got[3] != cs[2] {
+		t.Errorf("AppendConjuncts appended %v to a one-element list with room, want Conjuncts' %v", got[1:], cs)
+	}
+}
+
+// TestRefIsShared: Ref hands every caller the one node of a column in its
+// table, and ids outside the table a node of their own.
+func TestRefIsShared(t *testing.T) {
+	n := ColumnID(len(refs))
+	for _, id := range []ColumnID{0, 3, n - 1} {
+		if r := Ref(id); r.ID != id || Ref(id) != r {
+			t.Errorf("Ref(%d) = %v, not one shared node", id, r)
+		}
+	}
+	for _, id := range []ColumnID{-1, n, n + 5} {
+		if r := Ref(id); r.ID != id || r == Ref(id) {
+			t.Errorf("Ref(%d) = %v, shared", id, r)
+		}
+	}
 }
 
 func TestSubstituteAndRemap(t *testing.T) {

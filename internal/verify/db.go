@@ -11,7 +11,7 @@ import (
 // The verifier's universe is deliberately tiny: three interchangeable plain
 // tables (two nullable INT columns each) and one keyed table whose first
 // column is a primary key. The keyed table exists so that key-dependent rule
-// preconditions (colsFormKey, groupHasRowKey — rules 14/15/16) can fire; the
+// preconditions (colsFormKey — rules 14/15/16) can fire; the
 // plain tables carry the duplicate rows and NULLs that separate sound rules
 // from plausible-looking broken ones.
 const keyedTable = "k"

@@ -161,7 +161,7 @@ func (b *instBuilder) payloadVariants(op logical.Op, kids []*logical.Expr) []*lo
 	return nil
 }
 
-func colRef(c scalar.ColumnID) scalar.Expr { return &scalar.ColRef{ID: c} }
+func colRef(c scalar.ColumnID) scalar.Expr { return scalar.Ref(c) }
 func intConst(v int64) scalar.Expr         { return &scalar.Const{D: datum.NewInt(v)} }
 func ge(l, r scalar.Expr) scalar.Expr      { return &scalar.Cmp{Op: scalar.CmpGE, L: l, R: r} }
 func eq(l, r scalar.Expr) scalar.Expr      { return &scalar.Cmp{Op: scalar.CmpEQ, L: l, R: r} }

@@ -319,6 +319,7 @@ func (res *ruleResult) explorationPlans(r rules.ExplorationRule, inst *instance)
 func (res *ruleResult) implementationPlans(r rules.ImplementationRule, inst *instance) (*logical.Expr, *physical.Expr, []*physical.Expr) {
 	m := res.ctx.Memo
 	m.Reset(inst.md)
+	res.ctx.RewindKeys()
 	g := m.Insert(inst.tree)
 	root := m.Group(g).Exprs[0]
 	var alts []*physical.Expr
@@ -326,6 +327,7 @@ func (res *ruleResult) implementationPlans(r rules.ImplementationRule, inst *ins
 		if cand == nil {
 			continue
 		}
+		res.ctx.KeepKeys(cand)
 		cand.Children = make([]*physical.Expr, len(root.Kids))
 		for i, kid := range root.Kids {
 			cand.Children[i] = exec.Lower(m.ExtractFirst(kid))
@@ -346,7 +348,7 @@ func (res *ruleResult) implementationPlans(r rules.ImplementationRule, inst *ins
 func wrapProject(tree *logical.Expr, cols []scalar.ColumnID) *logical.Expr {
 	projs := make([]logical.ProjItem, len(cols))
 	for i, c := range cols {
-		projs[i] = logical.ProjItem{Out: c, E: &scalar.ColRef{ID: c}}
+		projs[i] = logical.ProjItem{Out: c, E: scalar.Ref(c)}
 	}
 	return &logical.Expr{Op: logical.OpProject, Projs: projs, Children: []*logical.Expr{tree}}
 }
@@ -358,7 +360,7 @@ func extractBound(m *memo.Memo, b *memo.BoundExpr) *logical.Expr {
 	if b.IsLeaf() {
 		return m.ExtractFirst(b.Group)
 	}
-	node := *b.Node
+	node := m.Payload(b)
 	node.Children = make([]*logical.Expr, len(b.Kids))
 	for i, k := range b.Kids {
 		node.Children[i] = extractBound(m, k)
