@@ -114,8 +114,7 @@ func NewString(v string) Datum {
 	id, ok := interned.ids[v]
 	if !ok {
 		if len(interned.ids) >= internCap {
-			panic(fmt.Sprintf("datum: the string intern table is full: %d distinct strings, and a string is never freed; "+
-				"a long native -fuzz run reaches this, so run it for less time or in shorter pieces", len(interned.ids)))
+			panic(fmt.Sprintf("datum: the string intern table is full (%d strings, never freed): shorten the native -fuzz run", len(interned.ids)))
 		}
 		v = strings.Clone(v) // pin no larger text v may be cut from
 		list := append(*interned.list.Load(), v)

@@ -124,9 +124,8 @@ type Memo struct {
 	nodes     Arena[logical.Expr]
 	freeNodes []*logical.Expr
 	// bindings holds the binder's nodes and the rules' substitutes, the rest
-	// the scratch of their payloads (ScratchExprs). Unlike the storage above
-	// they are recycled within one optimization: ReleaseBindings rewinds them
-	// once a rule application is over.
+	// their payloads' scratch (ScratchExprs). Unlike the storage above they
+	// are recycled between the rule applications of one optimization.
 	bindings Arena[binding]
 	conj     Arena[scalar.Expr]
 	ands     Arena[scalar.And]
@@ -272,10 +271,9 @@ func (m *Memo) Poison() {
 	m.MD, m.nexprs, m.Root = nil, -7, -7
 }
 
-// PoisonReleased, when set, makes every ReleaseBindings overwrite the scratch
-// it recycles with poison first, and rules.Context.RewindKeys the join keys.
-// It is for tests: an expression, payload or plan that still points into
-// recycled scratch then reads poison.
+// PoisonReleased makes every ReleaseBindings, and rules.Context.RewindKeys,
+// poison the scratch it recycles: tests set it, so that an expression,
+// payload or plan still pointing there reads poison.
 var PoisonReleased atomic.Bool
 
 // poisonScratch overwrites the substitutes' scratch with poison.
@@ -554,18 +552,18 @@ func (m *Memo) Payload(b *BoundExpr) logical.Expr {
 	return node
 }
 
-// heapAnd returns e, or a heap copy of it if it is an And from the scratch,
-// sized exactly: plans keep these. Two conjuncts, the common case, share one
-// allocation with the node.
+// heapAnd returns e, or, for an And from the scratch, an exact-size heap copy
+// (plans keep it) that also copies a scratch conjunct list: two conjuncts, the
+// common case, take one allocation.
 func (m *Memo) heapAnd(e scalar.Expr) scalar.Expr {
 	a, ok := e.(*scalar.And)
 	if !ok || !m.ands.holds(a) {
 		return e
 	}
-	switch len(a.Kids) {
-	case 0:
-		return &scalar.And{}
-	case 2:
+	switch n := len(a.Kids); {
+	case n == 0 || !m.conj.holds(&a.Kids[0]):
+		return &scalar.And{Kids: a.Kids}
+	case n == 2:
 		cp := new(struct {
 			and  scalar.And
 			kids [2]scalar.Expr

@@ -86,4 +86,9 @@ func TestAdoptedPayloadLeavesScratch(t *testing.T) {
 	if e := m.Group(m.ensureGroup(b, 0)).Exprs[0]; e.Node.Filter != heap {
 		t.Error("an adopted payload's And that is not scratch was copied")
 	}
+	b = m.BoundNew(logical.Expr{Op: logical.OpSelect, Filter: m.And(heap.Kids[:1:1])}, GroupRef(get))
+	shared := m.BoundNew(logical.Expr{Op: logical.OpSelect, Filter: m.And(heap.Kids)}, b)
+	if a := m.Group(m.ensureGroup(shared, 0)).Exprs[0].Node.Filter.(*scalar.And); m.ands.holds(a) || &a.Kids[0] != &heap.Kids[0] {
+		t.Error("an adopted scratch And over a conjunct list that is not scratch was not copied, or its list was")
+	}
 }

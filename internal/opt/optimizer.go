@@ -724,9 +724,8 @@ func (imp *implementor) release(cand *physical.Expr) {
 }
 
 // cost runs the costing over the finished memo, in tables sized for it, and
-// returns the root's best plan, nil when it has none. The candidates' join
-// keys come from the rule context's key scratch, rewound here; the plan's are
-// copied out of it before it is returned.
+// returns the root's best plan, nil when it has none. Join keys live in the
+// rule context's scratch, rewound here, until KeepKeys copies the plan's.
 func (imp *implementor) cost() *physical.Expr {
 	root, n := imp.ctx.Memo.Root, imp.ctx.Memo.NumGroups()
 	imp.best, imp.winner = resized(imp.best, n), resized(imp.winner, n)

@@ -37,12 +37,15 @@ func (r *explRule) producing(ps ...*Pattern) *explRule {
 	return r
 }
 
-// conjuncts returns the conjuncts of preds, in order, in one list of the memo's
-// scratch.
+// conjuncts returns the conjuncts of preds in order: one flat And's own list
+// (substitutes share it), else one list of the memo's scratch.
 func conjuncts(ctx *Context, preds ...scalar.Expr) []scalar.Expr {
 	n := 0
 	for _, p := range preds {
 		n += scalar.NumConjuncts(p)
+	}
+	if a, ok := preds[0].(*scalar.And); ok && len(preds) == 1 && n == len(a.Kids) {
+		return a.Kids[:n:n]
 	}
 	conj := ctx.Memo.ScratchExprs(n)[:0]
 	for _, p := range preds {

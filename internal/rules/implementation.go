@@ -45,8 +45,7 @@ func equiKeys(ctx *Context, e *memo.MExpr) (left, right []scalar.ColumnID, ok bo
 	return left, right, len(left) > 0
 }
 
-// keyedJoinImpl implements a join as a pop (hash or merge) join on its
-// predicate's equality keys.
+// keyedJoinImpl implements a join as a pop join keyed on its equalities.
 func keyedJoinImpl(id ID, name string, op logical.Op, pop physical.Op, jt physical.JoinType) ImplementationRule {
 	return impl(id, name, P(op, Any(), Any()), func(ctx *Context, e *memo.MExpr) []*physical.Expr {
 		l, r, ok := equiKeys(ctx, e)
