@@ -137,7 +137,7 @@ type Memo struct {
 // 128) that it keeps: Rewind makes all of them available again. A chunk is
 // never grown, so pointers into it are stable, and a three-expression memo
 // costs a few hundred bytes where a thousand-expression one costs a handful
-// of allocations. The zero Arena has no chunk until its first Take.
+// of allocations (none before its first Take).
 type Arena[T any] struct {
 	chunks [][]T
 	chunk  int // index into chunks of the chunk being carved
@@ -189,7 +189,8 @@ func (a *Arena[T]) Fill(v T) {
 	}
 }
 
-// holds reports whether p points into one of the arena's chunks.
+// holds reports whether p points into one of the arena's chunks, which the
+// collector never moves.
 func (a *Arena[T]) holds(p *T) bool {
 	at := uintptr(unsafe.Pointer(p))
 	for _, c := range a.chunks {

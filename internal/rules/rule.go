@@ -55,8 +55,7 @@ type Context struct {
 	// return, subs the one-substitute slice of the exploration rules.
 	result [1]*physical.Expr
 	subs   [1]*memo.BoundExpr
-	// keys is the scratch the built-in join implementation rules carve their
-	// candidates' key columns from (see RewindKeys and KeepKeys).
+	// keys is the scratch the join rules' key columns live in (RewindKeys).
 	keys memo.Arena[scalar.ColumnID]
 }
 
