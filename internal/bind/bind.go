@@ -708,7 +708,7 @@ func (b *binder) bindHaving(e sql.Expr, sc *scope, groupSet scalar.ColSet, aggs 
 			return nil, err
 		}
 		for _, existing := range *aggs {
-			if existing.Hash() == ag.Hash() || sameAggregate(existing, ag) {
+			if sameAggregate(existing, ag) {
 				return &scalar.ColRef{ID: existing.Out}, nil
 			}
 		}
@@ -753,16 +753,11 @@ func (b *binder) bindHaving(e sql.Expr, sc *scope, groupSet scalar.ColSet, aggs 
 	}
 }
 
-// sameAggregate reports whether two aggregates compute the same value
-// (ignoring their output ids).
+// sameAggregate reports whether two aggregates compute the same value: they
+// are structurally equal but for their output ids.
 func sameAggregate(a, b scalar.Agg) bool {
-	if a.Op != b.Op {
-		return false
-	}
-	if a.Arg == nil || b.Arg == nil {
-		return a.Arg == nil && b.Arg == nil
-	}
-	return a.Arg.Hash() == b.Arg.Hash()
+	b.Out = a.Out
+	return a.Equal(b)
 }
 
 // combineBin maps a SQL binary operator over two bound operands.

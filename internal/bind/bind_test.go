@@ -280,6 +280,31 @@ func TestBindHaving(t *testing.T) {
 	}
 }
 
+// TestBindHavingReusesOnlyEqualAggregates: HAVING reuses a select-list
+// aggregate only when the two are structurally equal. SUM(n_nationkey + 1.0)
+// is a FLOAT sum beside the INT SUM(n_nationkey + 1), although the two
+// constants print alike, so it binds an aggregate of its own.
+func TestBindHavingReusesOnlyEqualAggregates(t *testing.T) {
+	for _, c := range []struct {
+		having string
+		aggs   int
+	}{
+		{"SUM(n_nationkey + 1)", 1},
+		{"SUM(n_nationkey + 1.0)", 2},
+	} {
+		b := mustBind(t, "SELECT n_regionkey, SUM(n_nationkey + 1) FROM nation GROUP BY n_regionkey HAVING "+c.having+" > 0")
+		var gb *logical.Expr
+		b.Tree.Walk(func(e *logical.Expr) {
+			if e.Op == logical.OpGroupBy {
+				gb = e
+			}
+		})
+		if gb == nil || len(gb.Aggs) != c.aggs {
+			t.Fatalf("HAVING %s: want %d aggregate(s), got %+v", c.having, c.aggs, gb)
+		}
+	}
+}
+
 func TestBindInList(t *testing.T) {
 	b := mustBind(t, "SELECT n_name FROM nation WHERE n_regionkey IN (0, 2, 4)")
 	if b.Tree.Op != logical.OpProject {

@@ -8,11 +8,14 @@ import (
 
 	"qtrtest/internal/bind"
 	"qtrtest/internal/catalog"
+	"qtrtest/internal/datum"
 	"qtrtest/internal/exec"
 	"qtrtest/internal/logical"
 	"qtrtest/internal/opt"
+	"qtrtest/internal/physical"
 	"qtrtest/internal/rescache"
 	"qtrtest/internal/rules"
+	"qtrtest/internal/scalar"
 )
 
 type fixture struct {
@@ -143,6 +146,51 @@ func TestIdenticalSkipCostsNothing(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("an identical-plan skip allocates %.0f objects", n)
+	}
+}
+
+// TestConstantKindsAreNotIdentical: plans that differ in a constant's kind
+// alone are different plans, so Edge executes the alternative and compares,
+// with and without a cache. r_regionkey times 999999 four times wraps when
+// every factor is an INT and does not when the first is a FLOAT, so the two
+// disagree; with 3 an INT or a FLOAT, r_regionkey < 3 keeps the same regions.
+func TestConstantKindsAreNotIdentical(t *testing.T) {
+	cat := catalog.LoadTPCH(catalog.TPCHConfig{ScaleRows: 0.01, Seed: 1})
+	region := &physical.Expr{Op: physical.OpScan, Table: "region", Cols: []scalar.ColumnID{1, 2, 3}}
+	k := func(d datum.Datum) scalar.Expr { return &scalar.Const{D: d} }
+	scaled := func(first datum.Datum) Plan {
+		e := &scalar.Arith{Op: scalar.ArithMul, L: scalar.Ref(1), R: k(first)}
+		for i := 0; i < 3; i++ {
+			e = &scalar.Arith{Op: scalar.ArithMul, L: e, R: k(datum.NewInt(999999))}
+		}
+		return Prepare(&physical.Expr{Op: physical.OpProject, Projs: []logical.ProjItem{{Out: 4, E: e}}, Children: []*physical.Expr{region}})
+	}
+	below := func(bound datum.Datum) Plan {
+		return Prepare(&physical.Expr{
+			Op: physical.OpFilter, Children: []*physical.Expr{region},
+			Filter: &scalar.Cmp{Op: scalar.CmpLT, L: scalar.Ref(1), R: k(bound)},
+		})
+	}
+	for _, rc := range []*rescache.Cache{nil, rescache.New(0)} {
+		rn, err := New(Options{Cache: rc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			base, alt Plan
+			want      Verdict
+		}{
+			{scaled(datum.NewInt(999999)), scaled(datum.NewFloat(999999)), Mismatch},
+			{below(datum.NewInt(3)), below(datum.NewFloat(3)), Match},
+		} {
+			base, err := rn.Base(cat, c.base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out, err := rn.Edge(&base, c.alt); err != nil || out.Verdict != c.want {
+				t.Errorf("cache %v: %s against %s: %+v, %v; want verdict %d", rc != nil, c.alt.Hash, c.base.Hash, out, err, c.want)
+			}
+		}
 	}
 }
 

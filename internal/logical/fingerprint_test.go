@@ -1,30 +1,49 @@
-package logical
+package logical_test
 
 import (
 	"math/rand"
 	"testing"
 
 	"qtrtest/internal/datum"
+	"qtrtest/internal/exec"
 	"qtrtest/internal/fnv64"
+	"qtrtest/internal/logical"
 	"qtrtest/internal/scalar"
 )
 
 // payloadGen builds random operator payloads (children are irrelevant to
 // fingerprints) from a seeded RNG, covering every operator and scalar form.
-type payloadGen struct{ rng *rand.Rand }
+// A retyping generator draws what a plain one fed the same seed draws, but
+// writes each INT, integral FLOAT or DATE constant as the next of those three
+// kinds, so the two payloads differ in constant kinds alone.
+type payloadGen struct {
+	rng    *rand.Rand
+	retype bool
+}
 
 func (g *payloadGen) col() scalar.ColumnID { return scalar.ColumnID(1 + g.rng.Intn(8)) }
 
+// datum draws a constant; INTs, DATEs and integral FLOATs take the same
+// values. Every call makes the same draws, so retyping keeps a generator's
+// stream in step with the plain one's.
 func (g *payloadGen) datum() datum.Datum {
-	switch g.rng.Intn(5) {
+	k, v, w := g.rng.Intn(7), int64(g.rng.Intn(8)-4), g.rng.Intn(100)
+	if g.retype && k < 3 {
+		k = (k + 1) % 3
+	}
+	switch k {
 	case 0:
-		return datum.NewInt(int64(g.rng.Intn(100) - 50))
+		return datum.NewInt(v)
 	case 1:
-		return datum.NewFloat(float64(g.rng.Intn(100)) / 4)
+		return datum.NewFloat(float64(v))
 	case 2:
-		return datum.NewString(string(rune('a' + g.rng.Intn(4))))
+		return datum.NewDate(v)
 	case 3:
-		return datum.NewBool(g.rng.Intn(2) == 0)
+		return datum.NewFloat(float64(w) / 4)
+	case 4:
+		return datum.NewString(string(rune('a' + w%4)))
+	case 5:
+		return datum.NewBool(w%2 == 0)
 	default:
 		return datum.Null
 	}
@@ -69,24 +88,25 @@ func (g *payloadGen) cols(n int) []scalar.ColumnID {
 	return out
 }
 
-func (g *payloadGen) node() *Expr {
-	ops := []Op{OpGet, OpSelect, OpProject, OpJoin, OpLeftJoin, OpSemiJoin,
-		OpAntiJoin, OpGroupBy, OpUnionAll, OpLimit, OpSort}
-	e := &Expr{Op: ops[g.rng.Intn(len(ops))]}
+func (g *payloadGen) node() *logical.Expr {
+	ops := []logical.Op{logical.OpGet, logical.OpSelect, logical.OpProject,
+		logical.OpJoin, logical.OpLeftJoin, logical.OpSemiJoin, logical.OpAntiJoin,
+		logical.OpGroupBy, logical.OpUnionAll, logical.OpLimit, logical.OpSort}
+	e := &logical.Expr{Op: ops[g.rng.Intn(len(ops))]}
 	switch e.Op {
-	case OpGet:
+	case logical.OpGet:
 		e.Table = []string{"t", "u", "v"}[g.rng.Intn(3)]
 		e.Cols = g.cols(1 + g.rng.Intn(3))
-	case OpSelect:
+	case logical.OpSelect:
 		e.Filter = g.scalarExpr(2)
-	case OpJoin, OpLeftJoin, OpSemiJoin, OpAntiJoin:
+	case logical.OpJoin, logical.OpLeftJoin, logical.OpSemiJoin, logical.OpAntiJoin:
 		e.On = g.scalarExpr(2)
-	case OpProject:
-		e.Projs = make([]ProjItem, 1+g.rng.Intn(3))
+	case logical.OpProject:
+		e.Projs = make([]logical.ProjItem, 1+g.rng.Intn(3))
 		for i := range e.Projs {
-			e.Projs[i] = ProjItem{Out: g.col(), E: g.scalarExpr(1)}
+			e.Projs[i] = logical.ProjItem{Out: g.col(), E: g.scalarExpr(1)}
 		}
-	case OpGroupBy:
+	case logical.OpGroupBy:
 		e.GroupCols = g.cols(g.rng.Intn(3))
 		e.Aggs = make([]scalar.Agg, 1+g.rng.Intn(2))
 		for i := range e.Aggs {
@@ -97,44 +117,47 @@ func (g *payloadGen) node() *Expr {
 			}
 			e.Aggs[i] = a
 		}
-	case OpUnionAll:
+	case logical.OpUnionAll:
 		n := 1 + g.rng.Intn(3)
 		e.OutCols = g.cols(n)
 		e.InputCols = [][]scalar.ColumnID{g.cols(n), g.cols(n)}
-	case OpLimit:
+	case logical.OpLimit:
 		e.N = int64(g.rng.Intn(50))
-	case OpSort:
-		e.Keys = make([]SortKey, 1+g.rng.Intn(3))
+	case logical.OpSort:
+		e.Keys = make([]logical.SortKey, 1+g.rng.Intn(3))
 		for i := range e.Keys {
-			e.Keys[i] = SortKey{Col: g.col(), Desc: g.rng.Intn(2) == 0}
+			e.Keys[i] = logical.SortKey{Col: g.col(), Desc: g.rng.Intn(2) == 0}
 		}
 	}
 	return e
 }
 
-func fingerprintOf(e *Expr) uint64 {
+func fingerprintOf(e *logical.Expr) uint64 {
 	h := fnv64.New()
 	e.PayloadFingerprint(&h)
 	return h.Sum()
 }
 
-// TestFingerprintProperties checks, over a deterministic random corpus, the
-// three properties the memo's interning table rests on:
+// TestFingerprintProperties checks, over a deterministic random corpus of
+// payloads and their retyped twins, the three properties the memo's
+// interning table rests on:
 //
 //  1. structurally equal payloads (node vs. deep clone) fingerprint equal
 //     and compare PayloadEqual;
-//  2. fingerprints and PayloadEqual agree with the legacy PayloadHash
-//     string the intern table used before the overhaul: payloads with equal
-//     strings are PayloadEqual with equal fingerprints;
-//  3. payloads with distinct strings are never PayloadEqual — and, for this
-//     corpus, fingerprint distinctly (the seed is fixed, so this is a
+//  2. fingerprints and PayloadEqual agree with the text of the plan a
+//     payload lowers to (exec.Lower(node).Hash()): payloads with equal texts
+//     are PayloadEqual with equal fingerprints — so a text that wrote two
+//     constant kinds alike would fail here;
+//  3. payloads with distinct texts are never PayloadEqual — and, for this
+//     corpus, fingerprint distinctly (the seeds are fixed, so this is a
 //     regression check, not a probabilistic claim).
 func TestFingerprintProperties(t *testing.T) {
-	g := &payloadGen{rng: rand.New(rand.NewSource(7))}
 	const n = 400
-	nodes := make([]*Expr, n)
-	for i := range nodes {
-		nodes[i] = g.node()
+	nodes := make([]*logical.Expr, n)
+	for i := 0; i < n; i += 2 {
+		seed := int64(7 + i)
+		nodes[i] = (&payloadGen{rng: rand.New(rand.NewSource(seed))}).node()
+		nodes[i+1] = (&payloadGen{rng: rand.New(rand.NewSource(seed)), retype: true}).node()
 	}
 
 	for i, e := range nodes {
@@ -147,9 +170,10 @@ func TestFingerprintProperties(t *testing.T) {
 		}
 	}
 
-	byHash := make(map[string][]*Expr)
+	byHash := make(map[string][]*logical.Expr)
 	for _, e := range nodes {
-		byHash[e.PayloadHash()] = append(byHash[e.PayloadHash()], e)
+		text := exec.Lower(e).Hash()
+		byHash[text] = append(byHash[text], e)
 	}
 	byFP := make(map[uint64]string)
 	for hash, group := range byHash {
@@ -164,7 +188,7 @@ func TestFingerprintProperties(t *testing.T) {
 		}
 		byFP[fp] = hash
 	}
-	reps := make([]*Expr, 0, len(byHash))
+	reps := make([]*logical.Expr, 0, len(byHash))
 	for _, group := range byHash {
 		reps = append(reps, group[0])
 	}
@@ -185,17 +209,17 @@ func TestFingerprintProperties(t *testing.T) {
 // every level.
 func TestFingerprintTreeEquality(t *testing.T) {
 	g := &payloadGen{rng: rand.New(rand.NewSource(11))}
-	leaf := func() *Expr {
-		return &Expr{Op: OpGet, Table: "t", Cols: []scalar.ColumnID{1, 2}}
+	leaf := func() *logical.Expr {
+		return &logical.Expr{Op: logical.OpGet, Table: "t", Cols: []scalar.ColumnID{1, 2}}
 	}
 	for i := 0; i < 50; i++ {
 		filter := g.scalarExpr(2)
-		tree := &Expr{Op: OpSelect, Filter: filter, Children: []*Expr{
-			{Op: OpJoin, On: g.scalarExpr(1), Children: []*Expr{leaf(), leaf()}},
+		tree := &logical.Expr{Op: logical.OpSelect, Filter: filter, Children: []*logical.Expr{
+			{Op: logical.OpJoin, On: g.scalarExpr(1), Children: []*logical.Expr{leaf(), leaf()}},
 		}}
 		c := tree.Clone()
-		var walk func(a, b *Expr)
-		walk = func(a, b *Expr) {
+		var walk func(a, b *logical.Expr)
+		walk = func(a, b *logical.Expr) {
 			if fingerprintOf(a) != fingerprintOf(b) || !a.PayloadEqual(b) {
 				t.Fatalf("iteration %d: subtree payloads diverge:\n%s\nvs\n%s", i, a, b)
 			}

@@ -6,7 +6,7 @@ package logical
 
 import (
 	"fmt"
-	"strconv"
+	"slices"
 	"strings"
 
 	"qtrtest/internal/fnv64"
@@ -197,76 +197,8 @@ func (e *Expr) Clone() *Expr {
 	return &out
 }
 
-// PayloadHash fingerprints the operator's own arguments (not its children);
-// the memo combines it with child group ids to deduplicate expressions.
-func (e *Expr) PayloadHash() string {
-	var sb strings.Builder
-	e.PayloadHashInto(&sb)
-	return sb.String()
-}
-
-func writeInt(sb *strings.Builder, v int64) {
-	var buf [20]byte
-	sb.Write(strconv.AppendInt(buf[:0], v, 10))
-}
-
-func writeCols(sb *strings.Builder, cols []scalar.ColumnID) {
-	for _, c := range cols {
-		writeInt(sb, int64(c))
-		sb.WriteByte(',')
-	}
-}
-
-// PayloadHashInto appends the payload fingerprint to sb, avoiding
-// allocations on the memo's interning hot path.
-func (e *Expr) PayloadHashInto(sb *strings.Builder) {
-	writeInt(sb, int64(e.Op))
-	sb.WriteByte('|')
-	switch e.Op {
-	case OpGet:
-		sb.WriteString(e.Table)
-		writeCols(sb, e.Cols)
-	case OpSelect:
-		scalar.HashInto(e.Filter, sb)
-	case OpJoin, OpLeftJoin, OpSemiJoin, OpAntiJoin:
-		scalar.HashInto(e.On, sb)
-	case OpProject:
-		for _, p := range e.Projs {
-			writeInt(sb, int64(p.Out))
-			sb.WriteByte('=')
-			scalar.HashInto(p.E, sb)
-			sb.WriteByte(';')
-		}
-	case OpGroupBy:
-		writeCols(sb, e.GroupCols)
-		sb.WriteByte('|')
-		for _, a := range e.Aggs {
-			sb.WriteString(a.Hash())
-			sb.WriteByte(';')
-		}
-	case OpUnionAll:
-		writeCols(sb, e.OutCols)
-		sb.WriteByte('|')
-		for _, in := range e.InputCols {
-			writeCols(sb, in)
-			sb.WriteByte('/')
-		}
-	case OpLimit:
-		writeInt(sb, e.N)
-	case OpSort:
-		for _, k := range e.Keys {
-			writeInt(sb, int64(k.Col))
-			if k.Desc {
-				sb.WriteByte('-')
-			}
-			sb.WriteByte(',')
-		}
-	}
-}
-
 // PayloadFingerprint mixes the operator's own arguments (not its children)
-// into h: the numeric analogue of PayloadHashInto, used by the memo's
-// fingerprint interning table. PayloadEqual(a, b) implies identical
+// into h, the memo's interning key. PayloadEqual(a, b) implies identical
 // fingerprints; the converse can fail on hash collisions, which the memo
 // resolves with a PayloadEqual check per bucket entry.
 func (e *Expr) PayloadFingerprint(h *fnv64.Hash) {
@@ -324,65 +256,23 @@ func (e *Expr) PayloadEqual(o *Expr) bool {
 	}
 	switch e.Op {
 	case OpGet:
-		return e.Table == o.Table && colsEqual(e.Cols, o.Cols)
+		return e.Table == o.Table && slices.Equal(e.Cols, o.Cols)
 	case OpSelect:
 		return scalar.Equal(e.Filter, o.Filter)
 	case OpJoin, OpLeftJoin, OpSemiJoin, OpAntiJoin:
 		return scalar.Equal(e.On, o.On)
 	case OpProject:
-		if len(e.Projs) != len(o.Projs) {
-			return false
-		}
-		for i, p := range e.Projs {
-			if p.Out != o.Projs[i].Out || !scalar.Equal(p.E, o.Projs[i].E) {
-				return false
-			}
-		}
-		return true
+		return slices.EqualFunc(e.Projs, o.Projs, func(p, q ProjItem) bool {
+			return p.Out == q.Out && scalar.Equal(p.E, q.E)
+		})
 	case OpGroupBy:
-		if !colsEqual(e.GroupCols, o.GroupCols) || len(e.Aggs) != len(o.Aggs) {
-			return false
-		}
-		for i, a := range e.Aggs {
-			if !a.Equal(o.Aggs[i]) {
-				return false
-			}
-		}
-		return true
+		return slices.Equal(e.GroupCols, o.GroupCols) && slices.EqualFunc(e.Aggs, o.Aggs, scalar.Agg.Equal)
 	case OpUnionAll:
-		if !colsEqual(e.OutCols, o.OutCols) || len(e.InputCols) != len(o.InputCols) {
-			return false
-		}
-		for i, in := range e.InputCols {
-			if !colsEqual(in, o.InputCols[i]) {
-				return false
-			}
-		}
-		return true
+		return slices.Equal(e.OutCols, o.OutCols) && slices.EqualFunc(e.InputCols, o.InputCols, slices.Equal[[]scalar.ColumnID])
 	case OpLimit:
 		return e.N == o.N
 	case OpSort:
-		if len(e.Keys) != len(o.Keys) {
-			return false
-		}
-		for i, k := range e.Keys {
-			if k != o.Keys[i] {
-				return false
-			}
-		}
-		return true
-	}
-	return true
-}
-
-func colsEqual(a, b []scalar.ColumnID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
+		return slices.Equal(e.Keys, o.Keys)
 	}
 	return true
 }
@@ -398,9 +288,13 @@ func (e *Expr) String() string {
 		case OpGet:
 			fmt.Fprintf(&sb, "(%s)", x.Table)
 		case OpSelect:
-			fmt.Fprintf(&sb, "[%s]", x.Filter.Hash())
+			sb.WriteByte('[')
+			scalar.HashInto(x.Filter, &sb)
+			sb.WriteByte(']')
 		case OpJoin, OpLeftJoin, OpSemiJoin, OpAntiJoin:
-			fmt.Fprintf(&sb, "[%s]", x.On.Hash())
+			sb.WriteByte('[')
+			scalar.HashInto(x.On, &sb)
+			sb.WriteByte(']')
 		case OpGroupBy:
 			fmt.Fprintf(&sb, "[by %v]", x.GroupCols)
 		case OpLimit:

@@ -323,23 +323,11 @@ func (m *Memo) fingerprint(node *logical.Expr, kids []GroupID) uint64 {
 // or nil. fp must be m.fingerprint(node, kids).
 func (m *Memo) lookup(fp uint64, node *logical.Expr, kids []GroupID) *MExpr {
 	for e := m.intern[fp]; e != nil; e = e.internNext {
-		if kidsEqual(e.Kids, kids) && e.Node.PayloadEqual(node) {
+		if slices.Equal(e.Kids, kids) && e.Node.PayloadEqual(node) {
 			return e
 		}
 	}
 	return nil
-}
-
-func kidsEqual(a, b []GroupID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // payloadOnly strips children from a logical node, keeping arguments. The

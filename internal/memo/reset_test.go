@@ -1,6 +1,7 @@
 package memo
 
 import (
+	"slices"
 	"testing"
 
 	"qtrtest/internal/datum"
@@ -86,7 +87,7 @@ func TestInternedAwaySubstituteFreesItsNodeOnce(t *testing.T) {
 		if fresh.Node != node {
 			t.Error("the freed node was not reused")
 		}
-		if fresh.Node.Op != logical.OpSelect || fresh.Node.Filter.Hash() != gt(n.Cols[0], 2).Hash() {
+		if fresh.Node.Op != logical.OpSelect || !scalar.Equal(fresh.Node.Filter, gt(n.Cols[0], 2)) {
 			t.Errorf("reused node carries its previous payload: %+v", fresh.Node)
 		}
 		if !m.InsertSubstituteFrom(fresh, root, 0) {
@@ -245,7 +246,7 @@ func TestResetLeavesNoTrace(t *testing.T) {
 				}
 				e, fe := g.Exprs[0], f.Exprs[0]
 				if e.applied != 0 || e.appliedBig != nil || e.Queued != 0 || e.CreatedBy != 0 || e.Ord != 0 ||
-					e.Group != g.ID || e.Node != fe.Node || !kidsEqual(e.Kids, fe.Kids) {
+					e.Group != g.ID || e.Node != fe.Node || !slices.Equal(e.Kids, fe.Kids) {
 					t.Errorf("poison=%v: G%d's expression carries state of the memo's previous life: %+v", poison, g.ID, *e)
 				}
 				if !m.collideAll && e.internNext != nil {

@@ -3,6 +3,7 @@ package memo
 import (
 	"testing"
 
+	"qtrtest/internal/exec"
 	"qtrtest/internal/logical"
 	"qtrtest/internal/scalar"
 )
@@ -23,13 +24,16 @@ func scratchSubstitute(m *Memo, get GroupID, c0, c1 scalar.ColumnID, v int64) *B
 	return m.BoundNew(logical.Expr{Op: logical.OpGroupBy, GroupCols: cols}, proj)
 }
 
+// payloadText renders a payload as the text of the plan it lowers to.
+func payloadText(p *logical.Expr) string { return exec.Lower(p).Hash() }
+
 // payloads renders the payload of every node of a bound substitute.
 func payloads(m *Memo, b *BoundExpr) []string {
 	if b.IsLeaf() {
 		return nil
 	}
 	p := m.Payload(b)
-	out := []string{p.PayloadHash()}
+	out := []string{payloadText(&p)}
 	for _, k := range b.Kids {
 		out = append(out, payloads(m, k)...)
 	}
@@ -52,7 +56,7 @@ func TestAdoptedPayloadLeavesScratch(t *testing.T) {
 	var adopted []string
 	for id := g; ; {
 		e := m.Group(id).Exprs[0]
-		adopted = append(adopted, e.Node.PayloadHash())
+		adopted = append(adopted, payloadText(e.Node))
 		if e.Node.Op == logical.OpSelect {
 			break
 		}
@@ -71,12 +75,12 @@ func TestAdoptedPayloadLeavesScratch(t *testing.T) {
 	scratchSubstitute(m, get, c0, c1, 3)
 
 	for i, id := 0, g; i < len(adopted); i, id = i+1, m.Group(id).Exprs[0].Kids[0] {
-		if got := m.Group(id).Exprs[0].Node.PayloadHash(); got != adopted[i] {
+		if got := payloadText(m.Group(id).Exprs[0].Node); got != adopted[i] {
 			t.Errorf("G%d: adopted payload reads %q after the scratch was recycled, want %q", id, got, adopted[i])
 		}
 	}
 	for i := range held {
-		if got := held[i].PayloadHash(); got != want[i] {
+		if got := payloadText(&held[i]); got != want[i] {
 			t.Errorf("payload %d of a substitute kept uninterned reads %q after the scratch was recycled, want %q", i, got, want[i])
 		}
 	}

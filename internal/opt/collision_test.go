@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"qtrtest/internal/catalog"
+	"qtrtest/internal/exec"
 	"qtrtest/internal/fnv64"
 	"qtrtest/internal/logical"
 	"qtrtest/internal/memo"
@@ -50,7 +51,7 @@ func TestFingerprintCollisions(t *testing.T) {
 						payloads[h.Sum()] = e.Node
 					} else if !p.PayloadEqual(e.Node) {
 						collisions++
-						t.Errorf("%s: payloads %s and %s share fingerprint %#x", d.db, p.PayloadHash(), e.Node.PayloadHash(), h.Sum())
+						t.Errorf("%s: payloads %s and %s share fingerprint %#x", d.db, exec.Lower(p).Hash(), exec.Lower(e.Node).Hash(), h.Sum())
 					}
 					for _, k := range e.Kids {
 						h.Int(int64(k))
@@ -59,7 +60,7 @@ func TestFingerprintCollisions(t *testing.T) {
 						interned[h.Sum()] = e
 					} else if !prev.Node.PayloadEqual(e.Node) || !slices.Equal(prev.Kids, e.Kids) {
 						collisions++
-						t.Errorf("%s: %s%v and %s%v share fingerprint %#x", d.db, prev.Node.PayloadHash(), prev.Kids, e.Node.PayloadHash(), e.Kids, h.Sum())
+						t.Errorf("%s: %s%v and %s%v share fingerprint %#x", d.db, exec.Lower(prev.Node).Hash(), prev.Kids, exec.Lower(e.Node).Hash(), e.Kids, h.Sum())
 					}
 				}
 			}

@@ -10,6 +10,7 @@ import (
 	"qtrtest/internal/bind"
 	"qtrtest/internal/catalog"
 	"qtrtest/internal/datum"
+	"qtrtest/internal/exec"
 	"qtrtest/internal/logical"
 	"qtrtest/internal/memo"
 	"qtrtest/internal/physical"
@@ -75,17 +76,21 @@ func dumpPlan(e *physical.Expr) string {
 	walk = func(x *physical.Expr, depth int) {
 		fmt.Fprintf(&sb, "%*s%d/%d table=%q cols=%v", 2*depth, "", x.Op, x.JoinType, x.Table, x.Cols)
 		if x.Filter != nil {
-			fmt.Fprintf(&sb, " filter=%s", x.Filter.Hash())
+			sb.WriteString(" filter=")
+			scalar.HashInto(x.Filter, &sb)
 		}
 		if x.On != nil {
-			fmt.Fprintf(&sb, " on=%s", x.On.Hash())
+			sb.WriteString(" on=")
+			scalar.HashInto(x.On, &sb)
 		}
 		fmt.Fprintf(&sb, " equi=%v/%v group=%v out=%v in=%v n=%d keys=%v", x.EquiLeft, x.EquiRight, x.GroupCols, x.OutCols, x.InputCols, x.N, x.Keys)
 		for _, p := range x.Projs {
-			fmt.Fprintf(&sb, " %d=%s", p.Out, p.E.Hash())
+			fmt.Fprintf(&sb, " %d=", p.Out)
+			scalar.HashInto(p.E, &sb)
 		}
 		for _, a := range x.Aggs {
-			fmt.Fprintf(&sb, " %s", a.Hash())
+			sb.WriteByte(' ')
+			a.HashInto(&sb)
 		}
 		fmt.Fprintf(&sb, " rows=%v cost=%v\n", x.Rows, x.Cost)
 		for _, c := range x.Children {
@@ -271,14 +276,15 @@ func TestRecycledCandidatesAreInvisible(t *testing.T) {
 }
 
 // memoSnapshot renders what a caller can read from a finished memo: groups,
-// expressions, kids, payload fingerprints, provenance and column sets.
+// expressions, kids, payloads (as the texts of the plans they lower to),
+// provenance and column sets.
 func memoSnapshot(m *memo.Memo) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "root=%d groups=%d exprs=%d\n", m.Root, m.NumGroups(), m.NumExprs())
 	for _, g := range m.Groups() {
 		fmt.Fprintf(&sb, "G%d cols=%v\n", g.ID, g.Cols.Sorted())
 		for i, e := range g.Exprs {
-			fmt.Fprintf(&sb, "  %d/%d %s kids=%v by=%d group=%d %s\n", i, e.Ord, e.Op(), e.Kids, e.CreatedBy, e.Group, e.Node.PayloadHash())
+			fmt.Fprintf(&sb, "  %d/%d %s kids=%v by=%d group=%d %s\n", i, e.Ord, e.Op(), e.Kids, e.CreatedBy, e.Group, exec.Lower(e.Node).Hash())
 		}
 	}
 	return sb.String()

@@ -167,21 +167,23 @@ func (e *Expr) OutputCols() []scalar.ColumnID {
 	return nil
 }
 
-// Hash fingerprints the plan's structure and arguments (not its cost
-// annotations). Identical plans produce identical hashes; the correctness
-// runner uses this to skip executing Plan(q,¬R) when it equals Plan(q)
-// (paper footnote 1).
+// Hash returns the plan's text, its one identity: two plans have the same
+// text if and only if they are equal in structure and arguments (constant
+// kinds included), cost annotations aside. The correctness runner skips
+// executing Plan(q,¬R) when its text is Plan(q)'s (paper footnote 1) and the
+// result cache keys executions by it, so a text two different plans shared
+// would silence a check. No report prints it.
 //
-// Hash is memoized per node: campaigns fingerprint the same plan at every
-// comparison site (skip checks, result-cache keys, report dedup), and since
-// subtrees memoize too, plans that share subplans share the work.
+// Hash is memoized per node: campaigns read the same plan's text at every
+// site that keys on it (skip checks, result-cache keys, the shrinker's
+// budget), and since subtrees memoize too, plans that share subplans share
+// the work.
 func (e *Expr) Hash() string {
 	if h := e.cachedHash(); h != "" {
 		return h
 	}
-	// The text is fmt's: %d for the operator and join type, %v for column and
-	// sort-key lists ("[1 2]", "[[1 2] [3]]", "[{3 false}]"). Skips, cache
-	// entries and reports are keyed by it, so no byte of it may move.
+	// Column and sort-key lists are written as fmt's %v would write them
+	// ("[1 2]", "[[1 2] [3]]", "[{3 false}]").
 	size := 64
 	for _, c := range e.Children {
 		size += len(c.Hash())
@@ -215,7 +217,7 @@ func (e *Expr) Hash() string {
 		writeCols(&sb, e.GroupCols)
 		sb.WriteByte('|')
 		for _, a := range e.Aggs {
-			sb.WriteString(a.Hash())
+			a.HashInto(&sb)
 		}
 	case OpConcat:
 		writeCols(&sb, e.OutCols)

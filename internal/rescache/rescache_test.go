@@ -371,6 +371,32 @@ func TestEqualPlansShareRuns(t *testing.T) {
 	}
 }
 
+// TestConstantKindsKeySeparateEntries: plans that differ in a constant's
+// kind alone (val < 3 with 3 an INT, a FLOAT or a DATE) are different plans,
+// so each is a plan id and an entry of its own.
+func TestConstantKindsKeySeparateEntries(t *testing.T) {
+	cat := testCatalog(30)
+	c := New(0)
+	for i, d := range []datum.Datum{datum.NewInt(3), datum.NewFloat(3), datum.NewDate(3)} {
+		p := &physical.Expr{
+			Op: physical.OpFilter, Children: []*physical.Expr{scanPlan()},
+			Filter: &scalar.Cmp{Op: scalar.CmpLT, L: &scalar.ColRef{ID: 2}, R: &scalar.Const{D: d}},
+		}
+		want, werr := exec.RunEngine(exec.EngineBatch, p, cat, 0, 0)
+		got, gerr := c.Run(exec.EngineBatch, p, cat, 0, 0)
+		if werr != nil || gerr != nil {
+			t.Fatalf("%s: unexpected errors: %v / %v", p.Hash(), werr, gerr)
+		}
+		requireEqualRows(t, want, got)
+		if st := c.Stats(); st.Misses != int64(i+1) || st.Hits != 0 {
+			t.Fatalf("%s: stats = %+v, want %d misses and no hit", p.Hash(), st, i+1)
+		}
+	}
+	if len(c.plans.of) != 3 {
+		t.Fatalf("%d plan ids, want 3", len(c.plans.of))
+	}
+}
+
 // TestRunlessPlanLeavesTable: evicting the last entry of a plan, or of a run
 // context, frees that id — its key leaves the id map, and the next new plan
 // or context is given the id — so the id maps hold only keys with results

@@ -116,9 +116,14 @@ func ParseExportXML(data []byte) ([]ExportedRule, error) {
 		if err != nil {
 			return nil, err
 		}
-		kind := KindExploration
-		if xr.Kind == "implementation" {
+		var kind Kind
+		switch xr.Kind {
+		case KindExploration.String():
+			kind = KindExploration
+		case KindImplementation.String():
 			kind = KindImplementation
+		default:
+			return nil, fmt.Errorf("rules: rule %d has kind %q, want %q or %q", xr.ID, xr.Kind, KindExploration, KindImplementation)
 		}
 		out = append(out, ExportedRule{ID: ID(xr.ID), Name: xr.Name, Kind: kind, Pattern: p})
 	}

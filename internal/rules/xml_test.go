@@ -2,7 +2,9 @@ package rules
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"qtrtest/internal/logical"
@@ -110,6 +112,31 @@ func TestPatternXMLRoundTripRandom(t *testing.T) {
 		}
 		if !patternEqual(p, back) {
 			t.Fatalf("round trip changed %s into %s", p, back)
+		}
+	}
+}
+
+// TestParseExportXMLRejectsUnknownKind: a kind other than exploration or
+// implementation — misspelled, or missing — fails the parse with an error
+// naming the rule, rather than reading as an exploration rule.
+func TestParseExportXMLRejectsUnknownKind(t *testing.T) {
+	reg := DefaultRegistry()
+	data, err := reg.ExportXML()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first Rule
+	for _, r := range reg.All() {
+		if r.Kind() == KindImplementation {
+			first = r
+			break
+		}
+	}
+	for _, kind := range []string{`kind="implmentation"`, `kind=""`} {
+		bad := bytes.Replace(data, []byte(`kind="implementation"`), []byte(kind), 1)
+		_, err := ParseExportXML(bad)
+		if want := fmt.Sprintf("rule %d has kind", first.ID()); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s on rule %d: err = %v, want one containing %q", kind, first.ID(), err, want)
 		}
 	}
 }

@@ -7,6 +7,7 @@ package scalar
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -72,9 +73,6 @@ type Expr interface {
 	// SQL renders the expression, mapping ColumnIDs to SQL column names
 	// through the supplied function.
 	SQL(name func(ColumnID) string) string
-	// Hash returns a structural fingerprint used to deduplicate memo
-	// expressions.
-	Hash() string
 }
 
 // ColRef references a column by id.
@@ -204,9 +202,10 @@ func (e *IsNull) SQL(name func(ColumnID) string) string {
 	return "(" + e.Kid.SQL(name) + " IS NULL)"
 }
 
-// HashInto appends a structural fingerprint of e to sb; Hash on any Expr is
-// equivalent to HashInto into a fresh builder. The single-builder form keeps
-// the optimizer's interning hot path allocation-free.
+// HashInto appends the text of e to sb, the scalar part of a plan's text
+// (physical.Expr.Hash): two expressions write the same text if and only if
+// they are Equal. A constant is written with its kind where the value alone
+// would not tell it: FLOAT 5 is kf5 and DATE 5 kd5, beside INT 5's k5.
 func HashInto(e Expr, sb *strings.Builder) {
 	switch t := e.(type) {
 	case *ColRef:
@@ -214,6 +213,12 @@ func HashInto(e Expr, sb *strings.Builder) {
 		writeInt(sb, int64(t.ID))
 	case *Const:
 		sb.WriteByte('k')
+		switch t.D.K {
+		case datum.KindFloat:
+			sb.WriteByte('f')
+		case datum.KindDate:
+			sb.WriteByte('d')
+		}
 		sb.WriteString(t.D.String())
 	case *Cmp:
 		sb.WriteByte('(')
@@ -263,11 +268,11 @@ func writeInt(sb *strings.Builder, v int64) {
 	sb.Write(strconv.AppendInt(buf[:0], v, 10))
 }
 
-// FingerprintInto mixes a structural fingerprint of e into h: the numeric
-// analogue of HashInto, used by the memo's interning table. Two expressions
-// with Equal(a, b) always produce identical fingerprints; the converse is
-// not guaranteed (hash collisions), which is why the memo backs every
-// fingerprint with an Equal check.
+// FingerprintInto mixes a structural fingerprint of e into h, the scalar
+// part of the memo's interning key. Two expressions with Equal(a, b) always
+// produce identical fingerprints; the converse is not guaranteed (hash
+// collisions), which is why the memo backs every fingerprint with an Equal
+// check.
 func FingerprintInto(e Expr, h *fnv64.Hash) {
 	switch t := e.(type) {
 	case *ColRef:
@@ -321,8 +326,9 @@ func fingerprintDatum(d datum.Datum, h *fnv64.Hash) {
 	}
 }
 
-// Equal reports full structural equality of two scalar expressions — the
-// collision-proof ground truth behind FingerprintInto.
+// Equal reports full structural equality of two scalar expressions: the
+// identity of a scalar, and the collision-proof ground truth behind
+// FingerprintInto.
 func Equal(a, b Expr) bool {
 	switch x := a.(type) {
 	case *ColRef:
@@ -339,10 +345,10 @@ func Equal(a, b Expr) bool {
 		return ok && x.Op == y.Op && Equal(x.L, y.L) && Equal(x.R, y.R)
 	case *And:
 		y, ok := b.(*And)
-		return ok && exprsEqual(x.Kids, y.Kids)
+		return ok && slices.EqualFunc(x.Kids, y.Kids, Equal)
 	case *Or:
 		y, ok := b.(*Or)
-		return ok && exprsEqual(x.Kids, y.Kids)
+		return ok && slices.EqualFunc(x.Kids, y.Kids, Equal)
 	case *Not:
 		y, ok := b.(*Not)
 		return ok && Equal(x.Kid, y.Kid)
@@ -352,48 +358,6 @@ func Equal(a, b Expr) bool {
 	}
 	return false
 }
-
-func exprsEqual(a, b []Expr) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !Equal(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-func hashOne(e Expr) string {
-	var sb strings.Builder
-	HashInto(e, &sb)
-	return sb.String()
-}
-
-// Hash implements Expr.
-func (e *ColRef) Hash() string { return hashOne(e) }
-
-// Hash implements Expr.
-func (e *Const) Hash() string { return hashOne(e) }
-
-// Hash implements Expr.
-func (e *Cmp) Hash() string { return hashOne(e) }
-
-// Hash implements Expr.
-func (e *Arith) Hash() string { return hashOne(e) }
-
-// Hash implements Expr.
-func (e *And) Hash() string { return hashOne(e) }
-
-// Hash implements Expr.
-func (e *Or) Hash() string { return hashOne(e) }
-
-// Hash implements Expr.
-func (e *Not) Hash() string { return hashOne(e) }
-
-// Hash implements Expr.
-func (e *IsNull) Hash() string { return hashOne(e) }
 
 // TrueExpr returns an always-true predicate.
 func TrueExpr() Expr { return &And{} }
@@ -514,21 +478,20 @@ func (a Agg) SQL(name func(ColumnID) string) string {
 	return fmt.Sprintf("%s(%s)", a.Op, a.Arg.SQL(name))
 }
 
-// Hash returns a structural fingerprint of the aggregate: "cnt*->out", or
-// "op(arg)->out" with op's number.
-func (a Agg) Hash() string {
-	var sb strings.Builder
+// HashInto appends the text of the aggregate to sb, the aggregate part of a
+// plan's text: "cnt*->out", or "op(arg)->out" with op's number and arg
+// written by HashInto.
+func (a Agg) HashInto(sb *strings.Builder) {
 	if a.Op == AggCountStar {
 		sb.WriteString("cnt*")
 	} else {
-		writeInt(&sb, int64(a.Op))
+		writeInt(sb, int64(a.Op))
 		sb.WriteByte('(')
-		HashInto(a.Arg, &sb)
+		HashInto(a.Arg, sb)
 		sb.WriteByte(')')
 	}
 	sb.WriteString("->")
-	writeInt(&sb, int64(a.Out))
-	return sb.String()
+	writeInt(sb, int64(a.Out))
 }
 
 // FingerprintInto mixes the aggregate's structural fingerprint into h.

@@ -2,6 +2,7 @@ package scalar
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -108,10 +109,10 @@ func TestConjunctsAndMakeAnd(t *testing.T) {
 		t.Fatalf("Conjuncts: got %d, want 3", len(cs))
 	}
 	rebuilt := MakeAnd(cs)
-	if rebuilt.Hash() != and(cs[0], cs[1], cs[2]).Hash() {
+	if !Equal(rebuilt, and(cs[0], cs[1], cs[2])) {
 		t.Error("MakeAnd should rebuild an AND of all conjuncts")
 	}
-	if MakeAnd(nil).Hash() != TrueExpr().Hash() {
+	if !Equal(MakeAnd(nil), TrueExpr()) {
 		t.Error("MakeAnd(nil) should be TRUE")
 	}
 	if MakeAnd(cs[:1]) != cs[0] {
@@ -191,19 +192,45 @@ func TestSQLRendering(t *testing.T) {
 	}
 }
 
-// Property: Hash is structural — structurally equal expressions hash equal,
-// and a changed literal changes the hash.
+// text is the HashInto text of e.
+func text(e Expr) string {
+	var sb strings.Builder
+	HashInto(e, &sb)
+	return sb.String()
+}
+
+// Property: the HashInto text is structural — structurally equal expressions
+// write equal texts, and a changed literal changes the text.
 func TestHashStructural(t *testing.T) {
 	f := func(a, b int64) bool {
 		ea := eq(col(1), lit(a))
 		eb := eq(col(1), lit(b))
-		if a == b {
-			return ea.Hash() == eb.Hash()
-		}
-		return ea.Hash() != eb.Hash()
+		return (text(ea) == text(eb)) == (a == b) && Equal(ea, eb) == (a == b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestHashTellsConstantKindsApart: constants of equal digits but different
+// kinds are not Equal and must not share a text; INT, STRING, BOOL and NULL
+// keep the spelling the text always gave them.
+func TestHashTellsConstantKindsApart(t *testing.T) {
+	for _, c := range []struct {
+		d    datum.Datum
+		want string
+	}{
+		{datum.NewInt(5), "(c1=k5)"},
+		{datum.NewFloat(5), "(c1=kf5)"},
+		{datum.NewDate(5), "(c1=kd5)"},
+		{datum.NewFloat(-0.5), "(c1=kf-0.5)"},
+		{datum.NewString("5"), "(c1=k'5')"},
+		{datum.NewBool(true), "(c1=kTRUE)"},
+		{datum.Null, "(c1=kNULL)"},
+	} {
+		if got := text(eq(col(1), &Const{D: c.d})); got != c.want {
+			t.Errorf("%v of kind %d: text %q, want %q", c.d, c.d.K, got, c.want)
+		}
 	}
 }
 
@@ -230,8 +257,11 @@ func TestAggSQLAndHash(t *testing.T) {
 	if got := s.SQL(func(id ColumnID) string { return "c" }); got != "SUM(c)" {
 		t.Errorf("SUM rendering: %s", got)
 	}
-	if a.Hash() == s.Hash() {
-		t.Error("distinct aggs must hash differently")
+	var as, ss strings.Builder
+	a.HashInto(&as)
+	s.HashInto(&ss)
+	if as.String() != "cnt*->5" || ss.String() != "2(c3)->6" {
+		t.Errorf("aggregate texts %q and %q, want cnt*->5 and 2(c3)->6", as.String(), ss.String())
 	}
 }
 

@@ -20,9 +20,10 @@ import (
 	"qtrtest/internal/sqlgen"
 )
 
-// fmtHash is physical.Expr.Hash as it was written with fmt, aggregates
-// included: the reference its bytes must match. Plan hashes key skipped
-// comparisons, cache entries and reports, so not one byte may move.
+// fmtHash is physical.Expr.Hash written with fmt, aggregates included, its
+// scalars by scalar.HashInto: the reference its bytes must match. The plan
+// text is a plan's identity (equal text if and only if equal plan) and no
+// report prints it.
 func fmtHash(e *physical.Expr) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%d/%d|", e.Op, e.JoinType)
@@ -30,15 +31,17 @@ func fmtHash(e *physical.Expr) string {
 	case physical.OpScan:
 		fmt.Fprintf(&sb, "%s%v", e.Table, e.Cols)
 	case physical.OpFilter:
-		sb.WriteString(e.Filter.Hash())
+		scalar.HashInto(e.Filter, &sb)
 	case physical.OpHashJoin, physical.OpNLJoin, physical.OpMergeJoin:
 		if e.On != nil {
-			sb.WriteString(e.On.Hash())
+			scalar.HashInto(e.On, &sb)
 		}
 		fmt.Fprintf(&sb, "%v%v", e.EquiLeft, e.EquiRight)
 	case physical.OpProject:
 		for _, p := range e.Projs {
-			fmt.Fprintf(&sb, "%d=%s;", p.Out, p.E.Hash())
+			fmt.Fprintf(&sb, "%d=", p.Out)
+			scalar.HashInto(p.E, &sb)
+			sb.WriteString(";")
 		}
 	case physical.OpHashAgg, physical.OpSortAgg:
 		fmt.Fprintf(&sb, "%v|", e.GroupCols)
@@ -46,7 +49,9 @@ func fmtHash(e *physical.Expr) string {
 			if a.Op == scalar.AggCountStar {
 				fmt.Fprintf(&sb, "cnt*->%d", a.Out)
 			} else {
-				fmt.Fprintf(&sb, "%d(%s)->%d", a.Op, a.Arg.Hash(), a.Out)
+				fmt.Fprintf(&sb, "%d(", a.Op)
+				scalar.HashInto(a.Arg, &sb)
+				fmt.Fprintf(&sb, ")->%d", a.Out)
 			}
 		}
 	case physical.OpConcat:
