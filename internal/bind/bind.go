@@ -7,10 +7,13 @@ package bind
 import (
 	"fmt"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"qtrtest/internal/catalog"
 	"qtrtest/internal/datum"
 	"qtrtest/internal/logical"
+	"qtrtest/internal/memo"
 	"qtrtest/internal/scalar"
 	"qtrtest/internal/sql"
 )
@@ -23,18 +26,56 @@ type Bound struct {
 	OutNames []string
 }
 
+// scratch is what binding needs only while it runs: the parse's tokens and
+// lists, and the binder's scopes, its FROM aliases and the output lists it
+// builds per SELECT. A call takes one from scratchPool and puts it back when
+// it returns, so nothing a Bound holds may point into it: a kept Project
+// copies its items out.
+type scratch struct {
+	parse   sql.Scratch
+	scopes  memo.Arena[scope]
+	cols    memo.Arena[scopeCol]
+	projs   memo.Arena[logical.ProjItem]
+	aliases []string
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// PoisonReleased makes every binding overwrite the project items of the
+// scratch it puts back, the only scratch a bound tree could point into, with
+// garbage: tests set it, so that a tree still pointing there reads poison.
+var PoisonReleased atomic.Bool
+
 // BindSQL parses and binds a SQL query.
 func BindSQL(query string, cat *catalog.Catalog) (*Bound, error) {
-	stmt, err := sql.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	return Bind(stmt, cat)
+	return bind(nil, query, cat)
 }
 
 // Bind binds a parsed statement.
 func Bind(stmt sql.Stmt, cat *catalog.Catalog) (*Bound, error) {
-	b := &binder{md: logical.NewMetadata(cat)}
+	return bind(stmt, "", cat)
+}
+
+// bind binds stmt, or parses query first when stmt is nil.
+func bind(stmt sql.Stmt, query string, cat *catalog.Catalog) (*Bound, error) {
+	sc := scratchPool.Get().(*scratch)
+	defer func() {
+		if PoisonReleased.Load() {
+			sc.projs.Fill(logical.ProjItem{Out: -7, E: &scalar.ColRef{ID: -7}})
+		}
+		sc.scopes.Rewind(false)
+		sc.cols.Rewind(false)
+		sc.projs.Rewind(false)
+		sc.aliases = sc.aliases[:0]
+		scratchPool.Put(sc)
+	}()
+	if stmt == nil {
+		var err error
+		if stmt, err = sc.parse.Parse(query); err != nil {
+			return nil, err
+		}
+	}
+	b := &binder{md: logical.NewMetadata(cat), scratch: sc}
 	tree, outs, err := b.bindStmt(stmt, nil)
 	if err != nil {
 		return nil, err
@@ -123,11 +164,18 @@ func (s *scope) resolve(qual, name string) (scalar.ColumnID, error) {
 	}
 }
 
+// binder binds one statement. Its scratch's aliases stack the table aliases
+// of the FROM clauses being bound, the innermost clause's last.
 type binder struct {
 	md *logical.Metadata
-	// aliases stacks the table aliases of the FROM clauses being bound, the
-	// innermost clause's last.
-	aliases []string
+	*scratch
+}
+
+// newScope carves a scope of n columns from the scratch.
+func (b *binder) newScope(n int) *scope {
+	s := &b.scopes.Take(1, 8)[0]
+	*s = scope{cols: b.cols.Take(n, 64)}
+	return s
 }
 
 // bindStmt binds a statement, returning the tree and its ordered output
@@ -158,7 +206,7 @@ func (b *binder) bindSetOp(s *sql.SetOp, outer *scope) (*logical.Expr, []scopeCo
 	}
 	outCols := make([]scalar.ColumnID, len(lo))
 	inCols := [][]scalar.ColumnID{make([]scalar.ColumnID, len(lo)), make([]scalar.ColumnID, len(lo))}
-	outs := make([]scopeCol, len(lo))
+	outs := b.cols.Take(len(lo), 64)
 	for i := range lo {
 		id := b.md.AddColumn(logical.ColumnMeta{Name: lo[i].name, Type: b.md.Column(lo[i].id).Type})
 		outCols[i] = id
@@ -259,7 +307,7 @@ func (b *binder) bindSelect(s *sql.Select, outer *scope) (*logical.Expr, []scope
 	if s.Star {
 		n = len(sc.cols)
 	}
-	items, outs := make([]logical.ProjItem, 0, n), make([]scopeCol, 0, n)
+	items, outs := b.projs.Take(n, 64)[:0], b.cols.Take(n, 64)[:0]
 	if s.Star {
 		for _, c := range sc.cols {
 			items = append(items, logical.ProjItem{Out: c.id, E: &scalar.ColRef{ID: c.id}})
@@ -311,7 +359,9 @@ func (b *binder) bindSelect(s *sql.Select, outer *scope) (*logical.Expr, []scope
 	// testing: an interposed no-op Project would hide shapes like
 	// Select(Join) from rule patterns after a SQL round trip.
 	if !isIdentityProjection(items, tree) {
-		tree = &logical.Expr{Op: logical.OpProject, Children: []*logical.Expr{tree}, Projs: items}
+		projs := make([]logical.ProjItem, len(items))
+		copy(projs, items)
+		tree = &logical.Expr{Op: logical.OpProject, Children: []*logical.Expr{tree}, Projs: projs}
 	}
 	// SELECT DISTINCT deduplicates the projected output: a GroupBy over all
 	// output columns with no aggregates.
@@ -330,7 +380,8 @@ func (b *binder) bindSelect(s *sql.Select, outer *scope) (*logical.Expr, []scope
 		tree = pinOrder(tree, outs)
 	}
 	if len(s.OrderBy) > 0 {
-		outScope := &scope{cols: outs}
+		outScope := b.newScope(0)
+		outScope.cols = outs
 		keys := make([]logical.SortKey, 0, len(s.OrderBy))
 		for _, o := range s.OrderBy {
 			id, err := b.bindIdent(o.E, outScope)
@@ -381,7 +432,7 @@ func (b *binder) bindFrom(f sql.FromItem, start int) (*logical.Expr, *scope, err
 			return nil, nil, err
 		}
 		tbl, _ := b.md.Catalog().Table(t.Name)
-		sc := &scope{cols: make([]scopeCol, len(tbl.Columns))}
+		sc := b.newScope(len(tbl.Columns))
 		for i, col := range tbl.Columns {
 			sc.cols[i] = scopeCol{qual: alias, name: col.Name, id: get.Cols[i]}
 		}
@@ -394,7 +445,7 @@ func (b *binder) bindFrom(f sql.FromItem, start int) (*logical.Expr, *scope, err
 		if err := b.alias(t.Alias, start); err != nil {
 			return nil, nil, err
 		}
-		sc := &scope{cols: make([]scopeCol, len(outs))}
+		sc := b.newScope(len(outs))
 		for i, oc := range outs {
 			sc.cols[i] = scopeCol{qual: t.Alias, name: oc.name, id: oc.id}
 		}
@@ -408,7 +459,8 @@ func (b *binder) bindFrom(f sql.FromItem, start int) (*logical.Expr, *scope, err
 		if err != nil {
 			return nil, nil, err
 		}
-		sc := &scope{cols: append(append(make([]scopeCol, 0, len(ls.cols)+len(rs.cols)), ls.cols...), rs.cols...)}
+		sc := b.newScope(len(ls.cols) + len(rs.cols))
+		copy(sc.cols[copy(sc.cols, ls.cols):], rs.cols)
 		on, err := b.bindExpr(t.On, sc)
 		if err != nil {
 			return nil, nil, err
@@ -767,25 +819,16 @@ func (b *binder) combineBin(op string, l, r scalar.Expr) (scalar.Expr, error) {
 		return &scalar.And{Kids: []scalar.Expr{l, r}}, nil
 	case "OR":
 		return &scalar.Or{Kids: []scalar.Expr{l, r}}, nil
-	case "=":
-		return &scalar.Cmp{Op: scalar.CmpEQ, L: l, R: r}, nil
-	case "<>":
-		return &scalar.Cmp{Op: scalar.CmpNE, L: l, R: r}, nil
-	case "<":
-		return &scalar.Cmp{Op: scalar.CmpLT, L: l, R: r}, nil
-	case "<=":
-		return &scalar.Cmp{Op: scalar.CmpLE, L: l, R: r}, nil
-	case ">":
-		return &scalar.Cmp{Op: scalar.CmpGT, L: l, R: r}, nil
-	case ">=":
-		return &scalar.Cmp{Op: scalar.CmpGE, L: l, R: r}, nil
-	case "+":
-		return &scalar.Arith{Op: scalar.ArithAdd, L: l, R: r}, nil
-	case "-":
-		return &scalar.Arith{Op: scalar.ArithSub, L: l, R: r}, nil
-	case "*":
-		return &scalar.Arith{Op: scalar.ArithMul, L: l, R: r}, nil
-	default:
-		return nil, fmt.Errorf("bind: unsupported operator %q", op)
 	}
+	for c := scalar.CmpEQ; c <= scalar.CmpGE; c++ {
+		if c.String() == op {
+			return &scalar.Cmp{Op: c, L: l, R: r}, nil
+		}
+	}
+	for a := scalar.ArithAdd; a <= scalar.ArithMul; a++ {
+		if a.String() == op {
+			return &scalar.Arith{Op: a, L: l, R: r}, nil
+		}
+	}
+	return nil, fmt.Errorf("bind: unsupported operator %q", op)
 }

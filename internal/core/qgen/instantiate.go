@@ -3,6 +3,7 @@ package qgen
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"qtrtest/internal/datum"
 	"qtrtest/internal/logical"
@@ -112,16 +113,21 @@ func (g *Generator) buildOp(op logical.Op, kids []*logical.Expr, md *logical.Met
 	return nil, fmt.Errorf("qgen: cannot instantiate operator %s", op)
 }
 
-// comparableCols returns the child's output columns usable in predicates,
-// i.e. of a concrete comparable type.
-func comparableCols(e *logical.Expr, md *logical.Metadata) []scalar.ColumnID {
-	var out []scalar.ColumnID
-	for _, c := range e.OutputCols() {
-		switch md.Column(c).Type {
-		case datum.TypeInt, datum.TypeFloat, datum.TypeString, datum.TypeDate:
+// predicateTypes are the column types usable in predicates.
+var predicateTypes = []datum.Type{datum.TypeInt, datum.TypeFloat, datum.TypeString, datum.TypeDate}
+
+// ofType returns the members of cols of one of the types, in order. It builds
+// them in *buf, one of the generator's lists, and leaves it there for the
+// next call: the result is valid until then, and nothing built from it may
+// keep it.
+func ofType(buf *[]scalar.ColumnID, cols []scalar.ColumnID, md *logical.Metadata, types ...datum.Type) []scalar.ColumnID {
+	out := (*buf)[:0]
+	for _, c := range cols {
+		if slices.Contains(types, md.Column(c).Type) {
 			out = append(out, c)
 		}
 	}
+	*buf = out
 	return out
 }
 
@@ -156,18 +162,18 @@ var cmpOps = []scalar.CmpOp{scalar.CmpEQ, scalar.CmpLT, scalar.CmpLE, scalar.Cmp
 //   - over a LeftJoin, filter the left side or null-reject the right side
 //     (rules 8 and 9), each half the time.
 func (g *Generator) makeFilter(child *logical.Expr, md *logical.Metadata) (scalar.Expr, error) {
-	pool := comparableCols(child, md)
+	pool := ofType(&g.cols, child.OutputCols(), md, predicateTypes...)
 	switch child.Op {
 	case logical.OpGroupBy:
 		if len(child.GroupCols) > 0 && g.rng.Intn(4) > 0 {
-			pool = filterByType(child.GroupCols, md)
+			pool = ofType(&g.cols, child.GroupCols, md, predicateTypes...)
 		}
 	case logical.OpLeftJoin:
 		side := child.Children[g.rng.Intn(2)]
-		pool = comparableCols(side, md)
+		pool = ofType(&g.cols, side.OutputCols(), md, predicateTypes...)
 	}
 	if len(pool) == 0 {
-		pool = comparableCols(child, md)
+		pool = ofType(&g.cols, child.OutputCols(), md, predicateTypes...)
 	}
 	if len(pool) == 0 {
 		return nil, errCannotInstantiate
@@ -194,17 +200,6 @@ func (g *Generator) makeFilter(child *logical.Expr, md *logical.Metadata) (scala
 	}
 }
 
-func filterByType(cols []scalar.ColumnID, md *logical.Metadata) []scalar.ColumnID {
-	var out []scalar.ColumnID
-	for _, c := range cols {
-		switch md.Column(c).Type {
-		case datum.TypeInt, datum.TypeFloat, datum.TypeString, datum.TypeDate:
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // makeProjection keeps a nonempty random subset of the child's columns,
 // sometimes adding a computed item.
 func (g *Generator) makeProjection(child *logical.Expr, md *logical.Metadata) ([]logical.ProjItem, error) {
@@ -223,7 +218,7 @@ func (g *Generator) makeProjection(child *logical.Expr, md *logical.Metadata) ([
 		items = append(items, logical.ProjItem{Out: c, E: &scalar.ColRef{ID: c}})
 	}
 	// A computed item with ~1/3 probability.
-	if nums := numericCols(cols, md); len(nums) > 0 && g.rng.Intn(3) == 0 {
+	if nums := ofType(&g.cols, cols, md, datum.TypeInt, datum.TypeFloat); len(nums) > 0 && g.rng.Intn(3) == 0 {
 		c := nums[g.rng.Intn(len(nums))]
 		out := md.AddColumn(logical.ColumnMeta{Name: "expr", Type: datum.TypeFloat})
 		items = append(items, logical.ProjItem{
@@ -249,27 +244,6 @@ func excludeCols(cols []scalar.ColumnID, drop scalar.ColSet) []scalar.ColumnID {
 	return out
 }
 
-func numericCols(cols []scalar.ColumnID, md *logical.Metadata) []scalar.ColumnID {
-	var out []scalar.ColumnID
-	for _, c := range cols {
-		switch md.Column(c).Type {
-		case datum.TypeInt, datum.TypeFloat:
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-func intCols(cols []scalar.ColumnID, md *logical.Metadata) []scalar.ColumnID {
-	var out []scalar.ColumnID
-	for _, c := range cols {
-		if md.Column(c).Type == datum.TypeInt {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // keyCols returns the child's columns that belong to the primary key of the
 // base table the child scans, when the child is a Get.
 func keyCols(e *logical.Expr, md *logical.Metadata) []scalar.ColumnID {
@@ -287,35 +261,38 @@ func keyCols(e *logical.Expr, md *logical.Metadata) []scalar.ColumnID {
 	return []scalar.ColumnID{e.Cols[idx]}
 }
 
-// joinPoolCols selects the columns of a join input worth joining on. Over a
-// GroupBy child the grouping columns are used (aggregate outputs in a join
-// predicate block the group-by reordering rules); over a Get the primary key
-// is preferred half the time, which also satisfies the duplicate-free
-// preconditions of rules 14–16.
-func (g *Generator) joinPoolCols(e *logical.Expr, md *logical.Metadata) []scalar.ColumnID {
+// joinPoolCols selects the columns of a join input worth joining on, in
+// *buf as ofType does. Over a GroupBy child the grouping columns are
+// used (aggregate outputs in a join predicate block the group-by reordering
+// rules); over a Get the primary key is preferred half the time, which also
+// satisfies the duplicate-free preconditions of rules 14–16.
+func (g *Generator) joinPoolCols(buf *[]scalar.ColumnID, e *logical.Expr, md *logical.Metadata) []scalar.ColumnID {
 	if e.Op == logical.OpGroupBy && len(e.GroupCols) > 0 {
-		return filterByType(e.GroupCols, md)
+		return ofType(buf, e.GroupCols, md, predicateTypes...)
 	}
 	if pk := keyCols(e, md); pk != nil && g.rng.Intn(2) == 0 {
 		return pk
 	}
-	return comparableCols(e, md)
+	return ofType(buf, e.OutputCols(), md, predicateTypes...)
 }
+
+// colPair is a candidate equi-join column pair.
+type colPair struct{ a, b scalar.ColumnID }
 
 // makeJoinPred builds an equality predicate between type-compatible columns
 // of the two inputs, occasionally adding a non-equi conjunct.
 func (g *Generator) makeJoinPred(l, r *logical.Expr, md *logical.Metadata) (scalar.Expr, error) {
-	lc := g.joinPoolCols(l, md)
-	rc := g.joinPoolCols(r, md)
-	type pair struct{ a, b scalar.ColumnID }
-	var pairs []pair
+	lc := g.joinPoolCols(&g.cols, l, md)
+	rc := g.joinPoolCols(&g.cols2, r, md)
+	pairs := g.pairs[:0]
 	for _, a := range lc {
 		for _, b := range rc {
 			if typeClass(md.Column(a).Type) == typeClass(md.Column(b).Type) {
-				pairs = append(pairs, pair{a, b})
+				pairs = append(pairs, colPair{a, b})
 			}
 		}
 	}
+	g.pairs = pairs
 	if len(pairs) == 0 {
 		return nil, errCannotInstantiate
 	}
@@ -373,7 +350,7 @@ func (g *Generator) makeGrouping(child *logical.Expr, md *logical.Metadata) ([]s
 		}
 		aggPool = child.Children[0].OutputCols()
 	}
-	pool := filterByType(cols, md)
+	pool := ofType(&g.cols, cols, md, predicateTypes...)
 	if len(pool) == 0 {
 		return nil, nil, errCannotInstantiate
 	}
@@ -389,7 +366,7 @@ func (g *Generator) makeGrouping(child *logical.Expr, md *logical.Metadata) ([]s
 	}
 	var aggs []scalar.Agg
 	nAggs := g.rng.Intn(3)
-	nums := numericCols(aggPool, md)
+	nums := ofType(&g.cols, aggPool, md, datum.TypeInt, datum.TypeFloat)
 	// Prefer aggregating columns outside the grouping key: an aggregate over
 	// a grouping column is constant per group, so MIN/MAX/SUM over it cannot
 	// distinguish a correct implementation from a subtly wrong one.
@@ -400,7 +377,7 @@ func (g *Generator) makeGrouping(child *logical.Expr, md *logical.Metadata) ([]s
 	// bits depend on the plan's row order — a false-mismatch source for any
 	// exact-equality oracle. Restrict them to integer columns, where
 	// accumulation is exact and order-independent.
-	ints := intCols(nums, md)
+	ints := ofType(&g.cols2, nums, md, datum.TypeInt)
 	for i := 0; i < nAggs; i++ {
 		op := aggOps[g.rng.Intn(len(aggOps))]
 		pool := nums
@@ -438,31 +415,19 @@ func (g *Generator) makeGrouping(child *logical.Expr, md *logical.Metadata) ([]s
 // makeUnion aligns two inputs on type-compatible column lists and builds a
 // UNION ALL over them.
 func (g *Generator) makeUnion(l, r *logical.Expr, md *logical.Metadata) (*logical.Expr, error) {
-	type byClass map[int][]scalar.ColumnID
-	classify := func(e *logical.Expr) byClass {
-		m := make(byClass)
+	classify := func(e *logical.Expr) (byClass [2][]scalar.ColumnID) {
 		for _, c := range e.OutputCols() {
-			k := typeClass(md.Column(c).Type)
-			if k != 2 {
-				m[k] = append(m[k], c)
+			if k := typeClass(md.Column(c).Type); k != 2 {
+				byClass[k] = append(byClass[k], c)
 			}
 		}
-		return m
+		return byClass
 	}
 	lc, rc := classify(l), classify(r)
 	var lin, rin []scalar.ColumnID
-	// Fixed class order: ranging over the map would make generation
-	// nondeterministic across runs.
 	for k := 0; k < 2; k++ {
 		ls, rs := lc[k], rc[k]
-		n := len(ls)
-		if len(rs) < n {
-			n = len(rs)
-		}
-		if n > 2 {
-			n = 2
-		}
-		for i := 0; i < n; i++ {
+		for i := 0; i < min(len(ls), len(rs), 2); i++ {
 			lin = append(lin, ls[i])
 			rin = append(rin, rs[i])
 		}

@@ -2,6 +2,8 @@ package qgen
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"qtrtest/internal/bind"
@@ -194,5 +196,62 @@ func TestSuitePairsGenerationBudget(t *testing.T) {
 	}
 	if exprs > exprCeiling {
 		t.Errorf("%d memo expressions explored to generate the suite_pairs suite, budget %d", exprs, exprCeiling)
+	}
+}
+
+// TestGenerationTrialAllocBudget holds a generation trial that the size
+// filter drops to committed ceilings, about 10 % above measured: instantiate
+// a composition of the first two exploration rules' patterns (TPC-H scale 1,
+// seed 42), pad it with 3 random operators, render it to SQL, lex, parse and
+// bind it, and drop it as no smaller than the best hit. That is 488 of the
+// 700 trials of the suite_pairs generation. Measured: 386 objects and 29.4 KB
+// a trial, where rendering through Sprintf, a fresh token buffer, heap scopes
+// and fresh candidate lists cost 897 objects and 76.1 KB. Raise a ceiling
+// only with the reason in the PR.
+func TestGenerationTrialAllocBudget(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts under the race detector are not the program's")
+	}
+	const trials, objCeiling, byteCeiling = 256, 425, 33000
+	o := opt.New(rules.DefaultRegistry(), catalog.LoadTPCH(catalog.TPCHConfig{ScaleRows: 1.0, Seed: 42}))
+	g, err := New(o, Config{Seed: 42, ExtraOps: 3, MaxTrials: trials})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := firstExplorationIDs(2)
+	pa, _ := g.Pattern(ids[0])
+	pb, _ := g.Pattern(ids[1])
+	comps := ComposePatterns(pa, pb)
+	dropped := 0
+	sweep := func() {
+		err := g.sweep(comps, g.cfg.ExtraOps, func(_ int, tree *logical.Expr, md *logical.Metadata) (bool, error) {
+			q, err := g.tryTree(tree, md, ids, 1)
+			if q == nil && err == nil {
+				dropped++
+			}
+			return false, err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	objects := testing.AllocsPerRun(2, sweep) / trials
+	bytes := math.Inf(1)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sweep()
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/trials)
+	}
+	t.Logf("%.0f objects, %.0f bytes per dropped trial", objects, bytes)
+	if dropped != 6*trials {
+		t.Fatalf("%d of %d trials dropped by the size filter; every one must be", dropped, 6*trials)
+	}
+	if objects > objCeiling {
+		t.Errorf("%.0f objects per dropped trial, budget %d", objects, objCeiling)
+	}
+	if bytes > byteCeiling {
+		t.Errorf("%.0f bytes per dropped trial, budget %d", bytes, byteCeiling)
 	}
 }

@@ -30,6 +30,7 @@ import (
 	"qtrtest/internal/opt"
 	"qtrtest/internal/physical"
 	"qtrtest/internal/rules"
+	"qtrtest/internal/scalar"
 	"qtrtest/internal/sqlgen"
 )
 
@@ -77,6 +78,10 @@ type Generator struct {
 	cfg      Config
 	rng      *rand.Rand
 	patterns map[rules.ID]*rules.Pattern
+	// cols, cols2 and pairs are the instantiator's candidate lists, reused by
+	// every call: nothing built from them keeps them.
+	cols, cols2 []scalar.ColumnID
+	pairs       []colPair
 	// onRelease, when non-nil, sees each trial's optimization just before it
 	// is released. Unexported: the budget tests count with it.
 	onRelease func(*opt.Result)
@@ -115,10 +120,16 @@ func New(o *opt.Optimizer, cfg Config) (*Generator, error) {
 // seed from the work item (not from shared RNG state) is what keeps
 // parallel generation byte-identical to a sequential run.
 func (g *Generator) Fork(seed int64) *Generator {
+	return g.ForkRand(rand.New(rand.NewSource(seed)))
+}
+
+// ForkRand is Fork drawing from rng, which the caller may recycle once it is
+// done with the fork.
+func (g *Generator) ForkRand(rng *rand.Rand) *Generator {
 	return &Generator{
 		opt:       g.opt,
 		cfg:       g.cfg,
-		rng:       rand.New(rand.NewSource(seed)),
+		rng:       rng,
 		patterns:  g.patterns,
 		onRelease: g.onRelease,
 	}
@@ -140,6 +151,9 @@ type renderError struct{ error }
 // every target rule has fired: a hit, its optimization unfinished, or nil for
 // a miss and (not optimized) for a tree of maxOps operators or more.
 func (g *Generator) tryTree(tree *logical.Expr, md *logical.Metadata, target []rules.ID, maxOps int) (*Query, error) {
+	if bind.PoisonReleased.Load() {
+		g.poisonLists()
+	}
 	sqlText, err := sqlgen.Generate(tree, md)
 	if err != nil {
 		return nil, renderError{err}
@@ -163,6 +177,17 @@ func (g *Generator) tryTree(tree *logical.Expr, md *logical.Metadata, target []r
 		}
 	}
 	return q, nil
+}
+
+// poisonLists overwrites the instantiator's column lists, which a tree could
+// point into, with garbage, as bind.PoisonReleased asks of the front end's
+// scratch.
+func (g *Generator) poisonLists() {
+	for _, l := range [][]scalar.ColumnID{g.cols[:cap(g.cols)], g.cols2[:cap(g.cols2)]} {
+		for i := range l {
+			l[i] = -7
+		}
+	}
 }
 
 // keep finishes the hit's optimization, takes its answers and releases it.

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"time"
 
 	"qtrtest/internal/bind"
@@ -312,13 +313,20 @@ func (c *campaign) run() *Report {
 	return rep
 }
 
+// rngPool holds the math/rand generators runOne re-seeds, about 5 KB each:
+// Seed resets one's whole state, so it draws what a new one would.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
+
 // runOne generates query idx from its derived seed and checks it.
 func (c *campaign) runOne(idx int, w *qgen.Weights) result {
 	seed := par.DeriveSeed(c.cfg.Seed, idx)
-	g := c.gen.Fork(seed)
-	rng := rand.New(rand.NewSource(par.DeriveSeed(seed, 1)))
+	grng, rng := rngPool.Get().(*rand.Rand), rngPool.Get().(*rand.Rand)
+	grng.Seed(seed)
+	rng.Seed(par.DeriveSeed(seed, 1))
 	md := logical.NewMetadata(c.cfg.Catalog)
-	tree, err := g.RandomTreeWeighted(md, 2+rng.Intn(maxOps-1), w)
+	tree, err := c.gen.ForkRand(grng).RandomTreeWeighted(md, 2+rng.Intn(maxOps-1), w)
+	rngPool.Put(grng)
+	rngPool.Put(rng)
 	if err != nil {
 		return result{skip: "generate"}
 	}

@@ -75,7 +75,7 @@ func TestShrinkDropsConjuncts(t *testing.T) {
 	got := Shrink(tree, keep)
 	conj := scalar.Conjuncts(got.Filter)
 	if len(conj) != 1 || !scalar.Equal(conj[0], needle) {
-		t.Errorf("shrunk filter is %s, want exactly the needle conjunct", got.Filter.SQL(func(id scalar.ColumnID) string { return "c" }))
+		t.Errorf("shrunk filter is %s, want exactly the needle conjunct", scalar.SQL(got.Filter, func(id scalar.ColumnID) string { return "c" }))
 	}
 	if len(scalar.Conjuncts(tree.Filter)) != 3 {
 		t.Error("input tree's filter was mutated")

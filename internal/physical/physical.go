@@ -298,7 +298,7 @@ func (e *Expr) String() string {
 			fmt.Fprintf(&sb, "(%s)", x.Table)
 		case OpFilter:
 			if x.Filter != nil {
-				fmt.Fprintf(&sb, "(%s)", x.Filter.SQL(cname))
+				fmt.Fprintf(&sb, "(%s)", scalar.SQL(x.Filter, cname))
 			}
 		case OpSort:
 			parts := make([]string, len(x.Keys))

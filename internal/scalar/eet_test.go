@@ -316,7 +316,7 @@ func checkEETEquivalence(t *testing.T, pred Expr, rw EETRewrite, rows []datum.Ro
 		newType, newTypeErr := TypeOf(rewritten, eetTypeEnv)
 		if (origTypeErr != nil) != (newTypeErr != nil) || (origTypeErr == nil && newType != origType) {
 			t.Errorf("%s: root type changed: (%v,%v) -> (%v,%v) on %s",
-				rw.Name, origType, origTypeErr, newType, newTypeErr, pred.SQL(colName))
+				rw.Name, origType, origTypeErr, newType, newTypeErr, SQL(pred, colName))
 			continue
 		}
 		ve := &VecEval{Env: eetEnv}
@@ -324,7 +324,7 @@ func checkEETEquivalence(t *testing.T, pred Expr, rw EETRewrite, rows []datum.Ro
 		origVecErr := ve.Eval(pred, cols, idx, &origVec)
 		newVecErr := ve.Eval(rewritten, cols, idx, &newVec)
 		if (origVecErr != nil) != (newVecErr != nil) {
-			t.Errorf("%s: vec error flipped %v -> %v on %s", rw.Name, origVecErr, newVecErr, pred.SQL(colName))
+			t.Errorf("%s: vec error flipped %v -> %v on %s", rw.Name, origVecErr, newVecErr, SQL(pred, colName))
 			continue
 		}
 		for i, row := range rows {
@@ -332,19 +332,19 @@ func checkEETEquivalence(t *testing.T, pred Expr, rw EETRewrite, rows []datum.Ro
 			b, berr := Eval(rewritten, row, eetEnv)
 			if (aerr != nil) != (berr != nil) {
 				t.Fatalf("%s: row %d error flipped %v -> %v on %s -> %s",
-					rw.Name, i, aerr, berr, pred.SQL(colName), rewritten.SQL(colName))
+					rw.Name, i, aerr, berr, SQL(pred, colName), SQL(rewritten, colName))
 			}
 			if aerr != nil {
 				continue
 			}
 			if datum.TotalCompare(a, b) != 0 || a.IsNull() != b.IsNull() {
 				t.Fatalf("%s: row %d value changed %v -> %v on %s -> %s",
-					rw.Name, i, a, b, pred.SQL(colName), rewritten.SQL(colName))
+					rw.Name, i, a, b, SQL(pred, colName), SQL(rewritten, colName))
 			}
 			if origVecErr == nil {
 				if datum.TotalCompare(origVec.D[i], newVec.D[i]) != 0 || origVec.IsNull(i) != newVec.IsNull(i) {
 					t.Fatalf("%s: row %d vec value changed %v -> %v on %s -> %s",
-						rw.Name, i, origVec.D[i], newVec.D[i], pred.SQL(colName), rewritten.SQL(colName))
+						rw.Name, i, origVec.D[i], newVec.D[i], SQL(pred, colName), SQL(rewritten, colName))
 				}
 			}
 		}
@@ -354,16 +354,16 @@ func checkEETEquivalence(t *testing.T, pred Expr, rw EETRewrite, rows []datum.Ro
 			selA, errA := ve.EvalPred(pred, cols, idx, nil)
 			selB, errB := ve.EvalPred(rewritten, cols, idx, nil)
 			if (errA != nil) != (errB != nil) {
-				t.Fatalf("%s: EvalPred error flipped %v -> %v on %s", rw.Name, errA, errB, pred.SQL(colName))
+				t.Fatalf("%s: EvalPred error flipped %v -> %v on %s", rw.Name, errA, errB, SQL(pred, colName))
 			}
 			if errA == nil {
 				if len(selA) != len(selB) {
 					t.Fatalf("%s: selection size changed %d -> %d on %s -> %s",
-						rw.Name, len(selA), len(selB), pred.SQL(colName), rewritten.SQL(colName))
+						rw.Name, len(selA), len(selB), SQL(pred, colName), SQL(rewritten, colName))
 				}
 				for i := range selA {
 					if selA[i] != selB[i] {
-						t.Fatalf("%s: selection changed at %d on %s", rw.Name, i, pred.SQL(colName))
+						t.Fatalf("%s: selection changed at %d on %s", rw.Name, i, SQL(pred, colName))
 					}
 				}
 			}
@@ -383,7 +383,7 @@ func TestEETRewritesExactEquivalence(t *testing.T) {
 		for ei := 0; ei < 4; ei++ {
 			pred := randWidePred(r, 2)
 			if _, err := TypeOf(pred, eetTypeEnv); err != nil {
-				t.Fatalf("seed %d: generator produced ill-typed %s: %v", seed, pred.SQL(colName), err)
+				t.Fatalf("seed %d: generator produced ill-typed %s: %v", seed, SQL(pred, colName), err)
 			}
 			for _, rw := range EETRewrites() {
 				fired[rw.Name] += checkEETEquivalence(t, pred, rw, rows)
@@ -414,21 +414,21 @@ func TestVecEvalMatchesRowEvalWide(t *testing.T) {
 			e := randWidePred(r, 2)
 			var out datum.Vec
 			if err := ve.Eval(e, cols, idx, &out); err != nil {
-				t.Fatalf("seed %d: VecEval error on %s: %v", seed, e.SQL(colName), err)
+				t.Fatalf("seed %d: VecEval error on %s: %v", seed, SQL(e, colName), err)
 			}
 			for i, row := range rows {
 				want, err := Eval(e, row, eetEnv)
 				if err != nil {
-					t.Fatalf("seed %d: row Eval error on %s: %v", seed, e.SQL(colName), err)
+					t.Fatalf("seed %d: row Eval error on %s: %v", seed, SQL(e, colName), err)
 				}
 				if datum.TotalCompare(out.D[i], want) != 0 || out.IsNull(i) != want.IsNull() {
 					t.Fatalf("seed %d expr %s row %d: vec=%v row=%v",
-						seed, e.SQL(colName), i, out.D[i], want)
+						seed, SQL(e, colName), i, out.D[i], want)
 				}
 			}
 			sel, err := ve.EvalPred(e, cols, idx, nil)
 			if err != nil {
-				t.Fatalf("seed %d: EvalPred error on %s: %v", seed, e.SQL(colName), err)
+				t.Fatalf("seed %d: EvalPred error on %s: %v", seed, SQL(e, colName), err)
 			}
 			var want []int
 			for i, row := range rows {
@@ -442,7 +442,7 @@ func TestVecEvalMatchesRowEvalWide(t *testing.T) {
 			}
 			if len(sel) != len(want) {
 				t.Fatalf("seed %d expr %s: EvalPred kept %d rows, EvalBool %d",
-					seed, e.SQL(colName), len(sel), len(want))
+					seed, SQL(e, colName), len(sel), len(want))
 			}
 			for i := range sel {
 				if sel[i] != want[i] {

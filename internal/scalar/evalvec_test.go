@@ -108,7 +108,7 @@ func TestVecEvalMatchesRowEval(t *testing.T) {
 				got := out.D[i]
 				if datum.TotalCompare(got, want) != 0 || got.IsNull() != want.IsNull() {
 					t.Fatalf("seed %d expr %s row %d: vec=%v row=%v",
-						seed, e.SQL(colName), i, got, want)
+						seed, SQL(e, colName), i, got, want)
 				}
 			}
 			sel, err := ve.EvalPred(e, cols, idx, nil)
@@ -127,7 +127,7 @@ func TestVecEvalMatchesRowEval(t *testing.T) {
 			}
 			if len(sel) != len(want) {
 				t.Fatalf("seed %d expr %s: EvalPred kept %d rows, EvalBool %d",
-					seed, e.SQL(colName), len(sel), len(want))
+					seed, SQL(e, colName), len(sel), len(want))
 			}
 			for i := range sel {
 				if sel[i] != want[i] {
@@ -169,14 +169,14 @@ func TestVecEvalPairsMatchGather(t *testing.T) {
 			e := randVecExpr(r, 2)
 			var got, want datum.Vec
 			if err := via.Eval(e, inPlace, sel, &got); err != nil {
-				t.Fatalf("seed %d %s: via: %v", seed, e.SQL(colName), err)
+				t.Fatalf("seed %d %s: via: %v", seed, SQL(e, colName), err)
 			}
 			if err := plain.Eval(e, gathered, sel, &want); err != nil {
-				t.Fatalf("seed %d %s: gathered: %v", seed, e.SQL(colName), err)
+				t.Fatalf("seed %d %s: gathered: %v", seed, SQL(e, colName), err)
 			}
 			for k := range want.D {
 				if got.D[k] != want.D[k] {
-					t.Fatalf("seed %d %s candidate %d: via %v, gathered %v", seed, e.SQL(colName), sel[k], got.D[k], want.D[k])
+					t.Fatalf("seed %d %s candidate %d: via %v, gathered %v", seed, SQL(e, colName), sel[k], got.D[k], want.D[k])
 				}
 			}
 			gotSel, err := via.EvalPred(e, inPlace, sel, nil)
@@ -188,7 +188,7 @@ func TestVecEvalPairsMatchGather(t *testing.T) {
 				t.Fatal(err)
 			}
 			if fmt.Sprint(gotSel) != fmt.Sprint(wantSel) {
-				t.Fatalf("seed %d %s: via kept %v, gathered %v", seed, e.SQL(colName), gotSel, wantSel)
+				t.Fatalf("seed %d %s: via kept %v, gathered %v", seed, SQL(e, colName), gotSel, wantSel)
 			}
 		}
 		for _, id := range []ColumnID{1, 2, 3} { // a bare column in value position

@@ -163,7 +163,7 @@ func checkKernelPair(t testing.TB, l, r datum.Datum) {
 // by position, shows.
 func checkEvaluatorsAgree(t testing.TB, e Expr, rows []datum.Row, en Env) {
 	t.Helper()
-	label := e.SQL(colName)
+	label := SQL(e, colName)
 	skipped := make(datum.Row, len(rows[0]))
 	for i := range skipped {
 		skipped[i] = datum.NewString("skipped")

@@ -6,7 +6,7 @@
 package scalar
 
 import (
-	"fmt"
+	"bytes"
 	"slices"
 	"strconv"
 	"strings"
@@ -70,9 +70,6 @@ func (o ArithOp) String() string { return [...]string{"+", "-", "*"}[o] }
 type Expr interface {
 	// Cols adds every column referenced by the expression to out.
 	Cols(out *ColSet)
-	// SQL renders the expression, mapping ColumnIDs to SQL column names
-	// through the supplied function.
-	SQL(name func(ColumnID) string) string
 }
 
 // ColRef references a column by id.
@@ -155,51 +152,63 @@ func (e *Not) Cols(out *ColSet) { e.Kid.Cols(out) }
 // Cols implements Expr.
 func (e *IsNull) Cols(out *ColSet) { e.Kid.Cols(out) }
 
-// SQL implements Expr.
-func (e *ColRef) SQL(name func(ColumnID) string) string { return name(e.ID) }
-
-// SQL implements Expr.
-func (e *Const) SQL(func(ColumnID) string) string { return e.D.String() }
-
-// SQL implements Expr.
-func (e *Cmp) SQL(name func(ColumnID) string) string {
-	return fmt.Sprintf("(%s %s %s)", e.L.SQL(name), e.Op, e.R.SQL(name))
+// SQL renders the expression, mapping ColumnIDs to SQL column names through
+// name.
+func SQL(e Expr, name func(ColumnID) string) string {
+	var buf bytes.Buffer
+	WriteSQL(&buf, e, func(buf *bytes.Buffer, id ColumnID) { buf.WriteString(name(id)) })
+	return buf.String()
 }
 
-// SQL implements Expr.
-func (e *Arith) SQL(name func(ColumnID) string) string {
-	return fmt.Sprintf("(%s %s %s)", e.L.SQL(name), e.Op, e.R.SQL(name))
-}
-
-// SQL implements Expr.
-func (e *And) SQL(name func(ColumnID) string) string {
-	if len(e.Kids) == 0 {
-		return "TRUE"
+// WriteSQL appends the SQL text of e to buf, writing each column with col.
+func WriteSQL(buf *bytes.Buffer, e Expr, col func(*bytes.Buffer, ColumnID)) {
+	switch t := e.(type) {
+	case *ColRef:
+		col(buf, t.ID)
+	case *Const:
+		buf.WriteString(t.D.String())
+	case *Cmp:
+		writeBinSQL(buf, t.L, t.Op.String(), t.R, col)
+	case *Arith:
+		writeBinSQL(buf, t.L, t.Op.String(), t.R, col)
+	case *And:
+		if len(t.Kids) == 0 {
+			buf.WriteString("TRUE")
+			return
+		}
+		writeListSQL(buf, t.Kids, " AND ", col)
+	case *Or:
+		writeListSQL(buf, t.Kids, " OR ", col)
+	case *Not:
+		buf.WriteString("(NOT ")
+		WriteSQL(buf, t.Kid, col)
+		buf.WriteByte(')')
+	case *IsNull:
+		buf.WriteByte('(')
+		WriteSQL(buf, t.Kid, col)
+		buf.WriteString(" IS NULL)")
 	}
-	parts := make([]string, len(e.Kids))
-	for i, k := range e.Kids {
-		parts[i] = k.SQL(name)
+}
+
+func writeBinSQL(buf *bytes.Buffer, l Expr, op string, r Expr, col func(*bytes.Buffer, ColumnID)) {
+	buf.WriteByte('(')
+	WriteSQL(buf, l, col)
+	buf.WriteByte(' ')
+	buf.WriteString(op)
+	buf.WriteByte(' ')
+	WriteSQL(buf, r, col)
+	buf.WriteByte(')')
+}
+
+func writeListSQL(buf *bytes.Buffer, kids []Expr, sep string, col func(*bytes.Buffer, ColumnID)) {
+	buf.WriteByte('(')
+	for i, k := range kids {
+		if i > 0 {
+			buf.WriteString(sep)
+		}
+		WriteSQL(buf, k, col)
 	}
-	return "(" + strings.Join(parts, " AND ") + ")"
-}
-
-// SQL implements Expr.
-func (e *Or) SQL(name func(ColumnID) string) string {
-	parts := make([]string, len(e.Kids))
-	for i, k := range e.Kids {
-		parts[i] = k.SQL(name)
-	}
-	return "(" + strings.Join(parts, " OR ") + ")"
-}
-
-// SQL implements Expr.
-func (e *Not) SQL(name func(ColumnID) string) string {
-	return "(NOT " + e.Kid.SQL(name) + ")"
-}
-
-// SQL implements Expr.
-func (e *IsNull) SQL(name func(ColumnID) string) string {
-	return "(" + e.Kid.SQL(name) + " IS NULL)"
+	buf.WriteByte(')')
 }
 
 // HashInto appends the text of e to sb, the scalar part of a plan's text
@@ -472,10 +481,22 @@ type Agg struct {
 
 // SQL renders the aggregate call.
 func (a Agg) SQL(name func(ColumnID) string) string {
+	var buf bytes.Buffer
+	a.WriteSQL(&buf, func(buf *bytes.Buffer, id ColumnID) { buf.WriteString(name(id)) })
+	return buf.String()
+}
+
+// WriteSQL appends the aggregate call's SQL text to buf, as WriteSQL does for
+// a scalar.
+func (a Agg) WriteSQL(buf *bytes.Buffer, col func(*bytes.Buffer, ColumnID)) {
 	if a.Op == AggCountStar {
-		return "COUNT(*)"
+		buf.WriteString("COUNT(*)")
+		return
 	}
-	return fmt.Sprintf("%s(%s)", a.Op, a.Arg.SQL(name))
+	buf.WriteString(a.Op.String())
+	buf.WriteByte('(')
+	WriteSQL(buf, a.Arg, col)
+	buf.WriteByte(')')
 }
 
 // HashInto appends the text of the aggregate to sb, the aggregate part of a

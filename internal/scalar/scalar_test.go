@@ -182,12 +182,12 @@ func TestColSetOps(t *testing.T) {
 func TestSQLRendering(t *testing.T) {
 	name := func(id ColumnID) string { return map[ColumnID]string{1: "a", 2: "b"}[id] }
 	e := and(eq(col(1), lit(5)), &Or{Kids: []Expr{lt(col(2), col(1)), &IsNull{Kid: col(2)}}})
-	got := e.SQL(name)
+	got := SQL(e, name)
 	want := "((a = 5) AND ((b < a) OR (b IS NULL)))"
 	if got != want {
 		t.Errorf("SQL = %q, want %q", got, want)
 	}
-	if TrueExpr().SQL(name) != "TRUE" {
+	if SQL(TrueExpr(), name) != "TRUE" {
 		t.Error("empty AND must render TRUE")
 	}
 }

@@ -6,6 +6,7 @@ package sql
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -175,7 +176,12 @@ func FormatExpr(e Expr) string {
 	case *IntLit:
 		return fmt.Sprintf("%d", t.V)
 	case *FloatLit:
-		return fmt.Sprintf("%g", t.V)
+		// A point or an exponent keeps the kind: "1" would re-parse as INT.
+		s := strconv.FormatFloat(t.V, 'g', -1, 64)
+		if !strings.ContainsAny(s, ".e") {
+			s += ".0"
+		}
+		return s
 	case *StrLit:
 		return "'" + strings.ReplaceAll(t.V, "'", "''") + "'"
 	case *BoolLit:

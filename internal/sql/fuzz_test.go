@@ -1,10 +1,15 @@
 package sql
 
-import "testing"
+import (
+	"reflect"
+	"slices"
+	"testing"
+)
 
 // FuzzParseRoundTrip checks the printer/parser fixpoint: any input the
-// parser accepts must format to SQL the parser accepts again, and the
-// re-parsed statement must format to the identical text. Parser panics on
+// parser accepts must format to SQL the parser accepts again, the re-parsed
+// statement must format to the identical text, and its literals must keep
+// their kinds (a FLOAT 1 printed as "1" re-parses as INT). Parser panics on
 // arbitrary input are caught by the fuzz driver itself.
 func FuzzParseRoundTrip(f *testing.F) {
 	for _, seed := range []string{
@@ -20,6 +25,7 @@ func FuzzParseRoundTrip(f *testing.F) {
 		"SELECT a FROM t WHERE NOT (a = 1 OR a = 'it''s')",
 		"SELECT -1 + 2 * 3 - a FROM t WHERE x <> 1e6",
 		"SELECT SUM(a + b) AS s FROM t GROUP BY c, d ORDER BY s",
+		"SELECT 1. FROM t WHERE a < 2.0E3",
 	} {
 		f.Add(seed)
 	}
@@ -37,5 +43,37 @@ func FuzzParseRoundTrip(f *testing.F) {
 		if p1 != p2 {
 			t.Fatalf("format is not a fixpoint:\ninput:  %q\nfirst:  %q\nsecond: %q", input, p1, p2)
 		}
+		if k1, k2 := literalKinds(reflect.ValueOf(s1), nil), literalKinds(reflect.ValueOf(s2), nil); !slices.Equal(k1, k2) {
+			t.Fatalf("literal kinds changed:\ninput:     %q\nformatted: %q\nbefore: %v\nafter:  %v", input, p1, k1, k2)
+		}
 	})
+}
+
+// literalKinds appends the type names of the literals under v to out, in
+// tree order.
+func literalKinds(v reflect.Value, out []string) []string {
+	switch v.Kind() {
+	case reflect.Interface:
+		if !v.IsNil() {
+			return literalKinds(v.Elem(), out)
+		}
+	case reflect.Pointer:
+		if v.IsNil() {
+			return out
+		}
+		switch v.Interface().(type) {
+		case *IntLit, *FloatLit, *StrLit, *BoolLit, *NullLit:
+			return append(out, v.Type().Elem().Name())
+		}
+		return literalKinds(v.Elem(), out)
+	case reflect.Struct:
+		for i := range v.NumField() {
+			out = literalKinds(v.Field(i), out)
+		}
+	case reflect.Slice:
+		for i := range v.Len() {
+			out = literalKinds(v.Index(i), out)
+		}
+	}
+	return out
 }

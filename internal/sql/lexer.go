@@ -51,11 +51,15 @@ func keyword(word string) (string, bool) {
 	return kw, ok
 }
 
-// lex tokenizes the input, returning a token slice ending in tokEOF.
-func lex(input string) ([]token, error) {
-	// Generated SQL runs at about one token per four bytes; room for one per
-	// three sizes the slice once.
-	toks := make([]token, 0, len(input)/3+1)
+// lex tokenizes the input into toks[:0], returning a token slice ending in
+// tokEOF.
+func lex(toks []token, input string) ([]token, error) {
+	if toks == nil {
+		// Generated SQL runs at about one token per four bytes; room for one
+		// per three sizes a new buffer once.
+		toks = make([]token, 0, len(input)/3+1)
+	}
+	toks = toks[:0]
 	i := 0
 	n := len(input)
 	for i < n {
@@ -126,36 +130,19 @@ func lex(input string) ([]token, error) {
 			}
 			i = j
 		default:
-			switch c {
-			case '<':
-				if i+1 < n && (input[i+1] == '=' || input[i+1] == '>') {
-					toks = append(toks, token{kind: tokPunct, text: input[i : i+2], pos: i})
-					i += 2
-				} else {
-					toks = append(toks, token{kind: tokPunct, text: "<", pos: i})
-					i++
-				}
-			case '>':
-				if i+1 < n && input[i+1] == '=' {
-					toks = append(toks, token{kind: tokPunct, text: ">=", pos: i})
-					i += 2
-				} else {
-					toks = append(toks, token{kind: tokPunct, text: ">", pos: i})
-					i++
-				}
-			case '!':
-				if i+1 < n && input[i+1] == '=' {
-					toks = append(toks, token{kind: tokPunct, text: "<>", pos: i})
-					i += 2
-				} else {
+			text := input[i:min(i+2, n)]
+			switch text {
+			case "<=", "<>", ">=":
+			case "!=":
+				text = "<>"
+			default:
+				text = input[i : i+1]
+				if !strings.Contains("<>=(),.+-*", text) {
 					return nil, fmt.Errorf("sql: unexpected character %q at offset %d", c, i)
 				}
-			case '=', '(', ')', ',', '.', '+', '-', '*':
-				toks = append(toks, token{kind: tokPunct, text: string(c), pos: i})
-				i++
-			default:
-				return nil, fmt.Errorf("sql: unexpected character %q at offset %d", c, i)
 			}
+			toks = append(toks, token{kind: tokPunct, text: text, pos: i})
+			i += len(text)
 		}
 	}
 	toks = append(toks, token{kind: tokEOF, pos: n})

@@ -4,7 +4,7 @@ import "testing"
 
 func lexOK(t *testing.T, in string) []token {
 	t.Helper()
-	toks, err := lex(in)
+	toks, err := lex(nil, in)
 	if err != nil {
 		t.Fatalf("lex(%q): %v", in, err)
 	}
@@ -45,7 +45,7 @@ func TestLexStrings(t *testing.T) {
 			t.Errorf("string %d = %q, want %q", i, toks[i].text, w)
 		}
 	}
-	if _, err := lex("'unterminated"); err == nil {
+	if _, err := lex(nil, "'unterminated"); err == nil {
 		t.Error("unterminated string must fail")
 	}
 }
@@ -62,7 +62,7 @@ func TestLexOperators(t *testing.T) {
 
 func TestLexErrors(t *testing.T) {
 	for _, in := range []string{"a ; b", "a ! b", "a @ b", "#"} {
-		if _, err := lex(in); err == nil {
+		if _, err := lex(nil, in); err == nil {
 			t.Errorf("lex(%q) should fail", in)
 		}
 	}

@@ -2,16 +2,35 @@ package sql
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 )
 
 // Parse parses a SQL statement (SELECT, possibly combined with UNION ALL).
 func Parse(input string) (Stmt, error) {
-	toks, err := lex(input)
+	return new(Scratch).Parse(input)
+}
+
+// Scratch is storage parses reuse: the token buffer, and the select-item and
+// GROUP BY lists of the statement a parse returns. Those lists stay valid
+// only until the Scratch parses again, so nothing may hold the statement
+// longer. A Scratch is not safe for concurrent use.
+type Scratch struct {
+	toks  []token
+	items list[SelectItem]
+	exprs list[Expr]
+}
+
+// Parse parses input as the package's Parse does, into the scratch.
+func (s *Scratch) Parse(input string) (Stmt, error) {
+	s.items.reset()
+	s.exprs.reset()
+	toks, err := lex(s.toks, input)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, src: input}
+	s.toks = toks
+	p := &parser{toks: toks, sc: s}
 	stmt, err := p.parseStmt()
 	if err != nil {
 		return nil, err
@@ -22,10 +41,29 @@ func Parse(input string) (Stmt, error) {
 	return stmt, nil
 }
 
+// list gathers the lists being parsed on one stack, a nested list above the
+// one it interrupts, and done moves a finished one into buf, where it stays
+// until reset. Outgrowing buf starts a larger one and leaves the lists
+// already handed out in the old.
+type list[T any] struct{ stack, buf []T }
+
+// done moves the elements pushed since base, at least one, into buf.
+func (l *list[T]) done(base int) []T {
+	v := l.stack[base:]
+	l.stack = l.stack[:base]
+	if len(l.buf)+len(v) > cap(l.buf) {
+		l.buf = make([]T, 0, max(2*cap(l.buf), len(v), 64))
+	}
+	l.buf = append(l.buf, v...)
+	return l.buf[len(l.buf)-len(v) : len(l.buf) : len(l.buf)]
+}
+
+func (l *list[T]) reset() { l.stack, l.buf = l.stack[:0], l.buf[:0] }
+
 type parser struct {
 	toks []token
 	pos  int
-	src  string
+	sc   *Scratch
 }
 
 func (p *parser) peek() token { return p.toks[p.pos] }
@@ -126,6 +164,8 @@ func (p *parser) parseSelect() (*Select, error) {
 	if p.acceptPunct("*") {
 		sel.Star = true
 	} else {
+		items := &p.sc.items
+		base := len(items.stack)
 		for {
 			e, err := p.parseExpr()
 			if err != nil {
@@ -141,11 +181,12 @@ func (p *parser) parseSelect() (*Select, error) {
 			} else if p.peek().kind == tokIdent {
 				item.Alias = p.next().text
 			}
-			sel.Items = append(sel.Items, item)
+			items.stack = append(items.stack, item)
 			if !p.acceptPunct(",") {
 				break
 			}
 		}
+		sel.Items = items.done(base)
 	}
 	if err := p.expectKeyword("FROM"); err != nil {
 		return nil, err
@@ -166,16 +207,19 @@ func (p *parser) parseSelect() (*Select, error) {
 		if err := p.expectKeyword("BY"); err != nil {
 			return nil, err
 		}
+		exprs := &p.sc.exprs
+		base := len(exprs.stack)
 		for {
 			e, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
-			sel.GroupBy = append(sel.GroupBy, e)
+			exprs.stack = append(exprs.stack, e)
 			if !p.acceptPunct(",") {
 				break
 			}
 		}
+		sel.GroupBy = exprs.done(base)
 	}
 	if p.acceptKeyword("HAVING") {
 		h, err := p.parseExpr()
@@ -299,34 +343,25 @@ func (p *parser) parseFromPrimary() (FromItem, error) {
 
 func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
 
-func (p *parser) parseOr() (Expr, error) {
-	left, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptKeyword("OR") {
-		right, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		left = &BinExpr{Op: "OR", L: left, R: right}
-	}
-	return left, nil
-}
+func (p *parser) parseOr() (Expr, error)  { return p.leftAssoc(p.parseAnd, "OR") }
+func (p *parser) parseAnd() (Expr, error) { return p.leftAssoc(p.parseNot, "AND") }
 
-func (p *parser) parseAnd() (Expr, error) {
-	left, err := p.parseNot()
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptKeyword("AND") {
-		right, err := p.parseNot()
-		if err != nil {
-			return nil, err
+// leftAssoc parses operand {op operand}, folding to the left, for the
+// keyword or punctuation operators ops.
+func (p *parser) leftAssoc(operand func() (Expr, error), ops ...string) (Expr, error) {
+	left, err := operand()
+	for err == nil {
+		t := p.peek()
+		if t.kind != tokKeyword && t.kind != tokPunct || !slices.Contains(ops, t.text) {
+			return left, nil
 		}
-		left = &BinExpr{Op: "AND", L: left, R: right}
+		p.next()
+		var right Expr
+		if right, err = operand(); err == nil {
+			left = &BinExpr{Op: t.text, L: left, R: right}
+		}
 	}
-	return left, nil
+	return nil, err
 }
 
 func (p *parser) parseNot() (Expr, error) {
@@ -425,45 +460,9 @@ func (p *parser) parseComparison() (Expr, error) {
 	return left, nil
 }
 
-func (p *parser) parseAdditive() (Expr, error) {
-	left, err := p.parseMultiplicative()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op string
-		switch {
-		case p.isPunct("+"):
-			op = "+"
-		case p.isPunct("-"):
-			op = "-"
-		default:
-			return left, nil
-		}
-		p.next()
-		right, err := p.parseMultiplicative()
-		if err != nil {
-			return nil, err
-		}
-		left = &BinExpr{Op: op, L: left, R: right}
-	}
-}
+func (p *parser) parseAdditive() (Expr, error) { return p.leftAssoc(p.parseMultiplicative, "+", "-") }
 
-func (p *parser) parseMultiplicative() (Expr, error) {
-	left, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for p.isPunct("*") {
-		p.next()
-		right, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		left = &BinExpr{Op: "*", L: left, R: right}
-	}
-	return left, nil
-}
+func (p *parser) parseMultiplicative() (Expr, error) { return p.leftAssoc(p.parseUnary, "*") }
 
 func (p *parser) parseUnary() (Expr, error) {
 	if p.acceptPunct("-") {

@@ -5,178 +5,221 @@
 package sqlgen
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
-	"strings"
+	"sync"
 
 	"qtrtest/internal/logical"
 	"qtrtest/internal/scalar"
 )
 
+// bufPool holds the buffers statements are written into: the string
+// Generate returns is an exact-size copy, and the buffer is written again.
+var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 // Generate renders the tree to a SQL statement. The metadata supplies base
 // table/column names for Get operators.
-func (g *Generator) Generate(tree *logical.Expr) (string, error) {
-	return g.render(tree)
-}
-
-// Generator renders trees against one query's metadata.
-type Generator struct {
-	md    *logical.Metadata
-	alias int
-}
-
-// New returns a Generator for the given metadata.
-func New(md *logical.Metadata) *Generator {
-	return &Generator{md: md}
-}
-
-// Generate is a convenience wrapper rendering tree against md.
 func Generate(tree *logical.Expr, md *logical.Metadata) (string, error) {
-	return New(md).Generate(tree)
+	buf := bufPool.Get().(*bytes.Buffer)
+	defer bufPool.Put(buf)
+	buf.Reset()
+	if err := (&renderer{md: md}).render(buf, tree); err != nil {
+		return "", err
+	}
+	return buf.String(), nil
 }
 
-func (g *Generator) nextAlias() string {
-	g.alias++
-	return fmt.Sprintf("t%d", g.alias)
+// renderer writes one statement into one buffer.
+type renderer struct {
+	md    *logical.Metadata
+	alias int // derived-table aliases taken
 }
 
-func colName(id scalar.ColumnID) string { return "c" + strconv.Itoa(int(id)) }
-
-func (g *Generator) scalarSQL(e scalar.Expr) string {
-	return e.SQL(colName)
+func writeInt(buf *bytes.Buffer, v int64) {
+	var digits [20]byte
+	buf.Write(strconv.AppendInt(digits[:0], v, 10))
 }
 
-func (g *Generator) render(e *logical.Expr) (string, error) {
+func writeCol(buf *bytes.Buffer, id scalar.ColumnID) {
+	buf.WriteByte('c')
+	writeInt(buf, int64(id))
+}
+
+// writeAs writes ", " unless i is 0, then "e AS c<out>" (e nil: column in).
+func writeAs(buf *bytes.Buffer, i int, e scalar.Expr, in, out scalar.ColumnID) {
+	if i > 0 {
+		buf.WriteString(", ")
+	}
+	if e != nil {
+		scalar.WriteSQL(buf, e, writeCol)
+	} else {
+		writeCol(buf, in)
+	}
+	buf.WriteString(" AS ")
+	writeCol(buf, out)
+}
+
+// aliases counts the derived-table aliases rendering e takes.
+func aliases(e *logical.Expr) int {
+	n := 1
 	switch e.Op {
 	case logical.OpGet:
-		t, err := g.md.Catalog().Table(e.Table)
+		return 0
+	case logical.OpJoin, logical.OpLeftJoin, logical.OpSemiJoin, logical.OpAntiJoin, logical.OpUnionAll:
+		n = 2
+	}
+	for _, c := range e.Children {
+		n += aliases(c)
+	}
+	return n
+}
+
+// derived writes "(child) AS tN". Aliases are numbered as if every operator
+// took its own after both of its subtrees had taken theirs, a join's left
+// side before its right: N is the next alias after child's own plus skip,
+// which for a join's left side is the aliases its right subtree takes. The
+// caller counts the aliases it wrote.
+func (r *renderer) derived(buf *bytes.Buffer, child *logical.Expr, skip int) error {
+	buf.WriteByte('(')
+	if err := r.render(buf, child); err != nil {
+		return err
+	}
+	buf.WriteString(") AS t")
+	writeInt(buf, int64(r.alias+skip+1))
+	return nil
+}
+
+// joinKeywords joins a join's two derived tables; a semi or anti join's
+// right side is an EXISTS subquery.
+var joinKeywords = map[logical.Op]string{
+	logical.OpJoin:     " JOIN ",
+	logical.OpLeftJoin: " LEFT JOIN ",
+	logical.OpSemiJoin: " WHERE EXISTS (SELECT 1 AS one FROM ",
+	logical.OpAntiJoin: " WHERE NOT EXISTS (SELECT 1 AS one FROM ",
+}
+
+func (r *renderer) render(buf *bytes.Buffer, e *logical.Expr) error {
+	switch e.Op {
+	case logical.OpGet:
+		t, err := r.md.Catalog().Table(e.Table)
 		if err != nil {
-			return "", err
+			return err
 		}
 		if len(t.Columns) != len(e.Cols) {
-			return "", fmt.Errorf("sqlgen: Get(%s) has %d columns, table has %d", e.Table, len(e.Cols), len(t.Columns))
+			return fmt.Errorf("sqlgen: Get(%s) has %d columns, table has %d", e.Table, len(e.Cols), len(t.Columns))
 		}
-		parts := make([]string, len(e.Cols))
+		buf.WriteString("SELECT ")
 		for i, id := range e.Cols {
-			parts[i] = fmt.Sprintf("%s AS %s", t.Columns[i].Name, colName(id))
-		}
-		return fmt.Sprintf("SELECT %s FROM %s", strings.Join(parts, ", "), e.Table), nil
-
-	case logical.OpSelect:
-		child, err := g.render(e.Children[0])
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("SELECT * FROM (%s) AS %s WHERE %s",
-			child, g.nextAlias(), g.scalarSQL(e.Filter)), nil
-
-	case logical.OpProject:
-		child, err := g.render(e.Children[0])
-		if err != nil {
-			return "", err
-		}
-		parts := make([]string, len(e.Projs))
-		for i, it := range e.Projs {
-			parts[i] = fmt.Sprintf("%s AS %s", g.scalarSQL(it.E), colName(it.Out))
-		}
-		return fmt.Sprintf("SELECT %s FROM (%s) AS %s",
-			strings.Join(parts, ", "), child, g.nextAlias()), nil
-
-	case logical.OpJoin, logical.OpLeftJoin:
-		left, err := g.render(e.Children[0])
-		if err != nil {
-			return "", err
-		}
-		right, err := g.render(e.Children[1])
-		if err != nil {
-			return "", err
-		}
-		kw := "JOIN"
-		if e.Op == logical.OpLeftJoin {
-			kw = "LEFT JOIN"
-		}
-		return fmt.Sprintf("SELECT * FROM (%s) AS %s %s (%s) AS %s ON %s",
-			left, g.nextAlias(), kw, right, g.nextAlias(), g.scalarSQL(e.On)), nil
-
-	case logical.OpSemiJoin, logical.OpAntiJoin:
-		left, err := g.render(e.Children[0])
-		if err != nil {
-			return "", err
-		}
-		right, err := g.render(e.Children[1])
-		if err != nil {
-			return "", err
-		}
-		kw := "EXISTS"
-		if e.Op == logical.OpAntiJoin {
-			kw = "NOT EXISTS"
-		}
-		return fmt.Sprintf("SELECT * FROM (%s) AS %s WHERE %s (SELECT 1 AS one FROM (%s) AS %s WHERE %s)",
-			left, g.nextAlias(), kw, right, g.nextAlias(), g.scalarSQL(e.On)), nil
-
-	case logical.OpGroupBy:
-		child, err := g.render(e.Children[0])
-		if err != nil {
-			return "", err
-		}
-		var parts []string
-		for _, c := range e.GroupCols {
-			parts = append(parts, colName(c))
-		}
-		for _, a := range e.Aggs {
-			parts = append(parts, fmt.Sprintf("%s AS %s", a.SQL(colName), colName(a.Out)))
-		}
-		if len(parts) == 0 {
-			return "", fmt.Errorf("sqlgen: GroupBy with no grouping columns and no aggregates")
-		}
-		out := fmt.Sprintf("SELECT %s FROM (%s) AS %s", strings.Join(parts, ", "), child, g.nextAlias())
-		if len(e.GroupCols) > 0 {
-			var gb []string
-			for _, c := range e.GroupCols {
-				gb = append(gb, colName(c))
+			if i > 0 {
+				buf.WriteString(", ")
 			}
-			out += " GROUP BY " + strings.Join(gb, ", ")
+			buf.WriteString(t.Columns[i].Name)
+			buf.WriteString(" AS ")
+			writeCol(buf, id)
 		}
-		return out, nil
-
+		buf.WriteString(" FROM ")
+		buf.WriteString(e.Table)
+		return nil
 	case logical.OpUnionAll:
-		sides := make([]string, 2)
-		for i := 0; i < 2; i++ {
-			child, err := g.render(e.Children[i])
-			if err != nil {
-				return "", err
-			}
-			parts := make([]string, len(e.OutCols))
+		for i, open := range [2]string{"(SELECT ", ") UNION ALL (SELECT "} {
+			buf.WriteString(open)
 			for j, out := range e.OutCols {
-				parts[j] = fmt.Sprintf("%s AS %s", colName(e.InputCols[i][j]), colName(out))
+				writeAs(buf, j, nil, e.InputCols[i][j], out)
 			}
-			sides[i] = fmt.Sprintf("SELECT %s FROM (%s) AS %s",
-				strings.Join(parts, ", "), child, g.nextAlias())
-		}
-		return fmt.Sprintf("(%s) UNION ALL (%s)", sides[0], sides[1]), nil
-
-	case logical.OpSort:
-		child, err := g.render(e.Children[0])
-		if err != nil {
-			return "", err
-		}
-		var keys []string
-		for _, k := range e.Keys {
-			s := colName(k.Col)
-			if k.Desc {
-				s += " DESC"
+			buf.WriteString(" FROM ")
+			if err := r.derived(buf, e.Children[i], 0); err != nil {
+				return err
 			}
-			keys = append(keys, s)
+			r.alias++
 		}
-		return fmt.Sprintf("SELECT * FROM (%s) AS %s ORDER BY %s",
-			child, g.nextAlias(), strings.Join(keys, ", ")), nil
-
-	case logical.OpLimit:
-		child, err := g.render(e.Children[0])
-		if err != nil {
-			return "", err
+		buf.WriteByte(')')
+		return nil
+	case logical.OpProject:
+		buf.WriteString("SELECT ")
+		for i, it := range e.Projs {
+			writeAs(buf, i, it.E, 0, it.Out)
 		}
-		return fmt.Sprintf("SELECT * FROM (%s) AS %s LIMIT %d", child, g.nextAlias(), e.N), nil
+	case logical.OpGroupBy:
+		if len(e.GroupCols)+len(e.Aggs) == 0 {
+			if err := r.render(buf, e.Children[0]); err != nil {
+				return err
+			}
+			return fmt.Errorf("sqlgen: GroupBy with no grouping columns and no aggregates")
+		}
+		buf.WriteString("SELECT ")
+		writeCols(buf, "", e.GroupCols)
+		for i, a := range e.Aggs {
+			if i > 0 || len(e.GroupCols) > 0 {
+				buf.WriteString(", ")
+			}
+			a.WriteSQL(buf, writeCol)
+			buf.WriteString(" AS ")
+			writeCol(buf, a.Out)
+		}
+	case logical.OpSelect, logical.OpSort, logical.OpLimit,
+		logical.OpJoin, logical.OpLeftJoin, logical.OpSemiJoin, logical.OpAntiJoin:
+		buf.WriteString("SELECT *")
+	default:
+		return fmt.Errorf("sqlgen: unsupported operator %s", e.Op)
 	}
-	return "", fmt.Errorf("sqlgen: unsupported operator %s", e.Op)
+	buf.WriteString(" FROM ")
+	if kw, ok := joinKeywords[e.Op]; ok {
+		if err := r.derived(buf, e.Children[0], aliases(e.Children[1])); err != nil {
+			return err
+		}
+		buf.WriteString(kw)
+		if err := r.derived(buf, e.Children[1], 1); err != nil {
+			return err
+		}
+		r.alias += 2
+		if e.Op == logical.OpJoin || e.Op == logical.OpLeftJoin {
+			buf.WriteString(" ON ")
+			scalar.WriteSQL(buf, e.On, writeCol)
+		} else {
+			buf.WriteString(" WHERE ")
+			scalar.WriteSQL(buf, e.On, writeCol)
+			buf.WriteByte(')')
+		}
+		return nil
+	}
+	if err := r.derived(buf, e.Children[0], 0); err != nil {
+		return err
+	}
+	r.alias++
+	switch e.Op {
+	case logical.OpSelect:
+		buf.WriteString(" WHERE ")
+		scalar.WriteSQL(buf, e.Filter, writeCol)
+	case logical.OpGroupBy:
+		writeCols(buf, " GROUP BY ", e.GroupCols)
+	case logical.OpSort:
+		buf.WriteString(" ORDER BY ")
+		for i, k := range e.Keys {
+			if i > 0 {
+				buf.WriteString(", ")
+			}
+			writeCol(buf, k.Col)
+			if k.Desc {
+				buf.WriteString(" DESC")
+			}
+		}
+	case logical.OpLimit:
+		buf.WriteString(" LIMIT ")
+		writeInt(buf, e.N)
+	}
+	return nil
+}
+
+// writeCols writes prefix and the columns, comma-separated, or nothing for
+// none.
+func writeCols(buf *bytes.Buffer, prefix string, cols []scalar.ColumnID) {
+	for i, c := range cols {
+		if i == 0 {
+			buf.WriteString(prefix)
+		} else {
+			buf.WriteString(", ")
+		}
+		writeCol(buf, c)
+	}
 }
