@@ -26,29 +26,20 @@ func cmdFuzz(e env, args []string) error {
 		return err
 	}
 
+	reg, err := registry(e, "fuzz", *mutant, false)
+	if err != nil {
+		return err
+	}
 	cfg := qtrtest.FuzzConfig{
 		Seed: e.seed, N: *n, Workers: e.workers, Timeout: *timeout,
-		DB: e.schema, EET: *eet, StopOnFinding: *stop,
+		Registry: reg, DB: e.schema, EET: *eet, StopOnFinding: *stop,
 		Cache: e.oracle.Cache, Backend: e.oracle.Backend,
 	}
-	if *mutant != "" {
-		reg, err := mutantRegistry(e, "fuzz", *mutant)
-		if err != nil {
-			return err
-		}
-		cfg.Registry = reg
-		cfg.Mutant = *mutant
-	}
 	var rep *qtrtest.FuzzReport
-	var err error
 	if *randcat {
 		// A nil catalog with DB unset makes the fuzzer derive a random
 		// catalog from the seed; bypass db so its catalog is not injected.
 		cfg.DB = ""
-		cfg.Catalog = nil
-		if cfg.Registry == nil {
-			cfg.Registry = e.db.Registry
-		}
 		rep, err = qtrtest.FuzzRun(cfg)
 	} else {
 		rep, err = e.db.Fuzz(cfg)

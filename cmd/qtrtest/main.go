@@ -440,8 +440,8 @@ func cmdMutate(e env, args []string) error {
 	if err := positive(fs, "k", "trials"); err != nil {
 		return err
 	}
-	if e.ext {
-		return fmt.Errorf("mutate: -ext cannot be combined with a mutation campaign: every mutant registry is built from the default rules")
+	if err := noExt(e, "mutate"); err != nil {
+		return err
 	}
 	cfg := qtrtest.MutationConfig{
 		K: *k, Targets: *targets, ExtraOps: *extra, Seed: e.seed,
@@ -485,7 +485,7 @@ func cmdCheck(e env, args []string) error {
 	}
 
 	var rep *qtrtest.CheckReport
-	var vcfg qtrtest.VerifyConfig
+	var reg *qtrtest.Registry
 	if *xmlFile != "" {
 		data, err := os.ReadFile(*xmlFile)
 		if err != nil {
@@ -498,10 +498,10 @@ func cmdCheck(e env, args []string) error {
 		rep = qtrtest.CheckExportedRules(ex)
 	} else {
 		var err error
-		if vcfg, err = verifyRegistry(e, "check", *mutant, *eet); err != nil {
+		if reg, err = registry(e, "check", *mutant, *eet); err != nil {
 			return err
 		}
-		rep = qtrtest.CheckRules(vcfg.Registry)
+		rep = qtrtest.CheckRules(reg)
 	}
 
 	if *asJSON {
@@ -529,7 +529,7 @@ func cmdCheck(e env, args []string) error {
 		lintErr = fmt.Errorf("check: %d finding(s)", rep.Count(qtrtest.CheckError)+rep.Count(qtrtest.CheckWarning))
 	}
 	if *deep {
-		vrep, err := qtrtest.VerifyRules(vcfg)
+		vrep, err := qtrtest.VerifyRules(verifyConfig(e, reg))
 		if err != nil {
 			return err
 		}

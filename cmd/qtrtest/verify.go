@@ -8,53 +8,41 @@ import (
 	"qtrtest"
 )
 
-// mutantRegistry resolves -mutant to the mutant's registry. Every mutant
-// registry is built from the default rules, so -ext, whose rules it would
-// drop without a word, is rejected instead.
-func mutantRegistry(e env, cmd, mutant string) (*qtrtest.Registry, error) {
-	if e.ext {
-		return nil, fmt.Errorf("%s: -ext cannot be combined with -mutant: every mutant registry is built from the default rules", cmd)
-	}
-	ms, err := qtrtest.MutantsByKind(qtrtest.MutantKind(mutant))
-	if err != nil {
-		return nil, err
-	}
-	return ms[0].Registry(), nil
-}
-
-// verifyRegistry resolves the registry a check or verify run (cmd) targets:
+// registry resolves the rule set a fuzz, check or verify run (cmd) targets:
 // the active registry by default, a mutant's registry with -mutant, either
-// one extended with the EET rule pack with -eet. The returned config carries
-// the labels the report and repro lines embed, and the global execution
-// flags.
-func verifyRegistry(e env, cmd, mutant string, eet bool) (qtrtest.VerifyConfig, error) {
-	cfg := qtrtest.VerifyConfig{
-		Registry: e.db.Registry, EET: eet,
-		Workers: e.workers, Cache: e.oracle.Cache, Backend: e.oracle.Backend,
-	}
+// one extended with the EET rule pack with eet. The registry itself says
+// which it is; reports and repro lines read their labels from it.
+func registry(e env, cmd, mutant string, eet bool) (*qtrtest.Registry, error) {
+	reg := e.db.Registry
 	if mutant != "" {
-		reg, err := mutantRegistry(e, cmd, mutant)
-		if err != nil {
-			return cfg, err
+		if err := noExt(e, cmd); err != nil {
+			return nil, err
 		}
-		cfg.Registry = reg
-		cfg.Mutant = mutant
+		ms, err := qtrtest.MutantsByKind(qtrtest.MutantKind(mutant))
+		if err != nil {
+			return nil, err
+		}
+		reg = ms[0].Registry()
 	}
 	if eet {
-		cfg.Registry = qtrtest.RegistryExtend(cfg.Registry, eetRulePack()...)
+		reg = qtrtest.RegistryExtend(reg, qtrtest.EETRules()...)
 	}
-	return cfg, nil
+	return reg, nil
 }
 
-// eetRulePack widens the concrete EET rule slice to the []Rule variadic base
-// RegistryExtend takes.
-func eetRulePack() []qtrtest.Rule {
-	eet := qtrtest.EETRules()
-	out := make([]qtrtest.Rule, len(eet))
-	for i, r := range eet {
-		out[i] = r
+// noExt rejects -ext for a run (cmd) on mutant registries: every one is built
+// from the default rules, so it would drop the extension rules without a
+// word.
+func noExt(e env, cmd string) error {
+	if e.ext {
+		return fmt.Errorf("%s: -ext cannot be combined with a mutant: every mutant registry is built from the default rules", cmd)
 	}
-	return out
+	return nil
+}
+
+// verifyConfig is the verify run over reg with the global execution flags.
+func verifyConfig(e env, reg *qtrtest.Registry) qtrtest.VerifyConfig {
+	return qtrtest.VerifyConfig{Registry: reg, Workers: e.workers, Cache: e.oracle.Cache, Backend: e.oracle.Backend}
 }
 
 // cmdVerify runs the small-scope semantic rule verifier: every rule's
@@ -71,10 +59,11 @@ func cmdVerify(e env, args []string) error {
 	asJSON := fs.Bool("json", false, "emit the report as JSON")
 	fs.Parse(args)
 
-	cfg, err := verifyRegistry(e, "verify", *mutant, *eet)
+	reg, err := registry(e, "verify", *mutant, *eet)
 	if err != nil {
 		return err
 	}
+	cfg := verifyConfig(e, reg)
 	if cfg.Rules, err = parseIDs(*ruleIDs); err != nil {
 		return err
 	}

@@ -19,6 +19,7 @@ import (
 	"qtrtest/internal/logical"
 	"qtrtest/internal/physical"
 	"qtrtest/internal/rescache"
+	"qtrtest/internal/rules"
 )
 
 // Options is everything a campaign can say about how its plans execute.
@@ -190,4 +191,35 @@ func compare(base *Base, rows []datum.Row, order exec.PlanOrder, err error) Outc
 		return Outcome{Verdict: Undetermined, Detail: detail}
 	}
 	return Outcome{Verdict: Match}
+}
+
+// Repro returns the global part of a reproducer line —
+// "qtrtest [-db D] [-scale S] [-ext] [-backend B] [-seed N]" — to which each
+// campaign appends its subcommand and that subcommand's flags. A flag is
+// read from what the campaign ran on, never from a label beside it: db names
+// the catalog, which knows the row -scale it was loaded at; the registry
+// holds the extension pack only under -ext; backend is the cross-check
+// Options.Backend. An empty db, a nil catalog and a nil seed name no -db,
+// -scale and -seed: a random catalog comes from the seed, not from -db, and
+// verify's tiny databases and sweep come from neither.
+func Repro(db string, cat *catalog.Catalog, reg *rules.Registry, backend string, seed *int64) string {
+	line := "qtrtest"
+	if db != "" {
+		line += " -db " + db
+	}
+	if cat != nil {
+		if s := cat.ScaleRows(); s != 0 && s != 1 {
+			line += fmt.Sprintf(" -scale %g", s)
+		}
+	}
+	if reg.HasExtensions() {
+		line += " -ext"
+	}
+	if backend != "" {
+		line += " -backend " + backend
+	}
+	if seed != nil {
+		line += fmt.Sprintf(" -seed %d", *seed)
+	}
+	return line
 }

@@ -26,7 +26,7 @@ func TestBackendCampaignCatchesAllMutants(t *testing.T) {
 		for _, m := range mutate.Mutants() {
 			rep, err := Run(Config{
 				Seed: seed, N: 300, Workers: 8, Catalog: cat, DB: "tpch",
-				Registry: m.Registry(), Mutant: string(m.Kind), Backend: "ref",
+				Registry: m.Registry(), Backend: "ref",
 				StopOnFinding: true,
 			})
 			if err != nil {

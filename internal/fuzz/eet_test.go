@@ -18,7 +18,7 @@ func TestEETCampaignCatchesAllMutants(t *testing.T) {
 		for _, m := range mutate.Mutants() {
 			rep, err := Run(Config{
 				Seed: seed, N: 300, Workers: 8, Catalog: cat, DB: "tpch",
-				Registry: m.Registry(), Mutant: string(m.Kind), EET: true,
+				Registry: m.Registry(), EET: true,
 				StopOnFinding: true,
 			})
 			if err != nil {

@@ -80,15 +80,16 @@ type Config struct {
 	// not workers-deterministic.
 	Timeout time.Duration
 	// Registry is the rule set under test (default rules.DefaultRegistry;
-	// mutation self-tests pass a mutant's registry).
+	// mutation self-tests pass a mutant's registry, which names its mutant in
+	// the report and reproducer line).
 	Registry *rules.Registry
 	// Catalog is the test database (default: RandomCatalog(Seed)).
 	Catalog *catalog.Catalog
 	// DB labels the catalog in the report and reproducer line ("tpch",
-	// "star", "rand").
+	// "star", "rand"). With no Catalog it must be empty or "rand": the
+	// campaign then runs on the random catalog, and no other label would
+	// replay it.
 	DB string
-	// Mutant labels an injected fault in the report and reproducer line.
-	Mutant string
 	// EET enables the expression-level equivalence rewrites (the scalar EET
 	// catalog) alongside the tree-level metamorphic rewrites.
 	EET bool
@@ -133,33 +134,23 @@ func (c *Config) setDefaults() {
 }
 
 // repro formats the reproducer line: the CLI invocation that replays the
-// campaign byte-identically at any -workers count. The catalog says the
-// -scale it was loaded at (a random catalog has none), and a registry holding
-// the extension rules was built by -ext.
+// campaign byte-identically at any -workers count. Its global part
+// (oracle.Repro) reads -scale from the catalog and -ext from the registry,
+// and -mutant comes from the registry too.
 func (c *Config) repro() string {
-	db := fmt.Sprintf("-db %s ", c.DB)
-	if c.DB == "rand" {
+	db := c.DB
+	if db == "rand" {
 		db = ""
 	}
-	if s := c.Catalog.ScaleRows(); s != 0 && s != 1 {
-		db += fmt.Sprintf("-scale %g ", s)
-	}
-	if c.Registry.Pos(rules.ExtensionRules()[0].ID()) >= 0 {
-		db += "-ext "
-	}
-	backend := ""
-	if c.Backend != "" {
-		backend = fmt.Sprintf("-backend %s ", c.Backend)
-	}
-	line := fmt.Sprintf("qtrtest %s%s-seed %d fuzz -n %d", db, backend, c.Seed, c.N)
+	line := oracle.Repro(db, c.Catalog, c.Registry, c.Backend, &c.Seed) + fmt.Sprintf(" fuzz -n %d", c.N)
 	if c.EET {
 		line += " -eet"
 	}
 	if c.DB == "rand" {
 		line += " -randcat"
 	}
-	if c.Mutant != "" {
-		line += fmt.Sprintf(" -mutant %s", c.Mutant)
+	if m := c.Registry.Mutant(); m != "" {
+		line += " -mutant " + m
 	}
 	return line + "  # any -workers"
 }
@@ -216,6 +207,9 @@ func Run(cfg Config) (*Report, error) {
 
 // newCampaign fills in cfg's defaults and builds the campaign's shared state.
 func newCampaign(cfg Config) (*campaign, error) {
+	if cfg.Catalog == nil && cfg.DB != "" && cfg.DB != "rand" {
+		return nil, fmt.Errorf("fuzz: no catalog for DB %q: without one the campaign runs on the random catalog, which only DB \"\" or \"rand\" names", cfg.DB)
+	}
 	cfg.setDefaults()
 	rn, err := oracle.New(oracle.Options{
 		Backend: cfg.Backend, Cache: cfg.Cache, MaxRows: maxRows, MaxWork: maxWork,
@@ -235,7 +229,7 @@ func newCampaign(cfg Config) (*campaign, error) {
 func (c *campaign) run() *Report {
 	cfg := c.cfg
 	rep := &Report{
-		Schema: ReportSchema, DB: cfg.DB, Mutant: cfg.Mutant, Backend: cfg.Backend,
+		Schema: ReportSchema, DB: cfg.DB, Mutant: cfg.Registry.Mutant(), Backend: cfg.Backend,
 		Seed: cfg.Seed, N: cfg.N, Findings: []Finding{},
 	}
 	var deadline time.Time

@@ -2,6 +2,7 @@ package fuzz
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"qtrtest/internal/catalog"
@@ -76,9 +77,15 @@ func TestPristineRandomCatalog(t *testing.T) {
 }
 
 // TestReproLine pins the reproducer format: it must name the seed, db and
-// mutant, and promise worker-independence.
+// mutant, and promise worker-independence. The mutant is the registry's own
+// (Registry.Mutant); no label beside it says so.
 func TestReproLine(t *testing.T) {
-	cfg := Config{Seed: 9, N: 50, DB: "tpch", Mutant: "wrong-agg"}
+	ms, err := mutate.ByKind(mutate.KindWrongAgg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tpch := catalog.LoadTPCH(catalog.DefaultTPCHConfig())
+	cfg := Config{Seed: 9, N: 50, DB: "tpch", Catalog: tpch, Registry: ms[0].Registry()}
 	cfg.setDefaults()
 	got := cfg.repro()
 	want := "qtrtest -db tpch -seed 9 fuzz -n 50 -mutant wrong-agg  # any -workers"
@@ -92,12 +99,30 @@ func TestReproLine(t *testing.T) {
 	if got != want {
 		t.Errorf("randcat repro line:\n got %q\nwant %q", got, want)
 	}
-	ecfg := Config{Seed: 9, N: 50, DB: "tpch", Mutant: "wrong-agg", EET: true}
+	ecfg := Config{Seed: 9, N: 50, DB: "tpch", Catalog: tpch, Registry: ms[0].Registry(), EET: true}
 	ecfg.setDefaults()
 	got = ecfg.repro()
 	want = "qtrtest -db tpch -seed 9 fuzz -n 50 -eet -mutant wrong-agg  # any -workers"
 	if got != want {
 		t.Errorf("eet repro line:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestDBLabelNeedsItsCatalog: with no Catalog a campaign runs on the random
+// catalog, so a DB label naming another database would print a -db that
+// replays a different campaign. Run refuses it; "" and "rand" name the
+// random catalog and run.
+func TestDBLabelNeedsItsCatalog(t *testing.T) {
+	if _, err := Run(Config{Seed: 9, N: 1, DB: "tpch"}); err == nil || !strings.Contains(err.Error(), `"tpch"`) {
+		t.Errorf("DB \"tpch\" without a catalog: err = %v, want an error naming the label", err)
+	}
+	for _, db := range []string{"", "rand"} {
+		rep, err := Run(Config{Seed: 9, N: 1, DB: db})
+		if err != nil {
+			t.Errorf("DB %q without a catalog: %v", db, err)
+		} else if rep.DB != "rand" {
+			t.Errorf("DB %q without a catalog: report says db %q, want rand", db, rep.DB)
+		}
 	}
 }
 
@@ -113,7 +138,7 @@ func TestReproLineNamesScaleAndExt(t *testing.T) {
 	rep, err := Run(Config{
 		Seed: 42, N: 64, Workers: 2, DB: "tpch",
 		Catalog:  catalog.LoadTPCH(catalog.TPCHConfig{ScaleRows: 0.25, Seed: 42}),
-		Registry: ms[0].Registry(), Mutant: string(ms[0].Kind), StopOnFinding: true,
+		Registry: ms[0].Registry(), StopOnFinding: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,8 @@
 package fuzz
 
 import (
+	"slices"
+
 	"qtrtest/internal/logical"
 	"qtrtest/internal/scalar"
 )
@@ -97,7 +99,7 @@ func commuteJoins(tree *logical.Expr, _ *logical.Metadata, _ int64) *logical.Exp
 	}
 	orig := tree.OutputCols()
 	now := out.OutputCols()
-	if !sameCols(orig, now) {
+	if !slices.Equal(orig, now) {
 		items := make([]logical.ProjItem, len(orig))
 		for i, c := range orig {
 			items[i] = logical.ProjItem{Out: c, E: &scalar.ColRef{ID: c}}
@@ -105,18 +107,6 @@ func commuteJoins(tree *logical.Expr, _ *logical.Metadata, _ int64) *logical.Exp
 		out = &logical.Expr{Op: logical.OpProject, Children: []*logical.Expr{out}, Projs: items}
 	}
 	return out
-}
-
-func sameCols(a, b []scalar.ColumnID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // redundantFilter wraps the query in a tautological selection over its first

@@ -1,6 +1,7 @@
 package fuzz
 
 import (
+	"strings"
 	"testing"
 
 	"qtrtest/internal/bind"
@@ -24,7 +25,7 @@ func TestCampaignCatchesAllMutants(t *testing.T) {
 		for _, m := range mutate.Mutants() {
 			rep, err := Run(Config{
 				Seed: seed, N: 300, Workers: 8, Catalog: cat, DB: "tpch",
-				Registry: m.Registry(), Mutant: string(m.Kind),
+				Registry:      m.Registry(),
 				StopOnFinding: true,
 			})
 			if err != nil {
@@ -151,7 +152,7 @@ func TestMutantCampaignDeterministic(t *testing.T) {
 	}
 	cfg := Config{
 		Seed: 5, N: 96, Workers: 4, Catalog: cat, DB: "tpch",
-		Registry: ms[0].Registry(), Mutant: string(ms[0].Kind),
+		Registry:      ms[0].Registry(),
 		StopOnFinding: true,
 	}
 	a, err := Run(cfg)
@@ -169,5 +170,29 @@ func TestMutantCampaignDeterministic(t *testing.T) {
 	}
 	if len(a.Findings) == 0 {
 		t.Error("campaign caught nothing; determinism check is vacuous")
+	}
+}
+
+// TestReportNamesRegistryMutant: a campaign on a mutant's registry names the
+// mutant in its report and in every repro line, read from the registry: no
+// label can disagree with the rules that ran.
+func TestReportNamesRegistryMutant(t *testing.T) {
+	cat := catalog.LoadTPCH(catalog.TPCHConfig{ScaleRows: 0.1, Seed: 1})
+	for _, m := range mutate.Mutants() {
+		rep, err := Run(Config{
+			Seed: 42, N: 32, Workers: 4, Catalog: cat, DB: "tpch",
+			Registry: m.Registry(), StopOnFinding: true,
+		})
+		if err != nil {
+			t.Fatalf("mutant=%s: %v", m.Kind, err)
+		}
+		if rep.Mutant != string(m.Kind) {
+			t.Errorf("mutant=%s: report names mutant %q", m.Kind, rep.Mutant)
+		}
+		for _, f := range rep.Findings {
+			if !strings.HasSuffix(f.Repro, " -mutant "+string(m.Kind)+"  # any -workers") {
+				t.Errorf("mutant=%s: repro line %q does not name it", m.Kind, f.Repro)
+			}
+		}
 	}
 }

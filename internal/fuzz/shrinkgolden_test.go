@@ -62,7 +62,7 @@ func TestShrinkGoldens(t *testing.T) {
 		for _, mode := range modes {
 			cfg := Config{
 				Seed: 42, N: 300, Workers: 8, Catalog: cat, DB: "tpch",
-				Registry: m.Registry(), Mutant: string(m.Kind), StopOnFinding: true,
+				Registry: m.Registry(), StopOnFinding: true,
 			}
 			mode.set(&cfg)
 			rep, err := Run(cfg)

@@ -98,7 +98,9 @@ func (m Mutant) String() string {
 // Registry builds the optimizer rule set with this mutant's rule replaced in
 // place (via rules.RegistryReplacing, so the mutated rule keeps the
 // original's slot in definition order) plus, for implementation rules, the
-// pristine copy appended under Rule+PristineIDOffset. It panics if the
+// pristine copy appended under Rule+PristineIDOffset. The registry is
+// stamped with the mutant's kind (Registry.Mutant), which is how reports and
+// reproducer lines name the mutant they ran. It panics if the
 // mutant references an unknown rule, mirroring NewRegistry's handling of
 // definition errors.
 func (m Mutant) Registry() *rules.Registry {
@@ -112,7 +114,7 @@ func (m Mutant) Registry() *rules.Registry {
 			panic(fmt.Sprintf("mutate: mutant %s targets exploration rule without explApply", m))
 		}
 		sub := rules.NewExplorationRule(r.ID(), r.Name(), r.Pattern(), m.explApply)
-		return rules.RegistryReplacing(map[rules.ID]rules.Rule{m.Rule: sub})
+		return rules.RegistryReplacing(string(m.Kind), sub)
 	case rules.ImplementationRule:
 		if m.wrapImpl == nil {
 			panic(fmt.Sprintf("mutate: mutant %s targets implementation rule without wrapImpl", m))
@@ -124,7 +126,7 @@ func (m Mutant) Registry() *rules.Registry {
 			})
 		pristine := rules.NewImplementationRule(
 			r.ID()+PristineIDOffset, r.Name()+"Pristine", r.Pattern(), r.Implement)
-		return rules.RegistryReplacing(map[rules.ID]rules.Rule{m.Rule: sub}, pristine)
+		return rules.RegistryReplacing(string(m.Kind), sub, pristine)
 	default:
 		panic(fmt.Sprintf("mutate: mutant %s targets rule of unknown kind", m))
 	}

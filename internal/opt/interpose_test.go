@@ -45,7 +45,7 @@ func TestInterposedRuleWinsTieAndPristineFallsBack(t *testing.T) {
 		})
 	pristine := rules.NewImplementationRule(
 		ir.ID()+900, ir.Name()+"Pristine", ir.Pattern(), ir.Implement)
-	o := New(rules.RegistryReplacing(map[rules.ID]rules.Rule{sortRule: flipped}, pristine), cat)
+	o := New(rules.RegistryReplacing("", flipped, pristine), cat)
 
 	bound, err := bind.BindSQL("SELECT n_name FROM nation ORDER BY n_name", cat)
 	if err != nil {

@@ -2,6 +2,7 @@ package rules
 
 import (
 	"fmt"
+	"slices"
 
 	"qtrtest/internal/memo"
 	"qtrtest/internal/physical"
@@ -67,61 +68,44 @@ func NewImplementationRule(id ID, name string, pattern *Pattern,
 
 // RegistryWith returns a registry holding the default rule set plus the
 // given extra rules.
-func RegistryWith(extra ...Rule) *Registry {
-	var all []Rule
-	for _, r := range ExplorationRules() {
-		all = append(all, r)
-	}
-	for _, r := range ImplementationRules() {
-		all = append(all, r)
-	}
-	all = append(all, extra...)
-	return NewRegistry(all...)
-}
+func RegistryWith(extra ...Rule) *Registry { return Extend(DefaultRegistry(), extra...) }
 
 // Extend returns a registry holding every rule of base plus the extra rules
-// appended in order. Unlike RegistryWith, which always starts from the
-// default rule set, Extend composes with any base — a mutant registry, an
-// already-extended one — which is what lets the check and verify commands
-// combine a fault-injected registry with the EET rule pack. Duplicate ids or
-// names panic via NewRegistry, mirroring the other constructors.
-func Extend(base *Registry, extra ...Rule) *Registry {
-	all := append([]Rule(nil), base.All()...)
-	all = append(all, extra...)
-	return NewRegistry(all...)
-}
-
-// RegistryReplacing returns a registry holding the default rule set with each
-// rule in repl substituted in place (matched by ID), plus the extra rules
-// appended at the end. The substitute occupies the original rule's slot in
-// definition order, which matters because the implementor breaks equal-cost
-// ties by definition order: an interposed rule competes exactly as the
-// original did, while an appended one would lose every tie. This is the
-// interposition seam used by fault injection (internal/mutate) to shadow one
-// rule with a deliberately wrong variant. It panics if an ID in repl matches
-// no default rule, mirroring NewRegistry's handling of definition errors.
-func RegistryReplacing(repl map[ID]Rule, extra ...Rule) *Registry {
-	pending := make(map[ID]Rule, len(repl))
-	for id, r := range repl {
-		pending[id] = r
-	}
-	var all []Rule
-	add := func(r Rule) {
-		if sub, ok := pending[r.ID()]; ok {
-			delete(pending, r.ID())
-			r = sub
-		}
+// appended in order, stamped with base's mutant (Mutant). Unlike
+// RegistryWith, which always starts from the default rule set, Extend
+// composes with any base — a mutant registry, an already-extended one —
+// which is what lets the check and verify commands combine a fault-injected
+// registry with the EET rule pack. R lets a typed pack such as EETRules()
+// pass as it is. Duplicate ids or names panic via NewRegistry, mirroring the
+// other constructors.
+func Extend[R Rule](base *Registry, extra ...R) *Registry {
+	all := slices.Clone(base.all)
+	for _, r := range extra {
 		all = append(all, r)
 	}
-	for _, r := range ExplorationRules() {
-		add(r)
+	reg := NewRegistry(all...)
+	reg.mutant = base.mutant
+	return reg
+}
+
+// RegistryReplacing returns the registry of a fault-injection mutant: the
+// default rule set with sub in the place of the default rule with its ID,
+// plus the extra rules appended at the end, stamped with the mutant's kind
+// (Mutant). The substitute occupies the original rule's slot in definition
+// order, which matters because the implementor breaks equal-cost ties by
+// definition order: an interposed rule competes exactly as the original did,
+// while an appended one would lose every tie. This is the interposition seam
+// used by fault injection (internal/mutate) to shadow one rule with a
+// deliberately wrong variant. It panics if sub's ID names no default rule,
+// mirroring NewRegistry's handling of definition errors.
+func RegistryReplacing(mutant string, sub Rule, extra ...Rule) *Registry {
+	def := DefaultRegistry()
+	p := def.Pos(sub.ID())
+	if p < 0 {
+		panic(fmt.Sprintf("rules: RegistryReplacing: no default rule with id %d", sub.ID()))
 	}
-	for _, r := range ImplementationRules() {
-		add(r)
-	}
-	for id := range pending {
-		panic(fmt.Sprintf("rules: RegistryReplacing: no default rule with id %d", id))
-	}
-	all = append(all, extra...)
-	return NewRegistry(all...)
+	def.all[p] = sub
+	reg := NewRegistry(append(def.all, extra...)...)
+	reg.mutant = mutant
+	return reg
 }

@@ -56,13 +56,11 @@ func EETRules() []ExplorationRule {
 }
 
 // RegistryWithEET returns the default rule set plus the EET candidates.
-func RegistryWithEET() *Registry {
-	var extra []Rule
-	for _, r := range EETRules() {
-		extra = append(extra, r)
-	}
-	return RegistryWith(extra...)
-}
+func RegistryWithEET() *Registry { return Extend(DefaultRegistry(), EETRules()...) }
+
+// HasEET reports whether the registry holds the EET pack — check's and
+// verify's -eet. A pack joins a registry whole, so its first rule decides.
+func (r *Registry) HasEET() bool { return r.Pos(eetRuleBaseID) >= 0 }
 
 func applyEET(ctx *Context, b *memo.BoundExpr, er scalar.EETRewrite, atAnySite bool) []*memo.BoundExpr {
 	f := b.Node.Filter

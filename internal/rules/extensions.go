@@ -31,13 +31,12 @@ func ExtensionRules() []ExplorationRule {
 
 // RegistryWithExtensions returns the default rule set plus the extension
 // pack.
-func RegistryWithExtensions() *Registry {
-	var extra []Rule
-	for _, r := range ExtensionRules() {
-		extra = append(extra, r)
-	}
-	return RegistryWith(extra...)
-}
+func RegistryWithExtensions() *Registry { return Extend(DefaultRegistry(), ExtensionRules()...) }
+
+// HasExtensions reports whether the registry holds the extension pack — the
+// CLI's -ext, the only way one gets there. A pack joins a registry whole, so
+// its first rule (31) decides.
+func (r *Registry) HasExtensions() bool { return r.Pos(31) >= 0 }
 
 // fkJoinIsLossless reports whether the equi predicate equates a declared
 // foreign key of the fact Get with the primary key of the dim Get, so that

@@ -130,12 +130,5 @@ func ImplementationRules() []ImplementationRule {
 // DefaultRegistry returns the full rule set of the optimizer: 30 exploration
 // rules and 17 implementation rules.
 func DefaultRegistry() *Registry {
-	var all []Rule
-	for _, r := range ExplorationRules() {
-		all = append(all, r)
-	}
-	for _, r := range ImplementationRules() {
-		all = append(all, r)
-	}
-	return NewRegistry(all...)
+	return Extend(Extend(NewRegistry(), ExplorationRules()...), ImplementationRules()...)
 }

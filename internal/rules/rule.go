@@ -256,6 +256,8 @@ type Registry struct {
 	// would return nothing anyway.
 	explByOp [logical.OpSort + 1][]ExplorationRule
 	implByOp [logical.OpSort + 1][]ImplementationRule
+	// mutant is the kind RegistryReplacing stamped, "" for none.
+	mutant string
 }
 
 // NewRegistry returns a registry with the given rules; it panics on
@@ -297,6 +299,11 @@ func NewRegistry(rs ...Rule) *Registry {
 	}
 	return reg
 }
+
+// Mutant returns the kind of the fault-injection mutant the registry was
+// built for (RegistryReplacing, kept through Extend), or "" when it was not:
+// what a report and a reproducer line call its -mutant.
+func (r *Registry) Mutant() string { return r.mutant }
 
 // All returns every rule in definition order.
 func (r *Registry) All() []Rule { return r.all }

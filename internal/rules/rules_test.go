@@ -47,7 +47,7 @@ func TestRegistryReplacing(t *testing.T) {
 	sub := NewExplorationRule(er.ID(), er.Name(), er.Pattern(), er.Apply)
 	extra := NewExplorationRule(800, "ExtraRule", er.Pattern(), er.Apply)
 
-	reg := RegistryReplacing(map[ID]Rule{er.ID(): sub}, extra)
+	reg := RegistryReplacing("", sub, extra)
 	all := reg.All()
 	if len(all) != len(def)+1 {
 		t.Fatalf("size = %d, want %d", len(all), len(def)+1)
@@ -74,7 +74,7 @@ func TestRegistryReplacingPanicsOnUnknownID(t *testing.T) {
 		}
 	}()
 	er := ExplorationRules()[0]
-	RegistryReplacing(map[ID]Rule{9999: NewExplorationRule(9999, "Nope", er.Pattern(), er.Apply)})
+	RegistryReplacing("", NewExplorationRule(9999, "Nope", er.Pattern(), er.Apply))
 }
 
 func TestRegistryPanicsOnDuplicates(t *testing.T) {

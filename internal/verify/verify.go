@@ -56,15 +56,11 @@ const (
 // Config tunes one verification run.
 type Config struct {
 	// Registry is the rule set to verify; nil means the default registry.
+	// The report and repro lines name its mutant (Registry.Mutant) and its
+	// rule packs (-ext, -eet) as the registry holds them.
 	Registry *rules.Registry
 	// Rules restricts the run to the given rule ids (default: all).
 	Rules []rules.ID
-	// Mutant labels the registry's mutant kind in the report and repro
-	// lines; it does not alter the check.
-	Mutant string
-	// EET records that the registry includes the EET rule pack, for the
-	// report and repro lines.
-	EET bool
 	// Workers sizes the worker pool (0 = GOMAXPROCS); the report is
 	// byte-identical for every value.
 	Workers int
@@ -139,6 +135,9 @@ type Report struct {
 	BackendChecks int        `json:"backend_checks,omitempty"`
 	Findings      []Finding  `json:"findings"`
 	Stats         []RuleStat `json:"stats"`
+	// ext records that the registry held the extension pack, for the text
+	// header only: the JSON form has no field for it, so its pins hold.
+	ext bool
 }
 
 // JSON renders the report; the output is byte-identical across runs and
@@ -164,6 +163,9 @@ func (r *Report) registryLabel() string {
 	label := "default"
 	if r.Mutant != "" {
 		label = "mutant:" + r.Mutant
+	}
+	if r.ext {
+		label += "+ext"
 	}
 	if r.EET {
 		label += "+eet"
@@ -217,7 +219,10 @@ func Run(cfg Config) (*Report, error) {
 	par.ForEach(cfg.Workers, len(targets), func(i int) {
 		results[i] = checkRule(targets[i], &cfg, rn)
 	})
-	rep := &Report{Schema: ReportSchema, Mutant: cfg.Mutant, EET: cfg.EET, Backend: cfg.Backend, Rules: len(targets)}
+	rep := &Report{
+		Schema: ReportSchema, Mutant: reg.Mutant(), EET: reg.HasEET(), Backend: cfg.Backend,
+		Rules: len(targets), ext: reg.HasExtensions(),
+	}
 	for _, res := range results {
 		rep.Stats = append(rep.Stats, res.stat)
 		rep.Pairs += res.stat.Pairs
@@ -448,18 +453,12 @@ func (res *ruleResult) fail(r rules.Rule, inst *instance, db database, base, alt
 	if res.finding != nil {
 		return
 	}
-	repro := "qtrtest"
-	if res.cfg.Registry.Pos(rules.ExtensionRules()[0].ID()) >= 0 {
-		repro += " -ext" // only -ext puts the extension rules in a registry
+	reg := res.cfg.Registry
+	repro := oracle.Repro("", nil, reg, res.cfg.Backend, nil) + " verify"
+	if m := reg.Mutant(); m != "" {
+		repro += " -mutant " + m
 	}
-	if res.cfg.Backend != "" {
-		repro += " -backend " + res.cfg.Backend
-	}
-	repro += " verify"
-	if res.cfg.Mutant != "" {
-		repro += " -mutant " + res.cfg.Mutant
-	}
-	if res.cfg.EET {
+	if reg.HasEET() {
 		repro += " -eet"
 	}
 	repro += fmt.Sprintf(" -rules %d", r.ID())

@@ -45,7 +45,10 @@ func TestPristineRegistryClean(t *testing.T) {
 // verifies clean, and every EET rule is actually exercised — an EET rewrite
 // that stopped firing on the vocabulary would silently weaken the gate.
 func TestEETRegistryClean(t *testing.T) {
-	rep := run(t, Config{Registry: rules.RegistryWithEET(), EET: true})
+	rep := run(t, Config{Registry: rules.RegistryWithEET()})
+	if !rep.EET {
+		t.Error("report over the EET registry does not say eet")
+	}
 	if len(rep.Findings) != 0 {
 		for _, f := range rep.Findings {
 			t.Errorf("EET rule #%d %s flagged: %s", f.Rule, f.RuleName, f.Detail)
@@ -82,7 +85,10 @@ func TestAllMutantsFlagged(t *testing.T) {
 	for _, m := range mutate.Mutants() {
 		m := m
 		t.Run(string(m.Kind), func(t *testing.T) {
-			rep := run(t, Config{Registry: m.Registry(), Mutant: string(m.Kind)})
+			rep := run(t, Config{Registry: m.Registry()})
+			if rep.Mutant != string(m.Kind) {
+				t.Errorf("report names mutant %q, want the registry's %q", rep.Mutant, m.Kind)
+			}
 			var hit *Finding
 			for i := range rep.Findings {
 				if rep.Findings[i].Rule == int(m.Rule) {
@@ -130,7 +136,7 @@ func TestRulesFilterAndRepro(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := run(t, Config{Registry: ms[0].Registry(), Mutant: "flip-sort-dir", Rules: []rules.ID{116}})
+	rep := run(t, Config{Registry: ms[0].Registry(), Rules: []rules.ID{116}})
 	if rep.Rules != 1 {
 		t.Fatalf("Rules = %d, want 1", rep.Rules)
 	}
@@ -158,10 +164,10 @@ func TestWorkerCountInvariance(t *testing.T) {
 		cfg  Config
 	}{
 		{"pristine", Config{}},
-		{"mutant", Config{Registry: ms[0].Registry(), Mutant: "wrong-agg"}},
+		{"mutant", Config{Registry: ms[0].Registry()}},
 	} {
-		one := run(t, Config{Registry: reg.cfg.Registry, Mutant: reg.cfg.Mutant, Workers: 1})
-		many := run(t, Config{Registry: reg.cfg.Registry, Mutant: reg.cfg.Mutant, Workers: 8})
+		one := run(t, Config{Registry: reg.cfg.Registry, Workers: 1})
+		many := run(t, Config{Registry: reg.cfg.Registry, Workers: 8})
 		j1, err := one.JSON()
 		if err != nil {
 			t.Fatal(err)
@@ -183,13 +189,57 @@ func TestReportRendering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := run(t, Config{Registry: ms[0].Registry(), Mutant: "limit-off-by-one", Rules: []rules.ID{117}})
+	rep := run(t, Config{Registry: ms[0].Registry(), Rules: []rules.ID{117}})
 	var sb bytes.Buffer
 	rep.Print(&sb)
 	out := sb.String()
 	for _, want := range []string{"registry=mutant:limit-off-by-one", "FINDING rule #117 LimitToLimit", "repro: qtrtest verify -mutant limit-off-by-one -rules 117"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestLabelsComeFromTheRegistry: the report, its text header and the repro
+// line name what the registry holds. A mutant registry extended with the EET
+// pack is both; the extension pack shows in the text header (the JSON form
+// has no field for it, and -ext is in the repro line).
+func TestLabelsComeFromTheRegistry(t *testing.T) {
+	ms, err := mutate.ByKind(mutate.KindLimitOffByOne)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := run(t, Config{Registry: rules.Extend(ms[0].Registry(), rules.EETRules()...), Rules: []rules.ID{117}})
+	if rep.Mutant != "limit-off-by-one" || !rep.EET {
+		t.Errorf("mutant+EET registry reported mutant=%q eet=%v", rep.Mutant, rep.EET)
+	}
+	if len(rep.Findings) != 1 {
+		t.Fatalf("findings = %d, want 1", len(rep.Findings))
+	}
+	if got, want := rep.Findings[0].Repro, "qtrtest verify -mutant limit-off-by-one -eet -rules 117"; got != want {
+		t.Errorf("repro = %q, want %q", got, want)
+	}
+
+	for _, c := range []struct {
+		reg  *rules.Registry
+		want string
+	}{
+		{rules.DefaultRegistry(), "verify: registry=default rules=1 "},
+		{rules.RegistryWithExtensions(), "verify: registry=default+ext rules=1 "},
+		{rules.Extend(rules.RegistryWithExtensions(), rules.EETRules()...), "verify: registry=default+ext+eet rules=1 "},
+	} {
+		rep := run(t, Config{Registry: c.reg, Rules: []rules.ID{1}})
+		var sb bytes.Buffer
+		rep.Print(&sb)
+		if !strings.HasPrefix(sb.String(), c.want) {
+			t.Errorf("header = %q, want prefix %q", strings.SplitN(sb.String(), "\n", 2)[0], c.want)
+		}
+		data, err := rep.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Contains(data, []byte(`"ext"`)) {
+			t.Errorf("the JSON report grew an ext field:\n%s", data)
 		}
 	}
 }

@@ -285,15 +285,15 @@ type (
 	VerifyFinding = verify.Finding
 )
 
-// Verification helpers, re-exported from the verify and rules packages.
-var (
-	// VerifyRules runs the small-scope semantic verifier over a registry.
-	VerifyRules = verify.Run
-	// RegistryExtend appends extra rules to any base registry (a mutant
-	// registry, an extended one), unlike RegistryWith which always starts
-	// from the default rule set.
-	RegistryExtend = rules.Extend
-)
+// VerifyRules runs the small-scope semantic verifier over a registry.
+var VerifyRules = verify.Run
+
+// RegistryExtend appends extra rules to any base registry (a mutant registry,
+// an extended one), unlike RegistryWith which always starts from the default
+// rule set; a mutant registry stays one.
+func RegistryExtend[R Rule](base *Registry, extra ...R) *Registry {
+	return rules.Extend(base, extra...)
+}
 
 // Result-cache surface (internal/rescache): the campaign-wide plan-result
 // cache behind the CLI's -cache/-cachestats flags. Each campaign — suite
