@@ -458,29 +458,35 @@ func TestSuitePairsOptimizerCallBudget(t *testing.T) {
 // TestExecAllocBudget holds plan execution on the batch engine to committed
 // object ceilings, about 10 % above measured. (i) A selective nested-loops
 // join — k + k' < 10 over two tables of k = 0..n-1, 55 result rows whatever n
-// — costs the same objects at 200 x 200 and at 400 x 400 candidate pairs (28
-// at both; 40 023 and 160 024 when the join allocated a row per pair): a
-// per-pair allocation creeping back fails go test here, not a campaign
-// benchmark. (ii) A 3 x 3 nested-loops join under a project, the shape a
-// verify sweep executes by the hundred thousand, costs no more than when the
-// join was a row operator between two adapters (21 objects; 29 then): a fast
-// inner loop must not be paid for in set-up per plan. (iii) A later run of a
-// compiled Program costs the result it returns and nothing of the plan's
-// set-up: strictly fewer objects than the first run of the same plan (2 where
-// that costs 28 and 21, the ceiling 3; 3 before the result took its first
-// batch's rows without copying them). (iv) Bytes per execution, about
-// 15 % above measured (434 955 for either join, 3 584 for the micro-plan;
-// 695 410 and 4 528 when a Datum was 48 bytes): a value growing a word moves
-// bytes, not objects, and no object count sees it. (v) Sort, limit, concat
-// and merge join run columnar, with no row built below the root: LIMIT 10
-// over a two-key sort over a 400 + 400-row concat costs 23 objects / 3 KB
-// (842 / 113 KB when they ran row-at-a-time between adapters), and a 400 x
-// 400 merge join of 22 858 rows 40 objects / 5.1 MB (22 984 / 12.4 MB: a row
-// per output row), of which its result is 22 on a later run. (vi) Operators
-// copy only the columns read above them: a one-column projection over a sort
-// over a 16-column join of 1 600 rows, on scratch pools a collection has
-// emptied, costs 96 objects / 548 KB (124 / 2.19 MB when the join gathered
-// and the sort drained every column).
+// — costs the same objects at 200 x 200 and at 400 x 400 candidate pairs (14
+// at both; 29 while an evaluated column grew from empty in every probe chunk,
+// 40 023 and 160 024 when the join allocated a row per pair): a per-pair
+// allocation creeping back fails go test here, not a campaign benchmark.
+// (ii) A 3 x 3 nested-loops join under a project, the shape a verify sweep
+// executes by the hundred thousand, costs less than when the join was a row
+// operator between two adapters (17 objects; 29 then): a fast inner loop must
+// not be paid for in set-up per plan. (iii) A later run of a compiled Program
+// costs the result it returns and nothing of the plan's set-up: strictly
+// fewer objects than the first run of the same plan (2 where that costs 14
+// and 17, the ceiling 3). (iv) Bytes per execution, about 15 % above measured
+// (72 517 for either join, 2 528 for the micro-plan; 266 316 and 2 880 while
+// evaluated columns grew by doubling, 695 410 and 4 528 when a Datum was 48
+// bytes): a value growing a word moves bytes, not objects, and no object count
+// sees it. (v) Sort, limit, concat and merge join run columnar, with no row
+// built below the root: LIMIT 10 over a two-key sort over a 400 + 400-row
+// concat costs 22 objects / 2.6 KB (842 / 113 KB when they ran row-at-a-time
+// between adapters), and a 400 x 400 merge join of 22 858 rows 29 objects /
+// 2.0 MB (36 / 3.6 MB while the result's header array grew by appending,
+// 22 984 / 12.4 MB with a row per output row), of which its result is 10 on a
+// later run. (vi) Operators copy only the columns read above them: a
+// one-column projection over a sort over a 16-column join of 1 600 rows, on
+// scratch pools a collection has emptied, costs 94 objects / 333 KB (124 /
+// 2.19 MB when the join gathered and the sort drained every column). (vii) A
+// result is materialized once: a filter passing 3 000 of 4 000 rows in three
+// batches costs its three exact-size slabs and one header array of 3 000
+// rows, 56 bytes a row, plus 8 KB for the plan and allocation size classes
+// (172 853 bytes measured; 251 964 with a header slice per batch appended to
+// a growing result).
 func TestExecAllocBudget(t *testing.T) {
 	cat := catalog.New()
 	for _, n := range []int{3, 200, 400} {
@@ -549,6 +555,16 @@ func TestExecAllocBudget(t *testing.T) {
 		return cols
 	}
 	wl, wr := wideCols("l", 20), wideCols("r", 30)
+	long := &catalog.Table{Name: "long", Columns: []catalog.Column{{Name: "k", Type: datum.TypeInt}, {Name: "v", Type: datum.TypeInt}}}
+	for i := 0; i < 4000; i++ {
+		long.Rows = append(long.Rows, datum.Row{datum.NewInt(int64(i)), datum.NewInt(int64(i % 7))})
+	}
+	long.ComputeStats()
+	cat.Add(long)
+	gathered := &physical.Expr{
+		Op: physical.OpFilter, Children: []*physical.Expr{{Op: physical.OpScan, Table: "long", Cols: []scalar.ColumnID{60, 61}}},
+		Filter: &scalar.Cmp{Op: scalar.CmpLT, L: &scalar.ColRef{ID: 60}, R: &scalar.Const{D: datum.NewInt(3000)}},
+	}
 	narrow := &physical.Expr{
 		Op: physical.OpProject, Projs: []logical.ProjItem{{Out: 50, E: &scalar.ColRef{ID: wr[5]}}},
 		Children: []*physical.Expr{{
@@ -575,12 +591,13 @@ func TestExecAllocBudget(t *testing.T) {
 		// collections: the columns a plan copies are then bytes it allocates.
 		cold bool
 	}{
-		{"200 x 200 pairs", nl(200), 55, 31, 3, 500000, false},
-		{"400 x 400 pairs", nl(400), 55, 31, 3, 500000, false},
-		{"3 x 3 under project", micro, 9, 23, 3, 4120, false},
+		{"200 x 200 pairs", nl(200), 55, 16, 3, 84000, false},
+		{"400 x 400 pairs", nl(400), 55, 16, 3, 84000, false},
+		{"3 x 3 under project", micro, 9, 19, 3, 2950, false},
 		{"LIMIT 10 over sort over 400 + 400 concat", topOfUnion, 10, 26, 3, 3450, false},
-		{"400 x 400 merge join", merge, 22858, 44, 24, 5920000, false},
+		{"400 x 400 merge join", merge, 22858, 32, 11, 2330000, false},
 		{"narrow project over sort over wide join, cold pools", narrow, 1600, 110, 83, 630000, true},
+		{"filter over 4 000-row scan, 3 000 rows in 3 batches", gathered, 3000, 13, 5, 3000*(24+2*16) + 8000, false},
 	} {
 		run := func() {
 			if tc.cold {

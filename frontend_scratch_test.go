@@ -12,8 +12,9 @@ import (
 
 // TestFrontEndScratchPoisonIsInvisible runs the front end with the scratch
 // it recycles poisoned (bind.PoisonReleased: the binder's project items, put
-// back after every binding, and the generator's candidate column lists,
-// before every trial renders) and requires what unpoisoned runs give: the
+// back after every binding, and the generator's candidate column lists and
+// the column-table storage its trial metadata's last Reset dropped, before
+// every trial renders) and requires what unpoisoned runs give: the
 // seed-42 generation of `suite -pairs -n 6 -k 3` on two workers, the seed-42
 // star fuzz campaign of 200 queries, and, for every query that generation
 // kept, the tree and metadata BindSQL returns, held while all the others

@@ -82,6 +82,9 @@ type Generator struct {
 	// every call: nothing built from them keeps them.
 	cols, cols2 []scalar.ColumnID
 	pairs       []colPair
+	// md is the metadata every trial builds its tree in, reset per trial: a
+	// kept query holds the binder's metadata, never this one.
+	md *logical.Metadata
 	// onRelease, when non-nil, sees each trial's optimization just before it
 	// is released. Unexported: the budget tests count with it.
 	onRelease func(*opt.Result)
@@ -180,14 +183,26 @@ func (g *Generator) tryTree(tree *logical.Expr, md *logical.Metadata, target []r
 }
 
 // poisonLists overwrites the instantiator's column lists, which a tree could
-// point into, with garbage, as bind.PoisonReleased asks of the front end's
-// scratch.
+// point into, and what the last Reset dropped of the trial metadata's column
+// table with garbage, as bind.PoisonReleased asks of the front end's scratch.
 func (g *Generator) poisonLists() {
 	for _, l := range [][]scalar.ColumnID{g.cols[:cap(g.cols)], g.cols2[:cap(g.cols2)]} {
 		for i := range l {
 			l[i] = -7
 		}
 	}
+	if g.md != nil {
+		g.md.Fill(logical.ColumnMeta{Name: "poison", Table: "poison", TableCol: "poison"})
+	}
+}
+
+// trialMD returns the generator's trial metadata, reset for a new trial.
+func (g *Generator) trialMD() *logical.Metadata {
+	if g.md == nil {
+		g.md = logical.NewMetadata(g.opt.Catalog())
+	}
+	g.md.Reset()
+	return g.md
 }
 
 // keep finishes the hit's optimization, takes its answers and releases it.
@@ -217,7 +232,7 @@ func (g *Generator) release(q *Query) {
 // or is skipped when the catalog has no arguments for that.
 func (g *Generator) sweep(candidates []*rules.Pattern, pad int, try func(trial int, tree *logical.Expr, md *logical.Metadata) (done bool, err error)) error {
 	for trial := 1; trial <= g.cfg.MaxTrials; trial++ {
-		md := logical.NewMetadata(g.opt.Catalog())
+		md := g.trialMD()
 		tree, err := g.instantiate(candidates[(trial-1)%len(candidates)], md)
 		for i := 0; i < pad && err == nil; i++ {
 			tree, err = g.wrapRandomOp(tree, md)
@@ -238,7 +253,7 @@ func (g *Generator) GenerateRandom(target []rules.ID) (*Query, error) {
 	//qtrlint:allow wallclock telemetry only: Elapsed reports generation latency, never influences the query produced
 	start := time.Now()
 	for trial := 1; trial <= g.cfg.MaxTrials; trial++ {
-		md := logical.NewMetadata(g.opt.Catalog())
+		md := g.trialMD()
 		tree, err := g.RandomTreeWeighted(md, 2+g.rng.Intn(5)+g.cfg.ExtraOps, randomWeights)
 		if err != nil {
 			return nil, err

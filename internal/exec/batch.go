@@ -68,8 +68,9 @@ type Batch struct {
 	// row k (the row Idx[k] selects), backed by stable storage that outlives
 	// the batch. Scans set it — they window the catalog's row slice — so a
 	// result that is a bare scan is returned without gathering; a limit
-	// truncates it with Idx. Every other operator constructs a fresh Batch
-	// without one, so staleness cannot leak.
+	// truncates it with Idx, and a concat passes it on when it renames
+	// nothing. Every other operator constructs a fresh Batch without one, so
+	// staleness cannot leak.
 	Rows []datum.Row
 }
 
@@ -118,12 +119,15 @@ func (e Engine) String() string {
 	return fmt.Sprintf("engine(%d)", int(e))
 }
 
-// runBatch opens, drains and closes a batch iterator, gathering result rows;
-// maxRows > 0 caps the result size. The first batch's rows become the
-// result's own, uncopied. A Close error on an otherwise successful run is a
-// real failure and is not swallowed. A failed Open is closed too: the
-// operators below the failure did open and hold pooled scratch, and Close is
-// safe on an operator that never opened.
+// runBatch opens, drains and closes a batch iterator and returns its result;
+// maxRows > 0 caps the result size. Each result is materialized once
+// (DESIGN.md §11, "Result assembly"): row views are returned uncopied, each
+// gathered batch gets one exact-size slab, the result gets one header array
+// of exactly its length when the stream ends, and rows are clipped to their
+// width. A Close error on an otherwise successful run is a real failure and
+// is not swallowed. A failed Open is closed too: the operators below the
+// failure did open and hold pooled scratch, and Close is safe on an operator
+// that never opened.
 func runBatch(it BatchIterator, maxRows int) (out []datum.Row, err error) {
 	defer func() {
 		if cerr := it.Close(); cerr != nil && err == nil {
@@ -133,47 +137,65 @@ func runBatch(it BatchIterator, maxRows int) (out []datum.Row, err error) {
 	if err := it.Open(); err != nil {
 		return nil, err
 	}
+	var buf [16]part // the parts of a result of up to 16 batches stay on the stack
+	parts, n := buf[:0], 0
 	for {
 		b, err := it.Next()
 		if err != nil {
 			return nil, err
 		}
 		if b == nil {
-			return out, nil
+			break
 		}
-		if maxRows > 0 && len(out)+b.Len() > maxRows {
+		if maxRows > 0 && n+b.Len() > maxRows {
 			return nil, ErrRowLimit
 		}
-		if rows := gatherRows(b); out == nil && len(rows) > 0 {
-			out = rows[:len(rows):len(rows)] // clipped: a scan's rows are its table's
-		} else {
-			out = append(out, rows...)
+		parts = append(parts, gather(b))
+		n += b.Len()
+	}
+	switch {
+	case len(parts) == 0:
+		return nil, nil
+	case len(parts) == 1 && parts[0].view != nil:
+		v := parts[0].view
+		return v[:len(v):len(v)], nil // clipped: a scan's rows are its table's
+	}
+	out = make([]datum.Row, 0, n)
+	for _, p := range parts {
+		if p.view != nil {
+			out = append(out, p.view...)
+			continue
+		}
+		for k := 0; k < p.n; k++ {
+			out = append(out, p.slab[k*p.width:(k+1)*p.width:(k+1)*p.width])
 		}
 	}
+	return out, nil
 }
 
-// gatherRows materializes a batch into rows backed by one shared slab
-// allocation, written column-at-a-time: the per-row make() this replaces
-// dominated the profile of scan-heavy plans. Batches that carry a row view
-// skip even the slab — a bare scan returns the catalog's own rows, uncopied.
-func gatherRows(b *Batch) []datum.Row {
+// part is one batch of a result: a scan's row view, or n rows of width
+// datums gathered into one slab.
+type part struct {
+	view     []datum.Row
+	slab     []datum.Datum
+	n, width int
+}
+
+// gather keeps a batch's row view, or copies the batch into one exact-size
+// slab, column at a time.
+func gather(b *Batch) part {
 	if b.Rows != nil {
-		return b.Rows
+		return part{view: b.Rows}
 	}
-	width := len(b.Cols)
-	n := b.Len()
-	slab := make([]datum.Datum, n*width)
+	p := part{n: b.Len(), width: len(b.Cols)}
+	p.slab = make([]datum.Datum, p.n*p.width)
 	for c := range b.Cols {
 		d := b.Cols[c].D
 		for k, ri := range b.Idx {
-			slab[k*width+c] = d[ri]
+			p.slab[k*p.width+c] = d[ri]
 		}
 	}
-	rows := make([]datum.Row, n)
-	for k := range rows {
-		rows[k] = slab[k*width : (k+1)*width : (k+1)*width]
-	}
-	return rows
+	return p
 }
 
 // ---- scan -------------------------------------------------------------------
@@ -448,7 +470,9 @@ func (l *batchLimit) Close() error {
 
 // batchConcat emits each child's batches in turn, renamed to its output
 // layout by pointing the output columns at the child's vectors through the
-// slot map resolved at compile time. It copies nothing.
+// slot map resolved at compile time. It copies nothing, and it passes a
+// child's row view on when the slot map is the identity over the child's
+// columns: those rows are then its own.
 type batchConcat struct {
 	kids []BatchIterator
 	maps [][]int     // per child: output position -> child slot
@@ -481,9 +505,25 @@ func (c *batchConcat) Next() (*Batch, error) {
 			c.cols[j] = b.Cols[slot]
 		}
 		c.out = Batch{Cols: c.cols, Idx: b.Idx}
+		if b.Rows != nil && identity(c.maps[c.cur], len(b.Cols)) {
+			c.out.Rows = b.Rows
+		}
 		return &c.out, nil
 	}
 	return nil, nil
+}
+
+// identity reports whether a slot map is the identity on width columns.
+func identity(m []int, width int) bool {
+	if len(m) != width {
+		return false
+	}
+	for j, slot := range m {
+		if slot != j {
+			return false
+		}
+	}
+	return true
 }
 
 func (c *batchConcat) Close() error {

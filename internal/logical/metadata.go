@@ -60,6 +60,23 @@ func (m *Metadata) CowClone() *Metadata {
 	return &Metadata{cols: m.cols[:len(m.cols):len(m.cols)], cat: m.cat, tables: m.tables}
 }
 
+// Reset empties the metadata for a new query on the same catalog and keeps
+// its column table's storage for the new query's columns. Nothing built
+// against the metadata before the Reset may be used after it.
+func (m *Metadata) Reset() {
+	m.cols, m.tables = m.cols[:0], 0
+}
+
+// Fill overwrites with meta the column table's storage past its columns:
+// what a Reset dropped and no AddColumn has reused yet. Tests poison it so
+// that a reader of a dropped column reads garbage.
+func (m *Metadata) Fill(meta ColumnMeta) {
+	spare := m.cols[len(m.cols):cap(m.cols)]
+	for i := range spare {
+		spare[i] = meta
+	}
+}
+
 // AddColumn allocates a fresh ColumnID.
 func (m *Metadata) AddColumn(meta ColumnMeta) scalar.ColumnID {
 	m.cols = append(m.cols, meta)

@@ -105,10 +105,11 @@ func (v *VecEval) release(o vecOp) {
 }
 
 // Eval evaluates e for every selected row, appending one result per entry of
-// idx to out (which is reset first). cols holds the input columns; idx[k] is
-// the row index of the k-th selected row within them.
+// idx to out (which is reset first, and sized for len(idx) results, so it
+// grows at most once per call). cols holds the input columns; idx[k] is the
+// row index of the k-th selected row within them.
 func (v *VecEval) Eval(e Expr, cols []datum.Vec, idx []int, out *datum.Vec) error {
-	out.Reset()
+	out.D = datum.Grow(out.D[:0], len(idx))
 	switch t := e.(type) {
 	case *ColRef:
 		o, err := v.operand(t, cols, idx)

@@ -144,10 +144,20 @@ type Report struct {
 // worker counts.
 func (r *Report) JSON() ([]byte, error) { return json.MarshalIndent(r, "", "  ") }
 
-// Print renders the report for terminals.
+// Print renders the report for terminals: a header line, the selected rules
+// no instantiation exercised (when there are any), then each finding.
 func (r *Report) Print(w io.Writer) {
 	fmt.Fprintf(w, "verify: registry=%s rules=%d exercised=%d pairs=%d executed=%d identical=%d undetermined=%d skipped=%d findings=%d\n",
 		r.registryLabel(), r.Rules, r.Exercised, r.Pairs, r.Executed, r.Identical, r.Undetermined, r.Skipped, len(r.Findings))
+	var unexercised []string
+	for _, s := range r.Stats {
+		if s.Instances == 0 {
+			unexercised = append(unexercised, fmt.Sprintf("#%d %s", s.Rule, s.Name))
+		}
+	}
+	if len(unexercised) > 0 {
+		fmt.Fprintf(w, "unexercised: %s\n", strings.Join(unexercised, ", "))
+	}
 	for _, f := range r.Findings {
 		fmt.Fprintf(w, "\nFINDING rule #%d %s (%s): %s\n", f.Rule, f.RuleName, f.RuleKind, f.Detail)
 		fmt.Fprintf(w, "  database: %s (%d rows)\n", f.Database, f.DatabaseRows)

@@ -129,6 +129,35 @@ func TestReproNamesExt(t *testing.T) {
 	}
 }
 
+// TestPrintNamesUnexercisedRules: the text report names, after its header,
+// the selected rules no instantiation exercised — under -ext the two
+// foreign-key join eliminations, since the small-scope schema declares no
+// foreign key — and prints no such line when every rule was exercised.
+func TestPrintNamesUnexercisedRules(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		reg  *rules.Registry
+		want string
+	}{
+		{"ext", rules.RegistryWithExtensions(), "unexercised: #31 EliminateFKJoin, #32 EliminateFKSemiJoin"},
+		{"default", rules.DefaultRegistry(), ""},
+	} {
+		var sb strings.Builder
+		run(t, Config{Registry: tc.reg}).Print(&sb)
+		lines := strings.Split(sb.String(), "\n")
+		got := ""
+		if len(lines) > 1 && strings.HasPrefix(lines[1], "unexercised:") {
+			got = lines[1]
+		}
+		if got != tc.want {
+			t.Errorf("%s: the line after the header is %q, want %q", tc.name, got, tc.want)
+		}
+		if n := strings.Count(sb.String(), "unexercised:"); n > 1 {
+			t.Errorf("%s: %d unexercised lines, want at most one", tc.name, n)
+		}
+	}
+}
+
 // TestRulesFilterAndRepro: -rules restricts the sweep and the repro line
 // replays exactly the failing slice.
 func TestRulesFilterAndRepro(t *testing.T) {
