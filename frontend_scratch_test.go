@@ -12,13 +12,15 @@ import (
 
 // TestFrontEndScratchPoisonIsInvisible runs the front end with the scratch
 // it recycles poisoned (bind.PoisonReleased: the binder's project items, put
-// back after every binding, and the generator's candidate column lists and
-// the column-table storage its trial metadata's last Reset dropped, before
-// every trial renders) and requires what unpoisoned runs give: the
-// seed-42 generation of `suite -pairs -n 6 -k 3` on two workers, the seed-42
-// star fuzz campaign of 200 queries, and, for every query that generation
-// kept, the tree and metadata BindSQL returns, held while all the others
-// bind on the same scratch and compared with a fresh binding afterwards.
+// back after every binding, the generator's candidate column lists and the
+// column-table storage its trial metadata's last Reset dropped, before every
+// trial renders, and the storage the Reset of a fuzz query's recycled
+// metadata dropped, before the query renders) and requires what unpoisoned
+// runs give: the seed-42 generation of `suite -pairs -n 6 -k 3` on two
+// workers, the seed-42 star fuzz campaign of 200 queries, and, for every
+// query that generation kept, the tree and metadata BindSQL returns, held
+// while all the others bind on the same scratch and compared with a fresh
+// binding afterwards.
 func TestFrontEndScratchPoisonIsInvisible(t *testing.T) {
 	defer bind.PoisonReleased.Store(false)
 	tpch, star := OpenTPCH(1, 42), OpenStar(1, 42)

@@ -173,6 +173,10 @@ type campaign struct {
 	gen      *qgen.Generator
 	rewrites []Rewrite
 	oracle   *oracle.Runner
+	// mds recycles the metadata runOne generates a tree against, one per
+	// worker at a time: it is only read to render the tree to SQL, and a
+	// finding keeps the bound metadata instead.
+	mds sync.Pool
 }
 
 // finding is the internal form of a Finding, carrying the bound tree and
@@ -222,7 +226,9 @@ func newCampaign(cfg Config) (*campaign, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &campaign{cfg: cfg, opt: o, gen: gen, rewrites: rewritesFor(cfg), oracle: rn}, nil
+	c := &campaign{cfg: cfg, opt: o, gen: gen, rewrites: rewritesFor(cfg), oracle: rn}
+	c.mds.New = func() any { return logical.NewMetadata(cfg.Catalog) }
+	return c, nil
 }
 
 // run generates, checks and shrinks the campaign's queries.
@@ -317,12 +323,17 @@ func (c *campaign) runOne(idx int, w *qgen.Weights) result {
 	grng, rng := rngPool.Get().(*rand.Rand), rngPool.Get().(*rand.Rand)
 	grng.Seed(seed)
 	rng.Seed(par.DeriveSeed(seed, 1))
-	md := logical.NewMetadata(c.cfg.Catalog)
+	md := c.mds.Get().(*logical.Metadata)
+	defer c.mds.Put(md)
+	md.Reset()
 	tree, err := c.gen.ForkRand(grng).RandomTreeWeighted(md, 2+rng.Intn(maxOps-1), w)
 	rngPool.Put(grng)
 	rngPool.Put(rng)
 	if err != nil {
 		return result{skip: "generate"}
+	}
+	if bind.PoisonReleased.Load() { // what the Reset dropped must not be read
+		md.Fill(logical.ColumnMeta{Name: "poison", Table: "poison", TableCol: "poison"})
 	}
 	return c.check(tree, md, idx, seed, nil, nil)
 }

@@ -45,9 +45,11 @@ func TestCacheDifferentialAcrossWorkers(t *testing.T) {
 }
 
 // TestVerifyCacheCounts pins a default sweep's cache counters on a fresh
-// cache. Without eviction a miss is a distinct key and a hit is every later
-// request for it, so both are a function of the key stream alone — the same
-// at any worker count, and unchanged by how the cache lays out its table.
+// cache. Without eviction a miss is a distinct key — an entry created, which
+// stays — and a hit is every later request for it, so both are a function
+// of the key stream alone: the same at any worker count, and unchanged by
+// how the cache lays out its entries. The benchmark's plans_per_s is misses
+// over wall time, so a cache that counted a miss any other way would move it.
 func TestVerifyCacheCounts(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		c := rescache.New(0)
@@ -55,8 +57,8 @@ func TestVerifyCacheCounts(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		st := c.Stats()
-		if st.Hits != 6200 || st.Misses != 32048 || st.Evictions != 0 {
-			t.Errorf("workers=%d: stats = %+v, want 6200 hits, 32048 misses, 0 evictions", workers, st)
+		if st.Hits != 6200 || st.Misses != 32048 || st.Evictions != 0 || st.Entries != 32048 {
+			t.Errorf("workers=%d: stats = %+v, want 6200 hits, 32048 misses and entries, 0 evictions", workers, st)
 		}
 	}
 }
