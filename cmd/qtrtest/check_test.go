@@ -3,7 +3,6 @@ package main
 import (
 	"errors"
 	"flag"
-	"math"
 	"strings"
 	"testing"
 
@@ -99,7 +98,7 @@ func TestUnknownBackendRejectedUpFront(t *testing.T) {
 	e := checkDB(t, 2)
 	for _, backend := range []string{"bogus", "batch", "row"} {
 		want := `unknown backend "` + backend + `" (the one cross-check backend is "ref")`
-		e.oracle.Backend = backend
+		e.backend = backend
 		for _, args := range [][]string{
 			{"suite", "-n", "1", "-k", "1"},
 			{"suite", "-n", "4", "-k", "2", "-validate"},
@@ -112,7 +111,7 @@ func TestUnknownBackendRejectedUpFront(t *testing.T) {
 			}
 		}
 	}
-	e.oracle.Backend = "ref"
+	e.backend = "ref"
 	if _, err := e.run("check", nil); err != nil {
 		t.Errorf("-backend ref check: %v", err)
 	}
@@ -149,23 +148,6 @@ func TestCountsRejectedUpFront(t *testing.T) {
 		}
 		if err := positive(fs, "scale"); !errors.As(err, new(usageError)) || !strings.Contains(err.Error(), "-scale") {
 			t.Errorf("-scale %s: err = %v, want a usage error naming the flag", scale, err)
-		}
-	}
-}
-
-// TestCacheMBRejectedUpFront: the result cache reads a budget <= 0 as its
-// 256 MiB default, so -cachemb 0, a negative value, or one whose conversion
-// to bytes overflows used to run with 256 MiB without a word. Each is now an
-// error naming the flag (exit 2 at the CLI).
-func TestCacheMBRejectedUpFront(t *testing.T) {
-	for _, mb := range []int{0, -1, math.MaxInt64>>20 + 1, math.MaxInt} {
-		if _, err := cacheBytes(mb); err == nil || !strings.Contains(err.Error(), "-cachemb") {
-			t.Errorf("-cachemb %d: err = %v, want an error naming the flag", mb, err)
-		}
-	}
-	for _, mb := range []int{1, 256, math.MaxInt64 >> 20} {
-		if got, err := cacheBytes(mb); err != nil || got != int64(mb)<<20 {
-			t.Errorf("-cachemb %d: %d bytes, %v", mb, got, err)
 		}
 	}
 }

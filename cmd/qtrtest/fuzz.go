@@ -32,8 +32,7 @@ func cmdFuzz(e env, args []string) error {
 	}
 	cfg := qtrtest.FuzzConfig{
 		Seed: e.seed, N: *n, Workers: e.workers, Timeout: *timeout,
-		Registry: reg, DB: e.schema, EET: *eet, StopOnFinding: *stop,
-		Cache: e.oracle.Cache, Backend: e.oracle.Backend,
+		Registry: reg, DB: e.schema, EET: *eet, StopOnFinding: *stop, Backend: e.backend,
 	}
 	var rep *qtrtest.FuzzReport
 	if *randcat {

@@ -23,10 +23,10 @@
 // -backend ref (the independent reference interpreter, cross-checked
 // against every base execution in suite -validate, mutate, check -verify,
 // verify and fuzz; any other name is rejected before any subcommand runs),
-// -cache/-cachemb (campaign-wide plan-result cache; reports are
-// byte-identical with it on or off), -cachestats (print cache hit/miss/
-// eviction counters to stderr after the run),
-// -cpuprofile/-memprofile (write pprof profiles for the run).
+// -cpuprofile/-memprofile (write pprof profiles for the run). Only mutate,
+// which re-runs the pristine base plans for every mutant, memoizes plan
+// results (a default-size result cache); every other campaign executes
+// directly.
 package main
 
 import (
@@ -34,7 +34,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -53,17 +52,14 @@ type env struct {
 	ext     bool // -ext: db's registry carries the extension rules
 	seed    int64
 	workers int
-	// oracle carries the execution options that are global flags (-cache,
-	// -backend); each campaign adds its own caps. A nil cache is
-	// valid everywhere and means direct execution.
-	oracle oracle.Options
+	backend string // -backend: the cross-check engine's name, "" for none
 }
 
 // run dispatches a subcommand; known is false for an unrecognized one. The
 // -backend name is checked here, once, so a campaign that would not have
 // used it cannot let a typo — or a vacuous self-check — through.
 func (e env) run(cmd string, rest []string) (known bool, err error) {
-	if _, err := oracle.New(e.oracle); err != nil {
+	if _, err := oracle.New(oracle.Options{Backend: e.backend}); err != nil {
 		return true, err
 	}
 	switch cmd {
@@ -106,9 +102,6 @@ func main() {
 	ext := flag.Bool("ext", false, "enable the schema-dependent extension rules (31-34)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker pool size for suite generation/compression/execution (results are identical for any value)")
 	backend := flag.String("backend", "", "independent cross-check backend (ref, the reference engine); replays base executions on it in suite -validate, mutate, check -verify, verify and fuzz")
-	cacheOn := flag.Bool("cache", true, "memoize plan-execution results across the campaign (reports are byte-identical either way)")
-	cacheMB := flag.Int("cachemb", 256, "result-cache memory budget in MiB")
-	cacheStats := flag.Bool("cachestats", false, "print result-cache hit/miss/eviction counters to stderr after the run")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -116,11 +109,7 @@ func main() {
 	if len(args) == 0 {
 		usage()
 	}
-	maxBytes, err := cacheBytes(*cacheMB)
-	if err == nil {
-		err = positive(flag.CommandLine, "scale")
-	}
-	if err != nil {
+	if err := positive(flag.CommandLine, "scale"); err != nil {
 		fmt.Fprintln(os.Stderr, "qtrtest:", err)
 		os.Exit(2)
 	}
@@ -142,22 +131,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "qtrtest:", err)
 		os.Exit(1)
 	}
-	// Cache stats stay on stderr so JSON reports on stdout remain
-	// byte-identical either way.
-	var rc *qtrtest.ResultCache
-	if *cacheOn {
-		rc = qtrtest.NewResultCache(maxBytes)
-	}
-	e := env{db: db, schema: *schema, ext: *ext, seed: *seed, workers: *workers,
-		oracle: oracle.Options{Backend: *backend, Cache: rc}}
+	e := env{db: db, schema: *schema, ext: *ext, seed: *seed, workers: *workers, backend: *backend}
 	known, err := e.run(args[0], args[1:])
 	if perr := profile.Stop(); perr != nil && err == nil {
 		err = perr
-	}
-	if *cacheStats {
-		st := rc.Stats()
-		fmt.Fprintf(os.Stderr, "cachestats: hits=%d misses=%d evictions=%d entries=%d bytes=%d\n",
-			st.Hits, st.Misses, st.Evictions, st.Entries, st.Bytes)
 	}
 	if !known {
 		usage()
@@ -189,19 +166,8 @@ func positive(fs *flag.FlagSet, names ...string) error {
 	return nil
 }
 
-// cacheBytes converts -cachemb to the result cache's byte budget. The cache
-// reads a budget <= 0 as its 256 MiB default, so a zero or negative value —
-// or one so large that the conversion overflows — would silently become
-// that; it is an error instead.
-func cacheBytes(mb int) (int64, error) {
-	if mb <= 0 || int64(mb) > math.MaxInt64>>20 {
-		return 0, fmt.Errorf("-cachemb %d: the result-cache budget must be a positive number of MiB below 2^43", mb)
-	}
-	return int64(mb) << 20, nil
-}
-
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: qtrtest [-scale F] [-seed S] [-db tpch|star] [-ext] [-workers W] [-backend ref] [-cache=false] [-cachemb M] [-cachestats] [-cpuprofile F] [-memprofile F] <rules|patterns|generate|ruleset|explain|analyze|query|suite|interactions|mutate|check|verify|fuzz> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: qtrtest [-scale F] [-seed S] [-db tpch|star] [-ext] [-workers W] [-backend ref] [-cpuprofile F] [-memprofile F] <rules|patterns|generate|ruleset|explain|analyze|query|suite|interactions|mutate|check|verify|fuzz> [flags]")
 	os.Exit(2)
 }
 
@@ -431,7 +397,7 @@ func cmdInteractions(e env, args []string) error {
 func cmdMutate(e env, args []string) error {
 	fs := flag.NewFlagSet("mutate", flag.ExitOnError)
 	k := fs.Int("k", 12, "test-suite size per target")
-	targets := fs.Int("targets", 0, "extra healthy-rule targets beside the mutated rule (slow at full scale: wrong plans can be cross products)")
+	targets := fs.Int("targets", 0, "extra healthy-rule targets beside the mutated rule (at full scale a wrong plan can be a cross product that runs the process out of memory)")
 	extra := fs.Int("extra", 0, "extra random operators per query")
 	trials := fs.Int("trials", 512, "max generation trials per query")
 	kinds := fs.String("kinds", "", "comma-separated mutant kinds (default: all)")
@@ -443,9 +409,11 @@ func cmdMutate(e env, args []string) error {
 	if err := noExt(e, "mutate"); err != nil {
 		return err
 	}
+	// mutate re-runs the pristine base plans for every mutant, the one
+	// campaign a result cache pays in; reports are byte-identical without it.
 	cfg := qtrtest.MutationConfig{
-		K: *k, Targets: *targets, ExtraOps: *extra, Seed: e.seed,
-		MaxTrials: *trials, Workers: e.workers, Cache: e.oracle.Cache, Backend: e.oracle.Backend,
+		K: *k, Targets: *targets, ExtraOps: *extra, Seed: e.seed, MaxTrials: *trials,
+		Workers: e.workers, Cache: qtrtest.NewResultCache(0), Backend: e.backend,
 	}
 	if *kinds != "" {
 		var ks []qtrtest.MutantKind
@@ -544,7 +512,7 @@ func cmdCheck(e env, args []string) error {
 }
 
 func cmdSuite(e env, args []string) error {
-	db, backend := e.db, e.oracle.Backend
+	db, backend := e.db, e.backend
 	fs := flag.NewFlagSet("suite", flag.ExitOnError)
 	n := fs.Int("n", 10, "number of exploration rules")
 	k := fs.Int("k", 5, "test-suite size per target")
@@ -594,7 +562,6 @@ func cmdSuite(e env, args []string) error {
 	fmt.Printf("total estimated execution cost: %.0f (optimizer calls: %d)\n",
 		sol.TotalCost, sol.OptimizerCalls)
 	if *validate {
-		g.SetCache(e.oracle.Cache)
 		if err := g.SetBackend(backend); err != nil {
 			return err
 		}

@@ -42,7 +42,7 @@ func noExt(e env, cmd string) error {
 
 // verifyConfig is the verify run over reg with the global execution flags.
 func verifyConfig(e env, reg *qtrtest.Registry) qtrtest.VerifyConfig {
-	return qtrtest.VerifyConfig{Registry: reg, Workers: e.workers, Cache: e.oracle.Cache, Backend: e.oracle.Backend}
+	return qtrtest.VerifyConfig{Registry: reg, Workers: e.workers, Backend: e.backend}
 }
 
 // cmdVerify runs the small-scope semantic rule verifier: every rule's

@@ -52,7 +52,7 @@ type Table struct {
 	colOnce sync.Once
 	colIdx  map[string]int
 
-	vecOnce sync.Once
+	vecOnce buildOnce
 	vecs    []datum.Vec
 	seqIdx  []int
 
@@ -62,8 +62,32 @@ type Table struct {
 
 type joinIndex struct {
 	slots []int
-	once  sync.Once
+	once  buildOnce
 	idx   datum.KeyIndex
+}
+
+// buildOnce runs a build of a table's derived data exactly once, like
+// sync.Once, but remembers a build that panicked (a row shorter than the
+// table's columns) and panics with the same value on every later call. A
+// sync.Once would count the failed build as done, and every later execution
+// would read the empty data it left: no rows and no error.
+type buildOnce struct {
+	once     sync.Once
+	panicked any
+}
+
+func (b *buildOnce) Do(build func()) {
+	b.once.Do(func() {
+		defer func() {
+			if b.panicked = recover(); b.panicked != nil {
+				panic(b.panicked)
+			}
+		}()
+		build()
+	})
+	if b.panicked != nil {
+		panic(b.panicked)
+	}
 }
 
 // JoinIndex returns the table's key index over the given key-column
@@ -104,7 +128,7 @@ func (t *Table) ColumnIndex(name string) int {
 
 // ColumnData returns the table's rows transposed into per-column vectors for
 // batch execution. The transposition is computed exactly once, under a
-// sync.Once, so concurrent executions over a shared catalog never race; the
+// buildOnce, so concurrent executions over a shared catalog never race; the
 // caller must treat the vectors as read-only. Rows must be final before the
 // first call — later mutations are not reflected.
 func (t *Table) ColumnData() []datum.Vec {

@@ -112,3 +112,36 @@ func TestJoinIndexConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestFailedBuildFailsEveryCall: a row shorter than its table's columns makes
+// the transposition panic. A later ColumnData or JoinIndex call must panic
+// too; under a plain sync.Once it returned the empty data the failed build
+// left, and every later batch execution answered with no rows and no error.
+func TestFailedBuildFailsEveryCall(t *testing.T) {
+	shortRow := func() *Table {
+		tbl := columnarFixture()
+		tbl.Rows[1] = datum.Row{datum.NewInt(2)}
+		return tbl
+	}
+	panics := func(call func()) (v any) {
+		defer func() { v = recover() }()
+		call()
+		return nil
+	}
+	for name, build := range map[string]func(*Table) func(){
+		"ColumnData": func(tbl *Table) func() { return func() { tbl.ColumnData() } },
+		"SeqIdx":     func(tbl *Table) func() { return func() { tbl.SeqIdx() } },
+		"JoinIndex":  func(tbl *Table) func() { return func() { tbl.JoinIndex([]int{1}) } },
+	} {
+		call := build(shortRow())
+		first := panics(call)
+		if first == nil {
+			t.Fatalf("%s: the first call did not panic", name)
+		}
+		for i := 1; i < 3; i++ {
+			if v := panics(call); v != first {
+				t.Errorf("%s call %d: panic %v, want the first call's %v", name, i, v, first)
+			}
+		}
+	}
+}

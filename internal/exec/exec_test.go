@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"testing"
 
 	"qtrtest/internal/catalog"
@@ -394,6 +395,41 @@ func TestConcatSameChildTwice(t *testing.T) {
 	for k, c := range counts {
 		if c != 2 {
 			t.Errorf("row %s appears %d times, want 2", k, c)
+		}
+	}
+}
+
+// TestShortRowFailsEveryRun: a table row shorter than its columns makes the
+// batch engine's column build panic. Every later run over the same catalog
+// must panic the same way — a bare scan, and a hash join whose build side is
+// the table — not return no rows and no error, or fail somewhere else,
+// because the failed build counted as done.
+func TestShortRowFailsEveryRun(t *testing.T) {
+	for name, plan := range map[string]*physical.Expr{
+		"scan":      scanT2(),
+		"hash join": joinPlan(physical.OpHashJoin, physical.JoinInner),
+	} {
+		cat := testCatalog()
+		t2, err := cat.Table("t2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t2.Rows[2] = datum.Row{datum.NewInt(3)}
+		var first string
+		for run := 0; run < 3; run++ {
+			func() {
+				defer func() {
+					v := recover()
+					if run == 0 {
+						first = fmt.Sprint(v)
+					}
+					if v == nil || fmt.Sprint(v) != first {
+						t.Errorf("%s run %d: panic %v, want run 0's %s", name, run, v, first)
+					}
+				}()
+				rows, err := Compile(EngineBatch, plan).Run(cat, 0, 0)
+				t.Errorf("%s run %d: %d rows, err %v", name, run, len(rows), err)
+			}()
 		}
 	}
 }

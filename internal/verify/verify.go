@@ -69,10 +69,9 @@ type Config struct {
 	// (plan, database) pair executes once per cache instead of once per
 	// rule. Measured, that does not pay here — 16 % of a sweep's lookups
 	// hit, a hit saves an execution of a few microseconds, and the cache
-	// keeps every result alive for the collector to scan: one
-	// `qtrtest -workers 1 verify` takes 0.080 s with a cache and 0.070 s
-	// without (README, "The result cache"). Reports are byte-identical
-	// with and without it.
+	// keeps every result alive for the collector to scan: `qtrtest verify`
+	// took 0.073 s with a cache and 0.045 s without (DESIGN.md §14), so the
+	// CLI passes none. Reports are byte-identical with and without it.
 	Cache *rescache.Cache
 	// Backend names the independent execution backend, "ref" (the reference
 	// engine); "" disables it. When set, every base execution of the sweep is additionally replayed there
