@@ -397,7 +397,7 @@ func cmdInteractions(e env, args []string) error {
 func cmdMutate(e env, args []string) error {
 	fs := flag.NewFlagSet("mutate", flag.ExitOnError)
 	k := fs.Int("k", 12, "test-suite size per target")
-	targets := fs.Int("targets", 0, "extra healthy-rule targets beside the mutated rule (at full scale a wrong plan can be a cross product that runs the process out of memory)")
+	targets := fs.Int("targets", 0, "extra healthy-rule targets beside the mutated rule (an edge over the work budget, e.g. a wrong plan's cross product, is counted as capped)")
 	extra := fs.Int("extra", 0, "extra random operators per query")
 	trials := fs.Int("trials", 512, "max generation trials per query")
 	kinds := fs.String("kinds", "", "comma-separated mutant kinds (default: all)")
@@ -571,6 +571,9 @@ func cmdSuite(e env, args []string) error {
 		}
 		fmt.Printf("validation: %d plan executions, %d skipped (identical plans), %d mismatches, %d undetermined\n",
 			rep.PlanExecutions, rep.SkippedIdentical, len(rep.Mismatches), len(rep.Undetermined))
+		if rep.Capped > 0 {
+			fmt.Printf("capped: %d edges over the work budget\n", rep.Capped)
+		}
 		if backend != "" {
 			fmt.Printf("backend %s: %d cross-checks, %d disagreements\n",
 				backend, rep.BackendChecks, len(rep.BackendDisagreements))

@@ -36,6 +36,13 @@ type Options struct {
 	MaxWork int64
 }
 
+// WorkBudget is the MaxWork of the campaigns that run plans over full-size
+// databases — fuzz's and every suite execution: 2e6 rows produced by all
+// operators of one plan execution, rescans included. A wrong plan can be a
+// cross product whose output no row cap sees coming; this stops it before it
+// takes the process's memory.
+const WorkBudget = 2e6
+
 // Verdict is the outcome of one comparison.
 type Verdict uint8
 

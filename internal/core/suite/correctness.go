@@ -1,10 +1,12 @@
 package suite
 
 import (
+	"errors"
 	"fmt"
 
 	"qtrtest/internal/catalog"
 	"qtrtest/internal/core/oracle"
+	"qtrtest/internal/exec"
 	"qtrtest/internal/opt"
 	"qtrtest/internal/par"
 )
@@ -34,12 +36,19 @@ type Undetermined struct {
 
 // Report summarizes one execution of a (possibly compressed) test suite.
 type Report struct {
-	// PlanExecutions counts plans actually executed (shared Plan(q) runs
-	// count once; identical disabled-plans are skipped per footnote 1).
+	// PlanExecutions counts the plans that ran: each Plan(q) an edge or the
+	// backend read (once per distinct query), plus each edge's Plan(q,¬R)
+	// that differs from its Plan(q) and whose Plan(q) stayed within the work
+	// budget. An identical plan is skipped per footnote 1, and a Plan(q)
+	// that only identical edges read is never run.
 	PlanExecutions int
 	// SkippedIdentical counts edges whose Plan(q,¬R) was identical to
 	// Plan(q) and therefore did not need executing.
 	SkippedIdentical int
+	// Capped counts edges left uncompared because an execution went over
+	// oracle.WorkBudget: the edge's own plan, or its query's Plan(q), which
+	// caps every non-identical edge of that query.
+	Capped int
 	// Mismatches are the correctness bugs found (empty for a healthy rule
 	// set).
 	Mismatches []Mismatch
@@ -47,7 +56,8 @@ type Report struct {
 	// under-determined query semantics rather than a rule bug.
 	Undetermined []Undetermined
 	// BackendChecks counts distinct base queries replayed on the
-	// cross-check backend (SetBackend); zero when the check is off.
+	// cross-check backend (SetBackend) and compared; zero when the check is
+	// off. A base or a replay over the work budget compares nothing.
 	BackendChecks int
 	// BackendDisagreements lists base queries whose backend replay did not
 	// agree with the primary engine — evidence of a fault the
@@ -64,22 +74,28 @@ type BackendDisagreement struct {
 }
 
 // Run executes the solution's test suite against the database: for every
-// distinct query, Plan(q) runs once; for every edge, Plan(q,¬R) runs (unless
-// identical to Plan(q)) and its results are compared with the original by
-// the order-aware oracle (exec.CompareResults): multiset comparison by
-// default, order-sensitive on the sort keys when the plan roots establish an
-// ordering, and differences explainable by a LIMIT without a total order are
-// flagged as Undetermined rather than reported as bugs.
+// edge, Plan(q,¬R) runs (unless identical to Plan(q)) and its results are
+// compared with Plan(q)'s by the order-aware oracle (exec.CompareResults):
+// multiset comparison by default, order-sensitive on the sort keys when the
+// plan roots establish an ordering, and differences explainable by a LIMIT
+// without a total order are flagged as Undetermined rather than reported as
+// bugs. Plan(q) runs once per distinct query, and only when some edge of
+// that query reads its result — an edge whose plan differs — or when the
+// cross-check backend replays the query.
+//
+// Every execution runs under oracle.WorkBudget. A base over it makes each
+// non-identical edge of its query Capped, an edge over it is Capped itself,
+// and neither aborts the run.
 //
 // Plan(q) is the base plan captured at generation time (Query.BasePlan) and
 // Plan(q,¬R) comes from the edge cache populated while the compression
 // algorithm selected the edge, so for a suite built by Generate and
 // compressed by any of the algorithms, Run invokes the optimizer zero times
-// — it only executes plans. Base and edge executions each fan out over the
-// graph's worker pool; mismatches are reported in assignment order
-// regardless of the worker count. The optimizer argument is used only as a
-// fallback for graphs whose queries carry no stored base plan (e.g. graphs
-// assembled by hand).
+// — it only executes plans. Every phase fans out over the graph's worker
+// pool; mismatches are reported in assignment order regardless of the
+// worker count. The optimizer argument is used only as a fallback for
+// graphs whose queries carry no stored base plan (e.g. graphs assembled by
+// hand).
 func (g *Graph) Run(sol *Solution, o *opt.Optimizer, cat *catalog.Catalog) (*Report, error) {
 	rep := &Report{}
 
@@ -93,35 +109,79 @@ func (g *Graph) Run(sol *Solution, o *opt.Optimizer, cat *catalog.Catalog) (*Rep
 		}
 	}
 
-	rn, err := oracle.New(g.ox)
+	ox := g.ox
+	ox.MaxWork = oracle.WorkBudget
+	rn, err := oracle.New(ox)
 	if err != nil {
 		return nil, err
 	}
 
-	// Phase 1: execute every Plan(q) once, in parallel. With a cross-check
-	// backend set, each base is additionally replayed there and compared;
-	// outcomes land in index-addressed slots and are merged in distinct
-	// order so the report stays byte-identical at any worker count.
+	// Phase 0: prepare every Plan(q) and every edge's Plan(q,¬R), in
+	// parallel, before anything executes: slots below len(distinct) are
+	// bases, the rest edges in assignment order.
 	bases := make([]oracle.Base, len(distinct))
-	crosses := make([]oracle.Outcome, len(distinct))
-	err = par.ForEachErr(g.workers, len(distinct), func(i int) error {
-		qi := distinct[i]
-		q := g.Queries[qi]
-		plan := q.BasePlan
-		if plan == nil {
-			res, err := o.Optimize(q.Tree, q.MD, opt.Options{})
-			if err != nil {
-				return fmt.Errorf("suite: planning query %d: %w", qi, err)
+	edgePlans := make([]oracle.Plan, len(sol.Assignments))
+	err = par.ForEachErr(g.workers, len(distinct)+len(sol.Assignments), func(i int) error {
+		if i < len(distinct) {
+			qi := distinct[i]
+			q := g.Queries[qi]
+			plan := q.BasePlan
+			if plan == nil {
+				res, err := o.Optimize(q.Tree, q.MD, opt.Options{})
+				if err != nil {
+					return fmt.Errorf("suite: planning query %d: %w", qi, err)
+				}
+				res.Release()
+				plan = res.Plan
 			}
-			res.Release()
-			plan = res.Plan
+			bases[i].Plan = oracle.Prepare(plan)
+			return nil
 		}
-		base, err := rn.Base(cat, oracle.Prepare(plan))
+		i -= len(distinct)
+		a := sol.Assignments[i]
+		t := g.Targets[a.Target]
+		plan := g.EdgePlan(a.Query, t)
+		if plan == nil {
+			return fmt.Errorf("suite: no plan for query %d with %s disabled", a.Query, t)
+		}
+		edgePlans[i] = oracle.Prepare(plan)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// A base runs when an edge of its query differs from it (the same Hash
+	// test Runner.Edge applies first) or the backend replays it.
+	var run []int
+	needed := make([]bool, len(distinct))
+	for i, a := range sol.Assignments {
+		b := queryOf[a.Query]
+		if !needed[b] && (rn.HasBackend() || edgePlans[i].Hash != bases[b].Hash) {
+			needed[b] = true
+			run = append(run, b)
+		}
+	}
+
+	// Phase 1: execute every needed Plan(q) once, in parallel. With a
+	// cross-check backend set, each base is additionally replayed there and
+	// compared; outcomes land in index-addressed slots and are merged in
+	// distinct order so the report stays byte-identical at any worker count.
+	capped := make([]bool, len(distinct))
+	crosses := make([]oracle.Outcome, len(distinct))
+	err = par.ForEachErr(g.workers, len(run), func(j int) error {
+		i := run[j]
+		qi := distinct[i]
+		base, err := rn.Base(cat, bases[i].Plan)
+		if errors.Is(err, exec.ErrRowLimit) {
+			capped[i] = true
+			return nil
+		}
 		if err != nil {
 			return fmt.Errorf("suite: executing query %d: %w", qi, err)
 		}
 		bases[i] = base
-		if rn.HasBackend() && q.Tree != nil {
+		if q := g.Queries[qi]; rn.HasBackend() && q.Tree != nil {
 			if crosses[i], err = rn.Cross(&base, oracle.PrepareCross(q.Tree)); err != nil {
 				return fmt.Errorf("suite: cross-checking query %d: %w", qi, err)
 			}
@@ -131,11 +191,11 @@ func (g *Graph) Run(sol *Solution, o *opt.Optimizer, cat *catalog.Catalog) (*Rep
 	if err != nil {
 		return nil, err
 	}
-	rep.PlanExecutions = len(distinct)
+	rep.PlanExecutions = len(run)
 	for i, out := range crosses {
 		if !out.Verdict.Compared() {
-			// Not asked: no backend, or no tree to replay (caps cannot
-			// trip at (0,0)).
+			// Not asked (no backend, or no tree to replay), a capped base,
+			// or a capped replay.
 			continue
 		}
 		rep.BackendChecks++
@@ -145,20 +205,20 @@ func (g *Graph) Run(sol *Solution, o *opt.Optimizer, cat *catalog.Catalog) (*Rep
 		}
 	}
 
-	// Phase 2: execute every edge's Plan(q,¬R) in parallel, skipping plans
-	// identical to the base. Outcomes land in assignment-indexed slots so the
-	// report is deterministic.
+	// Phase 2: execute every edge's prepared Plan(q,¬R) in parallel,
+	// skipping plans identical to the base. Outcomes land in
+	// assignment-indexed slots so the report is deterministic.
 	edges := make([]oracle.Outcome, len(sol.Assignments))
 	err = par.ForEachErr(g.workers, len(sol.Assignments), func(i int) error {
 		a := sol.Assignments[i]
-		t := g.Targets[a.Target]
-		plan := g.EdgePlan(a.Query, t)
-		if plan == nil {
-			return fmt.Errorf("suite: no plan for query %d with %s disabled", a.Query, t)
+		b := queryOf[a.Query]
+		if capped[b] && edgePlans[i].Hash != bases[b].Hash {
+			edges[i] = oracle.Outcome{Verdict: oracle.Capped}
+			return nil
 		}
-		out, err := rn.Edge(&bases[queryOf[a.Query]], oracle.Prepare(plan))
+		out, err := rn.Edge(&bases[b], edgePlans[i])
 		if err != nil {
-			return fmt.Errorf("suite: executing query %d with %s disabled: %w", a.Query, t, err)
+			return fmt.Errorf("suite: executing query %d with %s disabled: %w", a.Query, g.Targets[a.Target], err)
 		}
 		edges[i] = out
 		return nil
@@ -167,18 +227,23 @@ func (g *Graph) Run(sol *Solution, o *opt.Optimizer, cat *catalog.Catalog) (*Rep
 		return nil, err
 	}
 	for i, out := range edges {
+		a := sol.Assignments[i]
+		b := queryOf[a.Query]
 		if out.Verdict == oracle.Identical {
 			rep.SkippedIdentical++
 			continue
 		}
-		rep.PlanExecutions++
-		a := sol.Assignments[i]
+		if !capped[b] {
+			rep.PlanExecutions++
+		}
 		t, q := g.Targets[a.Target], g.Queries[a.Query]
 		switch out.Verdict {
+		case oracle.Capped:
+			rep.Capped++
 		case oracle.Mismatch:
 			rep.Mismatches = append(rep.Mismatches, Mismatch{
 				Target: t, Query: q, Detail: out.Detail,
-				BasePlan: bases[queryOf[a.Query]].Expr.String(), EdgePlan: g.EdgePlan(a.Query, t).String(),
+				BasePlan: bases[b].Expr.String(), EdgePlan: edgePlans[i].Expr.String(),
 			})
 		case oracle.Undetermined:
 			rep.Undetermined = append(rep.Undetermined, Undetermined{Target: t, Query: q, Detail: out.Detail})

@@ -110,7 +110,7 @@ type Graph struct {
 	// execution paths; <= 0 means GOMAXPROCS.
 	workers int
 	// ox is how Run executes and compares: result cache (shared across Run
-	// calls and graphs) and cross-check backend; caps stay zero.
+	// calls and graphs) and cross-check backend; Run adds the work budget.
 	ox oracle.Options
 }
 

@@ -178,8 +178,9 @@ func TestRunSkipsIdenticalPlans(t *testing.T) {
 }
 
 // TestRunBackendPristine: with the reference engine as the cross-check
-// backend, Run replays every distinct query of the solution exactly once, and
-// on the pristine rules no replay disagrees.
+// backend, Run executes and replays every distinct query of the solution
+// exactly once, including those whose edges are all identical, and on the
+// pristine rules no replay disagrees.
 func TestRunBackendPristine(t *testing.T) {
 	g, o, cat := newGraph(t, SingletonTargets(explorationIDs(4)), 2)
 	sol, err := g.Baseline()
@@ -199,6 +200,9 @@ func TestRunBackendPristine(t *testing.T) {
 	}
 	if rep.BackendChecks != len(distinct) {
 		t.Errorf("%d backend checks, want one per distinct query (%d)", rep.BackendChecks, len(distinct))
+	}
+	if _, edges, all := planCounts(g, sol); rep.PlanExecutions != all+edges {
+		t.Errorf("%d plan executions, want every distinct base (%d) + %d differing edges", rep.PlanExecutions, all, edges)
 	}
 	for _, d := range rep.BackendDisagreements {
 		t.Errorf("pristine rules disagree with the reference engine: %s\n%s", d.Detail, d.Query.SQL)

@@ -55,7 +55,7 @@ const (
 	// execution, rescans included. It is the runtime backstop behind maxCost:
 	// an injected fault mutates the plan after costing, so its estimate can
 	// be arbitrarily wrong about the work its output actually takes.
-	maxWork = 2e6
+	maxWork = oracle.WorkBudget
 	// roundSize is the number of queries per steering round. Coverage
 	// feedback adjusts generator weights only between rounds.
 	roundSize = 32

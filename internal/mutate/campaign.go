@@ -87,6 +87,8 @@ type AlgoScore struct {
 	PlanExecutions   int
 	SkippedIdentical int
 	Undetermined     int
+	// Capped counts edges the work budget left uncompared (suite.Report).
+	Capped int
 	// BackendChecks and BackendDisagreements report the cross-engine oracle
 	// (Config.Backend): base queries replayed on the independent backend and
 	// how many of those replays disagreed with the mutated pipeline. A
@@ -165,6 +167,10 @@ func (s *Score) Print(w io.Writer, diff bool) {
 			if r.EdgePlan != "" {
 				fmt.Fprintf(w, "    Plan(q,¬R):\n%s", indent(r.EdgePlan, "      "))
 			}
+		}
+		if c := r.Algos; c[0].Capped+c[1].Capped+c[2].Capped > 0 {
+			fmt.Fprintf(w, "    capped: BASELINE %d, SMC %d, TOPK %d (edges over the work budget)\n",
+				c[0].Capped, c[1].Capped, c[2].Capped)
 		}
 		for _, a := range r.Algos {
 			if a.BackendDisagreements > 0 {
@@ -258,7 +264,7 @@ func runOne(cat *catalog.Catalog, m Mutant, cfg Config) (*MutantResult, error) {
 		as := AlgoScore{
 			Algo:           a.name,
 			PlanExecutions: rep.PlanExecutions, SkippedIdentical: rep.SkippedIdentical,
-			Undetermined:  len(rep.Undetermined),
+			Undetermined: len(rep.Undetermined), Capped: rep.Capped,
 			BackendChecks: rep.BackendChecks, BackendDisagreements: len(rep.BackendDisagreements),
 		}
 		if len(rep.BackendDisagreements) > 0 {

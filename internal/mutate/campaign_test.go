@@ -123,3 +123,32 @@ func TestBackendCatchesFlipSortDir(t *testing.T) {
 		}
 	}
 }
+
+// TestCappedCampaignFinishes: at seed 42, -k 3 -targets 3 on full-scale
+// TPC-H, drop-join-conjunct turns a join into a cross product whose base plan
+// outgrows any address-space limit unless the work budget stops it. The
+// campaign finishes, with the cross product's edges Capped, not failed.
+func TestCappedCampaignFinishes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a full-scale campaign")
+	}
+	cat := catalog.LoadTPCH(catalog.DefaultTPCHConfig())
+	score, err := Run(cat, Config{K: 3, Targets: 3, Seed: 42, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	capped := 0
+	for _, r := range score.Results {
+		for _, a := range r.Algos {
+			capped += a.Capped
+		}
+	}
+	if capped == 0 {
+		t.Error("no edge was capped: the campaign no longer exercises the budget")
+	}
+	if got := score.CaughtBy("BASELINE"); got != 5 {
+		var buf bytes.Buffer
+		score.Print(&buf, false)
+		t.Errorf("BASELINE caught %d mutants, want 5:\n%s", got, buf.String())
+	}
+}
