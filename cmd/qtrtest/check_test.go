@@ -87,6 +87,23 @@ func TestVerifyCommandExitCodes(t *testing.T) {
 	}
 }
 
+// TestUnknownDisableIDRejected: explain and analyze -disable used to drop an
+// id no rule has and print Plan(q) with exit 0, where verify -rules fails on
+// it. Both now fail, naming the id; a known id still runs.
+func TestUnknownDisableIDRejected(t *testing.T) {
+	e := checkDB(t, 2)
+	q := "SELECT * FROM nation WHERE n_nationkey < 5"
+	for _, cmd := range []string{"explain", "analyze"} {
+		known, err := e.run(cmd, []string{"-q", q, "-disable", "999"})
+		if !known || err == nil || !strings.Contains(err.Error(), "no rule with id 999") {
+			t.Errorf("%s -disable 999: known=%v err=%v, want the unknown-id error", cmd, known, err)
+		}
+		if _, err := e.run(cmd, []string{"-q", q, "-disable", "14"}); err != nil {
+			t.Errorf("%s -disable 14: %v", cmd, err)
+		}
+	}
+}
+
 // TestUnknownBackendRejectedUpFront: -backend is resolved once, before any
 // subcommand runs. `suite` without -validate and `check` without -verify
 // never reach a campaign that would resolve the name, and used to succeed

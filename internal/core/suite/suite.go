@@ -198,7 +198,8 @@ func (ec *edgeCoster) entry(k edgeKey) *edgeEntry {
 
 // prime seeds the cache with a known edge cost without consuming an
 // optimizer call; tests use it to build synthetic graphs. The cost is clamped
-// to Cost(q) as edge clamps an optimized one.
+// from below at Cost(q), the lower bound edge puts on an optimized one to
+// restore TOPK's invariant whatever broke it (ROADMAP item 19).
 func (ec *edgeCoster) prime(q *Query, t Target, cost float64) {
 	e := ec.entry(keyOf(q.Idx, t))
 	e.once.Do(func() { e.res = edgeResult{cost: math.Max(cost, q.Cost)} })
@@ -222,10 +223,11 @@ func (ec *edgeCoster) edge(q *Query, t Target) edgeResult {
 		}
 		res.Release()
 		// For an ideal optimizer Cost(q) ≤ Cost(q,¬R): the search space with
-		// a rule disabled is a subset of the full one (§5.2). Our search is
-		// budget-capped, so the disabled run can occasionally stumble on a
-		// plan the full run's budget missed; clamp to restore the invariant
-		// TopKIndependent's cut-off relies on.
+		// a rule disabled is a subset of the full one (§5.2). Ours breaks it
+		// often (24 of 112 pair edges per schema, ROADMAP item 19), and not
+		// only where a search hit its expression budget. The clamp is a lower
+		// bound that restores the invariant TopKIndependent's cut-off relies
+		// on; it does not fix the cost it replaces.
 		e.res = edgeResult{cost: math.Max(res.Cost, q.Cost), plan: res.Plan}
 	})
 	return e.res

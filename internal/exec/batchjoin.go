@@ -191,17 +191,15 @@ func (h *batchJoin) Open() error {
 	return h.left.Open()
 }
 
-// scanOf unwraps a batch subtree down to a bare table scan, looking through
-// the scan's tap; nil when the subtree is anything else.
+// scanOf returns the bare table scan under a compiled subtree's root tap, and
+// the tap; nil when the subtree is anything else.
 func scanOf(it BatchIterator) (*batchScan, *batchTap) {
 	if t, ok := it.(*batchTap); ok {
 		if bs, ok := t.BatchIterator.(*batchScan); ok {
 			return bs, t
 		}
-		return nil, nil
 	}
-	bs, _ := it.(*batchScan)
-	return bs, nil
+	return nil, nil
 }
 
 // buildSide drains the right child into column vectors and, for a keyed
@@ -219,12 +217,10 @@ func (h *batchJoin) buildSide() error {
 		if h.keyed && h.buildRows >= h.minBuild {
 			h.index = bs.table.JoinIndex(h.rightSlots)
 		}
-		if tap != nil {
-			// Report what the scan would have emitted batch by batch; only
-			// the per-operator total matters to the budget and to ANALYZE.
-			if err := tap.st.emit(tap.op, len(bs.idx)); err != nil {
-				return err
-			}
+		// Report what the scan would have emitted batch by batch; only the
+		// per-operator total matters to the budget and to ANALYZE.
+		if err := tap.st.emit(tap.op, len(bs.idx)); err != nil {
+			return err
 		}
 		bs.pos = len(bs.idx) // the scan is consumed
 		return nil

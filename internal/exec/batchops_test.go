@@ -208,7 +208,7 @@ func refMergeJoin(lrows, rrows []datum.Row, lslots, rslots []int, on scalar.Expr
 		for i := li; i < le; i++ {
 			for j := ri; j < re; j++ {
 				pair := concatRows(lrows[i], rrows[j])
-				ok, err := scalar.EvalBool(on, pair, env)
+				ok, err := predOne(on, pair, env)
 				if err != nil {
 					return nil, err
 				}

@@ -17,7 +17,8 @@ import (
 // all operators together — rescans included — exceed maxWork. A root-only cap
 // cannot bound a plan whose intermediate results explode while its root stays
 // small (a dropped join predicate under an aggregation); the work budget can.
-// Zero or negative caps mean uncapped.
+// Zero or negative caps mean uncapped: the run takes the same operator tree,
+// whose taps then charge nothing.
 //
 // Work accounting depends on the batch size. Plans without a Limit drain
 // every operator completely under either built-in engine, so their work
@@ -38,17 +39,17 @@ func RunEngine(eng Engine, plan *physical.Expr, cat *catalog.Catalog, maxRows in
 // needs it, so a Program that never runs (a cache hit, a skipped comparison)
 // costs nothing but itself. Nothing a run derives from its database outlives
 // the run, so a second database costs no compilation and no operator
-// allocation. Concurrent Runs are safe: each checks a tree out.
+// allocation. Every tree has a tap above each operator, and budgeted,
+// unbudgeted and counting (ANALYZE) runs take trees from one idle list.
+// Concurrent Runs are safe: each checks a tree out.
 type Program struct {
 	eng   Engine
 	plan  *physical.Expr
 	batch int // rows per batch of scans, sorts and aggregates
 
 	mu sync.Mutex
-	// idle holds the compiled trees no run holds, linked through next: under
-	// [1] those with a tap above every operator, for runs with a budget or a
-	// count to keep; under [0] those without, for runs nothing observes.
-	idle [2]*tree
+	// idle holds the compiled trees no run holds, linked through next.
+	idle *tree
 }
 
 // tree is one instance of a Program's operator tree, with the state of the
@@ -73,7 +74,8 @@ type runState struct {
 }
 
 // emit is the per-operator tap: the work budget charges the rows, ANALYZE
-// counts them. Plans execute single-threaded, so plain counters work.
+// counts them, and a run with neither does nothing here. Plans execute
+// single-threaded, so plain counters work.
 func (st *runState) emit(op, rows int) error {
 	if st.acts != nil {
 		st.acts[op] += int64(rows)
@@ -111,18 +113,14 @@ func (p *Program) Run(cat *catalog.Catalog, maxRows int, maxWork int64) ([]datum
 }
 
 func (p *Program) run(st runState, maxRows int) (rows []datum.Row, err error) {
-	tapped := 0
-	if st.capped || st.acts != nil {
-		tapped = 1
-	}
 	p.mu.Lock()
-	t := p.idle[tapped]
+	t := p.idle
 	if t != nil {
-		p.idle[tapped] = t.next
+		p.idle = t.next
 	}
 	p.mu.Unlock()
-	if t == nil { // the first run of its kind, or every tree is running: compile one
-		if t, err = p.compile(tapped == 1); err != nil {
+	if t == nil { // the first run, or every tree is running: compile one
+		if t, err = p.compile(); err != nil {
 			return nil, err
 		}
 	}
@@ -134,14 +132,14 @@ func (p *Program) run(st runState, maxRows int) (rows []datum.Row, err error) {
 	}
 	t.runState = runState{}
 	p.mu.Lock()
-	t.next, p.idle[tapped] = p.idle[tapped], t
+	t.next, p.idle = p.idle, t
 	p.mu.Unlock()
 	return rows, err
 }
 
 // compile builds one operator tree for the program's plan, or delowers the
 // plan for the reference engine.
-func (p *Program) compile(tapped bool) (*tree, error) {
+func (p *Program) compile() (*tree, error) {
 	t := new(tree)
 	var err error
 	if p.eng == EngineRef {
@@ -151,21 +149,18 @@ func (p *Program) compile(tapped bool) (*tree, error) {
 	if p.eng != EngineBatch && p.eng != EngineRow {
 		return nil, fmt.Errorf("exec: unknown engine %v", p.eng)
 	}
-	c := compiler{st: &t.runState, tapped: tapped, size: p.plan.CountOps(), batch: p.batch}
+	c := compiler{st: &t.runState, size: p.plan.CountOps(), batch: p.batch}
 	t.batches, _, err = c.batchIter(p.plan, nil)
 	return t, err
 }
 
 // compiler turns a physical plan into a tree of batch operators, with a tap
-// above every operator of a tree whose runs are observed. A merge join
-// compiles to the hash join over a probe side sorted on its keys.
+// above every operator. A merge join compiles to the hash join over a probe
+// side sorted on its keys.
 type compiler struct {
 	// st is the compiled tree's run state: scans and taps keep the pointer
 	// and read through it what each run sets.
 	st *runState
-	// tapped puts a tap above every operator; a run that neither budgets
-	// nor counts takes a tree without, and pays no call per row for it.
-	tapped bool
 	// size is the plan's operator count and ops the operators compiled so
 	// far, which is the next operator's index in tap order. A merge join's
 	// sort is not a plan operator and is not tapped. Taps, nodes and
@@ -329,10 +324,8 @@ func (c *compiler) batchIter(plan *physical.Expr, need *liveCols) (BatchIterator
 	if err != nil {
 		return nil, nil, err
 	}
-	if c.tapped {
-		bit = slabAdd(&c.batchTaps, c.size, batchTap{BatchIterator: bit, st: c.st, op: c.ops})
-		c.ops++
-	}
+	bit = slabAdd(&c.batchTaps, c.size, batchTap{BatchIterator: bit, st: c.st, op: c.ops})
+	c.ops++
 	return bit, out, nil
 }
 

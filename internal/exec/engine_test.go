@@ -801,7 +801,7 @@ func walkOps(v reflect.Value, visit func(op reflect.Value)) {
 }
 
 // TestEnginesCompileTheirOwnOperators: both built-in engines compile the one
-// batch operator set — the same operators, with or without taps, and a merge
+// batch operator set — the same operators, a tap above each, and a merge
 // join on both to the hash join over an untapped sort of its probe side — and
 // differ only in how many rows per batch their scans, sorts and aggregates (a
 // merge join's sort among them) emit: one under EngineRow, batchSize under
@@ -809,10 +809,10 @@ func walkOps(v reflect.Value, visit func(op reflect.Value)) {
 func TestEnginesCompileTheirOwnOperators(t *testing.T) {
 	cat := testCatalog()
 	// compiled counts the operator types eng compiles plan to.
-	compiled := func(eng Engine, tapped bool, plan *physical.Expr) map[string]int {
+	compiled := func(eng Engine, plan *physical.Expr) map[string]int {
 		t.Helper()
 		p := Compile(eng, plan)
-		tr, err := p.compile(tapped)
+		tr, err := p.compile()
 		if err != nil {
 			t.Fatalf("%s: %v", eng, err)
 		}
@@ -855,7 +855,7 @@ func TestEnginesCompileTheirOwnOperators(t *testing.T) {
 		name  string
 		plan  *physical.Expr
 		types map[string]int // operator types compiled, taps aside
-		ops   int            // tapped: the plan's operators, not a merge join's sort
+		ops   int            // taps: the plan's operators, not a merge join's sort
 	}{
 		{"aggregates", aggs,
 			map[string]int{"batchLimit": 1, "batchSort": 1, "batchAgg": 2, "batchProject": 1, "batchFilter": 1, "batchJoin": 1, "batchScan": 2},
@@ -865,15 +865,11 @@ func TestEnginesCompileTheirOwnOperators(t *testing.T) {
 			6},
 	} {
 		runEngines(t, tc.plan, cat)
+		want := maps.Clone(tc.types)
+		want["batchTap"] = tc.ops
 		for _, eng := range []Engine{EngineRow, EngineBatch} {
-			for _, tapped := range []bool{false, true} {
-				want := maps.Clone(tc.types)
-				if tapped {
-					want["batchTap"] = tc.ops
-				}
-				if got := compiled(eng, tapped, tc.plan); !reflect.DeepEqual(got, want) {
-					t.Errorf("%s, %s engine, tapped %v: compiled %v, want %v", tc.name, eng, tapped, got, want)
-				}
+			if got := compiled(eng, tc.plan); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, %s engine: compiled %v, want %v", tc.name, eng, got, want)
 			}
 		}
 		if n := tc.plan.CountOps(); n != tc.ops {
@@ -885,9 +881,9 @@ func TestEnginesCompileTheirOwnOperators(t *testing.T) {
 	for _, jt := range []physical.JoinType{physical.JoinInner, physical.JoinLeft, physical.JoinSemi, physical.JoinAnti} {
 		nl := joinPlan(physical.OpNLJoin, jt)
 		nl.Children[0] = filterOf(scanT1(), cmpExpr(scalar.CmpGT, col(2), intc(5)))
-		want := map[string]int{"batchJoin": 1, "batchFilter": 1, "batchScan": 2}
+		want := map[string]int{"batchJoin": 1, "batchFilter": 1, "batchScan": 2, "batchTap": 4}
 		for _, eng := range []Engine{EngineRow, EngineBatch} {
-			if got := compiled(eng, false, nl); !reflect.DeepEqual(got, want) {
+			if got := compiled(eng, nl); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s engine, %s nested-loops join: compiled %v, want %v", eng, jt, got, want)
 			}
 		}

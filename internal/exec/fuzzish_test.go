@@ -39,6 +39,13 @@ func concatRows(l, r datum.Row) datum.Row {
 	return append(append(make(datum.Row, 0, len(l)+len(r)), l...), r...)
 }
 
+// predOne filters one row under WHERE semantics, as a batch of that row alone.
+func predOne(e scalar.Expr, row datum.Row, env scalar.Env) (bool, error) {
+	ve := scalar.VecEval{Env: env}
+	sel, err := ve.EvalPred(e, datum.ColumnVecs([]datum.Row{row}, len(row)), []int{0}, nil)
+	return len(sel) == 1, err
+}
+
 // nullRow returns a row of n NULLs.
 func nullRow(n int) datum.Row {
 	out := make(datum.Row, n)

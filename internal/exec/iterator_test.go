@@ -33,7 +33,7 @@ func TestIteratorsReopen(t *testing.T) {
 	}
 	for _, plan := range plans {
 		for _, eng := range []Engine{EngineRow, EngineBatch} {
-			tr, err := Compile(eng, plan).compile(false)
+			tr, err := Compile(eng, plan).compile()
 			if err != nil {
 				t.Fatalf("%s: %v", plan.Op, err)
 			}
@@ -77,7 +77,7 @@ func TestNextAfterEOF(t *testing.T) {
 		joinPlan(physical.OpHashJoin, physical.JoinLeft),
 	} {
 		for _, eng := range []Engine{EngineRow, EngineBatch} {
-			tr, err := Compile(eng, plan).compile(false)
+			tr, err := Compile(eng, plan).compile()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -66,7 +66,7 @@ func keyedCatalog() *catalog.Catalog {
 // pairsNLJoin is the all-pairs nested-loops reference for an NLJoin plan over
 // a probe scan and a build side that is a scan, or a filter over one: for
 // each probe row in table order, its build rows in order, each pair tested
-// against the full On with scalar.EvalBool, a semi or anti join stopping at a
+// against the full On by predOne, a semi or anti join stopping at a
 // probe row's first match. It returns the join's rows in that order and the
 // rows each operator of the plan emits, in ANALYZE's order (children before
 // their parent, left to right).
@@ -87,7 +87,7 @@ func pairsNLJoin(plan *physical.Expr, cat *catalog.Catalog) ([]datum.Row, []int6
 		acts = append(acts, int64(len(all)))
 		env := envOf(build.Children[0].OutputCols())
 		for _, r := range all {
-			ok, err := scalar.EvalBool(build.Filter, r, env)
+			ok, err := predOne(build.Filter, r, env)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -105,7 +105,7 @@ func pairsNLJoin(plan *physical.Expr, cat *catalog.Catalog) ([]datum.Row, []int6
 		matched := false
 		for _, r := range rrows {
 			pair := concatRows(l, r)
-			ok, err := scalar.EvalBool(plan.On, pair, env)
+			ok, err := predOne(plan.On, pair, env)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -209,12 +209,12 @@ func TestKeyedNestedLoopsMatchPairs(t *testing.T) {
 // when it has a key and at least keyedNLMinBuild build rows.
 func requireKeyedRun(t *testing.T, plan *physical.Expr, cat *catalog.Catalog, keyed bool) {
 	t.Helper()
-	tr, err := Compile(EngineBatch, plan).compile(false)
+	tr, err := Compile(EngineBatch, plan).compile()
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr.runState = runState{cat: cat}
-	j := tr.batches.(*batchJoin)
+	j := untap(tr.batches).(*batchJoin)
 	if j.keyed != keyed {
 		t.Fatalf("join keyed = %v, want %v", j.keyed, keyed)
 	}

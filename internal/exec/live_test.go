@@ -32,10 +32,19 @@ func scanWR() *physical.Expr {
 	return &physical.Expr{Op: physical.OpScan, Table: "wr", Cols: []scalar.ColumnID{11, 12, 13, 14, 15, 16}}
 }
 
-// openTree compiles plan on the batch engine and opens its root over cat.
+// untap returns the operator under a tap, or it if it is no tap.
+func untap(it BatchIterator) BatchIterator {
+	if tap, ok := it.(*batchTap); ok {
+		return tap.BatchIterator
+	}
+	return it
+}
+
+// openTree compiles plan on the batch engine, opens its root over cat and
+// returns the root operator under its tap.
 func openTree(t *testing.T, plan *physical.Expr, cat *catalog.Catalog) BatchIterator {
 	t.Helper()
-	tr, err := Compile(EngineBatch, plan).compile(false)
+	tr, err := Compile(EngineBatch, plan).compile()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +53,7 @@ func openTree(t *testing.T, plan *physical.Expr, cat *catalog.Catalog) BatchIter
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { tr.batches.Close() })
-	return tr.batches
+	return untap(tr.batches)
 }
 
 // requireLive requires exactly the slots live of vecs to hold data.
@@ -90,7 +99,7 @@ func TestNarrowJoinCopiesLiveColumns(t *testing.T) {
 				runEngines(t, plan, cat)
 
 				p := openTree(t, plan, cat).(*batchProject)
-				j := p.child.(*batchJoin)
+				j := untap(p.child).(*batchJoin)
 				b, err := p.Next()
 				if err != nil || b == nil {
 					t.Fatalf("project: %v, %v", b, err)
@@ -127,11 +136,12 @@ func TestNarrowSortDrainsLiveSlots(t *testing.T) {
 	}
 	runEngines(t, parent, cat)
 
-	p := openTree(t, parent, cat).(*batchProject).child.(*batchFilter).child.(*batchProject)
+	f := untap(openTree(t, parent, cat).(*batchProject).child).(*batchFilter)
+	p := untap(f.child).(*batchProject)
 	b, err := p.Next()
 	if err != nil || b == nil {
 		t.Fatalf("project: %v, %v", b, err)
 	}
-	requireLive(t, "sort", p.child.(*batchSort).s.vecs, 1, 3, 4)
+	requireLive(t, "sort", untap(p.child).(*batchSort).s.vecs, 1, 3, 4)
 	requireLive(t, "project", b.Cols, 0, 1)
 }

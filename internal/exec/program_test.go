@@ -2,6 +2,7 @@ package exec
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"sync"
@@ -57,23 +58,19 @@ func otherCatalog() *catalog.Catalog {
 	return c
 }
 
-// requireIdle fails unless the program's trees — after sequential runs, at
-// most one with taps and one without — are idle and hold nothing a run took
-// from its database or from a pool: no table, no transposition, no join
-// index, no build vectors, no batch of the last run, no scratch.
+// requireIdle fails unless the program's tree — after sequential runs, one —
+// is idle and holds nothing a run took from its database or from a pool: no
+// table, no transposition, no join index, no build vectors, no batch of the
+// last run, no scratch.
 func requireIdle(t *testing.T, p *Program) {
 	t.Helper()
-	if p.idle == [2]*tree{} {
+	if p.idle == nil {
 		t.Fatal("no idle tree after a run")
 	}
-	for _, tr := range p.idle {
-		if tr != nil {
-			if tr.next != nil {
-				t.Fatal("sequential runs compiled a second tree of one kind")
-			}
-			requireIdleTree(t, tr)
-		}
+	if p.idle.next != nil {
+		t.Fatal("sequential runs compiled a second tree")
 	}
+	requireIdleTree(t, p.idle)
 }
 
 func requireIdleTree(t *testing.T, tr *tree) {
@@ -126,9 +123,9 @@ func requireIdleTree(t *testing.T, tr *tree) {
 
 // TestProgramReuseIsInvisible: every conformance plan through one Program on
 // two databases with different contents under the same table names,
-// interleaved A, B, A, without a budget and under one no run reaches (the tree
-// without taps and the tree with) — each answer is the fresh RunEngine's, rows
-// and order, and between runs the trees hold nothing of either database.
+// interleaved A, B, A, without a budget and under one no run reaches — each
+// answer is the fresh RunEngine's, rows and order, and between runs the tree
+// holds nothing of either database.
 func TestProgramReuseIsInvisible(t *testing.T) {
 	a, b := confCatalog(), otherCatalog()
 	for _, tc := range conformanceCases() {
@@ -230,26 +227,26 @@ func TestProgramSurvivesFailedRuns(t *testing.T) {
 }
 
 // TestProgramCompilesOnDemand: Compile builds no operator, the first Run
-// builds one tree, later sequential runs of its kind reuse it, and what the
-// engine cannot run is the error of every Run.
+// builds one tree, later sequential runs — budgeted or not — reuse it, and
+// what the engine cannot run is the error of every Run.
 func TestProgramCompilesOnDemand(t *testing.T) {
 	cat := testCatalog()
 	p := Compile(EngineBatch, joinPlan(physical.OpHashJoin, physical.JoinLeft))
-	if p.idle != [2]*tree{} {
+	if p.idle != nil {
 		t.Fatal("Compile built a tree before any Run asked for one")
 	}
 	if n := testing.AllocsPerRun(10, func() { Compile(EngineBatch, p.plan) }); n > 1 {
 		t.Errorf("Compile allocates %.0f objects, want the Program alone", n)
 	}
 	var first *tree
-	for i := 0; i < 3; i++ {
-		if _, err := p.Run(cat, 0, 0); err != nil {
+	for i, maxWork := range []int64{0, 1 << 20, 0} {
+		if _, err := p.Run(cat, 0, maxWork); err != nil {
 			t.Fatal(err)
 		}
 		if i == 0 {
-			first = p.idle[0]
+			first = p.idle
 		}
-		if p.idle[0] != first || first == nil || first.next != nil || p.idle[1] != nil {
+		if p.idle != first || first == nil || first.next != nil {
 			t.Fatalf("run %d: sequential runs must reuse the one tree", i)
 		}
 	}
@@ -293,12 +290,123 @@ func TestProgramConcurrentRuns(t *testing.T) {
 			}
 			wg.Wait()
 			trees := 0
-			for tr := p.idle[0]; tr != nil; tr = tr.next {
+			for tr := p.idle; tr != nil; tr = tr.next {
 				trees++
 			}
 			if trees < 1 || trees > len(cats) {
 				t.Errorf("%s/%s: %d idle trees after %d concurrent runners", tc.name, eng, trees, len(cats))
 			}
 		}
+	}
+}
+
+// runCase is one run of a program on a database — with or without a work
+// budget, a row cap and a count per operator — and a fresh program's answer
+// to it.
+type runCase struct {
+	name    string
+	cat     *catalog.Catalog
+	maxRows int
+	maxWork int64
+	count   bool
+
+	rows []datum.Row
+	acts []int64
+	err  error
+}
+
+func (c *runCase) run(p *Program) ([]datum.Row, []int64, error) {
+	st := runState{cat: c.cat, capped: c.maxWork > 0, work: c.maxWork}
+	if c.count {
+		st.acts = make([]int64, p.plan.CountOps())
+	}
+	rows, err := p.run(st, c.maxRows)
+	return rows, st.acts, err
+}
+
+// check fails unless p answers the run as a fresh program did.
+func (c *runCase) check(t *testing.T, p *Program, label string) {
+	rows, acts, err := c.run(p)
+	if (err == nil) != (c.err == nil) || (err != nil && err.Error() != c.err.Error()) {
+		t.Errorf("%s, %s: err = %v, fresh %v", label, c.name, err, c.err)
+	} else if !reflect.DeepEqual(rows, c.rows) || !reflect.DeepEqual(acts, c.acts) {
+		t.Errorf("%s, %s: reused program answers %v counting %v; fresh %v counting %v", label, c.name, rows, acts, c.rows, c.acts)
+	}
+}
+
+// runCases are the runs of plan on a and on b, each unbudgeted, counted, under
+// a budget of exactly the plan's work, one row short of it (so it trips),
+// that counted, and under a row cap one short of the result. After each comes
+// an unbudgeted run on the other database, so one follows every trip.
+func runCases(t *testing.T, eng Engine, plan *physical.Expr, a, b *catalog.Catalog) (seq []*runCase, trips int) {
+	t.Helper()
+	var cases [2][]*runCase
+	for i, cat := range []*catalog.Catalog{a, b} {
+		counted := &runCase{name: "counted", cat: cat, count: true}
+		rows, acts, _ := counted.run(Compile(eng, plan))
+		var work int64
+		for _, n := range acts {
+			work += n
+		}
+		cases[i] = []*runCase{{name: "unbudgeted", cat: cat}, counted, {name: "exact budget", cat: cat, maxWork: work}}
+		if work > 1 {
+			cases[i] = append(cases[i], &runCase{name: "tripped", cat: cat, maxWork: work - 1},
+				&runCase{name: "tripped, counted", cat: cat, maxWork: work - 1, count: true})
+		}
+		if len(rows) > 1 {
+			cases[i] = append(cases[i], &runCase{name: "row cap", cat: cat, maxRows: len(rows) - 1})
+		}
+		for _, c := range cases[i] {
+			c.name = fmt.Sprintf("db %d %s", i, c.name)
+			c.rows, c.acts, c.err = c.run(Compile(eng, plan))
+			if errors.Is(c.err, ErrRowLimit) {
+				trips++
+			}
+		}
+	}
+	for i := range cases {
+		for _, c := range cases[i] {
+			seq = append(seq, c, cases[1-i][0])
+		}
+	}
+	return seq, trips
+}
+
+// TestProgramServesEveryRunKind: one Program serves unbudgeted, budgeted and
+// counting (ANALYZE) runs in any order, from one kind of operator tree — an
+// unbudgeted run reuses the tree the run before tripped ErrRowLimit on — and
+// every run answers, rows and per-operator counts, as a fresh Program's does,
+// and leaves its tree holding nothing of the run. Then the same mix from
+// several goroutines at once, each from its own starting point.
+func TestProgramServesEveryRunKind(t *testing.T) {
+	a, b := confCatalog(), otherCatalog()
+	trips := 0
+	for _, tc := range conformanceCases() {
+		for _, eng := range []Engine{EngineRow, EngineBatch} {
+			label := tc.name + "/" + eng.String()
+			seq, n := runCases(t, eng, tc.plan, a, b)
+			trips += n
+			p := Compile(eng, tc.plan)
+			for _, c := range seq {
+				c.check(t, p, label)
+				requireIdle(t, p)
+			}
+
+			p = Compile(eng, tc.plan)
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := range 3 * len(seq) {
+						seq[(g*7+i)%len(seq)].check(t, p, label)
+					}
+				}(g)
+			}
+			wg.Wait()
+		}
+	}
+	if trips == 0 {
+		t.Fatal("no run tripped ErrRowLimit: the mix tests no reuse after a trip")
 	}
 }

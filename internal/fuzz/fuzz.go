@@ -88,7 +88,8 @@ type Config struct {
 	// DB labels the catalog in the report and reproducer line ("tpch",
 	// "star", "rand"). With no Catalog it must be empty or "rand": the
 	// campaign then runs on the random catalog, and no other label would
-	// replay it.
+	// replay it. With a Catalog it must not be "rand", which replays the
+	// random catalog instead.
 	DB string
 	// EET enables the expression-level equivalence rewrites (the scalar EET
 	// catalog) alongside the tree-level metamorphic rewrites.
@@ -213,6 +214,9 @@ func Run(cfg Config) (*Report, error) {
 func newCampaign(cfg Config) (*campaign, error) {
 	if cfg.Catalog == nil && cfg.DB != "" && cfg.DB != "rand" {
 		return nil, fmt.Errorf("fuzz: no catalog for DB %q: without one the campaign runs on the random catalog, which only DB \"\" or \"rand\" names", cfg.DB)
+	}
+	if cfg.Catalog != nil && cfg.DB == "rand" {
+		return nil, fmt.Errorf("fuzz: DB \"rand\" names the random catalog, but a catalog was supplied")
 	}
 	cfg.setDefaults()
 	rn, err := oracle.New(oracle.Options{

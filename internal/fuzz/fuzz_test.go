@@ -111,7 +111,9 @@ func TestReproLine(t *testing.T) {
 // TestDBLabelNeedsItsCatalog: with no Catalog a campaign runs on the random
 // catalog, so a DB label naming another database would print a -db that
 // replays a different campaign. Run refuses it; "" and "rand" name the
-// random catalog and run.
+// random catalog and run. The other way round, "rand" on a supplied catalog
+// would print a -randcat that replays a random-catalog campaign, and Run
+// refuses it too.
 func TestDBLabelNeedsItsCatalog(t *testing.T) {
 	if _, err := Run(Config{Seed: 9, N: 1, DB: "tpch"}); err == nil || !strings.Contains(err.Error(), `"tpch"`) {
 		t.Errorf("DB \"tpch\" without a catalog: err = %v, want an error naming the label", err)
@@ -123,6 +125,10 @@ func TestDBLabelNeedsItsCatalog(t *testing.T) {
 		} else if rep.DB != "rand" {
 			t.Errorf("DB %q without a catalog: report says db %q, want rand", db, rep.DB)
 		}
+	}
+	tpch := catalog.LoadTPCH(catalog.TPCHConfig{ScaleRows: 0.01, Seed: 9})
+	if _, err := Run(Config{Seed: 9, N: 1, DB: "rand", Catalog: tpch}); err == nil || !strings.Contains(err.Error(), `"rand"`) {
+		t.Errorf("DB \"rand\" with a TPC-H catalog: err = %v, want an error naming the label", err)
 	}
 }
 

@@ -10,10 +10,10 @@ import (
 
 // This file is the reference engine's own scalar interpreter. It evaluates
 // the shared scalar.Expr node types but deliberately re-implements the
-// semantics instead of calling scalar.Eval, so a bug in the production
+// semantics instead of calling scalar.VecEval, so a bug in the production
 // evaluator cannot hide itself from the cross-engine oracle. The pinned
-// semantics (shared with both production engines, enforced by the
-// conformance suite in internal/exec):
+// semantics (shared with VecEval, enforced by this package's differential
+// tests and the conformance suite in internal/exec):
 //
 //   - three-valued logic: NULL in predicate position is UNKNOWN; a non-NULL
 //     non-boolean predicate value is an execution error;

@@ -293,9 +293,9 @@ func TestEETRewriteApplicability(t *testing.T) {
 }
 
 // checkEETEquivalence applies rw at every applicable site of pred and
-// asserts the rewritten tree is EXACTLY equivalent to the original on both
-// engines over rows: same root type, same datum per row, same filter
-// selection, same error presence. Returns how many sites the rewrite fired.
+// asserts the rewritten tree is EXACTLY equivalent to the original over rows,
+// each alone and all in one batch: same root type, same datum per row, same
+// filter selection, same error presence. Returns how many sites the rewrite fired.
 func checkEETEquivalence(t *testing.T, pred Expr, rw EETRewrite, rows []datum.Row) int {
 	t.Helper()
 	origType, origTypeErr := TypeOf(pred, eetTypeEnv)
@@ -328,8 +328,8 @@ func checkEETEquivalence(t *testing.T, pred Expr, rw EETRewrite, rows []datum.Ro
 			continue
 		}
 		for i, row := range rows {
-			a, aerr := Eval(pred, row, eetEnv)
-			b, berr := Eval(rewritten, row, eetEnv)
+			a, aerr := vecEvalOne(t, pred, row, eetEnv)
+			b, berr := vecEvalOne(t, rewritten, row, eetEnv)
 			if (aerr != nil) != (berr != nil) {
 				t.Fatalf("%s: row %d error flipped %v -> %v on %s -> %s",
 					rw.Name, i, aerr, berr, SQL(pred, colName), SQL(rewritten, colName))
@@ -373,8 +373,7 @@ func checkEETEquivalence(t *testing.T, pred Expr, rw EETRewrite, rows []datum.Ro
 }
 
 // TestEETRewritesExactEquivalence sweeps random well-typed predicates and
-// checks every catalog rewrite at every applicable site against both
-// engines on NULL-heavy data.
+// checks every catalog rewrite at every applicable site on NULL-heavy data.
 func TestEETRewritesExactEquivalence(t *testing.T) {
 	fired := map[string]int{}
 	for seed := int64(0); seed < 60; seed++ {
@@ -393,62 +392,6 @@ func TestEETRewritesExactEquivalence(t *testing.T) {
 	for _, rw := range EETRewrites() {
 		if fired[rw.Name] == 0 {
 			t.Errorf("%s never fired across the sweep; generator lost its coverage", rw.Name)
-		}
-	}
-}
-
-// TestVecEvalMatchesRowEvalWide widens the row-vs-vector differential test
-// to all five column types (bool and date leaves, double negation, bool
-// constants) on a NULL-heavy domain.
-func TestVecEvalMatchesRowEvalWide(t *testing.T) {
-	for seed := int64(0); seed < 30; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		rows := randWideRows(r, 80)
-		cols := datum.ColumnVecs(rows, 5)
-		idx := make([]int, len(rows))
-		for i := range idx {
-			idx[i] = i
-		}
-		ve := &VecEval{Env: eetEnv}
-		for ei := 0; ei < 8; ei++ {
-			e := randWidePred(r, 2)
-			var out datum.Vec
-			if err := ve.Eval(e, cols, idx, &out); err != nil {
-				t.Fatalf("seed %d: VecEval error on %s: %v", seed, SQL(e, colName), err)
-			}
-			for i, row := range rows {
-				want, err := Eval(e, row, eetEnv)
-				if err != nil {
-					t.Fatalf("seed %d: row Eval error on %s: %v", seed, SQL(e, colName), err)
-				}
-				if datum.TotalCompare(out.D[i], want) != 0 || out.IsNull(i) != want.IsNull() {
-					t.Fatalf("seed %d expr %s row %d: vec=%v row=%v",
-						seed, SQL(e, colName), i, out.D[i], want)
-				}
-			}
-			sel, err := ve.EvalPred(e, cols, idx, nil)
-			if err != nil {
-				t.Fatalf("seed %d: EvalPred error on %s: %v", seed, SQL(e, colName), err)
-			}
-			var want []int
-			for i, row := range rows {
-				ok, err := EvalBool(e, row, eetEnv)
-				if err != nil {
-					t.Fatalf("seed %d: EvalBool error: %v", seed, err)
-				}
-				if ok {
-					want = append(want, i)
-				}
-			}
-			if len(sel) != len(want) {
-				t.Fatalf("seed %d expr %s: EvalPred kept %d rows, EvalBool %d",
-					seed, SQL(e, colName), len(sel), len(want))
-			}
-			for i := range sel {
-				if sel[i] != want[i] {
-					t.Fatalf("seed %d: selection diverges at %d", seed, i)
-				}
-			}
 		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 // vecEvalOne evaluates e over a single-row batch on the vector engine,
 // returning the row-0 datum.
-func vecEvalOne(t *testing.T, e Expr, row datum.Row, env Env) (datum.Datum, error) {
+func vecEvalOne(t testing.TB, e Expr, row datum.Row, env Env) (datum.Datum, error) {
 	t.Helper()
 	cols := datum.ColumnVecs([]datum.Row{row}, len(row))
 	ve := &VecEval{Env: env}
@@ -22,7 +22,7 @@ func vecEvalOne(t *testing.T, e Expr, row datum.Row, env Env) (datum.Datum, erro
 
 // vecPredOne runs EvalPred over a single-row batch, returning whether the
 // row survived.
-func vecPredOne(t *testing.T, e Expr, row datum.Row, env Env) (bool, error) {
+func vecPredOne(t testing.TB, e Expr, row datum.Row, env Env) (bool, error) {
 	t.Helper()
 	cols := datum.ColumnVecs([]datum.Row{row}, len(row))
 	ve := &VecEval{Env: env}
@@ -35,9 +35,9 @@ func vecPredOne(t *testing.T, e Expr, row datum.Row, env Env) (bool, error) {
 
 // TestNonBooleanPredicateErrors pins the first scalar-semantics fix: a
 // non-NULL, non-boolean datum in predicate position is a typed execution
-// error on BOTH engines — previously datumToTri silently treated it as TRUE
-// on some paths while EvalBool/EvalPred required KindBool, so NOT (NOT e)
-// and e filtered differently for non-boolean e.
+// error in value and in filter position — previously datumToTri silently
+// treated it as TRUE on some paths while EvalPred required KindBool, so
+// NOT (NOT e) and e filtered differently for non-boolean e.
 func TestNonBooleanPredicateErrors(t *testing.T) {
 	row := datum.Row{datum.NewInt(7)}
 	en := env(1)
@@ -53,9 +53,6 @@ func TestNonBooleanPredicateErrors(t *testing.T) {
 		{"or", &Or{Kids: []Expr{intRef, eq(col(1), lit(7))}}},
 	}
 	for _, c := range cases {
-		if _, err := Eval(c.expr, row, en); err == nil {
-			t.Errorf("%s: row Eval accepted a non-boolean predicate", c.name)
-		}
 		if _, err := vecEvalOne(t, c.expr, row, en); err == nil {
 			t.Errorf("%s: vector Eval accepted a non-boolean predicate", c.name)
 		}
@@ -63,50 +60,35 @@ func TestNonBooleanPredicateErrors(t *testing.T) {
 			t.Errorf("%s: vector EvalPred accepted a non-boolean predicate", c.name)
 		}
 	}
-	// Bare non-boolean at the very top of a filter: EvalBool and EvalPred
-	// must both reject it (they share datumToTri now).
-	if _, err := EvalBool(intRef, row, en); err == nil {
-		t.Error("EvalBool accepted a bare integer predicate")
-	}
+	// Bare non-boolean at the very top of a filter: EvalPred must reject it.
 	if _, err := vecPredOne(t, intRef, row, en); err == nil {
 		t.Error("vector EvalPred accepted a bare integer predicate")
 	}
-	// NULL stays a legal predicate (Unknown), on both engines.
+	// NULL stays a legal predicate (Unknown).
 	nullRow := datum.Row{datum.Null}
-	if got, err := Eval(&Not{Kid: &Not{Kid: col(1)}}, nullRow, en); err != nil || !got.IsNull() {
-		t.Errorf("NOT NOT NULL = (%v, %v), want (NULL, nil)", got, err)
-	}
 	if got, err := vecEvalOne(t, &Not{Kid: &Not{Kid: col(1)}}, nullRow, en); err != nil || !got.IsNull() {
 		t.Errorf("vector NOT NOT NULL = (%v, %v), want (NULL, nil)", got, err)
 	}
 }
 
 // TestDoubleNegationMatchesBothEngines: for boolean e, NOT (NOT e) must
-// filter exactly like e on both engines — the regression the non-boolean
-// fix exists for, pinned on the boolean domain where it must keep working.
+// filter exactly like e, and both keep exactly the rows e is TRUE on — the
+// regression the non-boolean fix exists for, pinned on the boolean domain
+// where it must keep working.
 func TestDoubleNegationMatchesBothEngines(t *testing.T) {
 	en := env(1)
 	pred := lt(col(1), lit(3))
 	double := &Not{Kid: &Not{Kid: pred}}
-	for _, d := range []datum.Datum{datum.NewInt(1), datum.NewInt(5), datum.Null} {
+	for d, want := range map[datum.Datum]bool{datum.NewInt(1): true, datum.NewInt(5): false, datum.Null: false} {
 		row := datum.Row{d}
-		want, err := EvalBool(pred, row, en)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := EvalBool(double, row, en)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Errorf("row %v: NOT NOT filters %v, plain %v", d, got, want)
-		}
-		vgot, err := vecPredOne(t, double, row, en)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if vgot != want {
-			t.Errorf("row %v: vector NOT NOT filters %v, plain %v", d, vgot, want)
+		for _, e := range []Expr{pred, double} {
+			got, err := vecPredOne(t, e, row, en)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("row %v: %s filters %v, want %v", d, SQL(e, colName), got, want)
+			}
 		}
 	}
 }
@@ -114,9 +96,9 @@ func TestDoubleNegationMatchesBothEngines(t *testing.T) {
 // TestConnectiveErrorsDominate pins the second fix: AND/OR evaluate every
 // kid before folding, so a conjunct that errors surfaces the error no
 // matter where it sits — reorder-predicates can no longer flip Error↔OK,
-// and both engines agree. The erroring conjunct is string arithmetic inside
-// a comparison; the other conjunct is FALSE (previously Eval's short-circuit
-// skipped the error when FALSE came first).
+// and value and filter position agree. The erroring conjunct is string
+// arithmetic inside a comparison; the other conjunct is FALSE (previously a
+// short-circuit skipped the error when FALSE came first).
 func TestConnectiveErrorsDominate(t *testing.T) {
 	row := datum.Row{datum.NewInt(1), datum.NewString("x")}
 	en := env(1, 2)
@@ -135,12 +117,6 @@ func TestConnectiveErrorsDominate(t *testing.T) {
 		{"or-true-last", &Or{Kids: []Expr{erroring, truthy}}},
 	}
 	for _, o := range orders {
-		if _, err := Eval(o.expr, row, en); err == nil {
-			t.Errorf("%s: row Eval short-circuited past the erroring operand", o.name)
-		}
-		if _, err := EvalBool(o.expr, row, en); err == nil {
-			t.Errorf("%s: row EvalBool short-circuited past the erroring operand", o.name)
-		}
 		if _, err := vecEvalOne(t, o.expr, row, en); err == nil {
 			t.Errorf("%s: vector Eval short-circuited past the erroring operand", o.name)
 		}
@@ -151,8 +127,8 @@ func TestConnectiveErrorsDominate(t *testing.T) {
 }
 
 // TestEvalPredMixedConjunctionSelection: the slow path a can-error conjunct
-// forces must still select exactly the rows EvalBool's WHERE semantics keep,
-// when no row actually errors.
+// forces must still select exactly the rows WHERE semantics keep when each
+// row is filtered on its own, when no row actually errors.
 func TestEvalPredMixedConjunctionSelection(t *testing.T) {
 	rows := []datum.Row{
 		{datum.NewInt(1), datum.NewInt(10)},
@@ -178,7 +154,7 @@ func TestEvalPredMixedConjunctionSelection(t *testing.T) {
 	}
 	var want []int
 	for i, row := range rows {
-		ok, err := EvalBool(pred, row, en)
+		ok, err := vecPredOne(t, pred, row, en)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,20 +163,20 @@ func TestEvalPredMixedConjunctionSelection(t *testing.T) {
 		}
 	}
 	if len(sel) != len(want) {
-		t.Fatalf("EvalPred kept %v, EvalBool %v", sel, want)
+		t.Fatalf("EvalPred kept %v, row by row %v", sel, want)
 	}
 	for i := range sel {
 		if sel[i] != want[i] {
-			t.Fatalf("EvalPred kept %v, EvalBool %v", sel, want)
+			t.Fatalf("EvalPred kept %v, row by row %v", sel, want)
 		}
 	}
 }
 
 // TestMixedKindComparisonIsUnknown pins the third fix (a decision, now
-// documented and tested): comparing incomparable kinds yields Unknown — on
-// both engines, in both value and filter position — not an error. EET
-// rewrites never emit such comparisons (TypeOf rejects them), but dynamic
-// data can still produce them, and the two engines must agree.
+// documented and tested): comparing incomparable kinds yields Unknown — in
+// both value and filter position — not an error. EET rewrites never emit
+// such comparisons (TypeOf rejects them), but dynamic data can still produce
+// them.
 func TestMixedKindComparisonIsUnknown(t *testing.T) {
 	row := datum.Row{datum.NewInt(1), datum.NewString("x"), datum.NewBool(true)}
 	en := env(1, 2, 3)
@@ -211,13 +187,6 @@ func TestMixedKindComparisonIsUnknown(t *testing.T) {
 		eq(col(2), &Const{D: datum.NewBool(false)}), // STRING = BOOL
 	}
 	for i, e := range cases {
-		got, err := Eval(e, row, en)
-		if err != nil {
-			t.Fatalf("case %d: row Eval: %v", i, err)
-		}
-		if !got.IsNull() {
-			t.Errorf("case %d: row Eval = %v, want NULL (Unknown)", i, got)
-		}
 		vgot, err := vecEvalOne(t, e, row, en)
 		if err != nil {
 			t.Fatalf("case %d: vector Eval: %v", i, err)
@@ -225,11 +194,7 @@ func TestMixedKindComparisonIsUnknown(t *testing.T) {
 		if !vgot.IsNull() {
 			t.Errorf("case %d: vector Eval = %v, want NULL (Unknown)", i, vgot)
 		}
-		// Unknown filters the row, without error, on both engines.
-		ok, err := EvalBool(e, row, en)
-		if err != nil || ok {
-			t.Errorf("case %d: EvalBool = (%v, %v), want (false, nil)", i, ok, err)
-		}
+		// Unknown filters the row, without error.
 		kept, err := vecPredOne(t, e, row, en)
 		if err != nil || kept {
 			t.Errorf("case %d: vector EvalPred = (%v, %v), want (false, nil)", i, kept, err)
@@ -240,13 +205,13 @@ func TestMixedKindComparisonIsUnknown(t *testing.T) {
 			&Cmp{Op: CmpEQ, L: cases[0].(*Cmp).L, R: cases[0].(*Cmp).R},
 			&Cmp{Op: CmpNE, L: cases[0].(*Cmp).L, R: cases[0].(*Cmp).R},
 		}}
-		if ok, err := EvalBool(taut, row, en); err != nil || ok {
+		if ok, err := vecPredOne(t, taut, row, en); err != nil || ok {
 			t.Errorf("mixed-kind x = y OR x <> y = (%v, %v); must be Unknown, not TRUE", ok, err)
 		}
 	}
 	// The error message for the non-boolean predicate fix should say what
 	// went wrong, for findings triage.
-	if _, err := EvalBool(col(1), row, en); err == nil || !strings.Contains(err.Error(), "boolean") {
+	if _, err := vecPredOne(t, col(1), row, en); err == nil || !strings.Contains(err.Error(), "boolean") {
 		t.Errorf("non-boolean predicate error should mention boolean, got %v", err)
 	}
 }

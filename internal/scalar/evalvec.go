@@ -8,11 +8,12 @@ import (
 
 // VecEval evaluates expressions over column vectors, one batch of rows at a
 // time. It reuses scratch vectors across calls, so a VecEval must not be
-// shared between goroutines. Results are value-identical to the row-at-a-time
-// Eval/EvalBool: both bottom out in the same evalCmp/evalArith kernels.
+// shared between goroutines. A row's value does not depend on the batch it is
+// in: every operator bottoms out, row by row, in the evalCmp/evalArith kernels.
+// The reference engine spells the same semantics in an interpreter of its own,
+// and refengine's tests hold the two to each other.
 type VecEval struct {
-	// Env maps ColumnIDs to column positions, exactly like Eval's Env maps
-	// them to row slots.
+	// Env maps ColumnIDs to column positions.
 	Env Env
 	// Pairs, when non-nil, makes the evaluator read a join's candidate pairs
 	// in place; see PairView.
@@ -199,10 +200,10 @@ func (v *VecEval) Eval(e Expr, cols []datum.Vec, idx []int, out *datum.Vec) erro
 }
 
 // evalVariadic folds AND/OR over the kids' dense results. Every kid is
-// evaluated before folding — the same errors-dominate rule as the
-// row-at-a-time Eval — so Error-vs-OK never depends on conjunct order or
-// evaluator. When both error, the error *message* may differ (this one
-// evaluates conjunct-major, Eval row-major, so a different offending value
+// evaluated before folding — errors dominate, as in the reference engine's
+// interpreter — so Error-vs-OK never depends on conjunct order or evaluator.
+// When both error, the error *message* may differ (this one evaluates
+// conjunct-major, a row interpreter row-major, so a different offending value
 // can be seen first); error presence is the contract.
 func (v *VecEval) evalVariadic(kids []Expr, cols []datum.Vec, idx []int, out *datum.Vec, unit datum.Tri, fold func(datum.Tri, datum.Tri) datum.Tri) error {
 	if len(kids) == 0 {
@@ -216,7 +217,7 @@ func (v *VecEval) evalVariadic(kids []Expr, cols []datum.Vec, idx []int, out *da
 		return err
 	}
 	// Normalize the first kid through datumToTri so a single-kid AND/OR
-	// rejects non-boolean operands exactly like Eval's fold.
+	// rejects non-boolean operands exactly like the fold over later kids.
 	for k := range out.D {
 		tri, err := datumToTri(out.D[k])
 		if err != nil {
@@ -253,8 +254,8 @@ func (v *VecEval) evalVariadic(kids []Expr, cols []datum.Vec, idx []int, out *da
 // sel may alias idx's storage: the output is always a subsequence of the
 // input, written left to right, so in-place restriction is safe.
 //
-// Conjunction restricts the selection kid by kid — the same early-out a
-// row-at-a-time filter gets from rows failing an early conjunct — but
+// Conjunction restricts the selection kid by kid — a later conjunct sees only
+// the rows the earlier ones kept — but
 // ONLY when every conjunct is statically error-free (errFree): a conjunct
 // that can error must see every input row, or errors-dominate would depend
 // on which conjunct ran first. Mixed conjunctions fall back to evaluating

@@ -78,66 +78,6 @@ func randVecRows(r *rand.Rand, n int) []datum.Row {
 	return rows
 }
 
-// VecEval.Eval must produce exactly Eval's value for every row, and
-// EvalPred must select exactly the rows EvalBool accepts.
-func TestVecEvalMatchesRowEval(t *testing.T) {
-	env := Env{1: 0, 2: 1, 3: 2}
-	for seed := int64(0); seed < 40; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		rows := randVecRows(r, 100)
-		cols := datum.ColumnVecs(rows, 3)
-		idx := make([]int, len(rows))
-		for i := range idx {
-			idx[i] = i
-		}
-		ve := &VecEval{Env: env}
-		for ei := 0; ei < 10; ei++ {
-			e := randVecExpr(r, 2)
-			var out datum.Vec
-			if err := ve.Eval(e, cols, idx, &out); err != nil {
-				t.Fatalf("seed %d: VecEval error: %v", seed, err)
-			}
-			if out.Len() != len(rows) {
-				t.Fatalf("seed %d: got %d results for %d rows", seed, out.Len(), len(rows))
-			}
-			for i, row := range rows {
-				want, err := Eval(e, row, env)
-				if err != nil {
-					t.Fatalf("seed %d: row Eval error: %v", seed, err)
-				}
-				got := out.D[i]
-				if datum.TotalCompare(got, want) != 0 || got.IsNull() != want.IsNull() {
-					t.Fatalf("seed %d expr %s row %d: vec=%v row=%v",
-						seed, SQL(e, colName), i, got, want)
-				}
-			}
-			sel, err := ve.EvalPred(e, cols, idx, nil)
-			if err != nil {
-				t.Fatalf("seed %d: EvalPred error: %v", seed, err)
-			}
-			var want []int
-			for i, row := range rows {
-				ok, err := EvalBool(e, row, env)
-				if err != nil {
-					t.Fatalf("seed %d: EvalBool error: %v", seed, err)
-				}
-				if ok {
-					want = append(want, i)
-				}
-			}
-			if len(sel) != len(want) {
-				t.Fatalf("seed %d expr %s: EvalPred kept %d rows, EvalBool %d",
-					seed, SQL(e, colName), len(sel), len(want))
-			}
-			for i := range sel {
-				if sel[i] != want[i] {
-					t.Fatalf("seed %d: selection diverges at %d: %d vs %d", seed, i, sel[i], want[i])
-				}
-			}
-		}
-	}
-}
-
 // Reading a join's candidate pairs in place, through a PairView, must equal
 // gathering the columns first and evaluating over the gathered copies.
 func TestVecEvalPairsMatchGather(t *testing.T) {
@@ -240,7 +180,8 @@ func TestVecEvalPredInPlace(t *testing.T) {
 	}
 }
 
-// Arithmetic over non-numeric operands must error in both engines.
+// Arithmetic over non-numeric operands must error, in value and in filter
+// position.
 func TestVecEvalArithErrorPropagates(t *testing.T) {
 	env := Env{3: 0}
 	rows := []datum.Row{{datum.NewString("x")}}
@@ -251,7 +192,7 @@ func TestVecEvalArithErrorPropagates(t *testing.T) {
 	if err := ve.Eval(e, cols, []int{0}, &out); err == nil {
 		t.Fatal("vectorized arithmetic on string must error")
 	}
-	if _, err := Eval(e, rows[0], env); err == nil {
-		t.Fatal("row arithmetic on string must error")
+	if _, err := ve.EvalPred(&Cmp{Op: CmpLT, L: e, R: &Const{D: datum.NewInt(1)}}, cols, []int{0}, nil); err == nil {
+		t.Fatal("a filter over arithmetic on string must error")
 	}
 }

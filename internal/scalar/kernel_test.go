@@ -157,10 +157,10 @@ func checkKernelPair(t testing.TB, l, r datum.Datum) {
 }
 
 // checkEvaluatorsAgree holds VecEval.Eval and — for a comparison —
-// VecEval.EvalPred to the row-at-a-time Eval and EvalBool of e over rows. The
-// batch carries a row the selection skips, so a position in the selection is
-// never the row's index: a dense operand read by row index, or a column read
-// by position, shows.
+// VecEval.EvalPred of e over a batch of rows to their answers on each row
+// alone. The batch carries a row the selection skips, so a position in the
+// selection is never the row's index: a dense operand read by row index, or a
+// column read by position, shows.
 func checkEvaluatorsAgree(t testing.TB, e Expr, rows []datum.Row, en Env) {
 	t.Helper()
 	label := SQL(e, colName)
@@ -177,7 +177,7 @@ func checkEvaluatorsAgree(t testing.TB, e Expr, rows []datum.Row, en Env) {
 	var wantSel []int
 	wantErr := ""
 	for i, row := range rows {
-		d, err := Eval(e, row, en)
+		d, err := vecEvalOne(t, e, row, en)
 		if err != nil {
 			if wantErr == "" {
 				wantErr = err.Error()
@@ -185,7 +185,7 @@ func checkEvaluatorsAgree(t testing.TB, e Expr, rows []datum.Row, en Env) {
 			continue
 		}
 		want[i] = d
-		if ok, err := EvalBool(e, row, en); err == nil && ok {
+		if ok, err := vecPredOne(t, e, row, en); err == nil && ok {
 			wantSel = append(wantSel, idx[i])
 		}
 	}
@@ -195,7 +195,7 @@ func checkEvaluatorsAgree(t testing.TB, e Expr, rows []datum.Row, en Env) {
 	switch {
 	case wantErr != "":
 		if err == nil || err.Error() != wantErr {
-			t.Errorf("%s: VecEval.Eval error %v, row Eval %q", label, err, wantErr)
+			t.Errorf("%s: VecEval.Eval error %v, one row %q", label, err, wantErr)
 		}
 	case err != nil:
 		t.Errorf("%s: VecEval.Eval: %v", label, err)
@@ -204,7 +204,7 @@ func checkEvaluatorsAgree(t testing.TB, e Expr, rows []datum.Row, en Env) {
 	default:
 		for i := range rows {
 			if !sameDatum(out.D[i], want[i]) {
-				t.Errorf("%s on %v: VecEval.Eval %v, row Eval %v", label, rows[i], out.D[i], want[i])
+				t.Errorf("%s on %v: VecEval.Eval %v, one row %v", label, rows[i], out.D[i], want[i])
 			}
 		}
 	}
@@ -215,12 +215,12 @@ func checkEvaluatorsAgree(t testing.TB, e Expr, rows []datum.Row, en Env) {
 	switch {
 	case wantErr != "":
 		if err == nil || err.Error() != wantErr {
-			t.Errorf("%s: EvalPred error %v, row EvalBool %q", label, err, wantErr)
+			t.Errorf("%s: EvalPred error %v, one row %q", label, err, wantErr)
 		}
 	case err != nil:
 		t.Errorf("%s: EvalPred: %v", label, err)
 	case fmt.Sprint(sel) != fmt.Sprint(wantSel):
-		t.Errorf("%s: EvalPred kept %v, row EvalBool %v", label, sel, wantSel)
+		t.Errorf("%s: EvalPred kept %v, row by row %v", label, sel, wantSel)
 	}
 }
 
@@ -267,8 +267,8 @@ func checkOperandShapes(t testing.TB, mk func(l, r Expr) Expr, pairs []datum.Row
 }
 
 // TestKernelTable: over every pair of corner values, the pointer kernels are
-// the spelled-out semantics, Eval computes exactly that, and the vector
-// engine agrees with Eval in every operand shape.
+// the spelled-out semantics, VecEval computes exactly that on one row, and
+// agrees with itself on one row in every operand shape over a batch.
 func TestKernelTable(t *testing.T) {
 	vals := kernelValues()
 	var pairs []datum.Row
@@ -282,9 +282,9 @@ func TestKernelTable(t *testing.T) {
 	for _, op := range allCmpOps {
 		op := op
 		for _, p := range pairs {
-			got, err := Eval(&Cmp{Op: op, L: col(1), R: col(2)}, p, en)
+			got, err := vecEvalOne(t, &Cmp{Op: op, L: col(1), R: col(2)}, p, en)
 			if want := triToDatum(refCmp(op, p[0], p[1])); err != nil || got != want {
-				t.Errorf("row Eval(%v %s %v) = (%v, %v), reference %v", p[0], op, p[1], got, err, want)
+				t.Errorf("Eval(%v %s %v) = (%v, %v), reference %v", p[0], op, p[1], got, err, want)
 			}
 		}
 		checkOperandShapes(t, func(l, r Expr) Expr { return &Cmp{Op: op, L: l, R: r} }, pairs)
@@ -352,8 +352,8 @@ func fuzzDatum(k uint8, i int64, s string) datum.Datum {
 }
 
 // FuzzCmpKernel is TestKernelTable with the fuzzer choosing the two values:
-// kernels ≡ spelled-out semantics, and row Eval ≡ VecEval.Eval ≡ EvalPred in
-// every operand shape, for all six comparisons and all three arithmetic ops.
+// kernels ≡ spelled-out semantics, and one-row Eval ≡ VecEval.Eval ≡ EvalPred
+// in every operand shape, for all six comparisons and all three arithmetic ops.
 // Its seeds are the corners, committed under testdata/fuzz/FuzzCmpKernel.
 func FuzzCmpKernel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, kl uint8, il int64, sl string, kr uint8, ir int64, sr string) {

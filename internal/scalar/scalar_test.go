@@ -38,7 +38,7 @@ func TestEvalComparisons(t *testing.T) {
 		{&Not{Kid: eq(col(3), lit(5))}, datum.Null},
 	}
 	for i, c := range cases {
-		got, err := Eval(c.expr, row, e)
+		got, err := vecEvalOne(t, c.expr, row, e)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -56,24 +56,24 @@ func TestEvalThreeValuedConnectives(t *testing.T) {
 	falsy := eq(col(2), lit(2))
 
 	// UNKNOWN AND FALSE = FALSE; UNKNOWN AND TRUE = UNKNOWN.
-	if d, _ := Eval(and(unknown, falsy), row, e); d != datum.NewBool(false) {
+	if d, _ := vecEvalOne(t, and(unknown, falsy), row, e); d != datum.NewBool(false) {
 		t.Errorf("UNKNOWN AND FALSE = %v, want FALSE", d)
 	}
-	if d, _ := Eval(and(unknown, truthy), row, e); !d.IsNull() {
+	if d, _ := vecEvalOne(t, and(unknown, truthy), row, e); !d.IsNull() {
 		t.Errorf("UNKNOWN AND TRUE = %v, want NULL", d)
 	}
 	// UNKNOWN OR TRUE = TRUE; UNKNOWN OR FALSE = UNKNOWN.
-	if d, _ := Eval(&Or{Kids: []Expr{unknown, truthy}}, row, e); d != datum.NewBool(true) {
+	if d, _ := vecEvalOne(t, &Or{Kids: []Expr{unknown, truthy}}, row, e); d != datum.NewBool(true) {
 		t.Errorf("UNKNOWN OR TRUE = %v, want TRUE", d)
 	}
-	if d, _ := Eval(&Or{Kids: []Expr{unknown, falsy}}, row, e); !d.IsNull() {
+	if d, _ := vecEvalOne(t, &Or{Kids: []Expr{unknown, falsy}}, row, e); !d.IsNull() {
 		t.Errorf("UNKNOWN OR FALSE = %v, want NULL", d)
 	}
 }
 
 func TestEvalBoolNullIsFalse(t *testing.T) {
 	row := datum.Row{datum.Null}
-	ok, err := EvalBool(eq(col(1), lit(1)), row, env(1))
+	ok, err := vecPredOne(t, eq(col(1), lit(1)), row, env(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,19 +85,19 @@ func TestEvalBoolNullIsFalse(t *testing.T) {
 func TestEvalArith(t *testing.T) {
 	row := datum.Row{datum.NewInt(6), datum.NewFloat(0.5), datum.Null}
 	e := env(1, 2, 3)
-	if d, _ := Eval(&Arith{Op: ArithMul, L: col(1), R: lit(7)}, row, e); d != datum.NewInt(42) {
+	if d, _ := vecEvalOne(t, &Arith{Op: ArithMul, L: col(1), R: lit(7)}, row, e); d != datum.NewInt(42) {
 		t.Errorf("6*7 = %v", d)
 	}
-	if d, _ := Eval(&Arith{Op: ArithAdd, L: col(1), R: col(2)}, row, e); d != datum.NewFloat(6.5) {
+	if d, _ := vecEvalOne(t, &Arith{Op: ArithAdd, L: col(1), R: col(2)}, row, e); d != datum.NewFloat(6.5) {
 		t.Errorf("6+0.5 = %v", d)
 	}
-	if d, _ := Eval(&Arith{Op: ArithSub, L: col(1), R: col(3)}, row, e); !d.IsNull() {
+	if d, _ := vecEvalOne(t, &Arith{Op: ArithSub, L: col(1), R: col(3)}, row, e); !d.IsNull() {
 		t.Errorf("6-NULL = %v, want NULL", d)
 	}
 }
 
 func TestEvalUnboundColumn(t *testing.T) {
-	if _, err := Eval(col(9), datum.Row{}, Env{}); err == nil {
+	if _, err := vecEvalOne(t, col(9), datum.Row{}, Env{}); err == nil {
 		t.Error("expected error for unbound column")
 	}
 }
@@ -240,8 +240,8 @@ func TestEvalDeterministic(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		row := datum.Row{datum.NewInt(int64(r.Intn(10))), datum.NewInt(int64(r.Intn(10)))}
 		e := &Cmp{Op: CmpOp(r.Intn(6)), L: col(1), R: col(2)}
-		a, err1 := Eval(e, row, env(1, 2))
-		b, err2 := Eval(e, row, env(1, 2))
+		a, err1 := vecEvalOne(t, e, row, env(1, 2))
+		b, err2 := vecEvalOne(t, e, row, env(1, 2))
 		if err1 != nil || err2 != nil || a != b {
 			t.Fatalf("nondeterministic eval at %d", i)
 		}

@@ -183,8 +183,14 @@ func (db *DB) Query(sqlText string) ([]Row, []string, error) {
 }
 
 // Optimize returns the optimization result (plan, cost, RuleSet) for a SQL
-// query, with the given rules disabled.
+// query, with the given rules disabled. A rule id the registry does not hold
+// is an error.
 func (db *DB) Optimize(sqlText string, disabled ...RuleID) (*OptimizeResult, error) {
+	for _, id := range disabled {
+		if _, err := db.Registry.ByID(id); err != nil {
+			return nil, err
+		}
+	}
 	bound, err := bind.BindSQL(sqlText, db.Catalog)
 	if err != nil {
 		return nil, err

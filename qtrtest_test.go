@@ -56,6 +56,14 @@ func TestRuleSetAndDisable(t *testing.T) {
 			t.Errorf("rule %d changes results", id)
 		}
 	}
+	// An id no rule has is an error, as it is to verify -rules.
+	const want = "no rule with id 999"
+	if _, err := db.Optimize(q, 999); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Optimize with rule 999 disabled: err = %v, want %q", err, want)
+	}
+	if _, err := db.QueryDisabled(q, 14, 999); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("QueryDisabled with rule 999 disabled: err = %v, want %q", err, want)
+	}
 }
 
 func TestFacadeGeneratorAndSuite(t *testing.T) {
