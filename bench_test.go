@@ -22,7 +22,7 @@ import (
 
 // Benchmarks, one per figure of the paper's evaluation (§6). They run
 // scaled-down parameter points so `go test -bench=.` stays tractable; the
-// full-size sweeps are produced by `go run ./cmd/experiments`. Custom
+// full-size sweeps are produced by `go run ./cmd/qtrtest experiments`. Custom
 // metrics report the figures' actual units (trials, optimizer calls, cost)
 // alongside ns/op.
 

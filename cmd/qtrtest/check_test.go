@@ -151,6 +151,7 @@ func TestCountsRejectedUpFront(t *testing.T) {
 		{"generate", "-rule", "14", "-trials", "0"},
 		{"interactions", "-n", "0"},
 		{"interactions", "-per", "0"},
+		{"experiments", "-trials", "0"},
 	} {
 		known, err := e.run(args[0], args[1:])
 		if !known || !errors.As(err, new(usageError)) || !strings.Contains(err.Error(), args[len(args)-2]+" "+args[len(args)-1]) {

@@ -13,9 +13,11 @@
 //	qtrtest query -q "SELECT ..."
 //	qtrtest suite -n 10 -k 5 [-pairs] [-algo topk|smc|baseline|matching] [-validate]
 //	qtrtest interactions -n 8 [-per 3]
-//	qtrtest mutate [-k 4] [-targets 0] [-extra 0] [-kinds a,b] [-diff]
-//	qtrtest check [-json] [-matrix] [-xml file] [-mutant kind] [-eet]
+//	qtrtest mutate [-k 12] [-targets 0] [-extra 0] [-kinds a,b] [-diff]
+//	qtrtest check [-json] [-matrix] [-xml file] [-mutant kind] [-eet] [-verify]
+//	qtrtest verify [-rules 1,2] [-mutant kind] [-eet] [-json]
 //	qtrtest fuzz [-n 500] [-timeout 30s] [-json] [-mutant kind] [-randcat] [-eet] [-stop-on-finding]
+//	qtrtest experiments [-fig N] [-quick] [-trials 256]
 //
 // Global flags (before the subcommand): -scale, -seed, -db tpch|star, -ext,
 // -workers (worker pool size for the parallel campaign engine; suites,
@@ -23,10 +25,8 @@
 // -backend ref (the independent reference interpreter, cross-checked
 // against every base execution in suite -validate, mutate, check -verify,
 // verify and fuzz; any other name is rejected before any subcommand runs),
-// -cpuprofile/-memprofile (write pprof profiles for the run). Only mutate,
-// which re-runs the pristine base plans for every mutant, memoizes plan
-// results (a default-size result cache); every other campaign executes
-// directly.
+// -cpuprofile/-memprofile (write pprof profiles for the run). No subcommand
+// memoizes plan results: every campaign executes directly.
 package main
 
 import (
@@ -41,7 +41,6 @@ import (
 
 	"qtrtest"
 	"qtrtest/internal/core/oracle"
-	"qtrtest/internal/prof"
 )
 
 // env is what the global flags say, built once in main and handed to every
@@ -89,6 +88,8 @@ func (e env) run(cmd string, rest []string) (known bool, err error) {
 		err = cmdVerify(e, rest)
 	case "fuzz":
 		err = cmdFuzz(e, rest)
+	case "experiments":
+		err = cmdExperiments(e, rest)
 	default:
 		return false, nil
 	}
@@ -126,14 +127,14 @@ func main() {
 	if *ext {
 		db = qtrtest.Open(db.Catalog, qtrtest.RegistryWithExtensions())
 	}
-	profile, err := prof.Start(*cpuprofile, *memprofile)
+	profile, err := startProfile(*cpuprofile, *memprofile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "qtrtest:", err)
 		os.Exit(1)
 	}
 	e := env{db: db, schema: *schema, ext: *ext, seed: *seed, workers: *workers, backend: *backend}
 	known, err := e.run(args[0], args[1:])
-	if perr := profile.Stop(); perr != nil && err == nil {
+	if perr := profile.stop(); perr != nil && err == nil {
 		err = perr
 	}
 	if !known {
@@ -167,7 +168,7 @@ func positive(fs *flag.FlagSet, names ...string) error {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: qtrtest [-scale F] [-seed S] [-db tpch|star] [-ext] [-workers W] [-backend ref] [-cpuprofile F] [-memprofile F] <rules|patterns|generate|ruleset|explain|analyze|query|suite|interactions|mutate|check|verify|fuzz> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: qtrtest [-scale F] [-seed S] [-db tpch|star] [-ext] [-workers W] [-backend ref] [-cpuprofile F] [-memprofile F] <rules|patterns|generate|ruleset|explain|analyze|query|suite|interactions|mutate|check|verify|fuzz|experiments> [flags]")
 	os.Exit(2)
 }
 
@@ -409,11 +410,9 @@ func cmdMutate(e env, args []string) error {
 	if err := noExt(e, "mutate"); err != nil {
 		return err
 	}
-	// mutate re-runs the pristine base plans for every mutant, the one
-	// campaign a result cache pays in; reports are byte-identical without it.
 	cfg := qtrtest.MutationConfig{
 		K: *k, Targets: *targets, ExtraOps: *extra, Seed: e.seed, MaxTrials: *trials,
-		Workers: e.workers, Cache: qtrtest.NewResultCache(0), Backend: e.backend,
+		Workers: e.workers, Backend: e.backend,
 	}
 	if *kinds != "" {
 		var ks []qtrtest.MutantKind

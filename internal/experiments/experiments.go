@@ -12,7 +12,6 @@ import (
 	"sort"
 	"time"
 
-	"qtrtest/internal/catalog"
 	"qtrtest/internal/core/qgen"
 	"qtrtest/internal/core/suite"
 	"qtrtest/internal/mutate"
@@ -25,8 +24,6 @@ import (
 type Config struct {
 	// Seed drives all generators.
 	Seed int64
-	// ScaleRows scales the TPC-H data.
-	ScaleRows float64
 	// Quick shrinks rule counts and suite sizes so the full set of figures
 	// runs in seconds rather than minutes.
 	Quick bool
@@ -39,27 +36,20 @@ type Config struct {
 	Workers int
 }
 
-// Runner owns the database and optimizer shared by all figures.
+// Runner runs every figure on one optimizer.
 type Runner struct {
 	cfg Config
-	cat *catalog.Catalog
 	opt *opt.Optimizer
 }
 
-// NewRunner builds the test database and optimizer.
-func NewRunner(cfg Config) *Runner {
+// NewRunner runs the figures on o, an optimizer over the default registry
+// and a TPC-H catalog.
+func NewRunner(o *opt.Optimizer, cfg Config) *Runner {
 	if cfg.MaxTrials <= 0 {
 		cfg.MaxTrials = 256
 	}
-	if cfg.ScaleRows <= 0 {
-		cfg.ScaleRows = 1.0
-	}
-	cat := catalog.LoadTPCH(catalog.TPCHConfig{ScaleRows: cfg.ScaleRows, Seed: cfg.Seed})
-	return &Runner{cfg: cfg, cat: cat, opt: opt.New(rules.DefaultRegistry(), cat)}
+	return &Runner{cfg: cfg, opt: o}
 }
-
-// Optimizer exposes the shared optimizer.
-func (r *Runner) Optimizer() *opt.Optimizer { return r.opt }
 
 func (r *Runner) explorationIDs(n int) []rules.ID {
 	var ids []rules.ID
@@ -118,7 +108,7 @@ func (r *Runner) Fig8() (*Fig8Result, error) {
 	rows := make([]GenRow, len(ids))
 	err := par.ForEachErr(r.cfg.Workers, len(ids), func(i int) error {
 		id := ids[i]
-		rule, err := rules.DefaultRegistry().ByID(id)
+		rule, err := r.opt.Registry().ByID(id)
 		if err != nil {
 			return err
 		}
@@ -508,7 +498,7 @@ func PrintFig14(w io.Writer, rows []*MonotonicityRow) {
 // cannot catch seeded faults says nothing when it reports zero mismatches on
 // the healthy rule set.
 func (r *Runner) Fig15() (*mutate.Score, error) {
-	return mutate.Run(r.cat, mutate.Config{
+	return mutate.Run(r.opt.Catalog(), mutate.Config{
 		Seed: r.cfg.Seed, MaxTrials: r.cfg.MaxTrials, Workers: r.cfg.Workers,
 	})
 }

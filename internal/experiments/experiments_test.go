@@ -3,11 +3,21 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"qtrtest/internal/catalog"
+	"qtrtest/internal/opt"
+	"qtrtest/internal/rules"
 )
+
+// tpchOptimizer is the optimizer qtrtest experiments runs the figures on at
+// its default -scale and -seed.
+func tpchOptimizer() *opt.Optimizer {
+	return opt.New(rules.DefaultRegistry(), catalog.LoadTPCH(catalog.DefaultTPCHConfig()))
+}
 
 // quickRunner keeps experiment tests fast: small rule counts and suites.
 func quickRunner() *Runner {
-	return NewRunner(Config{Seed: 42, ScaleRows: 1.0, Quick: true, MaxTrials: 128})
+	return NewRunner(tpchOptimizer(), Config{Seed: 42, Quick: true, MaxTrials: 128})
 }
 
 // TestFig8Shape asserts the paper's headline result: PATTERN needs far fewer
@@ -39,7 +49,7 @@ func TestFig8Shape(t *testing.T) {
 
 // TestFig9Shape: the PATTERN advantage grows for rule pairs.
 func TestFig9Shape(t *testing.T) {
-	r := NewRunner(Config{Seed: 42, ScaleRows: 1.0, MaxTrials: 64})
+	r := NewRunner(tpchOptimizer(), Config{Seed: 42, MaxTrials: 64})
 	res, err := r.PairGeneration(5)
 	if err != nil {
 		t.Fatal(err)

@@ -10,8 +10,7 @@ import (
 // TestCacheDifferentialAcrossWorkers: the mutation campaign's rendered
 // report — scores, caught-by tables, plan-diff evidence — must be
 // byte-identical with the result cache on and off at every worker count.
-// The campaign runs the same suite queries against every mutant registry,
-// so the cache sees heavy cross-mutant base-plan overlap; none of that
+// Plans that recur across mutant registries hit the cache; none of that
 // reuse may leak into what the report says.
 func TestCacheDifferentialAcrossWorkers(t *testing.T) {
 	cat := testTPCH()

@@ -34,11 +34,10 @@ type Config struct {
 	// Mutants overrides the shipped catalog (nil means Mutants()).
 	Mutants []Mutant
 	// Cache, when non-nil, memoizes plan executions across the whole
-	// campaign. One cache serves every mutant and every algorithm: a plan's
-	// result depends only on (plan, catalog, caps, engine), not on which
-	// registry produced it, and the three algorithms' suites overlap heavily
-	// in the plans they execute. Scores are byte-identical with and without
-	// it.
+	// campaign. One cache serves every mutant and every distinct suite: a
+	// plan's result depends only on (plan, catalog, caps, engine), not on
+	// which registry produced it. Scores are byte-identical with and
+	// without it.
 	Cache *rescache.Cache
 	// Backend names the independent execution backend, "ref" (the reference
 	// engine); "" disables it. When set, every suite run additionally replays each base query there and
@@ -244,6 +243,9 @@ func runOne(cat *catalog.Catalog, m Mutant, cfg Config) (*MutantResult, error) {
 		return nil, err
 	}
 	res := &MutantResult{Mutant: m, Queries: len(g.Queries)}
+	// The algorithms often pick one suite (always with a single target), so
+	// each distinct assignment list runs once and shares its report.
+	reports := make(map[string]*suite.Report)
 	algos := []struct {
 		name string
 		fn   func() (*suite.Solution, error)
@@ -257,9 +259,16 @@ func runOne(cat *catalog.Catalog, m Mutant, cfg Config) (*MutantResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", a.name, err)
 		}
-		rep, err := g.Run(sol, o, cat)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", a.name, err)
+		var key strings.Builder // Graph.Run reads only targets and queries
+		for _, as := range sol.Assignments {
+			fmt.Fprintf(&key, "%d:%d ", as.Target, as.Query)
+		}
+		rep := reports[key.String()]
+		if rep == nil {
+			if rep, err = g.Run(sol, o, cat); err != nil {
+				return nil, fmt.Errorf("%s: %w", a.name, err)
+			}
+			reports[key.String()] = rep
 		}
 		as := AlgoScore{
 			Algo:           a.name,

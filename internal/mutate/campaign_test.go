@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"qtrtest/internal/catalog"
+	"qtrtest/internal/rescache"
 )
 
 func testTPCH() *catalog.Catalog {
@@ -150,5 +151,31 @@ func TestCappedCampaignFinishes(t *testing.T) {
 		var buf bytes.Buffer
 		score.Print(&buf, false)
 		t.Errorf("BASELINE caught %d mutants, want 5:\n%s", got, buf.String())
+	}
+}
+
+// TestOneRunPerDistinctSuite: with the mutated rule as the one target,
+// BASELINE, SMC and TOPK pick the same suite, and the campaign runs it once.
+// A fresh cache sees one suite run's lookups, where running each algorithm's
+// suite saw three times as many.
+func TestOneRunPerDistinctSuite(t *testing.T) {
+	ms, err := ByKind(KindFlipSortDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := rescache.New(0)
+	score, err := Run(testTPCH(), Config{Seed: 1, Workers: 2, Mutants: ms, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	algos := score.Results[0].Algos
+	for _, a := range algos[1:] {
+		if a.Algo = algos[0].Algo; a != algos[0] {
+			t.Fatalf("one suite scored %+v and %+v", a, algos[0])
+		}
+	}
+	st := cache.Stats()
+	if got, want := st.Hits+st.Misses, int64(algos[0].PlanExecutions); got != want {
+		t.Errorf("cache saw %d lookups (%d hits), want one suite run's %d plan executions", got, st.Hits, want)
 	}
 }

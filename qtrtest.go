@@ -302,7 +302,7 @@ func RegistryExtend[R Rule](base *Registry, extra ...R) *Registry {
 }
 
 // Result-cache surface (internal/rescache): the campaign-wide plan-result
-// cache the CLI's mutate and the benchmark harness use. Each campaign — suite
+// cache the benchmark harness uses; no CLI subcommand builds one. Each campaign — suite
 // validation (Graph.SetCache), mutation (MutationConfig.Cache), fuzzing
 // (FuzzConfig.Cache), verification (VerifyConfig.Cache) — hands its cache to
 // the one oracle.Runner it executes and compares through, and one cache can
